@@ -1,5 +1,6 @@
-(* bgpd: a minimal real BGP daemon built from the bgpmark protocol
-   engine, for loopback experiments.
+(* bgpd: a real BGP daemon for loopback experiments — the benchmarked
+   router (Bgp_router.Router) on the unpaced architecture, so it runs at
+   host speed, with its sessions on loopback TCP (Bgp_tcp.Tcp_link).
 
    Example (three terminals):
      bgpd --asn 65101 --router-id 10.0.0.1 --listen 1790 \
@@ -8,11 +9,12 @@
           --aggregate 198.51.0.0/16,as-set,summary-only
      bgpd --asn 65103 --router-id 10.0.0.3 --connect 1791
 
-   Each daemon prints session events and, every few seconds, its
-   Loc-RIB. *)
+   Every few seconds each daemon prints its neighbors' session states
+   and its Loc-RIB. *)
 
 open Cmdliner
-module Daemon = Bgp_tcp.Daemon
+module Router = Bgp_router.Router
+module Tcp_link = Bgp_tcp.Tcp_link
 module Loop = Bgp_tcp.Event_loop
 
 let asn_t =
@@ -33,7 +35,8 @@ let connect_t =
 
 let listen_client_t =
   let doc =
-    "Like --listen, but treat the neighbor as a route-reflection client      (RFC 4456; for IBGP neighbors)."
+    "Like --listen, but treat the neighbor as a route-reflection client \
+     (RFC 4456; for IBGP neighbors)."
   in
   Arg.(value & opt_all int [] & info [ "listen-client" ] ~docv:"PORT" ~doc)
 
@@ -47,7 +50,9 @@ let announce_t =
 
 let announce_file_t =
   let doc =
-    "Originate every route from a table file: bgpmark text (see               Bgp_speaker.Table_io for the format) or an MRT TABLE_DUMP_V2 dump,       auto-detected."
+    "Originate every route from a table file: bgpmark text (see \
+     Bgp_speaker.Table_io for the format) or an MRT TABLE_DUMP_V2 dump, \
+     auto-detected."
   in
   Arg.(value & opt (some string) None & info [ "announce-file" ] ~docv:"FILE" ~doc)
 
@@ -58,7 +63,7 @@ let aggregate_t =
   Arg.(value & opt_all string [] & info [ "aggregate" ] ~docv:"SPEC" ~doc)
 
 let interval_t =
-  let doc = "Seconds between Loc-RIB dumps (0 disables)." in
+  let doc = "Seconds between status dumps (0 disables)." in
   Arg.(value & opt float 5.0 & info [ "status-interval" ] ~docv:"SECONDS" ~doc)
 
 let parse_aggregate spec =
@@ -75,39 +80,55 @@ let parse_aggregate spec =
       agg_summary_only = List.mem "summary-only" flags }
   | [] -> invalid_arg "empty aggregate spec"
 
-let dump_rib daemon =
-  let routes = Daemon.routes daemon in
-  Printf.printf "--- loc-rib (%d routes, %d peers up) ---\n"
+(* One status tick: every neighbor's session state, then the Loc-RIB. *)
+let dump_status router neighbors =
+  let states =
+    List.map (fun (label, peer) -> (label, Router.session_state router peer))
+      neighbors
+  in
+  let routes =
+    Bgp_rib.Loc_rib.to_list (Bgp_rib.Rib_manager.loc_rib (Router.rib router))
+  in
+  Format.printf "--- loc-rib (%d routes, %d peers up) ---@."
     (List.length routes)
-    (Daemon.established_peers daemon);
+    (List.length
+       (List.filter (fun (_, st) -> st = Bgp_fsm.Fsm.Established) states));
   List.iter
-    (fun r -> Format.printf "  %a@." Bgp_route.Route.pp r)
-    (List.sort
-       (fun a b ->
-         Bgp_addr.Prefix.compare (Bgp_route.Route.prefix a)
-           (Bgp_route.Route.prefix b))
-       routes);
-  flush stdout
+    (fun (label, st) ->
+      Format.printf "  neighbor %s: %s@." label (Bgp_fsm.Fsm.state_name st))
+    states;
+  List.iter (fun r -> Format.printf "  %a@." Bgp_route.Route.pp r) routes
 
 let run asn router_id listens connects client_listens client_connects announces
     announce_file aggregates interval =
   let loop = Loop.create () in
-  let daemon =
-    Daemon.create
+  let local_asn = Bgp_route.Asn.of_int asn in
+  let router =
+    Router.create
       ~aggregates:(List.map parse_aggregate aggregates)
-      ~log:(fun msg ->
-        Printf.printf "[bgpd] %s\n%!" msg)
-      loop
-      ~asn:(Bgp_route.Asn.of_int asn)
+      (Loop.clock loop) Bgp_router.Arch.unpaced ~local_asn
       ~router_id:(Bgp_addr.Ipv4.of_string_exn router_id)
-      ()
   in
-  List.iter (fun port -> Daemon.listen daemon ~port) listens;
-  List.iter (fun port -> Daemon.connect daemon ~port) connects;
-  List.iter (fun port -> Daemon.listen ~rr_client:true daemon ~port) client_listens;
-  List.iter (fun port -> Daemon.connect ~rr_client:true daemon ~port) client_connects;
+  (* Neighbors are known by port alone: the router takes each one's AS
+     and BGP identifier from its OPEN. *)
+  let neighbors = ref [] in
+  let attach ~active ~rr_client port =
+    let ep = (if active then Tcp_link.connect else Tcp_link.listen) loop ~port in
+    let peer =
+      Bgp_route.Peer.make ~id:(List.length !neighbors) ~asn:local_asn
+        ~router_id:Bgp_addr.Ipv4.zero
+        ~addr:(Bgp_addr.Ipv4.of_string_exn "127.0.0.1")
+    in
+    Router.attach_peer ~active ~rr_client router ~peer ~link:ep.Tcp_link.link;
+    let label = Printf.sprintf "%s:%d" (if active then "connect" else "listen") port in
+    neighbors := !neighbors @ [ (label, peer) ]
+  in
+  List.iter (attach ~active:false ~rr_client:false) listens;
+  List.iter (attach ~active:true ~rr_client:false) connects;
+  List.iter (attach ~active:false ~rr_client:true) client_listens;
+  List.iter (attach ~active:true ~rr_client:true) client_connects;
   List.iter
-    (fun p -> Daemon.originate daemon (Bgp_addr.Prefix.of_string_exn p))
+    (fun p -> Router.originate router ~prefix:(Bgp_addr.Prefix.of_string_exn p))
     announces;
   Option.iter
     (fun file ->
@@ -120,15 +141,15 @@ let run asn router_id listens connects client_listens client_connects announces
         let next_hop = Bgp_addr.Ipv4.of_string_exn router_id in
         List.iter
           (fun e ->
-            Daemon.originate_route daemon e.Bgp_speaker.Table_io.e_prefix
-              (Bgp_speaker.Table_io.to_attrs ~next_hop e))
+            Router.originate router ~prefix:e.Bgp_speaker.Table_io.e_prefix
+              ~attrs:(Bgp_speaker.Table_io.to_attrs ~next_hop e))
           entries;
         Printf.printf "[bgpd] originated %d routes from %s\n%!"
           (List.length entries) file)
     announce_file;
   if interval > 0.0 then begin
     let rec status () =
-      dump_rib daemon;
+      dump_status router !neighbors;
       let (_ : unit -> unit) = Loop.after loop interval status in
       ()
     in
@@ -142,7 +163,7 @@ let run asn router_id listens connects client_listens client_connects announces
   ignore (Loop.run loop ~until:(fun () -> false) ~timeout:infinity)
 
 let cmd =
-  let doc = "a tiny real BGP daemon built on the bgpmark protocol engine" in
+  let doc = "a tiny real BGP daemon: the bgpmark router on loopback TCP" in
   Cmd.v
     (Cmd.info "bgpd" ~version:"1.0.0" ~doc)
     Term.(

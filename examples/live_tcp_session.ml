@@ -1,21 +1,23 @@
 (* Live TCP session: the same protocol engine used by the benchmark,
    speaking real BGP over a real loopback TCP connection.
 
-   One process hosts both ends: a passive "router" endpoint listening
-   on 127.0.0.1 and an active "speaker" endpoint that connects, brings
-   the session to Established, transfers a routing table, withdraws
-   half of it, and shuts down cleanly with a CEASE.
+   One process hosts both ends: a passive "router" session on a
+   Tcp_link listening on 127.0.0.1 and an active "speaker" session on a
+   Tcp_link that connects, brings the session to Established, transfers
+   a routing table, withdraws half of it, and shuts down cleanly with a
+   CEASE.
 
    Run with:  dune exec examples/live_tcp_session.exe [port] *)
 
 module Fsm = Bgp_fsm.Fsm
 module Session = Bgp_fsm.Session
 module Msg = Bgp_wire.Msg
-module Endpoint = Bgp_tcp.Endpoint
+module Tcp_link = Bgp_tcp.Tcp_link
 module Loop = Bgp_tcp.Event_loop
 
 let ip = Bgp_addr.Ipv4.of_string_exn
 let asn = Bgp_route.Asn.of_int
+
 
 let () =
   let port =
@@ -41,22 +43,25 @@ let () =
     { Session.null_hooks with
       Session.on_established = (fun () -> Format.printf "[speaker] session Established@.") }
   in
+  let router_ep = Tcp_link.listen loop ~port in
+  let speaker_ep = Tcp_link.connect loop ~port in
   let router =
-    Endpoint.listen loop ~port
-      ~cfg:(Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.255.0.1"))
-      ~hooks:router_hooks
+    Session.of_link
+      { (Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.255.0.1")) with
+        Fsm.passive = true }
+      (Loop.timer_service loop) router_ep.Tcp_link.link router_hooks
   in
   let speaker =
-    Endpoint.connect loop ~port
-      ~cfg:(Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "192.0.2.1"))
-      ~hooks:speaker_hooks
+    Session.of_link
+      (Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "192.0.2.1"))
+      (Loop.timer_service loop) speaker_ep.Tcp_link.link speaker_hooks
   in
   Format.printf "listening on 127.0.0.1:%d ...@." port;
-  Endpoint.start router;
-  Endpoint.start speaker;
+  Session.start router;
+  Session.start speaker;
   let both_up () =
-    Endpoint.state router = Fsm.Established
-    && Endpoint.state speaker = Fsm.Established
+    Session.state router = Fsm.Established
+    && Session.state speaker = Fsm.Established
   in
   if not (Loop.run loop ~until:both_up ~timeout:10.0) then begin
     prerr_endline "session failed to establish";
@@ -70,7 +75,7 @@ let () =
       ~next_hop:(ip "127.0.0.1") ~path_len:3 ()
   in
   List.iter
-    (fun chunk -> ignore (Endpoint.send speaker (Msg.announcement attrs chunk)))
+    (fun chunk -> ignore (Session.send speaker (Msg.announcement attrs chunk)))
     (Bgp_speaker.Workload.chunk 500 table);
   ignore
     (Loop.run loop ~until:(fun () -> Hashtbl.length routes = 5_000) ~timeout:10.0);
@@ -79,16 +84,16 @@ let () =
   (* Withdraw the first half. *)
   let half = Array.sub table 0 2_500 in
   List.iter
-    (fun chunk -> ignore (Endpoint.send speaker (Msg.withdrawal chunk)))
+    (fun chunk -> ignore (Session.send speaker (Msg.withdrawal chunk)))
     (Bgp_speaker.Workload.chunk 500 half);
   ignore
     (Loop.run loop ~until:(fun () -> Hashtbl.length routes = 2_500) ~timeout:10.0);
   Format.printf "[router ] %d routes after withdrawals@." (Hashtbl.length routes);
 
   (* Clean shutdown: the speaker sends CEASE. *)
-  Endpoint.stop speaker;
+  Session.stop speaker;
   ignore
-    (Loop.run loop ~until:(fun () -> Endpoint.state router = Fsm.Idle) ~timeout:5.0);
-  Endpoint.close speaker;
-  Endpoint.close router;
+    (Loop.run loop ~until:(fun () -> Session.state router = Fsm.Idle) ~timeout:5.0);
+  speaker_ep.dispose ();
+  router_ep.dispose ();
   Format.printf "done.@."

@@ -7,6 +7,7 @@ type t = {
   set_receiver : (string -> unit) -> unit;
   set_on_connected : (unit -> unit) -> unit;
   set_on_closed : (unit -> unit) -> unit;
+  set_on_failed : (unit -> unit) -> unit;
   set_tap : (string -> fate) option -> unit;
 }
 

@@ -27,6 +27,10 @@ type t = {
       (** bytes arrived from the peer *)
   set_on_connected : (unit -> unit) -> unit;
   set_on_closed : (unit -> unit) -> unit;
+  set_on_failed : (unit -> unit) -> unit;
+      (** an active connect attempt was refused (RFC 4271
+          TcpConnectionFails); a simulated channel, whose connect always
+          succeeds, never fires it *)
   set_tap : (string -> fate) option -> unit;
       (** intercept this endpoint's outbound transmissions; [None]
           clears *)

@@ -14,11 +14,6 @@ type io = {
   close : unit -> unit;
 }
 
-let io_of_link ~active (link : Bgp_engine.Link.t) =
-  { out_bytes = link.send;
-    start_connect = (if active then link.start_connect else fun () -> ());
-    close = link.close }
-
 type hooks = {
   on_update : Msg.update -> unit;
   on_refresh : int -> int -> unit;
@@ -136,3 +131,19 @@ let send t msg =
     transmit t msg;
     true
   | _ -> false
+
+let of_link cfg timers (link : Bgp_engine.Link.t) hooks =
+  (* A passive (listening) side never initiates the transport
+     connection, even if the FSM were to ask. *)
+  let io =
+    { out_bytes = link.send;
+      start_connect =
+        (if cfg.Fsm.passive then fun () -> () else link.start_connect);
+      close = link.close }
+  in
+  let t = create cfg timers io hooks in
+  link.set_receiver (feed t);
+  link.set_on_connected (fun () -> connected t);
+  link.set_on_closed (fun () -> closed t);
+  link.set_on_failed (fun () -> failed t);
+  t

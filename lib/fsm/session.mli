@@ -24,11 +24,6 @@ type io = {
   close : unit -> unit;           (** tear the connection down *)
 }
 
-val io_of_link : active:bool -> Bgp_engine.Link.t -> io
-(** Session I/O over a transport endpoint.  [active] gates
-    [start_connect]: a passive (listening) side never initiates the
-    transport connection even if the FSM were to ask. *)
-
 type hooks = {
   on_update : Bgp_wire.Msg.update -> unit;
       (** an UPDATE arrived (session is Established) *)
@@ -47,6 +42,15 @@ val null_hooks : hooks
 type t
 
 val create : Fsm.config -> timer_service -> io -> hooks -> t
+
+val of_link :
+  Fsm.config -> timer_service -> Bgp_engine.Link.t -> hooks -> t
+(** A session speaking over a transport endpoint: {!create} with the
+    endpoint's [send]/[start_connect]/[close] as its {!io} (a passive
+    session never dials, even if the FSM were to ask), and the
+    endpoint's receiver, connected, closed, and failed callbacks driving
+    {!feed}, {!connected}, {!closed}, and {!failed}. *)
+
 val state : t -> Fsm.state
 val fsm : t -> Fsm.t
 

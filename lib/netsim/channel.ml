@@ -283,6 +283,7 @@ let endpoint t side =
     set_receiver = set_receiver t side;
     set_on_connected = set_on_connected t side;
     set_on_closed = set_on_closed t side;
+    set_on_failed = (fun _ -> ());
     set_tap =
       (function Some f -> set_tap t side f | None -> clear_tap t side) }
 

@@ -8,7 +8,7 @@ module Fib = Bgp_fib.Fib
 module P = Bgp_addr.Prefix
 
 type peer_state = {
-  peer : Peer.t;
+  mutable peer : Peer.t;
   adj_in : Adj_rib.t;
   adj_out : Adj_rib.t;
   import : Policy.t;
@@ -99,6 +99,14 @@ let peer_state t peer =
   | Some ps -> ps
   | None ->
     invalid_arg (Printf.sprintf "Rib_manager: unknown peer id %d" peer.Peer.id)
+
+let rebind_peer t peer =
+  let ps = peer_state t peer in
+  if Adj_rib.size ps.adj_in > 0 || Adj_rib.size ps.adj_out > 0 then
+    invalid_arg
+      (Printf.sprintf "Rib_manager.rebind_peer: peer id %d holds routes"
+         peer.Peer.id);
+  ps.peer <- peer
 
 let peers t = Array.to_list (Array.map (fun ps -> ps.peer) t.peers_sorted)
 

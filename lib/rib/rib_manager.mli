@@ -81,6 +81,14 @@ val set_peer_up : t -> Bgp_route.Peer.t -> bool -> unit
     {!withdraw}); their Adj-RIB-Out is only mutated by {!export_full}
     and {!peer_down}. *)
 
+val rebind_peer : t -> Bgp_route.Peer.t -> unit
+(** Replace the identity (AS, BGP identifier, address) of the
+    registered peer with [peer]'s id — a session learned it from the
+    neighbor's OPEN.  Ordering is unchanged ({!Bgp_route.Peer.compare}
+    is by id).
+    @raise Invalid_argument for an unregistered peer, or one whose
+    Adj-RIB-In or Adj-RIB-Out is not empty. *)
+
 val peers : t -> Bgp_route.Peer.t list
 val loc_rib : t -> Loc_rib.t
 val adj_in_size : t -> Bgp_route.Peer.t -> int

@@ -150,6 +150,19 @@ let cisco3620 =
 
 let all = [ pentium3; xeon; ixp2400; cisco3620 ]
 
+let unpaced =
+  { xeon with
+    name = "unpaced";
+    description = "Xeon model with zero costs: host speed only";
+    cost =
+      { cyc_per_msg_rx = 0.0; cyc_per_msg_tx = 0.0; cyc_per_byte = 0.0;
+        cyc_per_prefix_parse = 0.0; cyc_per_policy_unit = 0.0;
+        cyc_per_candidate = 0.0; cyc_per_rib_change = 0.0;
+        cyc_per_announcement = 0.0; cyc_per_fib_msg = 0.0;
+        cyc_per_fib_delta = 0.0; cyc_per_fib_replace = 0.0;
+        cyc_per_withdraw_parse = 0.0 };
+    rtrmgr_period = 0.0 }
+
 (* ------------------------------------------------------------------ *)
 (* Declarative stage tables                                            *)
 (* ------------------------------------------------------------------ *)

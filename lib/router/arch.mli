@@ -97,6 +97,12 @@ val cisco3620 : t
 val all : t list
 (** The four systems, in Table II order. *)
 
+val unpaced : t
+(** The Xeon model with every cost term zero and no housekeeping: the
+    modelled CPU never paces the router, so it runs at host speed.
+    This is what [bgpd] runs.  Not one of the paper's systems — absent
+    from {!all} and {!by_name}. *)
+
 val by_name : string -> t option
 (** Case-insensitive lookup of ["pentium3"], ["xeon"], ["ixp2400"],
     ["cisco3620"]. *)

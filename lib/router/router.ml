@@ -13,7 +13,7 @@ module Metrics = Bgp_stats.Metrics
 module Interned = Bgp_route.Attrs.Interned
 
 type peer_link = {
-  peer : Peer.t;
+  mutable peer : Peer.t;  (* AS and BGP identifier as of the last OPEN *)
   mutable session : Session.t option;  (* set right after creation *)
   mutable last_rx_size : int;
   max_prefixes : int option;  (* per-peer prefix-limit protection *)
@@ -99,8 +99,8 @@ let start_rtrmgr clock sched arch proc =
     ignore (Clock.schedule clock ~delay:arch.Arch.rtrmgr_period tick)
   end
 
-let create ?import ?export ?mrai ?damping ?metrics ?tracer ?trace_process clock
-    arch ~local_asn ~router_id =
+let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
+    ?trace_process clock arch ~local_asn ~router_id =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let trace_process =
     match trace_process with Some p -> p | None -> arch.Arch.name
@@ -150,7 +150,9 @@ let create ?import ?export ?mrai ?damping ?metrics ?tracer ?trace_process clock
   in
   let fwd = make_forwarding arch sched in
   { clock; arch; sched;
-    rib = Rib_manager.create ?import ?export ~metrics ~local_asn ~router_id ();
+    rib =
+      Rib_manager.create ?import ?export ?aggregates ~metrics ~local_asn
+        ~router_id ();
     fib = Fib.create (); fwd; pipeline;
     tx_proc = stage_proc (Arch.tx_proc_name arch);
     fib_proc = stage_proc (Arch.fib_proc_name arch);
@@ -466,17 +468,12 @@ and reuse_fire t d =
     (fun (peer, prefix, attrs) ->
       (* A peer that went away while the route sat suppressed keeps
          nothing: its withheld announcement must not resurrect. *)
-      let established =
-        match Hashtbl.find_opt t.peers peer.Peer.id with
-        | Some l -> (
-          match l.session with
-          | Some s -> Session.state s = Bgp_fsm.Fsm.Established
-          | None -> false)
-        | None -> false
-      in
-      if established then
+      match Hashtbl.find_opt t.peers peer.Peer.id with
+      | Some ({ session = Some s; _ } as l)
+        when Session.state s = Bgp_fsm.Fsm.Established ->
         local_change t ~prefix
-          (Rib_manager.announce_interned t.rib ~from:peer prefix attrs))
+          (Rib_manager.announce_interned t.rib ~from:l.peer prefix attrs)
+      | _ -> ())
     (Damping.take_reusable d ~now);
   arm_reuse t
 
@@ -595,8 +592,22 @@ let send_packed t peer_link anns =
     msgs
 
 (* Phase 2: a peer reached Established; if we already hold routes, ship
-   the full table. *)
+   the full table.  The neighbor's AS and BGP identifier are taken from
+   its OPEN, so a neighbor may be attached before it is known (by port
+   alone).  The peer holds no routes yet, so rebinding is safe; a
+   declared identity that matches the OPEN is left untouched. *)
 let on_established t peer_link =
+  (match Bgp_fsm.Fsm.peer_open (Session.fsm (link_session peer_link)) with
+  | Some o ->
+    let p = peer_link.peer in
+    if not (Bgp_route.Asn.equal p.Peer.asn o.Msg.opn_asn
+            && Bgp_addr.Ipv4.equal p.Peer.router_id o.Msg.opn_bgp_id)
+    then begin
+      let p = { p with Peer.asn = o.Msg.opn_asn; router_id = o.Msg.opn_bgp_id } in
+      peer_link.peer <- p;
+      Rib_manager.rebind_peer t.rib p
+    end
+  | None -> ());
   Rib_manager.set_peer_up t.rib peer_link.peer true;
   send_packed t peer_link (Rib_manager.export_full t.rib peer_link.peer)
 
@@ -607,17 +618,16 @@ let on_refresh t peer_link ~afi ~safi =
   if afi = 1 && safi = 1 then
     send_packed t peer_link (Rib_manager.refresh t.rib peer_link.peer)
 
-let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?import ?export
-    t ~peer ~(link : Link.t) =
+let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?rr_client
+    ?import ?export t ~peer ~(link : Link.t) =
   if Hashtbl.mem t.peers peer.Peer.id then
     invalid_arg (Printf.sprintf "Router.attach_peer: duplicate id %d" peer.Peer.id);
-  Rib_manager.add_peer ?import ?export ~up:false t.rib peer;
+  Rib_manager.add_peer ?import ?export ?rr_client ~up:false t.rib peer;
   let cfg =
     { (Bgp_fsm.Fsm.default_config ~asn:(Rib_manager.local_asn t.rib)
          ~router_id:(Rib_manager.router_id t.rib))
       with Bgp_fsm.Fsm.passive = not active }
   in
-  let io = Session.io_of_link ~active link in
   let lnk =
     { peer; session = None; last_rx_size = 0; max_prefixes;
       mrai_pending = Hashtbl.create 16; mrai_armed = false;
@@ -696,7 +706,9 @@ let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?import ?export
           Metrics.incr ~by:bytes t.c_bytes_rx;
           lnk.last_rx_size <- bytes) }
   in
-  let session = Session.create cfg (Session.timer_service_of t.clock) io hooks in
+  let session =
+    Session.of_link cfg (Session.timer_service_of t.clock) link hooks
+  in
   (match t.tracer, t.fsm_track with
   | Some tr, Some tk ->
     let peer_name = Printf.sprintf "peer-%d" peer.Peer.id in
@@ -708,17 +720,17 @@ let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?import ?export
   | _ -> ());
   lnk.session <- Some session;
   Hashtbl.replace t.peers peer.Peer.id lnk;
-  link.Link.set_receiver (fun bytes -> Session.feed session bytes);
-  link.Link.set_on_connected (fun () -> Session.connected session);
-  link.Link.set_on_closed (fun () -> Session.closed session);
   Session.start session
 
 let session_state t peer = Session.state (link_session (link t peer))
 
-let originate t ~prefix =
+let originate ?attrs t ~prefix =
   local_change t ~prefix
-    (Rib_manager.inject_local t.rib ~prefix
-       ~next_hop:(Rib_manager.router_id t.rib))
+    (match attrs with
+    | Some attrs -> Rib_manager.inject_local_route t.rib ~prefix ~attrs
+    | None ->
+      Rib_manager.inject_local t.rib ~prefix
+        ~next_hop:(Rib_manager.router_id t.rib))
 
 let withdraw_origin t ~prefix =
   local_change t ~prefix (Rib_manager.withdraw_local t.rib ~prefix)

@@ -26,6 +26,7 @@ type t
 val create :
   ?import:Bgp_policy.Policy.t ->
   ?export:Bgp_policy.Policy.t ->
+  ?aggregates:Bgp_rib.Rib_manager.aggregate_config list ->
   ?mrai:float ->
   ?damping:Bgp_rib.Damping.config ->
   ?metrics:Bgp_stats.Metrics.t ->
@@ -36,7 +37,10 @@ val create :
   local_asn:Bgp_route.Asn.t ->
   router_id:Bgp_addr.Ipv4.t ->
   t
-(** [mrai]: enable RFC 4271 section 9.2.1.1 MinRouteAdvertisementInterval
+(** [aggregates]: originate these aggregates (RFC 4271 section
+    9.2.2.2) while a more-specific route is selected; none by default.
+
+    [mrai]: enable RFC 4271 section 9.2.1.1 MinRouteAdvertisementInterval
     batching of outbound advertisements (seconds between flushes per
     peer).  Off by default — XORP 1.3, as benchmarked by the paper,
     advertises per decision.
@@ -89,6 +93,7 @@ val stage_stats : t -> Bgp_pipeline.Pipeline.stage_stat list
 
 val attach_peer :
   ?max_prefixes:int -> ?restart_delay:float -> ?active:bool ->
+  ?rr_client:bool ->
   ?import:Bgp_policy.Policy.t -> ?export:Bgp_policy.Policy.t ->
   t -> peer:Bgp_route.Peer.t -> link:Bgp_engine.Link.t -> unit
 (** Register a neighbor reachable over [link] — one endpoint of a
@@ -108,14 +113,21 @@ val attach_peer :
     router-to-router links in a {!Bgp_topo} graph designate exactly one
     opener per edge; the benchmark router stays passive, as in the
     paper's setup.
+    [rr_client] (default false) makes an IBGP neighbor a
+    route-reflection client (RFC 4456).
     [import]/[export] install per-peer policies (e.g. the Gao–Rexford
     relationship rules), overriding the router-wide defaults given to
-    {!create}. *)
+    {!create}.
+    The [peer]'s AS and BGP identifier are replaced by those of the
+    neighbor's OPEN each time the session reaches Established, so a
+    neighbor known only by its link may be attached with placeholder
+    values; [id] and [addr] are kept. *)
 
 val session_state : t -> Bgp_route.Peer.t -> Bgp_fsm.Fsm.state
 
-val originate : t -> prefix:Bgp_addr.Prefix.t -> unit
-(** Originate [prefix] locally (next-hop self).  The FIB commit and the
+val originate : ?attrs:Bgp_route.Attrs.t -> t -> prefix:Bgp_addr.Prefix.t -> unit
+(** Originate [prefix] locally, with [attrs] (e.g. a route replayed
+    from a table file) or by default next-hop self.  The FIB commit and the
     advertisements to every Established peer are charged to the FIB
     process, off the update pipeline; one transaction is booked when
     the commit completes. *)

@@ -21,7 +21,6 @@ let session t =
 
 let create clock ~asn ~router_id ~(link : Link.t) =
   let cfg = Bgp_fsm.Fsm.default_config ~asn ~router_id in
-  let io = Session.io_of_link ~active:true link in
   let t =
     { session = None; established_cb = (fun () -> ()); updates_received = 0;
       prefixes_received = 0; withdrawals_received = 0; sessions_lost = 0;
@@ -50,10 +49,7 @@ let create clock ~asn ~router_id ~(link : Link.t) =
           | Msg.Notification e -> t.notifications_rx <- e :: t.notifications_rx
           | _ -> ()) }
   in
-  t.session <- Some (Session.create cfg (Session.timer_service_of clock) io hooks);
-  link.Link.set_receiver (fun bytes -> Session.feed (session t) bytes);
-  link.Link.set_on_connected (fun () -> Session.connected (session t));
-  link.Link.set_on_closed (fun () -> Session.closed (session t));
+  t.session <- Some (Session.of_link cfg (Session.timer_service_of clock) link hooks);
   t
 
 let start t = Session.start (session t)

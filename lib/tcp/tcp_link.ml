@@ -15,6 +15,7 @@ type conn = {
   mutable receiver : string -> unit;
   mutable on_connected : unit -> unit;
   mutable on_closed : unit -> unit;
+  mutable on_failed : unit -> unit;
   mutable tap : (string -> Link.fate) option;
   mutable gen : int;
 }
@@ -22,8 +23,8 @@ type conn = {
 let make_conn loop role =
   { loop; role; fd = None; out = Ring.create ();
     read_buf = Bytes.create 65536; receiver = (fun _ -> ());
-    on_connected = (fun () -> ()); on_closed = (fun () -> ()); tap = None;
-    gen = 0 }
+    on_connected = (fun () -> ()); on_closed = (fun () -> ());
+    on_failed = (fun () -> ()); tap = None; gen = 0 }
 
 let teardown ?(notify = true) c =
   match c.fd with
@@ -96,8 +97,11 @@ let start_connect c =
       match Unix.connect fd addr with
       | () -> install c fd
       | exception Unix.Unix_error (_, _, _) ->
+        (* A refused dial is TcpConnectionFails, not the loss of an
+           open connection: the FSM retries from Active instead of
+           going Idle for good. *)
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        Event_loop.post c.loop (fun () -> c.on_closed ())
+        Event_loop.post c.loop (fun () -> c.on_failed ())
     end
 
 (* Outbound tap, consulted once per [send] — message granularity, like
@@ -130,7 +134,40 @@ let endpoint c =
     set_receiver = (fun f -> c.receiver <- f);
     set_on_connected = (fun f -> c.on_connected <- f);
     set_on_closed = (fun f -> c.on_closed <- f);
+    set_on_failed = (fun f -> c.on_failed <- f);
     set_tap = (fun f -> c.tap <- f) }
+
+type endpoint = { link : Link.t; port : int; dispose : unit -> unit }
+
+let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+let listen loop ~port =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+  Unix.bind lsock (loopback port);
+  Unix.listen lsock 4;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> port
+  in
+  let c = make_conn loop Listener in
+  (* The passive side is always willing: new connections are accepted
+     (and re-accepted after a teardown) for as long as it lives. *)
+  Event_loop.watch_read loop lsock (fun () ->
+      match Unix.accept lsock with
+      | fd, _ -> install c fd
+      | exception Unix.Unix_error (_, _, _) -> ());
+  let dispose () =
+    teardown ~notify:false c;
+    Event_loop.unwatch loop lsock;
+    try Unix.close lsock with Unix.Unix_error _ -> ()
+  in
+  { link = endpoint c; port; dispose }
+
+let connect loop ~port =
+  let c = make_conn loop (Connector (loopback port)) in
+  { link = endpoint c; port; dispose = (fun () -> teardown ~notify:false c) }
 
 type t = {
   connector : Link.t;
@@ -139,24 +176,10 @@ type t = {
 }
 
 let pair loop =
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lsock 4;
-  let addr = Unix.getsockname lsock in
-  let accept_side = make_conn loop Listener in
-  let connect_side = make_conn loop (Connector addr) in
-  (* The passive side is always willing: new connections are accepted
-     (and re-accepted after a teardown) for as long as the pair lives. *)
-  Event_loop.watch_read loop lsock (fun () ->
-      match Unix.accept lsock with
-      | fd, _ -> install accept_side fd
-      | exception Unix.Unix_error (_, _, _) -> ());
-  let dispose () =
-    teardown ~notify:false connect_side;
-    teardown ~notify:false accept_side;
-    Event_loop.unwatch loop lsock;
-    try Unix.close lsock with Unix.Unix_error _ -> ()
-  in
-  { connector = endpoint connect_side; listener = endpoint accept_side;
-    dispose }
+  let l = listen loop ~port:0 in
+  let c = connect loop ~port:l.port in
+  { connector = c.link; listener = l.link;
+    dispose =
+      (fun () ->
+        c.dispose ();
+        l.dispose ()) }

@@ -1,14 +1,13 @@
-(** A real TCP connection as a pair of {!Bgp_engine.Link.t} endpoints.
+(** Real loopback TCP connections as {!Bgp_engine.Link.t} endpoints.
 
-    The live counterpart of {!Bgp_netsim.Channel}: [pair] binds a
-    loopback listener and hands back two transport-neutral endpoints —
-    a connector (the benchmark speaker's side, whose [start_connect]
-    actually opens the socket) and a listener side (the router under
-    test, passive as in the paper's setup).  Both live on one
-    {!Event_loop}; reads, connection events, and tap-delayed deliveries
-    all flow through the loop, so callback context matches the
-    simulated channel (everything fires from the pump, never from
-    inside [send]).
+    The live counterpart of {!Bgp_netsim.Channel}.  An endpoint is
+    either a listener on a loopback port (passive, as the router under
+    test is in the paper's setup) or a connector that dials one (whose
+    [start_connect] actually opens the socket).  Both kinds, on one
+    {!Event_loop}, may talk to each other or to another process; reads,
+    connection events, and tap-delayed deliveries all flow through the
+    loop, so callback context matches the simulated channel
+    (everything fires from the pump, never from inside [send]).
 
     Semantics mirrored from the simulated channel:
     - outbound taps see whole messages (one [send] = one tap consult)
@@ -19,7 +18,30 @@
       connection are discarded, never delivered into the new stream;
     - output is queued and flushed as the peer drains it (write
       readiness), so a burst larger than the socket buffers cannot
-      deadlock the single-threaded loop. *)
+      deadlock the single-threaded loop.
+
+    One behaviour has no simulated counterpart: a refused dial fires
+    the connector's [on_failed], never [on_closed] — RFC 4271
+    TcpConnectionFails, after which the FSM retries from Active
+    instead of going Idle. *)
+
+type endpoint = {
+  link : Bgp_engine.Link.t;
+  port : int;  (** the loopback port listened on, or dialled *)
+  dispose : unit -> unit;
+      (** close every socket of the endpoint, the listening one
+          included; the link is dead afterwards *)
+}
+
+val listen : Event_loop.t -> port:int -> endpoint
+(** Passive endpoint on 127.0.0.1:[port] ([0] binds an ephemeral port,
+    reported in [port]).  It accepts connections for as long as it
+    lives; a new connection replaces the current one.
+    @raise Unix.Unix_error if the port cannot be bound. *)
+
+val connect : Event_loop.t -> port:int -> endpoint
+(** Active endpoint that dials 127.0.0.1:[port] on each
+    [start_connect]. *)
 
 type t = {
   connector : Bgp_engine.Link.t;
@@ -32,5 +54,5 @@ type t = {
 }
 
 val pair : Event_loop.t -> t
-(** Bind an ephemeral loopback listener and return the endpoint pair.
-    Nothing connects until [connector.start_connect]. *)
+(** An ephemeral-port {!listen} and a {!connect} aimed at it.  Nothing
+    connects until [connector.start_connect]. *)

@@ -1,9 +1,13 @@
-(* Real-socket interop: two BGP endpoints over loopback TCP in one
-   process, driven by the select loop. *)
+(* Real-socket interop: BGP sessions over loopback TCP in one process,
+   driven by the select loop. *)
 
 module Fsm = Bgp_fsm.Fsm
 module Session = Bgp_fsm.Session
 module Msg = Bgp_wire.Msg
+module Clock = Bgp_engine.Clock
+module Loop = Bgp_tcp.Event_loop
+module Tcp_link = Bgp_tcp.Tcp_link
+module Router = Bgp_router.Router
 
 let ip = Bgp_addr.Ipv4.of_string_exn
 let asn = Bgp_route.Asn.of_int
@@ -14,8 +18,14 @@ let attrs =
     ~as_path:(Bgp_route.As_path.of_asns [ asn 65001; asn 7018 ])
     ~next_hop:(ip "127.0.0.1") ()
 
+(* A bare session on one Tcp_link endpoint. *)
+let session loop (ep : Tcp_link.endpoint) ~passive ~as_ ~id hooks =
+  Session.of_link
+    { (Fsm.default_config ~asn:(asn as_) ~router_id:(ip id)) with Fsm.passive }
+    (Loop.timer_service loop) ep.link hooks
+
 let test_loopback_session () =
-  let loop = Bgp_tcp.Event_loop.create () in
+  let loop = Loop.create () in
   let port = port_base in
   let received = ref 0 in
   let listener_hooks =
@@ -23,57 +33,54 @@ let test_loopback_session () =
       Session.on_update =
         (fun u -> received := !received + List.length u.Msg.nlri) }
   in
+  let lep = Tcp_link.listen loop ~port and cep = Tcp_link.connect loop ~port in
   let listener =
-    Bgp_tcp.Endpoint.listen loop ~port
-      ~cfg:(Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.0.0.1"))
-      ~hooks:listener_hooks
+    session loop lep ~passive:true ~as_:65000 ~id:"10.0.0.1" listener_hooks
   in
   let connector =
-    Bgp_tcp.Endpoint.connect loop ~port
-      ~cfg:(Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "10.0.0.2"))
-      ~hooks:Session.null_hooks
+    session loop cep ~passive:false ~as_:65001 ~id:"10.0.0.2"
+      Session.null_hooks
   in
-  Bgp_tcp.Endpoint.start listener;
-  Bgp_tcp.Endpoint.start connector;
+  Session.start listener;
+  Session.start connector;
   let both_up () =
-    Bgp_tcp.Endpoint.state listener = Fsm.Established
-    && Bgp_tcp.Endpoint.state connector = Fsm.Established
+    Session.state listener = Fsm.Established
+    && Session.state connector = Fsm.Established
   in
-  if not (Bgp_tcp.Event_loop.run loop ~until:both_up ~timeout:10.0) then
+  if not (Loop.run loop ~until:both_up ~timeout:10.0) then
     Alcotest.failf "sessions did not establish (listener %s, connector %s)"
-      (Fsm.state_name (Bgp_tcp.Endpoint.state listener))
-      (Fsm.state_name (Bgp_tcp.Endpoint.state connector));
+      (Fsm.state_name (Session.state listener))
+      (Fsm.state_name (Session.state connector));
   (* push 1000 prefixes in 10 large updates over the real socket *)
   let table = Bgp_addr.Prefix_gen.table ~seed:3 ~n:1000 () in
   List.iter
-    (fun chunk -> ignore (Bgp_tcp.Endpoint.send connector (Msg.announcement attrs chunk)))
+    (fun chunk -> ignore (Session.send connector (Msg.announcement attrs chunk)))
     (Bgp_speaker.Workload.chunk 100 table);
   let all_received () = !received = 1000 in
-  if not (Bgp_tcp.Event_loop.run loop ~until:all_received ~timeout:10.0) then
+  if not (Loop.run loop ~until:all_received ~timeout:10.0) then
     Alcotest.failf "only %d/1000 prefixes received" !received;
-  Bgp_tcp.Endpoint.close connector;
-  Bgp_tcp.Endpoint.close listener
+  cep.Tcp_link.dispose ();
+  lep.Tcp_link.dispose ()
 
 let test_notification_on_garbage () =
-  let loop = Bgp_tcp.Event_loop.create () in
+  let loop = Loop.create () in
   let port = port_base + 1 in
   let down_reason = ref "" in
+  let lep = Tcp_link.listen loop ~port in
   let listener =
-    Bgp_tcp.Endpoint.listen loop ~port
-      ~cfg:(Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.0.0.1"))
-      ~hooks:
-        { Session.null_hooks with
-          Session.on_down = (fun r -> down_reason := r) }
+    session loop lep ~passive:true ~as_:65000 ~id:"10.0.0.1"
+      { Session.null_hooks with
+        Session.on_down = (fun r -> down_reason := r) }
   in
-  Bgp_tcp.Endpoint.start listener;
+  Session.start listener;
   (* A raw TCP client that talks garbage instead of BGP. *)
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let connected () = Bgp_tcp.Endpoint.state listener <> Fsm.Active in
-  ignore (Bgp_tcp.Event_loop.run loop ~until:connected ~timeout:5.0);
+  let connected () = Session.state listener <> Fsm.Active in
+  ignore (Loop.run loop ~until:connected ~timeout:5.0);
   ignore (Unix.write fd (Bytes.make 32 '\x00') 0 32);
-  let is_down () = Bgp_tcp.Endpoint.state listener = Fsm.Idle in
-  if not (Bgp_tcp.Event_loop.run loop ~until:is_down ~timeout:5.0) then
+  let is_down () = Session.state listener = Fsm.Idle in
+  if not (Loop.run loop ~until:is_down ~timeout:5.0) then
     Alcotest.fail "listener should reset on garbage";
   (* The listener sent us its OPEN first, then a NOTIFICATION for the
      garbage: walk the messages and confirm the last one is type 3. *)
@@ -101,8 +108,60 @@ let test_notification_on_garbage () =
   | Some ty -> Alcotest.(check int) "last message is NOTIFICATION" 3 ty
   | None -> Alcotest.fail "no reply messages captured");
   Unix.close fd;
-  Bgp_tcp.Endpoint.close listener;
+  lep.Tcp_link.dispose ();
   Alcotest.(check bool) "reason recorded" true (!down_reason <> "")
+
+(* Regression: a refused dial used to reach the FSM as a close, and
+   [Connect, Tcp_closed] sends the session to Idle for good.  It is
+   TcpConnectionFails: the session must wait in Active with
+   ConnectRetry armed, ready to redial. *)
+let test_refused_dial_retries () =
+  let loop = Loop.create () in
+  (* A port with no listener: bind an ephemeral one, then close it. *)
+  let port =
+    let ep = Tcp_link.listen loop ~port:0 in
+    ep.Tcp_link.dispose ();
+    ep.Tcp_link.port
+  in
+  (* The router's clock, with every timer it arms recorded. *)
+  let base = Loop.clock loop in
+  let timers = ref [] in
+  let clock =
+    Clock.make ~label:(Clock.label base)
+      ~now:(fun () -> Clock.now base)
+      ~schedule_at:(fun ~time f ->
+        let h = Clock.schedule_at base ~time f in
+        timers := (time, h) :: !timers;
+        h)
+      ~post:(Clock.post base)
+      ~run_window:(fun ~cond ~step -> Clock.run base ~cond ~step)
+  in
+  let router =
+    Router.create clock Bgp_router.Arch.unpaced ~local_asn:(asn 65000)
+      ~router_id:(ip "10.0.0.1")
+  in
+  let peer =
+    Bgp_route.Peer.make ~id:0 ~asn:(asn 65001) ~router_id:(ip "10.0.0.2")
+      ~addr:(ip "127.0.0.1")
+  in
+  let dialer = Tcp_link.connect loop ~port in
+  let t0 = Clock.now clock in
+  Router.attach_peer ~active:true router ~peer ~link:dialer.Tcp_link.link;
+  ignore
+    (Loop.run loop
+       ~until:(fun () -> Router.session_state router peer <> Fsm.Connect)
+       ~timeout:5.0);
+  Alcotest.(check string) "session waits in Active" "Active"
+    (Fsm.state_name (Router.session_state router peer));
+  let retry =
+    (Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.0.0.1"))
+      .Fsm.connect_retry
+  in
+  Alcotest.(check bool) "ConnectRetry armed" true
+    (List.exists
+       (fun (time, h) -> (not (Clock.cancelled h)) && time >= t0 +. retry -. 1.0)
+       !timers);
+  dialer.Tcp_link.dispose ()
 
 (* ------------------------------------------------------------------ *)
 (* Transport backpressure                                              *)
@@ -114,8 +173,8 @@ let test_backpressure_small_writes () =
      is not pumped), so the kernel buffer fills and the output queue
      grows; then drain and check every byte arrived intact and in
      order.  The old list-rebuilding queue made this quadratic. *)
-  let loop = Bgp_tcp.Event_loop.create () in
-  let link = Bgp_tcp.Tcp_link.pair loop in
+  let loop = Loop.create () in
+  let link = Tcp_link.pair loop in
   let connected = ref 0 in
   let received = Buffer.create (1 lsl 20) in
   link.Bgp_tcp.Tcp_link.connector.Bgp_engine.Link.set_on_connected (fun () ->
@@ -214,7 +273,9 @@ let () =
     [ ( "loopback",
         [ Alcotest.test_case "full session over real TCP" `Quick test_loopback_session;
           Alcotest.test_case "garbage triggers notification" `Quick
-            test_notification_on_garbage
+            test_notification_on_garbage;
+          Alcotest.test_case "refused dial retries from Active" `Quick
+            test_refused_dial_retries
         ] );
       ( "backpressure",
         [ Alcotest.test_case "small writes vs stalled reader" `Quick
