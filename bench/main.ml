@@ -100,10 +100,27 @@ let wire_tests =
 (* LPM ablation: the three structures over the same 10k-prefix table. *)
 let nh = { Bgp_fib.Fib.nh_addr = ip "192.0.2.1"; nh_port = 0 }
 
-let patricia_full =
-  Array.fold_left
-    (fun t p -> Bgp_fib.Patricia.add p nh t)
-    Bgp_fib.Patricia.empty table10k
+let patricia_build () =
+  let t = Bgp_fib.Patricia.create () in
+  Array.iter
+    (fun p -> ignore (Bgp_fib.Patricia.add ~equal:Bgp_fib.Fib.nexthop_equal t p nh))
+    table10k;
+  t
+
+let patricia_full = patricia_build ()
+
+(* A loaded 10k FIB whose [Replace] deltas alternate each prefix between
+   two next hops, so every apply changes the table. *)
+let fib_full =
+  let f = Bgp_fib.Fib.create () in
+  Array.iter (fun p -> ignore (Bgp_fib.Fib.apply f (Bgp_fib.Fib.Add (p, nh)))) table10k;
+  f
+
+let replace_deltas =
+  let nh' = { nh with Bgp_fib.Fib.nh_port = 1 } in
+  Array.concat
+    [ Array.map (fun p -> Bgp_fib.Fib.Replace (p, nh')) table10k;
+      Array.map (fun p -> Bgp_fib.Fib.Replace (p, nh)) table10k ]
 
 let hash_full =
   let h = Bgp_fib.Hash_lpm.create () in
@@ -123,18 +140,20 @@ let lookup_all lookup =
   !acc
 
 let fib_tests =
-  [ Test.make ~name:"fib/patricia-build-10k"
-      (Staged.stage @@ fun () ->
-       Array.fold_left
-         (fun t p -> Bgp_fib.Patricia.add p nh t)
-         Bgp_fib.Patricia.empty table10k);
+  [ Test.make ~name:"fib/patricia-build-10k" (Staged.stage patricia_build);
+    Test.make ~name:"fib/apply-replace-10k"
+      (let i = ref 0 in
+       Staged.stage @@ fun () ->
+       let d = replace_deltas.(!i) in
+       i := (!i + 1) mod Array.length replace_deltas;
+       Bgp_fib.Fib.apply fib_full d);
     Test.make ~name:"fib/dir24-build-10k"
       (Staged.stage @@ fun () ->
        Bgp_fib.Dir24_8.build
          (Array.to_list (Array.map (fun p -> (p, nh)) table10k)));
     Test.make ~name:"ablation-lpm/patricia-lookup-1k"
       (Staged.stage @@ fun () ->
-       lookup_all (fun a -> Bgp_fib.Patricia.lookup a patricia_full));
+       lookup_all (Bgp_fib.Patricia.lookup patricia_full));
     Test.make ~name:"ablation-lpm/hashlpm-lookup-1k"
       (Staged.stage @@ fun () ->
        lookup_all (fun a -> Bgp_fib.Hash_lpm.lookup hash_full a));

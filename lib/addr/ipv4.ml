@@ -70,11 +70,18 @@ let mask len =
 
 let apply_mask a len = a land mask len
 
+(* Leading zeros of a non-zero 32-bit value, by binary search.  Top
+   level and closure-free: every trie level calls it. *)
+let clz32 x =
+  let x = ref x and n = ref 0 in
+  if !x land 0xFFFF_0000 = 0 then begin n := 16; x := !x lsl 16 end;
+  if !x land 0xFF00_0000 = 0 then begin n := !n + 8; x := !x lsl 8 end;
+  if !x land 0xF000_0000 = 0 then begin n := !n + 4; x := !x lsl 4 end;
+  if !x land 0xC000_0000 = 0 then begin n := !n + 2; x := !x lsl 2 end;
+  if !x land 0x8000_0000 = 0 then !n + 1 else !n
+
 let common_prefix_len a b =
   let x = a lxor b in
-  if x = 0 then width
-  else
-    let rec clz i = if x land (1 lsl (width - 1 - i)) <> 0 then i else clz (i + 1) in
-    clz 0
+  if x = 0 then width else clz32 x
 
 let hash a = Hashtbl.hash a

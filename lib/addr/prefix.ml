@@ -1,12 +1,16 @@
-type t = { addr : Ipv4.t; len : int }
+(* [(addr lsl 6) lor len]: the address occupies bits 6..37 and the
+   length bits 0..5, so integer order is (address, length) order. *)
+type t = int
 
-let make addr len =
-  if len < 0 || len > 32 then invalid_arg "Prefix.make: length out of range";
-  { addr = Ipv4.apply_mask addr len; len }
+let[@inline] addr p = Ipv4.of_int (p lsr 6)
+let[@inline] len p = p land 0x3F
+let[@inline] pack a l = (Ipv4.to_int a lsl 6) lor l
 
-let addr p = p.addr
-let len p = p.len
-let default = { addr = Ipv4.zero; len = 0 }
+let make a l =
+  if l < 0 || l > 32 then invalid_arg "Prefix.make: length out of range";
+  pack (Ipv4.apply_mask a l) l
+
+let default = pack Ipv4.zero 0
 
 (* Strict decimal length: 1-2 digits, no sign/prefix/underscore (which
    [int_of_string_opt] would otherwise accept, e.g. "0x18", "2_4", "+24"). *)
@@ -25,7 +29,7 @@ let length_of_string s =
 
 let of_string s =
   match String.index_opt s '/' with
-  | None -> Result.map (fun a -> { addr = a; len = 32 }) (Ipv4.of_string s)
+  | None -> Result.map (fun a -> pack a 32) (Ipv4.of_string s)
   | Some i ->
     let astr = String.sub s 0 i in
     let lstr = String.sub s (i + 1) (String.length s - i - 1) in
@@ -36,7 +40,7 @@ let of_string s =
       | None -> Error "invalid prefix length"
       | Some l when l > 32 -> Error "prefix length out of range"
       | Some l ->
-        if Ipv4.equal (Ipv4.apply_mask a l) a then Ok { addr = a; len = l }
+        if Ipv4.equal (Ipv4.apply_mask a l) a then Ok (pack a l)
         else Error "host bits set below mask"))
 
 let of_string_exn s =
@@ -44,31 +48,27 @@ let of_string_exn s =
   | Ok p -> p
   | Error e -> invalid_arg (Printf.sprintf "Prefix.of_string_exn %S: %s" s e)
 
-let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.addr) p.len
+let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string (addr p)) (len p)
 let pp ppf p = Format.pp_print_string ppf (to_string p)
-
-let compare p q =
-  let c = Ipv4.compare p.addr q.addr in
-  if c <> 0 then c else Int.compare p.len q.len
-
-let equal p q = Ipv4.equal p.addr q.addr && p.len = q.len
-let mem a p = Ipv4.equal (Ipv4.apply_mask a p.len) p.addr
-let subsumes p q = p.len <= q.len && mem q.addr p
-let first p = p.addr
+let compare = Int.compare
+let equal = Int.equal
+let mem a p = Ipv4.equal (Ipv4.apply_mask a (len p)) (addr p)
+let subsumes p q = len p <= len q && mem (addr q) p
+let first = addr
 
 let last p =
-  Ipv4.of_int (Ipv4.to_int p.addr lor (Ipv4.to_int Ipv4.broadcast lxor Ipv4.to_int (Ipv4.mask p.len)))
+  Ipv4.of_int
+    (Ipv4.to_int (addr p) lor (Ipv4.to_int Ipv4.broadcast lxor Ipv4.to_int (Ipv4.mask (len p))))
 
-let size p = Float.pow 2.0 (float_of_int (32 - p.len))
+let size p = Float.pow 2.0 (float_of_int (32 - len p))
 
 let split p =
-  if p.len = 32 then None
+  let l = len p in
+  if l = 32 then None
   else
-    let l = p.len + 1 in
-    let lo = { addr = p.addr; len = l } in
-    let hi = { addr = Ipv4.of_int (Ipv4.to_int p.addr lor (1 lsl (32 - l))); len = l } in
-    Some (lo, hi)
+    let hi = Ipv4.of_int (Ipv4.to_int (addr p) lor (1 lsl (31 - l))) in
+    Some (pack (addr p) (l + 1), pack hi (l + 1))
 
-let bit p i = Ipv4.bit p.addr i
-let hash p = (Ipv4.hash p.addr * 31) + p.len
-let wire_octets p = (p.len + 7) / 8
+let bit p i = Ipv4.bit (addr p) i
+let hash p = (Ipv4.hash (addr p) * 31) + len p
+let wire_octets p = (len p + 7) / 8

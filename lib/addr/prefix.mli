@@ -2,9 +2,20 @@
 
     A prefix is an IPv4 network address plus a mask length.  Values are
     kept canonical: host bits below the mask are always zero, so
-    structural equality coincides with semantic equality. *)
+    structural equality coincides with semantic equality.
 
-type t = private { addr : Ipv4.t; len : int }
+    A prefix is an immediate integer, [(addr lsl 6) lor len]: the
+    address in bits 6..37, the length in bits 0..5.  Decoding an NLRI
+    therefore allocates nothing, and hashing or comparing a key never
+    dereferences a pointer.  The encoding makes these guarantees, which
+    the tests pin:
+    - [Int.compare], polymorphic [compare] and {!compare} agree, and
+      order by address, then by length (shorter first);
+    - {!hash} is [Ipv4.hash (addr p) * 31 + len p], so every table
+      hashed with it iterates in an order fixed by the (address,
+      length) pairs alone. *)
+
+type t = private int
 (** [addr] has its host bits zeroed; [0 <= len <= 32]. *)
 
 val make : Ipv4.t -> int -> t

@@ -22,8 +22,7 @@ let delta_prefix = function Add (p, _) | Replace (p, _) | Withdraw p -> p
 type stats = { adds : int; replaces : int; withdraws : int; lookups : int }
 
 type t = {
-  mutable tree : nexthop Patricia.t;
-  mutable size : int;
+  tree : nexthop Patricia.t;
   mutable adds : int;
   mutable replaces : int;
   mutable withdraws : int;
@@ -31,25 +30,18 @@ type t = {
 }
 
 let create () =
-  { tree = Patricia.empty; size = 0; adds = 0; replaces = 0; withdraws = 0;
-    lookups = 0 }
+  { tree = Patricia.create (); adds = 0; replaces = 0; withdraws = 0; lookups = 0 }
 
-let size t = t.size
+let size t = Patricia.cardinal t.tree
 
 let stats t =
   { adds = t.adds; replaces = t.replaces; withdraws = t.withdraws;
     lookups = t.lookups }
 
 let set t p nh =
-  match Patricia.find_exact p t.tree with
-  | Some existing when nexthop_equal existing nh -> false
-  | Some _ ->
-    t.tree <- Patricia.add p nh t.tree;
-    true
-  | None ->
-    t.tree <- Patricia.add p nh t.tree;
-    t.size <- t.size + 1;
-    true
+  match Patricia.add ~equal:nexthop_equal t.tree p nh with
+  | Patricia.Unchanged -> false
+  | Patricia.Replaced | Patricia.Added -> true
 
 let apply t = function
   | Add (p, nh) ->
@@ -60,21 +52,15 @@ let apply t = function
     set t p nh
   | Withdraw p ->
     t.withdraws <- t.withdraws + 1;
-    (match Patricia.find_exact p t.tree with
-    | None -> false
-    | Some _ ->
-      t.tree <- Patricia.remove p t.tree;
-      t.size <- t.size - 1;
-      true)
+    Patricia.remove t.tree p
 
 let apply_all t deltas =
   List.fold_left (fun n d -> if apply t d then n + 1 else n) 0 deltas
 
 let lookup t a =
   t.lookups <- t.lookups + 1;
-  Patricia.lookup a t.tree
+  Patricia.lookup t.tree a
 
-let find_exact t p = Patricia.find_exact p t.tree
+let find_exact t p = Patricia.find_exact t.tree p
 let iter f t = Patricia.iter f t.tree
 let to_list t = Patricia.to_list t.tree
-let snapshot t = t.tree

@@ -51,5 +51,3 @@ val lookup : t -> Bgp_addr.Ipv4.t -> (Bgp_addr.Prefix.t * nexthop) option
 val find_exact : t -> Bgp_addr.Prefix.t -> nexthop option
 val iter : (Bgp_addr.Prefix.t -> nexthop -> unit) -> t -> unit
 val to_list : t -> (Bgp_addr.Prefix.t * nexthop) list
-val snapshot : t -> nexthop Patricia.t
-(** O(1) persistent snapshot of the current table. *)

@@ -5,70 +5,120 @@ module I = Bgp_addr.Ipv4
    - every child's prefix is a strict more-specific of its parent's;
    - a left child's bit at position [parent len] is 0, a right child's 1;
    - a node with no value has two non-empty children (path compression),
-     except possibly the root.  We keep even the root compressed. *)
-type 'a t =
+     the root included.
+   Together they make the shape a function of the stored key set alone,
+   whatever sequence of [add]/[remove] produced it. *)
+type 'a tree =
   | Empty
-  | Node of { pfx : P.t; value : 'a option; l : 'a t; r : 'a t }
+  | Node of { pfx : P.t; mutable value : 'a option; mutable l : 'a tree;
+              mutable r : 'a tree }
 
-let empty = Empty
-let is_empty = function Empty -> true | Node _ -> false
+type 'a t = { mutable root : 'a tree; mutable size : int }
+
+type change = Unchanged | Replaced | Added
+
+let create () = { root = Empty; size = 0 }
+let is_empty t = t.size = 0
+let cardinal t = t.size
 
 let leaf pfx v = Node { pfx; value = Some v; l = Empty; r = Empty }
 
 (* Common prefix length of two prefixes, capped by both lengths. *)
 let common p q =
-  min (min (P.len p) (P.len q)) (I.common_prefix_len (P.addr p) (P.addr q))
+  Int.min (Int.min (P.len p) (P.len q)) (I.common_prefix_len (P.addr p) (P.addr q))
 
-let rec add p v t =
-  match t with
-  | Empty -> leaf p v
+(* [p] sits strictly below a node prefixed [q]. *)
+let below p q = P.len p > P.len q && common p q = P.len q
+
+(* Point the slot that held a subtree at [sub]: the root when [parent]
+   is [Empty], else the [right]/left child of [parent]. *)
+let set_slot t parent right sub =
+  match parent with
+  | Empty -> t.root <- sub
+  | Node n -> if right then n.r <- sub else n.l <- sub
+
+(* The subtree that replaces [tree] when [p] (not inside it) joins it at
+   common length [c]: [p] itself above [tree], or a valueless branch
+   point over both. *)
+let graft p v tree tpfx c =
+  if c = P.len p then
+    if P.bit tpfx c then Node { pfx = p; value = Some v; l = Empty; r = tree }
+    else Node { pfx = p; value = Some v; l = tree; r = Empty }
+  else
+    let join = P.make (P.addr p) c in
+    if P.bit p c then Node { pfx = join; value = None; l = tree; r = leaf p v }
+    else Node { pfx = join; value = None; l = leaf p v; r = tree }
+
+(* One descent: [parent]/[right] name the slot holding [tree]. *)
+let rec add_at ~equal t p v parent right tree =
+  match tree with
+  | Empty ->
+    set_slot t parent right (leaf p v);
+    t.size <- t.size + 1;
+    Added
   | Node n ->
     let c = common p n.pfx in
-    if c = P.len n.pfx && c = P.len p then Node { n with value = Some v }
-    else if c = P.len n.pfx then
-      (* p is strictly inside n: descend on bit c of p. *)
-      if P.bit p c then Node { n with r = add p v n.r }
-      else Node { n with l = add p v n.l }
-    else if c = P.len p then
-      (* p is a strict ancestor of n: new node above. *)
-      if P.bit n.pfx c then Node { pfx = p; value = Some v; l = Empty; r = t }
-      else Node { pfx = p; value = Some v; l = t; r = Empty }
-    else
-      (* Diverge below c: create a valueless branch point. *)
-      let join = P.make (P.addr p) c in
-      let lf = leaf p v in
-      if P.bit p c then Node { pfx = join; value = None; l = t; r = lf }
-      else Node { pfx = join; value = None; l = lf; r = t }
+    if c < P.len n.pfx then begin
+      set_slot t parent right (graft p v tree n.pfx c);
+      t.size <- t.size + 1;
+      Added
+    end
+    else if c = P.len p then (
+      match n.value with
+      | Some old when equal old v -> Unchanged
+      | Some _ ->
+        n.value <- Some v;
+        Replaced
+      | None ->
+        n.value <- Some v;
+        t.size <- t.size + 1;
+        Added)
+    else if P.bit p c then add_at ~equal t p v tree true n.r
+    else add_at ~equal t p v tree false n.l
 
-(* Re-establish path compression after a removal. *)
-let collapse pfx value l r =
-  match value, l, r with
-  | None, Empty, Empty -> Empty
-  | None, (Node _ as child), Empty | None, Empty, (Node _ as child) -> child
-  | _ -> Node { pfx; value; l; r }
+let add ~equal t p v = add_at ~equal t p v Empty false t.root
 
-let rec remove p t =
-  match t with
-  | Empty -> Empty
+(* [gp]/[gright] name the slot holding [parent], which holds [tree] in
+   its [right]/left child. *)
+let rec remove_at t p gp gright parent right tree =
+  match tree with
+  | Empty -> false
   | Node n ->
-    if P.equal p n.pfx then collapse n.pfx None n.l n.r
-    else if P.len p > P.len n.pfx && common p n.pfx = P.len n.pfx then
-      if P.bit p (P.len n.pfx) then collapse n.pfx n.value n.l (remove p n.r)
-      else collapse n.pfx n.value (remove p n.l) n.r
-    else t
+    if P.equal p n.pfx then (
+      match n.value with
+      | None -> false
+      | Some _ ->
+        t.size <- t.size - 1;
+        (match n.l, n.r with
+        | Node _, Node _ -> n.value <- None
+        | (Node _ as child), Empty | Empty, (Node _ as child) ->
+          set_slot t parent right child
+        | Empty, Empty -> (
+          set_slot t parent right Empty;
+          (* A valueless parent is left with one child: splice it out. *)
+          match parent with
+          | Node pn when Option.is_none pn.value ->
+            set_slot t gp gright (if right then pn.l else pn.r)
+          | _ -> ()));
+        true)
+    else if below p n.pfx then
+      let bit = P.bit p (P.len n.pfx) in
+      remove_at t p parent right tree bit (if bit then n.r else n.l)
+    else false
 
-let rec find_exact p t =
-  match t with
+let remove t p = remove_at t p Empty false Empty false t.root
+
+let rec find_at p = function
   | Empty -> None
   | Node n ->
     if P.equal p n.pfx then n.value
-    else if P.len p > P.len n.pfx && common p n.pfx = P.len n.pfx then
-      find_exact p (if P.bit p (P.len n.pfx) then n.r else n.l)
+    else if below p n.pfx then find_at p (if P.bit p (P.len n.pfx) then n.r else n.l)
     else None
 
-let lookup a t =
-  let rec go best t =
-    match t with
+let find_exact t p = find_at p t.root
+
+let lookup t a =
+  let rec go best = function
     | Empty -> best
     | Node n ->
       if not (P.mem a n.pfx) then best
@@ -77,11 +127,10 @@ let lookup a t =
         if P.len n.pfx = 32 then best
         else go best (if I.bit a (P.len n.pfx) then n.r else n.l)
   in
-  go None t
+  go None t.root
 
-let lookup_prefix p t =
-  let rec go best t =
-    match t with
+let lookup_prefix t p =
+  let rec go best = function
     | Empty -> best
     | Node n ->
       if not (P.subsumes n.pfx p) then best
@@ -90,42 +139,40 @@ let lookup_prefix p t =
         if P.len n.pfx >= P.len p then best
         else go best (if P.bit p (P.len n.pfx) then n.r else n.l)
   in
-  go None t
+  go None t.root
 
-let rec fold f t acc =
-  match t with
-  | Empty -> acc
-  | Node n ->
-    let acc = match n.value with Some v -> f n.pfx v acc | None -> acc in
-    fold f n.r (fold f n.l acc)
+let fold f t acc =
+  let rec go tree acc =
+    match tree with
+    | Empty -> acc
+    | Node n ->
+      let acc = match n.value with Some v -> f n.pfx v acc | None -> acc in
+      go n.r (go n.l acc)
+  in
+  go t.root acc
 
 let iter f t = fold (fun p v () -> f p v) t ()
-let cardinal t = fold (fun _ _ n -> n + 1) t 0
 let to_list t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
 let subtree_count t p =
-  let rec go t =
-    match t with
-    | Empty -> 0
-    | Node n ->
-      if P.subsumes p n.pfx then
-        (* whole subtree inside p *)
-        (match n.value with Some _ -> 1 | None -> 0) + go_all n.l + go_all n.r
-      else if P.subsumes n.pfx p && P.len n.pfx < P.len p then
-        go (if P.bit p (P.len n.pfx) then n.r else n.l)
-      else 0
-  and go_all t =
-    match t with
+  let rec go_all = function
     | Empty -> 0
     | Node n -> (match n.value with Some _ -> 1 | None -> 0) + go_all n.l + go_all n.r
   in
-  go t
+  let rec go = function
+    | Empty -> 0
+    | Node n as tree ->
+      if P.subsumes p n.pfx then (* whole subtree inside p *) go_all tree
+      else if below p n.pfx then go (if P.bit p (P.len n.pfx) then n.r else n.l)
+      else 0
+  in
+  go t.root
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec go ~parent t =
-    match t with
-    | Empty -> Ok ()
+  let rec go ~parent tree =
+    match tree with
+    | Empty -> Ok 0
     | Node n ->
       let bad_child =
         match parent with
@@ -140,20 +187,14 @@ let check_invariants t =
       (match bad_child with
       | Some msg -> fail "%s at %s" msg (P.to_string n.pfx)
       | None ->
-        if n.value = None && (n.l = Empty || n.r = Empty) then
+        if Option.is_none n.value && (n.l = Empty || n.r = Empty) then
           fail "collapsible valueless node at %s" (P.to_string n.pfx)
         else
-          Result.bind (go ~parent:(Some (n.pfx, false)) n.l) (fun () ->
-              go ~parent:(Some (n.pfx, true)) n.r))
+          Result.bind (go ~parent:(Some (n.pfx, false)) n.l) (fun nl ->
+              Result.map
+                (fun nr -> nl + nr + Option.fold ~none:0 ~some:(fun _ -> 1) n.value)
+                (go ~parent:(Some (n.pfx, true)) n.r)))
   in
-  match t with
-  | Empty -> Ok ()
-  | Node n ->
-    (* The root itself has no parent constraint but must not be a
-       collapsible branch either — except a bare valueless root cannot
-       occur; enforce uniformly. *)
-    if n.value = None && (n.l = Empty || n.r = Empty) then
-      Error "collapsible valueless root"
-    else
-      Result.bind (go ~parent:(Some (n.pfx, false)) n.l) (fun () ->
-          go ~parent:(Some (n.pfx, true)) n.r)
+  Result.bind (go ~parent:None t.root) (fun n ->
+      if n = t.size then Ok ()
+      else fail "size counter %d but %d stored values" t.size n)

@@ -1,36 +1,44 @@
 (** Path-compressed binary trie (Patricia trie) keyed by prefixes, with
-    longest-prefix-match lookup.  The workhorse structure behind the
-    router's forwarding table and Loc-RIB iteration order.
+    longest-prefix-match lookup.  The structure behind the router's
+    forwarding table ({!Fib}).
 
-    Persistent: [add]/[remove] share structure, so snapshotting a FIB
-    for comparison (as the benchmark's verification step does) is
-    free. *)
+    Mutable: [add] and [remove] update the trie in place in a single
+    descent, allocating only the nodes they insert.  Path compression
+    makes the shape a function of the stored key set, so iteration
+    order does not depend on the history of updates. *)
 
 type 'a t
 
-val empty : 'a t
+type change =
+  | Unchanged  (** the prefix was already bound to an equal value *)
+  | Replaced  (** the prefix's value changed *)
+  | Added  (** the prefix is new: the trie grew by one *)
+
+val create : unit -> 'a t
 val is_empty : 'a t -> bool
 
-val add : Bgp_addr.Prefix.t -> 'a -> 'a t -> 'a t
-(** Insert or replace the binding at exactly this prefix. *)
+val add : equal:('a -> 'a -> bool) -> 'a t -> Bgp_addr.Prefix.t -> 'a -> change
+(** Bind the prefix to the value, unless it is already bound to a value
+    [equal] to it. *)
 
-val remove : Bgp_addr.Prefix.t -> 'a t -> 'a t
-(** Remove the exact binding; no-op when absent. *)
+val remove : 'a t -> Bgp_addr.Prefix.t -> bool
+(** Remove the exact binding; [true] when one was removed. *)
 
-val find_exact : Bgp_addr.Prefix.t -> 'a t -> 'a option
+val find_exact : 'a t -> Bgp_addr.Prefix.t -> 'a option
 
-val lookup : Bgp_addr.Ipv4.t -> 'a t -> (Bgp_addr.Prefix.t * 'a) option
+val lookup : 'a t -> Bgp_addr.Ipv4.t -> (Bgp_addr.Prefix.t * 'a) option
 (** Longest-prefix match for an address. *)
 
-val lookup_prefix : Bgp_addr.Prefix.t -> 'a t -> (Bgp_addr.Prefix.t * 'a) option
+val lookup_prefix : 'a t -> Bgp_addr.Prefix.t -> (Bgp_addr.Prefix.t * 'a) option
 (** Longest stored prefix that {!Bgp_addr.Prefix.subsumes} the given
     prefix (useful for aggregate checks). *)
 
 val cardinal : 'a t -> int
-(** O(n). Wrap in {!Fib} for a maintained counter. *)
+(** O(1): the number of stored prefixes. *)
 
 val iter : (Bgp_addr.Prefix.t -> 'a -> unit) -> 'a t -> unit
-(** In ascending {!Bgp_addr.Prefix.compare}-like trie order. *)
+(** In ascending {!Bgp_addr.Prefix.compare} order (the trie's
+    pre-order). *)
 
 val fold : (Bgp_addr.Prefix.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 val to_list : 'a t -> (Bgp_addr.Prefix.t * 'a) list
@@ -40,4 +48,4 @@ val subtree_count : 'a t -> Bgp_addr.Prefix.t -> int
 
 val check_invariants : 'a t -> (unit, string) result
 (** Structural invariants (children inside parent, no collapsible
-    nodes); used by the property tests. *)
+    nodes, size counter); used by the property tests. *)

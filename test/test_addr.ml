@@ -72,6 +72,25 @@ let test_common_prefix_len () =
 (* Prefix                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* make/addr/len/of_string/to_string round-trip at the encoding's
+   edges: the shortest and longest lengths, the highest address. *)
+let test_prefix_encoding_edges () =
+  List.iter
+    (fun (s, a, l) ->
+      let p = Prefix.make (ip a) l in
+      Alcotest.(check string) (s ^ " addr") a (Ipv4.to_string (Prefix.addr p));
+      Alcotest.(check int) (s ^ " len") l (Prefix.len p);
+      Alcotest.(check string) (s ^ " to_string") s (Prefix.to_string p);
+      Alcotest.(check bool) (s ^ " of_string") true (Prefix.equal p (pfx s)))
+    [ ("0.0.0.0/0", "0.0.0.0", 0); ("10.1.2.3/32", "10.1.2.3", 32);
+      ("255.255.255.255/32", "255.255.255.255", 32);
+      ("255.255.255.254/31", "255.255.255.254", 31); ("128.0.0.0/1", "128.0.0.0", 1) ];
+  Alcotest.(check bool) "default is /0" true (Prefix.equal Prefix.default (pfx "0.0.0.0/0"));
+  Alcotest.(check bool) "/32 above /0 of the same address" true
+    (Prefix.compare (pfx "0.0.0.0/32") Prefix.default > 0);
+  Alcotest.(check bool) "top address sorts last" true
+    (Prefix.compare (pfx "255.255.255.255/32") (pfx "255.255.255.254/31") > 0)
+
 let test_prefix_canonical () =
   let p = Prefix.make (ip "10.1.2.3") 16 in
   Alcotest.(check string) "canonical" "10.1.0.0/16" (Prefix.to_string p);
@@ -270,6 +289,37 @@ let prop_mem_first_last =
          || not (Prefix.mem (Ipv4.succ (Prefix.last p)) p)
          || Ipv4.equal (Prefix.last p) Ipv4.broadcast))
 
+(* Pairs that often share an address, so the length tie-break is hit. *)
+let arb_prefix_pair =
+  QCheck2.Gen.(
+    let* p = arb_prefix in
+    let* q =
+      oneof [ arb_prefix; map (fun l -> Prefix.make (Prefix.addr p) l) (int_range 0 32) ]
+    in
+    return (p, q))
+
+let sign c = Int.compare c 0
+
+let prop_prefix_compare_lexicographic =
+  QCheck2.Test.make ~name:"compare is (address, length) lexicographic" ~count:1000
+    arb_prefix_pair (fun (p, q) ->
+      let c = Ipv4.compare (Prefix.addr p) (Prefix.addr q) in
+      let expect = if c <> 0 then c else Int.compare (Prefix.len p) (Prefix.len q) in
+      sign (Prefix.compare p q) = sign expect)
+
+let prop_prefix_polymorphic_compare =
+  QCheck2.Test.make ~name:"polymorphic compare agrees with Prefix.compare"
+    ~count:1000 arb_prefix_pair (fun (p, q) ->
+      sign (compare p q) = sign (Prefix.compare p q)
+      && (p = q) = Prefix.equal p q)
+
+(* The formula fixes the iteration order of every prefix-keyed table
+   (Loc-RIB, Adj-RIB); changing it reorders their output. *)
+let prop_prefix_hash_formula =
+  QCheck2.Test.make ~name:"hash is addr hash * 31 + len" ~count:1000 arb_prefix
+    (fun p ->
+      Prefix.hash p = (Ipv4.hash (Prefix.addr p) * 31) + Prefix.len p)
+
 let prop_gen_same_seed_identical =
   (* Any seed, any table size: re-generation yields the identical
      stream — the repeatability every topology run depends on. *)
@@ -322,7 +372,8 @@ let () =
           Alcotest.test_case "mem/subsumes" `Quick test_prefix_mem_subsumes;
           Alcotest.test_case "first/last/size" `Quick test_prefix_range;
           Alcotest.test_case "split" `Quick test_prefix_split;
-          Alcotest.test_case "wire octets" `Quick test_prefix_wire_octets
+          Alcotest.test_case "wire octets" `Quick test_prefix_wire_octets;
+          Alcotest.test_case "encoding edges" `Quick test_prefix_encoding_edges
         ] );
       ( "prefix_set",
         [ Alcotest.test_case "basic" `Quick test_set_basic;
@@ -339,6 +390,7 @@ let () =
         [ prop_ipv4_string_roundtrip; prop_prefix_string_roundtrip;
           prop_mask_idempotent; prop_common_prefix_symmetric;
           prop_subsumes_partial_order; prop_split_partitions;
-          prop_mem_first_last; prop_gen_same_seed_identical;
-          prop_gen_distinct_seeds_disjoint ]
+          prop_mem_first_last; prop_prefix_compare_lexicographic;
+          prop_prefix_polymorphic_compare; prop_prefix_hash_formula;
+          prop_gen_same_seed_identical; prop_gen_distinct_seeds_disjoint ]
     ]

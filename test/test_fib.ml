@@ -11,18 +11,25 @@ let nh port = { Fib.nh_addr = ip (Printf.sprintf "10.0.0.%d" port); nh_port = po
 (* Patricia unit tests                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let add t p v = ignore (Patricia.add ~equal:Int.equal t p v)
+
+let of_list bindings =
+  let t = Patricia.create () in
+  List.iter (fun (p, v) -> add t p v) bindings;
+  t
+
+let of_strings bindings = of_list (List.map (fun (s, v) -> (pfx s, v)) bindings)
+
 let lookup_str t a =
-  match Patricia.lookup (ip a) t with
+  match Patricia.lookup t (ip a) with
   | Some (p, v) -> Printf.sprintf "%s=%d" (P.to_string p) v
   | None -> "none"
 
 let test_patricia_basic () =
   let t =
-    Patricia.empty
-    |> Patricia.add (pfx "10.0.0.0/8") 1
-    |> Patricia.add (pfx "10.1.0.0/16") 2
-    |> Patricia.add (pfx "10.1.2.0/24") 3
-    |> Patricia.add (pfx "192.168.0.0/16") 4
+    of_strings
+      [ ("10.0.0.0/8", 1); ("10.1.0.0/16", 2); ("10.1.2.0/24", 3);
+        ("192.168.0.0/16", 4) ]
   in
   Alcotest.(check int) "cardinal" 4 (Patricia.cardinal t);
   Alcotest.(check string) "most specific" "10.1.2.0/24=3" (lookup_str t "10.1.2.99");
@@ -32,71 +39,78 @@ let test_patricia_basic () =
   Alcotest.(check string) "miss" "none" (lookup_str t "172.16.0.1")
 
 let test_patricia_default_route () =
-  let t = Patricia.add P.default 0 Patricia.empty in
+  let t = of_list [ (P.default, 0) ] in
   Alcotest.(check string) "default catches all" "0.0.0.0/0=0" (lookup_str t "8.8.8.8");
-  let t = Patricia.add (pfx "8.0.0.0/8") 1 t in
+  add t (pfx "8.0.0.0/8") 1;
   Alcotest.(check string) "specific beats default" "8.0.0.0/8=1" (lookup_str t "8.8.8.8")
 
 let test_patricia_replace () =
-  let t = Patricia.add (pfx "10.0.0.0/8") 1 Patricia.empty in
-  let t = Patricia.add (pfx "10.0.0.0/8") 99 t in
+  let t = of_strings [ ("10.0.0.0/8", 1); ("10.0.0.0/8", 99) ] in
   Alcotest.(check int) "still one entry" 1 (Patricia.cardinal t);
   Alcotest.(check (option int)) "replaced" (Some 99)
-    (Patricia.find_exact (pfx "10.0.0.0/8") t)
+    (Patricia.find_exact t (pfx "10.0.0.0/8"))
 
 let test_patricia_remove () =
-  let t =
-    Patricia.empty
-    |> Patricia.add (pfx "10.0.0.0/8") 1
-    |> Patricia.add (pfx "10.1.0.0/16") 2
-  in
-  let t = Patricia.remove (pfx "10.1.0.0/16") t in
+  let t = of_strings [ ("10.0.0.0/8", 1); ("10.1.0.0/16", 2) ] in
+  ignore (Patricia.remove t (pfx "10.1.0.0/16"));
   Alcotest.(check int) "one left" 1 (Patricia.cardinal t);
   Alcotest.(check string) "falls back" "10.0.0.0/8=1" (lookup_str t "10.1.0.1");
-  let t = Patricia.remove (pfx "10.0.0.0/8") t in
+  ignore (Patricia.remove t (pfx "10.0.0.0/8"));
   Alcotest.(check bool) "empty" true (Patricia.is_empty t);
   (* removing a missing prefix is a no-op *)
-  let t2 = Patricia.add (pfx "10.0.0.0/8") 1 Patricia.empty in
-  let t3 = Patricia.remove (pfx "11.0.0.0/8") t2 in
-  Alcotest.(check int) "no-op remove" 1 (Patricia.cardinal t3)
+  let t2 = of_strings [ ("10.0.0.0/8", 1) ] in
+  ignore (Patricia.remove t2 (pfx "11.0.0.0/8"));
+  Alcotest.(check int) "no-op remove" 1 (Patricia.cardinal t2)
 
 let test_patricia_slash32 () =
-  let t =
-    Patricia.empty
-    |> Patricia.add (pfx "10.0.0.1/32") 1
-    |> Patricia.add (pfx "10.0.0.0/31") 2
-  in
+  let t = of_strings [ ("10.0.0.1/32", 1); ("10.0.0.0/31", 2) ] in
   Alcotest.(check string) "host route" "10.0.0.1/32=1" (lookup_str t "10.0.0.1");
   Alcotest.(check string) "host sibling" "10.0.0.0/31=2" (lookup_str t "10.0.0.0")
 
-let test_patricia_persistence () =
-  let t1 = Patricia.add (pfx "10.0.0.0/8") 1 Patricia.empty in
-  let t2 = Patricia.add (pfx "10.1.0.0/16") 2 t1 in
-  (* t1 is unchanged by the second add *)
-  Alcotest.(check int) "t1 size" 1 (Patricia.cardinal t1);
-  Alcotest.(check string) "t1 lookup" "10.0.0.0/8=1" (lookup_str t1 "10.1.0.1");
-  Alcotest.(check string) "t2 lookup" "10.1.0.0/16=2" (lookup_str t2 "10.1.0.1")
+(* [add] and [remove] report what they did to the table they mutate. *)
+let test_patricia_in_place () =
+  let t = Patricia.create () in
+  let change = Alcotest.testable (fun ppf c ->
+      Format.pp_print_string ppf
+        (match c with
+        | Patricia.Unchanged -> "Unchanged"
+        | Patricia.Replaced -> "Replaced"
+        | Patricia.Added -> "Added"))
+      ( = )
+  in
+  let check_add name p v expect =
+    Alcotest.check change name expect (Patricia.add ~equal:Int.equal t (pfx p) v)
+  in
+  check_add "new" "10.0.0.0/8" 1 Patricia.Added;
+  check_add "below" "10.1.0.0/16" 2 Patricia.Added;
+  check_add "same value" "10.0.0.0/8" 1 Patricia.Unchanged;
+  check_add "other value" "10.0.0.0/8" 3 Patricia.Replaced;
+  (* The two /16s meet at a valueless branch point, 10.0.0.0/15. *)
+  check_add "sibling" "10.0.0.0/16" 4 Patricia.Added;
+  check_add "valueless branch" "10.0.0.0/15" 5 Patricia.Added;
+  Alcotest.(check int) "cardinal" 4 (Patricia.cardinal t);
+  Alcotest.(check bool) "remove present" true (Patricia.remove t (pfx "10.0.0.0/15"));
+  Alcotest.(check bool) "remove absent" false (Patricia.remove t (pfx "11.0.0.0/8"));
+  Alcotest.(check bool) "remove branch point" false
+    (Patricia.remove t (pfx "10.0.0.0/15"));
+  Alcotest.(check string) "update seen in place" "10.0.0.0/8=3"
+    (lookup_str t "10.9.0.1");
+  Alcotest.(check bool) "invariants" true (Patricia.check_invariants t = Ok ())
 
 let test_patricia_lookup_prefix () =
-  let t =
-    Patricia.empty
-    |> Patricia.add (pfx "10.0.0.0/8") 1
-    |> Patricia.add (pfx "10.1.0.0/16") 2
-  in
-  (match Patricia.lookup_prefix (pfx "10.1.2.0/24") t with
+  let t = of_strings [ ("10.0.0.0/8", 1); ("10.1.0.0/16", 2) ] in
+  (match Patricia.lookup_prefix t (pfx "10.1.2.0/24") with
   | Some (p, 2) -> Alcotest.(check string) "cover" "10.1.0.0/16" (P.to_string p)
   | _ -> Alcotest.fail "expected 10.1.0.0/16");
-  match Patricia.lookup_prefix (pfx "11.0.0.0/8") t with
+  match Patricia.lookup_prefix t (pfx "11.0.0.0/8") with
   | None -> ()
   | Some _ -> Alcotest.fail "no cover expected"
 
 let test_patricia_subtree_count () =
   let t =
-    Patricia.empty
-    |> Patricia.add (pfx "10.0.0.0/8") 1
-    |> Patricia.add (pfx "10.1.0.0/16") 2
-    |> Patricia.add (pfx "10.2.0.0/16") 3
-    |> Patricia.add (pfx "192.168.0.0/16") 4
+    of_strings
+      [ ("10.0.0.0/8", 1); ("10.1.0.0/16", 2); ("10.2.0.0/16", 3);
+        ("192.168.0.0/16", 4) ]
   in
   Alcotest.(check int) "under 10/8" 3 (Patricia.subtree_count t (pfx "10.0.0.0/8"));
   Alcotest.(check int) "under 10.1/16" 1 (Patricia.subtree_count t (pfx "10.1.0.0/16"));
@@ -143,15 +157,24 @@ let naive_lookup model a =
       else best)
     None model
 
+(* The change [step] makes to [model], as [Patricia.add]/[remove]
+   should report it. *)
+let expected_change model = function
+  | SAdd (p, v) -> (
+    match List.assoc_opt p model with
+    | Some w when w = v -> `Add Patricia.Unchanged
+    | Some _ -> `Add Patricia.Replaced
+    | None -> `Add Patricia.Added)
+  | SRemove p -> `Remove (List.mem_assoc p model)
+
+let apply_step pat = function
+  | SAdd (p, v) -> `Add (Patricia.add ~equal:Int.equal pat p v)
+  | SRemove p -> `Remove (Patricia.remove pat p)
+
 let run_script script =
   let model = List.fold_left naive_apply [] script in
-  let pat =
-    List.fold_left
-      (fun t -> function
-        | SAdd (p, v) -> Patricia.add p v t
-        | SRemove p -> Patricia.remove p t)
-      Patricia.empty script
-  in
+  let pat = Patricia.create () in
+  List.iter (fun step -> ignore (apply_step pat step)) script;
   let hash = Hash_lpm.create () in
   List.iter
     (function
@@ -173,7 +196,7 @@ let prop_patricia_vs_model =
       && List.for_all
            (fun a ->
              let expect = naive_lookup model a in
-             let got = Patricia.lookup a pat in
+             let got = Patricia.lookup pat a in
              match expect, got with
              | None, None -> true
              | Some (p, v), Some (q, w) -> P.equal p q && v = w
@@ -206,8 +229,31 @@ let prop_patricia_find_exact =
     gen_script (fun script ->
       let model, pat, _ = run_script script in
       List.for_all
-        (fun (p, v) -> Patricia.find_exact p pat = Some v)
+        (fun (p, v) -> Patricia.find_exact pat p = Some v)
         model)
+
+let prop_patricia_change_report =
+  QCheck2.Test.make ~name:"add/remove report the model's change" ~count:300
+    gen_script (fun script ->
+      let pat = Patricia.create () in
+      let _, ok =
+        List.fold_left
+          (fun (model, ok) step ->
+            let ok = ok && apply_step pat step = expected_change model step in
+            (naive_apply model step, ok))
+          ([], true) script
+      in
+      ok)
+
+(* The shape depends on the key set only, so iteration order does not
+   remember the history of updates: it is ascending prefix order. *)
+let prop_patricia_canonical =
+  QCheck2.Test.make ~name:"shape independent of update history" ~count:300
+    gen_script (fun script ->
+      let model, pat, _ = run_script script in
+      let listed = Patricia.to_list pat in
+      listed = Patricia.to_list (of_list model)
+      && List.map fst listed = List.sort P.compare (List.map fst model))
 
 (* ------------------------------------------------------------------ *)
 (* Dir24_8                                                             *)
@@ -217,16 +263,14 @@ let test_dir24_agreement () =
   let table = Bgp_addr.Prefix_gen.table ~seed:11 ~n:2000 () in
   let bindings = Array.to_list (Array.mapi (fun i p -> (p, i)) table) in
   let dir = Dir24_8.build bindings in
-  let pat =
-    List.fold_left (fun t (p, v) -> Patricia.add p v t) Patricia.empty bindings
-  in
+  let pat = of_list bindings in
   Alcotest.(check int) "size" 2000 (Dir24_8.size dir);
   (* Probe with the first address of every prefix plus perturbations. *)
   Array.iter
     (fun p ->
       List.iter
         (fun a ->
-          let expect = Patricia.lookup a pat in
+          let expect = Patricia.lookup pat a in
           let got = Dir24_8.lookup dir a in
           match expect, got with
           | None, None -> ()
@@ -272,14 +316,12 @@ let prop_dir24_vs_patricia =
       List.iter (fun (p, v) -> Hashtbl.replace tbl p v) bindings;
       let dedup = Hashtbl.fold (fun p v acc -> (p, v) :: acc) tbl [] in
       let dir = Dir24_8.build dedup in
-      let pat =
-        List.fold_left (fun t (p, v) -> Patricia.add p v t) Patricia.empty dedup
-      in
+      let pat = of_list dedup in
       List.for_all
         (fun (p, _) ->
           List.for_all
             (fun a ->
-              match Patricia.lookup a pat, Dir24_8.lookup dir a with
+              match Patricia.lookup pat a, Dir24_8.lookup dir a with
               | None, None -> true
               | Some (ep, ev), Some (gp, gv) -> P.equal ep gp && ev = gv
               | _ -> false)
@@ -321,9 +363,7 @@ let prop_dir24_dense_chunk =
       List.iter (fun (p, v) -> Hashtbl.replace tbl p v) bindings;
       let dedup = Hashtbl.fold (fun p v acc -> (p, v) :: acc) tbl [] in
       let dir = Dir24_8.build dedup in
-      let pat =
-        List.fold_left (fun t (p, v) -> Patricia.add p v t) Patricia.empty dedup
-      in
+      let pat = of_list dedup in
       let probes =
         List.init 256 (fun o -> I.of_octets 10 1 1 o)
         @ [ I.of_octets 10 1 2 1; I.of_octets 9 9 9 9;
@@ -331,7 +371,7 @@ let prop_dir24_dense_chunk =
       in
       List.for_all
         (fun a ->
-          match Patricia.lookup a pat, Dir24_8.lookup dir a with
+          match Patricia.lookup pat a, Dir24_8.lookup dir a with
           | None, None -> true
           | Some (ep, ev), Some (gp, gv) -> P.equal ep gp && ev = gv
           | _ -> false)
@@ -367,7 +407,7 @@ let test_fib_deltas () =
   Alcotest.(check int) "replaces" 2 s.Fib.replaces;
   Alcotest.(check int) "withdraws" 2 s.Fib.withdraws
 
-let test_fib_lookup_and_snapshot () =
+let test_fib_lookup_and_withdraw () =
   let f = Fib.create () in
   let changed =
     Fib.apply_all f
@@ -380,11 +420,52 @@ let test_fib_lookup_and_snapshot () =
     Alcotest.(check string) "lpm" "10.1.0.0/16" (P.to_string p);
     Alcotest.(check int) "port" 2 h.Fib.nh_port
   | None -> Alcotest.fail "lookup miss");
-  let snap = Fib.snapshot f in
   ignore (Fib.apply f (Fib.Withdraw (pfx "10.1.0.0/16")));
-  Alcotest.(check int) "snapshot immutable" 2 (Patricia.cardinal snap);
   Alcotest.(check int) "fib shrunk" 1 (Fib.size f);
-  Alcotest.(check int) "lookup counted" 1 (Fib.stats f).Fib.lookups
+  (match Fib.lookup f (ip "10.1.2.3") with
+  | Some (p, _) -> Alcotest.(check string) "falls back" "10.0.0.0/8" (P.to_string p)
+  | None -> Alcotest.fail "lookup miss after withdraw");
+  Alcotest.(check int) "lookups counted" 2 (Fib.stats f).Fib.lookups
+
+(* Minor-heap words allocated by [f ()]. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The per-delta path allocates nothing but the new [Some nh] cell: no
+   closure per trie level, no copied path. *)
+let test_fib_apply_allocation () =
+  let table = Bgp_addr.Prefix_gen.table ~seed:5 ~n:10_000 () in
+  let f = Fib.create () in
+  Array.iter (fun p -> ignore (Fib.apply f (Fib.Add (p, nh 1)))) table;
+  let n = Array.length table in
+  let cpl =
+    minor_words (fun () ->
+        for i = 0 to n - 1 do
+          let a = P.addr table.(i) and b = P.addr table.((i + 1) mod n) in
+          ignore (Sys.opaque_identity (I.common_prefix_len a b))
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "common_prefix_len allocates nothing (%.0f words)" cpl)
+    true (cpl = 0.);
+  let per_delta deltas =
+    minor_words (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Fib.apply f deltas.(i))
+        done)
+    /. float_of_int n
+  in
+  let replace = per_delta (Array.map (fun p -> Fib.Replace (p, nh 2)) table) in
+  Alcotest.(check bool)
+    (Printf.sprintf "replace: %.1f words/delta <= 2" replace)
+    true (replace <= 2.);
+  let withdraw = per_delta (Array.map (fun p -> Fib.Withdraw p) table) in
+  Alcotest.(check bool)
+    (Printf.sprintf "withdraw: %.1f words/delta <= 2" withdraw)
+    true (withdraw <= 2.);
+  Alcotest.(check int) "emptied" 0 (Fib.size f)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -396,13 +477,14 @@ let () =
           Alcotest.test_case "replace" `Quick test_patricia_replace;
           Alcotest.test_case "remove" `Quick test_patricia_remove;
           Alcotest.test_case "host routes" `Quick test_patricia_slash32;
-          Alcotest.test_case "persistence" `Quick test_patricia_persistence;
+          Alcotest.test_case "in-place updates" `Quick test_patricia_in_place;
           Alcotest.test_case "lookup_prefix" `Quick test_patricia_lookup_prefix;
           Alcotest.test_case "subtree_count" `Quick test_patricia_subtree_count
         ] );
       qsuite "model-based"
         [ prop_patricia_vs_model; prop_hash_vs_model; prop_patricia_invariants;
-          prop_patricia_find_exact ];
+          prop_patricia_find_exact; prop_patricia_change_report;
+          prop_patricia_canonical ];
       ( "dir24_8",
         Alcotest.test_case "agrees with patricia" `Slow test_dir24_agreement
         :: Alcotest.test_case "long prefixes" `Quick test_dir24_long_prefixes
@@ -411,6 +493,7 @@ let () =
              [ prop_dir24_vs_patricia; prop_dir24_dense_chunk ] );
       ( "fib",
         [ Alcotest.test_case "delta semantics" `Quick test_fib_deltas;
-          Alcotest.test_case "lookup and snapshot" `Quick test_fib_lookup_and_snapshot
+          Alcotest.test_case "lookup and withdraw" `Quick test_fib_lookup_and_withdraw;
+          Alcotest.test_case "apply allocation" `Quick test_fib_apply_allocation
         ] )
     ]
