@@ -38,8 +38,8 @@ let terms t = t.terms
 let accept_all = { name = "accept-all"; terms = []; default = `Accept }
 let reject_all = { name = "reject-all"; terms = []; default = `Reject }
 
-(* [matches_counted] threads a work counter so [work_units] shares the
-   evaluation logic instead of re-implementing it. *)
+(* [matches_counted] threads [apply]'s work counter, so [matches] and
+   [apply] share the evaluation logic instead of re-implementing it. *)
 let rec matches_counted count c r =
   incr count;
   let attrs = R.attrs r in
@@ -86,7 +86,8 @@ let apply_action act r =
   in
   R.make ~prefix:(R.prefix r) ~attrs ~from:(R.from r)
 
-let eval_counted count t r =
+let apply t r =
+  let count = ref 0 in
   let rec go = function
     | [] -> (match t.default with `Accept -> Some r | `Reject -> None)
     | term :: rest ->
@@ -96,18 +97,12 @@ let eval_counted count t r =
         | Accept actions -> Some (List.fold_left (fun r a -> apply_action a r) r actions)
       else go rest
   in
-  go t.terms
-
-let eval t r =
-  let count = ref 0 in
-  eval_counted count t r
-
-let work_units t r =
-  let count = ref 0 in
-  ignore (eval_counted count t r);
+  let result = go t.terms in
   (* Even the empty policy costs one unit: the router must still run
      the route through the (trivial) filter stage. *)
-  max 1 !count
+  (result, max 1 !count)
+
+let eval t r = fst (apply t r)
 
 let pp_verdict ppf = function
   | Reject -> Format.pp_print_string ppf "reject"

@@ -67,8 +67,10 @@ val matches : cond -> Bgp_route.Route.t -> bool
 
 val apply_action : action -> Bgp_route.Route.t -> Bgp_route.Route.t
 
-val work_units : t -> Bgp_route.Route.t -> int
-(** Number of condition evaluations performed on [r] — the quantity the
-    router cost model charges for policy processing. *)
+val apply : t -> Bgp_route.Route.t -> Bgp_route.Route.t option * int
+(** [apply p r] is [(eval p r, units)] from one evaluation, where
+    [units] is the number of condition evaluations performed on [r]
+    (at least 1, for the empty policy) — the quantity the router cost
+    model charges for policy processing. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,38 +1,20 @@
-module H = Hashtbl.Make (struct
-  type t = Bgp_addr.Prefix.t
+type t = Prefix_table.t
 
-  let equal = Bgp_addr.Prefix.equal
-  let hash = Bgp_addr.Prefix.hash
-end)
+let find t p =
+  let e = Prefix_table.find t p in
+  if e.Prefix_table.best == Prefix_table.no_route then None
+  else Some e.Prefix_table.best
 
-type t = Bgp_route.Route.t H.t
+let size (t : t) = t.Prefix_table.routes
 
-let create () = H.create 4096
+let fold f t acc =
+  Prefix_table.fold
+    (fun _ e acc ->
+      let r = e.Prefix_table.best in
+      if r == Prefix_table.no_route then acc else f r acc)
+    t acc
 
-let set t r =
-  let p = Bgp_route.Route.prefix r in
-  match H.find_opt t p with
-  | None ->
-    H.replace t p r;
-    `New
-  | Some old ->
-    if Bgp_route.Route.equal old r then `Unchanged
-    else begin
-      H.replace t p r;
-      `Changed
-    end
-
-let remove t p =
-  match H.find_opt t p with
-  | None -> None
-  | Some r ->
-    H.remove t p;
-    Some r
-
-let find t p = H.find_opt t p
-let size t = H.length t
-let iter f t = H.iter (fun _ r -> f r) t
-let fold f t acc = H.fold (fun _ r acc -> f r acc) t acc
+let iter f t = fold (fun r () -> f r) t ()
 
 let to_list t =
   fold (fun r acc -> r :: acc) t []

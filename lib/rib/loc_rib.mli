@@ -3,16 +3,17 @@
     source peer retained so re-advertisement and split-horizon
     filtering can consult it.
 
+    A Loc-RIB is the read-only view of a {!Rib_manager}'s prefix table:
+    one entry per prefix that holds the best route next to the locally
+    originated route and every peer's Adj-RIB-In and Adj-RIB-Out
+    handle, so the manager reaches all of a prefix's state with one
+    lookup.  Only {!Rib_manager} writes it.
+
     Note (paper §III.A): the Loc-RIB is distinct from the forwarding
     table — changes here are pushed into {!Bgp_fib.Fib} by a separate
     (and separately costed) step. *)
 
-type t
-
-val create : unit -> t
-val set : t -> Bgp_route.Route.t -> [ `New | `Changed | `Unchanged ]
-val remove : t -> Bgp_addr.Prefix.t -> Bgp_route.Route.t option
-(** Returns the evicted route, if any. *)
+type t = Prefix_table.t
 
 val find : t -> Bgp_addr.Prefix.t -> Bgp_route.Route.t option
 val size : t -> int

@@ -6,11 +6,13 @@ module Peer = Bgp_route.Peer
 module Policy = Bgp_policy.Policy
 module Fib = Bgp_fib.Fib
 module P = Bgp_addr.Prefix
+module T = Prefix_table
 
 type peer_state = {
   mutable peer : Peer.t;
-  adj_in : Adj_rib.t;
-  adj_out : Adj_rib.t;
+  slot : int;  (* this peer's slot pair in every table entry *)
+  mutable adj_in : int;  (* Adj-RIB-In size *)
+  mutable adj_out : int;  (* Adj-RIB-Out size *)
   import : Policy.t;
   export : Policy.t;
   rr_client : bool;  (* route-reflection client (RFC 4456) *)
@@ -37,10 +39,12 @@ type t = {
      every decision, so caching the order here removes the
      sort-per-walk that [fold_peer_states] used to pay. *)
   mutable peers_sorted : peer_state array;
+  mutable width : int;  (* slot array length: two per peer *)
   incremental : bool;  (* enable the best-vs-challenger fast path *)
   aggregates : agg_state list;
-  local_routes : Adj_rib.t;  (* locally originated, keyed like an adj-in *)
-  loc : Loc_rib.t;
+  table : T.t;  (* the Adj-RIBs-In/Out, local routes and Loc-RIB *)
+  export_memo : I.t I.Tbl.t;
+      (* post-export-policy handle -> its plain EBGP rewrite *)
   (* Work counters live in a shared metrics registry so that a phase
      boundary ({!Bgp_stats.Metrics.reset_all}) clears RIB, router, and
      pipeline accounting together. *)
@@ -61,10 +65,11 @@ let create ?(import = Policy.accept_all) ?(export = Policy.accept_all)
   { local_asn; router_id;
     cluster_id = Option.value ~default:router_id cluster_id;
     default_import = import; default_export = export;
-    peer_states = Hashtbl.create 16; peers_sorted = [||]; incremental;
+    peer_states = Hashtbl.create 16; peers_sorted = [||]; width = 0;
+    incremental;
     aggregates =
       List.map (fun agg_cfg -> { agg_cfg; agg_active = false }) aggregates;
-    local_routes = Adj_rib.create (); loc = Loc_rib.create ();
+    table = T.create (); export_memo = I.Tbl.create 8;
     c_updates_processed = M.counter metrics "rib.updates_processed";
     c_decisions_run = M.counter metrics "rib.decisions_run";
     c_decision_fastpath = M.counter metrics "rib.decision_fastpath";
@@ -88,10 +93,14 @@ let add_peer ?import ?export ?(rr_client = false) ?(up = true) t peer =
   if Hashtbl.mem t.peer_states peer.Peer.id then
     invalid_arg
       (Printf.sprintf "Rib_manager.add_peer: duplicate peer id %d" peer.Peer.id);
+  (* Slots are numbered in registration order; entries that predate
+     this peer grow their slot arrays on first write. *)
+  let slot = Hashtbl.length t.peer_states in
   Hashtbl.replace t.peer_states peer.Peer.id
-    { peer; adj_in = Adj_rib.create (); adj_out = Adj_rib.create ();
+    { peer; slot; adj_in = 0; adj_out = 0;
       import = Option.value ~default:t.default_import import;
       export = Option.value ~default:t.default_export export; rr_client; up };
+  t.width <- 2 * (slot + 1);
   rebuild_peer_cache t
 
 let peer_state t peer =
@@ -102,7 +111,7 @@ let peer_state t peer =
 
 let rebind_peer t peer =
   let ps = peer_state t peer in
-  if Adj_rib.size ps.adj_in > 0 || Adj_rib.size ps.adj_out > 0 then
+  if ps.adj_in > 0 || ps.adj_out > 0 then
     invalid_arg
       (Printf.sprintf "Rib_manager.rebind_peer: peer id %d holds routes"
          peer.Peer.id);
@@ -116,9 +125,28 @@ let peers t = Array.to_list (Array.map (fun ps -> ps.peer) t.peers_sorted)
 let fold_peer_states t f acc =
   Array.fold_left (fun acc ps -> f ps acc) acc t.peers_sorted
 
-let loc_rib t = t.loc
-let adj_in_size t peer = Adj_rib.size (peer_state t peer).adj_in
-let adj_out_size t peer = Adj_rib.size (peer_state t peer).adj_out
+let loc_rib t = t.table
+let adj_in_size t peer = (peer_state t peer).adj_in
+let adj_out_size t peer = (peer_state t peer).adj_out
+
+let in_slot ps = 2 * ps.slot
+let out_slot ps = (2 * ps.slot) + 1
+let holds_in t ps p = T.slot (T.find t.table p) (in_slot ps) != I.none
+
+(* Clear [ps]'s Adj-RIB-In entry for [e]; [false] when it held none. *)
+let remove_in ps e =
+  T.slot e (in_slot ps) != I.none
+  && begin
+    T.clear_slot e (in_slot ps);
+    ps.adj_in <- ps.adj_in - 1;
+    true
+  end
+
+let remove_out ps e =
+  if T.slot e (out_slot ps) != I.none then begin
+    T.clear_slot e (out_slot ps);
+    ps.adj_out <- ps.adj_out - 1
+  end
 
 (* The Adj-RIB-In size one UPDATE would leave behind, computed without
    mutating anything.  A re-announced prefix and a duplicate within the
@@ -134,16 +162,16 @@ let projected_adj_in_size t peer ~announced ~withdrawn =
   List.iter (fun p -> Hashtbl.replace nlri p ()) announced;
   let growth =
     Hashtbl.fold
-      (fun p () acc -> if Adj_rib.mem ps.adj_in p then acc else acc + 1)
+      (fun p () acc -> if holds_in t ps p then acc else acc + 1)
       nlri 0
   in
   let gone = Hashtbl.create (max 16 (List.length withdrawn)) in
   List.iter
     (fun p ->
-      if Adj_rib.mem ps.adj_in p && not (Hashtbl.mem nlri p) then
+      if holds_in t ps p && not (Hashtbl.mem nlri p) then
         Hashtbl.replace gone p ())
     withdrawn;
-  Adj_rib.size ps.adj_in + growth - Hashtbl.length gone
+  ps.adj_in + growth - Hashtbl.length gone
 
 type announcement = {
   dest : Peer.t;
@@ -180,35 +208,33 @@ let nexthop_of_route r =
   { Fib.nh_addr = (R.attrs r).A.next_hop;
     nh_port = (R.from r).Peer.id }
 
-(* Candidates for [prefix]: the post-import-policy view of every
-   Adj-RIB-In entry, plus local routes. Returns the candidate list and
-   the policy work expended.  Candidate routes are built from the
-   stored handles ({!R.of_interned}) — the decision hot path never
+(* Candidates for [prefix] (entry [e]): the post-import-policy view of
+   every Adj-RIB-In entry, plus the local route.  Returns the candidate
+   list and the policy work expended.  Candidate routes are built from
+   the stored handles ({!R.of_interned}) — the decision hot path never
    touches the arena.
 
    The list comes out in stable source-peer order (local first, then
    ascending peer id), which is {!Decision.select}'s precondition: the
    ranking is not a total order (MED), so a fixed presentation order is
    what keeps selection independent of update arrival order. *)
-let candidates_for t prefix =
+let candidates_for t prefix e =
   let work = ref 0 in
   let cands = ref [] in
   let arr = t.peers_sorted in
   for i = Array.length arr - 1 downto 0 do
     let ps = arr.(i) in
-    match Adj_rib.find ps.adj_in prefix with
-    | None -> ()
-    | Some interned ->
-      let r = R.of_interned ~prefix ~interned ~from:ps.peer in
-      work := !work + Policy.work_units ps.import r;
-      (match Policy.eval ps.import r with
-      | Some r' -> cands := r' :: !cands
-      | None -> ())
+    let interned = T.slot e (in_slot ps) in
+    if interned != I.none then begin
+      let r, units =
+        Policy.apply ps.import (R.of_interned ~prefix ~interned ~from:ps.peer)
+      in
+      work := !work + units;
+      match r with Some r' -> cands := r' :: !cands | None -> ()
+    end
   done;
-  (match Adj_rib.find t.local_routes prefix with
-  | None -> ()
-  | Some interned ->
-    cands := R.of_interned ~prefix ~interned ~from:Peer.local :: !cands);
+  if e.T.local != I.none then
+    cands := R.of_interned ~prefix ~interned:e.T.local ~from:Peer.local :: !cands;
   (!cands, !work)
 
 (* Transform the best route for advertisement to [ps], or None when it
@@ -222,6 +248,36 @@ let suppressed_by_aggregate t p =
     (fun ag ->
       ag.agg_active && ag.agg_cfg.agg_summary_only && strict_under ag.agg_cfg p)
     t.aggregates
+
+(* EBGP export: prepend our AS, next-hop-self, drop the IBGP-only
+   LOCAL_PREF, and do not propagate a received MED to other EBGP
+   neighbors (RFC 4271 section 5.1.4).  The result depends only on the
+   post-policy attributes, so it is memoised per manager.  [I.hit]
+   admits a memo entry only if [I.intern] would have returned that very
+   handle, and records the same arena stats, so the memo is invisible
+   to arena accounting; it never serves a handle from before an
+   [I.clear], and it is bypassed while sharing is off so the un-interned
+   baseline keeps paying one fresh handle per export. *)
+let ebgp_attrs t h =
+  { (A.prepend_as t.local_asn (I.value h)) with
+    A.next_hop = t.router_id; local_pref = None; med = None }
+
+let memo_rewrite t h =
+  let r = I.intern (ebgp_attrs t h) in
+  I.Tbl.replace t.export_memo h r;
+  r
+
+let ebgp_rewrite t h =
+  if not (I.sharing_enabled ()) then I.intern (ebgp_attrs t h)
+  else
+    match I.Tbl.find t.export_memo h with
+    | r when I.hit r -> r
+    | _ ->
+      (* Filled before a clear or a sharing toggle: no entry can be
+         trusted any more. *)
+      I.Tbl.reset t.export_memo;
+      memo_rewrite t h
+    | exception Not_found -> memo_rewrite t h
 
 let export_route t ps best work =
   let src = R.from best in
@@ -255,94 +311,85 @@ let export_route t ps best work =
       || (ebgp && A.has_community Bgp_route.Community.no_export attrs)
     then None
     else begin
-      work := !work + Policy.work_units ps.export best;
-      match Policy.eval ps.export best with
+      let r, units = Policy.apply ps.export best in
+      work := !work + units;
+      match r with
       | None -> None
       | Some r ->
-        let attrs = R.attrs r in
-        let rewritten =
-          if ebgp then
-            (* EBGP export: prepend our AS, next-hop-self, drop the
-               IBGP-only LOCAL_PREF, and do not propagate a received
-               MED to other EBGP neighbors (RFC 4271 section 5.1.4). *)
-            Some
-              { (A.prepend_as t.local_asn attrs) with
-                A.next_hop = t.router_id; local_pref = None; med = None }
-          else None
-        in
-        let rewritten =
-          match reflection with
-          | `Reflect ->
-            (* RFC 4456 section 8: stamp the originator once, grow the
-               cluster list on every reflection hop. *)
-            let base = Option.value ~default:attrs rewritten in
-            Some
-              { base with
-                A.originator_id =
-                  Some
-                    (Option.value ~default:src.Peer.router_id
-                       base.A.originator_id);
-                cluster_list = t.cluster_id :: base.A.cluster_list }
-          | `Plain | `Forbidden -> rewritten
-        in
-        (* Untouched attributes reuse the route's handle; only a
-           rewrite pays an arena lookup. *)
+        (* Untouched attributes reuse the route's handle; an EBGP
+           rewrite is a memo lookup and only a reflection rewrite pays
+           an arena lookup. *)
         Some
-          (match rewritten with
-          | None -> R.interned r
-          | Some a -> I.intern a)
+          (if ebgp then ebgp_rewrite t (R.interned r)
+           else
+             match reflection with
+             | `Reflect ->
+               (* RFC 4456 section 8: stamp the originator once, grow
+                  the cluster list on every reflection hop. *)
+               let attrs = R.attrs r in
+               I.intern
+                 { attrs with
+                   A.originator_id =
+                     Some
+                       (Option.value ~default:src.Peer.router_id
+                          attrs.A.originator_id);
+                   cluster_list = t.cluster_id :: attrs.A.cluster_list }
+             | `Plain | `Forbidden -> R.interned r)
     end
   end
 
-(* Diff desired advertisement against Adj-RIB-Out and produce the
-   necessary announcement, updating the Adj-RIB-Out. *)
-let sync_adj_out ps prefix desired =
+(* Diff desired advertisement against the Adj-RIB-Out slot of [e] and
+   produce the necessary announcement, updating the slot. *)
+let sync_adj_out t ps prefix e desired =
+  let old = T.slot e (out_slot ps) in
   match desired with
   | Some attrs ->
-    (match Adj_rib.set ps.adj_out prefix attrs with
-    | `New | `Changed ->
-      Some { dest = ps.peer; ann_prefix = prefix; ann_attrs = Some attrs }
-    | `Unchanged -> None)
+    if old != I.none && I.equal old attrs then None
+    else begin
+      if old == I.none then ps.adj_out <- ps.adj_out + 1;
+      T.set_slot e (out_slot ps) attrs ~width:t.width;
+      Some { dest = ps.peer; ann_prefix = prefix; ann_attrs = desired }
+    end
   | None ->
-    if Adj_rib.remove ps.adj_out prefix then
+    if old == I.none then None
+    else begin
+      remove_out ps e;
       Some { dest = ps.peer; ann_prefix = prefix; ann_attrs = None }
-    else None
+    end
 
-(* Re-run the decision process for [prefix] and propagate the result to
-   Loc-RIB, FIB deltas, and Adj-RIBs-Out. *)
-let redecide t prefix =
+(* Re-run the decision process for [prefix] (entry [e]) and propagate
+   the result to Loc-RIB, FIB deltas, and Adj-RIBs-Out; reclaim the
+   entry if nothing is left in it. *)
+let redecide t prefix e =
   M.incr t.c_decisions_run;
-  let cands, import_work = candidates_for t prefix in
+  let cands, import_work = candidates_for t prefix e in
   let best = Decision.select ~local_asn:t.local_asn cands in
   let work = ref import_work in
+  let previous = e.T.best in
   let loc_changed, fib_deltas =
     match best with
     | None ->
-      (match Loc_rib.remove t.loc prefix with
-      | None -> (false, [])
-      | Some _ -> (true, [ Fib.Withdraw prefix ]))
+      if T.clear_best t.table e then (true, [ Fib.Withdraw prefix ])
+      else (false, [])
     | Some r ->
       let nh = nexthop_of_route r in
-      let previous = Loc_rib.find t.loc prefix in
-      (match Loc_rib.set t.loc r with
+      (match T.set_best t.table e r with
       | `Unchanged -> (false, [])
       | `New -> (true, [ Fib.Add (prefix, nh) ])
       | `Changed ->
-        let delta =
-          (* The forwarding table only holds next hops: a best-route
-             change that keeps the next hop (e.g. same peer, new
-             attributes) does not touch the FIB — the distinction
-             scenarios 5/6 vs 7/8 hinge on. *)
-          match previous with
-          | Some old when Fib.nexthop_equal (nexthop_of_route old) nh -> []
-          | _ -> [ Fib.Replace (prefix, nh) ]
-        in
-        (true, delta))
+        (* The forwarding table only holds next hops: a best-route
+           change that keeps the next hop (e.g. same peer, new
+           attributes) does not touch the FIB — the distinction
+           scenarios 5/6 vs 7/8 hinge on. *)
+        if Fib.nexthop_equal (nexthop_of_route previous) nh then (true, [])
+        else (true, [ Fib.Replace (prefix, nh) ]))
   in
   if loc_changed then M.incr t.c_loc_rib_changes;
   let announcements =
     if not loc_changed then []
     else
+      (* Exports run in ascending peer order — the order their rewrites
+         are interned in — and the list is reversed once at the end. *)
       fold_peer_states t
         (fun ps acc ->
           if not ps.up then acc
@@ -352,15 +399,28 @@ let redecide t prefix =
               | None -> None
               | Some r -> export_route t ps r work
             in
-            match sync_adj_out ps prefix desired with
+            match sync_adj_out t ps prefix e desired with
             | Some ann -> ann :: acc
             | None -> acc)
         []
-      |> List.sort (fun a b -> Peer.compare a.dest b.dest)
+      |> List.rev
   in
+  T.remove_if_empty t.table prefix e;
   M.incr ~by:(List.length announcements) t.c_announcements_emitted;
   M.incr ~by:!work t.c_policy_units;
   (loc_changed, fib_deltas, announcements, List.length cands, !work)
+
+let set_local e attrs =
+  let old = e.T.local in
+  if old == I.none then begin
+    e.T.local <- attrs;
+    `New
+  end
+  else if I.equal old attrs then `Unchanged
+  else begin
+    e.T.local <- attrs;
+    `Changed
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Route aggregation (RFC 4271 section 9.2.2.2 / CIDR)                 *)
@@ -370,7 +430,7 @@ let redecide t prefix =
 let aggregate_contributors t agg =
   Loc_rib.fold
     (fun r acc -> if strict_under agg (R.prefix r) then r :: acc else acc)
-    t.loc []
+    t.table []
 
 let aggregate_attrs t agg contributors =
   let as_path =
@@ -416,10 +476,10 @@ let sweep_specifics t agg ~suppress =
                 let desired =
                   if suppress then None else export_route t ps best work
                 in
-                match sync_adj_out ps p desired with
+                match sync_adj_out t ps p (T.find t.table p) desired with
                 | Some ann -> ann :: acc
                 | None -> acc)
-            acc (Loc_rib.to_list t.loc))
+            acc (Loc_rib.to_list t.table))
       []
     |> List.sort (fun a b ->
            match Peer.compare a.dest b.dest with
@@ -436,9 +496,11 @@ let rec update_aggregate t ag =
   let agg = ag.agg_cfg in
   match aggregate_contributors t agg with
   | [] ->
-    if Adj_rib.remove t.local_routes agg.agg_prefix then begin
+    let e = T.find t.table agg.agg_prefix in
+    if e.T.local != I.none then begin
+      e.T.local <- I.none;
       ag.agg_active <- false;
-      let _, fd, ann, _, _ = redecide t agg.agg_prefix in
+      let _, fd, ann, _, _ = redecide t agg.agg_prefix e in
       let unsuppressed =
         if agg.agg_summary_only then sweep_specifics t agg ~suppress:false
         else []
@@ -449,13 +511,13 @@ let rec update_aggregate t ag =
     else ([], [])
   | contributors -> (
     let attrs = I.intern (aggregate_attrs t agg contributors) in
-    match Adj_rib.set t.local_routes agg.agg_prefix attrs with
+    let e = T.find_or_add t.table agg.agg_prefix ~width:t.width in
+    match set_local e attrs with
     | `Unchanged -> ([], [])
-    | (`New | `Changed) as change ->
+    | `New | `Changed ->
       let newly_active = not ag.agg_active in
       ag.agg_active <- true;
-      ignore change;
-      let _, fd, ann, _, _ = redecide t agg.agg_prefix in
+      let _, fd, ann, _, _ = redecide t agg.agg_prefix e in
       let suppressed =
         if newly_active && agg.agg_summary_only then
           sweep_specifics t agg ~suppress:true
@@ -479,21 +541,23 @@ and eval_aggregates t prefix =
 
 let finish t
     (adj_in_change :
-      [ `New | `Changed | `Unchanged | `Removed | `Absent | `Loop ]) prefix =
+      [ `New | `Changed | `Unchanged | `Removed | `Absent | `Loop ]) prefix e =
   M.incr t.c_updates_processed;
   match adj_in_change with
   | `Unchanged | `Absent ->
     { no_op_outcome with adj_in_change }
   | (`New | `Changed | `Removed | `Loop) as c ->
     let loc_changed, fib_deltas, announcements, candidates, policy_work =
-      redecide t prefix
+      redecide t prefix e
     in
-    let agg_deltas, agg_anns =
-      if loc_changed then eval_aggregates t prefix else ([], [])
-    in
-    { adj_in_change = c; loc_changed;
-      fib_deltas = fib_deltas @ agg_deltas;
-      announcements = announcements @ agg_anns; candidates; policy_work }
+    if not loc_changed then
+      { adj_in_change = c; loc_changed; fib_deltas; announcements; candidates;
+        policy_work }
+    else
+      let agg_deltas, agg_anns = eval_aggregates t prefix in
+      { adj_in_change = c; loc_changed;
+        fib_deltas = fib_deltas @ agg_deltas;
+        announcements = announcements @ agg_anns; candidates; policy_work }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decision fast path                                      *)
@@ -528,31 +592,32 @@ let fast_outcome t change ~candidates ~policy_work =
   { adj_in_change = change; loc_changed = false; fib_deltas = [];
     announcements = []; candidates; policy_work }
 
-let try_fast_announce t ps prefix interned change =
+(* [Some best] when [e]'s best comes from a strictly earlier source
+   than [ps] in decision order. *)
+let earlier_best t ps e =
   if not t.incremental then None
   else
-    match Loc_rib.find t.loc prefix with
-    | None -> None
-    | Some best ->
-      if Peer.compare (R.from best) ps.peer >= 0 then None
-      else begin
-        let challenger = R.of_interned ~prefix ~interned ~from:ps.peer in
-        let work = Policy.work_units ps.import challenger in
-        match Policy.eval ps.import challenger with
-        | None -> Some (fast_outcome t change ~candidates:1 ~policy_work:work)
-        | Some c ->
-          if Decision.better ~local_asn:t.local_asn c best then None
-          else Some (fast_outcome t change ~candidates:2 ~policy_work:work)
-      end
+    let best = e.T.best in
+    if best == T.no_route || Peer.compare (R.from best) ps.peer >= 0 then None
+    else Some best
 
-let try_fast_withdraw t ps prefix =
-  if not t.incremental then None
-  else
-    match Loc_rib.find t.loc prefix with
-    | None -> None
-    | Some best ->
-      if Peer.compare (R.from best) ps.peer >= 0 then None
-      else Some (fast_outcome t `Removed ~candidates:0 ~policy_work:0)
+let try_fast_announce t ps prefix e interned change =
+  match earlier_best t ps e with
+  | None -> None
+  | Some best -> (
+    let challenger, work =
+      Policy.apply ps.import (R.of_interned ~prefix ~interned ~from:ps.peer)
+    in
+    match challenger with
+    | None -> Some (fast_outcome t change ~candidates:1 ~policy_work:work)
+    | Some c ->
+      if Decision.better ~local_asn:t.local_asn c best then None
+      else Some (fast_outcome t change ~candidates:2 ~policy_work:work))
+
+let try_fast_withdraw t ps e =
+  match earlier_best t ps e with
+  | None -> None
+  | Some _ -> Some (fast_outcome t `Removed ~candidates:0 ~policy_work:0)
 
 (* RFC 4456 section 8 loop protection: our own ORIGINATOR_ID or
    cluster id in an incoming route means a reflection loop. *)
@@ -572,23 +637,29 @@ let announce_one t ps ~looping prefix interned =
   if looping then
     (* AS loop (§9.1.2): the route is excluded from consideration; any
        older route from this peer for the prefix is dropped too. *)
-    let removed = Adj_rib.remove ps.adj_in prefix in
-    if removed then finish t `Loop prefix
+    let e = T.find t.table prefix in
+    if remove_in ps e then finish t `Loop prefix e
     else begin
       M.incr t.c_updates_processed;
       { no_op_outcome with adj_in_change = `Loop }
     end
   else
-    match Adj_rib.set ps.adj_in prefix interned with
-    | `Unchanged -> finish t `Unchanged prefix
-    | (`New | `Changed) as change -> (
-      match try_fast_announce t ps prefix interned change with
+    let e = T.find_or_add t.table prefix ~width:t.width in
+    let old = T.slot e (in_slot ps) in
+    if old != I.none && I.equal old interned then finish t `Unchanged prefix e
+    else begin
+      T.set_slot e (in_slot ps) interned ~width:t.width;
+      let change =
+        if old == I.none then begin
+          ps.adj_in <- ps.adj_in + 1;
+          `New
+        end
+        else `Changed
+      in
+      match try_fast_announce t ps prefix e interned change with
       | Some outcome -> outcome
-      | None ->
-        finish t
-          (change
-            :> [ `New | `Changed | `Unchanged | `Removed | `Absent | `Loop ])
-          prefix)
+      | None -> finish t change prefix e
+    end
 
 let announce_interned t ~from prefix interned =
   let ps = peer_state t from in
@@ -607,24 +678,30 @@ let announce_group t ~from ~each prefixes interned =
 
 let withdraw t ~from prefix =
   let ps = peer_state t from in
-  if Adj_rib.remove ps.adj_in prefix then
-    match try_fast_withdraw t ps prefix with
+  let e = T.find t.table prefix in
+  if remove_in ps e then
+    match try_fast_withdraw t ps e with
     | Some outcome -> outcome
-    | None -> finish t `Removed prefix
-  else finish t `Absent prefix
+    | None -> finish t `Removed prefix e
+  else finish t `Absent prefix e
 
 let withdraw_local t ~prefix =
-  if Adj_rib.remove t.local_routes prefix then finish t `Removed prefix
+  let e = T.find t.table prefix in
+  if e.T.local != I.none then begin
+    e.T.local <- I.none;
+    finish t `Removed prefix e
+  end
   else begin
     M.incr t.c_updates_processed;
     { no_op_outcome with adj_in_change = `Absent }
   end
 
 let inject_local_route t ~prefix ~attrs =
+  let e = T.find_or_add t.table prefix ~width:t.width in
   finish t
-    (Adj_rib.set t.local_routes prefix (I.intern attrs)
+    (set_local e (I.intern attrs)
       :> [ `New | `Changed | `Unchanged | `Removed | `Absent | `Loop ])
-    prefix
+    prefix e
 
 let inject_local t ~prefix ~next_hop =
   inject_local_route t ~prefix
@@ -636,46 +713,100 @@ let export_full t peer =
   let ps = peer_state t peer in
   let work = ref 0 in
   let anns =
-    Loc_rib.fold
-      (fun best acc ->
-        let desired = export_route t ps best work in
-        match sync_adj_out ps (R.prefix best) desired with
-        | Some ann -> ann :: acc
-        | None -> acc)
-      t.loc []
+    T.fold
+      (fun prefix e acc ->
+        let best = e.T.best in
+        if best == T.no_route then acc
+        else
+          let desired = export_route t ps best work in
+          match sync_adj_out t ps prefix e desired with
+          | Some ann -> ann :: acc
+          | None -> acc)
+      t.table []
   in
   M.incr ~by:!work t.c_policy_units;
   M.incr ~by:(List.length anns) t.c_announcements_emitted;
   List.sort (fun a b -> P.compare a.ann_prefix b.ann_prefix) anns
 
+(* The prefixes whose entries [holds] for [ps], collected before any
+   entry is cleared or reclaimed: the table is not mutated mid-walk. *)
+let held_prefixes t holds =
+  T.fold (fun p e acc -> if holds e then p :: acc else acc) t.table []
+
 let refresh t peer =
   (* RFC 2918: forget what we believe the peer knows and resend. *)
-  Adj_rib.clear (peer_state t peer).adj_out;
+  let ps = peer_state t peer in
+  List.iter
+    (fun p ->
+      let e = T.find t.table p in
+      remove_out ps e;
+      T.remove_if_empty t.table p e)
+    (held_prefixes t (fun e -> T.slot e (out_slot ps) != I.none));
   export_full t peer
 
 let peer_down t peer =
   let ps = peer_state t peer in
   ps.up <- false;
-  let contributed = Adj_rib.prefixes ps.adj_in in
-  Adj_rib.clear ps.adj_in;
-  Adj_rib.clear ps.adj_out;
-  let merged =
-    List.fold_left
-      (fun acc prefix ->
-        let loc_changed, fib_deltas, announcements, candidates, policy_work =
-          redecide t prefix
-        in
-        { adj_in_change = `Removed;
-          loc_changed = acc.loc_changed || loc_changed;
-          fib_deltas = acc.fib_deltas @ fib_deltas;
-          announcements = acc.announcements @ announcements;
-          candidates = acc.candidates + candidates;
-          policy_work = acc.policy_work + policy_work })
-      { no_op_outcome with adj_in_change = `Removed }
-      contributed
+  let contributed =
+    List.filter_map
+      (fun p ->
+        let e = T.find t.table p in
+        let held_in = remove_in ps e in
+        remove_out ps e;
+        if held_in then Some p
+        else begin
+          T.remove_if_empty t.table p e;
+          None
+        end)
+      (held_prefixes t (fun e ->
+           T.slot e (in_slot ps) != I.none || T.slot e (out_slot ps) != I.none))
+    |> List.sort P.compare
   in
+  (* Entries are looked up again per decision: a decision can reclaim
+     an entry, and each prefix must be decided on the table's own. *)
+  let loc_changed = ref false and deltas = ref [] and anns = ref [] in
+  let candidates = ref 0 and policy_work = ref 0 in
+  List.iter
+    (fun prefix ->
+      let changed, fd, ann, c, w = redecide t prefix (T.find t.table prefix) in
+      loc_changed := !loc_changed || changed;
+      deltas := List.rev_append fd !deltas;
+      anns := List.rev_append ann !anns;
+      candidates := !candidates + c;
+      policy_work := !policy_work + w)
+    contributed;
   M.incr ~by:(List.length contributed) t.c_updates_processed;
-  merged
+  { adj_in_change = `Removed; loc_changed = !loc_changed;
+    fib_deltas = List.rev !deltas; announcements = List.rev !anns;
+    candidates = !candidates; policy_work = !policy_work }
+
+let check_invariants t =
+  let fail fmt = Printf.ksprintf failwith ("Rib_manager: " ^^ fmt) in
+  let routes = ref 0 in
+  let held = Array.make t.width 0 in
+  T.iter
+    (fun p e ->
+      if T.is_empty e then fail "empty entry left for %s" (P.to_string p);
+      if Array.length e.T.slots > t.width then fail "slot array too wide";
+      if e.T.best != T.no_route then begin
+        incr routes;
+        if not (P.equal (R.prefix e.T.best) p) then
+          fail "best for %s under %s"
+            (P.to_string (R.prefix e.T.best)) (P.to_string p)
+      end;
+      Array.iteri
+        (fun i h -> if h != I.none then held.(i) <- held.(i) + 1)
+        e.T.slots)
+    t.table;
+  if !routes <> Loc_rib.size t.table then
+    fail "Loc-RIB size %d, %d bests" (Loc_rib.size t.table) !routes;
+  Array.iter
+    (fun ps ->
+      if held.(in_slot ps) <> ps.adj_in || held.(out_slot ps) <> ps.adj_out
+      then
+        fail "peer %d: Adj-RIB sizes %d/%d, slots held %d/%d" ps.peer.Peer.id
+          ps.adj_in ps.adj_out held.(in_slot ps) held.(out_slot ps))
+    t.peers_sorted
 
 type stats = {
   updates_processed : int;

@@ -6,7 +6,28 @@
     time, scheduling, or cost.  Every {!update} returns an {!outcome}
     that (a) tells the caller what to transmit and what to install in
     the FIB, and (b) carries work counters that the simulated router
-    converts into CPU cycles. *)
+    converts into CPU cycles.
+
+    {b One entry per prefix.}  All three RIBs live in one prefix-keyed
+    table (read outside this library as {!Loc_rib}).  An entry holds
+    the Loc-RIB best, the locally originated route, and a slot array:
+    slot [2s] is the Adj-RIB-In handle and slot [2s+1] the Adj-RIB-Out
+    handle of the peer registered [s]-th.  Empty slots hold
+    {!Bgp_route.Attrs.Interned.none}, so a slot costs one word and no
+    box, and one lookup reaches a prefix's whole state.  The table
+    starts small and grows with the routes; an entry left with no best,
+    no local route and no occupied slot is removed.
+
+    {b Export memo.}  The plain EBGP rewrite (prepend the local AS,
+    next-hop-self, drop LOCAL_PREF and MED) depends only on the
+    post-export-policy attributes, so it is memoised per manager, keyed
+    by that handle.  The memo is invisible to everything else: a hit is
+    admitted only when {!Bgp_route.Attrs.Interned.intern} would have
+    returned the same handle, and counts in the arena stats exactly as
+    that intern hit would; it is bypassed while arena sharing is off,
+    so the un-interned baseline still pays one fresh handle per export;
+    and no handle from before an {!Bgp_route.Attrs.Interned.clear} is
+    ever served after it.  Route-reflection rewrites are not cached. *)
 
 type t
 
@@ -72,6 +93,11 @@ val add_peer :
     [up] (default true) marks the peer as advertisable; a router
     normally registers peers with [~up:false] and flips them with
     {!set_peer_up} when the session reaches Established.
+
+    The peer gets the next free slot pair in the prefix table.  A peer
+    may be added after routes exist: entries made before it grow their
+    slot arrays on the first write to its pair.  Decisions still walk
+    the peers in {!Bgp_route.Peer.compare} order, whatever the slots.
     @raise Invalid_argument if the peer id is already registered or the
     peer is {!Bgp_route.Peer.local}. *)
 
@@ -190,6 +216,13 @@ val peer_down : t -> Bgp_route.Peer.t -> outcome
 (** Session loss: mark the peer down, flush its Adj-RIB-In and Adj-RIB-Out and
     re-run the decision process for every prefix it contributed.  The
     returned outcome aggregates all resulting deltas/announcements. *)
+
+val check_invariants : t -> unit
+(** Check the prefix table against the manager's own bookkeeping: no
+    empty entry is left behind, the Loc-RIB size and every peer's
+    Adj-RIB-In/Out sizes match the occupied entries and slots, and each
+    best route sits under its own prefix.  O(table); for tests.
+    @raise Failure naming the first broken invariant. *)
 
 (** Cumulative work statistics (for the cost model and EXPERIMENTS). *)
 type stats = {

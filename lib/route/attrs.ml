@@ -216,12 +216,16 @@ module Interned = struct
     table : t Arena.t;
     span_tbl : (int, (string * t) list) Hashtbl.t;
     mutable next_local : int;
+    mutable since : int;
+        (* [next_local] at the last [clear] or sharing toggle: exactly
+           the handles allocated at or above it are arena entries now *)
     mutable s_interns : int;
     mutable s_hits : int;
     mutable s_saved : int;
   }
 
   let id_bits = 40  (* local ids per shard; the slot lives above *)
+  let local_mask = (1 lsl id_bits) - 1
   let sharing = ref true
   let shards_mu = Mutex.create ()
   let shards : (int, shard) Hashtbl.t = Hashtbl.create 8
@@ -234,7 +238,8 @@ module Interned = struct
       | None ->
         let sh =
           { slot; table = Arena.create 4096; span_tbl = Hashtbl.create 4096;
-            next_local = 0; s_interns = 0; s_hits = 0; s_saved = 0 }
+            next_local = 0; since = 0; s_interns = 0; s_hits = 0;
+            s_saved = 0 }
         in
         Hashtbl.add shards slot sh;
         sh
@@ -252,6 +257,12 @@ module Interned = struct
     sh.next_local <- sh.next_local + 1;
     { id; cached_hash = hash value; value; pref = pref_of value;
       vbytes = approx_bytes value }
+
+  (* The stats of an [intern] call that found [h]. *)
+  let record_hit sh h =
+    sh.s_interns <- sh.s_interns + 1;
+    sh.s_hits <- sh.s_hits + 1;
+    sh.s_saved <- sh.s_saved + h.vbytes
 
   let intern value =
     let sh = current () in
@@ -304,9 +315,7 @@ module Interned = struct
         with
         | None -> None
         | Some (_, h) ->
-          sh.s_interns <- sh.s_interns + 1;
-          sh.s_hits <- sh.s_hits + 1;
-          sh.s_saved <- sh.s_saved + h.vbytes;
+          record_hit sh h;
           Some h)
 
   let add_span buf ~pos ~len h =
@@ -320,6 +329,27 @@ module Interned = struct
          this key; the copy is the one allocation the cache ever pays
          for these bytes. *)
       Hashtbl.replace sh.span_tbl key ((String.sub buf pos len, h) :: entries)
+    end
+
+  (* Id -1 lies below every shard's id range, so [hit] rejects it and
+     the id fast path of [equal] never matches it. *)
+  let none =
+    let value = make ~as_path:As_path.empty ~next_hop:Bgp_addr.Ipv4.zero () in
+    { id = -1; cached_hash = hash value; value; pref = pref_of value;
+      vbytes = 0 }
+
+  (* A handle allocated since the last clear or sharing toggle was made
+     by [intern] with sharing on, so it is the arena's entry for its
+     value and [intern (value h)] would return it. *)
+  let hit h =
+    !sharing
+    &&
+    let sh = current () in
+    h.id lsr id_bits = sh.slot
+    && h.id land local_mask >= sh.since
+    && begin
+      record_hit sh h;
+      true
     end
 
   let value h = h.value
@@ -361,7 +391,16 @@ module Interned = struct
     if s.interns = 0 then 0.0
     else float_of_int s.hits /. float_of_int s.interns
 
-  let set_sharing b = sharing := b
+  let mark_stale sh = sh.since <- sh.next_local
+
+  let set_sharing b =
+    if b <> !sharing then begin
+      Mutex.lock shards_mu;
+      Hashtbl.iter (fun _ sh -> mark_stale sh) shards;
+      Mutex.unlock shards_mu;
+      sharing := b
+    end
+
   let sharing_enabled () = !sharing
 
   (* Ids survive a clear on purpose ([next_local] is not reset): stale
@@ -372,6 +411,7 @@ module Interned = struct
       (fun _ sh ->
         Arena.reset sh.table;
         Hashtbl.reset sh.span_tbl;
+        mark_stale sh;
         sh.s_interns <- 0;
         sh.s_hits <- 0;
         sh.s_saved <- 0)

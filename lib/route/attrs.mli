@@ -124,6 +124,21 @@ module Interned : sig
       obtained by decoding that very span; no-op while sharing is
       disabled. *)
 
+  val none : t
+  (** A sentinel handle the arena never returns: lets a store mark an
+      empty slot without an [option] box per slot.  Test for it with
+      [==] — {!equal}'s structural fallback may match it. *)
+
+  val hit : t -> bool
+  (** [hit h] is [true] when [intern (value h)] would return [h] itself:
+      sharing is on and [h] was interned by the calling domain's shard
+      since its last {!clear} and last {!set_sharing} toggle.  It then
+      records exactly the stats that intern call would have (one intern,
+      one hit, [h]'s bytes saved); on [false] it records nothing.  This
+      lets a memo of interned results stand in for {!intern} without
+      changing the arena accounting, and never return a handle from
+      before a clear. *)
+
   val value : t -> attrs
   val id : t -> int
   val pref : t -> pref

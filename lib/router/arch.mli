@@ -42,7 +42,7 @@ type cost_model = {
   cyc_per_msg_tx : float;      (** send path per transmitted message *)
   cyc_per_byte : float;        (** stream handling per wire byte *)
   cyc_per_prefix_parse : float;
-  cyc_per_policy_unit : float; (** per {!Bgp_policy.Policy.work_units} unit *)
+  cyc_per_policy_unit : float; (** per {!Bgp_policy.Policy.apply} work unit *)
   cyc_per_candidate : float;   (** decision process, per candidate route *)
   cyc_per_rib_change : float;  (** Loc-RIB insert/replace/remove *)
   cyc_per_announcement : float;(** building one prefix advertisement *)

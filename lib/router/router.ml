@@ -217,8 +217,10 @@ let run_rib_update t ~from (u : Msg.update) =
       w.w_loc_changes <- w.w_loc_changes + 1;
       t.route_observer prefix
     end;
-    w.w_deltas <- w.w_deltas @ o.Rib_manager.fib_deltas;
-    w.w_anns <- w.w_anns @ o.Rib_manager.announcements
+    (* Accumulated reversed, restored once below: appending would copy
+       the whole list for every prefix of a large UPDATE. *)
+    w.w_deltas <- List.rev_append o.Rib_manager.fib_deltas w.w_deltas;
+    w.w_anns <- List.rev_append o.Rib_manager.announcements w.w_anns
   in
   (match t.damp with
   | None ->
@@ -257,6 +259,8 @@ let run_rib_update t ~from (u : Msg.update) =
       if passed <> [] then
         Rib_manager.announce_group t.rib ~from ~each:absorb passed interned
     | None -> ()));
+  w.w_deltas <- List.rev w.w_deltas;
+  w.w_anns <- List.rev w.w_anns;
   w
 
 (* ------------------------------------------------------------------ *)

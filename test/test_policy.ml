@@ -150,7 +150,7 @@ let test_multiple_actions_compose () =
 
 let test_work_units () =
   Alcotest.(check bool) "empty policy costs >= 1" true
-    (Policy.work_units Policy.accept_all (route ()) >= 1);
+    (snd (Policy.apply Policy.accept_all (route ())) >= 1);
   let p =
     Policy.make ~name:"three-conds"
       [ { Policy.term_name = "t";
@@ -160,7 +160,9 @@ let test_work_units () =
       ]
   in
   (* Path_len matches, Med fails -> 2 evaluations, then default. *)
-  Alcotest.(check int) "short circuit" 2 (Policy.work_units p (route ()))
+  let result, units = Policy.apply p (route ()) in
+  Alcotest.(check int) "short circuit" 2 units;
+  Alcotest.(check bool) "default accepts" true (result <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -190,6 +192,26 @@ let prop_eval_deterministic =
       | Some a, Some b -> R.equal a b
       | _ -> false))
 
+(* [apply] is [eval] plus its work units, from one evaluation. *)
+let prop_apply_matches_eval =
+  QCheck2.Test.make ~name:"apply's result is eval's" ~count:300 gen_route
+    (fun r ->
+      let p =
+        Policy.make ~name:"p"
+          [ { Policy.term_name = "a"; conds = [ Policy.Med_at_most 50 ];
+              verdict = Policy.Accept [ Policy.Set_local_pref 7 ] };
+            { Policy.term_name = "b"; conds = [ Policy.Path_len_at_least 4 ];
+              verdict = Policy.Reject }
+          ]
+      in
+      let applied, units = Policy.apply p r in
+      units >= 1
+      &&
+      match applied, Policy.eval p r with
+      | None, None -> true
+      | Some a, Some b -> R.equal a b
+      | _ -> false)
+
 let prop_accept_all_identity =
   QCheck2.Test.make ~name:"accept_all is the identity" ~count:300 gen_route
     (fun r ->
@@ -214,5 +236,7 @@ let () =
           Alcotest.test_case "actions compose" `Quick test_multiple_actions_compose;
           Alcotest.test_case "work units" `Quick test_work_units
         ] );
-      qsuite "properties" [ prop_eval_deterministic; prop_accept_all_identity ]
+      qsuite "properties"
+        [ prop_eval_deterministic; prop_apply_matches_eval;
+          prop_accept_all_identity ]
     ]

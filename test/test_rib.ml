@@ -869,6 +869,290 @@ let test_decision_fastpath_counter () =
   | None -> Alcotest.fail "best missing"
 
 (* ------------------------------------------------------------------ *)
+(* The prefix table: model check, reclamation, footprint, export memo  *)
+(* ------------------------------------------------------------------ *)
+
+module I = A.Interned
+
+(* Model-based check of the one-entry-per-prefix table.  The model is
+   the naive three-RIB picture: per-peer maps of what each peer
+   announced (its Adj-RIB-In) and per-peer maps folded from the
+   announcements the manager emitted (its Adj-RIB-Out), with the
+   Loc-RIB recomputed from scratch by [Decision.select].  Peer 0 joins
+   late, after routes exist, with an id below every registered peer:
+   it takes the highest slot but decides first. *)
+type model_op =
+  | M_announce of int * int * A.t
+  | M_group of int * int list * A.t
+  | M_withdraw of int * int
+  | M_peer_down of int
+  | M_refresh of int
+  | M_set_up of int * bool
+  | M_add_late
+
+let model_prefixes = [| pfx "10.0.0.0/8"; pfx "10.1.0.0/16"; pfx "203.0.113.0/24" |]
+
+(* Paths containing 666 are rejected by the import policy (an entry with
+   an Adj-RIB-In route but no best); 65000 is the local AS (a loop). *)
+let no_666 =
+  Policy.make ~name:"no-666"
+    [ { Policy.term_name = "drop-666"; conds = [ Policy.Path_contains (asn 666) ];
+        verdict = Policy.Reject } ]
+
+let gen_model_attrs pi =
+  QCheck2.Gen.(
+    let* first_hop = oneofl [ 7018; 701 ] in
+    let* med = option (int_range 0 3) in
+    (* Mostly equal lengths and origins, so MED and the peer order
+       decide — the order-sensitive part of the ranking. *)
+    let* tail =
+      list_size (int_range 0 1) (frequencyl [ (6, 1); (1, 666); (1, 65000) ])
+    in
+    let* origin = frequencyl [ (4, A.Igp); (1, A.Egp) ] in
+    return
+      (attrs ~origin ?med
+         ~nh:(Bgp_addr.Ipv4.to_string (prop_peer pi).Peer.addr)
+         (first_hop :: tail)))
+
+let gen_model_op =
+  QCheck2.Gen.(
+    let* pi = int_range 0 4 in
+    let* xi = int_range 0 2 in
+    frequency
+      [ (5, map (fun a -> M_announce (pi, xi, a)) (gen_model_attrs pi));
+        ( 2,
+          let* xs = list_size (int_range 1 4) (int_range 0 2) in
+          map (fun a -> M_group (pi, xs, a)) (gen_model_attrs pi) );
+        (3, return (M_withdraw (pi, xi)));
+        (1, return (M_peer_down pi));
+        (1, return (M_refresh pi));
+        (1, map (fun up -> M_set_up (pi, up)) bool);
+        (1, return M_add_late) ])
+
+let model_looping (a : A.t) = As_path.contains local_asn a.A.as_path
+
+let prop_table_matches_model =
+  QCheck2.Test.make ~name:"prefix table matches the three-RIB model" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 40) gen_model_op)
+    (fun ops ->
+      let t = Rib_manager.create ~import:no_666 ~local_asn ~router_id () in
+      let added = Array.make 5 false in
+      let add i =
+        Rib_manager.add_peer t (prop_peer i);
+        added.(i) <- true
+      in
+      List.iter add [ 1; 2; 3; 4 ];
+      let adj_in = Array.init 5 (fun _ -> Hashtbl.create 4) in
+      let adj_out = Array.init 5 (fun _ -> Hashtbl.create 4) in
+      let emitted anns =
+        List.iter
+          (fun a ->
+            let out = adj_out.(a.Rib_manager.dest.Peer.id) in
+            match a.Rib_manager.ann_attrs with
+            | Some h -> Hashtbl.replace out a.Rib_manager.ann_prefix h
+            | None -> Hashtbl.remove out a.Rib_manager.ann_prefix)
+          anns
+      in
+      let announce pi p a =
+        if model_looping a then Hashtbl.remove adj_in.(pi) p
+        else Hashtbl.replace adj_in.(pi) p a
+      in
+      let expected_best p =
+        List.filter_map
+          (fun i ->
+            match Hashtbl.find_opt adj_in.(i) p with
+            | Some a when added.(i) ->
+              Policy.eval no_666 (R.make ~prefix:p ~attrs:a ~from:(prop_peer i))
+            | _ -> None)
+          [ 0; 1; 2; 3; 4 ]
+        |> Decision.select ~local_asn
+      in
+      let step op =
+        match op with
+        | M_add_late -> if not added.(0) then add 0
+        | M_announce (pi, _, _) | M_group (pi, _, _) | M_withdraw (pi, _)
+        | M_peer_down pi | M_refresh pi | M_set_up (pi, _)
+          when not added.(pi) -> ()
+        | M_announce (pi, xi, a) ->
+          let p = model_prefixes.(xi) in
+          announce pi p a;
+          emitted (Rib_manager.announce t ~from:(prop_peer pi) p a).announcements
+        | M_group (pi, xis, a) ->
+          let ps = List.map (fun xi -> model_prefixes.(xi)) xis in
+          List.iter (fun p -> announce pi p a) ps;
+          Rib_manager.announce_group t ~from:(prop_peer pi)
+            ~each:(fun _ o -> emitted o.Rib_manager.announcements)
+            ps (I.intern a)
+        | M_withdraw (pi, xi) ->
+          let p = model_prefixes.(xi) in
+          Hashtbl.remove adj_in.(pi) p;
+          emitted (Rib_manager.withdraw t ~from:(prop_peer pi) p).announcements
+        | M_peer_down pi ->
+          Hashtbl.reset adj_in.(pi);
+          Hashtbl.reset adj_out.(pi);
+          emitted (Rib_manager.peer_down t (prop_peer pi)).announcements
+        | M_refresh pi ->
+          Hashtbl.reset adj_out.(pi);
+          emitted (Rib_manager.refresh t (prop_peer pi))
+        | M_set_up (pi, up) -> Rib_manager.set_peer_up t (prop_peer pi) up
+      in
+      let agrees () =
+        Rib_manager.check_invariants t;
+        let loc = Rib_manager.loc_rib t in
+        Array.for_all
+          (fun p ->
+            match Loc_rib.find loc p, expected_best p with
+            | None, None -> true
+            | Some r, Some r' -> R.equal r r'
+            | _ -> false)
+          model_prefixes
+        && Loc_rib.size loc
+           = Array.fold_left
+               (fun n p -> if expected_best p = None then n else n + 1)
+               0 model_prefixes
+        && List.for_all
+             (fun i ->
+               (not added.(i))
+               || Rib_manager.adj_in_size t (prop_peer i) = Hashtbl.length adj_in.(i)
+                  && Rib_manager.adj_out_size t (prop_peer i)
+                     = Hashtbl.length adj_out.(i))
+             [ 0; 1; 2; 3; 4 ]
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          agrees ()
+          || QCheck2.Test.fail_reportf "diverged after %s"
+               (match op with
+               | M_announce (pi, xi, _) -> Printf.sprintf "announce %d %d" pi xi
+               | M_group (pi, _, _) -> Printf.sprintf "group from %d" pi
+               | M_withdraw (pi, xi) -> Printf.sprintf "withdraw %d %d" pi xi
+               | M_peer_down pi -> Printf.sprintf "peer_down %d" pi
+               | M_refresh pi -> Printf.sprintf "refresh %d" pi
+               | M_set_up (pi, up) -> Printf.sprintf "set_up %d %b" pi up
+               | M_add_late -> "add_peer 0"))
+        ops)
+
+(* Four EBGP peers with their own slots, as in the footprint and
+   reclamation tests. *)
+let four_peer_manager () =
+  let t = Rib_manager.create ~local_asn ~router_id () in
+  for i = 0 to 3 do
+    Rib_manager.add_peer t (prop_peer i)
+  done;
+  t
+
+(* Withdrawing everything from every peer reclaims every entry: the
+   invariant check rejects any empty entry left behind, and what the
+   manager retains beyond an empty one is bounded by the grown bucket
+   array (a word per bucket), far below the ~17 words an entry costs. *)
+let test_withdraw_all_reclaims () =
+  let n = 2000 in
+  let prefixes =
+    List.init n (fun i -> Bgp_addr.Prefix.make (Bgp_addr.Ipv4.of_int (i lsl 8)) 24)
+  in
+  let t = four_peer_manager () in
+  for i = 0 to 3 do
+    let from = prop_peer i in
+    let a =
+      I.intern
+        (attrs ~nh:(Bgp_addr.Ipv4.to_string from.Peer.addr)
+           (List.init (i + 1) (fun k -> 64512 + k)))
+    in
+    Rib_manager.announce_group t ~from ~each:(fun _ _ -> ()) prefixes a
+  done;
+  ignore (Rib_manager.inject_local t ~prefix:(List.hd prefixes) ~next_hop:router_id);
+  ignore (Rib_manager.refresh t (prop_peer 3));
+  Rib_manager.check_invariants t;
+  Alcotest.(check int) "loaded" n (Loc_rib.size (Rib_manager.loc_rib t));
+  for i = 0 to 3 do
+    List.iter (fun p -> ignore (Rib_manager.withdraw t ~from:(prop_peer i) p)) prefixes
+  done;
+  ignore (Rib_manager.withdraw_local t ~prefix:(List.hd prefixes));
+  Rib_manager.check_invariants t;
+  Alcotest.(check int) "Loc-RIB empty" 0 (Loc_rib.size (Rib_manager.loc_rib t));
+  for i = 0 to 3 do
+    Alcotest.(check int) "Adj-RIB-In empty" 0 (Rib_manager.adj_in_size t (prop_peer i));
+    Alcotest.(check int) "Adj-RIB-Out empty" 0 (Rib_manager.adj_out_size t (prop_peer i))
+  done;
+  let empty = Obj.reachable_words (Obj.repr (four_peer_manager ())) in
+  let left = Obj.reachable_words (Obj.repr t) in
+  if left - empty > 2 * n then
+    Alcotest.failf "withdrawn manager retains %d words over an empty one (bound %d)"
+      (left - empty) (2 * n)
+
+(* An empty manager is small: the table starts small and grows with the
+   routes instead of carrying full-size tables from creation. *)
+let test_empty_manager_footprint () =
+  let managers = 100 in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let ms = List.init managers (fun _ -> four_peer_manager ()) in
+  Gc.full_major ();
+  let after = (Gc.stat ()).Gc.live_words in
+  let per = (after - before) * (Sys.word_size / 8) / managers in
+  ignore (Sys.opaque_identity ms);
+  if per > 4096 then
+    Alcotest.failf "an empty 4-peer manager retains %d bytes (bound 4096)" per
+
+(* The EBGP rewrite the memo stands in for, computed directly. *)
+let plain_ebgp_rewrite a =
+  { (A.prepend_as local_asn a) with
+    A.next_hop = router_id; local_pref = None; med = None }
+
+let export_to t ~from ~dest prefix a =
+  List.filter_map
+    (fun ann ->
+      if Peer.equal ann.Rib_manager.dest dest then ann.Rib_manager.ann_attrs
+      else None)
+    (Rib_manager.announce t ~from prefix a).Rib_manager.announcements
+  |> function
+  | [ h ] -> h
+  | _ -> Alcotest.fail "expected one export to the destination"
+
+let arena_delta f =
+  let s0 = I.stats () in
+  let x = f () in
+  let s1 = I.stats () in
+  ( x,
+    ( s1.I.interns - s0.I.interns, s1.I.hits - s0.I.hits,
+      s1.I.saved_bytes - s0.I.saved_bytes ) )
+
+let stats_delta = Alcotest.(triple int int int)
+
+let test_export_memo () =
+  let a = attrs ~med:5 ~local_pref:120 ~nh:"192.0.2.1" [ 65001; 7 ] in
+  let t = fresh () in
+  let h1 = export_to t ~from:peer1 ~dest:peer2 (pfx "203.0.113.0/24") a in
+  Alcotest.(check bool) "rewrite" true
+    (A.equal (I.value h1) (plain_ebgp_rewrite a));
+  (* A memo hit returns the arena's handle and accounts exactly like the
+     two intern hits (announce, export) it replaces. *)
+  let h2, memo = arena_delta (fun () ->
+      export_to t ~from:peer1 ~dest:peer2 (pfx "198.51.100.0/24") a)
+  in
+  let h3, direct = arena_delta (fun () ->
+      ignore (I.intern a);
+      I.intern (plain_ebgp_rewrite a))
+  in
+  Alcotest.(check bool) "hit is the arena handle" true (h2 == h1 && h3 == h1);
+  Alcotest.check stats_delta "hit accounted like intern" direct memo;
+  (* Sharing off: every export is a fresh, structurally equal handle. *)
+  Fun.protect
+    ~finally:(fun () -> I.set_sharing true)
+    (fun () ->
+      I.set_sharing false;
+      let u1 = export_to t ~from:peer1 ~dest:peer2 (pfx "192.0.2.0/24") a in
+      let u2 = export_to t ~from:peer1 ~dest:peer2 (pfx "198.18.0.0/15") a in
+      Alcotest.(check bool) "fresh handles" true (u1 != u2 && u1 != h1);
+      Alcotest.(check bool) "same attributes" true (I.equal u1 u2));
+  (* After a clear, nothing from before it comes back. *)
+  I.clear ();
+  let c1 = export_to t ~from:peer1 ~dest:peer2 (pfx "100.64.0.0/10") a in
+  Alcotest.(check bool) "post-clear handle is fresh" true
+    (I.id c1 > I.id h1 && c1 == I.intern (plain_ebgp_rewrite a))
+
+(* ------------------------------------------------------------------ *)
 (* RFC 2439 route flap damping                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1004,6 +1288,13 @@ let () =
           Alcotest.test_case "decision fast path fires" `Quick
             test_decision_fastpath_counter
         ] );
+      ( "prefix table",
+        [ Alcotest.test_case "withdraw-all reclaims entries" `Quick
+            test_withdraw_all_reclaims;
+          Alcotest.test_case "empty manager footprint" `Quick
+            test_empty_manager_footprint;
+          Alcotest.test_case "export memo" `Quick test_export_memo
+        ] );
       ( "route reflection",
         [ Alcotest.test_case "ibgp no re-advertisement" `Quick
             test_ibgp_no_readvertisement;
@@ -1038,5 +1329,5 @@ let () =
       qsuite "properties"
         [ prop_manager_arrival_order_invariant; prop_select_returns_maximal;
           prop_compare_routes_matches_reference; prop_incremental_matches_full;
-          prop_damping_decay_halves ]
+          prop_table_matches_model; prop_damping_decay_halves ]
     ]
