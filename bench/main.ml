@@ -124,7 +124,9 @@ let replace_deltas =
 
 let hash_full =
   let h = Bgp_fib.Hash_lpm.create () in
-  Array.iter (fun p -> Bgp_fib.Hash_lpm.insert h p nh) table10k;
+  Array.iter
+    (fun p -> ignore (Bgp_fib.Hash_lpm.add ~equal:Bgp_fib.Fib.nexthop_equal h p nh))
+    table10k;
   h
 
 let dir_full =
@@ -147,6 +149,8 @@ let fib_tests =
        let d = replace_deltas.(!i) in
        i := (!i + 1) mod Array.length replace_deltas;
        Bgp_fib.Fib.apply fib_full d);
+    Test.make ~name:"fib/lookup-1k"
+      (Staged.stage @@ fun () -> lookup_all (Bgp_fib.Fib.lookup fib_full));
     Test.make ~name:"fib/dir24-build-10k"
       (Staged.stage @@ fun () ->
        Bgp_fib.Dir24_8.build

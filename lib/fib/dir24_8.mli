@@ -10,7 +10,8 @@
     The price is update cost: a single insertion may rewrite up to
     2{^24} first-level cells, which is why this module only offers
     whole-table {!build}.  The bench suite uses it to show the
-    throughput/updatability trade-off against {!Patricia}. *)
+    throughput/updatability trade-off against {!Hash_lpm} and
+    {!Patricia}. *)
 
 type 'a t
 

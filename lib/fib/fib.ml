@@ -22,7 +22,7 @@ let delta_prefix = function Add (p, _) | Replace (p, _) | Withdraw p -> p
 type stats = { adds : int; replaces : int; withdraws : int; lookups : int }
 
 type t = {
-  tree : nexthop Patricia.t;
+  table : nexthop Hash_lpm.t;
   mutable adds : int;
   mutable replaces : int;
   mutable withdraws : int;
@@ -30,18 +30,18 @@ type t = {
 }
 
 let create () =
-  { tree = Patricia.create (); adds = 0; replaces = 0; withdraws = 0; lookups = 0 }
+  { table = Hash_lpm.create (); adds = 0; replaces = 0; withdraws = 0; lookups = 0 }
 
-let size t = Patricia.cardinal t.tree
+let size t = Hash_lpm.size t.table
 
 let stats t =
   { adds = t.adds; replaces = t.replaces; withdraws = t.withdraws;
     lookups = t.lookups }
 
 let set t p nh =
-  match Patricia.add ~equal:nexthop_equal t.tree p nh with
-  | Patricia.Unchanged -> false
-  | Patricia.Replaced | Patricia.Added -> true
+  match Hash_lpm.add ~equal:nexthop_equal t.table p nh with
+  | Hash_lpm.Unchanged -> false
+  | Hash_lpm.Replaced | Hash_lpm.Added -> true
 
 let apply t = function
   | Add (p, nh) ->
@@ -52,15 +52,14 @@ let apply t = function
     set t p nh
   | Withdraw p ->
     t.withdraws <- t.withdraws + 1;
-    Patricia.remove t.tree p
+    Hash_lpm.remove t.table p
 
 let apply_all t deltas =
   List.fold_left (fun n d -> if apply t d then n + 1 else n) 0 deltas
 
 let lookup t a =
   t.lookups <- t.lookups + 1;
-  Patricia.lookup t.tree a
+  Hash_lpm.lookup t.table a
 
-let find_exact t p = Patricia.find_exact t.tree p
-let iter f t = Patricia.iter f t.tree
-let to_list t = Patricia.to_list t.tree
+let iter f t = Hash_lpm.iter f t.table
+let to_list t = Hash_lpm.to_list t.table

@@ -2,9 +2,11 @@
 
     This is the structure the BGP process pushes Loc-RIB changes into
     (via the simulated [xorp_fea] stage) and the forwarding engine
-    consults per packet.  It wraps {!Patricia} with next-hop payloads,
-    a maintained size counter, and cumulative operation statistics that
-    the router cost model converts into simulated CPU cycles. *)
+    consults per packet.  It wraps {!Hash_lpm} with next-hop payloads
+    and cumulative operation statistics that the router cost model
+    converts into simulated CPU cycles.  Every install, replace and
+    withdraw is exact-match; only {!lookup} needs longest-prefix
+    match. *)
 
 type nexthop = {
   nh_addr : Bgp_addr.Ipv4.t;  (** IP of the neighbor to forward to *)
@@ -48,6 +50,7 @@ val apply_all : t -> delta list -> int
 val lookup : t -> Bgp_addr.Ipv4.t -> (Bgp_addr.Prefix.t * nexthop) option
 (** Longest-prefix match (counts toward [lookups] in {!stats}). *)
 
-val find_exact : t -> Bgp_addr.Prefix.t -> nexthop option
 val iter : (Bgp_addr.Prefix.t -> nexthop -> unit) -> t -> unit
+(** In ascending {!Bgp_addr.Prefix.compare} order. *)
+
 val to_list : t -> (Bgp_addr.Prefix.t * nexthop) list

@@ -1,50 +1,72 @@
 module P = Bgp_addr.Prefix
-module I = Bgp_addr.Ipv4
+
+module H = Hashtbl.Make (struct
+  type t = P.t
+
+  let equal = P.equal
+  let hash = P.hash
+end)
 
 type 'a t = {
-  (* tables.(l) maps the masked address of every stored /l prefix. *)
-  tables : (I.t, 'a) Hashtbl.t array;
-  mutable count : int;
+  table : 'a H.t;
+  counts : int array;  (* [counts.(l)]: stored prefixes of length [l] *)
 }
 
-let create () = { tables = Array.init 33 (fun _ -> Hashtbl.create 64); count = 0 }
+type change = Unchanged | Replaced | Added
 
-let clear t =
-  Array.iter Hashtbl.reset t.tables;
-  t.count <- 0
+let create () = { table = H.create 16; counts = Array.make 33 0 }
+let size t = H.length t.table
 
-let insert t p v =
-  let tbl = t.tables.(P.len p) in
-  let key = P.addr p in
-  if not (Hashtbl.mem tbl key) then t.count <- t.count + 1;
-  Hashtbl.replace tbl key v
+let add ~equal t p v =
+  match H.find t.table p with
+  | old ->
+    if equal old v then Unchanged
+    else begin
+      (* Overwrites the binding in place: no allocation. *)
+      H.replace t.table p v;
+      Replaced
+    end
+  | exception Not_found ->
+    H.add t.table p v;
+    let l = P.len p in
+    t.counts.(l) <- t.counts.(l) + 1;
+    Added
 
 let remove t p =
-  let tbl = t.tables.(P.len p) in
-  let key = P.addr p in
-  if Hashtbl.mem tbl key then begin
-    Hashtbl.remove tbl key;
-    t.count <- t.count - 1;
+  H.mem t.table p
+  && begin
+    H.remove t.table p;
+    let l = P.len p in
+    t.counts.(l) <- t.counts.(l) - 1;
     true
   end
-  else false
-
-let find_exact t p = Hashtbl.find_opt t.tables.(P.len p) (P.addr p)
 
 let lookup t a =
   let rec go l =
     if l < 0 then None
+    else if t.counts.(l) = 0 then go (l - 1)
     else
-      let key = I.apply_mask a l in
-      match Hashtbl.find_opt t.tables.(l) key with
-      | Some v -> Some (P.make key l, v)
-      | None -> go (l - 1)
+      let p = P.make a l in
+      match H.find t.table p with
+      | v -> Some (p, v)
+      | exception Not_found -> go (l - 1)
   in
   go 32
 
-let size t = t.count
+(* The stored prefixes in ascending order, so that walks do not depend
+   on hash order or on the history of updates. *)
+let sorted_keys t =
+  let keys = Array.make (H.length t.table) P.default in
+  let i = ref 0 in
+  H.iter
+    (fun p _ ->
+      keys.(!i) <- p;
+      incr i)
+    t.table;
+  Array.sort P.compare keys;
+  keys
 
-let iter f t =
-  Array.iteri
-    (fun l tbl -> Hashtbl.iter (fun key v -> f (P.make key l) v) tbl)
-    t.tables
+let iter f t = Array.iter (fun p -> f p (H.find t.table p)) (sorted_keys t)
+
+let to_list t =
+  Array.fold_right (fun p acc -> (p, H.find t.table p) :: acc) (sorted_keys t) []

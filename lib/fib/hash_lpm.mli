@@ -1,23 +1,41 @@
-(** Hash-table longest-prefix match: one table per prefix length,
-    probed from /32 down to /0.
+(** Exact-match prefix table with longest-prefix match: the structure
+    behind the router's forwarding table ({!Fib}).
 
-    The comparison baseline for the Patricia trie in the lookup
-    ablation benches: O(1) insert/remove, but every lookup costs up to
-    33 hash probes regardless of table contents (Ruiz-Sanchez et al.'s
-    "binary search on prefix lengths" family, without the binary
-    search). *)
+    One hash table keyed by the immediate {!Bgp_addr.Prefix.t}, plus a
+    count of stored prefixes per length.  Installing, replacing and
+    withdrawing a route are exact-match hash operations, with no trie
+    to descend.  A lookup probes, longest first, only the lengths that
+    hold at least one prefix (Ruiz-Sanchez et al.'s "binary search on
+    prefix lengths" family, without the binary search).
+
+    Walks ({!iter}, {!to_list}) run in ascending
+    {!Bgp_addr.Prefix.compare} order, so they depend on neither hash
+    order nor the history of updates. *)
 
 type 'a t
 
+type change =
+  | Unchanged  (** the prefix was already bound to an equal value *)
+  | Replaced  (** the prefix's value changed *)
+  | Added  (** the prefix is new: the table grew by one *)
+
 val create : unit -> 'a t
-val clear : 'a t -> unit
-val insert : 'a t -> Bgp_addr.Prefix.t -> 'a -> unit
-(** Insert or replace. *)
+(** Starts small: an empty table retains a few hundred bytes. *)
+
+val size : 'a t -> int
+
+val add : equal:('a -> 'a -> bool) -> 'a t -> Bgp_addr.Prefix.t -> 'a -> change
+(** Bind the prefix to the value, unless it is already bound to a value
+    [equal] to it.  Allocates only on [Added] (the new binding). *)
 
 val remove : 'a t -> Bgp_addr.Prefix.t -> bool
-(** [true] when a binding was removed. *)
+(** Remove the exact binding; [true] when one was removed. *)
 
-val find_exact : 'a t -> Bgp_addr.Prefix.t -> 'a option
 val lookup : 'a t -> Bgp_addr.Ipv4.t -> (Bgp_addr.Prefix.t * 'a) option
-val size : 'a t -> int
+(** Longest-prefix match for an address. *)
+
 val iter : (Bgp_addr.Prefix.t -> 'a -> unit) -> 'a t -> unit
+(** In ascending {!Bgp_addr.Prefix.compare} order.  The callback must
+    not modify the table. *)
+
+val to_list : 'a t -> (Bgp_addr.Prefix.t * 'a) list

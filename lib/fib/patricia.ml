@@ -15,7 +15,7 @@ type 'a tree =
 
 type 'a t = { mutable root : 'a tree; mutable size : int }
 
-type change = Unchanged | Replaced | Added
+type change = Hash_lpm.change = Unchanged | Replaced | Added
 
 let create () = { root = Empty; size = 0 }
 let is_empty t = t.size = 0
@@ -129,18 +129,6 @@ let lookup t a =
   in
   go None t.root
 
-let lookup_prefix t p =
-  let rec go best = function
-    | Empty -> best
-    | Node n ->
-      if not (P.subsumes n.pfx p) then best
-      else
-        let best = match n.value with Some v -> Some (n.pfx, v) | None -> best in
-        if P.len n.pfx >= P.len p then best
-        else go best (if P.bit p (P.len n.pfx) then n.r else n.l)
-  in
-  go None t.root
-
 let fold f t acc =
   let rec go tree acc =
     match tree with
@@ -153,20 +141,6 @@ let fold f t acc =
 
 let iter f t = fold (fun p v () -> f p v) t ()
 let to_list t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
-
-let subtree_count t p =
-  let rec go_all = function
-    | Empty -> 0
-    | Node n -> (match n.value with Some _ -> 1 | None -> 0) + go_all n.l + go_all n.r
-  in
-  let rec go = function
-    | Empty -> 0
-    | Node n as tree ->
-      if P.subsumes p n.pfx then (* whole subtree inside p *) go_all tree
-      else if below p n.pfx then go (if P.bit p (P.len n.pfx) then n.r else n.l)
-      else 0
-  in
-  go t.root
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in

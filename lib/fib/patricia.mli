@@ -1,6 +1,7 @@
 (** Path-compressed binary trie (Patricia trie) keyed by prefixes, with
-    longest-prefix-match lookup.  The structure behind the router's
-    forwarding table ({!Fib}).
+    longest-prefix-match lookup.  Kept as an ablation comparator: the
+    LPM benches set it against {!Hash_lpm}, the structure behind the
+    router's forwarding table ({!Fib}), and {!Dir24_8}.
 
     Mutable: [add] and [remove] update the trie in place in a single
     descent, allocating only the nodes they insert.  Path compression
@@ -9,10 +10,7 @@
 
 type 'a t
 
-type change =
-  | Unchanged  (** the prefix was already bound to an equal value *)
-  | Replaced  (** the prefix's value changed *)
-  | Added  (** the prefix is new: the trie grew by one *)
+type change = Hash_lpm.change = Unchanged | Replaced | Added
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
@@ -29,10 +27,6 @@ val find_exact : 'a t -> Bgp_addr.Prefix.t -> 'a option
 val lookup : 'a t -> Bgp_addr.Ipv4.t -> (Bgp_addr.Prefix.t * 'a) option
 (** Longest-prefix match for an address. *)
 
-val lookup_prefix : 'a t -> Bgp_addr.Prefix.t -> (Bgp_addr.Prefix.t * 'a) option
-(** Longest stored prefix that {!Bgp_addr.Prefix.subsumes} the given
-    prefix (useful for aggregate checks). *)
-
 val cardinal : 'a t -> int
 (** O(1): the number of stored prefixes. *)
 
@@ -42,9 +36,6 @@ val iter : (Bgp_addr.Prefix.t -> 'a -> unit) -> 'a t -> unit
 
 val fold : (Bgp_addr.Prefix.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 val to_list : 'a t -> (Bgp_addr.Prefix.t * 'a) list
-
-val subtree_count : 'a t -> Bgp_addr.Prefix.t -> int
-(** Number of stored prefixes subsumed by the argument. *)
 
 val check_invariants : 'a t -> (unit, string) result
 (** Structural invariants (children inside parent, no collapsible

@@ -97,26 +97,6 @@ let test_patricia_in_place () =
     (lookup_str t "10.9.0.1");
   Alcotest.(check bool) "invariants" true (Patricia.check_invariants t = Ok ())
 
-let test_patricia_lookup_prefix () =
-  let t = of_strings [ ("10.0.0.0/8", 1); ("10.1.0.0/16", 2) ] in
-  (match Patricia.lookup_prefix t (pfx "10.1.2.0/24") with
-  | Some (p, 2) -> Alcotest.(check string) "cover" "10.1.0.0/16" (P.to_string p)
-  | _ -> Alcotest.fail "expected 10.1.0.0/16");
-  match Patricia.lookup_prefix t (pfx "11.0.0.0/8") with
-  | None -> ()
-  | Some _ -> Alcotest.fail "no cover expected"
-
-let test_patricia_subtree_count () =
-  let t =
-    of_strings
-      [ ("10.0.0.0/8", 1); ("10.1.0.0/16", 2); ("10.2.0.0/16", 3);
-        ("192.168.0.0/16", 4) ]
-  in
-  Alcotest.(check int) "under 10/8" 3 (Patricia.subtree_count t (pfx "10.0.0.0/8"));
-  Alcotest.(check int) "under 10.1/16" 1 (Patricia.subtree_count t (pfx "10.1.0.0/16"));
-  Alcotest.(check int) "under default" 4 (Patricia.subtree_count t P.default);
-  Alcotest.(check int) "none" 0 (Patricia.subtree_count t (pfx "172.16.0.0/12"))
-
 (* ------------------------------------------------------------------ *)
 (* Model-based property tests: Patricia vs Hash_lpm vs naive           *)
 (* ------------------------------------------------------------------ *)
@@ -157,30 +137,30 @@ let naive_lookup model a =
       else best)
     None model
 
-(* The change [step] makes to [model], as [Patricia.add]/[remove]
-   should report it. *)
+(* The change [step] makes to [model], as [add]/[remove] should report
+   it. *)
 let expected_change model = function
   | SAdd (p, v) -> (
     match List.assoc_opt p model with
-    | Some w when w = v -> `Add Patricia.Unchanged
-    | Some _ -> `Add Patricia.Replaced
-    | None -> `Add Patricia.Added)
+    | Some w when w = v -> `Add Hash_lpm.Unchanged
+    | Some _ -> `Add Hash_lpm.Replaced
+    | None -> `Add Hash_lpm.Added)
   | SRemove p -> `Remove (List.mem_assoc p model)
 
 let apply_step pat = function
   | SAdd (p, v) -> `Add (Patricia.add ~equal:Int.equal pat p v)
   | SRemove p -> `Remove (Patricia.remove pat p)
 
+let apply_hash_step hash = function
+  | SAdd (p, v) -> `Add (Hash_lpm.add ~equal:Int.equal hash p v)
+  | SRemove p -> `Remove (Hash_lpm.remove hash p)
+
 let run_script script =
   let model = List.fold_left naive_apply [] script in
   let pat = Patricia.create () in
   List.iter (fun step -> ignore (apply_step pat step)) script;
   let hash = Hash_lpm.create () in
-  List.iter
-    (function
-      | SAdd (p, v) -> Hash_lpm.insert hash p v
-      | SRemove p -> ignore (Hash_lpm.remove hash p))
-    script;
+  List.iter (fun step -> ignore (apply_hash_step hash step)) script;
   (model, pat, hash)
 
 let probe_addrs =
@@ -232,18 +212,25 @@ let prop_patricia_find_exact =
         (fun (p, v) -> Patricia.find_exact pat p = Some v)
         model)
 
+(* Every step of [script] applied to [t] reports the change it makes to
+   the model. *)
+let reports_model_change apply t script =
+  snd
+    (List.fold_left
+       (fun (model, ok) step ->
+         let ok = ok && apply t step = expected_change model step in
+         (naive_apply model step, ok))
+       ([], true) script)
+
 let prop_patricia_change_report =
   QCheck2.Test.make ~name:"add/remove report the model's change" ~count:300
     gen_script (fun script ->
-      let pat = Patricia.create () in
-      let _, ok =
-        List.fold_left
-          (fun (model, ok) step ->
-            let ok = ok && apply_step pat step = expected_change model step in
-            (naive_apply model step, ok))
-          ([], true) script
-      in
-      ok)
+      reports_model_change apply_step (Patricia.create ()) script)
+
+let prop_hash_change_report =
+  QCheck2.Test.make ~name:"hash_lpm add/remove report the model's change"
+    ~count:300 gen_script (fun script ->
+      reports_model_change apply_hash_step (Hash_lpm.create ()) script)
 
 (* The shape depends on the key set only, so iteration order does not
    remember the history of updates: it is ascending prefix order. *)
@@ -254,6 +241,87 @@ let prop_patricia_canonical =
       let listed = Patricia.to_list pat in
       listed = Patricia.to_list (of_list model)
       && List.map fst listed = List.sort P.compare (List.map fst model))
+
+(* ------------------------------------------------------------------ *)
+(* Fib vs naive model, checked after every step                        *)
+(* ------------------------------------------------------------------ *)
+
+type fib_step = FAdd of P.t * int | FReplace of P.t * int | FWithdraw of P.t
+
+(* Ports 1-3 only, so repeated installs of the same next hop occur. *)
+let gen_fib_step =
+  QCheck2.Gen.(
+    let* p = gen_prefix and* port = int_range 1 3 in
+    frequency
+      [ (3, return (FAdd (p, port))); (2, return (FReplace (p, port)));
+        (2, return (FWithdraw p)) ])
+
+let gen_addr =
+  QCheck2.Gen.(
+    let* first = frequency [ (4, return 10); (1, int_range 0 255) ]
+    and* a = int_range 0 255
+    and* b = oneofl [ 0; 64; 128; 255 ]
+    and* c = int_range 0 255 in
+    return (I.of_octets first a b c))
+
+let fib_delta = function
+  | FAdd (p, port) -> Fib.Add (p, nh port)
+  | FReplace (p, port) -> Fib.Replace (p, nh port)
+  | FWithdraw p -> Fib.Withdraw p
+
+(* The model is an association list from prefix to port. *)
+let fib_model_step model = function
+  | FAdd (p, port) | FReplace (p, port) ->
+    (List.assoc_opt p model <> Some port, (p, port) :: List.remove_assoc p model)
+  | FWithdraw p -> (List.mem_assoc p model, List.remove_assoc p model)
+
+let rec strictly_ascending = function
+  | (p, _) :: ((q, _) :: _ as rest) -> P.compare p q < 0 && strictly_ascending rest
+  | _ -> true
+
+let prop_fib_vs_model =
+  QCheck2.Test.make ~name:"fib agrees with naive model at every step" ~count:200
+    QCheck2.Gen.(
+      pair (list_size (int_range 0 80) gen_fib_step)
+        (list_size (int_range 1 8) gen_addr))
+    (fun (script, addrs) ->
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let f = Fib.create () in
+      let check (model, (expect : Fib.stats)) step =
+        let delta = fib_delta step in
+        let changed, model = fib_model_step model step in
+        let got = Fib.apply f delta in
+        if got <> changed then fail "%a: apply returned %b" Fib.pp_delta delta got;
+        let probes =
+          addrs @ List.concat_map (fun (p, _) -> [ P.first p; P.last p ]) model
+        in
+        List.iter
+          (fun a ->
+            let got = Option.map (fun (p, h) -> (p, h.Fib.nh_port)) (Fib.lookup f a) in
+            if got <> naive_lookup model a then
+              fail "after %a: lookup %s disagrees" Fib.pp_delta delta (I.to_string a))
+          probes;
+        let expect =
+          let expect = { expect with lookups = expect.lookups + List.length probes } in
+          match step with
+          | FAdd _ -> { expect with adds = expect.adds + 1 }
+          | FReplace _ -> { expect with replaces = expect.replaces + 1 }
+          | FWithdraw _ -> { expect with withdraws = expect.withdraws + 1 }
+        in
+        if Fib.stats f <> expect then fail "after %a: stats disagree" Fib.pp_delta delta;
+        if Fib.size f <> List.length model then
+          fail "after %a: size %d, model %d" Fib.pp_delta delta (Fib.size f)
+            (List.length model);
+        let listed = List.map (fun (p, h) -> (p, h.Fib.nh_port)) (Fib.to_list f) in
+        if not (strictly_ascending listed && listed = List.sort compare model) then
+          fail "after %a: to_list disagrees" Fib.pp_delta delta;
+        (model, expect)
+      in
+      ignore
+        (List.fold_left check
+           ([], { Fib.adds = 0; replaces = 0; withdraws = 0; lookups = 0 })
+           script);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Dir24_8                                                             *)
@@ -433,8 +501,8 @@ let minor_words f =
   f ();
   Gc.minor_words () -. before
 
-(* The per-delta path allocates nothing but the new [Some nh] cell: no
-   closure per trie level, no copied path. *)
+(* Only an [Add] of a new prefix allocates (its binding): a [Replace]
+   overwrites the binding in place and a [Withdraw] unlinks it. *)
 let test_fib_apply_allocation () =
   let table = Bgp_addr.Prefix_gen.table ~seed:5 ~n:10_000 () in
   let f = Fib.create () in
@@ -457,15 +525,27 @@ let test_fib_apply_allocation () =
         done)
     /. float_of_int n
   in
-  let replace = per_delta (Array.map (fun p -> Fib.Replace (p, nh 2)) table) in
-  Alcotest.(check bool)
-    (Printf.sprintf "replace: %.1f words/delta <= 2" replace)
-    true (replace <= 2.);
-  let withdraw = per_delta (Array.map (fun p -> Fib.Withdraw p) table) in
-  Alcotest.(check bool)
-    (Printf.sprintf "withdraw: %.1f words/delta <= 2" withdraw)
-    true (withdraw <= 2.);
+  let check_none what deltas =
+    let words = per_delta deltas in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1f words/delta = 0" what words)
+      true (words = 0.)
+  in
+  let replace = Array.map (fun p -> Fib.Replace (p, nh 2)) table in
+  check_none "replace" replace;
+  check_none "unchanged replace" replace;
+  check_none "withdraw" (Array.map (fun p -> Fib.Withdraw p) table);
   Alcotest.(check int) "emptied" 0 (Fib.size f)
+
+(* Every router holds a FIB, and topologies run thousands of routers:
+   an empty one must start small. *)
+let test_fib_empty_footprint () =
+  let fibs = Array.init 100 (fun _ -> Fib.create ()) in
+  let bytes = Obj.reachable_words (Obj.repr fibs) * (Sys.word_size / 8) in
+  let each = (bytes - ((Array.length fibs + 1) * (Sys.word_size / 8))) / 100 in
+  Alcotest.(check bool)
+    (Printf.sprintf "empty fib retains %d B <= 1024 B" each)
+    true (each <= 1024)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -477,14 +557,13 @@ let () =
           Alcotest.test_case "replace" `Quick test_patricia_replace;
           Alcotest.test_case "remove" `Quick test_patricia_remove;
           Alcotest.test_case "host routes" `Quick test_patricia_slash32;
-          Alcotest.test_case "in-place updates" `Quick test_patricia_in_place;
-          Alcotest.test_case "lookup_prefix" `Quick test_patricia_lookup_prefix;
-          Alcotest.test_case "subtree_count" `Quick test_patricia_subtree_count
+          Alcotest.test_case "in-place updates" `Quick test_patricia_in_place
         ] );
       qsuite "model-based"
         [ prop_patricia_vs_model; prop_hash_vs_model; prop_patricia_invariants;
           prop_patricia_find_exact; prop_patricia_change_report;
-          prop_patricia_canonical ];
+          prop_patricia_canonical; prop_hash_change_report;
+          prop_fib_vs_model ];
       ( "dir24_8",
         Alcotest.test_case "agrees with patricia" `Slow test_dir24_agreement
         :: Alcotest.test_case "long prefixes" `Quick test_dir24_long_prefixes
@@ -494,6 +573,7 @@ let () =
       ( "fib",
         [ Alcotest.test_case "delta semantics" `Quick test_fib_deltas;
           Alcotest.test_case "lookup and withdraw" `Quick test_fib_lookup_and_withdraw;
-          Alcotest.test_case "apply allocation" `Quick test_fib_apply_allocation
+          Alcotest.test_case "apply allocation" `Quick test_fib_apply_allocation;
+          Alcotest.test_case "empty footprint" `Quick test_fib_empty_footprint
         ] )
     ]
