@@ -1,19 +1,15 @@
-module Engine = Bgp_sim.Engine
 module Clock = Bgp_engine.Clock
 module Link = Bgp_engine.Link
 module Trace = Bgp_sim.Trace
-module Channel = Bgp_netsim.Channel
-module Event_loop = Bgp_tcp.Event_loop
-module Tcp_link = Bgp_tcp.Tcp_link
 module Loc_rib = Bgp_rib.Loc_rib
 module Traffic = Bgp_netsim.Traffic
 module Arch = Bgp_router.Arch
 module Router = Bgp_router.Router
 module Speaker = Bgp_speaker.Speaker
-module Workload = Bgp_speaker.Workload
+module Table_io = Bgp_speaker.Table_io
 module Peer = Bgp_route.Peer
+module I = Bgp_route.Attrs.Interned
 module Fib = Bgp_fib.Fib
-module Ipv4 = Bgp_addr.Ipv4
 module Fsm = Bgp_fsm.Fsm
 module Msg = Bgp_wire.Msg
 module Faults = Bgp_faults.Faults
@@ -24,7 +20,7 @@ module Replay = Bgp_mrt.Replay
 module Mrt_gen = Bgp_speaker.Mrt_gen
 module Subscriber = Bgp_speaker.Subscriber
 
-type mode = Sim | Live
+type mode = Testbed.mode = Sim | Live
 
 let mode_name = function Sim -> "sim" | Live -> "live"
 
@@ -137,102 +133,51 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Fixed benchmark topology identities                                 *)
+(* Shared steps                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let router_asn = Bgp_route.Asn.of_int 65000
-let router_id = Ipv4.of_string_exn "10.255.0.1"
-let speaker1_asn = Bgp_route.Asn.of_int 65001
-let speaker1_id = Ipv4.of_string_exn "192.0.2.1"
-let speaker2_asn = Bgp_route.Asn.of_int 65002
-let speaker2_id = Ipv4.of_string_exn "192.0.2.2"
+let trace_process arch scenario =
+  Printf.sprintf "%s/scenario-%d" arch.Arch.name scenario.Scenario.id
 
-let peer1 =
-  Peer.make ~id:0 ~asn:speaker1_asn ~router_id:speaker1_id ~addr:speaker1_id
+let rig ?max_prefixes ?restart_delay (cfg : config) arch scenario f =
+  Testbed.with_rig ?mrai:cfg.mrai ?damping:cfg.damping ?tracer:cfg.tracer
+    ~trace_process:(trace_process arch scenario) ?max_prefixes ?restart_delay
+    ~cross_traffic:cfg.cross_traffic cfg.mode ~timeout:cfg.timeout ~speakers:2 arch f
 
-let peer2 =
-  Peer.make ~id:1 ~asn:speaker2_asn ~router_id:speaker2_id ~addr:speaker2_id
+let holds (side : Testbed.side) n =
+  Hashtbl.length (Speaker.received_prefix_set side.speaker) = n
 
-(* ------------------------------------------------------------------ *)
-(* Execution environment: one clock, two transports                    *)
-(* ------------------------------------------------------------------ *)
+(* Phase 1: speaker 1 comes up and loads the [n]-prefix table. *)
+let load_table tb ~n inject =
+  Testbed.establish tb [ tb.Testbed.sides.(0) ];
+  Testbed.phase tb ~what:"phase 1 table load" ~until:(Testbed.router_done tb n)
+    inject
 
-(* What a benchmark run needs from its world: a clock and a way to mint
-   speaker<->router transport pairs.  The drivers below are written
-   against this record only, so the same scenario code runs simulated
-   or over loopback TCP. *)
-type link_pair = {
-  sp_end : Link.t;  (* speaker side: the active opener *)
-  rt_end : Link.t;  (* router side: passive *)
-}
+(* Phase 2: speaker 2 comes up and receives the router's table. *)
+let sync_speaker2 (tb : Testbed.t) ~n =
+  let s2 = tb.sides.(1) in
+  Testbed.establish tb [ s2 ];
+  Testbed.wait tb ~what:"phase 2 table transfer" (fun () ->
+      Router.idle tb.router && holds s2 n)
 
-type env = {
-  clock : Clock.t;
-  new_link : unit -> link_pair;
-  dispose : unit -> unit;  (* release live sockets; no-op in sim *)
-}
-
-let make_env = function
-  | Sim ->
-    let engine = Engine.create () in
-    Engine.set_event_limit engine 500_000_000;
-    { clock = Engine.clock engine;
-      new_link =
-        (fun () ->
-          let ch = Channel.create engine () in
-          { sp_end = Channel.endpoint ch Channel.A;
-            rt_end = Channel.endpoint ch Channel.B });
-      dispose = (fun () -> ()) }
-  | Live ->
-    let loop = Event_loop.create () in
-    let pairs = ref [] in
-    { clock = Event_loop.clock loop;
-      new_link =
-        (fun () ->
-          let p = Tcp_link.pair loop in
-          pairs := p :: !pairs;
-          { sp_end = p.Tcp_link.connector; rt_end = p.Tcp_link.listener });
-      dispose =
-        (fun () ->
-          List.iter (fun p -> p.Tcp_link.dispose ()) !pairs;
-          Event_loop.stop_watching_all loop) }
-
-(* ------------------------------------------------------------------ *)
-(* Convergence driver                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Advance the clock in steps until [cond] holds.  Recurring protocol
-   timers (keepalives) keep the event queue alive forever, so "run to
-   empty" is not an option.  On a simulated clock each [Clock.run]
-   consumes its whole window regardless of [cond] (preserving exact
-   event ordering); on a live clock it returns as soon as [cond]
-   holds. *)
-let wait_until clock ~timeout ~what cond =
-  let deadline = Clock.now clock +. timeout in
-  let rec go step =
-    if cond () then ()
-    else if Clock.now clock >= deadline then
-      failwith
-        (Printf.sprintf "Harness: timed out after %.0fs waiting for %s" timeout
-           what)
-    else begin
-      ignore (Clock.run clock ~cond ~step);
-      (* Exponentially growing step bounded at 2s keeps polling overhead
-         negligible for slow architectures without hurting precision:
-         measurements use event timestamps, not the polling grid. *)
-      go (Float.min 2.0 (step *. 1.5))
-    end
-  in
-  go 0.01
-
-let wait_established clock ~timeout speaker =
-  wait_until clock ~timeout ~what:"session establishment" (fun () ->
-      Speaker.established speaker)
-
-let wait_router_idle clock ~timeout router ~what ~transactions =
-  wait_until clock ~timeout ~what (fun () ->
-      (Router.counters router).Router.transactions >= transactions
-      && Router.idle router)
+(* Per-entry-attribute tables (file-loaded, varied synthetic, MRT RIB):
+   an UPDATE carries one attribute set, so prefixes are grouped by
+   equal attributes before packing, and groups are emitted in arena-id
+   order so the workload is deterministic regardless of hash-table
+   iteration. *)
+let announce_grouped (side : Testbed.side) ~packing routes =
+  let groups = I.Tbl.create 32 in
+  List.iter
+    (fun (prefix, interned) ->
+      let prefixes = Option.value ~default:[] (I.Tbl.find_opt groups interned) in
+      I.Tbl.replace groups interned (prefix :: prefixes))
+    routes;
+  I.Tbl.fold (fun interned prefixes acc -> (interned, prefixes) :: acc) groups []
+  |> List.sort (fun (a, _) (b, _) -> I.compare_id a b)
+  |> List.iter (fun (interned, prefixes) ->
+         ignore
+           (Speaker.announce side.speaker ~packing ~attrs:(I.value interned)
+              (Array.of_list prefixes)))
 
 let router_fingerprint router =
   Loc_rib.fingerprint (Bgp_rib.Rib_manager.loc_rib (Router.rib router))
@@ -257,98 +202,54 @@ let damping_report_of router =
         dr_reuse_latency_max = mx })
     (Router.damping router)
 
-(* ------------------------------------------------------------------ *)
-(* Scenario verification                                               *)
-(* ------------------------------------------------------------------ *)
+(* The worst forwarding ratio: the one at run end, or a traced sample's. *)
+let fwd_ratio_min (cfg : config) router trace =
+  let now =
+    if cfg.cross_traffic.Traffic.mbps <= 0.0 then 1.0
+    else
+      Bgp_netsim.Forwarding.achieved_mbps (Router.forwarding router)
+      /. cfg.cross_traffic.Traffic.mbps
+  in
+  List.fold_left (fun acc s -> Float.min acc s.Trace.s_fwd_ratio) now trace
+
+(* The result of a run whose measured phase was [p]; scripts add their
+   scenario's report with a record update. *)
+let result ?(trace = []) cfg arch scenario (tb : Testbed.t) (p : Testbed.phase)
+    verified =
+  let router = tb.router in
+  let fib = Router.fib router in
+  { arch_name = arch.Arch.name; scenario; used = cfg; tps = Testbed.tps p;
+    measured_prefixes = p.transactions; measure_seconds = p.seconds;
+    setup_seconds = Clock.now tb.clock -. p.seconds; trace;
+    fib_size_end = Fib.size fib; fib_stats = Fib.stats fib;
+    rib_stats = Bgp_rib.Rib_manager.stats (Router.rib router);
+    stage_stats = p.stage_stats; msgs_rx = p.msgs_rx; msgs_tx = p.msgs_tx;
+    fwd_ratio_min = fwd_ratio_min cfg router trace; faults = None;
+    damping = damping_report_of router; churn = None;
+    locrib_fp = router_fingerprint router; verified }
 
 let check name cond = if cond then Ok () else Error name
 
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
-let verify (scenario : Scenario.t) cfg router s2_opt ~measured
-    ~(fib_before : Fib.stats) =
-  let fib = Router.fib router in
-  let stats = Fib.stats fib in
-  let n = cfg.table_size in
-  (* Adversarial scenarios re-inject the full table once per fault
-     round, so the measured phase processes [rounds * n] prefixes. *)
-  let expected_measured =
-    match scenario.Scenario.operation with
-    | Scenario.Corrupted_storm | Scenario.Session_flaps
-    | Scenario.Flap_damping ->
-      cfg.fault_rounds * n
-    | _ -> n
-  in
-  let s2_holds_table () =
-    check "speaker 2 held the full table"
-      (match s2_opt with
-      | Some s2 -> Hashtbl.length (Speaker.received_prefix_set s2) = n
-      | None -> false)
-  in
-  (* With damping on, each reuse-timer re-injection books one extra
-     transaction on top of the per-round announcements, so the exact
-     count is timing-dependent; the floor is not. *)
-  let* () =
-    if cfg.damping <> None then
-      check "all prefixes measured" (measured >= expected_measured)
-    else check "all prefixes measured" (measured = expected_measured)
-  in
-  match scenario.Scenario.operation with
-  | Scenario.Topo_convergence | Scenario.Topo_link_failure ->
-    Error "topology scenarios verify through Bgp_topo"
-  | Scenario.Mrt_replay ->
-    Error "scenario 13 verifies through its replay driver"
-  | Scenario.Subscriber_churn ->
-    Error "scenario 16 verifies through its churn driver"
-  | Scenario.Corrupted_storm | Scenario.Session_flaps
-  | Scenario.Flap_damping ->
-    let r = cfg.fault_rounds in
-    let* () = check "FIB restored after recovery" (Fib.size fib = n) in
-    let* () =
-      check "every fault flushed the table"
-        (stats.Fib.withdraws - fib_before.Fib.withdraws = r * n)
-    in
-    let* () =
-      check "every recovery re-installed the table"
-        (stats.Fib.adds - fib_before.Fib.adds = r * n)
-    in
-    s2_holds_table ()
-  | Scenario.Startup_announce ->
-    let* () = check "FIB holds the table" (Fib.size fib = n) in
-    check "every prefix was an Add" (stats.Fib.adds - fib_before.Fib.adds = n)
-  | Scenario.Ending_withdraw ->
-    let* () = check "FIB emptied" (Fib.size fib = 0) in
-    check "every prefix was withdrawn"
-      (stats.Fib.withdraws - fib_before.Fib.withdraws = n)
-  | Scenario.Incremental_no_fib_change ->
-    let* () = check "FIB intact" (Fib.size fib = n) in
-    let* () =
-      check "no FIB activity in the measured phase"
-        (stats.Fib.replaces = fib_before.Fib.replaces
-        && stats.Fib.adds = fib_before.Fib.adds
-        && stats.Fib.withdraws = fib_before.Fib.withdraws)
-    in
-    check "speaker 2 held the full table"
-      (match s2_opt with
-      | Some s2 -> Hashtbl.length (Speaker.received_prefix_set s2) = n
-      | None -> false)
-  | Scenario.Incremental_fib_change ->
-    let* () = check "FIB intact" (Fib.size fib = n) in
-    check "every prefix was replaced"
-      (stats.Fib.replaces - fib_before.Fib.replaces = n)
+(* With damping on, each reuse-timer re-injection books one extra
+   transaction on top of the expected ones, so the exact count is
+   timing-dependent; the floor is not. *)
+let check_measured (cfg : config) name ~expected measured =
+  check name
+    (if cfg.damping <> None then measured >= expected else measured = expected)
 
 (* ------------------------------------------------------------------ *)
-(* The run                                                             *)
+(* The paper's scenarios (1-8)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_standard ~config arch scenario =
-  let cfg = config in
+let run_standard (cfg : config) arch scenario =
   (* --table FILE: the Phase-1 table comes from disk (bgpmark text or
      MRT dump, auto-detected); its size overrides [table_size]. *)
   let file_entries =
     Option.map
       (fun f ->
-        match Bgp_speaker.Table_io.load_auto f with
+        match Table_io.load_auto f with
         | Ok entries -> entries
         (* [load_auto] errors already lead with the file name. *)
         | Error msg -> failwith (Printf.sprintf "Harness: %s" msg))
@@ -359,293 +260,177 @@ let run_standard ~config arch scenario =
     | Some entries -> { cfg with table_size = List.length entries }
     | None -> cfg
   in
-  let env = make_env cfg.mode in
-  let clock = env.clock in
-  let router =
-    Router.create ?mrai:cfg.mrai ?damping:cfg.damping ?tracer:cfg.tracer
-      ~trace_process:
-        (Printf.sprintf "%s/scenario-%d" arch.Arch.name scenario.Scenario.id)
-      clock arch ~local_asn:router_asn ~router_id
-  in
-  let lp1 = env.new_link () in
-  let lp2 = env.new_link () in
-  Router.attach_peer router ~peer:peer1 ~link:lp1.rt_end;
-  Router.attach_peer router ~peer:peer2 ~link:lp2.rt_end;
-  let s1 =
-    Speaker.create clock ~asn:speaker1_asn ~router_id:speaker1_id
-      ~link:lp1.sp_end
-  in
-  let s2 =
-    Speaker.create clock ~asn:speaker2_asn ~router_id:speaker2_id
-      ~link:lp2.sp_end
-  in
-  Router.set_cross_traffic router cfg.cross_traffic;
-  let tracer =
+  let n = cfg.table_size in
+  let op = scenario.Scenario.operation in
+  rig cfg arch scenario @@ fun tb ->
+  let s1 = tb.sides.(0) and s2 = tb.sides.(1) in
+  let fib = Router.fib tb.router in
+  let sampler =
     Option.map
-      (fun interval -> Trace.start clock (Router.sched router) ~interval ())
+      (fun interval -> Trace.start tb.clock (Router.sched tb.router) ~interval ())
       cfg.trace_interval
   in
   let table =
     match file_entries with
     | Some entries ->
-      Array.of_list
-        (List.map (fun e -> e.Bgp_speaker.Table_io.e_prefix) entries)
-    | None -> Bgp_addr.Prefix_gen.table ~seed:cfg.seed ~n:cfg.table_size ()
-  in
-  let s1_attrs path_len =
-    Workload.attrs ~speaker_asn:speaker1_asn ~next_hop:speaker1_id ~path_len ()
-  in
-  let s2_attrs path_len =
-    Workload.attrs ~speaker_asn:speaker2_asn ~next_hop:speaker2_id ~path_len ()
+      Array.of_list (List.map (fun e -> e.Table_io.e_prefix) entries)
+    | None -> Bgp_addr.Prefix_gen.table ~seed:cfg.seed ~n ()
   in
   let packing = Scenario.packing ~large:cfg.large_packing scenario in
-  let timeout = cfg.timeout in
-
-  (* --- Establish Speaker 1 ---------------------------------------- *)
-  Speaker.start s1;
-  wait_established clock ~timeout s1;
-
-  let measured_phase_is_1 = Scenario.measures_phase scenario = 1 in
-
-  (* --- Phase 1: table injection ----------------------------------- *)
-  (* When Phase 1 is the measured phase it uses the scenario packing;
-     otherwise it is setup and always uses large packets. *)
-  let phase1_packing = if measured_phase_is_1 then packing else cfg.large_packing in
-  Router.reset_counters router;
-  let fib_before_measured = Fib.stats (Router.fib router) in
-  (* Per-entry-attribute workloads (file-loaded or varied synthetic):
-     an UPDATE carries one attribute set, so entries are grouped by
-     equal attributes before packing, and groups are emitted in
-     arena-id order so the workload is deterministic regardless of
-     hash-table iteration. *)
-  let inject_entries entries =
-    let module I = Bgp_route.Attrs.Interned in
-    let groups = I.Tbl.create 32 in
-    List.iter
-      (fun e ->
-        let interned =
-          I.intern (Bgp_speaker.Table_io.to_attrs ~next_hop:speaker1_id e)
+  let measures_phase_1 = Scenario.measures_phase scenario = 1 in
+  let fib_before = Fib.stats fib in
+  (* Phase 1 is setup, in large packets, unless the scenario measures it. *)
+  let p1 =
+    let packing = if measures_phase_1 then packing else cfg.large_packing in
+    load_table tb ~n (fun () ->
+        let grouped entries =
+          announce_grouped s1 ~packing
+            (List.map
+               (fun e ->
+                 ( e.Table_io.e_prefix,
+                   I.intern (Table_io.to_attrs ~next_hop:s1.peer.Peer.addr e) ))
+               entries)
         in
-        let prefixes =
-          Option.value ~default:[] (I.Tbl.find_opt groups interned)
-        in
-        I.Tbl.replace groups interned
-          (e.Bgp_speaker.Table_io.e_prefix :: prefixes))
-      entries;
-    I.Tbl.fold (fun interned prefixes acc -> (interned, prefixes) :: acc)
-      groups []
-    |> List.sort (fun (a, _) (b, _) -> I.compare_id a b)
-    |> List.iter (fun (interned, prefixes) ->
-           ignore
-             (Speaker.announce s1 ~packing:phase1_packing
-                ~attrs:(I.value interned)
-                (Array.of_list prefixes)))
+        match file_entries with
+        | Some entries -> grouped entries
+        | None when cfg.varied_paths ->
+          (* Internet-shaped workload: 2-6 hop paths, mixed origins/MEDs. *)
+          grouped
+            (Table_io.synthesize ~seed:cfg.seed ~n
+               ~speaker_asn:s1.peer.Peer.asn ())
+        | None ->
+          ignore
+            (Speaker.announce s1.speaker ~packing
+               ~attrs:(Testbed.attrs s1 ~path_len:cfg.setup_path_len)
+               table))
   in
-  (match file_entries with
-  | Some entries -> inject_entries entries
-  | None ->
-    if cfg.varied_paths then
-      (* Internet-shaped workload: 2-6 hop paths, mixed origins/MEDs. *)
-      inject_entries
-        (Bgp_speaker.Table_io.synthesize ~seed:cfg.seed ~n:cfg.table_size
-           ~speaker_asn:speaker1_asn ())
+  if Scenario.uses_speaker2 scenario then sync_speaker2 tb ~n;
+  let fib_before, p =
+    if measures_phase_1 then (fib_before, p1)
     else
-      ignore
-        (Speaker.announce s1 ~packing:phase1_packing
-           ~attrs:(s1_attrs cfg.setup_path_len)
-           table));
-  wait_router_idle clock ~timeout router ~what:"phase 1 table load"
-    ~transactions:cfg.table_size;
-
-  let phase1_counters = Router.counters router in
-  let phase1_stage_stats = Router.stage_stats router in
-
-  (* --- Phase 2: speaker 2 sync (scenarios 5-8) --------------------- *)
-  if Scenario.uses_speaker2 scenario then begin
-    Speaker.start s2;
-    wait_established clock ~timeout s2;
-    wait_until clock ~timeout ~what:"phase 2 table transfer" (fun () ->
-        Router.idle router
-        && Hashtbl.length (Speaker.received_prefix_set s2) = cfg.table_size)
-  end;
-
-  (* --- Phase 3 / measurement window -------------------------------- *)
-  let fib_before, measure_window =
-    if measured_phase_is_1 then
-      ( fib_before_measured,
-        fun () ->
-          (* Phase 1 was the measurement; nothing more to inject. *)
-          () )
-    else begin
-      Router.reset_counters router;
-      let fib_before = Fib.stats (Router.fib router) in
+      let fib_before = Fib.stats fib in
       ( fib_before,
-        fun () ->
-          (match scenario.Scenario.operation with
-          | Scenario.Ending_withdraw ->
-            ignore (Speaker.withdraw s1 ~packing table)
-          | Scenario.Incremental_no_fib_change ->
-            let longer =
-              (* must exceed every Phase-1 path: varied tables go up to
-                 6 hops *)
-              if cfg.varied_paths then max cfg.longer_path_len 8
-              else cfg.longer_path_len
-            in
-            ignore
-              (Speaker.announce s2 ~packing ~attrs:(s2_attrs longer) table)
-          | Scenario.Incremental_fib_change ->
-            ignore
-              (Speaker.announce s2 ~packing
-                 ~attrs:(s2_attrs cfg.shorter_path_len)
-                 table)
-          | Scenario.Startup_announce | Scenario.Corrupted_storm
-          | Scenario.Session_flaps | Scenario.Topo_convergence
-          | Scenario.Topo_link_failure | Scenario.Mrt_replay
-          | Scenario.Flap_damping | Scenario.Subscriber_churn ->
-            (* Phase-1-measured, adversarial, topology, MRT, and churn
-               scenarios never reach this driver. *)
-            assert false);
-          wait_router_idle clock ~timeout router ~what:"measured phase"
-            ~transactions:cfg.table_size )
-    end
+        Testbed.phase tb ~what:"measured phase" ~until:(Testbed.router_done tb n)
+          (fun () ->
+            match op with
+            | Scenario.Ending_withdraw ->
+              ignore (Speaker.withdraw s1.speaker ~packing table)
+            | Scenario.Incremental_no_fib_change ->
+              let longer =
+                (* must exceed every Phase-1 path: varied tables go up
+                   to 6 hops *)
+                if cfg.varied_paths then max cfg.longer_path_len 8
+                else cfg.longer_path_len
+              in
+              ignore
+                (Speaker.announce s2.speaker ~packing
+                   ~attrs:(Testbed.attrs s2 ~path_len:longer) table)
+            | Scenario.Incremental_fib_change ->
+              ignore
+                (Speaker.announce s2.speaker ~packing
+                   ~attrs:(Testbed.attrs s2 ~path_len:cfg.shorter_path_len)
+                   table)
+            | _ -> assert false (* startup measures Phase 1 *)) )
   in
-  measure_window ();
-
-  (* --- Collect ------------------------------------------------------ *)
-  let counters =
-    if measured_phase_is_1 then phase1_counters else Router.counters router
-  in
-  let stage_stats =
-    if measured_phase_is_1 then phase1_stage_stats
-    else Router.stage_stats router
-  in
-  Option.iter Trace.stop tracer;
-  let trace = match tracer with Some t -> Trace.samples t | None -> [] in
-  let measured = counters.Router.transactions in
-  let measure_seconds =
-    match counters.Router.first_work_at, counters.Router.last_transaction_at with
-    | Some t0, Some t1 when t1 > t0 -> t1 -. t0
-    | _ -> 0.0
-  in
-  let tps =
-    if measure_seconds > 0.0 then float_of_int measured /. measure_seconds
-    else 0.0
-  in
-  let fwd_ratio_now =
-    if cfg.cross_traffic.Traffic.mbps <= 0.0 then 1.0
-    else
-      Bgp_netsim.Forwarding.achieved_mbps (Router.forwarding router)
-      /. cfg.cross_traffic.Traffic.mbps
-  in
-  let fwd_ratio_min =
-    List.fold_left
-      (fun acc s -> Float.min acc s.Trace.s_fwd_ratio)
-      fwd_ratio_now trace
-  in
-  let s2_opt = if Scenario.uses_speaker2 scenario then Some s2 else None in
+  Option.iter Trace.stop sampler;
+  let trace = match sampler with Some t -> Trace.samples t | None -> [] in
+  let st = Fib.stats fib in
   let verified =
-    verify scenario cfg router s2_opt ~measured ~fib_before
+    let* () = check_measured cfg "all prefixes measured" ~expected:n p.transactions in
+    match op with
+    | Scenario.Startup_announce ->
+      let* () = check "FIB holds the table" (Fib.size fib = n) in
+      check "every prefix was an Add" (st.Fib.adds - fib_before.Fib.adds = n)
+    | Scenario.Ending_withdraw ->
+      let* () = check "FIB emptied" (Fib.size fib = 0) in
+      check "every prefix was withdrawn"
+        (st.Fib.withdraws - fib_before.Fib.withdraws = n)
+    | Scenario.Incremental_no_fib_change ->
+      let* () = check "FIB intact" (Fib.size fib = n) in
+      let* () =
+        check "no FIB activity in the measured phase"
+          (st.Fib.replaces = fib_before.Fib.replaces
+          && st.Fib.adds = fib_before.Fib.adds
+          && st.Fib.withdraws = fib_before.Fib.withdraws)
+      in
+      check "speaker 2 held the full table" (holds s2 n)
+    | _ ->
+      let* () = check "FIB intact" (Fib.size fib = n) in
+      check "every prefix was replaced"
+        (st.Fib.replaces - fib_before.Fib.replaces = n)
   in
-  let locrib_fp = router_fingerprint router in
-  env.dispose ();
-  { arch_name = arch.Arch.name; scenario; used = cfg; tps;
-    measured_prefixes = measured; measure_seconds;
-    setup_seconds = Clock.now clock -. measure_seconds; trace;
-    fib_size_end = Fib.size (Router.fib router);
-    fib_stats = Fib.stats (Router.fib router);
-    rib_stats = Bgp_rib.Rib_manager.stats (Router.rib router);
-    stage_stats;
-    msgs_rx = counters.Router.msgs_rx; msgs_tx = counters.Router.msgs_tx;
-    fwd_ratio_min; faults = None; damping = damping_report_of router;
-    churn = None; locrib_fp; verified }
+  result ~trace cfg arch scenario tb p verified
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial runs (scenarios 9-10, 14)                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Deliberately a separate driver rather than more branches in
-   [run_standard]: the fault machinery (shared metrics registry, channel
-   taps, auto-restart) must stay completely out of the paper-faithful
-   path so Table III is bit-for-bit unaffected by this subsystem. *)
-let run_adversarial ~config arch scenario =
-  let cfg : config = config in
+(* Suppression is only *guaranteed* when two consecutive withdrawal
+   charges landed close enough that the decayed remnant of the first
+   plus the second crosses the threshold:
+   withdraw * 2^(-gap/half_life) + withdraw >= suppress, i.e.
+   gap <= half_life * log2 (withdraw / (suppress - withdraw)).  Slower
+   flapping legitimately escapes damping (that is the RFC working as
+   specified, e.g. a big table on a slow cost model where one
+   teardown-reconverge round outlasts the half-life), so only then is
+   the check waived.  The 0.8 safety factor absorbs the skew between
+   teardown initiation (timed here) and the router processing the peer
+   loss.  [fault_times] is newest first. *)
+let suppression_guaranteed (dc : Damping.config) fault_times =
+  let headroom = dc.suppress_threshold -. dc.withdraw_penalty in
+  headroom <= 0.0
+  ||
+  let bound =
+    dc.half_life *. (log (dc.withdraw_penalty /. headroom) /. log 2.0)
+  in
+  let rec min_gap = function
+    | a :: (b :: _ as rest) -> min (a -. b) (min_gap rest)
+    | _ -> infinity
+  in
+  min_gap fault_times <= 0.8 *. bound
+
+let run_adversarial (cfg : config) arch scenario =
+  let op = scenario.Scenario.operation in
   (* Scenario 14 is the session-flap storm with damping forced on; 9-10
      pick it up only when the config asks (the --damping ablation). *)
   let cfg =
-    match scenario.Scenario.operation, cfg.damping with
-    | Scenario.Flap_damping, None ->
-      { cfg with damping = Some Damping.test_config }
+    match op, cfg.damping with
+    | Scenario.Flap_damping, None -> { cfg with damping = Some Damping.test_config }
     | _ -> cfg
   in
   let rounds = cfg.fault_rounds in
   let n = cfg.table_size in
-  let env = make_env cfg.mode in
-  let clock = env.clock in
-  let metrics = Metrics.create () in
-  let trace_process =
-    Printf.sprintf "%s/scenario-%d" arch.Arch.name scenario.Scenario.id
-  in
-  let router =
-    Router.create ?mrai:cfg.mrai ?damping:cfg.damping ~metrics
-      ?tracer:cfg.tracer ~trace_process clock arch ~local_asn:router_asn
-      ~router_id
-  in
+  rig cfg arch scenario ~restart_delay:0.05 @@ fun tb ->
+  let s1 = tb.sides.(0) and s2 = tb.sides.(1) in
+  let router = tb.router in
+  let fib = Router.fib router in
+  (* The fault counters share the router's registry, so the
+     phase-boundary reset clears them with everything else. *)
   let faults =
-    Faults.create ?tracer:cfg.tracer ~trace_process ~clock ~metrics ()
+    Faults.create ?tracer:cfg.tracer ~trace_process:(trace_process arch scenario)
+      ~clock:tb.clock ~metrics:(Router.metrics router) ()
   in
-  let lp1 = env.new_link () in
-  let lp2 = env.new_link () in
   (* Speaker 1 is the adversarial peer: its transmissions pass through
      the fault tap, and the router's replies on the same link are
      watched for NOTIFICATIONs at send time (a teardown NOTIFICATION
      races the close, so receipt at the speaker is not guaranteed). *)
-  Router.attach_peer ~restart_delay:0.05 router ~peer:peer1 ~link:lp1.rt_end;
-  Router.attach_peer router ~peer:peer2 ~link:lp2.rt_end;
-  Faults.tap_adversarial faults lp1.sp_end;
-  Faults.observe_notifications faults lp1.rt_end;
-  let s1 =
-    Speaker.create clock ~asn:speaker1_asn ~router_id:speaker1_id
-      ~link:lp1.sp_end
-  in
-  let s2 =
-    Speaker.create clock ~asn:speaker2_asn ~router_id:speaker2_id
-      ~link:lp2.sp_end
-  in
-  Router.set_cross_traffic router cfg.cross_traffic;
+  Faults.tap_adversarial faults s1.sp_end;
+  Faults.observe_notifications faults s1.rt_end;
   let table = Bgp_addr.Prefix_gen.table ~seed:cfg.seed ~n () in
-  let attrs =
-    Workload.attrs ~speaker_asn:speaker1_asn ~next_hop:speaker1_id
-      ~path_len:cfg.setup_path_len ()
-  in
+  let attrs = Testbed.attrs s1 ~path_len:cfg.setup_path_len in
   let packing = Scenario.packing ~large:cfg.large_packing scenario in
-  let timeout = cfg.timeout in
-
-  (* --- Phase 1: table injection (setup, always large packets) ------- *)
-  Speaker.start s1;
-  wait_established clock ~timeout s1;
-  ignore (Speaker.announce s1 ~packing:cfg.large_packing ~attrs table);
-  wait_router_idle clock ~timeout router ~what:"phase 1 table load"
-    ~transactions:n;
-
-  (* --- Phase 2: speaker 2 sync -------------------------------------- *)
-  Speaker.start s2;
-  wait_established clock ~timeout s2;
-  wait_until clock ~timeout ~what:"phase 2 table transfer" (fun () ->
-      Router.idle router
-      && Hashtbl.length (Speaker.received_prefix_set s2) = n);
-
-  (* --- Measurement: fault rounds ------------------------------------ *)
-  Router.reset_counters router;
-  let fib_before = Fib.stats (Router.fib router) in
+  ignore
+    (load_table tb ~n (fun () ->
+         ignore (Speaker.announce s1.speaker ~packing:cfg.large_packing ~attrs table)));
+  sync_speaker2 tb ~n;
+  let fib_before = Fib.stats fib in
   (* Virtual timestamps of each fault injection, newest first: the
-     damping verdict needs the inter-flap gaps to know whether
-     suppression was even reachable (RFC 2439 suppresses only flaps
-     faster than the half-life-scaled decay). *)
+     damping verdict needs the inter-flap gaps. *)
   let fault_times = ref [] in
-  for k = 1 to rounds do
-    let fault_at = Clock.now clock in
+  let fault_round k =
+    let fault_at = Clock.now tb.clock in
     fault_times := fault_at :: !fault_times;
-    (match scenario.Scenario.operation with
+    (match op with
     | Scenario.Corrupted_storm ->
       (* Corrupt the next UPDATE in flight: a small slice announcement
          whose single message is mutated into a pre-validated malformed
@@ -654,8 +439,9 @@ let run_adversarial ~config arch scenario =
          contributes zero transactions. *)
       Faults.arm_corrupt_next faults;
       ignore
-        (Speaker.announce s1 ~packing ~attrs (Array.sub table 0 (min packing n)))
-    | Scenario.Session_flaps | Scenario.Flap_damping ->
+        (Speaker.announce s1.speaker ~packing ~attrs
+           (Array.sub table 0 (min packing n)))
+    | _ ->
       (* Alternate the two teardown flavors: an unsolicited TCP reset
          (close under the FSM's feet) and an orderly CEASE from the
          speaker.  With damping on, every flap charges a withdrawal
@@ -663,51 +449,33 @@ let run_adversarial ~config arch scenario =
          re-announcements are suppressed and re-convergence completes
          only when the reuse timer re-injects them. *)
       Faults.note_session_fault faults;
-      if k mod 2 = 1 then lp1.sp_end.Link.close () else Speaker.stop s1
-    | _ -> assert false);
-    wait_until clock ~timeout
-      ~what:(Printf.sprintf "speaker teardown (round %d)" k) (fun () ->
-        Speaker.state s1 = Fsm.Idle);
+      if k mod 2 = 1 then s1.sp_end.Link.close () else Speaker.stop s1.speaker);
+    Testbed.wait tb ~what:(Printf.sprintf "speaker teardown (round %d)" k)
+      (fun () -> Speaker.state s1.speaker = Fsm.Idle);
     (* The router side restarts passively after [restart_delay]; the
        speaker must not reconnect before that or its OPEN hits a dead
        socket.  Also wait for the peer-loss flush to drain: its
        withdrawals to speaker 2 ride the FIB process and would
        otherwise race (and cancel) the re-announced routes. *)
-    wait_until clock ~timeout
-      ~what:(Printf.sprintf "flush + session rearm (round %d)" k) (fun () ->
-        Router.idle router
-        && Router.session_state router peer1 = Fsm.Active);
-    Speaker.start s1;
-    wait_established clock ~timeout s1;
+    Testbed.wait tb ~what:(Printf.sprintf "flush + session rearm (round %d)" k)
+      (fun () ->
+        Router.idle router && Router.session_state router s1.peer = Fsm.Active);
+    Testbed.establish tb [ s1 ];
     Faults.note_session_restart faults;
-    ignore (Speaker.announce s1 ~packing ~attrs table);
-    wait_until clock ~timeout
-      ~what:(Printf.sprintf "re-convergence (round %d)" k) (fun () ->
-        (Router.counters router).Router.transactions >= k * n
-        && Router.idle router
-        && Fib.size (Router.fib router) = n
-        && Hashtbl.length (Speaker.received_prefix_set s2) = n);
-    Faults.observe_reconvergence faults (Clock.now clock -. fault_at)
-  done;
-
-  (* --- Collect ------------------------------------------------------ *)
-  let counters = Router.counters router in
-  let measured = counters.Router.transactions in
-  let measure_seconds =
-    match counters.Router.first_work_at, counters.Router.last_transaction_at with
-    | Some t0, Some t1 when t1 > t0 -> t1 -. t0
-    | _ -> 0.0
+    ignore (Speaker.announce s1.speaker ~packing ~attrs table);
+    Testbed.wait tb ~what:(Printf.sprintf "re-convergence (round %d)" k)
+      (fun () ->
+        Testbed.router_done tb (k * n) () && Fib.size fib = n && holds s2 n);
+    Faults.observe_reconvergence faults (Clock.now tb.clock -. fault_at)
   in
-  let tps =
-    if measure_seconds > 0.0 then float_of_int measured /. measure_seconds
-    else 0.0
+  (* Each round waits for its own re-convergence. *)
+  let p =
+    Testbed.phase tb (fun () ->
+        for k = 1 to rounds do
+          fault_round k
+        done)
   in
-  let fwd_ratio_min =
-    if cfg.cross_traffic.Traffic.mbps <= 0.0 then 1.0
-    else
-      Bgp_netsim.Forwarding.achieved_mbps (Router.forwarding router)
-      /. cfg.cross_traffic.Traffic.mbps
-  in
+  let st = Fib.stats fib in
   let rc_count, rc_mean, rc_max = Faults.reconvergence_stats faults in
   let report =
     { fr_injected = Faults.injected faults;
@@ -719,7 +487,20 @@ let run_adversarial ~config arch scenario =
       fr_answered = List.map Msg.error_code (Faults.notifications_seen faults) }
   in
   let verified =
-    let* () = verify scenario cfg router (Some s2) ~measured ~fib_before in
+    let* () =
+      check_measured cfg "all prefixes measured" ~expected:(rounds * n)
+        p.transactions
+    in
+    let* () = check "FIB restored after recovery" (Fib.size fib = n) in
+    let* () =
+      check "every fault flushed the table"
+        (st.Fib.withdraws - fib_before.Fib.withdraws = rounds * n)
+    in
+    let* () =
+      check "every recovery re-installed the table"
+        (st.Fib.adds - fib_before.Fib.adds = rounds * n)
+    in
+    let* () = check "speaker 2 held the full table" (holds s2 n) in
     let* () =
       check "session restarted after every fault"
         (Faults.session_restarts faults = rounds)
@@ -728,7 +509,7 @@ let run_adversarial ~config arch scenario =
       check "re-convergence timed for every fault" (rc_count = rounds)
     in
     let* () =
-      match scenario.Scenario.operation with
+      match op with
       | Scenario.Corrupted_storm ->
         let* () =
           check "one malformed update injected per round"
@@ -747,34 +528,10 @@ let run_adversarial ~config arch scenario =
     match Router.damping router, cfg.damping with
     | None, _ | _, None -> Ok ()
     | Some d, Some dc ->
-      (* Suppression is only *guaranteed* when two consecutive
-         withdrawal charges landed close enough that the decayed
-         remnant of the first plus the second crosses the threshold:
-         withdraw * 2^(-gap/half_life) + withdraw >= suppress, i.e.
-         gap <= half_life * log2 (withdraw / (suppress - withdraw)).
-         Slower flapping legitimately escapes damping (that is the
-         RFC working as specified, e.g. a big table on a slow cost
-         model where one teardown-reconverge round outlasts the
-         half-life), so only then is the check waived.  The 0.8
-         safety factor absorbs the skew between teardown initiation
-         (timed here) and the router processing the peer loss. *)
-      let guaranteed =
-        let headroom = dc.Damping.suppress_threshold -. dc.Damping.withdraw_penalty in
-        headroom <= 0.0
-        ||
-        let bound =
-          dc.Damping.half_life
-          *. (log (dc.Damping.withdraw_penalty /. headroom) /. log 2.0)
-        in
-        let rec min_gap = function
-          | a :: (b :: _ as rest) -> min (a -. b) (min_gap rest)
-          | _ -> infinity
-        in
-        min_gap !fault_times <= 0.8 *. bound
-      in
       let* () =
         check "damping suppressed flapping routes"
-          ((not guaranteed) || Damping.suppressions d > 0)
+          ((not (suppression_guaranteed dc !fault_times))
+          || Damping.suppressions d > 0)
       in
       let* () =
         check "every suppressed route was reused"
@@ -782,18 +539,7 @@ let run_adversarial ~config arch scenario =
       in
       check "no route left suppressed" (Damping.suppressed_count d = 0)
   in
-  let locrib_fp = router_fingerprint router in
-  env.dispose ();
-  { arch_name = arch.Arch.name; scenario; used = cfg; tps;
-    measured_prefixes = measured; measure_seconds;
-    setup_seconds = Clock.now clock -. measure_seconds; trace = [];
-    fib_size_end = Fib.size (Router.fib router);
-    fib_stats = Fib.stats (Router.fib router);
-    rib_stats = Bgp_rib.Rib_manager.stats (Router.rib router);
-    stage_stats = Router.stage_stats router;
-    msgs_rx = counters.Router.msgs_rx; msgs_tx = counters.Router.msgs_tx;
-    fwd_ratio_min; faults = Some report; damping = damping_report_of router;
-    churn = None; locrib_fp; verified }
+  { (result cfg arch scenario tb p verified) with faults = Some report }
 
 (* ------------------------------------------------------------------ *)
 (* MRT replay (scenario 13)                                            *)
@@ -805,8 +551,10 @@ let run_adversarial ~config arch scenario =
    The oracle folds the trace's announce/withdraw effects over the
    initial prefix set, so the final FIB and speaker 2's view are
    checked against the exact expected route set — in sim and live. *)
-let run_mrt ~config arch scenario =
-  let cfg = config in
+let run_mrt (cfg : config) arch scenario =
+  rig cfg arch scenario @@ fun tb ->
+  let s1 = tb.sides.(0) and s2 = tb.sides.(1) in
+  let fib = Router.fib tb.router in
   let records =
     match cfg.table_file with
     | Some f ->
@@ -815,7 +563,8 @@ let run_mrt ~config arch scenario =
       | Error msg -> failwith (Printf.sprintf "Harness: %s: %s" f msg))
     | None ->
       Mrt_gen.records ~seed:cfg.seed ~events:cfg.replay_events
-        ~n:cfg.table_size ~speaker_asn:speaker1_asn ~next_hop:speaker1_id ()
+        ~n:cfg.table_size ~speaker_asn:s1.peer.Peer.asn
+        ~next_hop:s1.peer.Peer.addr ()
   in
   let routes = Mrt.routes_of_dump records in
   let events =
@@ -840,126 +589,49 @@ let run_mrt ~config arch scenario =
   in
   let expected = Replay.expected_prefixes events (List.map fst routes) in
   let n_expected = List.length expected in
-  let env = make_env cfg.mode in
-  let clock = env.clock in
-  let router =
-    Router.create ?mrai:cfg.mrai ?tracer:cfg.tracer
-      ~trace_process:
-        (Printf.sprintf "%s/scenario-%d" arch.Arch.name scenario.Scenario.id)
-      clock arch ~local_asn:router_asn ~router_id
-  in
-  let lp1 = env.new_link () in
-  let lp2 = env.new_link () in
-  Router.attach_peer router ~peer:peer1 ~link:lp1.rt_end;
-  Router.attach_peer router ~peer:peer2 ~link:lp2.rt_end;
-  let s1 =
-    Speaker.create clock ~asn:speaker1_asn ~router_id:speaker1_id
-      ~link:lp1.sp_end
-  in
-  let s2 =
-    Speaker.create clock ~asn:speaker2_asn ~router_id:speaker2_id
-      ~link:lp2.sp_end
-  in
-  Router.set_cross_traffic router cfg.cross_traffic;
-  let timeout = cfg.timeout in
-
-  (* --- Phase 1: dump's RIB, grouped by shared attribute handle ------ *)
-  Speaker.start s1;
-  wait_established clock ~timeout s1;
-  let module I = Bgp_route.Attrs.Interned in
-  let groups = I.Tbl.create 32 in
-  List.iter
-    (fun (prefix, interned) ->
-      let prefixes =
-        Option.value ~default:[] (I.Tbl.find_opt groups interned)
-      in
-      I.Tbl.replace groups interned (prefix :: prefixes))
-    routes;
-  I.Tbl.fold (fun interned prefixes acc -> (interned, prefixes) :: acc)
-    groups []
-  |> List.sort (fun (a, _) (b, _) -> I.compare_id a b)
-  |> List.iter (fun (interned, prefixes) ->
-         ignore
-           (Speaker.announce s1 ~packing:cfg.large_packing
-              ~attrs:(I.value interned)
-              (Array.of_list prefixes)));
-  wait_router_idle clock ~timeout router ~what:"phase 1 MRT table load"
-    ~transactions:n;
-
-  (* --- Phase 2: speaker 2 sync -------------------------------------- *)
-  Speaker.start s2;
-  wait_established clock ~timeout s2;
-  wait_until clock ~timeout ~what:"phase 2 table transfer" (fun () ->
-      Router.idle router
-      && Hashtbl.length (Speaker.received_prefix_set s2) = n);
-
-  (* --- Measurement: update-trace replay ----------------------------- *)
-  Router.reset_counters router;
+  ignore
+    (load_table tb ~n (fun () ->
+         announce_grouped s1 ~packing:cfg.large_packing routes));
+  sync_speaker2 tb ~n;
   let pacing =
     match cfg.replay_speedup with
     | None -> Replay.Unpaced
     | Some x -> Replay.Timed x
   in
+  (* The replay starts when the phase's action forces it. *)
   let rp =
-    Replay.start ~clock ~pacing ~send:(fun m -> Speaker.send_update s1 m)
-      events
+    lazy
+      (Replay.start ~clock:tb.clock ~pacing
+         ~send:(fun m -> Speaker.send_update s1.speaker m)
+         events)
   in
-  wait_until clock ~timeout ~what:"update-trace replay" (fun () ->
-      Replay.finished rp
-      && (Router.counters router).Router.transactions >= event_prefixes
-      && Router.idle router
-      && Hashtbl.length (Speaker.received_prefix_set s2) = n_expected);
-
-  (* --- Collect ------------------------------------------------------ *)
-  let counters = Router.counters router in
-  let measured = counters.Router.transactions in
-  let measure_seconds =
-    match counters.Router.first_work_at, counters.Router.last_transaction_at with
-    | Some t0, Some t1 when t1 > t0 -> t1 -. t0
-    | _ -> 0.0
+  let p =
+    Testbed.phase tb ~what:"update-trace replay"
+      ~until:(fun () ->
+        Replay.finished (Lazy.force rp)
+        && Testbed.router_done tb event_prefixes ()
+        && holds s2 n_expected)
+      (fun () -> ignore (Lazy.force rp))
   in
-  let tps =
-    if measure_seconds > 0.0 then float_of_int measured /. measure_seconds
-    else 0.0
-  in
-  let fwd_ratio_min =
-    if cfg.cross_traffic.Traffic.mbps <= 0.0 then 1.0
-    else
-      Bgp_netsim.Forwarding.achieved_mbps (Router.forwarding router)
-      /. cfg.cross_traffic.Traffic.mbps
-  in
+  let rp = Lazy.force rp in
   let verified =
     let* () =
       check "replay delivered every update"
         ((not (Replay.failed rp)) && Replay.sent rp = Replay.total rp)
     in
     let* () =
-      check "all replayed prefixes measured" (measured = event_prefixes)
+      check_measured cfg "all replayed prefixes measured"
+        ~expected:event_prefixes p.transactions
     in
     let* () =
-      check "FIB matches the replay oracle"
-        (Fib.size (Router.fib router) = n_expected)
+      check "FIB matches the replay oracle" (Fib.size fib = n_expected)
     in
-    let s2_set = Speaker.received_prefix_set s2 in
-    let* () =
-      check "speaker 2 converged to the oracle set"
-        (Hashtbl.length s2_set = n_expected
-        && List.for_all (fun p -> Hashtbl.mem s2_set p) expected)
-    in
-    Ok ()
+    let s2_set = Speaker.received_prefix_set s2.speaker in
+    check "speaker 2 converged to the oracle set"
+      (Hashtbl.length s2_set = n_expected
+      && List.for_all (fun p -> Hashtbl.mem s2_set p) expected)
   in
-  let locrib_fp = router_fingerprint router in
-  env.dispose ();
-  { arch_name = arch.Arch.name; scenario; used = cfg; tps;
-    measured_prefixes = measured; measure_seconds;
-    setup_seconds = Clock.now clock -. measure_seconds; trace = [];
-    fib_size_end = Fib.size (Router.fib router);
-    fib_stats = Fib.stats (Router.fib router);
-    rib_stats = Bgp_rib.Rib_manager.stats (Router.rib router);
-    stage_stats = Router.stage_stats router;
-    msgs_rx = counters.Router.msgs_rx; msgs_tx = counters.Router.msgs_tx;
-    fwd_ratio_min; faults = None; damping = None; churn = None; locrib_fp;
-    verified }
+  result cfg arch scenario tb p verified
 
 (* ------------------------------------------------------------------ *)
 (* Subscriber-edge churn (scenario 16)                                 *)
@@ -976,8 +648,7 @@ let run_mrt ~config arch scenario =
    The resync events are the traffic that used to CEASE the session
    under the old NLRI-length prefix-limit check: a re-announce at a
    full table projects to zero growth and must pass. *)
-let run_churn ~config arch scenario =
-  let cfg : config = config in
+let run_churn (cfg : config) arch scenario =
   let sub_cfg =
     match cfg.churn with
     | Some c -> c
@@ -987,97 +658,57 @@ let run_churn ~config arch scenario =
   in
   let sub = Subscriber.create sub_cfg in
   let n = sub_cfg.Subscriber.subscribers in
-  (* MRAI must be live under churn (the issue's point); honor an
-     explicit setting, else a realistic 50ms. *)
+  (* MRAI must be live under churn; honor an explicit setting, else a
+     realistic 50ms. *)
   let mrai = match cfg.mrai with Some m -> Some m | None -> Some 0.05 in
   let cfg = { cfg with table_size = n; mrai; churn = Some sub_cfg } in
-  let env = make_env cfg.mode in
-  let clock = env.clock in
-  let router =
-    Router.create ?mrai:cfg.mrai ?damping:cfg.damping ?tracer:cfg.tracer
-      ~trace_process:
-        (Printf.sprintf "%s/scenario-%d" arch.Arch.name scenario.Scenario.id)
-      clock arch ~local_asn:router_asn ~router_id
-  in
-  let sweep_hist = Metrics.histogram (Router.metrics router) "churn.sweep_latency" in
-  let lp1 = env.new_link () in
-  let lp2 = env.new_link () in
   (* Prefix-limit protection sized exactly to the subscriber pool: any
      over-count in the limit check tears the session mid-churn. *)
-  Router.attach_peer ~max_prefixes:n router ~peer:peer1 ~link:lp1.rt_end;
-  Router.attach_peer router ~peer:peer2 ~link:lp2.rt_end;
-  let s1 =
-    Speaker.create clock ~asn:speaker1_asn ~router_id:speaker1_id
-      ~link:lp1.sp_end
-  in
-  let s2 =
-    Speaker.create clock ~asn:speaker2_asn ~router_id:speaker2_id
-      ~link:lp2.sp_end
-  in
-  Router.set_cross_traffic router cfg.cross_traffic;
+  rig cfg arch scenario ~max_prefixes:n @@ fun tb ->
+  let s1 = tb.sides.(0) and s2 = tb.sides.(1) in
+  let router = tb.router in
+  let fib = Router.fib router in
+  let sweep_hist = Metrics.histogram (Router.metrics router) "churn.sweep_latency" in
   let prefixes = Subscriber.prefixes sub in
-  let attrs =
-    Workload.attrs ~speaker_asn:speaker1_asn ~next_hop:speaker1_id
-      ~path_len:cfg.setup_path_len ()
+  let attrs = Testbed.attrs s1 ~path_len:cfg.setup_path_len in
+  let at delay f = ignore (Clock.schedule tb.clock ~delay f) in
+
+  (* Phase A: rate-limited batch injection (measured). *)
+  let inject =
+    load_table tb ~n (fun () ->
+        List.iter
+          (fun (delay, batch) ->
+            at delay (fun () ->
+                ignore
+                  (Speaker.announce s1.speaker ~packing:sub_cfg.Subscriber.batch
+                     ~attrs batch)))
+          (Subscriber.batches sub))
   in
-  let timeout = cfg.timeout in
-  let phase_seconds () =
-    let c = Router.counters router in
-    match c.Router.first_work_at, c.Router.last_transaction_at with
-    | Some t0, Some t1 when t1 > t0 -> t1 -. t0
-    | _ -> 0.0
-  in
+  let fib_after_inject = Fib.size fib in
+  sync_speaker2 tb ~n;
 
-  (* --- Phase A: rate-limited batch injection (measured) ------------- *)
-  Speaker.start s1;
-  wait_established clock ~timeout s1;
-  Router.reset_counters router;
-  List.iter
-    (fun (at, batch) ->
-      ignore
-        (Clock.schedule clock ~delay:at (fun () ->
-             ignore
-               (Speaker.announce s1 ~packing:sub_cfg.Subscriber.batch ~attrs
-                  batch))))
-    (Subscriber.batches sub);
-  wait_router_idle clock ~timeout router ~what:"subscriber injection"
-    ~transactions:n;
-  let injected = (Router.counters router).Router.transactions in
-  let injection_s = phase_seconds () in
-  let fib_after_inject = Fib.size (Router.fib router) in
-
-  (* --- Phase 2 equivalent: speaker 2 sync --------------------------- *)
-  Speaker.start s2;
-  wait_established clock ~timeout s2;
-  wait_until clock ~timeout ~what:"speaker 2 table transfer" (fun () ->
-      Router.idle router
-      && Hashtbl.length (Speaker.received_prefix_set s2) = n);
-
-  (* --- Phase B: steady-state churn (measured) ----------------------- *)
-  Router.reset_counters router;
-  let plan = Subscriber.plan sub in
+  (* Phase B: steady-state churn (measured). *)
   let n_events = Subscriber.n_events sub in
-  List.iter
-    (fun ev ->
-      let p = [| prefixes.(ev.Subscriber.ev_idx) |] in
-      ignore
-        (Clock.schedule clock ~delay:ev.Subscriber.ev_at (fun () ->
-             match ev.Subscriber.ev_kind with
-             | Subscriber.Up | Subscriber.Resync ->
-               ignore (Speaker.announce s1 ~packing:1 ~attrs p)
-             | Subscriber.Down -> ignore (Speaker.withdraw s1 ~packing:1 p))))
-    plan;
   let up_count = Subscriber.up_count sub in
-  wait_until clock ~timeout ~what:"steady-state churn" (fun () ->
-      (Router.counters router).Router.transactions >= n_events
-      && Router.idle router
-      && Hashtbl.length (Speaker.received_prefix_set s2) = up_count);
-  let churned = (Router.counters router).Router.transactions in
-  let churn_s = phase_seconds () in
-  let fib_after_churn = Fib.size (Router.fib router) in
-  let s1_lost_before_failover = Speaker.sessions_lost s1 in
+  let churn =
+    Testbed.phase tb ~what:"steady-state churn"
+      ~until:(fun () -> Testbed.router_done tb n_events () && holds s2 up_count)
+      (fun () ->
+        List.iter
+          (fun ev ->
+            let p = [| prefixes.(ev.Subscriber.ev_idx) |] in
+            at ev.Subscriber.ev_at (fun () ->
+                match ev.Subscriber.ev_kind with
+                | Subscriber.Up | Subscriber.Resync ->
+                  ignore (Speaker.announce s1.speaker ~packing:1 ~attrs p)
+                | Subscriber.Down ->
+                  ignore (Speaker.withdraw s1.speaker ~packing:1 p)))
+          (Subscriber.plan sub))
+  in
+  let fib_after_churn = Fib.size fib in
+  let s1_lost_before_failover = Speaker.sessions_lost s1.speaker in
   let s2_holds_oracle_set =
-    let set = Speaker.received_prefix_set s2 in
+    let set = Speaker.received_prefix_set s2.speaker in
     Hashtbl.length set = up_count
     && List.for_all (fun p -> Hashtbl.mem set p) (Subscriber.up_prefixes sub)
   in
@@ -1085,43 +716,31 @@ let run_churn ~config arch scenario =
      failover the Loc-RIB is empty and every run would trivially agree. *)
   let locrib_fp = router_fingerprint router in
 
-  (* --- Phase C: failover — peer loss, full withdraw sweep ----------- *)
-  let t_fail = Clock.now clock in
-  Speaker.set_update_observer s2 (fun u ->
-      let dt = Clock.now clock -. t_fail in
+  (* Phase C: failover — peer loss, full withdraw sweep. *)
+  let t_fail = Clock.now tb.clock in
+  Speaker.set_update_observer s2.speaker (fun u ->
+      let dt = Clock.now tb.clock -. t_fail in
       List.iter (fun _ -> Metrics.observe sweep_hist dt) u.Msg.withdrawn);
-  lp1.sp_end.Link.close ();
-  wait_until clock ~timeout ~what:"failover withdraw sweep" (fun () ->
-      Router.idle router
-      && Fib.size (Router.fib router) = 0
-      && Hashtbl.length (Speaker.received_prefix_set s2) = 0);
-  let failover_s = Clock.now clock -. t_fail in
-  Speaker.set_update_observer s2 ignore;
+  s1.sp_end.Link.close ();
+  Testbed.wait tb ~what:"failover withdraw sweep" (fun () ->
+      Router.idle router && Fib.size fib = 0 && holds s2 0);
+  let failover_s = Clock.now tb.clock -. t_fail in
+  Speaker.set_update_observer s2.speaker ignore;
 
-  (* --- Collect ------------------------------------------------------ *)
-  let counters = Router.counters router in
-  let measured = injected + churned in
-  let measure_seconds = injection_s +. churn_s in
-  let tps =
-    if measure_seconds > 0.0 then float_of_int measured /. measure_seconds
-    else 0.0
-  in
-  let fwd_ratio_min =
-    if cfg.cross_traffic.Traffic.mbps <= 0.0 then 1.0
-    else
-      Bgp_netsim.Forwarding.achieved_mbps (Router.forwarding router)
-      /. cfg.cross_traffic.Traffic.mbps
+  (* The run's figures cover both measured phases; the per-stage and
+     message counts are those since Phase B began, failover included. *)
+  let p =
+    { (Testbed.snapshot tb) with
+      transactions = inject.transactions + churn.transactions;
+      seconds = inject.seconds +. churn.seconds }
   in
   let report =
     { cr_subscribers = n;
-      cr_injection_s = injection_s;
-      cr_injection_tps =
-        (if injection_s > 0.0 then float_of_int injected /. injection_s
-         else 0.0);
-      cr_churn_events = churned;
-      cr_churn_s = churn_s;
-      cr_churn_tps =
-        (if churn_s > 0.0 then float_of_int churned /. churn_s else 0.0);
+      cr_injection_s = inject.seconds;
+      cr_injection_tps = Testbed.tps inject;
+      cr_churn_events = churn.transactions;
+      cr_churn_s = churn.seconds;
+      cr_churn_tps = Testbed.tps churn;
       cr_sessions_up_end = up_count;
       cr_failover_s = failover_s;
       cr_sweep_count = Metrics.hist_count sweep_hist;
@@ -1130,9 +749,9 @@ let run_churn ~config arch scenario =
       cr_metrics = Metrics.to_json (Router.metrics router) }
   in
   let verified =
-    let* () = check "every subscriber injected" (injected = n) in
+    let* () = check "every subscriber injected" (inject.transactions = n) in
     let* () = check "FIB held the pool after injection" (fib_after_inject = n) in
-    let* () = check "every churn event measured" (churned = n_events) in
+    let* () = check "every churn event measured" (churn.transactions = n_events) in
     let* () =
       check "session survived churn at the prefix limit"
         (s1_lost_before_failover = 0)
@@ -1141,43 +760,29 @@ let run_churn ~config arch scenario =
       check "FIB matched the churn oracle" (fib_after_churn = up_count)
     in
     let* () = check "speaker 2 converged to the oracle set" s2_holds_oracle_set in
-    let* () =
-      check "failover emptied the FIB" (Fib.size (Router.fib router) = 0)
-    in
-    let* () =
-      check "failover swept speaker 2 clean"
-        (Hashtbl.length (Speaker.received_prefix_set s2) = 0)
-    in
+    let* () = check "failover emptied the FIB" (Fib.size fib = 0) in
+    let* () = check "failover swept speaker 2 clean" (holds s2 0) in
     check "every swept withdrawal was timed"
       (Metrics.hist_count sweep_hist = up_count)
   in
-  env.dispose ();
-  { arch_name = arch.Arch.name; scenario; used = cfg; tps;
-    measured_prefixes = measured; measure_seconds;
-    setup_seconds = Clock.now clock -. measure_seconds; trace = [];
-    fib_size_end = Fib.size (Router.fib router);
-    fib_stats = Fib.stats (Router.fib router);
-    rib_stats = Bgp_rib.Rib_manager.stats (Router.rib router);
-    stage_stats = Router.stage_stats router;
-    msgs_rx = counters.Router.msgs_rx; msgs_tx = counters.Router.msgs_tx;
-    fwd_ratio_min; faults = None; damping = damping_report_of router;
-    churn = Some report; locrib_fp; verified }
+  { (result cfg arch scenario tb p verified) with
+    churn = Some report; locrib_fp }
 
 let run ?(config = default_config) arch scenario =
-  if Scenario.is_topo scenario then
+  match scenario.Scenario.operation with
+  | Scenario.Startup_announce | Scenario.Ending_withdraw
+  | Scenario.Incremental_no_fib_change | Scenario.Incremental_fib_change ->
+    run_standard config arch scenario
+  | Scenario.Corrupted_storm | Scenario.Session_flaps | Scenario.Flap_damping ->
+    run_adversarial config arch scenario
+  | Scenario.Mrt_replay -> run_mrt config arch scenario
+  | Scenario.Subscriber_churn -> run_churn config arch scenario
+  | Scenario.Topo_convergence | Scenario.Topo_link_failure ->
     invalid_arg
       (Printf.sprintf
          "Harness.run: %s is a multi-router topology scenario; run it \
           through Bgp_topo (bgpbench topo)"
          (Scenario.name scenario))
-  else if Scenario.is_churn scenario then run_churn ~config arch scenario
-  else if Scenario.is_adversarial scenario then
-    run_adversarial ~config arch scenario
-  else if Scenario.is_mrt scenario then
-    match scenario.Scenario.operation with
-    | Scenario.Mrt_replay -> run_mrt ~config arch scenario
-    | _ -> run_adversarial ~config arch scenario
-  else run_standard ~config arch scenario
 
 let pp_faults ppf = function
   | None -> ()

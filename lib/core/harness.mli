@@ -19,9 +19,12 @@
       announcements).
 
     Setup phases always use large packets so that setup time — which is
-    excluded from the metric anyway — stays small. *)
+    excluded from the metric anyway — stays small.
 
-type mode =
+    Every scenario is a short script of {!Testbed.phase}s on one
+    {!Testbed} rig, carrying its own verification. *)
+
+type mode = Testbed.mode =
   | Sim  (** simulated channels, virtual time, deterministic *)
   | Live  (** loopback TCP on a {!Bgp_tcp.Event_loop}, wall-clock time *)
 
@@ -183,7 +186,8 @@ val run : ?config:config -> Bgp_router.Arch.t -> Scenario.t -> result
     dump's update trace through speaker 1 — unpaced or at
     [replay_speedup] × recorded timing — and verifies the final FIB and
     speaker 2's view against the trace's folded announce/withdraw
-    effects.  Scenario 14 is the scenario-10 flap storm with damping
+    effects; with [config.damping] set, reuse re-injections add
+    transactions, so only their floor is checked.  Scenario 14 is the scenario-10 flap storm with damping
     forced on ({!Bgp_rib.Damping.test_config} unless [config.damping]
     overrides): from the second round on the re-announcements are
     suppressed, and the run completes only once the reuse timer has

@@ -1,100 +1,40 @@
-module Engine = Bgp_sim.Engine
-module Channel = Bgp_netsim.Channel
 module Arch = Bgp_router.Arch
 module Router = Bgp_router.Router
 module Speaker = Bgp_speaker.Speaker
-module Workload = Bgp_speaker.Workload
-module Peer = Bgp_route.Peer
-module Ipv4 = Bgp_addr.Ipv4
 
 type point = { n_peers : int; tps : float; avg_candidates : float }
 
 type t = { arch_name : string; points : point list }
 
-let speaker_identity i =
-  let asn = Bgp_route.Asn.of_int (65001 + i) in
-  let addr = Ipv4.of_octets 192 0 2 (i + 1) in
-  (asn, addr)
-
 let run_one arch ~table_size ~seed ~n =
   if n < 2 then invalid_arg "Peers_sweep: need at least 2 peers";
-  let engine = Engine.create () in
-  Engine.set_event_limit engine 500_000_000;
-  let clock = Engine.clock engine in
-  let router =
-    Router.create clock arch
-      ~local_asn:(Bgp_route.Asn.of_int 65000)
-      ~router_id:(Ipv4.of_string_exn "10.255.0.1")
-  in
-  let speakers =
-    List.init n (fun i ->
-        let asn, addr = speaker_identity i in
-        let channel = Channel.create engine () in
-        let peer = Peer.make ~id:i ~asn ~router_id:addr ~addr in
-        Router.attach_peer router ~peer ~link:(Channel.endpoint channel Channel.B);
-        Speaker.create clock ~asn ~router_id:addr
-          ~link:(Channel.endpoint channel Channel.A))
-  in
+  Testbed.with_rig Testbed.Sim ~timeout:500_000.0 ~speakers:n arch @@ fun tb ->
+  let sides = Array.to_list tb.Testbed.sides in
   let table = Bgp_addr.Prefix_gen.table ~seed ~n:table_size () in
-  let wait ~what cond =
-    let deadline = Engine.now engine +. 500_000.0 in
-    let rec go step =
-      if cond () then ()
-      else if Engine.now engine >= deadline then
-        failwith ("Peers_sweep: timeout waiting for " ^ what)
-      else begin
-        Engine.run ~until:(Engine.now engine +. step) engine;
-        go (Float.min 2.0 (step *. 1.5))
-      end
-    in
-    go 0.01
+  let announce side ~path_len =
+    ignore
+      (Speaker.announce side.Testbed.speaker ~packing:500
+         ~attrs:(Testbed.attrs side ~path_len) table)
   in
   (* Bring every session up, then inject the table from every speaker:
      speaker i uses path length (3 + i), so speaker 0 wins initially. *)
-  List.iter Speaker.start speakers;
-  wait ~what:"session establishment" (fun () ->
-      List.for_all Speaker.established speakers);
-  List.iteri
-    (fun i s ->
-      let asn, addr = speaker_identity i in
-      ignore
-        (Speaker.announce s ~packing:500
-           ~attrs:(Workload.attrs ~speaker_asn:asn ~next_hop:addr ~path_len:(3 + i) ())
-           table))
-    speakers;
-  let expected_setup = table_size * n in
-  wait ~what:"multi-peer table load" (fun () ->
-      (Router.counters router).Router.transactions >= expected_setup
-      && Router.idle router);
+  Testbed.establish tb sides;
+  ignore
+    (Testbed.phase tb ~what:"multi-peer table load"
+       ~until:(Testbed.router_done tb (table_size * n))
+       (fun () -> List.iteri (fun i s -> announce s ~path_len:(3 + i)) sides));
   (* Measured phase: the last speaker takes over every prefix with a
      path that beats all others — an n-way decision + FIB replace per
      prefix. *)
-  Router.reset_counters router;
-  let rib_before = Bgp_rib.Rib_manager.stats (Router.rib router) in
-  let last = List.nth speakers (n - 1) in
-  let asn, addr = speaker_identity (n - 1) in
-  ignore
-    (Speaker.announce last ~packing:500
-       ~attrs:(Workload.attrs ~speaker_asn:asn ~next_hop:addr ~path_len:1 ())
-       table);
-  wait ~what:"measured phase" (fun () ->
-      (Router.counters router).Router.transactions >= table_size
-      && Router.idle router);
-  let counters = Router.counters router in
-  let tps =
-    match counters.Router.first_work_at, counters.Router.last_transaction_at with
-    | Some t0, Some t1 when t1 > t0 -> float_of_int table_size /. (t1 -. t0)
-    | _ -> 0.0
+  let p =
+    Testbed.phase tb ~what:"measured phase" ~until:(Testbed.router_done tb table_size)
+      (fun () -> announce tb.sides.(n - 1) ~path_len:1)
   in
   (* Every measured-phase decision sees one candidate per peer; sanity:
      it ran exactly one decision per prefix. *)
-  let rib_after = Bgp_rib.Rib_manager.stats (Router.rib router) in
-  let decisions =
-    rib_after.Bgp_rib.Rib_manager.decisions_run
-    - rib_before.Bgp_rib.Rib_manager.decisions_run
-  in
-  assert (decisions = table_size);
-  { n_peers = n; tps; avg_candidates = float_of_int n }
+  let rib = Bgp_rib.Rib_manager.stats (Router.rib tb.router) in
+  assert (rib.Bgp_rib.Rib_manager.decisions_run = table_size);
+  { n_peers = n; tps = Testbed.tps p; avg_candidates = float_of_int n }
 
 let run ?(table_size = 2000) ?(seed = 42) ?(counts = [ 2; 4; 8; 16 ]) arch =
   { arch_name = arch.Arch.name;

@@ -50,21 +50,10 @@ let mrt =
    16 goes through the single-DUT harness, so it does. *)
 let churn = [ { id = 16; operation = Subscriber_churn; packet_size = Large } ]
 
-let is_adversarial t =
-  match t.operation with
-  | Corrupted_storm | Session_flaps -> true
-  | _ -> false
-
 let is_topo t =
   match t.operation with
   | Topo_convergence | Topo_link_failure -> true
   | _ -> false
-
-let is_mrt t =
-  match t.operation with Mrt_replay | Flap_damping -> true | _ -> false
-
-let is_churn t =
-  match t.operation with Subscriber_churn -> true | _ -> false
 
 let of_id id =
   List.find_opt (fun s -> s.id = id) (all @ adversarial @ topo @ mrt @ churn)

@@ -65,13 +65,7 @@ val churn : t list
     multi-domain sweep, runs through [Bgp_topo.Pengine] and has no
     [Scenario.t].) *)
 
-val is_adversarial : t -> bool
-
 val is_topo : t -> bool
-
-val is_mrt : t -> bool
-
-val is_churn : t -> bool
 
 val of_id : int -> t option
 (** Scenario by number: 1-8 from Table I, 9-10 adversarial, 11-12

@@ -260,6 +260,34 @@ let test_varied_paths_shape_stable () =
   Alcotest.(check bool) "within 40%" true
     (Float.abs (uniform -. varied) /. uniform < 0.4)
 
+(* A table file holding exactly the varied synthetic table must drive
+   the same Phase-1 injection as [varied_paths], and so the same run. *)
+let test_table_file_matches_varied () =
+  let file = Filename.temp_file "bgpmark-table" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Bgp_speaker.Table_io.save file
+    (Bgp_speaker.Table_io.synthesize ~seed:42 ~n:500
+       ~speaker_asn:(Bgp_route.Asn.of_int 65001) ());
+  let config = { H.default_config with H.table_size = 500; seed = 42 } in
+  List.iter
+    (fun id ->
+      let sc = Scenario.of_id_exn id in
+      let varied =
+        H.run ~config:{ config with H.varied_paths = true } Arch.xeon sc
+      in
+      let from_file =
+        H.run ~config:{ config with H.table_file = Some file } Arch.xeon sc
+      in
+      check_verified varied;
+      check_verified from_file;
+      Alcotest.(check string)
+        (Printf.sprintf "scenario %d fingerprint" id)
+        varied.H.locrib_fp from_file.H.locrib_fp;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "scenario %d tps" id)
+        varied.H.tps from_file.H.tps)
+    [ 2; 4; 8 ]
+
 (* ------------------------------------------------------------------ *)
 (* Peering-density extension + prefix-limit protection                  *)
 (* ------------------------------------------------------------------ *)
@@ -321,6 +349,24 @@ let test_max_prefixes_ceases_session () =
     (Router.session_state router peer <> Bgp_fsm.Fsm.Established);
   Alcotest.(check int) "routes flushed" 0
     (Bgp_rib.Loc_rib.size (Bgp_rib.Rib_manager.loc_rib (Router.rib router)))
+
+(* ------------------------------------------------------------------ *)
+(* Live rig teardown                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A live run that gives up must still close its sockets: a zero
+   timeout fails the first wait, after the rig is built. *)
+let test_live_timeout_releases_sockets () =
+  let config = { small_config with H.mode = H.Live; timeout = 0.0 } in
+  let before = open_fds () in
+  for _ = 1 to 5 do
+    match H.run ~config Arch.xeon (Scenario.of_id_exn 7) with
+    | _ -> Alcotest.fail "a zero timeout must fail the run"
+    | exception Failure _ -> ()
+  done;
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ())
 
 (* ------------------------------------------------------------------ *)
 (* MRAI ablation                                                        *)
@@ -476,12 +522,17 @@ let () =
           Alcotest.test_case "prefix limit ceases session" `Quick
             test_max_prefixes_ceases_session
         ] );
+      ( "live rig",
+        [ Alcotest.test_case "timeout releases sockets" `Quick
+            test_live_timeout_releases_sockets ] );
       ( "mrai",
         [ Alcotest.test_case "batches advertisements" `Quick
             test_mrai_batches_advertisements ] );
       ( "varied paths",
         [ Alcotest.test_case "verifies" `Quick test_varied_paths_verify;
-          Alcotest.test_case "shape stable" `Quick test_varied_paths_shape_stable
+          Alcotest.test_case "shape stable" `Quick test_varied_paths_shape_stable;
+          Alcotest.test_case "table file equals varied paths" `Quick
+            test_table_file_matches_varied
         ] );
       ( "route refresh",
         [ Alcotest.test_case "end to end" `Quick test_route_refresh_end_to_end ] );

@@ -58,7 +58,7 @@ let test_scenario_lookup () =
   Alcotest.(check bool) "of_id 0" true (Scenario.of_id 0 = None);
   Alcotest.(check bool) "of_id 9 is adversarial" true
     (match Scenario.of_id 9 with
-    | Some s -> Scenario.is_adversarial s
+    | Some s -> s.Scenario.operation = Scenario.Corrupted_storm
     | None -> false);
   Alcotest.(check bool) "of_id 11 is topo" true
     (match Scenario.of_id 11 with
@@ -66,12 +66,12 @@ let test_scenario_lookup () =
     | None -> false);
   Alcotest.(check bool) "of_id 13 is mrt" true
     (match Scenario.of_id 13 with
-    | Some s -> Scenario.is_mrt s
+    | Some s -> s.Scenario.operation = Scenario.Mrt_replay
     | None -> false);
   Alcotest.(check bool) "of_id 15" true (Scenario.of_id 15 = None);
   Alcotest.(check bool) "of_id 16 is churn" true
     (match Scenario.of_id 16 with
-    | Some s -> Scenario.is_churn s
+    | Some s -> s.Scenario.operation = Scenario.Subscriber_churn
     | None -> false);
   Alcotest.check_raises "of_id_exn"
     (Invalid_argument "Scenario.of_id_exn: 15 not in 1-14, 16") (fun () ->

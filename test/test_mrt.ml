@@ -235,6 +235,46 @@ let test_scenario13_paced () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "paced replay failed verification: %s" e
 
+(* A dump written to disk replays exactly like the same dump
+   synthesized in memory. *)
+let test_scenario13_from_file () =
+  let config =
+    { Harness.default_config with table_size = 300; replay_events = 100 }
+  in
+  let file = Filename.temp_file "bgpmark-dump" ".mrt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Mrt.write_file file (gen_records ~n:300 ~events:100 ());
+  let arch = Bgp_router.Arch.xeon in
+  let sc = Scenario.of_id_exn 13 in
+  let mem = Harness.run ~config arch sc in
+  let disk =
+    Harness.run ~config:{ config with table_file = Some file } arch sc
+  in
+  Alcotest.(check bool) "both verified" true
+    (mem.Harness.verified = Ok () && disk.Harness.verified = Ok ());
+  Alcotest.(check string) "same fingerprint" mem.Harness.locrib_fp
+    disk.Harness.locrib_fp;
+  Alcotest.(check (float 0.0)) "same tps" mem.Harness.tps disk.Harness.tps
+
+(* Scenario 13 honors [config.damping]: the replay's re-announcements
+   of recently withdrawn prefixes get suppressed, and the run still
+   verifies (reuse re-injections only add transactions). *)
+let test_scenario13_damping () =
+  let config =
+    { Harness.default_config with
+      table_size = 300; replay_events = 300;
+      damping = Some Bgp_rib.Damping.test_config }
+  in
+  let r = Harness.run ~config Bgp_router.Arch.xeon (Scenario.of_id_exn 13) in
+  (match r.Harness.verified with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "damped replay failed verification: %s" e);
+  match r.Harness.damping with
+  | None -> Alcotest.fail "no damping report"
+  | Some d ->
+    Alcotest.(check bool) "routes were suppressed" true
+      (d.Harness.dr_suppressions > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Scenario 14: flap storm under damping (sim)                         *)
 (* ------------------------------------------------------------------ *)
@@ -303,4 +343,7 @@ let () =
           Alcotest.test_case "13 paced" `Quick test_scenario13_paced;
           Alcotest.test_case "14 damping sim" `Quick test_scenario14_sim;
           Alcotest.test_case "damping ablation" `Quick
-            test_damping_off_identical ] ) ]
+            test_damping_off_identical;
+          Alcotest.test_case "13 from a dump file" `Quick test_scenario13_from_file;
+          Alcotest.test_case "13 honors damping" `Quick test_scenario13_damping
+        ] ) ]
