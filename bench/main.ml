@@ -465,12 +465,42 @@ let print_fault_smoke () =
     Scenario.adversarial;
   Format.printf "@."
 
+(* Two-sided allocation gate against a checked-in baseline: >20% above
+   is a regression, >20% below means the code got better and the
+   checked-in number is stale — both fail (exit 1) so the baseline always
+   tracks reality. *)
+let alloc_gate ~unit name measured =
+  match List.find_opt Sys.file_exists [ "bench/" ^ name; name ] with
+  | None -> Format.printf "  (no %s found; skipping regression gate)@.@." name
+  | Some file ->
+    let ic = open_in file in
+    let baseline =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> float_of_string (String.trim (input_line ic)))
+    in
+    let upper = baseline *. 1.2 and lower = baseline /. 1.2 in
+    Format.printf "  baseline %.0f %s (gate: %.0f .. %.0f)@.@." baseline unit
+      lower upper;
+    if measured > upper then begin
+      Format.eprintf
+        "allocation regression: %.0f %s exceeds baseline %.0f by more than \
+         20%%@."
+        measured unit baseline;
+      exit 1
+    end;
+    if measured < lower then begin
+      Format.eprintf
+        "allocation baseline is stale: measured %.0f %s is more than 20%% \
+         below the checked-in %.0f — update %s@."
+        measured unit baseline file;
+      exit 1
+    end
+
 (* Allocation-regression smoke: replay a 20k-prefix table through the
-   receiver path with the arena on and compare Gc.allocated_bytes per
-   UPDATE against the checked-in baseline.  The gate is two-sided:
-   >20% above baseline is a regression, >20% below means the code got
-   better and the checked-in number is stale — both fail (exit 1) so
-   the baseline always tracks reality. *)
+   receiver path with the arena on and gate Gc.allocated_bytes per
+   UPDATE; then run the CPU scheduler's zero-cycle pipeline chain and
+   gate its minor words per job. *)
 let print_alloc_smoke () =
   let sweep = Bgpmark.Arena_sweep.run ~seed:42 [ 20_000 ] in
   let shared = List.hd sweep.Bgpmark.Arena_sweep.cells in
@@ -485,37 +515,12 @@ let print_alloc_smoke () =
      unpaced@."
     shared.Bgpmark.Arena_sweep.sw_chal_alloc_per_update
     shared.Bgpmark.Arena_sweep.sw_chal_tps;
-  let baseline_file =
-    List.find_opt Sys.file_exists
-      [ "bench/alloc_baseline.txt"; "alloc_baseline.txt" ]
-  in
-  match baseline_file with
-  | None ->
-    Format.printf "  (no alloc_baseline.txt found; skipping regression gate)@.@."
-  | Some file ->
-    let ic = open_in file in
-    let baseline =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> float_of_string (String.trim (input_line ic)))
-    in
-    let upper = baseline *. 1.2 and lower = baseline /. 1.2 in
-    Format.printf "  baseline %.0f B/update (gate: %.0f .. %.0f)@.@." baseline
-      lower upper;
-    if measured > upper then begin
-      Format.eprintf
-        "allocation regression: %.0f B/update exceeds baseline %.0f by more \
-         than 20%%@."
-        measured baseline;
-      exit 1
-    end;
-    if measured < lower then begin
-      Format.eprintf
-        "allocation baseline is stale: measured %.0f B/update is more than \
-         20%% below the checked-in %.0f — update %s@."
-        measured baseline file;
-      exit 1
-    end
+  alloc_gate ~unit:"B/update" "alloc_baseline.txt" measured;
+  let words = Bgpmark.Sched_alloc.words_per_job ~jobs:20_000 in
+  Format.printf
+    "Scheduler step (zero-cycle jobs, 4-process pipeline): %.0f words/job@."
+    words;
+  alloc_gate ~unit:"words/job" "sched_alloc_baseline.txt" words
 
 (* MRT smoke: a synthesized dump must survive a write -> read
    roundtrip bit for bit, and scenario 13 must replay it through the

@@ -56,10 +56,11 @@ let cancel_timer t timer =
     Hashtbl.remove t.cancels timer
   | None -> ()
 
-let transmit t msg =
-  let wire = Bgp_wire.Codec.encode msg in
+let transmit_encoded t msg wire =
   t.hooks.on_tx_msg msg (String.length wire);
   t.io.out_bytes wire
+
+let transmit t msg = transmit_encoded t msg (Bgp_wire.Codec.encode msg)
 
 let rec dispatch t ev =
   let before = Fsm.state t.fsm in
@@ -129,6 +130,13 @@ let send t msg =
   match Fsm.state t.fsm with
   | Fsm.Established ->
     transmit t msg;
+    true
+  | _ -> false
+
+let send_encoded t msg wire =
+  match Fsm.state t.fsm with
+  | Fsm.Established ->
+    transmit_encoded t msg wire;
     true
   | _ -> false
 

@@ -80,3 +80,8 @@ val send : t -> Bgp_wire.Msg.t -> bool
 (** Transmit a message if the session is Established ([false]
     otherwise).  OPEN/KEEPALIVE/NOTIFICATION are emitted by the FSM
     itself; use this for UPDATEs. *)
+
+val send_encoded : t -> Bgp_wire.Msg.t -> string -> bool
+(** {!send} for a message its caller has already encoded: [wire] must
+    be [Codec.encode msg].  The bytes go out as they are and
+    [on_tx_msg] sees [msg] and [String.length wire]. *)

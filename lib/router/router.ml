@@ -278,21 +278,71 @@ let link_session l =
   | Some s -> s
   | None -> invalid_arg "Router: session not initialized"
 
+(* RFC 4271 section 4.3: besides its attribute section, an UPDATE spends
+   the 19-byte header and two 2-byte length fields, plus one length
+   octet and the address octets per prefix.  [update_room] is what is
+   left for prefixes in a message without attributes. *)
+let update_room = Msg.max_len - Msg.header_len - 4
+let prefix_bytes p = 1 + Bgp_addr.Prefix.wire_octets p
+
+let attrs_bytes interned =
+  String.length (Bgp_wire.Codec.encode_path_attrs (Interned.value interned))
+
+(* Split [prefixes], in order, into runs of at most [max_count] prefixes
+   and [room] wire bytes.  A prefix that exceeds [room] on its own still
+   gets a run of its own; {!encode_out} turns it into a withdrawal. *)
+let chunks ?(max_count = max_int) ~room prefixes =
+  let rec go runs run count bytes = function
+    | [] -> List.rev (if run = [] then runs else List.rev run :: runs)
+    | p :: rest ->
+      let b = prefix_bytes p in
+      if run <> [] && (count >= max_count || bytes + b > room) then
+        go (List.rev run :: runs) [ p ] 1 b rest
+      else go runs (p :: run) (count + 1) (bytes + b) rest
+  in
+  go [] [] 0 0 prefixes
+
+(* One UPDATE per run of [prefixes] that fits beside [interned]. *)
+let announcements ?max_count interned prefixes =
+  List.map
+    (Msg.announcement_interned interned)
+    (chunks ?max_count ~room:(update_room - attrs_bytes interned) prefixes)
+
+(* The wire image of an outbound message, encoded once.  The packers
+   split every multi-prefix UPDATE to fit, so a message that still does
+   not fit announces a single route whose attributes leave no room for
+   it (an eBGP re-export prepending the local AS can push a legal
+   4095-byte UPDATE over the limit).  That route goes to the peer as a
+   withdrawal: the peer must not keep a path it can no longer be told
+   about. *)
+let encode_out msg =
+  match Bgp_wire.Codec.encode_opt msg with
+  | Some wire -> (msg, wire)
+  | None ->
+    let msg =
+      Msg.withdrawal
+        (match msg with
+        | Msg.Update u -> u.Msg.withdrawn @ u.Msg.nlri
+        | _ -> [])
+    in
+    (msg, Bgp_wire.Codec.encode msg)
+
 (* Send a message to a peer, charging [proc] for the send path. *)
 let transmit t proc peer msg =
   let c = cost t in
-  let bytes = Bgp_wire.Codec.encoded_size msg in
+  let msg, wire = encode_out msg in
   let cycles =
-    c.Arch.cyc_per_msg_tx +. (float_of_int bytes *. c.Arch.cyc_per_byte)
+    c.Arch.cyc_per_msg_tx
+    +. (float_of_int (String.length wire) *. c.Arch.cyc_per_byte)
   in
   Sched.submit t.sched proc ~cycles (fun () ->
-      ignore (Session.send (link_session (link t peer)) msg))
+      ignore (Session.send_encoded (link_session (link t peer)) msg wire))
 
 (* Flush a peer's MRAI buffer: withdrawals batched together, then
    announcements grouped by interned attribute handle (id-keyed instead
-   of structural hashing), each group one UPDATE.  Groups are emitted in
-   arena-id order, which is deterministic and independent of hash-table
-   iteration. *)
+   of structural hashing), each group as few UPDATEs as fit.  Groups are
+   emitted in arena-id order, which is deterministic and independent of
+   hash-table iteration. *)
 let rec mrai_flush t lnk =
   let withdrawn = ref [] in
   let groups = Interned.Tbl.create 8 in
@@ -308,13 +358,13 @@ let rec mrai_flush t lnk =
     lnk.mrai_pending;
   Hashtbl.reset lnk.mrai_pending;
   let msgs =
-    (if !withdrawn = [] then [] else [ Msg.withdrawal !withdrawn ])
+    List.map Msg.withdrawal (chunks ~room:update_room !withdrawn)
     @ (Interned.Tbl.fold
          (fun interned prefixes acc -> (interned, prefixes) :: acc)
          groups []
       |> List.sort (fun (a, _) (b, _) -> Interned.compare_id a b)
-      |> List.map (fun (interned, prefixes) ->
-             Msg.announcement_interned interned prefixes))
+      |> List.concat_map (fun (interned, prefixes) ->
+             announcements interned prefixes))
   in
   if msgs <> [] then begin
     List.iter (fun msg -> transmit t t.tx_proc lnk.peer msg) msgs;
@@ -372,39 +422,25 @@ let announcement_msgs anns =
     anns
 
 (* Pack a full-table export (Phase 2) into large UPDATEs: consecutive
-   announcements sharing an attribute handle ride in one message (the
-   shared-attrs check is an O(1) arena-id comparison). *)
+   announcements sharing an attribute handle ride together (the
+   shared-attrs check is an O(1) arena-id comparison), at most 200
+   prefixes and {!Msg.max_len} bytes per message. *)
 let pack_export anns =
-  let max_per_msg = 200 in
-  let rec go acc current_attrs current_prefixes = function
-    | [] ->
-      let acc =
-        if current_prefixes = [] then acc
-        else
-          match current_attrs with
-          | Some interned ->
-            Msg.announcement_interned interned (List.rev current_prefixes)
-            :: acc
-          | None -> acc
-      in
-      List.rev acc
-    | (a : Rib_manager.announcement) :: rest -> (
-      match a.Rib_manager.ann_attrs with
-      | None -> go acc current_attrs current_prefixes rest
-      | Some interned -> (
-        match current_attrs with
-        | Some cur
-          when Interned.equal cur interned
-               && List.length current_prefixes < max_per_msg ->
-          go acc current_attrs (a.Rib_manager.ann_prefix :: current_prefixes) rest
-        | Some cur ->
-          go
-            (Msg.announcement_interned cur (List.rev current_prefixes) :: acc)
-            (Some interned)
-            [ a.Rib_manager.ann_prefix ] rest
-        | None -> go acc (Some interned) [ a.Rib_manager.ann_prefix ] rest))
+  let runs =
+    List.fold_left
+      (fun runs (a : Rib_manager.announcement) ->
+        match a.Rib_manager.ann_attrs, runs with
+        | None, _ -> runs
+        | Some interned, (cur, prefixes) :: rest
+          when Interned.equal cur interned ->
+          (cur, a.Rib_manager.ann_prefix :: prefixes) :: rest
+        | Some interned, _ -> (interned, [ a.Rib_manager.ann_prefix ]) :: runs)
+      [] anns
   in
-  go [] None [] anns
+  List.concat_map
+    (fun (interned, prefixes) ->
+      announcements ~max_count:200 interned (List.rev prefixes))
+    (List.rev runs)
 
 (* ------------------------------------------------------------------ *)
 (* The update pipeline                                                 *)
@@ -582,7 +618,6 @@ let on_update t peer_link (u : Msg.update) =
 (* Ship a full advertisement set to one peer, packed into large
    updates, charging per-prefix announcement-building cycles. *)
 let send_packed t peer_link anns =
-  let msgs = pack_export anns in
   let c = cost t in
   List.iter
     (fun msg ->
@@ -590,10 +625,11 @@ let send_packed t peer_link anns =
       let per_prefix =
         float_of_int (Msg.nlri_count msg) *. c.Arch.cyc_per_announcement
       in
+      let msg, wire = encode_out msg in
       Sched.submit t.sched t.tx_proc ~cycles:per_prefix (fun () ->
           t.inflight <- t.inflight - 1;
-          ignore (Session.send (link_session peer_link) msg)))
-    msgs
+          ignore (Session.send_encoded (link_session peer_link) msg wire)))
+    (pack_export anns)
 
 (* Phase 2: a peer reached Established; if we already hold routes, ship
    the full table.  The neighbor's AS and BGP identifier are taken from

@@ -1,14 +1,39 @@
 module Clock = Bgp_engine.Clock
 
-type job = { mutable remaining : float; on_done : unit -> unit }
+(* Every step — submit, recompute, completion — runs once per pipeline
+   stage per UPDATE, so the untraced path allocates nothing beyond the
+   completion event it re-issues: floats live in all-float records
+   (stored flat, so writes never box), procs in an array, water-filling
+   in preallocated scratch, and iteration in [for] loops.  The float
+   operations must keep their order: test/sched_ref.ml is the reference
+   model whose timings and accounting they match bit for bit. *)
+
+(* [Float.min]/[Float.max] with the stdlib's result for every non-NaN
+   input, inlined so no call boxes the arguments. *)
+let[@inline] fmin (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then x else y
+
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then y else x
+
+type meter = {
+  weight : float;
+  mutable rate : float;       (* core-equivalents currently allotted *)
+  mutable acc : float;        (* cycles consumed since last take_accounting *)
+  mutable remaining : float;  (* cycles the running job still needs *)
+}
+
+let nop () = ()
 
 type proc = {
   name : string;
-  weight : float;
-  queue : job Queue.t;
-  mutable current : job option;
-  mutable rate : float;  (* core-equivalents currently allotted *)
-  mutable acc : float;   (* cycles consumed since last take_accounting *)
+  m : meter;
+  (* FIFO ring of jobs, callbacks and cycle counts side by side; the
+     job at [head] is the running one. *)
+  mutable fns : (unit -> unit) array;
+  mutable cycles : Float.Array.t;
+  mutable head : int;
+  mutable len : int;
 }
 
 type trace_state = {
@@ -19,12 +44,10 @@ type trace_state = {
   mutable tr_last_occ : (string * float) list;
 }
 
-type t = {
-  clock : Clock.t;
+type cpu = {
   hz : float;
   pool : float;
   proc_cap : float;  (* one process <= one core *)
-  mutable procs : proc list;  (* registration order *)
   mutable int_demand : float; (* cycles/s *)
   mutable int_rate : float;   (* core-equivalents *)
   mutable int_acc : float;
@@ -34,22 +57,38 @@ type t = {
   mutable fwd_acc : float;
   mutable last_settle : float;
   mutable acc_started : float;
-  mutable completion : Clock.handle option;
+}
+
+type t = {
+  clock : Clock.t;
+  c : cpu;
+  mutable procs : proc array;  (* registration order *)
+  (* Water-filling scratch, one slot per claimant: forwarding, then
+     the runnable procs in registration order. *)
+  mutable caps : Float.Array.t;
+  mutable wts : Float.Array.t;
+  mutable alloc : Float.Array.t;
+  mutable active : bool array;
+  mutable finished : (unit -> unit) array;  (* one completion per proc *)
+  mutable completion : Clock.handle;  (* the last one issued *)
+  mutable fire : unit -> unit;        (* its callback, built once *)
   mutable trace : trace_state option;
 }
 
-let create clock ~hz ~pool =
-  if hz <= 0.0 then invalid_arg "Sched.create: hz must be positive";
-  if pool <= 0.0 then invalid_arg "Sched.create: pool must be positive";
-  { clock; hz; pool; proc_cap = 1.0; procs = []; int_demand = 0.0;
-    int_rate = 0.0; int_acc = 0.0; fwd_demand = 0.0; fwd_weight = 8.0;
-    fwd_rate = 0.0; fwd_acc = 0.0; last_settle = 0.0; acc_started = 0.0;
-    completion = None; trace = None }
+let no_event = Clock.handle ~cancel:nop ~cancelled:(fun () -> false)
 
 let add_proc t ?(weight = 1.0) name =
-  let p = { name; weight; queue = Queue.create (); current = None; rate = 0.0;
-            acc = 0.0 } in
-  t.procs <- t.procs @ [ p ];
+  let p =
+    { name; m = { weight; rate = 0.0; acc = 0.0; remaining = 0.0 };
+      fns = [||]; cycles = Float.Array.create 0; head = 0; len = 0 }
+  in
+  t.procs <- Array.append t.procs [| p |];
+  let n = Array.length t.procs in
+  t.caps <- Float.Array.make (n + 1) 0.0;
+  t.wts <- Float.Array.make (n + 1) 0.0;
+  t.alloc <- Float.Array.make (n + 1) 0.0;
+  t.active <- Array.make (n + 1) false;
+  t.finished <- Array.append t.finished [| nop |];
   p
 
 let proc_name p = p.name
@@ -72,93 +111,137 @@ let trace_track ts name =
     Hashtbl.add ts.tr_tracks name tk;
     tk
 
-let queue_length _t p =
-  Queue.length p.queue + (match p.current with Some _ -> 1 | None -> 0)
+let queue_length _t p = p.len
+let busy _t p = p.len > 0
 
-let busy _t p = p.current <> None
+let push p cycles fn =
+  let cap = Array.length p.fns in
+  if p.len = cap then begin
+    let cap' = max 4 (2 * cap) in
+    let fns = Array.make cap' nop and cyc = Float.Array.make cap' 0.0 in
+    for i = 0 to p.len - 1 do
+      let j = (p.head + i) mod cap in
+      fns.(i) <- p.fns.(j);
+      Float.Array.set cyc i (Float.Array.get p.cycles j)
+    done;
+    p.fns <- fns;
+    p.cycles <- cyc;
+    p.head <- 0
+  end;
+  let i = (p.head + p.len) mod Array.length p.fns in
+  p.fns.(i) <- fn;
+  Float.Array.set p.cycles i cycles;
+  p.len <- p.len + 1;
+  if p.len = 1 then p.m.remaining <- cycles
+
+(* Retire the running job and return its callback; the next queued job
+   (if any) starts with its full cycle count. *)
+let pop p =
+  let fn = p.fns.(p.head) in
+  p.fns.(p.head) <- nop;
+  p.head <- (p.head + 1) mod Array.length p.fns;
+  p.len <- p.len - 1;
+  if p.len > 0 then p.m.remaining <- Float.Array.get p.cycles p.head;
+  fn
 
 (* Charge elapsed virtual time against running jobs and accumulators. *)
 let settle t =
+  let c = t.c in
   let now = Clock.now t.clock in
-  let dt = now -. t.last_settle in
+  let dt = now -. c.last_settle in
   if dt > 0.0 then begin
-    List.iter
-      (fun p ->
-        match p.current with
-        | Some job when p.rate > 0.0 ->
-          let consumed = p.rate *. t.hz *. dt in
-          let consumed = Float.min consumed job.remaining in
-          job.remaining <- job.remaining -. consumed;
-          p.acc <- p.acc +. consumed
-        | _ -> ())
-      t.procs;
-    t.int_acc <- t.int_acc +. (t.int_rate *. t.hz *. dt);
-    t.fwd_acc <- t.fwd_acc +. (t.fwd_rate *. t.hz *. dt);
-    t.last_settle <- now
-  end
-  else t.last_settle <- now
+    for i = 0 to Array.length t.procs - 1 do
+      let p = t.procs.(i) in
+      let m = p.m in
+      if p.len > 0 && m.rate > 0.0 then begin
+        let consumed = fmin (m.rate *. c.hz *. dt) m.remaining in
+        m.remaining <- m.remaining -. consumed;
+        m.acc <- m.acc +. consumed
+      end
+    done;
+    c.int_acc <- c.int_acc +. (c.int_rate *. c.hz *. dt);
+    c.fwd_acc <- c.fwd_acc +. (c.fwd_rate *. c.hz *. dt)
+  end;
+  c.last_settle <- now
 
 (* Weighted max-min water-filling of [available] core-equivalents over
-   claimants (cap, weight). Returns the allocation per claimant. *)
-let water_fill available claimants =
-  let alloc = Array.make (Array.length claimants) 0.0 in
-  let active = Array.make (Array.length claimants) true in
+   the first [n] claimants of the scratch arrays ([caps], [wts]); the
+   allocation per claimant lands in [alloc]. *)
+let[@inline] water_fill t n available =
+  let caps = t.caps and wts = t.wts and alloc = t.alloc
+  and active = t.active in
+  for i = 0 to n - 1 do
+    Float.Array.set alloc i 0.0;
+    active.(i) <- true
+  done;
   let remaining = ref available in
   let continue = ref true in
   while !continue do
     continue := false;
     let wsum = ref 0.0 in
-    Array.iteri
-      (fun i (_, w) -> if active.(i) then wsum := !wsum +. w)
-      claimants;
+    for i = 0 to n - 1 do
+      if active.(i) then wsum := !wsum +. Float.Array.get wts i
+    done;
     if !wsum > 0.0 && !remaining > 1e-12 then begin
       let unit = !remaining /. !wsum in
       (* First pass: cap-limited claimants take their cap and leave. *)
       let capped = ref false in
-      Array.iteri
-        (fun i (cap, w) ->
-          if active.(i) && cap <= (w *. unit) +. 1e-15 then begin
-            alloc.(i) <- cap;
-            active.(i) <- false;
-            remaining := !remaining -. cap;
-            capped := true
-          end)
-        claimants;
+      for i = 0 to n - 1 do
+        let cap = Float.Array.get caps i in
+        if active.(i) && cap <= (Float.Array.get wts i *. unit) +. 1e-15
+        then begin
+          Float.Array.set alloc i cap;
+          active.(i) <- false;
+          remaining := !remaining -. cap;
+          capped := true
+        end
+      done;
       if !capped then continue := true
       else
         (* No claimant capped: split the remainder by weight. *)
-        Array.iteri
-          (fun i (_, w) ->
-            if active.(i) then begin
-              alloc.(i) <- w *. unit;
-              active.(i) <- false
-            end)
-          claimants
+        for i = 0 to n - 1 do
+          if active.(i) then begin
+            Float.Array.set alloc i (Float.Array.get wts i *. unit);
+            active.(i) <- false
+          end
+        done
     end
-  done;
-  alloc
+  done
 
 let rec recompute t =
   settle t;
+  let c = t.c in
   (* Interrupts first, absolutely. *)
-  t.int_rate <- Float.min t.pool (t.int_demand /. t.hz);
-  let available = t.pool -. t.int_rate in
+  c.int_rate <- fmin c.pool (c.int_demand /. c.hz);
+  let available = c.pool -. c.int_rate in
   (* Interrupt handling is spread across cores, so every core — in
      particular the one running the pipeline's bottleneck process —
      loses a proportional slice.  Without this, a multi-core system
      with spare capacity would shrug off interrupt load entirely,
      which is not what the paper's Xeon does (Fig. 5). *)
-  let proc_cap = t.proc_cap *. (1.0 -. (t.int_rate /. t.pool)) in
-  let runnable = List.filter (fun p -> p.current <> None) t.procs in
-  let claimants =
-    Array.of_list
-      ((t.fwd_demand /. t.hz, t.fwd_weight)
-      :: List.map (fun p -> (proc_cap, p.weight)) runnable)
-  in
-  let alloc = water_fill available claimants in
-  t.fwd_rate <- alloc.(0);
-  List.iteri (fun i p -> p.rate <- alloc.(i + 1)) runnable;
-  List.iter (fun p -> if p.current = None then p.rate <- 0.0) t.procs;
+  let proc_cap = c.proc_cap *. (1.0 -. (c.int_rate /. c.pool)) in
+  Float.Array.set t.caps 0 (c.fwd_demand /. c.hz);
+  Float.Array.set t.wts 0 c.fwd_weight;
+  let n = ref 1 in
+  for i = 0 to Array.length t.procs - 1 do
+    let p = t.procs.(i) in
+    if p.len > 0 then begin
+      Float.Array.set t.caps !n proc_cap;
+      Float.Array.set t.wts !n p.m.weight;
+      incr n
+    end
+  done;
+  water_fill t !n available;
+  c.fwd_rate <- Float.Array.get t.alloc 0;
+  let n = ref 1 in
+  for i = 0 to Array.length t.procs - 1 do
+    let p = t.procs.(i) in
+    if p.len > 0 then begin
+      p.m.rate <- Float.Array.get t.alloc !n;
+      incr n
+    end
+    else p.m.rate <- 0.0
+  done;
   (match t.trace with
   | None -> ()
   | Some ts ->
@@ -167,8 +250,8 @@ let rec recompute t =
        runnable set rarely changes between consecutive recomputes) and
        decimated by the tracer's sampling interval. *)
     let occ =
-      List.map (fun p -> (p.name, p.rate)) t.procs
-      @ [ ("interrupt", t.int_rate); ("forwarding", t.fwd_rate) ]
+      Array.fold_right (fun p acc -> (p.name, p.m.rate) :: acc) t.procs
+        [ ("interrupt", c.int_rate); ("forwarding", c.fwd_rate) ]
     in
     if occ <> ts.tr_last_occ && Bgp_trace.Tracer.sim_hit ts.tr then begin
       ts.tr_last_occ <- occ;
@@ -176,42 +259,43 @@ let rec recompute t =
     end);
   reschedule_completion t
 
+(* The completion event is cancelled and re-issued on every recompute,
+   even when its instant does not move: its FIFO sequence number is part
+   of the event order the benchmark's outputs depend on. *)
 and reschedule_completion t =
-  Option.iter Clock.cancel t.completion;
-  t.completion <- None;
-  let next =
-    List.fold_left
-      (fun acc p ->
-        match p.current with
-        | Some job when p.rate > 0.0 ->
-          let eta = job.remaining /. (p.rate *. t.hz) in
-          (match acc with Some best when best <= eta -> acc | _ -> Some eta)
-        | _ -> acc)
-      None t.procs
-  in
-  match next with
-  | None -> ()
-  | Some eta ->
-    t.completion <-
-      Some (Clock.schedule t.clock ~delay:eta (fun () -> on_completion t))
+  Clock.cancel t.completion;
+  let hz = t.c.hz in
+  let best = ref 0.0 and found = ref false in
+  for i = 0 to Array.length t.procs - 1 do
+    let p = t.procs.(i) in
+    let m = p.m in
+    if p.len > 0 && m.rate > 0.0 then begin
+      let eta = m.remaining /. (m.rate *. hz) in
+      if not (!found && !best <= eta) then begin
+        best := eta;
+        found := true
+      end
+    end
+  done;
+  if !found then t.completion <- Clock.schedule t.clock ~delay:!best t.fire
 
+(* Completions fire from the clock's pump, never from inside a job
+   callback, so the [finished] scratch is never in use twice. *)
 and on_completion t =
-  t.completion <- None;
   settle t;
   (* Finish every job that has (numerically) run out of cycles. *)
-  let finished = ref [] in
+  let k = ref 0 in
   let went_idle = ref [] in
-  List.iter
-    (fun p ->
-      match p.current with
-      | Some job when job.remaining <= 1.0 ->
-        p.acc <- p.acc +. job.remaining;
-        job.remaining <- 0.0;
-        p.current <- Queue.take_opt p.queue;
-        if p.current = None then went_idle := p :: !went_idle;
-        finished := job :: !finished
-      | _ -> ())
-    t.procs;
+  for i = 0 to Array.length t.procs - 1 do
+    let p = t.procs.(i) in
+    let m = p.m in
+    if p.len > 0 && m.remaining <= 1.0 then begin
+      m.acc <- m.acc +. m.remaining;
+      t.finished.(!k) <- pop p;
+      incr k;
+      if p.len = 0 && Option.is_some t.trace then went_idle := p :: !went_idle
+    end
+  done;
   (match t.trace with
   | Some ts ->
     let now = Clock.now t.clock in
@@ -225,35 +309,52 @@ and on_completion t =
   (* Callbacks may submit new work (which recomputes again); run them
      after the scheduler state is consistent. *)
   recompute t;
-  List.iter (fun job -> job.on_done ()) (List.rev !finished)
+  for i = 0 to !k - 1 do
+    let fn = t.finished.(i) in
+    t.finished.(i) <- nop;
+    fn ()
+  done
+
+let create clock ~hz ~pool =
+  if hz <= 0.0 then invalid_arg "Sched.create: hz must be positive";
+  if pool <= 0.0 then invalid_arg "Sched.create: pool must be positive";
+  let t =
+    { clock;
+      c =
+        { hz; pool; proc_cap = 1.0; int_demand = 0.0; int_rate = 0.0;
+          int_acc = 0.0; fwd_demand = 0.0; fwd_weight = 8.0; fwd_rate = 0.0;
+          fwd_acc = 0.0; last_settle = 0.0; acc_started = 0.0 };
+      procs = [||]; caps = Float.Array.make 1 0.0;
+      wts = Float.Array.make 1 0.0; alloc = Float.Array.make 1 0.0;
+      active = [| false |]; finished = [||]; completion = no_event;
+      fire = nop; trace = None }
+  in
+  t.fire <- (fun () -> on_completion t);
+  t
 
 let submit t p ~cycles on_done =
-  let job = { remaining = Float.max cycles 0.0; on_done } in
-  let was_idle = p.current = None in
-  (match p.current with
-  | None -> p.current <- Some job
-  | Some _ -> Queue.add job p.queue);
+  push p (fmax cycles 0.0) on_done;
   (match t.trace with
-  | Some ts when was_idle ->
+  | Some ts when p.len = 1 ->
     if Bgp_trace.Tracer.sim_hit ts.tr then
       Bgp_trace.Tracer.proc_state ts.tr (trace_track ts p.name)
-        ~ts:(Clock.now t.clock) ~running:true
-        ~queue:(queue_length t p)
+        ~ts:(Clock.now t.clock) ~running:true ~queue:p.len
   | _ -> ());
   recompute t
 
 let set_interrupt_demand t ~cycles_per_sec =
-  t.int_demand <- Float.max 0.0 cycles_per_sec;
+  t.c.int_demand <- fmax 0.0 cycles_per_sec;
   recompute t
 
 let set_forwarding_demand t ?weight ~cycles_per_sec () =
-  Option.iter (fun w -> t.fwd_weight <- w) weight;
-  t.fwd_demand <- Float.max 0.0 cycles_per_sec;
+  Option.iter (fun w -> t.c.fwd_weight <- w) weight;
+  t.c.fwd_demand <- fmax 0.0 cycles_per_sec;
   recompute t
 
 let forwarding_ratio t =
-  if t.fwd_demand <= 0.0 then 1.0
-  else Float.min 1.0 (t.fwd_rate *. t.hz /. t.fwd_demand)
+  let c = t.c in
+  if c.fwd_demand <= 0.0 then 1.0
+  else fmin 1.0 (c.fwd_rate *. c.hz /. c.fwd_demand)
 
 type accounting = {
   acc_procs : (string * float) list;
@@ -264,17 +365,18 @@ type accounting = {
 
 let take_accounting t =
   settle t;
+  let c = t.c in
   let now = Clock.now t.clock in
   let result =
-    { acc_procs = List.map (fun p -> (p.name, p.acc)) t.procs;
-      acc_interrupt = t.int_acc; acc_forwarding = t.fwd_acc;
-      acc_elapsed = now -. t.acc_started }
+    { acc_procs = Array.to_list (Array.map (fun p -> (p.name, p.m.acc)) t.procs);
+      acc_interrupt = c.int_acc; acc_forwarding = c.fwd_acc;
+      acc_elapsed = now -. c.acc_started }
   in
-  List.iter (fun p -> p.acc <- 0.0) t.procs;
-  t.int_acc <- 0.0;
-  t.fwd_acc <- 0.0;
-  t.acc_started <- now;
+  Array.iter (fun p -> p.m.acc <- 0.0) t.procs;
+  c.int_acc <- 0.0;
+  c.fwd_acc <- 0.0;
+  c.acc_started <- now;
   result
 
-let total_pool t = t.pool
-let clock_hz t = t.hz
+let total_pool t = t.c.pool
+let clock_hz t = t.c.hz

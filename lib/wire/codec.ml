@@ -184,14 +184,9 @@ let encode_body b = function
     u8 b 0;
     u8 b safi
 
-let encode msg =
-  let body = Buffer.create 64 in
-  encode_body body msg;
+(* Header plus a body already checked to fit. *)
+let frame msg body =
   let total = Msg.header_len + Buffer.length body in
-  if total > Msg.max_len then
-    invalid_arg
-      (Printf.sprintf "Codec.encode: %s message of %d bytes exceeds %d"
-         (Msg.kind_name msg) total Msg.max_len);
   let b = Buffer.create total in
   for _ = 1 to 16 do
     Buffer.add_char b '\xFF'
@@ -206,6 +201,22 @@ let encode msg =
     | Msg.Route_refresh _ -> type_route_refresh);
   Buffer.add_buffer b body;
   Buffer.contents b
+
+let encode_opt msg =
+  let body = Buffer.create 64 in
+  encode_body body msg;
+  if Msg.header_len + Buffer.length body > Msg.max_len then None
+  else Some (frame msg body)
+
+let encode msg =
+  let body = Buffer.create 64 in
+  encode_body body msg;
+  let total = Msg.header_len + Buffer.length body in
+  if total > Msg.max_len then
+    invalid_arg
+      (Printf.sprintf "Codec.encode: %s message of %d bytes exceeds %d"
+         (Msg.kind_name msg) total Msg.max_len);
+  frame msg body
 
 let encoded_size msg = String.length (encode msg)
 

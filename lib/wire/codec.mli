@@ -13,6 +13,10 @@ val encode : Msg.t -> string
     {!Msg.max_len} bytes or contains unencodable fields (e.g. a hold
     time outside 16 bits). *)
 
+val encode_opt : Msg.t -> string option
+(** [Some (encode m)], or [None] when the wire image would exceed
+    {!Msg.max_len} bytes.  Other unencodable fields still raise. *)
+
 val encoded_size : Msg.t -> int
 (** [String.length (encode m)], without exposing the buffer. *)
 

@@ -396,6 +396,80 @@ let test_mrai_batches_advertisements () =
     (with_mrai.H.msgs_tx * 4 < without.H.msgs_tx)
 
 (* ------------------------------------------------------------------ *)
+(* UPDATEs the router builds fit in 4096 bytes                          *)
+(* ------------------------------------------------------------------ *)
+
+module Testbed = Bgpmark.Testbed
+module Speaker = Bgp_speaker.Speaker
+
+let slash24s n =
+  Array.init n (fun i ->
+      Bgp_addr.Prefix.make (Bgp_addr.Ipv4.of_int ((10 lsl 24) lor (i lsl 8))) 24)
+
+(* The speaker's workload attributes padded with [communities] distinct
+   communities (4 bytes each on the wire). *)
+let padded_attrs side ~path_len ~communities =
+  { (Testbed.attrs side ~path_len) with
+    Bgp_route.Attrs.communities =
+      List.init communities (fun i -> Bgp_route.Community.of_int32_value (i + 1))
+  }
+
+(* Speaker 1 watches speaker 0's routes arrive through the router. *)
+let with_oversize_rig ?mrai script =
+  Testbed.with_rig ?mrai Testbed.Sim ~timeout:600.0 ~speakers:2 Arch.xeon
+    (fun tb -> script tb tb.Testbed.sides.(0) tb.Testbed.sides.(1))
+
+let received side = Hashtbl.length (Speaker.received_prefix_set side.Testbed.speaker)
+
+(* With MRAI on, the timer collects 2000 /24s under one attribute set:
+   one UPDATE would need ~8 KB, so the flush must split the group. *)
+let test_mrai_flush_splits_by_size () =
+  with_oversize_rig ~mrai:1.0 (fun tb s0 s1 ->
+      Testbed.establish tb [ s0; s1 ];
+      ignore
+        (Speaker.announce s0.Testbed.speaker ~packing:500
+           ~attrs:(Testbed.attrs s0 ~path_len:2) (slash24s 2000));
+      Testbed.wait tb ~what:"speaker 1 learns the table" (fun () ->
+          received s1 = 2000);
+      Alcotest.(check bool) "several UPDATEs" true
+        (Speaker.updates_received s1.Testbed.speaker >= 3);
+      Alcotest.(check bool) "still established" true
+        (Speaker.established s1.Testbed.speaker))
+
+(* Each route's UPDATE alone is ~3.4 KB, so the full-table sync to a late
+   speaker cannot put 200 of them in one message. *)
+let test_full_table_sync_splits_by_size () =
+  with_oversize_rig (fun tb s0 s1 ->
+      Testbed.establish tb [ s0 ];
+      ignore
+        (Speaker.announce s0.Testbed.speaker ~packing:1
+           ~attrs:(padded_attrs s0 ~path_len:1 ~communities:850) (slash24s 300));
+      Testbed.wait tb ~what:"router learns the table" (Testbed.router_done tb 300);
+      Testbed.establish tb [ s1 ];
+      Testbed.wait tb ~what:"speaker 1 learns the table" (fun () ->
+          received s1 = 300);
+      Alcotest.(check int) "two size-bound UPDATEs" 2
+        (Speaker.updates_received s1.Testbed.speaker))
+
+(* A legal 4095-byte UPDATE grows past 4096 when the eBGP re-export
+   prepends the local AS: the route goes to speaker 1 as a withdrawal. *)
+let test_unfit_route_goes_as_withdrawal () =
+  with_oversize_rig (fun tb s0 s1 ->
+      Testbed.establish tb [ s0; s1 ];
+      let attrs = padded_attrs s0 ~path_len:2 ~communities:1011 in
+      let p = (slash24s 1).(0) in
+      Alcotest.(check int) "a maximum-size UPDATE" 4095
+        (Bgp_wire.Codec.encoded_size (Bgp_wire.Msg.announcement attrs [ p ]));
+      ignore (Speaker.announce s0.Testbed.speaker ~packing:1 ~attrs [| p |]);
+      Testbed.wait tb ~what:"speaker 1 hears of the route" (fun () ->
+          Speaker.withdrawals_received s1.Testbed.speaker = 1);
+      Alcotest.(check int) "router installed it" 1
+        (Bgp_fib.Fib.size (Bgp_router.Router.fib tb.Testbed.router));
+      Alcotest.(check int) "speaker 1 holds nothing" 0 (received s1);
+      Alcotest.(check bool) "still established" true
+        (Speaker.established s1.Testbed.speaker))
+
+(* ------------------------------------------------------------------ *)
 (* Route refresh end to end                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -534,6 +608,13 @@ let () =
           Alcotest.test_case "table file equals varied paths" `Quick
             test_table_file_matches_varied
         ] );
+      ( "update size",
+        [ Alcotest.test_case "MRAI flush splits by size" `Quick
+            test_mrai_flush_splits_by_size;
+          Alcotest.test_case "full-table sync splits by size" `Quick
+            test_full_table_sync_splits_by_size;
+          Alcotest.test_case "unfit route goes as a withdrawal" `Quick
+            test_unfit_route_goes_as_withdrawal ] );
       ( "route refresh",
         [ Alcotest.test_case "end to end" `Quick test_route_refresh_end_to_end ] );
       ( "table3",

@@ -490,6 +490,147 @@ let prop_sched_fifo_per_proc =
       Engine.run e;
       List.rev !order = List.init (List.length jobs) Fun.id)
 
+(* The zero-cycle pipeline chain of [Bgpmark.Sched_alloc]: only the
+   completion events the clock issues may allocate, so a job stays far
+   below the 262 words the list-based scheduler spent. *)
+let test_sched_step_alloc () =
+  let words = Bgpmark.Sched_alloc.words_per_job ~jobs:20_000 in
+  if words > 60.0 then
+    Alcotest.failf "scheduler step allocates %.1f words per job (bound 60)"
+      words
+
+(* Differential oracle: the scheduler against its frozen list-based
+   reference (sched_ref.ml) on random workloads — completion times and
+   order, event counts and accounting must agree bit for bit. *)
+type sched_op =
+  | Job of int * float * (int * float) option
+      (** proc, cycles, and a follow-up job its completion submits *)
+  | Interrupt of float
+  | Forwarding of float option * float
+  | Account
+
+module type SCHED = sig
+  type t
+  type proc
+
+  val create : Bgp_engine.Clock.t -> hz:float -> pool:float -> t
+  val add_proc : t -> ?weight:float -> string -> proc
+  val submit : t -> proc -> cycles:float -> (unit -> unit) -> unit
+  val set_interrupt_demand : t -> cycles_per_sec:float -> unit
+
+  val set_forwarding_demand :
+    t -> ?weight:float -> cycles_per_sec:float -> unit -> unit
+
+  val forwarding_ratio : t -> float
+  val queue_length : t -> proc -> int
+  val accounting : t -> (string * float) list * float * float * float
+end
+
+module Replay (S : SCHED) = struct
+  let run ~pool ~weights ops =
+    let e = Engine.create () in
+    let s = S.create (Engine.clock e) ~hz:1000.0 ~pool in
+    let procs =
+      Array.mapi (fun i w -> S.add_proc s ~weight:w (Printf.sprintf "p%d" i))
+        weights
+    in
+    let log = ref [] in
+    let note fmt = Printf.ksprintf (fun l -> log := l :: !log) fmt in
+    let account () =
+      let per_proc, irq, fwd, elapsed = S.accounting s in
+      note "acct@%h [%s] irq=%h fwd=%h el=%h ratio=%h q=%s" (Engine.now e)
+        (String.concat ";"
+           (List.map (fun (n, c) -> Printf.sprintf "%s=%h" n c) per_proc))
+        irq fwd elapsed (S.forwarding_ratio s)
+        (String.concat ","
+           (Array.to_list
+              (Array.map (fun p -> string_of_int (S.queue_length s p)) procs)))
+    in
+    List.iteri
+      (fun k (at, op) ->
+        ignore
+          (Engine.schedule_at e ~time:at (fun () ->
+               match op with
+               | Job (p, cycles, next) ->
+                 S.submit s procs.(p) ~cycles (fun () ->
+                     note "done %d@%h" k (Engine.now e);
+                     Option.iter
+                       (fun (q, c) ->
+                         S.submit s procs.(q) ~cycles:c (fun () ->
+                             note "next %d@%h" k (Engine.now e)))
+                       next)
+               | Interrupt cps -> S.set_interrupt_demand s ~cycles_per_sec:cps
+               | Forwarding (weight, cps) ->
+                 S.set_forwarding_demand s ?weight ~cycles_per_sec:cps ()
+               | Account -> account ())))
+      ops;
+    Engine.run e;
+    account ();
+    note "events %d" (Engine.dispatched e);
+    List.rev !log
+end
+
+module Lib_replay = Replay (struct
+  include Sched
+
+  let accounting s =
+    let a = take_accounting s in
+    (a.acc_procs, a.acc_interrupt, a.acc_forwarding, a.acc_elapsed)
+end)
+
+module Ref_replay = Replay (struct
+  include Sched_ref
+
+  let accounting s =
+    let a = take_accounting s in
+    (a.acc_procs, a.acc_interrupt, a.acc_forwarding, a.acc_elapsed)
+end)
+
+let gen_sched_workload =
+  let open QCheck2.Gen in
+  let cycles = oneof [ return 0.0; float_range 1.0 5000.0 ] in
+  let* pool = float_range 0.5 4.0 in
+  let* weights = array_size (int_range 1 6) (float_range 0.25 4.0) in
+  let proc = int_bound (Array.length weights - 1) in
+  let op =
+    frequency
+      [ (6, map3 (fun p c n -> Job (p, c, n)) proc cycles
+              (option (pair proc cycles)));
+        (1, map (fun c -> Interrupt c) (float_range 0.0 1500.0));
+        (1, map2 (fun w c -> Forwarding (w, c))
+              (option (float_range 1.0 16.0)) (float_range 0.0 3000.0));
+        (1, return Account) ]
+  in
+  let+ ops = list_size (int_range 1 40) (pair (float_range 0.0 10.0) op) in
+  (pool, weights, ops)
+
+let print_sched_workload (pool, weights, ops) =
+  Printf.sprintf "pool=%h weights=[%s] ops=[%s]" pool
+    (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") weights)))
+    (String.concat "; "
+       (List.map
+          (fun (at, op) ->
+            Printf.sprintf "%h:%s" at
+              (match op with
+              | Job (p, c, n) ->
+                Printf.sprintf "job p%d %h%s" p c
+                  (match n with
+                  | Some (q, c') -> Printf.sprintf " -> p%d %h" q c'
+                  | None -> "")
+              | Interrupt c -> Printf.sprintf "irq %h" c
+              | Forwarding (w, c) ->
+                Printf.sprintf "fwd %s %h"
+                  (match w with Some w -> Printf.sprintf "w=%h" w | None -> "-")
+                  c
+              | Account -> "account"))
+          ops))
+
+let prop_sched_matches_reference =
+  QCheck2.Test.make ~name:"scheduler matches the list-based reference"
+    ~count:300 ~print:print_sched_workload gen_sched_workload
+    (fun (pool, weights, ops) ->
+      Lib_replay.run ~pool ~weights ops = Ref_replay.run ~pool ~weights ops)
+
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -575,11 +716,14 @@ let () =
             test_sched_forwarding_moderate_unaffected;
           Alcotest.test_case "accounting" `Quick test_sched_accounting;
           Alcotest.test_case "zero-cycle job" `Quick test_sched_zero_cycle_job;
-          Alcotest.test_case "many jobs throughput" `Quick test_sched_many_jobs_throughput
+          Alcotest.test_case "many jobs throughput" `Quick test_sched_many_jobs_throughput;
+          Alcotest.test_case "zero-cycle step allocation bound" `Quick
+            test_sched_step_alloc
         ] );
       ( "sched-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sched_work_conserving; prop_sched_fifo_per_proc ] );
+          [ prop_sched_work_conserving; prop_sched_fifo_per_proc;
+            prop_sched_matches_reference ] );
       ( "trace",
         [ Alcotest.test_case "sampling" `Quick test_trace_sampling;
           Alcotest.test_case "interrupt series" `Quick test_trace_interrupt_series

@@ -167,7 +167,17 @@ let test_roundtrip_big_update () =
   let w = Codec.encode m in
   Alcotest.(check bool) "fits in max size" true (String.length w <= Msg.max_len);
   Alcotest.check msg_testable "roundtrip" m (roundtrip m);
-  Alcotest.(check int) "count" 500 (Msg.nlri_count (roundtrip m))
+  Alcotest.(check int) "count" 500 (Msg.nlri_count (roundtrip m));
+  Alcotest.(check (option string)) "encode_opt agrees" (Some w)
+    (Codec.encode_opt m);
+  (* Past 4096 bytes there is no image: [encode_opt] says so, [encode]
+     raises. *)
+  let table = Bgp_addr.Prefix_gen.table ~seed:9 ~n:1100 () in
+  let over = Msg.announcement (attrs [ 65001; 65002 ]) (Array.to_list table) in
+  Alcotest.(check (option string)) "oversize" None (Codec.encode_opt over);
+  match Codec.encode over with
+  | _ -> Alcotest.fail "encode of an oversize UPDATE must raise"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Malformed input                                                     *)
