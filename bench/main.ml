@@ -101,9 +101,9 @@ let wire_tests =
 let nh = { Bgp_fib.Fib.nh_addr = ip "192.0.2.1"; nh_port = 0 }
 
 let patricia_build () =
-  let t = Bgp_fib.Patricia.create () in
+  let t = Bgp_lpm.Patricia.create () in
   Array.iter
-    (fun p -> ignore (Bgp_fib.Patricia.add ~equal:Bgp_fib.Fib.nexthop_equal t p nh))
+    (fun p -> ignore (Bgp_lpm.Patricia.add ~equal:Bgp_fib.Fib.nexthop_equal t p nh))
     table10k;
   t
 
@@ -130,7 +130,7 @@ let hash_full =
   h
 
 let dir_full =
-  Bgp_fib.Dir24_8.build (Array.to_list (Array.map (fun p -> (p, nh)) table10k))
+  Bgp_lpm.Dir24_8.build (Array.to_list (Array.map (fun p -> (p, nh)) table10k))
 
 let probe_addrs =
   Array.init 1024 (fun i ->
@@ -153,16 +153,16 @@ let fib_tests =
       (Staged.stage @@ fun () -> lookup_all (Bgp_fib.Fib.lookup fib_full));
     Test.make ~name:"fib/dir24-build-10k"
       (Staged.stage @@ fun () ->
-       Bgp_fib.Dir24_8.build
+       Bgp_lpm.Dir24_8.build
          (Array.to_list (Array.map (fun p -> (p, nh)) table10k)));
     Test.make ~name:"ablation-lpm/patricia-lookup-1k"
       (Staged.stage @@ fun () ->
-       lookup_all (Bgp_fib.Patricia.lookup patricia_full));
+       lookup_all (Bgp_lpm.Patricia.lookup patricia_full));
     Test.make ~name:"ablation-lpm/hashlpm-lookup-1k"
       (Staged.stage @@ fun () ->
        lookup_all (fun a -> Bgp_fib.Hash_lpm.lookup hash_full a));
     Test.make ~name:"ablation-lpm/dir24-lookup-1k"
-      (Staged.stage @@ fun () -> lookup_all (Bgp_fib.Dir24_8.lookup dir_full)) ]
+      (Staged.stage @@ fun () -> lookup_all (Bgp_lpm.Dir24_8.lookup dir_full)) ]
 
 (* Decision process and RIB machinery. *)
 let candidates =
@@ -469,7 +469,7 @@ let print_fault_smoke () =
    is a regression, >20% below means the code got better and the
    checked-in number is stale — both fail (exit 1) so the baseline always
    tracks reality. *)
-let alloc_gate ~unit name measured =
+let alloc_gate ?(line = 1) ~unit name measured =
   match List.find_opt Sys.file_exists [ "bench/" ^ name; name ] with
   | None -> Format.printf "  (no %s found; skipping regression gate)@.@." name
   | Some file ->
@@ -477,7 +477,11 @@ let alloc_gate ~unit name measured =
     let baseline =
       Fun.protect
         ~finally:(fun () -> close_in ic)
-        (fun () -> float_of_string (String.trim (input_line ic)))
+        (fun () ->
+          for _ = 2 to line do
+            ignore (input_line ic)
+          done;
+          float_of_string (String.trim (input_line ic)))
     in
     let upper = baseline *. 1.2 and lower = baseline /. 1.2 in
     Format.printf "  baseline %.0f %s (gate: %.0f .. %.0f)@.@." baseline unit
@@ -499,8 +503,10 @@ let alloc_gate ~unit name measured =
 
 (* Allocation-regression smoke: replay a 20k-prefix table through the
    receiver path with the arena on and gate Gc.allocated_bytes per
-   UPDATE; then run the CPU scheduler's zero-cycle pipeline chain and
-   gate its minor words per job. *)
+   UPDATE, over the whole replay (line 1 of alloc_baseline.txt) and over
+   its challenger phase alone (line 2), where no update changes a best;
+   then run the CPU scheduler's zero-cycle pipeline chain and gate its
+   minor words per job. *)
 let print_alloc_smoke () =
   let sweep = Bgpmark.Arena_sweep.run ~seed:42 [ 20_000 ] in
   let shared = List.hd sweep.Bgpmark.Arena_sweep.cells in
@@ -516,6 +522,8 @@ let print_alloc_smoke () =
     shared.Bgpmark.Arena_sweep.sw_chal_alloc_per_update
     shared.Bgpmark.Arena_sweep.sw_chal_tps;
   alloc_gate ~unit:"B/update" "alloc_baseline.txt" measured;
+  alloc_gate ~line:2 ~unit:"B/update" "alloc_baseline.txt"
+    shared.Bgpmark.Arena_sweep.sw_chal_alloc_per_update;
   let words = Bgpmark.Sched_alloc.words_per_job ~jobs:20_000 in
   Format.printf
     "Scheduler step (zero-cycle jobs, 4-process pipeline): %.0f words/job@."

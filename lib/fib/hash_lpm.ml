@@ -1,41 +1,48 @@
 module P = Bgp_addr.Prefix
-
-module H = Hashtbl.Make (struct
-  type t = P.t
-
-  let equal = P.equal
-  let hash = P.hash
-end)
+module X = Bgp_addr.Prefix_index
 
 type 'a t = {
-  table : 'a H.t;
+  index : X.t;
+  mutable values : 'a array;  (* id -> value; [X.capacity index] long *)
   counts : int array;  (* [counts.(l)]: stored prefixes of length [l] *)
 }
 
 type change = Unchanged | Replaced | Added
 
-let create () = { table = H.create 16; counts = Array.make 33 0 }
-let size t = H.length t.table
+(* The index never shrinks, so a withdraw allocates nothing. *)
+let create () = { index = X.create (); values = [||]; counts = Array.make 33 0 }
+let size t = X.size t.index
 
 let add ~equal t p v =
-  match H.find t.table p with
-  | old ->
-    if equal old v then Unchanged
+  let n = X.size t.index in
+  let id = X.add t.index p in
+  if id < n then
+    if equal t.values.(id) v then Unchanged
     else begin
-      (* Overwrites the binding in place: no allocation. *)
-      H.replace t.table p v;
+      t.values.(id) <- v;
       Replaced
     end
-  | exception Not_found ->
-    H.add t.table p v;
+  else begin
+    let cap = X.capacity t.index in
+    if Array.length t.values <> cap then begin
+      (* The new value fills the fresh tail; no slot past [size] is
+         ever read. *)
+      let values = Array.make cap v in
+      Array.blit t.values 0 values 0 n;
+      t.values <- values
+    end;
+    t.values.(id) <- v;
     let l = P.len p in
     t.counts.(l) <- t.counts.(l) + 1;
     Added
+  end
 
 let remove t p =
-  H.mem t.table p
+  let id = X.remove t.index p in
+  id >= 0
   && begin
-    H.remove t.table p;
+    (* The member that held the last id now holds [id]. *)
+    t.values.(id) <- t.values.(X.size t.index);
     let l = P.len p in
     t.counts.(l) <- t.counts.(l) - 1;
     true
@@ -47,26 +54,22 @@ let lookup t a =
     else if t.counts.(l) = 0 then go (l - 1)
     else
       let p = P.make a l in
-      match H.find t.table p with
-      | v -> Some (p, v)
-      | exception Not_found -> go (l - 1)
+      let id = X.find t.index p in
+      if id >= 0 then Some (p, t.values.(id)) else go (l - 1)
   in
   go 32
 
-(* The stored prefixes in ascending order, so that walks do not depend
-   on hash order or on the history of updates. *)
-let sorted_keys t =
-  let keys = Array.make (H.length t.table) P.default in
-  let i = ref 0 in
-  H.iter
-    (fun p _ ->
-      keys.(!i) <- p;
-      incr i)
-    t.table;
-  Array.sort P.compare keys;
-  keys
+(* The stored ids in ascending prefix order, so that walks do not
+   depend on probe order or on the history of updates. *)
+let sorted_ids t =
+  let ids = Array.init (X.size t.index) Fun.id in
+  Array.sort (fun i j -> P.compare (X.key t.index i) (X.key t.index j)) ids;
+  ids
 
-let iter f t = Array.iter (fun p -> f p (H.find t.table p)) (sorted_keys t)
+let iter f t =
+  Array.iter (fun id -> f (X.key t.index id) t.values.(id)) (sorted_ids t)
 
 let to_list t =
-  Array.fold_right (fun p acc -> (p, H.find t.table p) :: acc) (sorted_keys t) []
+  Array.fold_right
+    (fun id acc -> (X.key t.index id, t.values.(id)) :: acc)
+    (sorted_ids t) []

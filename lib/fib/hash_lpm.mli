@@ -1,7 +1,8 @@
 (** Exact-match prefix table with longest-prefix match: the structure
     behind the router's forwarding table ({!Fib}).
 
-    One hash table keyed by the immediate {!Bgp_addr.Prefix.t}, plus a
+    One open-addressing index ({!Bgp_addr.Prefix_index}) over the
+    immediate {!Bgp_addr.Prefix.t} with the values in a flat array, plus a
     count of stored prefixes per length.  Installing, replacing and
     withdrawing a route are exact-match hash operations, with no trie
     to descend.  A lookup probes, longest first, only the lengths that
@@ -9,7 +10,7 @@
     prefix lengths" family, without the binary search).
 
     Walks ({!iter}, {!to_list}) run in ascending
-    {!Bgp_addr.Prefix.compare} order, so they depend on neither hash
+    {!Bgp_addr.Prefix.compare} order, so they depend on neither probe
     order nor the history of updates. *)
 
 type 'a t
@@ -20,13 +21,14 @@ type change =
   | Added  (** the prefix is new: the table grew by one *)
 
 val create : unit -> 'a t
-(** Starts small: an empty table retains a few hundred bytes. *)
+(** Starts small: an empty table retains a few hundred bytes.  It never
+    shrinks, so {!remove} allocates nothing. *)
 
 val size : 'a t -> int
 
 val add : equal:('a -> 'a -> bool) -> 'a t -> Bgp_addr.Prefix.t -> 'a -> change
 (** Bind the prefix to the value, unless it is already bound to a value
-    [equal] to it.  Allocates only on [Added] (the new binding). *)
+    [equal] to it.  Allocates only when an [Added] grows the table. *)
 
 val remove : 'a t -> Bgp_addr.Prefix.t -> bool
 (** Remove the exact binding; [true] when one was removed. *)

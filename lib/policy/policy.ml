@@ -37,6 +37,7 @@ let name t = t.name
 let terms t = t.terms
 let accept_all = { name = "accept-all"; terms = []; default = `Accept }
 let reject_all = { name = "reject-all"; terms = []; default = `Reject }
+let is_accept_all = function { terms = []; default = `Accept; _ } -> true | _ -> false
 
 (* [matches_counted] threads [apply]'s work counter, so [matches] and
    [apply] share the evaluation logic instead of re-implementing it. *)

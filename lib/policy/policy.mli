@@ -56,6 +56,11 @@ val terms : t -> term list
 val accept_all : t
 (** The empty always-accept policy. *)
 
+val is_accept_all : t -> bool
+(** [true] when the policy accepts every route unchanged (no terms,
+    default accept): {!apply} would return [(Some r, 1)] for any [r], so
+    a caller may skip it and charge the one unit itself. *)
+
 val reject_all : t
 
 val eval : t -> Bgp_route.Route.t -> Bgp_route.Route.t option

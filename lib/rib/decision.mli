@@ -12,7 +12,9 @@
     + lowest MED, compared only between routes from the same
       neighboring AS (absent treated as 0, i.e. best);
     + EBGP-learned preferred over IBGP-learned;
-    + lowest peer BGP identifier;
+    + lowest BGP identifier: the route's ORIGINATOR_ID when it carries
+      one, else the advertising peer's (RFC 4456 §9);
+    + shortest CLUSTER_LIST (RFC 4456 §9);
     + lowest peer address (final deterministic tie-break). *)
 
 val default_local_pref : int
@@ -26,6 +28,7 @@ type rule =
   | Med
   | Ebgp_over_ibgp
   | Router_id
+  | Cluster_list
   | Peer_address
   | Identical
 
@@ -41,6 +44,16 @@ val compare_routes :
 val better :
   local_asn:Bgp_route.Asn.t -> Bgp_route.Route.t -> Bgp_route.Route.t -> bool
 
+val better_handle :
+  local_asn:Bgp_route.Asn.t ->
+  Bgp_route.Attrs.Interned.t -> Bgp_route.Peer.t ->
+  Bgp_route.Attrs.Interned.t -> Bgp_route.Peer.t ->
+  bool
+(** [better_handle ~local_asn ha fa hb fb] is {!better} on the routes
+    with attributes [ha] from [fa] and [hb] from [fb], without building
+    them: the same rule chain, and it allocates nothing.  The prefix
+    plays no part in the ranking. *)
+
 val select :
   local_asn:Bgp_route.Asn.t -> Bgp_route.Route.t list ->
   Bgp_route.Route.t option
@@ -52,5 +65,6 @@ val select :
     total order (MED comparability depends on the pair), the left fold
     is order-dependent; presenting the candidates in one fixed order is
     what keeps selection independent of update arrival order.
-    {!Bgp_rib.Rib_manager} iterates its Adj-RIBs-In in exactly this
-    order, so it never pays a per-call sort. *)
+    {!Bgp_rib.Rib_manager} runs this same left fold in place over its
+    stored handles with {!better_handle}, in exactly this order; this
+    list form is its reference. *)

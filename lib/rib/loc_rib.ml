@@ -1,16 +1,15 @@
 type t = Prefix_table.t
 
 let find t p =
-  let e = Prefix_table.find t p in
-  if e.Prefix_table.best == Prefix_table.no_route then None
-  else Some e.Prefix_table.best
+  let r = Prefix_table.best t (Prefix_table.find t p) in
+  if r == Prefix_table.no_route then None else Some r
 
 let size (t : t) = t.Prefix_table.routes
 
 let fold f t acc =
   Prefix_table.fold
-    (fun _ e acc ->
-      let r = e.Prefix_table.best in
+    (fun e acc ->
+      let r = Prefix_table.best t e in
       if r == Prefix_table.no_route then acc else f r acc)
     t acc
 

@@ -7,7 +7,7 @@
     one entry per prefix that holds the best route next to the locally
     originated route and every peer's Adj-RIB-In and Adj-RIB-Out
     handle, so the manager reaches all of a prefix's state with one
-    lookup.  Only {!Rib_manager} writes it.
+    probe.  Only {!Rib_manager} writes it.
 
     Note (paper §III.A): the Loc-RIB is distinct from the forwarding
     table — changes here are pushed into {!Bgp_fib.Fib} by a separate
@@ -18,10 +18,14 @@ type t = Prefix_table.t
 val find : t -> Bgp_addr.Prefix.t -> Bgp_route.Route.t option
 val size : t -> int
 val iter : (Bgp_route.Route.t -> unit) -> t -> unit
+(** In no particular order (the table's internal one). *)
+
 val fold : (Bgp_route.Route.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** In no particular order (the table's internal one). *)
+
 val to_list : t -> Bgp_route.Route.t list
-(** Sorted by prefix — dumps and fingerprints do not depend on
-    hash-table fold order. *)
+(** Sorted by prefix — dumps and fingerprints do not depend on the
+    table's walk order. *)
 
 val fingerprint : t -> string
 (** Hex digest over the prefix-sorted

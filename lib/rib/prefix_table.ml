@@ -1,91 +1,146 @@
-(* The one routing table of a {!Rib_manager}: an entry per prefix
-   holding the Loc-RIB best, the locally originated route and every
-   peer's Adj-RIB-In and Adj-RIB-Out handle, so a single hash lookup
-   reaches all of a prefix's routing state.  Private to the library:
-   elsewhere the table is read through {!Loc_rib} only. *)
+(* The one routing table of a {!Rib_manager}: per prefix, the Loc-RIB
+   best, the locally originated route and every peer's Adj-RIB-In and
+   Adj-RIB-Out handle, so a single probe reaches all of a prefix's
+   routing state.  Private to the library: elsewhere the table is read
+   through {!Loc_rib} only.
+
+   A {!Bgp_addr.Prefix_index} numbers the prefixes densely and the
+   payload lives in two flat arrays indexed by that id: the best routes,
+   and the handles at [stride] words per entry.  An entry is its id: it
+   stays valid across inserts and until the next removal, which moves
+   the last entry into the freed id. *)
 
 module R = Bgp_route.Route
 module I = Bgp_route.Attrs.Interned
+module X = Bgp_addr.Prefix_index
 
-module H = Hashtbl.Make (struct
-  type t = Bgp_addr.Prefix.t
+type entry = int
 
-  let equal = Bgp_addr.Prefix.equal
-  let hash = Bgp_addr.Prefix.hash
-end)
-
-(* Empty fields hold sentinels rather than options, so an entry costs
-   no box per slot. *)
-type entry = {
-  mutable best : R.t;  (* the Loc-RIB route; [no_route] when none *)
-  mutable local : I.t;  (* locally originated; [I.none] when none *)
-  mutable slots : I.t array;
-      (* [2s]: Adj-RIB-In, [2s+1]: Adj-RIB-Out of the peer in slot [s];
-         [I.none] when empty.  Entries made before a late peer was added
-         are shorter and grow on the first write to that peer's pair. *)
+type t = {
+  index : X.t;
+  mutable best : R.t array;  (* id -> the Loc-RIB route; [no_route] when none *)
+  mutable handles : I.t array;
+      (* [stride * id]: the local route; [stride * id + 1 + 2s] and
+         [+ 2 + 2s]: the Adj-RIB-In and Adj-RIB-Out of the peer in slot
+         [s].  [I.none] when empty. *)
+  mutable stride : int;  (* 1 + two per peer *)
+  mutable routes : int;  (* entries with a best *)
 }
 
-type t = { entries : entry H.t; mutable routes : int (* entries with a best *) }
-
+(* Empty fields hold sentinels rather than options, so an entry costs
+   no box per field.  Payload past the last id is always empty, so a
+   fresh id starts empty. *)
 let no_route =
   R.of_interned ~prefix:Bgp_addr.Prefix.default ~interned:I.none
     ~from:Bgp_route.Peer.local
 
-(* What [find] returns for a prefix without an entry: every field
-   empty.  Only ever read — writers go through [find_or_add]. *)
-let absent = { best = no_route; local = I.none; slots = [||] }
+let create () =
+  { index = X.create ~shrink:true (); best = [||]; handles = [||]; stride = 1;
+    routes = 0 }
 
-let create () = { entries = H.create 16; routes = 0 }
-let find t p = try H.find t.entries p with Not_found -> absent
+(* Reallocate the payload arrays to the index's capacity, copying the
+   entries; [old_stride] is the layout of the current handle array. *)
+let relayout t ~old_stride =
+  let cap = X.capacity t.index and n = X.size t.index in
+  let best = Array.make cap no_route in
+  Array.blit t.best 0 best 0 (min n (Array.length t.best));
+  let handles = Array.make (cap * t.stride) I.none in
+  let width = min old_stride t.stride in
+  for id = 0 to min n (Array.length t.handles / old_stride) - 1 do
+    Array.blit t.handles (id * old_stride) handles (id * t.stride) width
+  done;
+  t.best <- best;
+  t.handles <- handles
 
-let find_or_add t p ~width =
-  try H.find t.entries p
-  with Not_found ->
-    let e = { best = no_route; local = I.none; slots = Array.make width I.none } in
-    H.add t.entries p e;
-    e
+(* Bring the payload arrays to the index's capacity after an insert or
+   a removal resized it, or after a lazy re-stride. *)
+let fit t =
+  let cap = X.capacity t.index in
+  if Array.length t.best <> cap || Array.length t.handles <> cap * t.stride then
+    relayout t ~old_stride:t.stride
 
-let slot e i =
-  if i < Array.length e.slots then Array.unsafe_get e.slots i else I.none
+(* Room for [peers] slot pairs per entry.  An empty table only records
+   the stride: its arrays are allocated by the first insert, so the many
+   routers of a topology that register peers before any route pay
+   nothing per peer. *)
+let set_peers t peers =
+  let stride = 1 + (2 * peers) in
+  if stride <> t.stride then begin
+    let old_stride = t.stride in
+    t.stride <- stride;
+    if X.size t.index = 0 then t.handles <- [||]
+    else relayout t ~old_stride
+  end
 
-let set_slot e i h ~width =
-  assert (e != absent);
-  if i >= Array.length e.slots then begin
-    let grown = Array.make width I.none in
-    Array.blit e.slots 0 grown 0 (Array.length e.slots);
-    e.slots <- grown
-  end;
-  e.slots.(i) <- h
+(* [-1] for a prefix without an entry; every read of it is empty. *)
+let find t p = X.find t.index p
 
-(* Only on an occupied slot, which always lies within the array. *)
-let clear_slot e i = e.slots.(i) <- I.none
+let find_or_add t p =
+  let e = X.add t.index p in
+  fit t;
+  e
+
+let prefix t e = X.key t.index e
+let best t e = if e < 0 then no_route else Array.unsafe_get t.best e
+
+let local t e =
+  if e < 0 then I.none else Array.unsafe_get t.handles (e * t.stride)
+
+let set_local t e h =
+  assert (e >= 0);
+  t.handles.(e * t.stride) <- h
+
+let slot t e i =
+  if e < 0 then I.none else Array.unsafe_get t.handles ((e * t.stride) + 1 + i)
+
+let set_slot t e i h =
+  assert (e >= 0);
+  t.handles.((e * t.stride) + 1 + i) <- h
+
+let clear_slot t e i = set_slot t e i I.none
 
 let set_best t e r =
-  if e.best == no_route then begin
-    t.routes <- t.routes + 1;
-    e.best <- r;
-    `New
-  end
-  else if R.equal e.best r then `Unchanged
-  else begin
-    e.best <- r;
-    `Changed
-  end
+  if t.best.(e) == no_route then t.routes <- t.routes + 1;
+  t.best.(e) <- r
 
 let clear_best t e =
-  e.best != no_route
+  e >= 0
+  && t.best.(e) != no_route
   && begin
     t.routes <- t.routes - 1;
-    e.best <- no_route;
+    t.best.(e) <- no_route;
     true
   end
 
-let is_empty e =
-  e.best == no_route && e.local == I.none
-  && Array.for_all (fun h -> h == I.none) e.slots
+let rec none_from handles i stop =
+  i = stop || (handles.(i) == I.none && none_from handles (i + 1) stop)
 
-(* Reclaim an entry left with no route of any kind. *)
-let remove_if_empty t p e = if is_empty e then H.remove t.entries p
+let is_empty t e =
+  best t e == no_route
+  && none_from t.handles (e * t.stride) ((e + 1) * t.stride)
 
-let iter f t = H.iter f t.entries
-let fold f t acc = H.fold f t.entries acc
+(* Reclaim an entry left with no route of any kind.  The last entry
+   moves into its id, and the table shrinks when it gets sparse. *)
+let remove_if_empty t e =
+  if e >= 0 && is_empty t e then begin
+    let id = X.remove t.index (X.key t.index e) in
+    let last = X.size t.index in
+    if id <> last then begin
+      t.best.(id) <- t.best.(last);
+      Array.blit t.handles (last * t.stride) t.handles (id * t.stride) t.stride
+    end;
+    t.best.(last) <- no_route;
+    Array.fill t.handles (last * t.stride) t.stride I.none;
+    fit t
+  end
+
+(* In id order.  [f] may write to entries but must not insert or remove
+   one. *)
+let fold f t acc =
+  let acc = ref acc in
+  for e = 0 to X.size t.index - 1 do
+    acc := f e !acc
+  done;
+  !acc
+
+let iter f t = fold (fun e () -> f e) t ()

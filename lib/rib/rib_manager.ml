@@ -17,6 +17,9 @@ type peer_state = {
   export : Policy.t;
   rr_client : bool;  (* route-reflection client (RFC 4456) *)
   mutable up : bool;  (* advertise to this peer? *)
+  mutable nh : Fib.nexthop;
+      (* the last next hop installed via this peer, shared by every FIB
+         entry that uses it until the address changes *)
 }
 
 type aggregate_config = {
@@ -39,12 +42,20 @@ type t = {
      every decision, so caching the order here removes the
      sort-per-walk that [fold_peer_states] used to pay. *)
   mutable peers_sorted : peer_state array;
-  mutable width : int;  (* slot array length: two per peer *)
+  local_ps : peer_state;  (* the source of locally originated routes *)
   incremental : bool;  (* enable the best-vs-challenger fast path *)
   aggregates : agg_state list;
   table : T.t;  (* the Adj-RIBs-In/Out, local routes and Loc-RIB *)
   export_memo : I.t I.Tbl.t;
       (* post-export-policy handle -> its plain EBGP rewrite *)
+  (* Scratch of the operation in progress, so the per-prefix path
+     returns no tuples: policy units spent, announcements built, and the
+     decision's winner and candidate count. *)
+  mutable work : int;
+  mutable anns : int;
+  mutable win : I.t;  (* [I.none] when no candidate survived import *)
+  mutable win_ps : peer_state;
+  mutable cands : int;
   (* Work counters live in a shared metrics registry so that a phase
      boundary ({!Bgp_stats.Metrics.reset_all}) clears RIB, router, and
      pipeline accounting together. *)
@@ -56,20 +67,27 @@ type t = {
   c_policy_units : M.counter;
 }
 
+let new_peer_state ?(import = Policy.accept_all) ?(export = Policy.accept_all)
+    ?(rr_client = false) ?(up = true) ~slot peer =
+  { peer; slot; adj_in = 0; adj_out = 0; import; export; rr_client; up;
+    nh = { Fib.nh_addr = Bgp_addr.Ipv4.zero; nh_port = peer.Peer.id } }
+
 let create ?(import = Policy.accept_all) ?(export = Policy.accept_all)
     ?(aggregates = []) ?cluster_id ?metrics ?(incremental = true) ~local_asn
     ~router_id () =
   let metrics =
     match metrics with Some m -> m | None -> M.create ()
   in
+  let local_ps = new_peer_state ~slot:(-1) Peer.local in
   { local_asn; router_id;
     cluster_id = Option.value ~default:router_id cluster_id;
     default_import = import; default_export = export;
-    peer_states = Hashtbl.create 16; peers_sorted = [||]; width = 0;
+    peer_states = Hashtbl.create 16; peers_sorted = [||]; local_ps;
     incremental;
     aggregates =
       List.map (fun agg_cfg -> { agg_cfg; agg_active = false }) aggregates;
     table = T.create (); export_memo = I.Tbl.create 8;
+    work = 0; anns = 0; win = I.none; win_ps = local_ps; cands = 0;
     c_updates_processed = M.counter metrics "rib.updates_processed";
     c_decisions_run = M.counter metrics "rib.decisions_run";
     c_decision_fastpath = M.counter metrics "rib.decision_fastpath";
@@ -88,25 +106,26 @@ let rebuild_peer_cache t =
   Array.sort (fun a b -> Peer.compare a.peer b.peer) arr;
   t.peers_sorted <- arr
 
-let add_peer ?import ?export ?(rr_client = false) ?(up = true) t peer =
+let add_peer ?import ?export ?rr_client ?up t peer =
   if Peer.is_local peer then invalid_arg "Rib_manager.add_peer: local pseudo-peer";
   if Hashtbl.mem t.peer_states peer.Peer.id then
     invalid_arg
       (Printf.sprintf "Rib_manager.add_peer: duplicate peer id %d" peer.Peer.id);
-  (* Slots are numbered in registration order; entries that predate
-     this peer grow their slot arrays on first write. *)
+  (* Slots are numbered in registration order; the table re-strides its
+     entries to make room for the new pair. *)
   let slot = Hashtbl.length t.peer_states in
   Hashtbl.replace t.peer_states peer.Peer.id
-    { peer; slot; adj_in = 0; adj_out = 0;
-      import = Option.value ~default:t.default_import import;
-      export = Option.value ~default:t.default_export export; rr_client; up };
-  t.width <- 2 * (slot + 1);
+    (new_peer_state
+       ~import:(Option.value ~default:t.default_import import)
+       ~export:(Option.value ~default:t.default_export export)
+       ?rr_client ?up ~slot peer);
+  T.set_peers t.table (slot + 1);
   rebuild_peer_cache t
 
 let peer_state t peer =
-  match Hashtbl.find_opt t.peer_states peer.Peer.id with
-  | Some ps -> ps
-  | None ->
+  match Hashtbl.find t.peer_states peer.Peer.id with
+  | ps -> ps
+  | exception Not_found ->
     invalid_arg (Printf.sprintf "Rib_manager: unknown peer id %d" peer.Peer.id)
 
 let rebind_peer t peer =
@@ -131,20 +150,20 @@ let adj_out_size t peer = (peer_state t peer).adj_out
 
 let in_slot ps = 2 * ps.slot
 let out_slot ps = (2 * ps.slot) + 1
-let holds_in t ps p = T.slot (T.find t.table p) (in_slot ps) != I.none
+let holds_in t ps p = T.slot t.table (T.find t.table p) (in_slot ps) != I.none
 
 (* Clear [ps]'s Adj-RIB-In entry for [e]; [false] when it held none. *)
-let remove_in ps e =
-  T.slot e (in_slot ps) != I.none
+let remove_in t ps e =
+  T.slot t.table e (in_slot ps) != I.none
   && begin
-    T.clear_slot e (in_slot ps);
+    T.clear_slot t.table e (in_slot ps);
     ps.adj_in <- ps.adj_in - 1;
     true
   end
 
-let remove_out ps e =
-  if T.slot e (out_slot ps) != I.none then begin
-    T.clear_slot e (out_slot ps);
+let remove_out t ps e =
+  if T.slot t.table e (out_slot ps) != I.none then begin
+    T.clear_slot t.table e (out_slot ps);
     ps.adj_out <- ps.adj_out - 1
   end
 
@@ -187,8 +206,14 @@ let pp_announcement ppf a =
   | None ->
     Format.fprintf ppf "to %a: withdraw %a" Peer.pp a.dest P.pp a.ann_prefix
 
+(* What [sync_adj_out] returns when the Adj-RIB-Out already holds the
+   desired state; compared with [==]. *)
+let no_ann = { dest = Peer.local; ann_prefix = P.default; ann_attrs = None }
+
+type change = [ `New | `Changed | `Unchanged | `Removed | `Absent | `Loop ]
+
 type outcome = {
-  adj_in_change : [ `New | `Changed | `Unchanged | `Removed | `Absent | `Loop ];
+  adj_in_change : change;
   loc_changed : bool;
   fib_deltas : Fib.delta list;
   announcements : announcement list;
@@ -200,48 +225,111 @@ let no_op_outcome =
   { adj_in_change = `Unchanged; loc_changed = false; fib_deltas = [];
     announcements = []; candidates = 0; policy_work = 0 }
 
+(* Outcomes that change nothing past the Adj-RIB-In are immutable
+   values shared by every update they describe, so the no-change paths
+   (the fast path, an unchanged or absent update, a decision that keeps
+   its best) allocate no record.  Counts at or above [shared_max] are
+   rare enough to pay for a fresh one. *)
+let shared_max = 8
+
+let changes : change array =
+  [| `New; `Changed; `Unchanged; `Removed; `Absent; `Loop |]
+
+let change_index : change -> int = function
+  | `New -> 0
+  | `Changed -> 1
+  | `Unchanged -> 2
+  | `Removed -> 3
+  | `Absent -> 4
+  | `Loop -> 5
+
+let shared_outcomes =
+  Array.init
+    (Array.length changes * shared_max * shared_max)
+    (fun i ->
+      { no_op_outcome with
+        adj_in_change = changes.(i / (shared_max * shared_max));
+        candidates = i / shared_max mod shared_max;
+        policy_work = i mod shared_max })
+
+let quiet_outcome change ~candidates ~policy_work =
+  if candidates < shared_max && policy_work < shared_max then
+    shared_outcomes.((((change_index change * shared_max) + candidates)
+                      * shared_max)
+                     + policy_work)
+  else { no_op_outcome with adj_in_change = change; candidates; policy_work }
+
 (* ------------------------------------------------------------------ *)
 (* Decision support                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let nexthop_of_route r =
-  { Fib.nh_addr = (R.attrs r).A.next_hop;
-    nh_port = (R.from r).Peer.id }
+(* The FIB next hop of a route from [ps] with next-hop address [addr]:
+   the peer's cached record while the address is unchanged. *)
+let nexthop ps addr =
+  if Bgp_addr.Ipv4.equal ps.nh.Fib.nh_addr addr then ps.nh
+  else begin
+    let nh = { Fib.nh_addr = addr; nh_port = ps.peer.Peer.id } in
+    ps.nh <- nh;
+    nh
+  end
 
-(* Candidates for [prefix] (entry [e]): the post-import-policy view of
-   every Adj-RIB-In entry, plus the local route.  Returns the candidate
-   list and the policy work expended.  Candidate routes are built from
-   the stored handles ({!R.of_interned}) — the decision hot path never
-   touches the arena.
+let same_nexthop r (nh : Fib.nexthop) =
+  Bgp_addr.Ipv4.equal (R.attrs r).A.next_hop nh.Fib.nh_addr
+  && (R.from r).Peer.id = nh.Fib.nh_port
 
-   The list comes out in stable source-peer order (local first, then
-   ascending peer id), which is {!Decision.select}'s precondition: the
-   ranking is not a total order (MED), so a fixed presentation order is
-   what keeps selection independent of update arrival order. *)
-let candidates_for t prefix e =
-  let work = ref 0 in
-  let cands = ref [] in
-  let arr = t.peers_sorted in
-  for i = Array.length arr - 1 downto 0 do
-    let ps = arr.(i) in
-    let interned = T.slot e (in_slot ps) in
-    if interned != I.none then begin
-      let r, units =
-        Policy.apply ps.import (R.of_interned ~prefix ~interned ~from:ps.peer)
-      in
-      work := !work + units;
-      match r with Some r' -> cands := r' :: !cands | None -> ()
+(* [r] through [policy]: the post-policy handle, or [I.none] when
+   rejected.  Adds the policy units to [t.work].  Callers test for
+   accept-all first: it costs one unit and needs no route. *)
+let apply_policy t policy r =
+  let r, units = Policy.apply policy r in
+  t.work <- t.work + units;
+  match r with Some r -> R.interned r | None -> I.none
+
+(* The post-import-policy view of the Adj-RIB-In handle [h] that [ps]
+   holds for [prefix]. *)
+let import t prefix ps h =
+  if Policy.is_accept_all ps.import then begin
+    t.work <- t.work + 1;
+    h
+  end
+  else apply_policy t ps.import (R.of_interned ~prefix ~interned:h ~from:ps.peer)
+
+(* The decision process in place: {!Decision.select}'s left fold over
+   the post-import candidates of [e] in stable source-peer order (the
+   local route, then [peers_sorted]), run on the stored handles with
+   {!Decision.better_handle}, so no candidate route or list is built.
+   Leaves the winner in [t.win]/[t.win_ps] ([I.none] when no candidate
+   survives) and the candidate count in [t.cands]. *)
+let decide t prefix e =
+  let local = T.local t.table e in
+  t.win <- local;
+  t.win_ps <- t.local_ps;
+  t.cands <- (if local == I.none then 0 else 1);
+  let peers = t.peers_sorted in
+  for i = 0 to Array.length peers - 1 do
+    let ps = Array.unsafe_get peers i in
+    let h = T.slot t.table e (in_slot ps) in
+    if h != I.none then begin
+      let h = import t prefix ps h in
+      if h != I.none then begin
+        t.cands <- t.cands + 1;
+        if
+          t.win == I.none
+          || Decision.better_handle ~local_asn:t.local_asn h ps.peer t.win
+               t.win_ps.peer
+        then begin
+          t.win <- h;
+          t.win_ps <- ps
+        end
+      end
     end
-  done;
-  if e.T.local != I.none then
-    cands := R.of_interned ~prefix ~interned:e.T.local ~from:Peer.local :: !cands;
-  (!cands, !work)
+  done
 
-(* Transform the best route for advertisement to [ps], or None when it
-   must not be advertised there (split horizon, communities, policy). *)
 (* Is [p] a strict more-specific of [agg]? *)
 let strict_under agg p =
   P.subsumes agg.agg_prefix p && P.len p > P.len agg.agg_prefix
+
+let has_aggregates t = match t.aggregates with [] -> false | _ :: _ -> true
 
 let suppressed_by_aggregate t p =
   List.exists
@@ -279,10 +367,14 @@ let ebgp_rewrite t h =
       memo_rewrite t h
     | exception Not_found -> memo_rewrite t h
 
-let export_route t ps best work =
+(* The handle to advertise [best] to [ps] with, or [I.none] when it must
+   not be advertised there (split horizon, aggregation, IBGP rules,
+   communities, policy).  Adds the export policy units to [t.work]. *)
+let export_route t ps best =
   let src = R.from best in
-  if Peer.equal src ps.peer then None
-  else if suppressed_by_aggregate t (R.prefix best) then None
+  if Peer.equal src ps.peer then I.none
+  else if has_aggregates t && suppressed_by_aggregate t (R.prefix best) then
+    I.none
   else begin
     let attrs = R.attrs best in
     let ebgp = not (Bgp_route.Asn.equal ps.peer.Peer.asn t.local_asn) in
@@ -305,120 +397,142 @@ let export_route t ps best work =
         if src_client || ps.rr_client then `Reflect else `Forbidden
       end
     in
-    if reflection = `Forbidden then None
-    else if
-      A.has_community Bgp_route.Community.no_advertise attrs
-      || (ebgp && A.has_community Bgp_route.Community.no_export attrs)
-    then None
-    else begin
-      let r, units = Policy.apply ps.export best in
-      work := !work + units;
-      match r with
-      | None -> None
-      | Some r ->
+    match reflection with
+    | `Forbidden -> I.none
+    | (`Plain | `Reflect) as reflection ->
+      if
+        A.has_community Bgp_route.Community.no_advertise attrs
+        || (ebgp && A.has_community Bgp_route.Community.no_export attrs)
+      then I.none
+      else begin
+        let h =
+          if Policy.is_accept_all ps.export then begin
+            t.work <- t.work + 1;
+            R.interned best
+          end
+          else apply_policy t ps.export best
+        in
         (* Untouched attributes reuse the route's handle; an EBGP
            rewrite is a memo lookup and only a reflection rewrite pays
            an arena lookup. *)
-        Some
-          (if ebgp then ebgp_rewrite t (R.interned r)
-           else
-             match reflection with
-             | `Reflect ->
-               (* RFC 4456 section 8: stamp the originator once, grow
-                  the cluster list on every reflection hop. *)
-               let attrs = R.attrs r in
-               I.intern
-                 { attrs with
-                   A.originator_id =
-                     Some
-                       (Option.value ~default:src.Peer.router_id
-                          attrs.A.originator_id);
-                   cluster_list = t.cluster_id :: attrs.A.cluster_list }
-             | `Plain | `Forbidden -> R.interned r)
-    end
+        if h == I.none then I.none
+        else if ebgp then ebgp_rewrite t h
+        else
+          match reflection with
+          | `Reflect ->
+            (* RFC 4456 section 8: stamp the originator once, grow the
+               cluster list on every reflection hop. *)
+            let attrs = I.value h in
+            I.intern
+              { attrs with
+                A.originator_id =
+                  Some
+                    (Option.value ~default:src.Peer.router_id
+                       attrs.A.originator_id);
+                cluster_list = t.cluster_id :: attrs.A.cluster_list }
+          | `Plain -> h
+      end
   end
 
-(* Diff desired advertisement against the Adj-RIB-Out slot of [e] and
-   produce the necessary announcement, updating the slot. *)
+(* Diff the desired advertisement ([I.none]: none) against [ps]'s
+   Adj-RIB-Out slot of [e], update the slot, and return the
+   announcement that makes the peer agree, or [no_ann]. *)
 let sync_adj_out t ps prefix e desired =
-  let old = T.slot e (out_slot ps) in
-  match desired with
-  | Some attrs ->
-    if old != I.none && I.equal old attrs then None
+  let old = T.slot t.table e (out_slot ps) in
+  if desired != I.none then
+    if old != I.none && I.equal old desired then no_ann
     else begin
       if old == I.none then ps.adj_out <- ps.adj_out + 1;
-      T.set_slot e (out_slot ps) attrs ~width:t.width;
-      Some { dest = ps.peer; ann_prefix = prefix; ann_attrs = desired }
+      T.set_slot t.table e (out_slot ps) desired;
+      { dest = ps.peer; ann_prefix = prefix; ann_attrs = Some desired }
     end
-  | None ->
-    if old == I.none then None
-    else begin
-      remove_out ps e;
-      Some { dest = ps.peer; ann_prefix = prefix; ann_attrs = None }
-    end
+  else if old == I.none then no_ann
+  else begin
+    remove_out t ps e;
+    { dest = ps.peer; ann_prefix = prefix; ann_attrs = None }
+  end
+
+(* Advertise [best] ([T.no_route]: withdraw) to every up peer from the
+   [i]-th on.  Peers go in ascending order — the order their rewrites
+   are interned in — and the list comes out in that order. *)
+let rec exports t prefix e best i =
+  if i = Array.length t.peers_sorted then []
+  else
+    let ps = t.peers_sorted.(i) in
+    if not ps.up then exports t prefix e best (i + 1)
+    else
+      let desired =
+        if best == T.no_route then I.none else export_route t ps best
+      in
+      let ann = sync_adj_out t ps prefix e desired in
+      if ann == no_ann then exports t prefix e best (i + 1)
+      else begin
+        t.anns <- t.anns + 1;
+        ann :: exports t prefix e best (i + 1)
+      end
+
+(* A decision that kept the best: reclaim the entry if nothing is left
+   in it. *)
+let kept t change e =
+  T.remove_if_empty t.table e;
+  M.add t.c_policy_units t.work;
+  quiet_outcome change ~candidates:t.cands ~policy_work:t.work
+
+(* A decision that moved the best to [best]: export it, then reclaim
+   the entry if nothing is left in it. *)
+let moved t change prefix e best fib_deltas =
+  M.incr t.c_loc_rib_changes;
+  t.anns <- 0;
+  let announcements = exports t prefix e best 0 in
+  T.remove_if_empty t.table e;
+  M.add t.c_announcements_emitted t.anns;
+  M.add t.c_policy_units t.work;
+  { adj_in_change = change; loc_changed = true; fib_deltas; announcements;
+    candidates = t.cands; policy_work = t.work }
 
 (* Re-run the decision process for [prefix] (entry [e]) and propagate
-   the result to Loc-RIB, FIB deltas, and Adj-RIBs-Out; reclaim the
-   entry if nothing is left in it. *)
-let redecide t prefix e =
+   the result to Loc-RIB, FIB deltas, and Adj-RIBs-Out.  [e] is not
+   valid afterwards: the entry may have been reclaimed.  A route is
+   built only for a winner that differs from the stored best. *)
+let redecide t change prefix e =
   M.incr t.c_decisions_run;
-  let cands, import_work = candidates_for t prefix e in
-  let best = Decision.select ~local_asn:t.local_asn cands in
-  let work = ref import_work in
-  let previous = e.T.best in
-  let loc_changed, fib_deltas =
-    match best with
-    | None ->
-      if T.clear_best t.table e then (true, [ Fib.Withdraw prefix ])
-      else (false, [])
-    | Some r ->
-      let nh = nexthop_of_route r in
-      (match T.set_best t.table e r with
-      | `Unchanged -> (false, [])
-      | `New -> (true, [ Fib.Add (prefix, nh) ])
-      | `Changed ->
-        (* The forwarding table only holds next hops: a best-route
-           change that keeps the next hop (e.g. same peer, new
-           attributes) does not touch the FIB — the distinction
-           scenarios 5/6 vs 7/8 hinge on. *)
-        if Fib.nexthop_equal (nexthop_of_route previous) nh then (true, [])
-        else (true, [ Fib.Replace (prefix, nh) ]))
-  in
-  if loc_changed then M.incr t.c_loc_rib_changes;
-  let announcements =
-    if not loc_changed then []
-    else
-      (* Exports run in ascending peer order — the order their rewrites
-         are interned in — and the list is reversed once at the end. *)
-      fold_peer_states t
-        (fun ps acc ->
-          if not ps.up then acc
-          else
-            let desired =
-              match best with
-              | None -> None
-              | Some r -> export_route t ps r work
-            in
-            match sync_adj_out t ps prefix e desired with
-            | Some ann -> ann :: acc
-            | None -> acc)
-        []
-      |> List.rev
-  in
-  T.remove_if_empty t.table prefix e;
-  M.incr ~by:(List.length announcements) t.c_announcements_emitted;
-  M.incr ~by:!work t.c_policy_units;
-  (loc_changed, fib_deltas, announcements, List.length cands, !work)
+  t.work <- 0;
+  decide t prefix e;
+  let win = t.win and ps = t.win_ps in
+  let previous = T.best t.table e in
+  if win == I.none then
+    if T.clear_best t.table e then
+      moved t change prefix e T.no_route [ Fib.Withdraw prefix ]
+    else kept t change e
+  else if
+    previous != T.no_route
+    && Peer.equal (R.from previous) ps.peer
+    && I.equal (R.interned previous) win
+  then kept t change e
+  else begin
+    let best = R.of_interned ~prefix ~interned:win ~from:ps.peer in
+    T.set_best t.table e best;
+    let nh = nexthop ps (I.value win).A.next_hop in
+    moved t change prefix e best
+      (if previous == T.no_route then [ Fib.Add (prefix, nh) ]
+       else if same_nexthop previous nh then
+         (* The forwarding table only holds next hops: a best-route
+            change that keeps the next hop (e.g. same peer, new
+            attributes) does not touch the FIB — the distinction
+            scenarios 5/6 vs 7/8 hinge on. *)
+         []
+       else [ Fib.Replace (prefix, nh) ])
+  end
 
-let set_local e attrs =
-  let old = e.T.local in
+let set_local t e attrs =
+  let old = T.local t.table e in
   if old == I.none then begin
-    e.T.local <- attrs;
+    T.set_local t.table e attrs;
     `New
   end
   else if I.equal old attrs then `Unchanged
   else begin
-    e.T.local <- attrs;
+    T.set_local t.table e attrs;
     `Changed
   end
 
@@ -462,7 +576,7 @@ let aggregate_attrs t agg contributors =
 (* Withdraw every exported more-specific of a freshly active
    summary-only aggregate (or re-export them on deactivation). *)
 let sweep_specifics t agg ~suppress =
-  let work = ref 0 in
+  t.work <- 0;
   let anns =
     fold_peer_states t
       (fun ps acc ->
@@ -474,11 +588,10 @@ let sweep_specifics t agg ~suppress =
               if not (strict_under agg p) then acc
               else
                 let desired =
-                  if suppress then None else export_route t ps best work
+                  if suppress then I.none else export_route t ps best
                 in
-                match sync_adj_out t ps p (T.find t.table p) desired with
-                | Some ann -> ann :: acc
-                | None -> acc)
+                let ann = sync_adj_out t ps p (T.find t.table p) desired in
+                if ann == no_ann then acc else ann :: acc)
             acc (Loc_rib.to_list t.table))
       []
     |> List.sort (fun a b ->
@@ -486,8 +599,8 @@ let sweep_specifics t agg ~suppress =
            | 0 -> P.compare a.ann_prefix b.ann_prefix
            | c -> c)
   in
-  M.incr ~by:!work t.c_policy_units;
-  M.incr ~by:(List.length anns) t.c_announcements_emitted;
+  M.add t.c_policy_units t.work;
+  M.add t.c_announcements_emitted (List.length anns);
   anns
 
 (* Re-evaluate one aggregate; returns the extra deltas/announcements it
@@ -497,34 +610,34 @@ let rec update_aggregate t ag =
   match aggregate_contributors t agg with
   | [] ->
     let e = T.find t.table agg.agg_prefix in
-    if e.T.local != I.none then begin
-      e.T.local <- I.none;
+    if T.local t.table e != I.none then begin
+      T.set_local t.table e I.none;
       ag.agg_active <- false;
-      let _, fd, ann, _, _ = redecide t agg.agg_prefix e in
+      let o = redecide t `Removed agg.agg_prefix e in
       let unsuppressed =
         if agg.agg_summary_only then sweep_specifics t agg ~suppress:false
         else []
       in
       let cfd, cann = eval_aggregates t agg.agg_prefix in
-      (fd @ cfd, ann @ unsuppressed @ cann)
+      (o.fib_deltas @ cfd, o.announcements @ unsuppressed @ cann)
     end
     else ([], [])
   | contributors -> (
     let attrs = I.intern (aggregate_attrs t agg contributors) in
-    let e = T.find_or_add t.table agg.agg_prefix ~width:t.width in
-    match set_local e attrs with
+    let e = T.find_or_add t.table agg.agg_prefix in
+    match set_local t e attrs with
     | `Unchanged -> ([], [])
-    | `New | `Changed ->
+    | (`New | `Changed) as c ->
       let newly_active = not ag.agg_active in
       ag.agg_active <- true;
-      let _, fd, ann, _, _ = redecide t agg.agg_prefix e in
+      let o = redecide t (c :> change) agg.agg_prefix e in
       let suppressed =
         if newly_active && agg.agg_summary_only then
           sweep_specifics t agg ~suppress:true
         else []
       in
       let cfd, cann = eval_aggregates t agg.agg_prefix in
-      (fd @ cfd, ann @ suppressed @ cann))
+      (o.fib_deltas @ cfd, o.announcements @ suppressed @ cann))
 
 (* Evaluate every configured aggregate that strictly covers [prefix].
    Terminates because an aggregate is strictly shorter than its
@@ -539,25 +652,18 @@ and eval_aggregates t prefix =
       else (fd, ann))
     ([], []) t.aggregates
 
-let finish t
-    (adj_in_change :
-      [ `New | `Changed | `Unchanged | `Removed | `Absent | `Loop ]) prefix e =
+let finish t (change : change) prefix e =
   M.incr t.c_updates_processed;
-  match adj_in_change with
-  | `Unchanged | `Absent ->
-    { no_op_outcome with adj_in_change }
-  | (`New | `Changed | `Removed | `Loop) as c ->
-    let loc_changed, fib_deltas, announcements, candidates, policy_work =
-      redecide t prefix e
-    in
-    if not loc_changed then
-      { adj_in_change = c; loc_changed; fib_deltas; announcements; candidates;
-        policy_work }
+  match change with
+  | `Unchanged | `Absent -> quiet_outcome change ~candidates:0 ~policy_work:0
+  | `New | `Changed | `Removed | `Loop ->
+    let o = redecide t change prefix e in
+    if (not o.loc_changed) || not (has_aggregates t) then o
     else
       let agg_deltas, agg_anns = eval_aggregates t prefix in
-      { adj_in_change = c; loc_changed;
-        fib_deltas = fib_deltas @ agg_deltas;
-        announcements = announcements @ agg_anns; candidates; policy_work }
+      { o with
+        fib_deltas = o.fib_deltas @ agg_deltas;
+        announcements = o.announcements @ agg_anns }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decision fast path                                      *)
@@ -585,39 +691,46 @@ let finish t
    untouched by construction (loc_changed is false), so aggregates
    need no re-evaluation either. *)
 
-let fast_outcome t change ~candidates ~policy_work =
+(* What the fast path returns when it cannot decide; compared with
+   [==]. *)
+let no_fast = { no_op_outcome with candidates = -1 }
+
+let fast_outcome t change ~candidates =
   M.incr t.c_updates_processed;
   M.incr t.c_decision_fastpath;
-  if policy_work > 0 then M.incr ~by:policy_work t.c_policy_units;
-  { adj_in_change = change; loc_changed = false; fib_deltas = [];
-    announcements = []; candidates; policy_work }
+  M.add t.c_policy_units t.work;
+  quiet_outcome change ~candidates ~policy_work:t.work
 
-(* [Some best] when [e]'s best comes from a strictly earlier source
-   than [ps] in decision order. *)
+(* [e]'s best when it comes from a strictly earlier source than [ps] in
+   decision order, else [T.no_route]. *)
 let earlier_best t ps e =
-  if not t.incremental then None
-  else
-    let best = e.T.best in
-    if best == T.no_route || Peer.compare (R.from best) ps.peer >= 0 then None
-    else Some best
+  let best = T.best t.table e in
+  if
+    t.incremental && best != T.no_route
+    && Peer.compare (R.from best) ps.peer < 0
+  then best
+  else T.no_route
 
 let try_fast_announce t ps prefix e interned change =
-  match earlier_best t ps e with
-  | None -> None
-  | Some best -> (
-    let challenger, work =
-      Policy.apply ps.import (R.of_interned ~prefix ~interned ~from:ps.peer)
-    in
-    match challenger with
-    | None -> Some (fast_outcome t change ~candidates:1 ~policy_work:work)
-    | Some c ->
-      if Decision.better ~local_asn:t.local_asn c best then None
-      else Some (fast_outcome t change ~candidates:2 ~policy_work:work))
+  let best = earlier_best t ps e in
+  if best == T.no_route then no_fast
+  else begin
+    t.work <- 0;
+    let challenger = import t prefix ps interned in
+    if challenger == I.none then fast_outcome t change ~candidates:1
+    else if
+      Decision.better_handle ~local_asn:t.local_asn challenger ps.peer
+        (R.interned best) (R.from best)
+    then no_fast
+    else fast_outcome t change ~candidates:2
+  end
 
 let try_fast_withdraw t ps e =
-  match earlier_best t ps e with
-  | None -> None
-  | Some _ -> Some (fast_outcome t `Removed ~candidates:0 ~policy_work:0)
+  if earlier_best t ps e == T.no_route then no_fast
+  else begin
+    t.work <- 0;
+    fast_outcome t `Removed ~candidates:0
+  end
 
 (* RFC 4456 section 8 loop protection: our own ORIGINATOR_ID or
    cluster id in an incoming route means a reflection loop. *)
@@ -638,17 +751,17 @@ let announce_one t ps ~looping prefix interned =
     (* AS loop (§9.1.2): the route is excluded from consideration; any
        older route from this peer for the prefix is dropped too. *)
     let e = T.find t.table prefix in
-    if remove_in ps e then finish t `Loop prefix e
+    if remove_in t ps e then finish t `Loop prefix e
     else begin
       M.incr t.c_updates_processed;
-      { no_op_outcome with adj_in_change = `Loop }
+      quiet_outcome `Loop ~candidates:0 ~policy_work:0
     end
   else
-    let e = T.find_or_add t.table prefix ~width:t.width in
-    let old = T.slot e (in_slot ps) in
+    let e = T.find_or_add t.table prefix in
+    let old = T.slot t.table e (in_slot ps) in
     if old != I.none && I.equal old interned then finish t `Unchanged prefix e
     else begin
-      T.set_slot e (in_slot ps) interned ~width:t.width;
+      T.set_slot t.table e (in_slot ps) interned;
       let change =
         if old == I.none then begin
           ps.adj_in <- ps.adj_in + 1;
@@ -656,9 +769,8 @@ let announce_one t ps ~looping prefix interned =
         end
         else `Changed
       in
-      match try_fast_announce t ps prefix e interned change with
-      | Some outcome -> outcome
-      | None -> finish t change prefix e
+      let o = try_fast_announce t ps prefix e interned change in
+      if o != no_fast then o else finish t change prefix e
     end
 
 let announce_interned t ~from prefix interned =
@@ -679,29 +791,25 @@ let announce_group t ~from ~each prefixes interned =
 let withdraw t ~from prefix =
   let ps = peer_state t from in
   let e = T.find t.table prefix in
-  if remove_in ps e then
-    match try_fast_withdraw t ps e with
-    | Some outcome -> outcome
-    | None -> finish t `Removed prefix e
+  if remove_in t ps e then
+    let o = try_fast_withdraw t ps e in
+    if o != no_fast then o else finish t `Removed prefix e
   else finish t `Absent prefix e
 
 let withdraw_local t ~prefix =
   let e = T.find t.table prefix in
-  if e.T.local != I.none then begin
-    e.T.local <- I.none;
+  if T.local t.table e != I.none then begin
+    T.set_local t.table e I.none;
     finish t `Removed prefix e
   end
   else begin
     M.incr t.c_updates_processed;
-    { no_op_outcome with adj_in_change = `Absent }
+    quiet_outcome `Absent ~candidates:0 ~policy_work:0
   end
 
 let inject_local_route t ~prefix ~attrs =
-  let e = T.find_or_add t.table prefix ~width:t.width in
-  finish t
-    (set_local e (I.intern attrs)
-      :> [ `New | `Changed | `Unchanged | `Removed | `Absent | `Loop ])
-    prefix e
+  let e = T.find_or_add t.table prefix in
+  finish t (set_local t e (I.intern attrs) :> change) prefix e
 
 let inject_local t ~prefix ~next_hop =
   inject_local_route t ~prefix
@@ -711,27 +819,29 @@ let set_peer_up t peer up = (peer_state t peer).up <- up
 
 let export_full t peer =
   let ps = peer_state t peer in
-  let work = ref 0 in
+  t.work <- 0;
   let anns =
     T.fold
-      (fun prefix e acc ->
-        let best = e.T.best in
+      (fun e acc ->
+        let best = T.best t.table e in
         if best == T.no_route then acc
         else
-          let desired = export_route t ps best work in
-          match sync_adj_out t ps prefix e desired with
-          | Some ann -> ann :: acc
-          | None -> acc)
+          let ann =
+            sync_adj_out t ps (T.prefix t.table e) e (export_route t ps best)
+          in
+          if ann == no_ann then acc else ann :: acc)
       t.table []
   in
-  M.incr ~by:!work t.c_policy_units;
-  M.incr ~by:(List.length anns) t.c_announcements_emitted;
+  M.add t.c_policy_units t.work;
+  M.add t.c_announcements_emitted (List.length anns);
   List.sort (fun a b -> P.compare a.ann_prefix b.ann_prefix) anns
 
 (* The prefixes whose entries [holds] for [ps], collected before any
    entry is cleared or reclaimed: the table is not mutated mid-walk. *)
 let held_prefixes t holds =
-  T.fold (fun p e acc -> if holds e then p :: acc else acc) t.table []
+  T.fold
+    (fun e acc -> if holds e then T.prefix t.table e :: acc else acc)
+    t.table []
 
 let refresh t peer =
   (* RFC 2918: forget what we believe the peer knows and resend. *)
@@ -739,9 +849,9 @@ let refresh t peer =
   List.iter
     (fun p ->
       let e = T.find t.table p in
-      remove_out ps e;
-      T.remove_if_empty t.table p e)
-    (held_prefixes t (fun e -> T.slot e (out_slot ps) != I.none));
+      remove_out t ps e;
+      T.remove_if_empty t.table e)
+    (held_prefixes t (fun e -> T.slot t.table e (out_slot ps) != I.none));
   export_full t peer
 
 let peer_down t peer =
@@ -751,52 +861,55 @@ let peer_down t peer =
     List.filter_map
       (fun p ->
         let e = T.find t.table p in
-        let held_in = remove_in ps e in
-        remove_out ps e;
+        let held_in = remove_in t ps e in
+        remove_out t ps e;
         if held_in then Some p
         else begin
-          T.remove_if_empty t.table p e;
+          T.remove_if_empty t.table e;
           None
         end)
       (held_prefixes t (fun e ->
-           T.slot e (in_slot ps) != I.none || T.slot e (out_slot ps) != I.none))
+           T.slot t.table e (in_slot ps) != I.none
+           || T.slot t.table e (out_slot ps) != I.none))
     |> List.sort P.compare
   in
   (* Entries are looked up again per decision: a decision can reclaim
-     an entry, and each prefix must be decided on the table's own. *)
+     an entry, which renumbers another. *)
   let loc_changed = ref false and deltas = ref [] and anns = ref [] in
   let candidates = ref 0 and policy_work = ref 0 in
   List.iter
     (fun prefix ->
-      let changed, fd, ann, c, w = redecide t prefix (T.find t.table prefix) in
-      loc_changed := !loc_changed || changed;
-      deltas := List.rev_append fd !deltas;
-      anns := List.rev_append ann !anns;
-      candidates := !candidates + c;
-      policy_work := !policy_work + w)
+      let o = redecide t `Removed prefix (T.find t.table prefix) in
+      loc_changed := !loc_changed || o.loc_changed;
+      deltas := List.rev_append o.fib_deltas !deltas;
+      anns := List.rev_append o.announcements !anns;
+      candidates := !candidates + o.candidates;
+      policy_work := !policy_work + o.policy_work)
     contributed;
-  M.incr ~by:(List.length contributed) t.c_updates_processed;
+  M.add t.c_updates_processed (List.length contributed);
   { adj_in_change = `Removed; loc_changed = !loc_changed;
     fib_deltas = List.rev !deltas; announcements = List.rev !anns;
     candidates = !candidates; policy_work = !policy_work }
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith ("Rib_manager: " ^^ fmt) in
+  let width = 2 * Array.length t.peers_sorted in
   let routes = ref 0 in
-  let held = Array.make t.width 0 in
+  let held = Array.make width 0 in
   T.iter
-    (fun p e ->
-      if T.is_empty e then fail "empty entry left for %s" (P.to_string p);
-      if Array.length e.T.slots > t.width then fail "slot array too wide";
-      if e.T.best != T.no_route then begin
+    (fun e ->
+      let p = T.prefix t.table e in
+      if T.find t.table p <> e then fail "index lost %s" (P.to_string p);
+      if T.is_empty t.table e then fail "empty entry left for %s" (P.to_string p);
+      let best = T.best t.table e in
+      if best != T.no_route then begin
         incr routes;
-        if not (P.equal (R.prefix e.T.best) p) then
-          fail "best for %s under %s"
-            (P.to_string (R.prefix e.T.best)) (P.to_string p)
+        if not (P.equal (R.prefix best) p) then
+          fail "best for %s under %s" (P.to_string (R.prefix best)) (P.to_string p)
       end;
-      Array.iteri
-        (fun i h -> if h != I.none then held.(i) <- held.(i) + 1)
-        e.T.slots)
+      for i = 0 to width - 1 do
+        if T.slot t.table e i != I.none then held.(i) <- held.(i) + 1
+      done)
     t.table;
   if !routes <> Loc_rib.size t.table then
     fail "Loc-RIB size %d, %d bests" (Loc_rib.size t.table) !routes;

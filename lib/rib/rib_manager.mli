@@ -9,14 +9,23 @@
     converts into CPU cycles.
 
     {b One entry per prefix.}  All three RIBs live in one prefix-keyed
-    table (read outside this library as {!Loc_rib}).  An entry holds
-    the Loc-RIB best, the locally originated route, and a slot array:
-    slot [2s] is the Adj-RIB-In handle and slot [2s+1] the Adj-RIB-Out
-    handle of the peer registered [s]-th.  Empty slots hold
-    {!Bgp_route.Attrs.Interned.none}, so a slot costs one word and no
-    box, and one lookup reaches a prefix's whole state.  The table
-    starts small and grows with the routes; an entry left with no best,
-    no local route and no occupied slot is removed.
+    table (read outside this library as {!Loc_rib}): a
+    {!Bgp_addr.Prefix_index} numbers the prefixes densely, and flat
+    arrays indexed by that number hold the Loc-RIB best, the locally
+    originated handle and, for the peer registered [s]-th, its
+    Adj-RIB-In and Adj-RIB-Out handles.  Empty fields hold
+    {!Bgp_route.Attrs.Interned.none}, so a field costs one word and no
+    box, and one probe reaches a prefix's whole state.  The table
+    starts small, grows with the routes and shrinks when sparse; an
+    entry left with no best, no local route and no occupied slot is
+    removed.
+
+    {b The decision in place.}  A decision runs {!Decision.select}'s
+    left fold over the stored handles ({!Decision.better_handle}) and
+    builds a route only for a winner that differs from the stored best,
+    which is kept when equal.  With accept-all policies, an update that
+    changes nothing past the Adj-RIB-In allocates nothing: its outcome
+    is a shared immutable value.
 
     {b Export memo.}  The plain EBGP rewrite (prepend the local AS,
     next-hop-self, drop LOCAL_PREF and MED) depends only on the
@@ -95,9 +104,10 @@ val add_peer :
     {!set_peer_up} when the session reaches Established.
 
     The peer gets the next free slot pair in the prefix table.  A peer
-    may be added after routes exist: entries made before it grow their
-    slot arrays on the first write to its pair.  Decisions still walk
-    the peers in {!Bgp_route.Peer.compare} order, whatever the slots.
+    may be added after routes exist: the table then re-strides its
+    entries (an empty table only records the new width).  Decisions
+    still walk the peers in {!Bgp_route.Peer.compare} order, whatever
+    the slots.
     @raise Invalid_argument if the peer id is already registered or the
     peer is {!Bgp_route.Peer.local}. *)
 

@@ -48,7 +48,13 @@ let add_community c t =
   if List.exists (Community.equal c) t.communities then t
   else { t with communities = List.merge Community.compare [ c ] t.communities }
 
-let has_community c t = List.exists (Community.equal c) t.communities
+(* A direct walk: [List.exists (Community.equal c)] would allocate a
+   closure on every export. *)
+let rec mem_community c = function
+  | [] -> false
+  | x :: rest -> Community.equal c x || mem_community c rest
+
+let has_community c t = mem_community c t.communities
 let prepend_as a t = { t with as_path = As_path.prepend a t.as_path }
 
 let equal a b =
@@ -139,6 +145,8 @@ type pref = {
   pr_origin : int;
   pr_med : int;
   pr_first_hop : Asn.t option;
+  pr_originator_id : int;
+  pr_cluster_len : int;
 }
 
 let pref_of t =
@@ -146,7 +154,12 @@ let pref_of t =
     pr_path_len = As_path.length t.as_path;
     pr_origin = origin_to_int t.origin;
     pr_med = Option.value ~default:0 t.med;
-    pr_first_hop = As_path.first_hop t.as_path }
+    pr_first_hop = As_path.first_hop t.as_path;
+    pr_originator_id =
+      (match t.originator_id with
+      | Some id -> Bgp_addr.Ipv4.to_int id
+      | None -> -1);
+    pr_cluster_len = List.length t.cluster_list }
 
 (* Rough heap footprint of one attribute record, in bytes: what a
    duplicate would have cost.  Blocks are (1 + fields) words, cons

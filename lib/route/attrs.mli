@@ -85,6 +85,10 @@ type pref = {
   pr_origin : int;            (** [origin_to_int]; lower preferred *)
   pr_med : int;               (** MED, defaulted to 0 *)
   pr_first_hop : Asn.t option; (** neighboring AS, for MED comparability *)
+  pr_originator_id : int;
+      (** ORIGINATOR_ID as an integer ({!Bgp_addr.Ipv4.to_int}), or -1
+          when absent *)
+  pr_cluster_len : int;       (** CLUSTER_LIST length (RFC 4456 §9) *)
 }
 
 val pref_of : t -> pref

@@ -46,10 +46,12 @@ let counter t name =
   register t (Counter c);
   c
 
-let incr ?(by = 1) c =
+let add c by =
   if by < 0 then
     invalid_arg (Printf.sprintf "Metrics.incr: negative step %d on %s" by c.c_name);
   ignore (Atomic.fetch_and_add c.c_value by)
+
+let incr ?(by = 1) c = add c by
 
 let value c = Atomic.get c.c_value
 let counter_name c = c.c_name

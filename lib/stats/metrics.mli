@@ -34,6 +34,10 @@ val incr : ?by:int -> counter -> unit
     @raise Invalid_argument if [by] is negative (counters are monotonic
     between resets). *)
 
+val add : counter -> int -> unit
+(** [add c n] is [incr ~by:n c] without the optional argument's box:
+    for per-prefix hot paths that must not allocate. *)
+
 val value : counter -> int
 val counter_name : counter -> string
 

@@ -352,6 +352,100 @@ let prop_gen_distinct_seeds_disjoint =
       in
       shared * 10 <= n)
 
+(* ------------------------------------------------------------------ *)
+(* Prefix_index against Stdlib.Hashtbl                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Keys whose probe starts at the last slot of a 1024-slot array, and so
+   (the home is the hash's high bits) at the last slot of every smaller
+   one too: they form one probe cluster that wraps the end of the array
+   at every size the test reaches, so inserts and backward-shift deletes
+   cross the wrap. *)
+let cluster_keys =
+  let rec go acc n i =
+    if n = 0 then Array.of_list (List.rev acc)
+    else
+      let p = Prefix.make (Ipv4.of_int (i lsl 8)) 24 in
+      if Prefix_index.home ~capacity:1024 p = 1023 then go (p :: acc) (n - 1) (i + 1)
+      else go acc n (i + 1)
+  in
+  go [] 24 0
+
+let index_keys =
+  Array.append cluster_keys
+    (Array.init 24 (fun i -> Prefix.make (Ipv4.of_int (0x0A000000 + (i lsl 12))) 20))
+
+type index_op = Ix_add of int | Ix_remove of int | Ix_find of int
+
+(* A growth phase biased to adds, then a phase biased to removes, so
+   every run grows the arrays and (with [~shrink:true]) shrinks them
+   again. *)
+let gen_index_ops =
+  QCheck2.Gen.(
+    let key = int_range 0 (Array.length index_keys - 1) in
+    let phase add remove =
+      list_size (int_range 0 150)
+        (frequency
+           [ (add, map (fun k -> Ix_add k) key);
+             (remove, map (fun k -> Ix_remove k) key);
+             (1, map (fun k -> Ix_find k) key) ])
+    in
+    let* grow = phase 6 1 in
+    let* drain = phase 1 6 in
+    return (grow @ drain))
+
+let prop_index_vs_hashtbl =
+  QCheck2.Test.make ~name:"prefix index agrees with Hashtbl" ~count:300
+    QCheck2.Gen.(pair bool gen_index_ops)
+    (fun (shrink, ops) ->
+      let t = Prefix_index.create ~shrink () in
+      let model = Hashtbl.create 64 in
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let check () =
+        let n = Prefix_index.size t in
+        if n <> Hashtbl.length model then fail "size %d, model %d" n (Hashtbl.length model);
+        if 2 * n > Prefix_index.slots t then fail "%d members in %d slots" n (Prefix_index.slots t);
+        if Prefix_index.capacity t < n then fail "capacity below size";
+        if shrink && n = 0 && (Prefix_index.capacity t, Prefix_index.slots t) <> (0, 8) then
+          fail "an emptied index kept its arrays";
+        Array.iter
+          (fun p ->
+            let id = Prefix_index.find t p in
+            if Hashtbl.mem model p then begin
+              if id < 0 || id >= n || not (Prefix.equal (Prefix_index.key t id) p) then
+                fail "%s: id %d" (Prefix.to_string p) id
+            end
+            else if id <> -1 then fail "%s: absent but found" (Prefix.to_string p))
+          index_keys
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Ix_add k ->
+            let p = index_keys.(k) in
+            let n = Prefix_index.size t in
+            let before = Prefix_index.find t p in
+            let id = Prefix_index.add t p in
+            if id <> (if before >= 0 then before else n) then fail "add: id %d" id;
+            Hashtbl.replace model p ()
+          | Ix_remove k ->
+            let p = index_keys.(k) in
+            let before = Prefix_index.find t p in
+            let n = Prefix_index.size t in
+            let last = if n > 0 then Some (Prefix_index.key t (n - 1)) else None in
+            let id = Prefix_index.remove t p in
+            if id <> before then fail "remove: id %d, held %d" id before;
+            Hashtbl.remove model p;
+            (* The member that held the last id now holds the freed one. *)
+            (match last with
+            | Some q when id >= 0 && not (Prefix.equal q p) ->
+              if Prefix_index.find t q <> id then fail "last member not renumbered"
+            | _ -> ())
+          | Ix_find _ -> ());
+          check ())
+        ops;
+      true)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -392,5 +486,6 @@ let () =
           prop_subsumes_partial_order; prop_split_partitions;
           prop_mem_first_last; prop_prefix_compare_lexicographic;
           prop_prefix_polymorphic_compare; prop_prefix_hash_formula;
-          prop_gen_same_seed_identical; prop_gen_distinct_seeds_disjoint ]
+          prop_gen_same_seed_identical; prop_gen_distinct_seeds_disjoint;
+          prop_index_vs_hashtbl ]
     ]

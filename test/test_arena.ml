@@ -94,9 +94,18 @@ let prop_wire_roundtrip =
       | Ok (Msg.Update { Msg.attrs = Some h'; _ }) -> h' == h
       | Ok _ | Error _ -> false)
 
+(* [gen_attrs] with the RFC 4456 reflection attributes, which only the
+   preference tuple reads. *)
+let gen_reflected_attrs =
+  QCheck2.Gen.(
+    let* a = gen_attrs in
+    let* originator_id = option (map Ipv4.of_int (int_range 1 3)) in
+    let* cluster_list = list_size (int_range 0 2) (map Ipv4.of_int (int_range 1 3)) in
+    return { a with A.originator_id; cluster_list })
+
 let prop_pref_memo =
   QCheck2.Test.make ~name:"memoized pref tuple matches direct reads"
-    ~count:1000 ~print:print_attrs gen_attrs (fun a ->
+    ~count:1000 ~print:print_attrs gen_reflected_attrs (fun a ->
       let p = I.pref (I.intern a) in
       p.A.pr_local_pref
       = Option.value ~default:A.default_local_pref a.A.local_pref
@@ -104,7 +113,10 @@ let prop_pref_memo =
       && p.A.pr_origin = A.origin_to_int a.A.origin
       && p.A.pr_med = Option.value ~default:0 a.A.med
       && Option.equal Asn.equal p.A.pr_first_hop
-           (As_path.first_hop a.A.as_path))
+           (As_path.first_hop a.A.as_path)
+      && p.A.pr_originator_id
+         = Option.fold ~none:(-1) ~some:Ipv4.to_int a.A.originator_id
+      && p.A.pr_cluster_len = List.length a.A.cluster_list)
 
 (* Reference implementation of the attribute-dependent decision steps,
    reading the raw records rather than the memoized tuples. *)

@@ -432,6 +432,41 @@ let ibgp_b =
 let ibgp_c =
   Peer.make ~id:12 ~asn:local_asn ~router_id:(ip "10.0.0.12") ~addr:(ip "10.0.0.12")
 
+(* RFC 4456 §9: between reflected routes the ORIGINATOR_ID stands in
+   for the advertising peer's BGP identifier, and a shorter CLUSTER_LIST
+   wins before the peer address is consulted.  In both pairs below, the
+   advertising peers' identifiers alone would pick the other route. *)
+let reflected ~from ~originator ~clusters =
+  R.make ~prefix:(pfx "10.0.0.0/8") ~from
+    ~attrs:
+      (A.make ~originator_id:(ip originator) ~cluster_list:(List.map ip clusters)
+         ~as_path:(As_path.of_asns [ asn 65100 ]) ~next_hop:(ip "10.9.9.9") ())
+
+let test_reflection_tie_breaks () =
+  (* ibgp_a has the lower router id, but ibgp_b's route originated at
+     the lower ORIGINATOR_ID. *)
+  let via_a = reflected ~from:ibgp_a ~originator:"10.1.0.9" ~clusters:[ "10.2.0.1" ]
+  and via_b = reflected ~from:ibgp_b ~originator:"10.1.0.3" ~clusters:[ "10.2.0.1" ] in
+  check_winner "originator id" Decision.Router_id via_b via_a;
+  (* One originator: the shorter reflection path wins, whatever the
+     advertising peers' identifiers. *)
+  let long = reflected ~from:ibgp_a ~originator:"10.1.0.3" ~clusters:[ "10.2.0.1"; "10.2.0.2" ]
+  and short = reflected ~from:ibgp_b ~originator:"10.1.0.3" ~clusters:[ "10.2.0.7" ] in
+  check_winner "cluster list" Decision.Cluster_list short long;
+  (* The manager's in-place decision ranks them the same way. *)
+  let t = Rib_manager.create ~local_asn ~router_id () in
+  Rib_manager.add_peer t ibgp_a;
+  Rib_manager.add_peer t ibgp_b;
+  List.iter
+    (fun (winner, loser) ->
+      List.iter
+        (fun r -> ignore (Rib_manager.announce t ~from:(R.from r) (R.prefix r) (R.attrs r)))
+        [ loser; winner ];
+      match Loc_rib.find (Rib_manager.loc_rib t) (pfx "10.0.0.0/8") with
+      | Some best -> Alcotest.(check bool) "manager agrees" true (R.equal best winner)
+      | None -> Alcotest.fail "no best")
+    [ (via_b, via_a); (short, long) ]
+
 let test_ibgp_no_readvertisement () =
   (* Base RFC 4271 rule: IBGP-learned routes never go to IBGP peers. *)
   let t = Rib_manager.create ~local_asn ~router_id () in
@@ -677,10 +712,21 @@ let gen_candidate =
     let* plen = int_range 1 5 in
     let* path = list_size (return plen) (int_range 1 65535) in
     let* origin = oneofl [ A.Igp; A.Egp; A.Incomplete ] in
+    (* Now and then a reflected route, for the RFC 4456 steps. *)
+    let* originator_id =
+      frequency
+        [ (3, return None);
+          (1, map (fun i -> Some (Bgp_addr.Ipv4.of_octets 10 1 0 i)) (int_range 1 6)) ]
+    in
+    let* cluster_list =
+      list_size (int_range 0 2) (map (Bgp_addr.Ipv4.of_octets 10 2 0) (int_range 1 3))
+    in
     return
-      (route ~prefix:"10.0.0.0/8" ~from:peer ~origin ?med ?local_pref:lp
-         ~nh:(Bgp_addr.Ipv4.to_string peer.Peer.addr)
-         path))
+      (R.make ~prefix:(pfx "10.0.0.0/8") ~from:peer
+         ~attrs:
+           (A.make ~origin ?med ?local_pref:lp ?originator_id ~cluster_list
+              ~as_path:(As_path.of_asns (List.map asn path))
+              ~next_hop:peer.Peer.addr ())))
 
 (* One route per peer, as in real adj-ins. *)
 let dedup_by_peer cands =
@@ -739,8 +785,9 @@ let prop_select_returns_maximal =
           cands)
 
 (* Reference implementation of the pre-straight-line [compare_routes]
-   (the rule/closure list it replaced), kept here verbatim so qcheck
-   can assert the rewrite changed allocation, not answers. *)
+   (the rule/closure list it replaced, since grown by the two RFC 4456
+   steps), so qcheck can assert the rewrite changed allocation, not
+   answers. *)
 let reference_compare_routes ~local_asn a b =
   let pa = R.pref a and pb = R.pref b in
   let steps =
@@ -766,8 +813,16 @@ let reference_compare_routes ~local_asn a b =
           Bool.compare (is_ebgp a) (is_ebgp b) );
       ( Decision.Router_id,
         fun () ->
-          Bgp_addr.Ipv4.compare (R.from b).Peer.router_id
-            (R.from a).Peer.router_id );
+          let bgp_id r =
+            Option.value ~default:(R.from r).Peer.router_id
+              (R.attrs r).A.originator_id
+          in
+          Bgp_addr.Ipv4.compare (bgp_id b) (bgp_id a) );
+      ( Decision.Cluster_list,
+        fun () ->
+          Int.compare
+            (List.length (R.attrs b).A.cluster_list)
+            (List.length (R.attrs a).A.cluster_list) );
       ( Decision.Peer_address,
         fun () ->
           Bgp_addr.Ipv4.compare (R.from b).Peer.addr (R.from a).Peer.addr )
@@ -791,61 +846,130 @@ let prop_compare_routes_matches_reference =
       let c', rule' = reference_compare_routes ~local_asn a b in
       c = c' && rule = rule')
 
-(* Differential check of the best-vs-challenger fast path: the same
-   random announce/withdraw/replace sequence driven through an
-   incremental manager and a full-rescan one must leave byte-identical
-   Loc-RIB fingerprints after every single operation.  First hops come
-   from a two-element set so MED-incomparability (same-first-hop MED
-   comparisons mixed with incomparable pairs) is exercised often. *)
+(* Differential check of the in-place decision and its best-vs-challenger
+   fast path: the same random sequence of announces, withdraws, local
+   routes and a late peer is driven through an incremental manager and a
+   full-rescan one, which must leave byte-identical Loc-RIB fingerprints
+   after every single operation; and each Loc-RIB best must be what
+   {!Decision.select} picks from the explicitly built candidate list.
+   First hops come from a two-element set so MED-incomparability
+   (same-first-hop MED comparisons mixed with incomparable pairs) is
+   exercised often, and each peer's import policy is drawn from a set
+   that rewrites LOCAL_PREF or MED, or rejects. *)
+type rib_op =
+  | Op_announce of int * int * A.t
+  | Op_withdraw of int * int
+  | Op_local of int * A.t option  (* inject, or withdraw with [None] *)
+  | Op_add_late  (* peer 0 joins: the highest slot, but first in order *)
+
+let prop_imports =
+  let term conds verdict = { Policy.term_name = "t"; conds; verdict } in
+  [| Policy.accept_all;
+     Policy.make ~name:"lp-via-701"
+       [ term [ Policy.Neighbor_as (asn 701) ] (Policy.Accept [ Policy.Set_local_pref 120 ]) ];
+     Policy.make ~name:"med-via-7018"
+       [ term [ Policy.Neighbor_as (asn 7018) ] (Policy.Accept [ Policy.Set_med 2 ]) ];
+     Policy.make ~name:"reject-short"
+       [ term [ Policy.Not (Policy.Path_len_at_least 2) ] Policy.Reject ] |]
+
+(* Mostly equal path lengths, origins and LOCAL_PREFs, so MED and the
+   peer order decide: the order-sensitive part of the ranking. *)
+let gen_prop_attrs nh =
+  QCheck2.Gen.(
+    let* first_hop = oneofl [ 7018; 701 ] in
+    let* med = option (int_range 0 3) in
+    let* lp = frequency [ (4, return None); (1, map Option.some (int_range 90 110)) ] in
+    let* tail = list_size (int_range 0 1) (int_range 1 60000) in
+    let* origin = frequencyl [ (4, A.Igp); (1, A.Egp); (1, A.Incomplete) ] in
+    return (attrs ~origin ?med ?local_pref:lp ~nh (first_hop :: tail)))
+
 let gen_rib_op =
   QCheck2.Gen.(
-    let* peer_idx = int_range 0 4 in
-    let* pfx_idx = int_range 0 2 in
-    let* kind = int_range 0 3 in
-    if kind = 0 then return (peer_idx, pfx_idx, None)
-    else
-      let* first_hop = oneofl [ 7018; 701 ] in
-      let* med = option (int_range 0 3) in
-      let* lp = option (int_range 90 110) in
-      let* tail = list_size (int_range 0 3) (int_range 1 60000) in
-      let* origin = oneofl [ A.Igp; A.Egp; A.Incomplete ] in
-      return (peer_idx, pfx_idx, Some (first_hop, med, lp, tail, origin)))
+    let* pi = int_range 0 4 in
+    let* xi = int_range 0 2 in
+    frequency
+      [ ( 6,
+          map
+            (fun a -> Op_announce (pi, xi, a))
+            (gen_prop_attrs (Bgp_addr.Ipv4.to_string (prop_peer pi).Peer.addr)) );
+        (3, return (Op_withdraw (pi, xi)));
+        (1, map (fun a -> Op_local (xi, a)) (option (gen_prop_attrs "192.0.2.254")));
+        (1, return Op_add_late) ])
 
 let prop_incremental_matches_full =
   QCheck2.Test.make ~name:"incremental selection matches full re-scan"
-    ~count:200
-    QCheck2.Gen.(list_size (int_range 1 40) gen_rib_op)
-    (fun ops ->
+    ~count:300
+    QCheck2.Gen.(
+      pair
+        (array_size (return 5) (int_range 0 (Array.length prop_imports - 1)))
+        (list_size (int_range 1 40) gen_rib_op))
+    (fun (imports, ops) ->
       let prefixes =
         [| pfx "10.0.0.0/8"; pfx "10.1.0.0/16"; pfx "203.0.113.0/24" |]
       in
-      let mk incremental =
-        let t = Rib_manager.create ~incremental ~local_asn ~router_id () in
-        for i = 0 to 4 do
-          Rib_manager.add_peer t (prop_peer i)
-        done;
-        t
+      let import i = prop_imports.(imports.(i)) in
+      let added = Array.make 5 false in
+      let managers =
+        List.map
+          (fun incremental -> Rib_manager.create ~incremental ~local_asn ~router_id ())
+          [ true; false ]
       in
-      let fast = mk true and full = mk false in
+      let add i =
+        added.(i) <- true;
+        List.iter
+          (fun t -> Rib_manager.add_peer ~import:(import i) t (prop_peer i))
+          managers
+      in
+      List.iter add [ 1; 2; 3; 4 ];
+      let adj_in = Array.init 5 (fun _ -> Hashtbl.create 4) in
+      let local = Array.make 3 None in
+      let expected xi =
+        let p = prefixes.(xi) in
+        Option.to_list
+          (Option.map (fun a -> R.make ~prefix:p ~attrs:a ~from:Peer.local) local.(xi))
+        @ List.filter_map
+            (fun i ->
+              match Hashtbl.find_opt adj_in.(i) p with
+              | Some a when added.(i) ->
+                Policy.eval (import i) (R.make ~prefix:p ~attrs:a ~from:(prop_peer i))
+              | _ -> None)
+            [ 0; 1; 2; 3; 4 ]
+        |> Decision.select ~local_asn
+      in
+      let each f = List.iter (fun t -> ignore (f t)) managers in
+      let step = function
+        | Op_add_late -> if not added.(0) then add 0
+        | Op_announce (pi, _, _) | Op_withdraw (pi, _) when not added.(pi) -> ()
+        | Op_announce (pi, xi, a) ->
+          Hashtbl.replace adj_in.(pi) prefixes.(xi) a;
+          each (fun t -> Rib_manager.announce t ~from:(prop_peer pi) prefixes.(xi) a)
+        | Op_withdraw (pi, xi) ->
+          Hashtbl.remove adj_in.(pi) prefixes.(xi);
+          each (fun t -> Rib_manager.withdraw t ~from:(prop_peer pi) prefixes.(xi))
+        | Op_local (xi, a) ->
+          local.(xi) <- a;
+          each (fun t ->
+              match a with
+              | Some attrs -> Rib_manager.inject_local_route t ~prefix:prefixes.(xi) ~attrs
+              | None -> Rib_manager.withdraw_local t ~prefix:prefixes.(xi))
+      in
       List.for_all
-        (fun (pi, xi, op) ->
-          let from = prop_peer pi in
-          let prefix = prefixes.(xi) in
-          (match op with
-          | Some (fh, med, lp, tail, origin) ->
-            let a =
-              attrs ~origin ?med ?local_pref:lp
-                ~nh:(Bgp_addr.Ipv4.to_string from.Peer.addr)
-                (fh :: tail)
-            in
-            ignore (Rib_manager.announce fast ~from prefix a);
-            ignore (Rib_manager.announce full ~from prefix a)
-          | None ->
-            ignore (Rib_manager.withdraw fast ~from prefix);
-            ignore (Rib_manager.withdraw full ~from prefix));
-          String.equal
-            (Loc_rib.fingerprint (Rib_manager.loc_rib fast))
-            (Loc_rib.fingerprint (Rib_manager.loc_rib full)))
+        (fun op ->
+          step op;
+          let fps =
+            List.map (fun t -> Loc_rib.fingerprint (Rib_manager.loc_rib t)) managers
+          in
+          List.for_all (String.equal (List.hd fps)) fps
+          && List.for_all
+               (fun xi ->
+                 match
+                   Loc_rib.find (Rib_manager.loc_rib (List.hd managers)) prefixes.(xi),
+                   expected xi
+                 with
+                 | None, None -> true
+                 | Some r, Some r' -> R.equal r r'
+                 | _ -> false)
+               [ 0; 1; 2 ])
         ops)
 
 (* And the fast path must actually fire: a losing challenger from a
@@ -1095,6 +1219,62 @@ let test_empty_manager_footprint () =
   if per > 4096 then
     Alcotest.failf "an empty 4-peer manager retains %d bytes (bound 4096)" per
 
+(* Minor-heap words the manager allocates per prefix, with three
+   accept-all EBGP peers as in perfbench's full-table workload.  An
+   UPDATE group is measured inside its [each] callback, from one prefix's
+   outcome to the next, so the group's own set-up (its iteration
+   closure, the loop guards) is not charged to any prefix; the callback
+   itself allocates nothing, since a float array stores unboxed. *)
+let group_words t ~from prefixes h =
+  let last = [| 0. |] and total = [| 0. |] and first = [| true |] in
+  Rib_manager.announce_group t ~from
+    ~each:(fun _ _ ->
+      let now = Gc.minor_words () in
+      if first.(0) then first.(0) <- false
+      else total.(0) <- total.(0) +. (now -. last.(0));
+      last.(0) <- Gc.minor_words ())
+    prefixes h;
+  total.(0) /. float_of_int (List.length prefixes - 1)
+
+let test_no_change_allocates_nothing () =
+  let n = 2000 in
+  let prefixes =
+    List.init n (fun i ->
+        Bgp_addr.Prefix.make (Bgp_addr.Ipv4.of_int ((i + 1) lsl 8)) 24)
+  in
+  let pa = prop_peer 1 and pb = prop_peer 2 in
+  let t = Rib_manager.create ~local_asn ~router_id () in
+  List.iter (fun i -> Rib_manager.add_peer t (prop_peer i)) [ 1; 2; 3 ];
+  let via p hops =
+    I.intern
+      (attrs ~nh:(Bgp_addr.Ipv4.to_string p.Peer.addr)
+         (List.init hops (fun _ -> Asn.to_int p.Peer.asn)))
+  in
+  let load = group_words t ~from:pa prefixes (via pa 1) in
+  let challenger = group_words t ~from:pb prefixes (via pb 2) in
+  let unchanged = group_words t ~from:pa prefixes (via pa 1) in
+  let failover =
+    let before = Gc.minor_words () in
+    List.iter
+      (fun p -> ignore (Sys.opaque_identity (Rib_manager.withdraw t ~from:pa p)))
+      prefixes;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  Rib_manager.check_invariants t;
+  Alcotest.(check int) "failed over to B" n (Rib_manager.adj_out_size t pa);
+  (* A changed best costs its route, an FIB delta, the announcements
+     and the outcome: about 36 words on load and 42 on failover. *)
+  let over =
+    List.filter_map
+      (fun (what, words, bound) ->
+        if words > bound then
+          Some (Printf.sprintf "%s: %.2f words per prefix (bound %.0f)" what words bound)
+        else None)
+      [ ("losing challenger", challenger, 0.); ("unchanged re-announce", unchanged, 0.);
+        ("load", load, 40.); ("failover", failover, 48.) ]
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 (* The EBGP rewrite the memo stands in for, computed directly. *)
 let plain_ebgp_rewrite a =
   { (A.prepend_as local_asn a) with
@@ -1293,6 +1473,8 @@ let () =
             test_withdraw_all_reclaims;
           Alcotest.test_case "empty manager footprint" `Quick
             test_empty_manager_footprint;
+          Alcotest.test_case "no-change path allocates nothing" `Quick
+            test_no_change_allocates_nothing;
           Alcotest.test_case "export memo" `Quick test_export_memo
         ] );
       ( "route reflection",
@@ -1305,7 +1487,8 @@ let () =
           Alcotest.test_case "reflection loop rejected" `Quick
             test_reflection_loop_rejected;
           Alcotest.test_case "ebgp route reaches ibgp" `Quick
-            test_ebgp_learned_goes_to_ibgp
+            test_ebgp_learned_goes_to_ibgp;
+          Alcotest.test_case "RFC 4456 tie-breaks" `Quick test_reflection_tie_breaks
         ] );
       ( "aggregation",
         [ Alcotest.test_case "activation with AS_SET" `Quick test_aggregate_activation;
