@@ -130,6 +130,52 @@ let scenarios_t =
 
 let resolve_scenarios = function [] -> Scenario.all | l -> l
 
+let crosscheck_t =
+  let doc =
+    "Run the scenario on each system in both sim and live (loopback TCP) \
+     mode and assert identical Loc-RIB fingerprints and verdicts; exits \
+     non-zero on divergence."
+  in
+  Arg.(value & flag & info [ "crosscheck" ] ~doc)
+
+(* Run every (scenario, system) cell, or with [crosscheck] run it in
+   both sim and live mode, and print the cells as text or JSON.
+   [extra] prints a command's own lines after a cell's text block.
+   Returns whether every cell passed. *)
+let run_cells ?(json = false) ?(crosscheck = false) ?(live = false)
+    ?(live_timeout = 120.0) ?(extra = fun _ _ -> ()) ~config archs scenarios =
+  let cells =
+    List.concat_map
+      (fun sc -> List.map (fun arch -> (arch, sc)) (resolve_archs archs))
+      scenarios
+  in
+  let print to_json pp cells =
+    if json then print_json (Bgp_stats.Json.List (List.map to_json cells))
+    else List.iter pp cells
+  in
+  if crosscheck then begin
+    let checks =
+      List.map
+        (fun (arch, sc) -> H.cross_validate ~config ~live_timeout arch sc)
+        cells
+    in
+    print H.crosscheck_json (Format.printf "%a@." H.pp_crosscheck) checks;
+    List.for_all H.crosscheck_ok checks
+  end
+  else begin
+    let config = apply_live live live_timeout config in
+    let runs =
+      List.map (fun (arch, sc) -> (arch, H.run ~config arch sc)) cells
+    in
+    print
+      (fun (_, r) -> H.result_json r)
+      (fun (arch, r) ->
+        Format.printf "%a@." H.pp_result r;
+        extra arch r)
+      runs;
+    List.for_all (fun (_, r) -> Result.is_ok r.H.verified) runs
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -244,17 +290,12 @@ let scenario_cmd =
            else config.H.cross_traffic);
         trace_interval = (if trace then Some 1.0 else None) }
     in
-    List.iter
-      (fun arch ->
-        let r = H.run ~config arch scenario in
-        Format.printf "%a@." H.pp_result r;
-        if trace then begin
-          let fig =
-            Bgpmark.Figures.cpu_run ~config ~cross_mbps:cross arch scenario
-          in
-          print_string (Bgpmark.Figures.render_cpu fig)
-        end)
-      (resolve_archs archs)
+    let extra arch r =
+      if trace then
+        print_string
+          Bgpmark.Figures.(render_cpu (cpu_figure ~cross_mbps:cross arch r))
+    in
+    if not (run_cells ~extra ~config archs [ scenario ]) then exit 1
   in
   let scenario =
     Arg.(required & pos 0 (some scenario_conv) None & info [] ~docv:"SCENARIO")
@@ -389,49 +430,32 @@ let faults_cmd =
       match scenarios with [] -> Scenario.adversarial | l -> l
     in
     let tracer = make_tracer trace_file trace_sample in
-    let failed = ref false in
-    let results =
-      List.concat_map
-        (fun scenario ->
-          List.map
-            (fun arch ->
-              let config =
-                apply_live live live_timeout
-                  { (config_of size packing seed) with
-                    H.fault_rounds = rounds; tracer;
-                    damping =
-                      (if damping then Some Bgp_rib.Damping.test_config
-                       else None) }
-              in
-              let r = H.run ~config arch scenario in
-              if Result.is_error r.H.verified then failed := true;
-              r)
-            (resolve_archs archs))
-        scenarios
+    let config =
+      { (config_of size packing seed) with
+        H.fault_rounds = rounds; tracer;
+        damping =
+          (if damping then Some Bgp_rib.Damping.test_config else None) }
     in
-    if json then
-      print_json (Bgp_stats.Json.List (List.map H.result_json results))
-    else
-      List.iter
-        (fun r ->
-          Format.printf "%a@." H.pp_result r;
-          Option.iter
-            (fun f ->
-              let pp_codes ppf codes =
-                Format.pp_print_list
-                  ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-                  (fun ppf (c, s) -> Format.fprintf ppf "%d/%d" c s)
-                  ppf codes
-              in
-              if f.H.fr_expected <> [] then
-                Format.printf
-                  "  expected NOTIFICATIONs (code/subcode): %a@.  answered \
-                   NOTIFICATIONs (code/subcode): %a@."
-                  pp_codes f.H.fr_expected pp_codes f.H.fr_answered)
-            r.H.faults)
-        results;
+    let pp_codes =
+      Format.pp_print_list
+        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+        (fun ppf (c, s) -> Format.fprintf ppf "%d/%d" c s)
+    in
+    let extra _ r =
+      Option.iter
+        (fun f ->
+          if f.H.fr_expected <> [] then
+            Format.printf
+              "  expected NOTIFICATIONs (code/subcode): %a@.  answered \
+               NOTIFICATIONs (code/subcode): %a@."
+              pp_codes f.H.fr_expected pp_codes f.H.fr_answered)
+        r.H.faults
+    in
+    let ok =
+      run_cells ~json ~live ~live_timeout ~extra ~config archs scenarios
+    in
     finish_trace ~quiet:json trace_file tracer;
-    if !failed then exit 1
+    if not ok then exit 1
   in
   let rounds =
     Arg.(
@@ -460,42 +484,19 @@ let faults_cmd =
       $ live_timeout_t)
 
 let mrt_cmd =
-  let run size packing seed file events speedup _replay archs json crosscheck
-      live live_timeout =
-    let scenario = Scenario.of_id_exn 13 in
+  let run size packing seed file events speedup archs json crosscheck live
+      live_timeout =
     let config =
       { (config_of size packing seed) with
         H.table_file = file;
         replay_events = Option.value events ~default:(-1);
         replay_speedup = speedup }
     in
-    if crosscheck then begin
-      let checks =
-        List.map
-          (fun arch -> H.cross_validate ~config ~live_timeout arch scenario)
-          (resolve_archs archs)
-      in
-      if json then
-        print_json (Bgp_stats.Json.List (List.map H.crosscheck_json checks))
-      else List.iter (fun xc -> Format.printf "%a@." H.pp_crosscheck xc) checks;
-      if not (List.for_all H.crosscheck_ok checks) then exit 1
-    end
-    else begin
-      let config = apply_live live live_timeout config in
-      let failed = ref false in
-      let results =
-        List.map
-          (fun arch ->
-            let r = H.run ~config arch scenario in
-            if Result.is_error r.H.verified then failed := true;
-            r)
-          (resolve_archs archs)
-      in
-      if json then
-        print_json (Bgp_stats.Json.List (List.map H.result_json results))
-      else List.iter (fun r -> Format.printf "%a@." H.pp_result r) results;
-      if !failed then exit 1
-    end
+    if
+      not
+        (run_cells ~json ~crosscheck ~live ~live_timeout ~config archs
+           [ Scenario.of_id_exn 13 ])
+    then exit 1
   in
   let file_t =
     let doc =
@@ -520,22 +521,6 @@ let mrt_cmd =
     in
     Arg.(value & opt (some float) None & info [ "speedup" ] ~docv:"X" ~doc)
   in
-  let replay_t =
-    let doc =
-      "Replay the update trace after the table load.  This is the default \
-       mode; the flag exists for explicit scripting (use --events 0 for a \
-       table-load-only run)."
-    in
-    Arg.(value & flag & info [ "replay" ] ~doc)
-  in
-  let crosscheck_t =
-    let doc =
-      "Run the replay in both sim and live (loopback TCP) mode and assert \
-       identical Loc-RIB fingerprints and verdicts; exits non-zero on \
-       divergence."
-    in
-    Arg.(value & flag & info [ "crosscheck" ] ~doc)
-  in
   Cmd.v
     (Cmd.info "mrt"
        ~doc:
@@ -544,13 +529,12 @@ let mrt_cmd =
           non-zero if verification fails")
     Term.(
       const run $ size_t $ packing_t $ seed_t $ file_t $ events_t $ speedup_t
-      $ replay_t $ archs_t $ json_t $ crosscheck_t $ live_t $ live_timeout_t)
+      $ archs_t $ json_t $ crosscheck_t $ live_t $ live_timeout_t)
 
 let churn_cmd =
   let module Subscriber = Bgp_speaker.Subscriber in
   let run subscribers batch batch_interval churn_rate churn_duration seed archs
       json metrics crosscheck live live_timeout =
-    let scenario = Scenario.of_id_exn 16 in
     let sub_cfg =
       { Subscriber.subscribers; batch; batch_interval; churn_rate;
         churn_duration; seed }
@@ -559,44 +543,19 @@ let churn_cmd =
       { H.default_config with
         H.table_size = subscribers; seed; churn = Some sub_cfg }
     in
-    if crosscheck then begin
-      let checks =
-        List.map
-          (fun arch -> H.cross_validate ~config ~live_timeout arch scenario)
-          (resolve_archs archs)
-      in
-      if json then
-        print_json (Bgp_stats.Json.List (List.map H.crosscheck_json checks))
-      else List.iter (fun xc -> Format.printf "%a@." H.pp_crosscheck xc) checks;
-      if not (List.for_all H.crosscheck_ok checks) then exit 1
-    end
-    else begin
-      let config = apply_live live live_timeout config in
-      let failed = ref false in
-      let results =
-        List.map
-          (fun arch ->
-            let r = H.run ~config arch scenario in
-            if Result.is_error r.H.verified then failed := true;
-            r)
-          (resolve_archs archs)
-      in
-      if json then
-        print_json (Bgp_stats.Json.List (List.map H.result_json results))
-      else begin
-        List.iter (fun r -> Format.printf "%a@." H.pp_result r) results;
-        if metrics then
-          List.iter
-            (fun r ->
-              Option.iter
-                (fun c ->
-                  Format.printf "%s metrics registry:@.%s@." r.H.arch_name
-                    (Bgp_stats.Json.to_string_pretty c.H.cr_metrics))
-                r.H.churn)
-            results
-      end;
-      if !failed then exit 1
-    end
+    let extra _ r =
+      if metrics then
+        Option.iter
+          (fun c ->
+            Format.printf "%s metrics registry:@.%s@." r.H.arch_name
+              (Bgp_stats.Json.to_string_pretty c.H.cr_metrics))
+          r.H.churn
+    in
+    if
+      not
+        (run_cells ~json ~crosscheck ~live ~live_timeout ~extra ~config archs
+           [ Scenario.of_id_exn 16 ])
+    then exit 1
   in
   let subscribers_t =
     let doc =
@@ -632,14 +591,6 @@ let churn_cmd =
        With --json the dump is always embedded under churn.metrics."
     in
     Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
-  let crosscheck_t =
-    let doc =
-      "Run the churn workload in both sim and live (loopback TCP) mode and \
-       assert identical post-churn Loc-RIB fingerprints and verdicts; exits \
-       non-zero on divergence."
-    in
-    Arg.(value & flag & info [ "crosscheck" ] ~doc)
   in
   Cmd.v
     (Cmd.info "churn"
@@ -825,19 +776,11 @@ let crosscheck_cmd =
       | l -> l
     in
     let config = config_of size packing seed in
-    let checks =
-      List.concat_map
-        (fun scenario ->
-          List.map
-            (fun arch -> H.cross_validate ~config ~live_timeout arch scenario)
-            (resolve_archs archs))
-        scenarios
-    in
-    if json then
-      print_json (Bgp_stats.Json.List (List.map H.crosscheck_json checks))
-    else
-      List.iter (fun xc -> Format.printf "%a@." H.pp_crosscheck xc) checks;
-    if not (List.for_all H.crosscheck_ok checks) then exit 1
+    if
+      not
+        (run_cells ~json ~crosscheck:true ~live_timeout ~config archs
+           scenarios)
+    then exit 1
   in
   Cmd.v
     (Cmd.info "crosscheck"

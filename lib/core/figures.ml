@@ -13,16 +13,8 @@ type cpu_figure = {
   result : Harness.result;
 }
 
-let cpu_run ?(config = Harness.default_config) ?(cross_mbps = 0.0) arch scenario =
-  let config =
-    { config with
-      Harness.trace_interval =
-        Some (Option.value ~default:1.0 config.Harness.trace_interval);
-      cross_traffic =
-        (if cross_mbps > 0.0 then Traffic.make ~mbps:cross_mbps ()
-         else config.Harness.cross_traffic) }
-  in
-  let result = Harness.run ~config arch scenario in
+let cpu_figure ?(cross_mbps = 0.0) arch result =
+  let scenario = result.Harness.scenario in
   let samples = result.Harness.trace in
   let names =
     match samples with [] -> [] | s :: _ -> List.map fst s.Trace.s_procs
@@ -61,6 +53,17 @@ let cpu_run ?(config = Harness.default_config) ?(cross_mbps = 0.0) arch scenario
          else "");
     arch_name = arch.Arch.name; scenario_id = scenario.Scenario.id;
     cross_traffic_mbps = cross_mbps; rows; forwarding_rate; result }
+
+let cpu_run ?(config = Harness.default_config) ?(cross_mbps = 0.0) arch scenario =
+  let config =
+    { config with
+      Harness.trace_interval =
+        Some (Option.value ~default:1.0 config.Harness.trace_interval);
+      cross_traffic =
+        (if cross_mbps > 0.0 then Traffic.make ~mbps:cross_mbps ()
+         else config.Harness.cross_traffic) }
+  in
+  cpu_figure ~cross_mbps arch (Harness.run ~config arch scenario)
 
 let render_cpu f =
   let b = Buffer.create 4096 in

@@ -16,6 +16,11 @@ type cpu_figure = {
   result : Harness.result;
 }
 
+val cpu_figure :
+  ?cross_mbps:float -> Bgp_router.Arch.t -> Harness.result -> cpu_figure
+(** The CPU-load figure of a run made with a [trace_interval] (and, when
+    [cross_mbps] > 0, that much cross-traffic). *)
+
 val cpu_run :
   ?config:Harness.config -> ?cross_mbps:float -> Bgp_router.Arch.t ->
   Scenario.t -> cpu_figure

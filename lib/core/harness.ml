@@ -34,9 +34,6 @@ type config = {
   cross_traffic : Traffic.t;
   seed : int;
   trace_interval : float option;
-  setup_path_len : int;
-  longer_path_len : int;
-  shorter_path_len : int;
   varied_paths : bool;
   mrai : float option;
   timeout : float;
@@ -64,10 +61,15 @@ type config = {
 
 let default_config =
   { mode = Sim; table_size = 10_000; large_packing = 500; cross_traffic = Traffic.none;
-    seed = 42; trace_interval = None; setup_path_len = 3; longer_path_len = 6;
-    shorter_path_len = 1; varied_paths = false; mrai = None;
+    seed = 42; trace_interval = None; varied_paths = false; mrai = None;
     timeout = 500_000.0; fault_rounds = 5; table_file = None; damping = None;
     replay_speedup = None; replay_events = -1; churn = None; tracer = None }
+
+(* AS-path lengths: speaker 1's table, and speaker 2's re-announcements
+   that lose to it (scenarios 5/6) or beat it (7/8). *)
+let setup_path_len = 3
+let longer_path_len = 6
+let shorter_path_len = 1
 
 type fault_report = {
   fr_injected : int;
@@ -301,7 +303,7 @@ let run_standard (cfg : config) arch scenario =
         | None ->
           ignore
             (Speaker.announce s1.speaker ~packing
-               ~attrs:(Testbed.attrs s1 ~path_len:cfg.setup_path_len)
+               ~attrs:(Testbed.attrs s1 ~path_len:setup_path_len)
                table))
   in
   if Scenario.uses_speaker2 scenario then sync_speaker2 tb ~n;
@@ -319,8 +321,7 @@ let run_standard (cfg : config) arch scenario =
               let longer =
                 (* must exceed every Phase-1 path: varied tables go up
                    to 6 hops *)
-                if cfg.varied_paths then max cfg.longer_path_len 8
-                else cfg.longer_path_len
+                if cfg.varied_paths then 8 else longer_path_len
               in
               ignore
                 (Speaker.announce s2.speaker ~packing
@@ -328,7 +329,7 @@ let run_standard (cfg : config) arch scenario =
             | Scenario.Incremental_fib_change ->
               ignore
                 (Speaker.announce s2.speaker ~packing
-                   ~attrs:(Testbed.attrs s2 ~path_len:cfg.shorter_path_len)
+                   ~attrs:(Testbed.attrs s2 ~path_len:shorter_path_len)
                    table)
             | _ -> assert false (* startup measures Phase 1 *)) )
   in
@@ -417,7 +418,7 @@ let run_adversarial (cfg : config) arch scenario =
   Faults.tap_adversarial faults s1.sp_end;
   Faults.observe_notifications faults s1.rt_end;
   let table = Bgp_addr.Prefix_gen.table ~seed:cfg.seed ~n () in
-  let attrs = Testbed.attrs s1 ~path_len:cfg.setup_path_len in
+  let attrs = Testbed.attrs s1 ~path_len:setup_path_len in
   let packing = Scenario.packing ~large:cfg.large_packing scenario in
   ignore
     (load_table tb ~n (fun () ->
@@ -670,7 +671,7 @@ let run_churn (cfg : config) arch scenario =
   let fib = Router.fib router in
   let sweep_hist = Metrics.histogram (Router.metrics router) "churn.sweep_latency" in
   let prefixes = Subscriber.prefixes sub in
-  let attrs = Testbed.attrs s1 ~path_len:cfg.setup_path_len in
+  let attrs = Testbed.attrs s1 ~path_len:setup_path_len in
   let at delay f = ignore (Clock.schedule tb.clock ~delay f) in
 
   (* Phase A: rate-limited batch injection (measured). *)

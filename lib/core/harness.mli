@@ -12,11 +12,12 @@
     are mode-independent; {!cross_validate} asserts it.
 
     Phases:
-    + Speaker 1 injects the routing table;
+    + Speaker 1 injects the routing table with 3-hop AS paths;
     + (scenarios 5-8) Speaker 2 connects and receives the router's full
       table;
-    + the scenario's incremental activity (withdrawals or competing
-      announcements).
+    + the scenario's incremental activity (withdrawals, or Speaker 2's
+      competing announcements: 6-hop paths that lose in scenarios 5/6,
+      1-hop paths that win in 7/8).
 
     Setup phases always use large packets so that setup time — which is
     excluded from the metric anyway — stays small.
@@ -39,9 +40,6 @@ type config = {
   seed : int;                (** table generation seed *)
   trace_interval : float option;
       (** sample CPU load every n virtual seconds (figures 3/4/6) *)
-  setup_path_len : int;      (** Speaker 1's AS-path length *)
-  longer_path_len : int;     (** Speaker 2's path in scenarios 5/6 *)
-  shorter_path_len : int;    (** Speaker 2's path in scenarios 7/8 *)
   varied_paths : bool;
       (** inject an Internet-shaped table (2-6 hop paths, mixed
           origins/MEDs via {!Bgp_speaker.Table_io.synthesize}) instead
@@ -90,7 +88,7 @@ type config = {
 
 val default_config : config
 (** [Sim] mode, 10000 prefixes, packing 500, no cross-traffic, seed 42,
-    no trace, paths 3/6/1, timeout 500000 s, 5 fault rounds. *)
+    no trace, timeout 500000 s, 5 fault rounds. *)
 
 type fault_report = {
   fr_injected : int;           (** [faults.injected] counter *)

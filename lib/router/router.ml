@@ -451,6 +451,24 @@ let note_transactions t n =
   t.last_transaction_at <- Some (Clock.now t.clock);
   t.inflight <- t.inflight - 1
 
+(* A RIB outcome produced off the update pipeline (local origination,
+   peer-loss repair) is one job on the FIB process: commit the FIB
+   deltas, send one UPDATE per announcement, then [on_done], which
+   settles the job's [inflight] count. *)
+let fib_job t deltas anns ~on_done =
+  t.inflight <- t.inflight + 1;
+  let c = cost t in
+  let cycles =
+    c.Arch.cyc_per_fib_msg +. delta_cycles c deltas
+    +. (float_of_int (List.length anns) *. c.Arch.cyc_per_announcement)
+  in
+  Sched.submit t.sched t.fib_proc ~cycles (fun () ->
+      ignore (Fib.apply_all t.fib deltas);
+      List.iter
+        (fun (dest, msg) -> transmit t t.fib_proc dest msg)
+        (announcement_msgs anns);
+      on_done ())
+
 (* Originate (or withdraw) a prefix locally — also the re-injection
    path for damping reuse.  The FIB commit and the resulting
    advertisements ride the FIB process, like a peer-loss repair:
@@ -461,20 +479,8 @@ let local_change t ~prefix outcome =
   let now = Clock.now t.clock in
   if t.first_work_at = None then t.first_work_at <- Some now;
   if outcome.Rib_manager.loc_changed then t.route_observer prefix;
-  t.inflight <- t.inflight + 1;
-  let c = cost t in
-  let deltas = outcome.Rib_manager.fib_deltas in
-  let anns = outcome.Rib_manager.announcements in
-  let cycles =
-    c.Arch.cyc_per_fib_msg +. delta_cycles c deltas
-    +. (float_of_int (List.length anns) *. c.Arch.cyc_per_announcement)
-  in
-  Sched.submit t.sched t.fib_proc ~cycles (fun () ->
-      ignore (Fib.apply_all t.fib deltas);
-      List.iter
-        (fun (dest, msg) -> transmit t t.fib_proc dest msg)
-        (announcement_msgs anns);
-      note_transactions t 1)
+  fib_job t outcome.Rib_manager.fib_deltas outcome.Rib_manager.announcements
+    ~on_done:(fun () -> note_transactions t 1)
 
 (* Reuse timer: one timer per router, armed at the earliest instant any
    suppressed route's penalty decays to the reuse threshold.  Firing
@@ -712,17 +718,7 @@ let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?rr_client
           (match o.Rib_manager.fib_deltas, o.Rib_manager.announcements with
           | [], [] -> ()
           | deltas, anns ->
-            t.inflight <- t.inflight + 1;
-            let c = cost t in
-            let cycles =
-              c.Arch.cyc_per_fib_msg +. delta_cycles c deltas
-              +. (float_of_int (List.length anns) *. c.Arch.cyc_per_announcement)
-            in
-            Sched.submit t.sched t.fib_proc ~cycles (fun () ->
-                ignore (Fib.apply_all t.fib deltas);
-                List.iter
-                  (fun (dest, msg) -> transmit t t.fib_proc dest msg)
-                  (announcement_msgs anns);
+            fib_job t deltas anns ~on_done:(fun () ->
                 t.inflight <- t.inflight - 1));
           (* Operator-style automatic recovery (off by default): rearm
              the passive session so a flapping peer can reconnect.  The

@@ -26,6 +26,75 @@ let sum_stats net n f =
   done;
   !acc
 
+(* Scenario 11's single-origin episode, shared with scenario 15:
+   establish, announce from vertex 0, converge, check reachability
+   against the policy oracle, fingerprint every node's Loc-RIB and FIB,
+   withdraw, converge, then check that no node still holds the route.
+   [ep_wall_s] ends at the withdraw convergence, before the last check,
+   so scale throughput measures the episode alone. *)
+type episode = {
+  ep_announce_s : float;
+  ep_withdraw_s : float;
+  ep_announce_updates : int;
+  ep_withdraw_updates : int;
+  ep_reached : int;
+  ep_fingerprint : string;
+  ep_wall_s : float;
+  ep_verified : (unit, string) result;
+}
+
+let first_node ~n p =
+  let rec go i = if i >= n then None else if p i then Some i else go (i + 1) in
+  go 0
+
+let episode ?timeout net =
+  let n = Net.size net in
+  let wall0 = Unix.gettimeofday () in
+  Net.establish ?timeout net;
+  let u0 = Net.total_updates net in
+  Net.originate net 0;
+  let announce_s = Net.converge ?timeout ~what:"announce convergence" net in
+  let u1 = Net.total_updates net in
+  let expected =
+    match Net.mode net with
+    | Net.Transit -> Array.make n true
+    | Net.Gao_rexford ->
+      Gao_rexford.reachable ~n ~edges:(Net.topology net).Topology.edges
+        ~origin:0
+  in
+  let got = Array.init n (fun i -> Net.reachability net i 0) in
+  let misrouted = first_node ~n (fun i -> got.(i) <> expected.(i)) in
+  let fingerprint =
+    let ctx = Buffer.create (64 * n) in
+    for i = 0 to n - 1 do
+      Buffer.add_string ctx (Net.loc_rib_fingerprint net i);
+      Buffer.add_char ctx '\n';
+      Buffer.add_string ctx (Net.fib_fingerprint net i);
+      Buffer.add_char ctx '\n'
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents ctx))
+  in
+  Net.withdraw_origin net 0;
+  let withdraw_s = Net.converge ?timeout ~what:"withdraw convergence" net in
+  let u2 = Net.total_updates net in
+  let wall_s = Unix.gettimeofday () -. wall0 in
+  let verified =
+    match misrouted with
+    | Some i ->
+      Error
+        (Printf.sprintf
+           "node %d's reachability disagrees with the policy oracle" i)
+    | None -> (
+      match first_node ~n (fun i -> i > 0 && Net.reachability net i 0) with
+      | Some i ->
+        Error (Printf.sprintf "node %d still holds the route post-withdraw" i)
+      | None -> Ok ())
+  in
+  { ep_announce_s = announce_s; ep_withdraw_s = withdraw_s;
+    ep_announce_updates = u1 - u0; ep_withdraw_updates = u2 - u1;
+    ep_reached = count_true got; ep_fingerprint = fingerprint;
+    ep_wall_s = wall_s; ep_verified = verified }
+
 let run_convergence ?(arch = Arch.pentium3) ?(mode = Net.Transit) ?(seed = 42)
     ?tracer ~kind ~n () =
   let topo = Topology.make ~seed kind ~n in
@@ -34,52 +103,14 @@ let run_convergence ?(arch = Arch.pentium3) ?(mode = Net.Transit) ?(seed = 42)
       ~trace_prefix:(Printf.sprintf "%s-%d" (Topology.kind_to_string kind) n)
       topo
   in
-  Net.establish net;
-  let u0 = Net.total_updates net in
-  Net.originate net 0;
-  let announce_s = Net.converge ~what:"announce convergence" net in
-  let u1 = Net.total_updates net in
-  let expected =
-    match mode with
-    | Net.Transit -> Array.make n true
-    | Net.Gao_rexford ->
-      Gao_rexford.reachable ~n ~edges:topo.Topology.edges ~origin:0
-  in
-  let got = Array.init n (fun i -> Net.reachability net i 0) in
-  let verified_reach =
-    let bad = ref None in
-    Array.iteri
-      (fun i g -> if !bad = None && g <> expected.(i) then bad := Some i)
-      got;
-    match !bad with
-    | Some i ->
-      Error
-        (Printf.sprintf
-           "node %d's reachability disagrees with the policy oracle" i)
-    | None -> Ok ()
-  in
-  Net.withdraw_origin net 0;
-  let withdraw_s = Net.converge ~what:"withdraw convergence" net in
-  let u2 = Net.total_updates net in
-  let verified =
-    match verified_reach with
-    | Error _ as e -> e
-    | Ok () ->
-      let leftover = ref None in
-      for i = 1 to n - 1 do
-        if !leftover = None && Net.reachability net i 0 then leftover := Some i
-      done;
-      (match !leftover with
-      | Some i ->
-        Error (Printf.sprintf "node %d still holds the route post-withdraw" i)
-      | None -> Ok ())
-  in
+  let ep = episode net in
   { cr_kind = kind; cr_n = n; cr_seed = seed; cr_mode = mode;
     cr_arch = arch.Arch.name; cr_edges = Topology.edge_count topo;
-    cr_announce_s = announce_s; cr_withdraw_s = withdraw_s;
-    cr_announce_updates = u1 - u0; cr_withdraw_updates = u2 - u1;
+    cr_announce_s = ep.ep_announce_s; cr_withdraw_s = ep.ep_withdraw_s;
+    cr_announce_updates = ep.ep_announce_updates;
+    cr_withdraw_updates = ep.ep_withdraw_updates;
     cr_msgs_tx = sum_stats net n (fun s -> s.Net.ns_msgs_tx);
-    cr_reached = count_true got; cr_verified = verified }
+    cr_reached = ep.ep_reached; cr_verified = ep.ep_verified }
 
 let sweep ?arch ?mode ?seed ?tracer ~kind ~sizes () =
   List.map (fun n -> run_convergence ?arch ?mode ?seed ?tracer ~kind ~n ()) sizes
@@ -352,13 +383,10 @@ let sc_events_per_sec r =
   if r.sc_wall_s <= 0.0 then 0.0
   else float_of_int (sc_events r) /. r.sc_wall_s
 
-(* Single-origin convergence at scale: establish, announce from vertex
-   0, converge, fingerprint every node's Loc-RIB and FIB, withdraw,
-   converge.  The digest is what the domain-count equivalence gate
-   compares: same graph, different [domains], same digest.  Unlike
-   scenario 11 this never goes O(n^2): verification is reachability of
-   the one origin, and the heavy all-pairs checks stay in the small
-   scenarios.
+(* Scenario 15 is the single-origin episode on a large graph.  The
+   fingerprint is what the domain-count equivalence gate compares: same
+   graph, different [domains], same digest.  Unlike scenario 12 this
+   never goes O(n^2): verification is reachability of the one origin.
 
    Default policies are Gao-Rexford, not Transit: valley-free export
    bounds withdrawal path hunting (and is the realistic model for an
@@ -370,53 +398,17 @@ let run_scale ?(arch = Arch.pentium3) ?(mode = Net.Gao_rexford) ?(seed = 42)
     ?(domains = 1) ?(timeout = 3600.) ~kind ~n () =
   let topo = Topology.make ~seed kind ~n in
   let net = Net.create ~arch ~mode ~domains topo in
-  let wall0 = Unix.gettimeofday () in
-  Net.establish ~timeout net;
-  Net.originate net 0;
-  let announce_s = Net.converge ~timeout ~what:"announce convergence" net in
-  let expected =
-    match mode with
-    | Net.Transit -> Array.make n true
-    | Net.Gao_rexford ->
-      Gao_rexford.reachable ~n ~edges:topo.Topology.edges ~origin:0
-  in
-  let reached = ref 0 in
-  let bad = ref None in
-  for i = 0 to n - 1 do
-    let got = Net.reachability net i 0 in
-    if got then incr reached;
-    if !bad = None && got <> expected.(i) then bad := Some i
-  done;
-  let verified =
-    match !bad with
-    | Some i ->
-      Error
-        (Printf.sprintf
-           "node %d's reachability disagrees with the policy oracle" i)
-    | None -> Ok ()
-  in
-  let fingerprint =
-    let ctx = Buffer.create (64 * n) in
-    for i = 0 to n - 1 do
-      Buffer.add_string ctx (Net.loc_rib_fingerprint net i);
-      Buffer.add_char ctx '\n';
-      Buffer.add_string ctx (Net.fib_fingerprint net i);
-      Buffer.add_char ctx '\n'
-    done;
-    Digest.to_hex (Digest.string (Buffer.contents ctx))
-  in
-  Net.withdraw_origin net 0;
-  let withdraw_s = Net.converge ~timeout ~what:"withdraw convergence" net in
-  let wall_s = Unix.gettimeofday () -. wall0 in
+  let ep = episode ~timeout net in
   let part = Array.init n (fun i -> Net.partition_of net i) in
   { sc_kind = kind; sc_n = n; sc_seed = seed; sc_domains = domains;
     sc_edges = Topology.edge_count topo; sc_cut_links = Net.cut_links net;
     sc_domain_sizes = Partition.sizes part ~parts:domains;
-    sc_announce_s = announce_s; sc_withdraw_s = withdraw_s; sc_wall_s = wall_s;
+    sc_announce_s = ep.ep_announce_s; sc_withdraw_s = ep.ep_withdraw_s;
+    sc_wall_s = ep.ep_wall_s;
     sc_domain_events =
       Array.init domains (fun d -> Net.events_of_domain net d);
-    sc_reached = !reached; sc_fingerprint = fingerprint;
-    sc_verified = verified }
+    sc_reached = ep.ep_reached; sc_fingerprint = ep.ep_fingerprint;
+    sc_verified = ep.ep_verified }
 
 let render_scale_runs runs =
   let b = Buffer.create 1024 in

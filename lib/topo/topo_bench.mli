@@ -132,9 +132,10 @@ val run_scale :
   n:int ->
   unit ->
   scale_run
-(** Scenario 15: establish, announce from vertex 0, converge,
-    fingerprint, withdraw, converge — with every per-node check O(n),
-    so 10k-node graphs stay tractable.  Defaults: Pentium III,
+(** Scenario 15: scenario 11's episode (establish, announce from
+    vertex 0, converge, check reachability, fingerprint, withdraw,
+    converge, check that no node still holds the route) — with every
+    per-node check O(n), so 10k-node graphs stay tractable.  Defaults: Pentium III,
     [Gao_rexford] (valley-free export bounds withdrawal path hunting;
     accept-all [Transit] explodes combinatorially at scale), seed 42,
     1 domain, 3600 simulated-seconds timeout. *)

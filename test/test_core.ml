@@ -5,7 +5,6 @@
 module Scenario = Bgpmark.Scenario
 module Arch = Bgp_router.Arch
 module Chart = Bgp_stats.Chart
-module Moments = Bgp_stats.Moments
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -137,41 +136,6 @@ let test_arch_rendering () =
     Arch.all
 
 (* ------------------------------------------------------------------ *)
-(* Moments                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_moments () =
-  let m = Moments.of_list [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  Alcotest.(check int) "count" 8 (Moments.count m);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Moments.mean m);
-  Alcotest.(check (float 1e-6)) "variance (sample)" (32.0 /. 7.0) (Moments.variance m);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Moments.min_value m);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Moments.max_value m);
-  let empty = Moments.create () in
-  Alcotest.(check (float 0.0)) "empty mean" 0.0 (Moments.mean empty);
-  Alcotest.(check (float 0.0)) "empty var" 0.0 (Moments.variance empty);
-  (* empty min/max must not leak the +/-infinity sentinels *)
-  Alcotest.(check (float 0.0)) "empty min" 0.0 (Moments.min_value empty);
-  Alcotest.(check (float 0.0)) "empty max" 0.0 (Moments.max_value empty);
-  Alcotest.(check string) "empty pp" "n=0"
-    (Format.asprintf "%a" Moments.pp empty);
-  let single = Moments.of_list [ 42.0 ] in
-  Alcotest.(check (float 0.0)) "single var" 0.0 (Moments.variance single)
-
-let prop_moments_match_naive =
-  QCheck2.Test.make ~name:"welford matches naive mean/stddev" ~count:300
-    QCheck2.Gen.(list_size (int_range 2 50) (float_range (-1000.) 1000.))
-    (fun xs ->
-      let m = Moments.of_list xs in
-      let n = float_of_int (List.length xs) in
-      let mean = List.fold_left ( +. ) 0.0 xs /. n in
-      let var =
-        List.fold_left (fun a x -> a +. ((x -. mean) ** 2.0)) 0.0 xs /. (n -. 1.0)
-      in
-      Float.abs (Moments.mean m -. mean) < 1e-6
-      && Float.abs (Moments.variance m -. var) < 1e-4)
-
-(* ------------------------------------------------------------------ *)
 (* Json.escape                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -300,9 +264,6 @@ let () =
           Alcotest.test_case "parameters sane" `Quick test_arch_parameters_sane;
           Alcotest.test_case "rendering" `Quick test_arch_rendering
         ] );
-      ( "moments",
-        Alcotest.test_case "fixed values" `Quick test_moments
-        :: List.map QCheck_alcotest.to_alcotest [ prop_moments_match_naive ] );
       ( "json",
         Alcotest.test_case "escape fixed vectors" `Quick test_json_escape_fixed
         :: List.map QCheck_alcotest.to_alcotest [ prop_json_escape_roundtrip ] );

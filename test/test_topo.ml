@@ -171,6 +171,29 @@ let test_scenario12_partition () =
   check "line cut partitions" true r.Bgp_topo.Topo_bench.lf_partitioned;
   ok_run r.Bgp_topo.Topo_bench.lf_verified
 
+(* Scenario 15 is scenario 11's episode split over domains: both
+   partitionings verify (the withdrawal drains every node) with one
+   fingerprint, and both report the sequential run's outcome. *)
+let test_scenario15_matches_11 () =
+  let module TB = Bgp_topo.Topo_bench in
+  let kind = Topology.Scale_free and n = 40 and seed = 11 in
+  let seq = TB.run_convergence ~mode:Net.Gao_rexford ~seed ~kind ~n () in
+  ok_run seq.TB.cr_verified;
+  check "origin reaches beyond itself" true (seq.TB.cr_reached > 1);
+  let scale domains = TB.run_scale ~seed ~domains ~kind ~n () in
+  let one = scale 1 and two = scale 2 in
+  Alcotest.(check string) "fingerprint independent of domains"
+    one.TB.sc_fingerprint two.TB.sc_fingerprint;
+  List.iter
+    (fun r ->
+      ok_run r.TB.sc_verified;
+      check_int "reached" seq.TB.cr_reached r.TB.sc_reached;
+      Alcotest.(check (float 0.0)) "announce_s" seq.TB.cr_announce_s
+        r.TB.sc_announce_s;
+      Alcotest.(check (float 0.0)) "withdraw_s" seq.TB.cr_withdraw_s
+        r.TB.sc_withdraw_s)
+    [ one; two ]
+
 (* ------------------------------------------------------------------ *)
 (* Gao-Rexford policies                                                *)
 (* ------------------------------------------------------------------ *)
@@ -348,7 +371,9 @@ let () =
           Alcotest.test_case "scenario 12 path hunting (BA-16)" `Quick
             test_scenario12_ba16_path_hunting;
           Alcotest.test_case "scenario 12 partition (line)" `Quick
-            test_scenario12_partition ] );
+            test_scenario12_partition;
+          Alcotest.test_case "scenario 15 vs 11 (BA-40)" `Quick
+            test_scenario15_matches_11 ] );
       ( "gao-rexford",
         [ Alcotest.test_case "tiers and relations" `Quick
             test_gao_rexford_tiers;
