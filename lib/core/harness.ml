@@ -66,10 +66,18 @@ let default_config =
     replay_speedup = None; replay_events = -1; churn = None; tracer = None }
 
 (* AS-path lengths: speaker 1's table, and speaker 2's re-announcements
-   that lose to it (scenarios 5/6) or beat it (7/8). *)
+   that beat it (7/8); [losing_path_len] gives the ones that lose (5/6). *)
 let setup_path_len = 3
-let longer_path_len = 6
 let shorter_path_len = 1
+
+(* One hop longer than the longest Phase-1 path, and never shorter than
+   6 hops for the uniform table or 8 for varied and file tables. *)
+let losing_path_len ~varied_paths = function
+  | Some entries ->
+    List.fold_left
+      (fun acc e -> max acc (1 + Bgp_route.As_path.length e.Table_io.e_path))
+      8 entries
+  | None -> if varied_paths then 8 else 6
 
 type fault_report = {
   fr_injected : int;
@@ -307,6 +315,7 @@ let run_standard (cfg : config) arch scenario =
                table))
   in
   if Scenario.uses_speaker2 scenario then sync_speaker2 tb ~n;
+  let losing = losing_path_len ~varied_paths:cfg.varied_paths file_entries in
   let fib_before, p =
     if measures_phase_1 then (fib_before, p1)
     else
@@ -318,14 +327,9 @@ let run_standard (cfg : config) arch scenario =
             | Scenario.Ending_withdraw ->
               ignore (Speaker.withdraw s1.speaker ~packing table)
             | Scenario.Incremental_no_fib_change ->
-              let longer =
-                (* must exceed every Phase-1 path: varied tables go up
-                   to 6 hops *)
-                if cfg.varied_paths then 8 else longer_path_len
-              in
               ignore
                 (Speaker.announce s2.speaker ~packing
-                   ~attrs:(Testbed.attrs s2 ~path_len:longer) table)
+                   ~attrs:(Testbed.attrs s2 ~path_len:losing) table)
             | Scenario.Incremental_fib_change ->
               ignore
                 (Speaker.announce s2.speaker ~packing

@@ -60,7 +60,11 @@ type config = {
           ({!Bgp_mrt.Mrt}), auto-detected — instead of synthesizing;
           overrides [table_size] with the file's entry count.  For
           scenario 13 the same file also supplies the BGP4MP update
-          trace. *)
+          trace.  Scenarios 5/6 re-announce the table one hop longer
+          than its longest AS path (at least 8 hops), so they lose to
+          any loaded route.  Scenarios 7/8 re-announce it with 1-hop
+          paths, which cannot beat a loaded 1-hop route: a table
+          holding one fails them ("every prefix was replaced"). *)
   damping : Bgp_rib.Damping.config option;
       (** RFC 2439 route flap damping on the router under test.  [None]
           (the default) leaves the update path byte-identical to a

@@ -20,8 +20,9 @@ type t
 val create :
   Bgp_sim.Engine.t -> ?latency:float -> ?bandwidth_mbps:float -> unit -> t
 (** Default latency 100 us, bandwidth 1000 Mbps.  Both sides live on
-    the given engine; this is the original direct-scheduling path and
-    is bit-identical to the pre-partitioning channel. *)
+    the given engine.  A connect or close flips both sides at once, and
+    one event one latency later notifies side A, then side B, whichever
+    side started it. *)
 
 val create_cross :
   Bgp_sim.Pengine.t ->
@@ -32,16 +33,13 @@ val create_cross :
   unit ->
   t
 (** A channel between two partitions of a {!Bgp_sim.Pengine}.  With
-    [part_a = part_b] this is exactly {!create} on that partition's
-    engine (same-partition sends stay the direct path).  Otherwise each
-    side lives on its own partition: payload deliveries and
-    connect/close notifications travel through the partitioned engine's
-    mailbox and take effect one link latency later, which the
-    conservative lookahead (the latency is registered as a bound) makes
-    exact rather than approximate.  Connection state is per-side — a
-    side keeps sending until the peer's close notification reaches it,
-    and such bytes die on the wire via the per-epoch generation check,
-    observably the same RST behavior as the shared path.
+    [part_a = part_b] this is {!create} on that partition's engine.
+    Otherwise payloads and the peer's connect/close notification travel
+    through the partitioned engine's mailbox and arrive one link
+    latency later; the latency is registered as a lookahead bound, so
+    the synchronization is exact.  Each side keeps its own connection
+    state: a side keeps sending until the peer's close reaches it, and
+    those bytes are dropped on arrival, as after a TCP RST.
     @raise Invalid_argument if the parts differ and [latency <= 0]. *)
 
 val set_receiver : t -> side -> (string -> unit) -> unit

@@ -13,7 +13,6 @@ module Attrs = Bgp_route.Attrs
 module Route = Bgp_route.Route
 module Ipv4 = Bgp_addr.Ipv4
 module Prefix = Bgp_addr.Prefix
-module Metrics = Bgp_stats.Metrics
 module Fsm = Bgp_fsm.Fsm
 
 type policy_mode = Transit | Gao_rexford
@@ -43,14 +42,6 @@ type t = {
   mode : policy_mode;
   nodes : node array;
   links : (int * int * Channel.t) list;
-  metrics : Metrics.t;
-  c_updates : Metrics.counter;
-  c_msgs : Metrics.counter;
-  c_withdrawn : Metrics.counter;
-  c_loc : Metrics.counter;
-  h_conv : Metrics.histogram;
-  mutable folded : int * int * int * int;
-      (* node totals already mirrored into the aggregate counters *)
 }
 
 (* Up to 1023 routers the classic RFC 1930 private block [64512 + i];
@@ -143,19 +134,12 @@ let create ?(arch = Arch.pentium3) ?(mode = Transit) ?(latency = 1e-4)
         (u, v, ch))
       topo.Topology.edges
   in
-  let metrics = Metrics.create () in
   let cut_links =
     List.fold_left
       (fun acc (u, v, _) -> if part.(u) <> part.(v) then acc + 1 else acc)
       0 links
   in
-  { pe; domains; part; cut_links; topo; mode; nodes; links; metrics;
-    c_updates = Metrics.counter metrics "topo.updates_rx";
-    c_msgs = Metrics.counter metrics "topo.msgs_tx";
-    c_withdrawn = Metrics.counter metrics "topo.withdrawals_rx";
-    c_loc = Metrics.counter metrics "topo.loc_rib_changes";
-    h_conv = Metrics.histogram metrics "topo.convergence_s";
-    folded = (0, 0, 0, 0) }
+  { pe; domains; part; cut_links; topo; mode; nodes; links }
 
 let engine t = Pengine.part t.pe 0
 let pengine t = t.pe
@@ -169,24 +153,6 @@ let size t = Array.length t.nodes
 let router t i = t.nodes.(i).router
 let origin_prefix t i = t.nodes.(i).origin
 let asn_of t i = t.nodes.(i).asn
-let metrics t = t.metrics
-
-let totals t =
-  Array.fold_left
-    (fun (u, m, w, l) nd ->
-      let k = Router.counters nd.router in
-      ( u + k.Router.updates_rx, m + k.Router.msgs_tx,
-        w + k.Router.withdrawn_rx, l + nd.loc_changes ))
-    (0, 0, 0, 0) t.nodes
-
-let fold_totals t =
-  let (u, m, w, l) = totals t in
-  let (u0, m0, w0, l0) = t.folded in
-  Metrics.incr ~by:(u - u0) t.c_updates;
-  Metrics.incr ~by:(m - m0) t.c_msgs;
-  Metrics.incr ~by:(w - w0) t.c_withdrawn;
-  Metrics.incr ~by:(l - l0) t.c_loc;
-  t.folded <- (u, m, w, l)
 
 let wait_until t ~timeout ~what cond =
   let deadline = Pengine.now t.pe +. timeout in
@@ -240,10 +206,7 @@ let converge ?(timeout = 600.) ~what t =
         | _ -> acc)
       t0 t.nodes
   in
-  let dt = t_end -. t0 in
-  Metrics.observe t.h_conv dt;
-  fold_totals t;
-  dt
+  t_end -. t0
 
 let cut_link t u v =
   let u, v = if u < v then (u, v) else (v, u) in
@@ -278,8 +241,9 @@ let node_stats t i =
     ns_fib_size = Fib.size (Router.fib nd.router) }
 
 let total_updates t =
-  let (u, _, _, _) = totals t in
-  u
+  Array.fold_left
+    (fun acc nd -> acc + (Router.counters nd.router).Router.updates_rx)
+    0 t.nodes
 
 let explored_paths t i prefix =
   Option.value ~default:0 (Hashtbl.find_opt t.nodes.(i).explored prefix)

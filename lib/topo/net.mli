@@ -84,13 +84,6 @@ val origin_prefix : t -> int -> Bgp_addr.Prefix.t
 
 val asn_of : t -> int -> Bgp_route.Asn.t
 
-val metrics : t -> Bgp_stats.Metrics.t
-(** Aggregate network-level registry: [topo.updates_rx],
-    [topo.msgs_tx], [topo.withdrawals_rx], [topo.loc_rib_changes]
-    counters (summed over nodes at collection points) and the
-    [topo.convergence_s] histogram (one observation per
-    {!converge}). *)
-
 val establish : ?timeout:float -> t -> unit
 (** Bring every session to Established (default timeout 600 virtual
     seconds).  @raise Failure on timeout. *)
@@ -106,10 +99,8 @@ val quiescent : t -> bool
 val converge : ?timeout:float -> what:string -> t -> float
 (** Drive the event loop to quiescence and return the convergence time
     in simulated seconds (last transaction completion − injection
-    start; 0 when the episode moved nothing).  Also observed into the
-    [topo.convergence_s] histogram and folded into the aggregate
-    counters.  @raise Failure on timeout (default 600 virtual
-    seconds). *)
+    start; 0 when the episode moved nothing).  @raise Failure on
+    timeout (default 600 virtual seconds). *)
 
 val cut_link : t -> int -> int -> unit
 (** Fail the edge [u]–[v]: install {!Bgp_netsim.Channel} drop taps on

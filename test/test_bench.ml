@@ -286,7 +286,25 @@ let test_table_file_matches_varied () =
       Alcotest.(check (float 0.0))
         (Printf.sprintf "scenario %d tps" id)
         varied.H.tps from_file.H.tps)
-    [ 2; 4; 8 ]
+    [ 2; 4; 5; 6; 8 ]
+
+(* Speaker 2's losing challenger (scenarios 5/6) must outgrow the
+   longest path in a loaded table, here 7 and 8 hops. *)
+let test_table_file_long_paths () =
+  let file = Filename.temp_file "bgpmark-table" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let asn = Bgp_route.Asn.of_int 65001 in
+  Bgp_speaker.Table_io.save file
+    (List.mapi
+       (fun i e ->
+         { e with
+           Bgp_speaker.Table_io.e_path =
+             Bgp_speaker.Workload.path ~origin_asn:asn ~len:(7 + (i mod 2)) })
+       (Bgp_speaker.Table_io.synthesize ~seed:42 ~n:300 ~speaker_asn:asn ()));
+  let config = { H.default_config with H.table_file = Some file } in
+  List.iter
+    (fun id -> check_verified (H.run ~config Arch.xeon (Scenario.of_id_exn id)))
+    [ 5; 6 ]
 
 (* ------------------------------------------------------------------ *)
 (* Peering-density extension + prefix-limit protection                  *)
@@ -606,7 +624,9 @@ let () =
         [ Alcotest.test_case "verifies" `Quick test_varied_paths_verify;
           Alcotest.test_case "shape stable" `Quick test_varied_paths_shape_stable;
           Alcotest.test_case "table file equals varied paths" `Quick
-            test_table_file_matches_varied
+            test_table_file_matches_varied;
+          Alcotest.test_case "table file with 8-hop paths" `Quick
+            test_table_file_long_paths
         ] );
       ( "update size",
         [ Alcotest.test_case "MRAI flush splits by size" `Quick

@@ -1,5 +1,6 @@
 open Bgp_netsim
 module Engine = Bgp_sim.Engine
+module Pengine = Bgp_sim.Pengine
 module Sched = Bgp_sim.Sched
 
 let feq ?(eps = 1e-6) name expect got =
@@ -10,66 +11,127 @@ let feq ?(eps = 1e-6) name expect got =
 (* Channel                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_channel_connect_and_deliver () =
-  let e = Engine.create () in
-  let ch = Channel.create e ~latency:0.001 ~bandwidth_mbps:8.0 () in
+(* Each channel case runs on both layouts: both sides on one engine,
+   and the sides on two partitions of a [Pengine] (mailbox delivery;
+   a cross-partition link needs a positive latency). *)
+type layout = {
+  name : string;
+  least_latency : float;
+  make :
+    latency:float -> bandwidth_mbps:float ->
+    Channel.t * (Channel.side -> float) * (unit -> unit);
+      (* the channel, each side's clock, and "run until idle" *)
+}
+
+let one_engine =
+  { name = "one engine"; least_latency = 0.0;
+    make =
+      (fun ~latency ~bandwidth_mbps ->
+        let e = Engine.create () in
+        ( Channel.create e ~latency ~bandwidth_mbps (),
+          (fun _ -> Engine.now e),
+          fun () -> Engine.run e )) }
+
+let two_partitions =
+  { name = "2 parts"; least_latency = 0.001;
+    make =
+      (fun ~latency ~bandwidth_mbps ->
+        let pe = Pengine.create ~parts:2 () in
+        ( Channel.create_cross pe ~part_a:0 ~part_b:1 ~latency ~bandwidth_mbps (),
+          (fun side ->
+            Engine.now (Pengine.part pe (if side = Channel.A then 0 else 1))),
+          fun () -> Pengine.run_until pe (Pengine.now pe +. 1.0) )) }
+
+let test_channel_connect_and_deliver l () =
+  let ch, now, run = l.make ~latency:0.001 ~bandwidth_mbps:8.0 in
   let a_connected = ref false and b_connected = ref false in
   let received = ref [] in
   Channel.set_on_connected ch Channel.A (fun () -> a_connected := true);
   Channel.set_on_connected ch Channel.B (fun () -> b_connected := true);
-  Channel.set_receiver ch Channel.B (fun s -> received := (s, Engine.now e) :: !received);
+  Channel.set_receiver ch Channel.B (fun s -> received := (s, now Channel.B) :: !received);
   Channel.connect ch;
-  Engine.run e;
+  run ();
   Alcotest.(check bool) "a connected" true !a_connected;
   Alcotest.(check bool) "b connected" true !b_connected;
   (* 1000 bytes at 8 Mbps = 1 ms serialization + 1 ms latency *)
+  let sent_at = now Channel.A in
   Channel.send ch Channel.A (String.make 1000 'x');
-  Engine.run e;
+  run ();
   (match !received with
   | [ (s, t) ] ->
     Alcotest.(check int) "payload" 1000 (String.length s);
-    feq ~eps:1e-6 "arrival" (0.001 +. 0.001 +. 0.001) t
+    feq ~eps:1e-6 "arrival" (sent_at +. 0.001 +. 0.001) t
   | _ -> Alcotest.fail "expected one delivery");
-  Alcotest.(check int) "carried" 1000 (Channel.bytes_carried ch Channel.A)
+  Alcotest.(check int) "carried" 1000 (Channel.bytes_carried ch Channel.A);
+  Alcotest.(check int) "nothing in flight" 0 (Channel.in_flight ch)
 
-let test_channel_serialization_order () =
-  let e = Engine.create () in
-  let ch = Channel.create e ~latency:0.0 ~bandwidth_mbps:8.0 () in
+let test_channel_serialization_order l () =
+  let latency = l.least_latency in
+  let ch, now, run = l.make ~latency ~bandwidth_mbps:8.0 in
   let received = ref [] in
-  Channel.set_receiver ch Channel.B (fun s -> received := (s, Engine.now e) :: !received);
+  Channel.set_receiver ch Channel.B (fun s -> received := (s, now Channel.B) :: !received);
   Channel.connect ch;
-  Engine.run e;
+  run ();
   (* Two back-to-back 1000-byte messages serialize sequentially. *)
+  let sent_at = now Channel.A in
   Channel.send ch Channel.A (String.make 1000 'a');
   Channel.send ch Channel.A (String.make 1000 'b');
-  Engine.run e;
+  run ();
   match List.rev !received with
   | [ (a, t1); (b, t2) ] ->
     Alcotest.(check char) "order a" 'a' a.[0];
     Alcotest.(check char) "order b" 'b' b.[0];
-    feq "first at 1ms" 0.001 t1;
-    feq "second at 2ms" 0.002 t2
+    feq "first after 1ms" (sent_at +. latency +. 0.001) t1;
+    feq "second after 2ms" (sent_at +. latency +. 0.002) t2
   | _ -> Alcotest.fail "expected two deliveries"
 
-let test_channel_close_drops () =
-  let e = Engine.create () in
-  let ch = Channel.create e ~latency:0.010 () in
+let test_channel_close_drops l () =
+  let ch, _, run = l.make ~latency:0.010 ~bandwidth_mbps:1000.0 in
   let received = ref 0 and closed = ref 0 in
   Channel.set_receiver ch Channel.B (fun _ -> incr received);
   Channel.set_on_closed ch Channel.A (fun () -> incr closed);
   Channel.set_on_closed ch Channel.B (fun () -> incr closed);
   Channel.connect ch;
-  Engine.run e;
+  run ();
   Channel.send ch Channel.A "in-flight";
   Channel.close ch;
-  Engine.run e;
+  run ();
   Alcotest.(check int) "dropped" 0 !received;
   Alcotest.(check int) "both closed" 2 !closed;
   Alcotest.(check bool) "closed state" false (Channel.is_open ch);
+  Alcotest.(check int) "nothing in flight" 0 (Channel.in_flight ch);
   (* sends on a closed channel are silently dropped *)
   Channel.send ch Channel.A "late";
-  Engine.run e;
+  run ();
   Alcotest.(check int) "still dropped" 0 !received
+
+(* On one engine a connect or close started from side B still tells A
+   first, in one event: the goldens depend on this order. *)
+let test_channel_b_notifies_a_first () =
+  let e = Engine.create () in
+  let ch = Channel.create e () in
+  let heard = ref [] in
+  let hear what side () = heard := (what, side) :: !heard in
+  List.iter
+    (fun side ->
+      Channel.set_on_connected ch side (hear "up" side);
+      Channel.set_on_closed ch side (hear "down" side))
+    [ Channel.A; Channel.B ];
+  let b = Channel.endpoint ch Channel.B in
+  let check what =
+    let pending = Engine.pending e in
+    Engine.run e;
+    Alcotest.(check int) (what ^ ": one event") 1 pending;
+    Alcotest.(check bool) (what ^ ": A, then B") true
+      (List.rev !heard = [ (what, Channel.A); (what, Channel.B) ]);
+    heard := []
+  in
+  b.Bgp_engine.Link.start_connect ();
+  Alcotest.(check bool) "open at once" true (Channel.is_open ch);
+  check "up";
+  b.Bgp_engine.Link.close ();
+  Alcotest.(check bool) "closed at once" false (Channel.is_open ch);
+  check "down"
 
 (* ------------------------------------------------------------------ *)
 (* Traffic                                                             *)
@@ -292,10 +354,20 @@ let () =
     [ ( "channel-properties",
         List.map QCheck_alcotest.to_alcotest [ prop_channel_fifo ] );
       ( "channel",
-        [ Alcotest.test_case "connect and deliver" `Quick test_channel_connect_and_deliver;
-          Alcotest.test_case "serialization order" `Quick test_channel_serialization_order;
-          Alcotest.test_case "close drops in-flight" `Quick test_channel_close_drops
-        ] );
+        List.concat_map
+          (fun l ->
+            let name what =
+              if l == one_engine then what else what ^ " (" ^ l.name ^ ")"
+            in
+            [ Alcotest.test_case (name "connect and deliver") `Quick
+                (test_channel_connect_and_deliver l);
+              Alcotest.test_case (name "serialization order") `Quick
+                (test_channel_serialization_order l);
+              Alcotest.test_case (name "close drops in-flight") `Quick
+                (test_channel_close_drops l) ])
+          [ one_engine; two_partitions ]
+        @ [ Alcotest.test_case "side B notifies A first" `Quick
+              test_channel_b_notifies_a_first ] );
       ("traffic", [ Alcotest.test_case "packet rates" `Quick test_traffic_pps ]);
       ( "ip packet",
         Alcotest.test_case "serialize/parse" `Quick test_ip_serialize_parse
