@@ -15,7 +15,10 @@ let size_t =
   Arg.(value & opt int 10_000 & info [ "n"; "size" ] ~docv:"PREFIXES" ~doc)
 
 let packing_t =
-  let doc = "Prefixes per large UPDATE (the paper uses 500)." in
+  let doc =
+    "Prefixes per large UPDATE (the paper uses 500); an UPDATE that would \
+     exceed 4096 bytes carries fewer."
+  in
   Arg.(value & opt int 500 & info [ "packing" ] ~docv:"N" ~doc)
 
 let seed_t =
@@ -567,7 +570,10 @@ let churn_cmd =
       & info [ "subscribers" ] ~docv:"N" ~doc)
   in
   let batch_t =
-    let doc = "Prefixes per injection batch (and per-UPDATE packing)." in
+    let doc =
+      "Prefixes per injection batch (and per-UPDATE packing, split where an \
+       UPDATE would exceed 4096 bytes)."
+    in
     Arg.(value & opt int 500 & info [ "batch" ] ~docv:"N" ~doc)
   in
   let batch_interval_t =
@@ -832,7 +838,12 @@ let main_cmd =
       churn_cmd; crosscheck_cmd; topo_cmd; all_cmd ]
 
 let () =
-  try exit (Cmd.eval ~catch:false main_cmd)
-  with Failure msg ->
+  try exit (Cmd.eval ~catch:false main_cmd) with
+  | Failure msg ->
     Printf.eprintf "bgpbench: %s\n" msg;
     exit 1
+  (* A knob the library rejects (packing, batch size, subscriber count,
+     churn rate, peer count): a usage error, not a crash. *)
+  | Invalid_argument msg ->
+    Printf.eprintf "bgpbench: %s\n" msg;
+    exit 2

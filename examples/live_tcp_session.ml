@@ -46,15 +46,15 @@ let () =
   let router_ep = Tcp_link.listen loop ~port in
   let speaker_ep = Tcp_link.connect loop ~port in
   let router =
-    Session.of_link
+    Session.create
       { (Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.255.0.1")) with
         Fsm.passive = true }
-      (Loop.timer_service loop) router_ep.Tcp_link.link router_hooks
+      (Loop.clock loop) router_ep.Tcp_link.link router_hooks
   in
   let speaker =
-    Session.of_link
+    Session.create
       (Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "192.0.2.1"))
-      (Loop.timer_service loop) speaker_ep.Tcp_link.link speaker_hooks
+      (Loop.clock loop) speaker_ep.Tcp_link.link speaker_hooks
   in
   Format.printf "listening on 127.0.0.1:%d ...@." port;
   Session.start router;

@@ -32,7 +32,6 @@ let best_covering p s =
 let covers_addr a s = best_covering (Prefix.make a 32) s <> None
 let fold = M.fold
 let iter = M.iter
-let union = M.union
 let inter = M.inter
 let equal = M.equal
 

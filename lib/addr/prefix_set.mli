@@ -28,7 +28,6 @@ val covers_addr : Ipv4.t -> t -> bool
 
 val fold : (Prefix.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Prefix.t -> unit) -> t -> unit
-val union : t -> t -> t
 val inter : t -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

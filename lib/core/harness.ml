@@ -126,8 +126,6 @@ type result = {
   setup_seconds : float;
   trace : Trace.sample list;
   fib_size_end : int;
-  fib_stats : Fib.stats;
-  rib_stats : Bgp_rib.Rib_manager.stats;
   stage_stats : Bgp_pipeline.Pipeline.stage_stat list;
   msgs_rx : int;
   msgs_tx : int;
@@ -172,18 +170,9 @@ let sync_speaker2 (tb : Testbed.t) ~n =
 
 (* Per-entry-attribute tables (file-loaded, varied synthetic, MRT RIB):
    an UPDATE carries one attribute set, so prefixes are grouped by
-   equal attributes before packing, and groups are emitted in arena-id
-   order so the workload is deterministic regardless of hash-table
-   iteration. *)
+   equal attributes before packing. *)
 let announce_grouped (side : Testbed.side) ~packing routes =
-  let groups = I.Tbl.create 32 in
-  List.iter
-    (fun (prefix, interned) ->
-      let prefixes = Option.value ~default:[] (I.Tbl.find_opt groups interned) in
-      I.Tbl.replace groups interned (prefix :: prefixes))
-    routes;
-  I.Tbl.fold (fun interned prefixes acc -> (interned, prefixes) :: acc) groups []
-  |> List.sort (fun (a, _) (b, _) -> I.compare_id a b)
+  Bgp_wire.Codec.group_by_attrs routes
   |> List.iter (fun (interned, prefixes) ->
          ignore
            (Speaker.announce side.speaker ~packing ~attrs:(I.value interned)
@@ -227,12 +216,10 @@ let fwd_ratio_min (cfg : config) router trace =
 let result ?(trace = []) cfg arch scenario (tb : Testbed.t) (p : Testbed.phase)
     verified =
   let router = tb.router in
-  let fib = Router.fib router in
   { arch_name = arch.Arch.name; scenario; used = cfg; tps = Testbed.tps p;
     measured_prefixes = p.transactions; measure_seconds = p.seconds;
     setup_seconds = Clock.now tb.clock -. p.seconds; trace;
-    fib_size_end = Fib.size fib; fib_stats = Fib.stats fib;
-    rib_stats = Bgp_rib.Rib_manager.stats (Router.rib router);
+    fib_size_end = Fib.size (Router.fib router);
     stage_stats = p.stage_stats; msgs_rx = p.msgs_rx; msgs_tx = p.msgs_tx;
     fwd_ratio_min = fwd_ratio_min cfg router trace; faults = None;
     damping = damping_report_of router; churn = None;

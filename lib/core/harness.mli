@@ -152,8 +152,6 @@ type result = {
       (** CPU-load samples over the whole run (empty without
           [trace_interval]) *)
   fib_size_end : int;
-  fib_stats : Bgp_fib.Fib.stats;
-  rib_stats : Bgp_rib.Rib_manager.stats;
   stage_stats : Bgp_pipeline.Pipeline.stage_stat list;
       (** per-stage unit/batch/cycle breakdown over the measured phase *)
   msgs_rx : int;  (** wire messages received in the measured phase *)

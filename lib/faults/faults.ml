@@ -19,10 +19,6 @@ let none =
   { seed = 0; corrupt_prob = 0.0; truncate_prob = 0.0; drop_prob = 0.0;
     reorder_prob = 0.0; reorder_delay = 0.0; blackhole = None }
 
-let is_active p =
-  p.corrupt_prob > 0.0 || p.truncate_prob > 0.0 || p.drop_prob > 0.0
-  || p.reorder_prob > 0.0 || p.blackhole <> None
-
 type t = {
   clock : Clock.t;
   prof : profile;

@@ -47,8 +47,6 @@ val none : profile
 (** All probabilities zero, no blackhole: a tapped channel behaves
     exactly like an untapped one. *)
 
-val is_active : profile -> bool
-
 type t
 (** A fault injector bound to one clock and metrics registry. *)
 

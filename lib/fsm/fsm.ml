@@ -14,13 +14,6 @@ let pp_state ppf s = Format.pp_print_string ppf (state_name s)
 
 type timer = Connect_retry | Hold | Keepalive
 
-let pp_timer ppf t =
-  Format.pp_print_string ppf
-    (match t with
-    | Connect_retry -> "connect-retry"
-    | Hold -> "hold"
-    | Keepalive -> "keepalive")
-
 type event =
   | Manual_start
   | Manual_stop

@@ -17,8 +17,6 @@ val state_name : state -> string
 
 type timer = Connect_retry | Hold | Keepalive
 
-val pp_timer : Format.formatter -> timer -> unit
-
 type event =
   | Manual_start
   | Manual_stop

@@ -1,18 +1,6 @@
+module Clock = Bgp_engine.Clock
+module Link = Bgp_engine.Link
 module Msg = Bgp_wire.Msg
-
-type timer_service = { arm_timer : float -> (unit -> unit) -> unit -> unit }
-
-let timer_service_of clock =
-  { arm_timer =
-      (fun delay fn ->
-        let h = Bgp_engine.Clock.schedule clock ~delay fn in
-        fun () -> Bgp_engine.Clock.cancel h) }
-
-type io = {
-  out_bytes : string -> unit;
-  start_connect : unit -> unit;
-  close : unit -> unit;
-}
 
 type hooks = {
   on_update : Msg.update -> unit;
@@ -29,20 +17,16 @@ let null_hooks =
     on_tx_msg = (fun _ _ -> ()); on_rx_msg = (fun _ _ -> ()) }
 
 type t = {
-  timers : timer_service;
-  io : io;
+  clock : Clock.t;
+  link : Link.t;
+  passive : bool;
   hooks : hooks;
   framer : Framer.t;
   mutable fsm : Fsm.t;
-  cancels : (Fsm.timer, unit -> unit) Hashtbl.t;
+  timers : (Fsm.timer, Clock.handle) Hashtbl.t;
   mutable closed_flag : bool;  (* transport currently closed *)
   mutable on_transition : Fsm.state -> Fsm.state -> unit;
 }
-
-let create cfg timers io hooks =
-  { timers; io; hooks; framer = Framer.create (); fsm = Fsm.create cfg;
-    cancels = Hashtbl.create 4; closed_flag = true;
-    on_transition = (fun _ _ -> ()) }
 
 let set_transition_observer t f = t.on_transition <- f
 
@@ -50,15 +34,15 @@ let state t = Fsm.state t.fsm
 let fsm t = t.fsm
 
 let cancel_timer t timer =
-  match Hashtbl.find_opt t.cancels timer with
-  | Some cancel ->
-    cancel ();
-    Hashtbl.remove t.cancels timer
+  match Hashtbl.find_opt t.timers timer with
+  | Some h ->
+    Clock.cancel h;
+    Hashtbl.remove t.timers timer
   | None -> ()
 
 let transmit_encoded t msg wire =
   t.hooks.on_tx_msg msg (String.length wire);
-  t.io.out_bytes wire
+  t.link.send wire
 
 let transmit t msg = transmit_encoded t msg (Bgp_wire.Codec.encode msg)
 
@@ -73,21 +57,23 @@ let rec dispatch t ev =
 and perform t = function
   | Fsm.Start_connect ->
     t.closed_flag <- false;
-    t.io.start_connect ()
+    (* A passive (listening) side never initiates the transport
+       connection, even if the FSM asks. *)
+    if not t.passive then t.link.start_connect ()
   | Fsm.Close_connection ->
     if not t.closed_flag then begin
       t.closed_flag <- true;
-      t.io.close ()
+      t.link.close ()
     end
   | Fsm.Send msg -> transmit t msg
   | Fsm.Arm (timer, delay) ->
     cancel_timer t timer;
-    let cancel =
-      t.timers.arm_timer delay (fun () ->
-          Hashtbl.remove t.cancels timer;
+    let h =
+      Clock.schedule t.clock ~delay (fun () ->
+          Hashtbl.remove t.timers timer;
           dispatch t (Fsm.Timer_expired timer))
     in
-    Hashtbl.replace t.cancels timer cancel
+    Hashtbl.replace t.timers timer h
   | Fsm.Cancel timer -> cancel_timer t timer
   | Fsm.Deliver_update u -> t.hooks.on_update u
   | Fsm.Deliver_refresh (afi, safi) -> t.hooks.on_refresh afi safi
@@ -140,16 +126,12 @@ let send_encoded t msg wire =
     true
   | _ -> false
 
-let of_link cfg timers (link : Bgp_engine.Link.t) hooks =
-  (* A passive (listening) side never initiates the transport
-     connection, even if the FSM were to ask. *)
-  let io =
-    { out_bytes = link.send;
-      start_connect =
-        (if cfg.Fsm.passive then fun () -> () else link.start_connect);
-      close = link.close }
+let create cfg clock (link : Link.t) hooks =
+  let t =
+    { clock; link; passive = cfg.Fsm.passive; hooks; framer = Framer.create ();
+      fsm = Fsm.create cfg; timers = Hashtbl.create 4; closed_flag = true;
+      on_transition = (fun _ _ -> ()) }
   in
-  let t = create cfg timers io hooks in
   link.set_receiver (feed t);
   link.set_on_connected (fun () -> connected t);
   link.set_on_closed (fun () -> closed t);

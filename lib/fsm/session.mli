@@ -1,28 +1,11 @@
-(** A live BGP session: {!Fsm} + {!Framer} wired to a transport and a
-    timer service.
+(** A live BGP session: {!Fsm} + {!Framer} over a {!Bgp_engine.Clock}
+    and a {!Bgp_engine.Link}.
 
     The session is transport-agnostic — the simulated byte channels of
     [bgp_netsim] and the real TCP sockets of [bgp_tcp] both drive it
-    through the same five entry points ({!connected}, {!failed},
-    {!closed}, {!feed}, plus timer callbacks the session arms itself). *)
-
-type timer_service = {
-  arm_timer : float -> (unit -> unit) -> unit -> unit;
-      (** [arm_timer delay fn] schedules [fn] after [delay] seconds of
-          the transport's notion of time and returns a cancel thunk. *)
-}
-
-val timer_service_of : Bgp_engine.Clock.t -> timer_service
-(** The canonical timer service over a {!Bgp_engine.Clock}: [arm_timer]
-    schedules on the clock and the returned thunk is the clock handle's
-    idempotent cancel.  Simulated and live sessions both use this — the
-    clock is the only thing that differs. *)
-
-type io = {
-  out_bytes : string -> unit;     (** transmit wire bytes *)
-  start_connect : unit -> unit;   (** initiate the transport connection *)
-  close : unit -> unit;           (** tear the connection down *)
-}
+    through the same entry points ({!connected}, {!failed}, {!closed},
+    {!feed}), and its hold, keepalive and connect-retry timers run on
+    whichever clock it is given. *)
 
 type hooks = {
   on_update : Bgp_wire.Msg.update -> unit;
@@ -41,15 +24,14 @@ val null_hooks : hooks
 
 type t
 
-val create : Fsm.config -> timer_service -> io -> hooks -> t
-
-val of_link :
-  Fsm.config -> timer_service -> Bgp_engine.Link.t -> hooks -> t
-(** A session speaking over a transport endpoint: {!create} with the
-    endpoint's [send]/[start_connect]/[close] as its {!io} (a passive
-    session never dials, even if the FSM were to ask), and the
-    endpoint's receiver, connected, closed, and failed callbacks driving
-    {!feed}, {!connected}, {!closed}, and {!failed}. *)
+val create :
+  Fsm.config -> Bgp_engine.Clock.t -> Bgp_engine.Link.t -> hooks -> t
+(** A session speaking over a transport endpoint, its timers scheduled
+    on [clock].  The endpoint's [send], [start_connect] and [close]
+    carry the FSM's transport actions (a passive session never dials,
+    even if the FSM asks), and its receiver, connected, closed, and
+    failed callbacks drive {!feed}, {!connected}, {!closed}, and
+    {!failed}. *)
 
 val state : t -> Fsm.state
 val fsm : t -> Fsm.t

@@ -11,10 +11,6 @@ type stage_id =
   | Export_policy
   | Mrai_pacing
 
-let all_stage_ids =
-  [ Wire_decode; Import_policy; Adj_rib_in; Decision; Fib_install;
-    Export_policy; Mrai_pacing ]
-
 let stage_name = function
   | Wire_decode -> "wire-decode"
   | Import_policy -> "import-policy"
@@ -62,8 +58,6 @@ let spec ?proc ?(cost = fun _ -> 0.0) ?(units = fun _ -> 0)
   { sp_id = id; sp_proc = proc; sp_cost = cost; sp_units = units;
     sp_skip = skip }
 
-let spec_id sp = sp.sp_id
-let spec_proc sp = sp.sp_proc
 
 type layout = Pipelined | Fused_paced of float
 

@@ -38,9 +38,6 @@ type stage_id =
   | Export_policy   (** advertisement emission toward peers *)
   | Mrai_pacing     (** RFC 4271 §9.2.1.1 outbound batching *)
 
-val all_stage_ids : stage_id list
-(** Pipeline order. *)
-
 val stage_name : stage_id -> string
 (** e.g. ["wire-decode"]. *)
 
@@ -99,9 +96,6 @@ val spec :
     per batch.  [skip] (default: never) suppresses the stage for
     batches it does not apply to (e.g. FIB install when an update
     changed no forwarding entry). *)
-
-val spec_id : spec -> stage_id
-val spec_proc : spec -> string option
 
 (** How the stage table executes on the scheduler. *)
 type layout =

@@ -13,5 +13,4 @@ let equal = Int.equal
 let pp ppf a = Format.fprintf ppf "AS%d" a
 let hash a = a
 let reserved = 0
-let max_value = 0xFFFF
 let is_private a = a >= 64512 && a <= 65534

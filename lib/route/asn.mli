@@ -18,8 +18,5 @@ val hash : t -> int
 val reserved : t
 (** AS 0, reserved; never a valid path element. *)
 
-val max_value : t
-(** AS 65535. *)
-
 val is_private : t -> bool
 (** RFC 1930 private range 64512–65534. *)

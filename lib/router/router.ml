@@ -2,6 +2,7 @@ module Clock = Bgp_engine.Clock
 module Link = Bgp_engine.Link
 module Sched = Bgp_sim.Sched
 module Msg = Bgp_wire.Msg
+module Codec = Bgp_wire.Codec
 module Session = Bgp_fsm.Session
 module Peer = Bgp_route.Peer
 module Rib_manager = Bgp_rib.Rib_manager
@@ -199,17 +200,23 @@ let delta_cycles (c : Arch.cost_model) deltas =
       | Fib.Add _ | Fib.Withdraw _ -> c.Arch.cyc_per_fib_delta)
     0.0 deltas
 
-(* Aggregate of RIB outcomes for one inbound update. *)
-type update_work = {
-  mutable w_candidates : int;
-  mutable w_loc_changes : int;
-  mutable w_deltas : Fib.delta list;
-  mutable w_anns : Rib_manager.announcement list;
-}
-
-let run_rib_update t ~from (u : Msg.update) =
-  let w =
-    { w_candidates = 0; w_loc_changes = 0; w_deltas = []; w_anns = [] }
+(* Run one inbound UPDATE through the RIB machinery, booking the
+   outcomes' counts into [w], the work profile that prices the decision
+   and FIB stages.  Returns the FIB deltas and the announcements in NLRI
+   order. *)
+let run_rib_update t (w : Pipeline.work) ~from (u : Msg.update) =
+  (* Accumulated reversed, restored once below: appending would copy
+     the whole list for every prefix of a large UPDATE. *)
+  let deltas = ref [] and anns = ref [] in
+  let add_delta d =
+    (match d with
+    | Fib.Replace _ -> w.w_fib_replaces <- w.w_fib_replaces + 1
+    | Fib.Add _ | Fib.Withdraw _ -> w.w_fib_installs <- w.w_fib_installs + 1);
+    deltas := d :: !deltas
+  in
+  let add_ann a =
+    w.w_announcements <- w.w_announcements + 1;
+    anns := a :: !anns
   in
   let absorb prefix (o : Rib_manager.outcome) =
     w.w_candidates <- w.w_candidates + o.Rib_manager.candidates;
@@ -217,51 +224,41 @@ let run_rib_update t ~from (u : Msg.update) =
       w.w_loc_changes <- w.w_loc_changes + 1;
       t.route_observer prefix
     end;
-    (* Accumulated reversed, restored once below: appending would copy
-       the whole list for every prefix of a large UPDATE. *)
-    w.w_deltas <- List.rev_append o.Rib_manager.fib_deltas w.w_deltas;
-    w.w_anns <- List.rev_append o.Rib_manager.announcements w.w_anns
+    List.iter add_delta o.Rib_manager.fib_deltas;
+    List.iter add_ann o.Rib_manager.announcements
   in
-  (match t.damp with
-  | None ->
-    List.iter
-      (fun p -> absorb p (Rib_manager.withdraw t.rib ~from p))
-      u.Msg.withdrawn;
-    (match u.Msg.attrs with
-    | Some interned ->
-      (* Attr-group batched path: one shared handle for all NLRI, so the
-         per-attribute guards run once per UPDATE. *)
-      Rib_manager.announce_group t.rib ~from ~each:absorb u.Msg.nlri interned
-    | None -> ())
-  | Some d ->
-    (* RFC 2439: withdrawals always reach the RIB (a suppressed route
-       must never stay reachable); announcements of suppressed routes
-       are withheld before the decision process.  The damping table
-       keeps the withheld attrs and the router's reuse timer re-injects
-       them when the penalty decays. *)
-    let now = Clock.now t.clock in
-    List.iter
-      (fun p ->
-        Damping.note_withdraw d ~now ~peer:from ~prefix:p;
-        absorb p (Rib_manager.withdraw t.rib ~from p))
-      u.Msg.withdrawn;
-    (match u.Msg.attrs with
-    | Some interned ->
-      let passed =
+  let nlri =
+    match t.damp with
+    | None -> u.Msg.nlri
+    | Some d ->
+      (* RFC 2439: withdrawals always reach the RIB (a suppressed route
+         must never stay reachable); announcements of suppressed routes
+         are withheld before the decision process.  The damping table
+         keeps the withheld attrs and the router's reuse timer
+         re-injects them when the penalty decays. *)
+      let now = Clock.now t.clock in
+      List.iter
+        (fun p -> Damping.note_withdraw d ~now ~peer:from ~prefix:p)
+        u.Msg.withdrawn;
+      (match u.Msg.attrs with
+      | Some attrs ->
         List.filter
           (fun p ->
-            match Damping.on_announce d ~now ~peer:from ~prefix:p ~attrs:interned
-            with
-            | Damping.Pass -> true
-            | Damping.Suppress -> false)
+            Damping.on_announce d ~now ~peer:from ~prefix:p ~attrs
+            = Damping.Pass)
           u.Msg.nlri
-      in
-      if passed <> [] then
-        Rib_manager.announce_group t.rib ~from ~each:absorb passed interned
-    | None -> ()));
-  w.w_deltas <- List.rev w.w_deltas;
-  w.w_anns <- List.rev w.w_anns;
-  w
+      | None -> [])
+  in
+  List.iter
+    (fun p -> absorb p (Rib_manager.withdraw t.rib ~from p))
+    u.Msg.withdrawn;
+  (match u.Msg.attrs with
+  | Some interned ->
+    (* Attr-group batched path: one shared handle for all NLRI, so the
+       per-attribute guards run once per UPDATE. *)
+    Rib_manager.announce_group t.rib ~from ~each:absorb nlri interned
+  | None -> ());
+  (List.rev !deltas, List.rev !anns)
 
 (* ------------------------------------------------------------------ *)
 (* Transmission                                                        *)
@@ -278,36 +275,6 @@ let link_session l =
   | Some s -> s
   | None -> invalid_arg "Router: session not initialized"
 
-(* RFC 4271 section 4.3: besides its attribute section, an UPDATE spends
-   the 19-byte header and two 2-byte length fields, plus one length
-   octet and the address octets per prefix.  [update_room] is what is
-   left for prefixes in a message without attributes. *)
-let update_room = Msg.max_len - Msg.header_len - 4
-let prefix_bytes p = 1 + Bgp_addr.Prefix.wire_octets p
-
-let attrs_bytes interned =
-  String.length (Bgp_wire.Codec.encode_path_attrs (Interned.value interned))
-
-(* Split [prefixes], in order, into runs of at most [max_count] prefixes
-   and [room] wire bytes.  A prefix that exceeds [room] on its own still
-   gets a run of its own; {!encode_out} turns it into a withdrawal. *)
-let chunks ?(max_count = max_int) ~room prefixes =
-  let rec go runs run count bytes = function
-    | [] -> List.rev (if run = [] then runs else List.rev run :: runs)
-    | p :: rest ->
-      let b = prefix_bytes p in
-      if run <> [] && (count >= max_count || bytes + b > room) then
-        go (List.rev run :: runs) [ p ] 1 b rest
-      else go runs (p :: run) (count + 1) (bytes + b) rest
-  in
-  go [] [] 0 0 prefixes
-
-(* One UPDATE per run of [prefixes] that fits beside [interned]. *)
-let announcements ?max_count interned prefixes =
-  List.map
-    (Msg.announcement_interned interned)
-    (chunks ?max_count ~room:(update_room - attrs_bytes interned) prefixes)
-
 (* The wire image of an outbound message, encoded once.  The packers
    split every multi-prefix UPDATE to fit, so a message that still does
    not fit announces a single route whose attributes leave no room for
@@ -316,7 +283,7 @@ let announcements ?max_count interned prefixes =
    withdrawal: the peer must not keep a path it can no longer be told
    about. *)
 let encode_out msg =
-  match Bgp_wire.Codec.encode_opt msg with
+  match Codec.encode_opt msg with
   | Some wire -> (msg, wire)
   | None ->
     let msg =
@@ -325,7 +292,7 @@ let encode_out msg =
         | Msg.Update u -> u.Msg.withdrawn @ u.Msg.nlri
         | _ -> [])
     in
-    (msg, Bgp_wire.Codec.encode msg)
+    (msg, Codec.encode msg)
 
 (* Send a message to a peer, charging [proc] for the send path. *)
 let transmit t proc peer msg =
@@ -339,32 +306,23 @@ let transmit t proc peer msg =
       ignore (Session.send_encoded (link_session (link t peer)) msg wire))
 
 (* Flush a peer's MRAI buffer: withdrawals batched together, then
-   announcements grouped by interned attribute handle (id-keyed instead
-   of structural hashing), each group as few UPDATEs as fit.  Groups are
-   emitted in arena-id order, which is deterministic and independent of
-   hash-table iteration. *)
+   announcements grouped by interned attribute handle in arena-id order,
+   each group as few UPDATEs as fit. *)
 let rec mrai_flush t lnk =
-  let withdrawn = ref [] in
-  let groups = Interned.Tbl.create 8 in
-  Hashtbl.iter
-    (fun prefix attrs_opt ->
-      match attrs_opt with
-      | None -> withdrawn := prefix :: !withdrawn
-      | Some interned ->
-        let prefixes =
-          Option.value ~default:[] (Interned.Tbl.find_opt groups interned)
-        in
-        Interned.Tbl.replace groups interned (prefix :: prefixes))
-    lnk.mrai_pending;
+  let withdrawn, routes =
+    Hashtbl.fold
+      (fun prefix attrs (withdrawn, routes) ->
+        match attrs with
+        | None -> (prefix :: withdrawn, routes)
+        | Some interned -> (withdrawn, (prefix, interned) :: routes))
+      lnk.mrai_pending ([], [])
+  in
   Hashtbl.reset lnk.mrai_pending;
   let msgs =
-    List.map Msg.withdrawal (chunks ~room:update_room !withdrawn)
-    @ (Interned.Tbl.fold
-         (fun interned prefixes acc -> (interned, prefixes) :: acc)
-         groups []
-      |> List.sort (fun (a, _) (b, _) -> Interned.compare_id a b)
-      |> List.concat_map (fun (interned, prefixes) ->
-             announcements interned prefixes))
+    Codec.updates None withdrawn
+    @ List.concat_map
+        (fun (interned, prefixes) -> Codec.updates (Some interned) prefixes)
+        (Codec.group_by_attrs routes)
   in
   if msgs <> [] then begin
     List.iter (fun msg -> transmit t t.tx_proc lnk.peer msg) msgs;
@@ -384,21 +342,20 @@ and mrai_arm t lnk interval =
            end
            else lnk.mrai_armed <- false))
 
+(* XORP emits one UPDATE per announcement as decisions are made. *)
+let announcement_msg (a : Rib_manager.announcement) =
+  match a.Rib_manager.ann_attrs with
+  | Some interned ->
+    Msg.announcement_interned interned [ a.Rib_manager.ann_prefix ]
+  | None -> Msg.withdrawal [ a.Rib_manager.ann_prefix ]
+
 (* Route one decision's advertisement toward a peer, immediately or
    through the MRAI buffer.  [w] is the owning batch's work profile;
    advertisements actually held back by an armed timer are counted
    there. *)
 let emit_announcement t (w : Pipeline.work) (a : Rib_manager.announcement) =
   match t.mrai with
-  | None ->
-    (* XORP-style: one UPDATE per announcement as decisions are made. *)
-    let msg =
-      match a.Rib_manager.ann_attrs with
-      | Some interned ->
-        Msg.announcement_interned interned [ a.Rib_manager.ann_prefix ]
-      | None -> Msg.withdrawal [ a.Rib_manager.ann_prefix ]
-    in
-    transmit t t.tx_proc a.Rib_manager.dest msg
+  | None -> transmit t t.tx_proc a.Rib_manager.dest (announcement_msg a)
   | Some interval ->
     let lnk = link t a.Rib_manager.dest in
     if lnk.mrai_armed then
@@ -409,17 +366,6 @@ let emit_announcement t (w : Pipeline.work) (a : Rib_manager.announcement) =
       ignore (mrai_flush t lnk);
       mrai_arm t lnk interval
     end
-
-(* XORP emits one UPDATE per announcement as decisions are made. *)
-let announcement_msgs anns =
-  List.map
-    (fun (a : Rib_manager.announcement) ->
-      ( a.Rib_manager.dest,
-        match a.Rib_manager.ann_attrs with
-        | Some interned ->
-          Msg.announcement_interned interned [ a.Rib_manager.ann_prefix ]
-        | None -> Msg.withdrawal [ a.Rib_manager.ann_prefix ] ))
-    anns
 
 (* Pack a full-table export (Phase 2) into large UPDATEs: consecutive
    announcements sharing an attribute handle ride together (the
@@ -439,7 +385,7 @@ let pack_export anns =
   in
   List.concat_map
     (fun (interned, prefixes) ->
-      announcements ~max_count:200 interned (List.rev prefixes))
+      Codec.updates ~max_count:200 (Some interned) (List.rev prefixes))
     (List.rev runs)
 
 (* ------------------------------------------------------------------ *)
@@ -465,8 +411,9 @@ let fib_job t deltas anns ~on_done =
   Sched.submit t.sched t.fib_proc ~cycles (fun () ->
       ignore (Fib.apply_all t.fib deltas);
       List.iter
-        (fun (dest, msg) -> transmit t t.fib_proc dest msg)
-        (announcement_msgs anns);
+        (fun (a : Rib_manager.announcement) ->
+          transmit t t.fib_proc a.Rib_manager.dest (announcement_msg a))
+        anns;
       on_done ())
 
 (* Originate (or withdraw) a prefix locally — also the re-injection
@@ -545,9 +492,9 @@ let over_prefix_limit t peer_link (u : Msg.update) =
    - [Adj_rib_in]'s begin hook checks the prefix limit (here, not at
      decode time: the projection must see every earlier UPDATE from
      this peer already applied, and the pipeline is the point where
-     that ordering holds), then runs the RIB machinery and copies its
-     outcome into the work profile, which prices the decision and FIB
-     stages;
+     that ordering holds), then runs the RIB machinery, which books
+     its outcome into the work profile that prices the decision and
+     FIB stages;
    - [Fib_install]'s finish hook commits the deltas to the FIB;
    - [Export_policy]'s finish hook emits the advertisements
      (immediately, or into the MRAI buffers);
@@ -580,19 +527,9 @@ let process_update t peer_link ~bytes (u : Msg.update) =
         Option.iter Session.stop peer_link.session
       end
       else begin
-      let r = run_rib_update t ~from u in
-      w.Pipeline.w_candidates <- r.w_candidates;
-      w.Pipeline.w_loc_changes <- r.w_loc_changes;
-      List.iter
-        (function
-          | Fib.Replace _ ->
-            w.Pipeline.w_fib_replaces <- w.Pipeline.w_fib_replaces + 1
-          | Fib.Add _ | Fib.Withdraw _ ->
-            w.Pipeline.w_fib_installs <- w.Pipeline.w_fib_installs + 1)
-        r.w_deltas;
-      w.Pipeline.w_announcements <- List.length r.w_anns;
-      deltas := r.w_deltas;
-      anns := r.w_anns
+        let d, a = run_rib_update t w ~from u in
+        deltas := d;
+        anns := a
       end
     | _ -> ()
   in
@@ -742,9 +679,7 @@ let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?rr_client
           Metrics.incr ~by:bytes t.c_bytes_rx;
           lnk.last_rx_size <- bytes) }
   in
-  let session =
-    Session.of_link cfg (Session.timer_service_of t.clock) link hooks
-  in
+  let session = Session.create cfg t.clock link hooks in
   (match t.tracer, t.fsm_track with
   | Some tr, Some tk ->
     let peer_name = Printf.sprintf "peer-%d" peer.Peer.id in

@@ -103,9 +103,6 @@ let pending t = Array.fold_left (fun acc p -> acc + Engine.pending p) 0 t.parts
 
 let dispatched t i = Engine.dispatched t.parts.(i)
 
-let total_dispatched t =
-  Array.fold_left (fun acc p -> acc + Engine.dispatched p) 0 t.parts
-
 (* ------------------------------------------------------------------ *)
 (* The window driver                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -79,4 +79,3 @@ val dispatched : t -> int -> int
 (** Events fired by partition [i] so far — the per-domain events/sec
     numerator. *)
 
-val total_dispatched : t -> int

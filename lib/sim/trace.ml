@@ -60,12 +60,6 @@ let stop t =
 let samples t = List.rev t.rev_samples
 let total_user_percent s = List.fold_left (fun a (_, p) -> a +. p) 0.0 s.s_procs
 
-let pp_sample ppf s =
-  Format.fprintf ppf "@[<h>t=%.1fs" s.s_time;
-  List.iter (fun (n, p) -> Format.fprintf ppf " %s=%.1f%%" n p) s.s_procs;
-  Format.fprintf ppf " irq=%.1f%% fwd=%.1f%% fwd_ratio=%.2f@]" s.s_interrupt
-    s.s_forwarding s.s_fwd_ratio
-
 let to_rows t =
   let ss = samples t in
   match ss with

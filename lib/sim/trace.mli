@@ -30,8 +30,6 @@ val samples : t -> sample list
 val total_user_percent : sample -> float
 (** Sum of the per-process loads of a sample. *)
 
-val pp_sample : Format.formatter -> sample -> unit
-
 val to_rows : t -> (string * (float * float) list) list
 (** Per-series [(name, [(time, percent); ...])] view: one series per
     process plus ["interrupts"] and ["forwarding"] — the layout the

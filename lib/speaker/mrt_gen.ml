@@ -44,5 +44,3 @@ let records ?(seed = 42) ?(events = -1) ?local_asn ~n ~speaker_asn ~next_hop ()
           message i (Msg.announcement attrs [ prefix ]))
   in
   table @ trace
-
-let update_events = Mrt.updates_of_dump

@@ -19,7 +19,3 @@ val records :
 (** [events] defaults to [max 20 (n / 5)]; pass [0] for a
     table-only dump.  [local_asn] (collector side of the BGP4MP
     headers) defaults to [speaker_asn]. *)
-
-val update_events :
-  Bgp_mrt.Mrt.record list -> (float * Bgp_wire.Msg.t) list
-(** Shorthand for {!Bgp_mrt.Mrt.updates_of_dump}. *)

@@ -9,7 +9,6 @@ type t = {
   mutable prefixes_received : int;
   mutable withdrawals_received : int;
   mutable sessions_lost : int;
-  mutable notifications_rx : Bgp_wire.Msg.error list;  (* reversed *)
   received : (Bgp_addr.Prefix.t, Bgp_route.Attrs.Interned.t) Hashtbl.t;
   mutable update_observer : Msg.update -> unit;
 }
@@ -24,8 +23,7 @@ let create clock ~asn ~router_id ~(link : Link.t) =
   let t =
     { session = None; established_cb = (fun () -> ()); updates_received = 0;
       prefixes_received = 0; withdrawals_received = 0; sessions_lost = 0;
-      notifications_rx = []; received = Hashtbl.create 1024;
-      update_observer = ignore }
+      received = Hashtbl.create 1024; update_observer = ignore }
   in
   let hooks =
     { Session.null_hooks with
@@ -42,14 +40,9 @@ let create clock ~asn ~router_id ~(link : Link.t) =
             u.Msg.attrs;
           t.update_observer u);
       on_established = (fun () -> t.established_cb ());
-      on_down = (fun _reason -> t.sessions_lost <- t.sessions_lost + 1);
-      on_rx_msg =
-        (fun msg _size ->
-          match msg with
-          | Msg.Notification e -> t.notifications_rx <- e :: t.notifications_rx
-          | _ -> ()) }
+      on_down = (fun _reason -> t.sessions_lost <- t.sessions_lost + 1) }
   in
-  t.session <- Some (Session.of_link cfg (Session.timer_service_of clock) link hooks);
+  t.session <- Some (Session.create cfg clock link hooks);
   t
 
 let start t = Session.start (session t)
@@ -62,24 +55,23 @@ let require_established t name =
   if not (established t) then
     invalid_arg (Printf.sprintf "Speaker.%s: session not established" name)
 
-let announce t ~packing ~attrs prefixes =
-  require_established t "announce";
-  (* Intern once for the whole burst; every chunk shares the handle. *)
-  let interned = Bgp_route.Attrs.Interned.intern attrs in
-  let chunks = Workload.chunk packing prefixes in
-  List.iter
-    (fun nlri ->
-      ignore (Session.send (session t) (Msg.announcement_interned interned nlri)))
-    chunks;
-  List.length chunks
+(* Pack [prefixes] into UPDATEs of at most [packing] prefixes that fit
+   the wire, and send them. *)
+let send_packed t name ~packing attrs prefixes =
+  require_established t name;
+  let msgs =
+    Bgp_wire.Codec.updates ~max_count:packing attrs (Array.to_list prefixes)
+  in
+  List.iter (fun msg -> ignore (Session.send (session t) msg)) msgs;
+  List.length msgs
 
-let withdraw t ~packing prefixes =
-  require_established t "withdraw";
-  let chunks = Workload.chunk packing prefixes in
-  List.iter
-    (fun wd -> ignore (Session.send (session t) (Msg.withdrawal wd)))
-    chunks;
-  List.length chunks
+let announce t ~packing ~attrs prefixes =
+  (* Intern once for the whole burst; every message shares the handle. *)
+  send_packed t "announce" ~packing
+    (Some (Bgp_route.Attrs.Interned.intern attrs))
+    prefixes
+
+let withdraw t ~packing prefixes = send_packed t "withdraw" ~packing None prefixes
 
 let send_update t msg =
   require_established t "send_update";
@@ -94,7 +86,6 @@ let request_refresh t =
 
 let set_update_observer t f = t.update_observer <- f
 let sessions_lost t = t.sessions_lost
-let notifications_received t = List.rev t.notifications_rx
 let updates_received t = t.updates_received
 let prefixes_received t = t.prefixes_received
 let withdrawals_received t = t.withdrawals_received

@@ -31,20 +31,16 @@ val sessions_lost : t -> int
     (FSM [Session_down]).  {!start} may be called again from Idle to
     reconnect — the adversarial flap scenarios do. *)
 
-val notifications_received : t -> Bgp_wire.Msg.error list
-(** NOTIFICATION messages that actually arrived, in order.  A router
-    tearing a session down races its NOTIFICATION against the close
-    (RST semantics), so this can lag the router's sent count — the
-    fault harness observes the router's transmissions at the channel
-    tap instead. *)
-
 val announce :
   t -> packing:int -> attrs:Bgp_route.Attrs.t -> Bgp_addr.Prefix.t array -> int
-(** [announce t ~packing ~attrs prefixes] transmits the prefixes as
-    UPDATE messages carrying [packing] prefixes each (1 = the paper's
-    "small packets", 500 = "large packets").  Returns the number of
+(** [announce t ~packing ~attrs prefixes] transmits the prefixes, in
+    order, as UPDATE messages carrying [packing] prefixes each (1 = the
+    paper's "small packets", 500 = "large packets"), or fewer where
+    [packing] of them would not fit one {!Bgp_wire.Msg.max_len}-byte
+    message ({!Bgp_wire.Codec.updates}).  Returns the number of
     messages sent.
-    @raise Invalid_argument if the session is not Established. *)
+    @raise Invalid_argument if the session is not Established or
+    [packing < 1]. *)
 
 val withdraw : t -> packing:int -> Bgp_addr.Prefix.t array -> int
 (** Same, with withdrawal messages. *)

@@ -15,12 +15,6 @@ let default =
   { subscribers = 10_000; batch = 500; batch_interval = 0.02;
     churn_rate = 500.0; churn_duration = 2.0; seed = 42 }
 
-let pp_config ppf c =
-  Format.fprintf ppf
-    "%d subscribers, batch %d @ %gs, churn %g ev/s for %gs, seed %d"
-    c.subscribers c.batch c.batch_interval c.churn_rate c.churn_duration
-    c.seed
-
 type event_kind = Up | Down | Resync
 type event = { ev_at : float; ev_idx : int; ev_kind : event_kind }
 

@@ -26,8 +26,6 @@ val default : config
 (** 10k subscribers, batches of 500 every 20ms (25k routes/s
     injection), 500 events/s of churn for 2s, seed 42. *)
 
-val pp_config : Format.formatter -> config -> unit
-
 (** One step of the churn plan, applied to session [ev_idx] at time
     [ev_at] (relative to the start of the churn phase). *)
 type event_kind =

@@ -11,12 +11,6 @@ type entry = {
   e_communities : Bgp_route.Community.t list;
 }
 
-let entry_of_route r =
-  let attrs = Bgp_route.Route.attrs r in
-  { e_prefix = Bgp_route.Route.prefix r; e_path = attrs.A.as_path;
-    e_origin = attrs.A.origin; e_med = attrs.A.med;
-    e_local_pref = attrs.A.local_pref; e_communities = attrs.A.communities }
-
 let to_attrs ~next_hop e =
   A.make ~origin:e.e_origin ?med:e.e_med ?local_pref:e.e_local_pref
     ~communities:e.e_communities ~as_path:e.e_path ~next_hop ()

@@ -25,7 +25,6 @@ type entry = {
   e_communities : Bgp_route.Community.t list;
 }
 
-val entry_of_route : Bgp_route.Route.t -> entry
 val to_attrs : next_hop:Bgp_addr.Ipv4.t -> entry -> Bgp_route.Attrs.t
 
 val entry_to_line : entry -> string

@@ -20,6 +20,8 @@ val attrs :
 
 val chunk : int -> 'a array -> 'a list list
 (** [chunk n arr] splits into consecutive lists of [n] (last one
-    shorter).  This is the paper's "packet size" knob: [n = 1] small
-    packets, [n = 500] large packets.
+    shorter).  This is the paper's "packet size" knob by count alone:
+    [n = 1] small packets, [n = 500] large packets.  {!Speaker} packs
+    with {!Bgp_wire.Codec.updates}, which also keeps every UPDATE within
+    4096 bytes.
     @raise Invalid_argument when [n < 1]. *)

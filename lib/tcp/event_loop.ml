@@ -81,8 +81,6 @@ let rec clock t =
     ~post:(fun fn -> post t fn)
     ~run_window:(fun ~cond ~step -> run t ~until:cond ~timeout:step)
 
-and timer_service t = Bgp_fsm.Session.timer_service_of (clock t)
-
 (* Fire every timer whose deadline has passed, in deadline order with
    FIFO ordering at equal deadlines (the engine heap's invariant). *)
 and run_due_timers t = Engine.run ~until:(now t) t.timers

@@ -1,6 +1,6 @@
 (** A small single-threaded [select]-based event loop with wall-clock
     timers — the real-world counterpart of the simulator's engine, used
-    to drive {!Bgp_fsm.Session}s over actual sockets.
+    to drive BGP sessions over actual sockets through {!clock}.
 
     Timers ride an embedded {!Bgp_sim.Engine} heap whose virtual time
     is only ever advanced to elapsed wall-clock time, so live timer
@@ -43,10 +43,6 @@ val after : t -> float -> (unit -> unit) -> unit -> unit
 
 val post : t -> (unit -> unit) -> unit
 (** Run a thunk on the next loop iteration (breaks reentrancy). *)
-
-val timer_service : t -> Bgp_fsm.Session.timer_service
-(** Adapter for sessions — {!Bgp_fsm.Session.timer_service_of} over
-    {!clock}. *)
 
 val clock : t -> Bgp_engine.Clock.t
 (** This loop as a {!Bgp_engine.Clock}: monotonized wall-clock [now],

@@ -152,7 +152,6 @@ let mode t = t.mode
 let size t = Array.length t.nodes
 let router t i = t.nodes.(i).router
 let origin_prefix t i = t.nodes.(i).origin
-let asn_of t i = t.nodes.(i).asn
 
 let wait_until t ~timeout ~what cond =
   let deadline = Pengine.now t.pe +. timeout in

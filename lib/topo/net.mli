@@ -82,8 +82,6 @@ val router : t -> int -> Bgp_router.Router.t
 val origin_prefix : t -> int -> Bgp_addr.Prefix.t
 (** The prefix vertex [i] originates. *)
 
-val asn_of : t -> int -> Bgp_route.Asn.t
-
 val establish : ?timeout:float -> t -> unit
 (** Bring every session to Established (default timeout 600 virtual
     seconds).  @raise Failure on timeout. *)

@@ -221,6 +221,56 @@ let encode msg =
 let encoded_size msg = String.length (encode msg)
 
 (* ------------------------------------------------------------------ *)
+(* Packing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* RFC 4271 section 4.3: besides its attribute section, an UPDATE spends
+   the 19-byte header and two 2-byte length fields, plus one length
+   octet and the address octets per prefix. *)
+let update_room = Msg.max_len - Msg.header_len - 4
+let prefix_bytes p = 1 + P.wire_octets p
+
+(* Split [prefixes], in order, into runs of at most [max_count] prefixes
+   and [room] wire bytes.  A prefix that exceeds [room] on its own still
+   gets a run of its own. *)
+let chunks ~max_count ~room prefixes =
+  let rec go runs run count bytes = function
+    | [] -> List.rev (if run = [] then runs else List.rev run :: runs)
+    | p :: rest ->
+      let b = prefix_bytes p in
+      if run <> [] && (count >= max_count || bytes + b > room) then
+        go (List.rev run :: runs) [ p ] 1 b rest
+      else go runs (p :: run) (count + 1) (bytes + b) rest
+  in
+  go [] [] 0 0 prefixes
+
+let updates ?(max_count = max_int) attrs prefixes =
+  if max_count < 1 then invalid_arg "Codec.updates: max_count must be >= 1";
+  match attrs with
+  | None ->
+    List.map Msg.withdrawal (chunks ~max_count ~room:update_room prefixes)
+  | Some h ->
+    let b = Buffer.create 64 in
+    encode_attrs b (A.Interned.value h);
+    List.map
+      (Msg.announcement_interned h)
+      (chunks ~max_count ~room:(update_room - Buffer.length b) prefixes)
+
+let group_by_attrs routes =
+  let groups = A.Interned.Tbl.create 16 in
+  (* Walk the routes backwards: consing then leaves each group in input
+     order. *)
+  List.iter
+    (fun (prefix, h) ->
+      let prefixes =
+        Option.value ~default:[] (A.Interned.Tbl.find_opt groups h)
+      in
+      A.Interned.Tbl.replace groups h (prefix :: prefixes))
+    (List.rev routes);
+  A.Interned.Tbl.fold (fun h prefixes acc -> (h, prefixes) :: acc) groups []
+  |> List.sort (fun (a, _) (b, _) -> A.Interned.compare_id a b)
+
+(* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 

@@ -20,6 +20,30 @@ val encode_opt : Msg.t -> string option
 val encoded_size : Msg.t -> int
 (** [String.length (encode m)], without exposing the buffer. *)
 
+(** {1 Packing} — the one UPDATE packer behind the router's MRAI and
+    full-table exports, the benchmark speakers and the harness. *)
+
+val updates :
+  ?max_count:int ->
+  Bgp_route.Attrs.Interned.t option ->
+  Bgp_addr.Prefix.t list ->
+  Msg.t list
+(** [updates ?max_count attrs prefixes] packs [prefixes], in order,
+    into as few UPDATEs as fit: announcements sharing [attrs], or
+    withdrawals when [attrs] is [None].  Each message holds at most
+    [max_count] prefixes (default: no limit) and {!Msg.max_len} wire
+    bytes.  A prefix that does not fit beside [attrs] on its own still
+    gets a message of its own, which {!encode} then rejects.
+    @raise Invalid_argument when [max_count < 1]. *)
+
+val group_by_attrs :
+  (Bgp_addr.Prefix.t * Bgp_route.Attrs.Interned.t) list ->
+  (Bgp_route.Attrs.Interned.t * Bgp_addr.Prefix.t list) list
+(** Group routes by attribute handle (an UPDATE carries one attribute
+    set), the groups in arena-id order and each group's prefixes in
+    input order — deterministic whatever order a hash table handed the
+    routes over in. *)
+
 val decode : string -> (Msg.t, Msg.error) result
 (** Decode a buffer holding exactly one message; trailing bytes are a
     {!Msg.Bad_message_length} error. *)

@@ -145,4 +145,3 @@ let pp ppf = function
     Format.fprintf ppf "ROUTE-REFRESH(afi=%d safi=%d)" afi safi
 
 let nlri_count = function Update u -> List.length u.nlri | _ -> 0
-let withdrawn_count = function Update u -> List.length u.withdrawn | _ -> 0

@@ -123,4 +123,3 @@ val pp : Format.formatter -> t -> unit
 val nlri_count : t -> int
 (** Announced prefixes in the message (0 for non-UPDATEs). *)
 
-val withdrawn_count : t -> int

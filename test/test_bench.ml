@@ -414,7 +414,7 @@ let test_mrai_batches_advertisements () =
     (with_mrai.H.msgs_tx * 4 < without.H.msgs_tx)
 
 (* ------------------------------------------------------------------ *)
-(* UPDATEs the router builds fit in 4096 bytes                          *)
+(* UPDATEs fit in 4096 bytes                                           *)
 (* ------------------------------------------------------------------ *)
 
 module Testbed = Bgpmark.Testbed
@@ -486,6 +486,39 @@ let test_unfit_route_goes_as_withdrawal () =
       Alcotest.(check int) "speaker 1 holds nothing" 0 (received s1);
       Alcotest.(check bool) "still established" true
         (Speaker.established s1.Testbed.speaker))
+
+(* Sizes of every message [side]'s speaker puts on the wire. *)
+let sent_sizes side =
+  let sizes = ref [] in
+  Bgp_engine.Link.tap side.Testbed.sp_end (fun wire ->
+      sizes := String.length wire :: !sizes;
+      Bgp_engine.Link.Pass);
+  sizes
+
+(* --packing 1100 asks for ~4.4 KB UPDATEs: the speaker must split them
+   to fit, where it used to die in Codec.encode. *)
+let test_oversize_packing_splits () =
+  let config =
+    { H.default_config with H.table_size = 2000; large_packing = 1100 }
+  in
+  let r = run ~config Arch.pentium3 2 in
+  check_verified r;
+  Alcotest.(check int) "FIB holds the table" 2000 r.H.fib_size_end;
+  Testbed.with_rig Testbed.Sim ~timeout:600.0 ~speakers:1 Arch.pentium3
+    (fun tb ->
+      let s1 = tb.Testbed.sides.(0) in
+      Testbed.establish tb [ s1 ];
+      let sizes = sent_sizes s1 in
+      ignore
+        (Speaker.announce s1.Testbed.speaker ~packing:1100
+           ~attrs:(Testbed.attrs s1 ~path_len:3)
+           (Bgp_addr.Prefix_gen.table ~seed:42 ~n:2000 ()));
+      Testbed.wait tb ~what:"router learns the table" (Testbed.router_done tb 2000);
+      Alcotest.(check bool) "several UPDATEs" true (List.length !sizes >= 2);
+      List.iter
+        (fun n ->
+          if n > Bgp_wire.Msg.max_len then Alcotest.failf "a %d-byte message" n)
+        !sizes)
 
 (* ------------------------------------------------------------------ *)
 (* Route refresh end to end                                            *)
@@ -634,7 +667,9 @@ let () =
           Alcotest.test_case "full-table sync splits by size" `Quick
             test_full_table_sync_splits_by_size;
           Alcotest.test_case "unfit route goes as a withdrawal" `Quick
-            test_unfit_route_goes_as_withdrawal ] );
+            test_unfit_route_goes_as_withdrawal;
+          Alcotest.test_case "speaker splits oversize packing" `Quick
+            test_oversize_packing_splits ] );
       ( "route refresh",
         [ Alcotest.test_case "end to end" `Quick test_route_refresh_end_to_end ] );
       ( "table3",

@@ -386,6 +386,43 @@ let test_scenario16_deterministic () =
   Alcotest.(check bool) "fingerprint non-trivial" true
     (r1.H.locrib_fp <> "")
 
+(* A batch of 1200 /32s needs a ~6 KB UPDATE: the speaker must split
+   it to fit, where scenario 16 used to die in Codec.encode. *)
+let test_scenario16_oversize_batch () =
+  let sub_cfg =
+    { Subscriber.default with
+      Subscriber.subscribers = 2000; batch = 1200; churn_duration = 0.2 }
+  in
+  let r =
+    H.run ~config:{ H.default_config with H.churn = Some sub_cfg } Arch.xeon
+      (Scenario.of_id_exn 16)
+  in
+  (match r.H.verified with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "scenario 16 failed verification: %s" e);
+  Alcotest.(check int) "all subscribers" 2000
+    (Option.get r.H.churn).H.cr_subscribers;
+  let module Testbed = Bgpmark.Testbed in
+  Testbed.with_rig Testbed.Sim ~timeout:600.0 ~speakers:1 Arch.xeon (fun tb ->
+      let s1 = tb.Testbed.sides.(0) in
+      Testbed.establish tb [ s1 ];
+      let sizes = ref [] in
+      Bgp_engine.Link.tap s1.Testbed.sp_end (fun wire ->
+          sizes := String.length wire :: !sizes;
+          Bgp_engine.Link.Pass);
+      List.iter
+        (fun (_, batch) ->
+          ignore
+            (Speaker.announce s1.Testbed.speaker ~packing:1200
+               ~attrs:(Testbed.attrs s1 ~path_len:1) batch))
+        (Subscriber.batches (Subscriber.create sub_cfg));
+      Testbed.wait tb ~what:"router learns every /32"
+        (Testbed.router_done tb 2000);
+      Alcotest.(check bool) "several UPDATEs" true (List.length !sizes >= 3);
+      List.iter
+        (fun n -> if n > Msg.max_len then Alcotest.failf "a %d-byte message" n)
+        !sizes)
+
 let qtests tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -408,4 +445,6 @@ let () =
       ( "scenario-16",
         [ Alcotest.test_case "sim run verifies" `Quick test_scenario16_sim;
           Alcotest.test_case "deterministic" `Quick
-            test_scenario16_deterministic ] ) ]
+            test_scenario16_deterministic;
+          Alcotest.test_case "oversize batch splits" `Quick
+            test_scenario16_oversize_batch ] ) ]

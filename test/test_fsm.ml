@@ -1,5 +1,6 @@
 open Bgp_fsm
 module Msg = Bgp_wire.Msg
+module Link = Bgp_engine.Link
 
 let ip = Bgp_addr.Ipv4.of_string_exn
 let asn = Bgp_route.Asn.of_int
@@ -286,31 +287,30 @@ let test_framer_poisoned () =
 (* Session over an in-memory loopback                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A synchronous pipe connecting two sessions, with manual timer
-   control. *)
+(* A link whose transport actions do nothing: the tests drive the
+   session's entry points themselves. *)
+let null_link =
+  { Link.send = ignore; start_connect = ignore; close = ignore;
+    set_receiver = ignore; set_on_connected = ignore; set_on_closed = ignore;
+    set_on_failed = ignore; set_tap = ignore }
+
+(* A synchronous pipe connecting two sessions' links; their timers sit
+   on a simulation engine that these tests never run, so none fires. *)
 type pipe = {
   mutable to_a : string list;
   mutable to_b : string list;
-  mutable timers : (float * (unit -> unit) * bool ref) list;
+  engine : Bgp_sim.Engine.t;
 }
 
+let new_pipe () = { to_a = []; to_b = []; engine = Bgp_sim.Engine.create () }
+
 let make_session pipe ~dir cfg hooks =
-  let io =
-    { Session.out_bytes =
-        (fun bytes ->
-          if dir = `A then pipe.to_b <- pipe.to_b @ [ bytes ]
-          else pipe.to_a <- pipe.to_a @ [ bytes ]);
-      start_connect = (fun () -> ());
-      close = (fun () -> ()) }
+  let send bytes =
+    if dir = `A then pipe.to_b <- pipe.to_b @ [ bytes ]
+    else pipe.to_a <- pipe.to_a @ [ bytes ]
   in
-  let timer_service =
-    { Session.arm_timer =
-        (fun delay fn ->
-          let alive = ref true in
-          pipe.timers <- (delay, fn, alive) :: pipe.timers;
-          fun () -> alive := false) }
-  in
-  Session.create cfg timer_service io hooks
+  Session.create cfg (Bgp_sim.Engine.clock pipe.engine)
+    { null_link with Link.send } hooks
 
 let pump pipe a b =
   (* Deliver queued bytes until quiescent. *)
@@ -328,7 +328,7 @@ let pump pipe a b =
   go 100
 
 let test_session_handshake_and_update () =
-  let pipe = { to_a = []; to_b = []; timers = [] } in
+  let pipe = new_pipe () in
   let got_update = ref None in
   let a_cfg = Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "192.0.2.1") in
   let b_cfg =
@@ -363,7 +363,7 @@ let test_session_handshake_and_update () =
   Alcotest.(check bool) "send refused" false (Session.send a u)
 
 let test_session_garbage_kills () =
-  let pipe = { to_a = []; to_b = []; timers = [] } in
+  let pipe = new_pipe () in
   let down = ref false in
   let a_cfg = Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "192.0.2.1") in
   let b_cfg =
@@ -384,6 +384,31 @@ let test_session_garbage_kills () =
   Session.feed b (String.make 19 '\x00');
   Alcotest.(check bool) "session down" true !down;
   Alcotest.(check string) "b idle" "Idle" (Fsm.state_name (Session.state b))
+
+(* The session dials only when active: a recording link counts
+   [start_connect] calls.  The passive side also sees a connection
+   drop and its ConnectRetry expire (the FSM then asks to dial, and the
+   session must not). *)
+let test_session_dials_only_when_active () =
+  let dials cfg =
+    let engine = Bgp_sim.Engine.create () in
+    let n = ref 0 and on_connected = ref ignore and on_closed = ref ignore in
+    let link =
+      { null_link with
+        Link.start_connect = (fun () -> incr n);
+        set_on_connected = (fun f -> on_connected := f);
+        set_on_closed = (fun f -> on_closed := f) }
+    in
+    let s = Session.create cfg (Bgp_sim.Engine.clock engine) link Session.null_hooks in
+    Session.start s;
+    !on_connected ();
+    !on_closed ();
+    Bgp_sim.Engine.run ~until:(3.0 *. cfg.Fsm.connect_retry) engine;
+    !n
+  in
+  Alcotest.(check bool) "active dials" true (dials cfg > 0);
+  Alcotest.(check int) "passive never dials" 0
+    (dials { cfg with Fsm.passive = true })
 
 (* Property: any chunking of a valid message stream reassembles the
    same messages. *)
@@ -499,7 +524,9 @@ let () =
       ( "session",
         [ Alcotest.test_case "handshake and update" `Quick
             test_session_handshake_and_update;
-          Alcotest.test_case "garbage kills session" `Quick test_session_garbage_kills
+          Alcotest.test_case "garbage kills session" `Quick test_session_garbage_kills;
+          Alcotest.test_case "dials only when active" `Quick
+            test_session_dials_only_when_active
         ] );
       ( "fsm-properties",
         List.map QCheck_alcotest.to_alcotest [ prop_fsm_never_crashes ] )

@@ -20,9 +20,9 @@ let attrs =
 
 (* A bare session on one Tcp_link endpoint. *)
 let session loop (ep : Tcp_link.endpoint) ~passive ~as_ ~id hooks =
-  Session.of_link
+  Session.create
     { (Fsm.default_config ~asn:(asn as_) ~router_id:(ip id)) with Fsm.passive }
-    (Loop.timer_service loop) ep.link hooks
+    (Loop.clock loop) ep.link hooks
 
 let test_loopback_session () =
   let loop = Loop.create () in

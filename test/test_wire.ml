@@ -519,6 +519,68 @@ let prop_raw_truncation_never_panics =
       | Ok _ | Error _ -> ());
       match Codec.decode cut with Ok _ | Error _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Packing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* An AS_SEQUENCE path of [hops] ASes, in segments of at most 255. *)
+let long_path hops =
+  As_path.of_segments
+    (List.init ((hops + 254) / 255) (fun s ->
+         As_path.Seq
+           (List.init (min 255 (hops - (255 * s))) (fun i ->
+                asn (1 + (((255 * s) + i) mod 65000))))))
+
+(* Every message holds at most [max_count] prefixes, every message
+   holding more than one prefix fits the wire (a single prefix may not:
+   paths past ~2000 hops leave no room beside the attributes), and the
+   messages' prefixes concatenate to the input. *)
+let prop_updates_pack =
+  QCheck2.Test.make ~name:"updates packs in order, within count and size"
+    ~count:200
+    QCheck2.Gen.(
+      let* prefixes = list_size (int_range 0 2500) gen_prefix in
+      let* max_count = option (int_range 1 1500) in
+      let* attrs = option (pair gen_attrs (int_range 0 2200)) in
+      return (prefixes, max_count, attrs))
+    (fun (prefixes, max_count, attrs) ->
+      let attrs =
+        Option.map
+          (fun (a, hops) ->
+            A.Interned.intern { a with A.as_path = long_path hops })
+          attrs
+      in
+      let msgs = Codec.updates ?max_count attrs prefixes in
+      let carried = function
+        | Msg.Update u -> u.Msg.withdrawn @ u.Msg.nlri
+        | _ -> []
+      in
+      List.for_all
+        (fun m ->
+          let n = List.length (carried m) in
+          n >= 1
+          && n <= Option.value max_count ~default:max_int
+          && (n = 1 || Codec.encode_opt m <> None))
+        msgs
+      && List.equal Prefix.equal (List.concat_map carried msgs) prefixes)
+
+(* Groups come in arena-id order whatever order the routes arrive in,
+   each group's prefixes in input order. *)
+let test_group_by_attrs_order () =
+  let a = A.Interned.intern (attrs [ 65101; 65102 ])
+  and b = A.Interned.intern (attrs [ 65103 ]) in
+  let lo, hi = if A.Interned.compare_id a b < 0 then (a, b) else (b, a) in
+  let p = List.map pfx [ "10.0.0.0/8"; "10.1.0.0/16"; "10.2.0.0/16"; "10.3.0.0/24" ] in
+  let groups =
+    Codec.group_by_attrs (List.combine p [ hi; lo; hi; lo ])
+  in
+  Alcotest.(check (list int)) "ids ascending"
+    [ A.Interned.id lo; A.Interned.id hi ]
+    (List.map (fun (h, _) -> A.Interned.id h) groups);
+  Alcotest.(check (list string)) "prefixes in input order"
+    [ "10.1.0.0/16"; "10.3.0.0/24"; "10.0.0.0/8"; "10.2.0.0/16" ]
+    (List.concat_map (fun (_, ps) -> List.map Prefix.to_string ps) groups)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -557,6 +619,10 @@ let () =
         [ Alcotest.test_case "decode_at stream" `Quick test_decode_at_stream;
           Alcotest.test_case "required_length" `Quick test_required_length
         ] );
+      ( "packing",
+        Alcotest.test_case "group_by_attrs id order" `Quick
+          test_group_by_attrs_order
+        :: List.map QCheck_alcotest.to_alcotest [ prop_updates_pack ] );
       qsuite "properties"
         [ prop_update_roundtrip; prop_open_roundtrip; prop_encoded_size_consistent;
           prop_corrupt_never_panics; prop_multi_corrupt_never_panics;
