@@ -15,7 +15,10 @@ open Bechamel
 open Toolkit
 
 module H = Bgpmark.Harness
+module Testbed = Bgpmark.Testbed
 module Scenario = Bgpmark.Scenario
+module Faults = Bgp_faults.Faults
+module Damping = Bgp_rib.Damping
 module Arch = Bgp_router.Arch
 module Msg = Bgp_wire.Msg
 module Codec = Bgp_wire.Codec
@@ -456,12 +459,14 @@ let print_fault_smoke () =
     (fun sc ->
       let r = H.run ~config Arch.pentium3 sc in
       assert (r.H.verified = Ok ());
-      let f = Option.get r.H.faults in
+      let m = r.H.metrics in
+      let _, reconverge_mean, _ = Faults.reconvergence_in m in
       Format.printf
         "%s: %.1f transactions/s; faults injected %d, malformed dropped %d, \
          session restarts %d, re-convergence mean %.3fs@."
-        (Scenario.name sc) r.H.tps f.H.fr_injected f.H.fr_malformed_dropped
-        f.H.fr_session_restarts f.H.fr_reconverge_mean)
+        (Scenario.name sc) r.H.tps (Faults.injected_in m)
+        (Faults.malformed_dropped_in m) (Faults.session_restarts_in m)
+        reconverge_mean)
     Scenario.adversarial;
   Format.printf "@."
 
@@ -556,41 +561,40 @@ let print_mrt_smoke () =
      transactions/s, FIB end size %d@.@."
     (List.length records) (String.length bytes) r.H.tps r.H.fib_size_end
 
-(* Damping smoke: the scenario-14 flap storm must suppress flapping
-   routes, reuse every one of them, and end with nothing suppressed —
-   and a damped scenario-10 run must leave the Loc-RIB fingerprint of
-   the undamped run intact (damping off by default is the Table III
+(* Damping smoke: the scenario-14 flap storm must verify (which covers
+   reuse of every suppressed route) and suppress flapping routes, and a
+   damped scenario-10 run must leave the Loc-RIB fingerprint of the
+   undamped run intact (damping off by default is the Table III
    determinism guarantee). *)
 let print_damping_smoke () =
   let config = { bench_config with H.fault_rounds = 3 } in
   let r = H.run ~config Arch.pentium3 (Scenario.of_id_exn 14) in
   assert (r.H.verified = Ok ());
-  let d = Option.get r.H.damping in
-  assert (d.H.dr_suppressions > 0);
-  assert (d.H.dr_reuses = d.H.dr_suppressions);
-  assert (d.H.dr_suppressed_end = 0);
+  let m = r.H.metrics in
+  assert (Damping.suppressions_in m > 0);
   let sc10 = Scenario.of_id_exn 10 in
   let plain = H.run ~config Arch.pentium3 sc10 in
   let damped =
     H.run
-      ~config:{ config with H.damping = Some Bgp_rib.Damping.test_config }
+      ~config:{ config with H.damping = Some Damping.test_config }
       Arch.pentium3 sc10
   in
   assert (plain.H.verified = Ok ());
   assert (damped.H.verified = Ok ());
-  assert (plain.H.damping = None);
+  assert (plain.H.used.H.damping = None);
   assert (plain.H.locrib_fp = damped.H.locrib_fp);
+  let _, reuse_mean, _ = Damping.reuse_latency_in m in
   Format.printf
     "Damping smoke (scenario 14, %d rounds): %d flaps, %d suppressed, %d \
      reused, reuse latency mean %.2fs; damped scenario-10 fingerprint \
      unchanged@.@."
-    config.H.fault_rounds d.H.dr_flaps d.H.dr_suppressions d.H.dr_reuses
-    d.H.dr_reuse_latency_mean
+    config.H.fault_rounds (Damping.flaps_in m) (Damping.suppressions_in m)
+    (Damping.reuses_in m) reuse_mean
 
 (* Churn smoke: one small scenario-16 run — batched /32 injection at an
    exact prefix limit with MRAI on, Markov churn, failover sweep — must
-   verify against the subscriber-plan oracle, and every swept
-   withdrawal must have been timed at speaker 2. *)
+   verify against the subscriber-plan oracle (which covers timing every
+   swept withdrawal at speaker 2). *)
 let print_churn_smoke () =
   let sub_cfg =
     { Bgp_speaker.Subscriber.subscribers = 1_000; batch = 200;
@@ -601,12 +605,13 @@ let print_churn_smoke () =
   let r = H.run ~config Arch.pentium3 (Scenario.of_id_exn 16) in
   assert (r.H.verified = Ok ());
   let c = Option.get r.H.churn in
-  assert (c.H.cr_sweep_count = c.H.cr_sessions_up_end);
+  let swept, _, _ = H.sweep_latency_in r.H.metrics in
   Format.printf
     "Churn smoke (%d subscribers, %d events): injection %.0f tps, churn %.0f \
      tps, failover swept %d routes in %.3fs@.@."
-    c.H.cr_subscribers c.H.cr_churn_events c.H.cr_injection_tps
-    c.H.cr_churn_tps c.H.cr_sweep_count c.H.cr_failover_s
+    r.H.used.H.table_size c.H.cr_churn.Testbed.transactions
+    (Testbed.tps c.H.cr_injection) (Testbed.tps c.H.cr_churn) swept
+    c.H.cr_failover_s
 
 (* Live-mode smoke: one real-TCP harness run (scenario 5, the
    best-vs-challenger shape the incremental decision path serves) must

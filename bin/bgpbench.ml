@@ -547,12 +547,9 @@ let churn_cmd =
         H.table_size = subscribers; seed; churn = Some sub_cfg }
     in
     let extra _ r =
-      if metrics then
-        Option.iter
-          (fun c ->
-            Format.printf "%s metrics registry:@.%s@." r.H.arch_name
-              (Bgp_stats.Json.to_string_pretty c.H.cr_metrics))
-          r.H.churn
+      if metrics && r.H.churn <> None then
+        Format.printf "%s metrics registry:@.%s@." r.H.arch_name
+          Bgp_stats.(Json.to_string_pretty (Metrics.to_json r.H.metrics))
     in
     if
       not

@@ -41,33 +41,27 @@ let router_id = Bgp_addr.Ipv4.of_string_exn "192.0.2.254"
 let speaker_addr = Bgp_addr.Ipv4.of_string_exn "192.0.2.1"
 let sink_addr = Bgp_addr.Ipv4.of_string_exn "192.0.2.2"
 
-(* Pack consecutive entries sharing an attribute set into one UPDATE,
-   like a speaker replaying a table dump; the encodings are built
-   before measurement so only the receiver path is on the clock. *)
+(* Pack each run of consecutive entries sharing an attribute set into
+   UPDATEs, like a speaker replaying a table dump; the encodings are
+   built before measurement so only the receiver path is on the clock. *)
 let encode_table ?(to_attrs = Bgp_speaker.Table_io.to_attrs) ~packing entries
     ~next_hop =
-  let flush acc attrs prefixes =
-    match prefixes with
-    | [] -> acc
-    | ps -> Codec.encode (Msg.announcement attrs (List.rev ps)) :: acc
+  (* Runs newest first, each run's prefixes reversed. *)
+  let runs =
+    List.fold_left
+      (fun runs e ->
+        let attrs = to_attrs ~next_hop e in
+        let p = e.Bgp_speaker.Table_io.e_prefix in
+        match runs with
+        | (a, ps) :: rest when A.equal a attrs -> (a, p :: ps) :: rest
+        | _ -> (attrs, [ p ]) :: runs)
+      [] entries
   in
-  let rec go acc cur_attrs cur_prefixes = function
-    | [] -> List.rev (flush acc cur_attrs cur_prefixes)
-    | e :: rest ->
-      let attrs = to_attrs ~next_hop e in
-      if A.equal attrs cur_attrs && List.length cur_prefixes < packing then
-        go acc cur_attrs (e.Bgp_speaker.Table_io.e_prefix :: cur_prefixes) rest
-      else
-        go
-          (flush acc cur_attrs cur_prefixes)
-          attrs
-          [ e.Bgp_speaker.Table_io.e_prefix ]
-          rest
-  in
-  match entries with
-  | [] -> []
-  | e :: rest ->
-    go [] (to_attrs ~next_hop e) [ e.Bgp_speaker.Table_io.e_prefix ] rest
+  List.concat_map
+    (fun (attrs, ps) ->
+      List.map Codec.encode
+        (Codec.updates ~max_count:packing (Some (I.intern attrs)) (List.rev ps)))
+    (List.rev runs)
 
 let run_one ~seed ~packing ~sharing ~incremental n =
   let entries = Bgp_speaker.Table_io.synthesize ~seed ~n ~speaker_asn () in

@@ -21,11 +21,6 @@ val cpu_figure :
 (** The CPU-load figure of a run made with a [trace_interval] (and, when
     [cross_mbps] > 0, that much cross-traffic). *)
 
-val cpu_run :
-  ?config:Harness.config -> ?cross_mbps:float -> Bgp_router.Arch.t ->
-  Scenario.t -> cpu_figure
-(** One traced run (trace interval auto-scaled to the run length). *)
-
 val render_cpu : cpu_figure -> string
 
 val fig3 : ?config:Harness.config -> unit -> cpu_figure list

@@ -80,40 +80,15 @@ let losing_path_len ~varied_paths = function
   | None -> if varied_paths then 8 else 6
 
 type fault_report = {
-  fr_injected : int;
-  fr_malformed_dropped : int;
-  fr_session_restarts : int;
-  fr_reconverge_count : int;
-  fr_reconverge_mean : float;
-  fr_reconverge_max : float;
   fr_expected : (int * int) list;
   fr_answered : (int * int) list;
 }
 
-type damping_report = {
-  dr_flaps : int;
-  dr_suppressions : int;
-  dr_reuses : int;
-  dr_suppressed_end : int;
-  dr_reuse_latency_mean : float;
-  dr_reuse_latency_max : float;
-}
-
 type churn_report = {
-  cr_subscribers : int;
-  cr_injection_s : float;  (* Phase A: rate-limited batch injection *)
-  cr_injection_tps : float;
-  cr_churn_events : int;  (* Phase B: steady-state session churn *)
-  cr_churn_s : float;
-  cr_churn_tps : float;
+  cr_injection : Testbed.phase;  (* Phase A: rate-limited batch injection *)
+  cr_churn : Testbed.phase;  (* Phase B: steady-state session churn *)
   cr_sessions_up_end : int;  (* oracle: sessions up when failover hits *)
   cr_failover_s : float;  (* Phase C: peer loss -> sweep drained at s2 *)
-  cr_sweep_count : int;  (* withdrawals timed landing at speaker 2 *)
-  cr_sweep_mean_s : float;
-  cr_sweep_max_s : float;
-  cr_metrics : Bgp_stats.Json.t;
-      (* full registry dump at run end — the stand-in for the BNG
-         playbook's Prometheus scrape targets *)
 }
 
 type result = {
@@ -130,9 +105,8 @@ type result = {
   msgs_rx : int;
   msgs_tx : int;
   fwd_ratio_min : float;
+  metrics : Metrics.t;  (* the measured phase's frozen registry *)
   faults : fault_report option;
-  damping : damping_report option;
-      (* present when the router ran with RFC 2439 damping enabled *)
   churn : churn_report option;  (* present for scenario 16 *)
   locrib_fp : string;
       (* Loc-RIB digest at run end; equal across sim and live runs of
@@ -181,26 +155,6 @@ let announce_grouped (side : Testbed.side) ~packing routes =
 let router_fingerprint router =
   Loc_rib.fingerprint (Bgp_rib.Rib_manager.loc_rib (Router.rib router))
 
-(* Damping totals come from the table itself (never reset); only the
-   reuse-latency distribution rides the metrics registry. *)
-let damping_report_of router =
-  Option.map
-    (fun d ->
-      let mean, mx =
-        match
-          Metrics.find_histogram (Router.metrics router) "damping.reuse_latency"
-        with
-        | Some h -> (Metrics.hist_mean h, Metrics.hist_max h)
-        | None -> (0.0, 0.0)
-      in
-      { dr_flaps = Damping.flaps d;
-        dr_suppressions = Damping.suppressions d;
-        dr_reuses = Damping.reuses d;
-        dr_suppressed_end = Damping.suppressed_count d;
-        dr_reuse_latency_mean = mean;
-        dr_reuse_latency_max = mx })
-    (Router.damping router)
-
 (* The worst forwarding ratio: the one at run end, or a traced sample's. *)
 let fwd_ratio_min (cfg : config) router trace =
   let now =
@@ -221,9 +175,9 @@ let result ?(trace = []) cfg arch scenario (tb : Testbed.t) (p : Testbed.phase)
     setup_seconds = Clock.now tb.clock -. p.seconds; trace;
     fib_size_end = Fib.size (Router.fib router);
     stage_stats = p.stage_stats; msgs_rx = p.msgs_rx; msgs_tx = p.msgs_tx;
-    fwd_ratio_min = fwd_ratio_min cfg router trace; faults = None;
-    damping = damping_report_of router; churn = None;
-    locrib_fp = router_fingerprint router; verified }
+    fwd_ratio_min = fwd_ratio_min cfg router trace; metrics = p.metrics;
+    faults = None; churn = None; locrib_fp = router_fingerprint router;
+    verified }
 
 let check name cond = if cond then Ok () else Error name
 
@@ -468,14 +422,10 @@ let run_adversarial (cfg : config) arch scenario =
         done)
   in
   let st = Fib.stats fib in
-  let rc_count, rc_mean, rc_max = Faults.reconvergence_stats faults in
+  let m = p.metrics in
+  let rc_count, _, _ = Faults.reconvergence_in m in
   let report =
-    { fr_injected = Faults.injected faults;
-      fr_malformed_dropped = Faults.malformed_dropped faults;
-      fr_session_restarts = Faults.session_restarts faults;
-      fr_reconverge_count = rc_count; fr_reconverge_mean = rc_mean;
-      fr_reconverge_max = rc_max;
-      fr_expected = List.map Msg.error_code (Faults.expected_errors faults);
+    { fr_expected = List.map Msg.error_code (Faults.expected_errors faults);
       fr_answered = List.map Msg.error_code (Faults.notifications_seen faults) }
   in
   let verified =
@@ -495,7 +445,7 @@ let run_adversarial (cfg : config) arch scenario =
     let* () = check "speaker 2 held the full table" (holds s2 n) in
     let* () =
       check "session restarted after every fault"
-        (Faults.session_restarts faults = rounds)
+        (Faults.session_restarts_in m = rounds)
     in
     let* () =
       check "re-convergence timed for every fault" (rc_count = rounds)
@@ -513,23 +463,22 @@ let run_adversarial (cfg : config) arch scenario =
             (Faults.all_answered faults)
         in
         check "malformed updates counted"
-          (Faults.malformed_dropped faults = rounds)
-      | _ ->
-        check "every session fault recorded" (Faults.injected faults = rounds)
+          (Faults.malformed_dropped_in m = rounds)
+      | _ -> check "every session fault recorded" (Faults.injected_in m = rounds)
     in
-    match Router.damping router, cfg.damping with
-    | None, _ | _, None -> Ok ()
-    | Some d, Some dc ->
+    match cfg.damping with
+    | None -> Ok ()
+    | Some dc ->
       let* () =
         check "damping suppressed flapping routes"
           ((not (suppression_guaranteed dc !fault_times))
-          || Damping.suppressions d > 0)
+          || Damping.suppressions_in m > 0)
       in
       let* () =
         check "every suppressed route was reused"
-          (Damping.reuses d = Damping.suppressions d)
+          (Damping.reuses_in m = Damping.suppressions_in m)
       in
-      check "no route left suppressed" (Damping.suppressed_count d = 0)
+      check "no route left suppressed" (Damping.suppressed_in m = 0)
   in
   { (result cfg arch scenario tb p verified) with faults = Some report }
 
@@ -629,6 +578,11 @@ let run_mrt (cfg : config) arch scenario =
 (* Subscriber-edge churn (scenario 16)                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Phase C's per-withdrawal failover latency, registered on the
+   router's registry so the phase reset scopes it like the rest. *)
+let sweep_latency_name = "churn.sweep_latency"
+let sweep_latency_in m = Metrics.histogram_summary m sweep_latency_name
+
 (* The BNG/WISP workload: N /32 session routes batch-injected through
    speaker 1 with [max_prefixes] set to exactly N and MRAI active, then
    a deterministic Markov churn plan (session up/down/resync), then
@@ -660,7 +614,7 @@ let run_churn (cfg : config) arch scenario =
   let s1 = tb.sides.(0) and s2 = tb.sides.(1) in
   let router = tb.router in
   let fib = Router.fib router in
-  let sweep_hist = Metrics.histogram (Router.metrics router) "churn.sweep_latency" in
+  let sweep_hist = Metrics.histogram (Router.metrics router) sweep_latency_name in
   let prefixes = Subscriber.prefixes sub in
   let attrs = Testbed.attrs s1 ~path_len:setup_path_len in
   let at delay f = ignore (Clock.schedule tb.clock ~delay f) in
@@ -727,19 +681,10 @@ let run_churn (cfg : config) arch scenario =
       seconds = inject.seconds +. churn.seconds }
   in
   let report =
-    { cr_subscribers = n;
-      cr_injection_s = inject.seconds;
-      cr_injection_tps = Testbed.tps inject;
-      cr_churn_events = churn.transactions;
-      cr_churn_s = churn.seconds;
-      cr_churn_tps = Testbed.tps churn;
-      cr_sessions_up_end = up_count;
-      cr_failover_s = failover_s;
-      cr_sweep_count = Metrics.hist_count sweep_hist;
-      cr_sweep_mean_s = Metrics.hist_mean sweep_hist;
-      cr_sweep_max_s = Metrics.hist_max sweep_hist;
-      cr_metrics = Metrics.to_json (Router.metrics router) }
+    { cr_injection = inject; cr_churn = churn; cr_sessions_up_end = up_count;
+      cr_failover_s = failover_s }
   in
+  let sweep_count, _, _ = sweep_latency_in p.metrics in
   let verified =
     let* () = check "every subscriber injected" (inject.transactions = n) in
     let* () = check "FIB held the pool after injection" (fib_after_inject = n) in
@@ -754,8 +699,7 @@ let run_churn (cfg : config) arch scenario =
     let* () = check "speaker 2 converged to the oracle set" s2_holds_oracle_set in
     let* () = check "failover emptied the FIB" (Fib.size fib = 0) in
     let* () = check "failover swept speaker 2 clean" (holds s2 0) in
-    check "every swept withdrawal was timed"
-      (Metrics.hist_count sweep_hist = up_count)
+    check "every swept withdrawal was timed" (sweep_count = up_count)
   in
   { (result cfg arch scenario tb p verified) with
     churn = Some report; locrib_fp }
@@ -776,34 +720,45 @@ let run ?(config = default_config) arch scenario =
           through Bgp_topo (bgpbench topo)"
          (Scenario.name scenario))
 
-let pp_faults ppf = function
-  | None -> ()
-  | Some f ->
+(* Each report reads its numbers at print time from where they live:
+   the measured phase's frozen registry, a phase record, or the run's
+   config; the report records hold only what nothing else does. *)
+
+let pp_faults ppf r =
+  if r.faults <> None then begin
+    let m = r.metrics in
+    let count, mean, mx = Faults.reconvergence_in m in
     Format.fprintf ppf
       "@,  faults injected %d; malformed dropped %d; session restarts %d@,  \
        re-convergence: %d events, mean %.3fs virtual, max %.3fs"
-      f.fr_injected f.fr_malformed_dropped f.fr_session_restarts
-      f.fr_reconverge_count f.fr_reconverge_mean f.fr_reconverge_max
+      (Faults.injected_in m) (Faults.malformed_dropped_in m)
+      (Faults.session_restarts_in m) count mean mx
+  end
 
-let pp_damping ppf = function
-  | None -> ()
-  | Some d ->
+let pp_damping ppf r =
+  if r.used.damping <> None then begin
+    let m = r.metrics in
+    let _, mean, mx = Damping.reuse_latency_in m in
     Format.fprintf ppf
       "@,  damping: %d flaps, %d suppressions, %d reuses, %d still \
        suppressed@,  reuse latency: mean %.3fs, max %.3fs"
-      d.dr_flaps d.dr_suppressions d.dr_reuses d.dr_suppressed_end
-      d.dr_reuse_latency_mean d.dr_reuse_latency_max
+      (Damping.flaps_in m) (Damping.suppressions_in m) (Damping.reuses_in m)
+      (Damping.suppressed_in m) mean mx
+  end
 
-let pp_churn ppf = function
-  | None -> ()
-  | Some c ->
-    Format.fprintf ppf
-      "@,  churn: %d subscribers injected in %.2fs (%.0f tps); %d events in \
-       %.2fs (%.0f tps); %d up at failover@,  failover sweep: %.3fs \
-       end-to-end, %d withdrawals, latency mean %.3fs max %.3fs"
-      c.cr_subscribers c.cr_injection_s c.cr_injection_tps c.cr_churn_events
-      c.cr_churn_s c.cr_churn_tps c.cr_sessions_up_end c.cr_failover_s
-      c.cr_sweep_count c.cr_sweep_mean_s c.cr_sweep_max_s
+let pp_churn ppf r =
+  Option.iter
+    (fun c ->
+      let inj = c.cr_injection and ch = c.cr_churn in
+      let count, mean, mx = sweep_latency_in r.metrics in
+      Format.fprintf ppf
+        "@,  churn: %d subscribers injected in %.2fs (%.0f tps); %d events in \
+         %.2fs (%.0f tps); %d up at failover@,  failover sweep: %.3fs \
+         end-to-end, %d withdrawals, latency mean %.3fs max %.3fs"
+        r.used.table_size inj.Testbed.seconds (Testbed.tps inj)
+        ch.Testbed.transactions ch.Testbed.seconds (Testbed.tps ch)
+        c.cr_sessions_up_end c.cr_failover_s count mean mx)
+    r.churn
 
 let pp_result ppf r =
   Format.fprintf ppf
@@ -811,47 +766,53 @@ let pp_result ppf r =
     r.arch_name (Scenario.describe r.scenario) r.tps r.measured_prefixes
     r.measure_seconds r.fib_size_end
     (match r.verified with Ok () -> "OK" | Error e -> "FAILED: " ^ e)
-    pp_faults r.faults pp_damping r.damping pp_churn r.churn
+    pp_faults r pp_damping r pp_churn r
     Bgp_pipeline.Pipeline.pp_stage_stats r.stage_stats
 
-let fault_report_json (f : fault_report) =
+let fault_json r (f : fault_report) =
   let module J = Bgp_stats.Json in
+  let m = r.metrics in
+  let count, mean, mx = Faults.reconvergence_in m in
   let codes l = J.List (List.map (fun (c, s) -> J.List [ J.Int c; J.Int s ]) l) in
   J.Obj
-    [ ("injected", J.Int f.fr_injected);
-      ("malformed_dropped", J.Int f.fr_malformed_dropped);
-      ("session_restarts", J.Int f.fr_session_restarts);
-      ("reconverge_count", J.Int f.fr_reconverge_count);
-      ("reconverge_mean_s", J.Float f.fr_reconverge_mean);
-      ("reconverge_max_s", J.Float f.fr_reconverge_max);
+    [ ("injected", J.Int (Faults.injected_in m));
+      ("malformed_dropped", J.Int (Faults.malformed_dropped_in m));
+      ("session_restarts", J.Int (Faults.session_restarts_in m));
+      ("reconverge_count", J.Int count);
+      ("reconverge_mean_s", J.Float mean);
+      ("reconverge_max_s", J.Float mx);
       ("expected_notifications", codes f.fr_expected);
       ("answered_notifications", codes f.fr_answered) ]
 
-let damping_report_json (d : damping_report) =
+let damping_json r =
   let module J = Bgp_stats.Json in
+  let m = r.metrics in
+  let _, mean, mx = Damping.reuse_latency_in m in
   J.Obj
-    [ ("flaps", J.Int d.dr_flaps);
-      ("suppressions", J.Int d.dr_suppressions);
-      ("reuses", J.Int d.dr_reuses);
-      ("suppressed_end", J.Int d.dr_suppressed_end);
-      ("reuse_latency_mean_s", J.Float d.dr_reuse_latency_mean);
-      ("reuse_latency_max_s", J.Float d.dr_reuse_latency_max) ]
+    [ ("flaps", J.Int (Damping.flaps_in m));
+      ("suppressions", J.Int (Damping.suppressions_in m));
+      ("reuses", J.Int (Damping.reuses_in m));
+      ("suppressed_end", J.Int (Damping.suppressed_in m));
+      ("reuse_latency_mean_s", J.Float mean);
+      ("reuse_latency_max_s", J.Float mx) ]
 
-let churn_report_json (c : churn_report) =
+let churn_json r c =
   let module J = Bgp_stats.Json in
+  let inj = c.cr_injection and ch = c.cr_churn in
+  let count, mean, mx = sweep_latency_in r.metrics in
   J.Obj
-    [ ("subscribers", J.Int c.cr_subscribers);
-      ("injection_s", J.Float c.cr_injection_s);
-      ("injection_tps", J.Float c.cr_injection_tps);
-      ("churn_events", J.Int c.cr_churn_events);
-      ("churn_s", J.Float c.cr_churn_s);
-      ("churn_tps", J.Float c.cr_churn_tps);
+    [ ("subscribers", J.Int r.used.table_size);
+      ("injection_s", J.Float inj.Testbed.seconds);
+      ("injection_tps", J.Float (Testbed.tps inj));
+      ("churn_events", J.Int ch.Testbed.transactions);
+      ("churn_s", J.Float ch.Testbed.seconds);
+      ("churn_tps", J.Float (Testbed.tps ch));
       ("sessions_up_end", J.Int c.cr_sessions_up_end);
       ("failover_s", J.Float c.cr_failover_s);
-      ("sweep_count", J.Int c.cr_sweep_count);
-      ("sweep_latency_mean_s", J.Float c.cr_sweep_mean_s);
-      ("sweep_latency_max_s", J.Float c.cr_sweep_max_s);
-      ("metrics", c.cr_metrics) ]
+      ("sweep_count", J.Int count);
+      ("sweep_latency_mean_s", J.Float mean);
+      ("sweep_latency_max_s", J.Float mx);
+      ("metrics", Metrics.to_json r.metrics) ]
 
 (* A snapshot of the process-global attribute arena (JSON only — the
    rendered tables never include it, so text output is unaffected by
@@ -884,15 +845,9 @@ let result_json (r : result) =
        ("fwd_ratio_min", J.Float r.fwd_ratio_min);
        ("mode", J.Str (mode_name r.used.mode));
        ("locrib_fp", J.Str r.locrib_fp) ]
-    @ (match r.faults with
-      | None -> []
-      | Some f -> [ ("faults", fault_report_json f) ])
-    @ (match r.damping with
-      | None -> []
-      | Some d -> [ ("damping", damping_report_json d) ])
-    @ (match r.churn with
-      | None -> []
-      | Some c -> [ ("churn", churn_report_json c) ])
+    @ (match r.faults with None -> [] | Some f -> [ ("faults", fault_json r f) ])
+    @ (if r.used.damping = None then [] else [ ("damping", damping_json r) ])
+    @ (match r.churn with None -> [] | Some c -> [ ("churn", churn_json r c) ])
     @
     match r.verified with
     | Ok () -> [ ("verified", J.Bool true) ]

@@ -29,9 +29,6 @@ type mode = Testbed.mode =
   | Sim  (** simulated channels, virtual time, deterministic *)
   | Live  (** loopback TCP on a {!Bgp_tcp.Event_loop}, wall-clock time *)
 
-val mode_name : mode -> string
-(** ["sim"] / ["live"]. *)
-
 type config = {
   mode : mode;
   table_size : int;          (** prefixes in the injected table *)
@@ -94,50 +91,37 @@ val default_config : config
 (** [Sim] mode, 10000 prefixes, packing 500, no cross-traffic, seed 42,
     no trace, timeout 500000 s, 5 fault rounds. *)
 
+(** The reports hold only what no registry or phase does.  The fault
+    counters and re-convergence times are read from [result.metrics]
+    with the {!Bgp_faults.Faults} readers, the damping numbers with the
+    {!Bgp_rib.Damping} readers (present when [result.used.damping] is
+    set: scenario 14, or any run with [config.damping]), and the
+    failover sweep's latency with {!sweep_latency_in}. *)
+
 type fault_report = {
-  fr_injected : int;           (** [faults.injected] counter *)
-  fr_malformed_dropped : int;  (** malformed UPDATEs answered correctly *)
-  fr_session_restarts : int;   (** sessions brought back to Established *)
-  fr_reconverge_count : int;
-  fr_reconverge_mean : float;  (** mean fault-to-recovered virtual secs *)
-  fr_reconverge_max : float;
   fr_expected : (int * int) list;
       (** RFC 4271 (code, subcode) predicted per injected corruption *)
   fr_answered : (int * int) list;
       (** (code, subcode) of every NOTIFICATION the router transmitted *)
 }
 
-type damping_report = {
-  dr_flaps : int;          (** penalty charges (withdrawals + attr changes) *)
-  dr_suppressions : int;   (** routes pushed over the suppress threshold *)
-  dr_reuses : int;         (** suppressed routes released by decay *)
-  dr_suppressed_end : int; (** routes still suppressed at run end *)
-  dr_reuse_latency_mean : float;
-      (** mean suppression-to-reuse clock seconds *)
-  dr_reuse_latency_max : float;
-}
-
 type churn_report = {
-  cr_subscribers : int;
-  cr_injection_s : float;
-      (** phase A clock seconds, first UPDATE to last transaction *)
-  cr_injection_tps : float;
-  cr_churn_events : int;  (** session events processed in phase B *)
-  cr_churn_s : float;
-  cr_churn_tps : float;
+  cr_injection : Testbed.phase;
+      (** phase A: the rate-limited batch injection of every
+          subscriber ([result.used.table_size] of them) *)
+  cr_churn : Testbed.phase;
+      (** phase B: one transaction per session event *)
   cr_sessions_up_end : int;
       (** oracle up-count when failover hits — the expected FIB size
           pre-sweep and the expected withdraw-sweep size *)
   cr_failover_s : float;
       (** peer loss to the last withdrawal landing at speaker 2 *)
-  cr_sweep_count : int;
-  cr_sweep_mean_s : float;  (** per-withdrawal failover latency *)
-  cr_sweep_max_s : float;
-  cr_metrics : Bgp_stats.Json.t;
-      (** {!Bgp_stats.Metrics.to_json} dump of the router's registry at
-          run end — the machine-readable stand-in for the BNG
-          playbook's Prometheus targets *)
 }
+
+val sweep_latency_in : Bgp_stats.Metrics.t -> int * float * float
+(** (count, mean, max) of scenario 16's per-withdrawal failover
+    latency, one observation per withdrawal landing at speaker 2, in
+    clock seconds. *)
 
 type result = {
   arch_name : string;
@@ -158,11 +142,15 @@ type result = {
   msgs_tx : int;  (** wire messages sent in the measured phase *)
   fwd_ratio_min : float;
       (** worst forwarding ratio observed (1.0 = no loss) *)
+  metrics : Bgp_stats.Metrics.t;
+      (** the measured phase's frozen registry ({!Testbed.phase}):
+          the one source of every counter the reports print.  For
+          scenario 16 it is frozen at run end, so it covers phase B
+          and the failover; [churn --metrics] and the JSON
+          [churn.metrics] render it — the stand-in for the BNG
+          playbook's Prometheus targets *)
   faults : fault_report option;
       (** present for adversarial runs (scenarios 9-10, 14) only *)
-  damping : damping_report option;
-      (** present when the router ran with RFC 2439 damping enabled
-          (scenario 14, or any run with [config.damping] set) *)
   churn : churn_report option;  (** present for scenario 16 only *)
   locrib_fp : string;
       (** Loc-RIB digest ({!Bgp_rib.Loc_rib.fingerprint}) at run end;
@@ -191,7 +179,8 @@ val run : ?config:config -> Bgp_router.Arch.t -> Scenario.t -> result
     forced on ({!Bgp_rib.Damping.test_config} unless [config.damping]
     overrides): from the second round on the re-announcements are
     suppressed, and the run completes only once the reuse timer has
-    re-injected every withheld route ([damping] is populated).
+    re-injected every withheld route (its damping numbers are in
+    [metrics]).
 
     Scenario 16 runs the subscriber-edge churn workload ([config.churn]
     or its [table_size]-derived default): speaker 1 batch-injects the

@@ -23,14 +23,12 @@ type t = {
   series : series list;
 }
 
-val default_levels : float list
-(** 0, 100, ..., 1000 Mbps (clipped per system). *)
-
 val run :
   ?config:Harness.config -> ?levels:float list ->
   ?archs:Bgp_router.Arch.t list -> Scenario.t -> t
 (** Sweep one scenario. [config.cross_traffic] is overridden by each
-    level. *)
+    level; [levels] defaults to 0, 100, ..., 1000 Mbps (clipped per
+    system). *)
 
 val tps_series : t -> Bgp_stats.Chart.series list
 (** One chart series per architecture. *)

@@ -122,6 +122,7 @@ type phase = {
   stage_stats : Bgp_pipeline.Pipeline.stage_stat list;
   msgs_rx : int;
   msgs_tx : int;
+  metrics : Bgp_stats.Metrics.t;
 }
 
 let snapshot t =
@@ -132,7 +133,8 @@ let snapshot t =
       | Some t0, Some t1 when t1 > t0 -> t1 -. t0
       | _ -> 0.0);
     stage_stats = Router.stage_stats t.router;
-    msgs_rx = c.Router.msgs_rx; msgs_tx = c.Router.msgs_tx }
+    msgs_rx = c.Router.msgs_rx; msgs_tx = c.Router.msgs_tx;
+    metrics = Bgp_stats.Metrics.freeze (Router.metrics t.router) }
 
 let phase t ?(what = "phase") ?(until = fun () -> true) start =
   Router.reset_counters t.router;

@@ -76,6 +76,13 @@ type phase = {
   stage_stats : Bgp_pipeline.Pipeline.stage_stat list;
   msgs_rx : int;
   msgs_tx : int;
+  metrics : Bgp_stats.Metrics.t;
+      (** the router's registry frozen ({!Bgp_stats.Metrics.freeze})
+          when the phase was snapshotted: counters and histograms since
+          the phase's reset, gauges sampled at that moment.  Every
+          component on the router (faults, damping, the harness's own
+          histograms) registers here, so a report reads its numbers
+          from this copy. *)
 }
 
 val phase :
@@ -85,7 +92,8 @@ val phase :
     and {!snapshot} the result. *)
 
 val snapshot : t -> phase
-(** The router's counters since the last reset, as a phase record. *)
+(** The router's counters since the last reset, as a phase record,
+    with a frozen copy of its registry. *)
 
 val tps : phase -> float
 (** Transactions per clock second (0 for an empty phase). *)

@@ -34,13 +34,18 @@ type t = {
   trace : (Bgp_trace.Tracer.t * Bgp_trace.Tracer.track) option;
 }
 
+let injected_name = "faults.injected"
+let malformed_dropped_name = "faults.malformed_dropped"
+let session_restarts_name = "faults.session_restarts"
+let reconverge_name = "faults.reconverge_seconds"
+
 let create ?(profile = none) ?tracer ?(trace_process = "bgpmark") ~clock
     ~metrics () =
   { clock; prof = profile; rng = Rng.create profile.seed;
-    c_injected = Metrics.counter metrics "faults.injected";
-    c_malformed_dropped = Metrics.counter metrics "faults.malformed_dropped";
-    c_session_restarts = Metrics.counter metrics "faults.session_restarts";
-    h_reconverge = Metrics.histogram metrics "faults.reconverge_seconds";
+    c_injected = Metrics.counter metrics injected_name;
+    c_malformed_dropped = Metrics.counter metrics malformed_dropped_name;
+    c_session_restarts = Metrics.counter metrics session_restarts_name;
+    h_reconverge = Metrics.histogram metrics reconverge_name;
     armed = 0; expected_rev = []; expect_queue = []; seen_rev = [];
     trace =
       Option.map
@@ -216,11 +221,7 @@ let note_session_restart t =
   trace_fate t ~fate:"session-restart" ~detail:""
 let observe_reconvergence t d = Metrics.observe t.h_reconverge d
 
-let injected t = Metrics.value t.c_injected
-let malformed_dropped t = Metrics.value t.c_malformed_dropped
-let session_restarts t = Metrics.value t.c_session_restarts
-
-let reconvergence_stats t =
-  ( Metrics.hist_count t.h_reconverge,
-    Metrics.hist_mean t.h_reconverge,
-    Metrics.hist_max t.h_reconverge )
+let injected_in m = Metrics.counter_value m injected_name
+let malformed_dropped_in m = Metrics.counter_value m malformed_dropped_name
+let session_restarts_in m = Metrics.counter_value m session_restarts_name
+let reconvergence_in m = Metrics.histogram_summary m reconverge_name

@@ -25,11 +25,11 @@
     one {!Bgp_sim.Rng} stream seeded by the profile, so identical
     profiles replay identical fault sequences.
 
-    Counters registered in the router's metrics registry —
-    [faults.injected], [faults.malformed_dropped],
-    [faults.session_restarts], and the [faults.reconverge_seconds]
-    histogram — surface in the harness per-stage breakdown, the bench
-    smoke run, and [bgpbench] output. *)
+    The injector counts injected faults, malformed UPDATEs dropped and
+    session restarts, and times re-convergence, in the router's metrics
+    registry; the readers at the end of this interface are the only
+    way to them, and the harness's fault report, the bench smoke run
+    and [bgpbench] output read them from a phase's frozen copy. *)
 
 type profile = {
   seed : int;
@@ -58,7 +58,7 @@ val create :
   metrics:Bgp_stats.Metrics.t ->
   unit ->
   t
-(** Registers the [faults.*] counters/histogram in [metrics] (so a
+(** Registers the injector's counters and histogram in [metrics] (so a
     phase-boundary {!Bgp_stats.Metrics.reset_all} clears them with
     everything else).  Default profile {!none}.
 
@@ -135,11 +135,20 @@ val observe_reconvergence : t -> float -> unit
 (** Record one fault-to-recovered duration (seconds of virtual time)
     into the re-convergence histogram. *)
 
-(** {1 Counter views} *)
+(** {1 Reading a registry}
 
-val injected : t -> int
-val malformed_dropped : t -> int
-val session_restarts : t -> int
+    The injector's numbers as a registry holds them: the router's live
+    one, or a phase's frozen copy ({!Bgp_stats.Metrics.freeze}).  A
+    registry no injector registered on reads as zero. *)
 
-val reconvergence_stats : t -> int * float * float
-(** (count, mean, max) of the re-convergence histogram. *)
+val injected_in : Bgp_stats.Metrics.t -> int
+(** Faults injected: byte-level fates and session faults. *)
+
+val malformed_dropped_in : Bgp_stats.Metrics.t -> int
+(** Malformed UPDATEs the router answered as predicted. *)
+
+val session_restarts_in : Bgp_stats.Metrics.t -> int
+(** Torn-down sessions brought back to Established. *)
+
+val reconvergence_in : Bgp_stats.Metrics.t -> int * float * float
+(** (count, mean, max) of the fault-to-recovered clock seconds. *)

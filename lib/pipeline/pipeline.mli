@@ -38,9 +38,6 @@ type stage_id =
   | Export_policy   (** advertisement emission toward peers *)
   | Mrai_pacing     (** RFC 4271 §9.2.1.1 outbound batching *)
 
-val stage_name : stage_id -> string
-(** e.g. ["wire-decode"]. *)
-
 (** The per-batch work profile: pure counts describing one inbound
     UPDATE's journey, filled in by the protocol hooks as the batch
     advances.  Cost hooks price stages from these counts alone, which

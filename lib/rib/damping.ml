@@ -12,10 +12,6 @@ type config = {
   attr_change_penalty : float;
 }
 
-let rfc_config =
-  { half_life = 900.; suppress_threshold = 2000.; reuse_threshold = 750.;
-    max_suppress = 3600.; withdraw_penalty = 1000.; attr_change_penalty = 500. }
-
 let test_config =
   { half_life = 2.; suppress_threshold = 1500.; reuse_threshold = 750.;
     max_suppress = 8.; withdraw_penalty = 1000.; attr_change_penalty = 500. }
@@ -47,35 +43,30 @@ type t = {
   ceiling : float;
   entries : entry Tbl.t;
   mutable n_suppressed : int;
-  mutable n_flaps : int;
-  mutable n_suppressions : int;
-  mutable n_reuses : int;
-  c_flaps : Metrics.counter option;
-  c_suppressions : Metrics.counter option;
-  c_reuses : Metrics.counter option;
-  h_reuse_latency : Metrics.histogram option;
+  c_flaps : Metrics.counter;
+  c_suppressions : Metrics.counter;
+  c_reuses : Metrics.counter;
+  h_reuse_latency : Metrics.histogram;
 }
 
-let create ?metrics cfg =
+let flaps_name = "damping.flaps"
+let suppressions_name = "damping.suppressions"
+let reuses_name = "damping.reuses"
+let reuse_latency_name = "damping.reuse_latency"
+let suppressed_name = "damping.suppressed"
+
+let create ~metrics cfg =
   let t =
-    { cfg; ceiling = ceiling cfg; entries = Tbl.create 64;
-      n_suppressed = 0; n_flaps = 0; n_suppressions = 0; n_reuses = 0;
-      c_flaps = Option.map (fun m -> Metrics.counter m "damping.flaps") metrics;
-      c_suppressions =
-        Option.map (fun m -> Metrics.counter m "damping.suppressions") metrics;
-      c_reuses = Option.map (fun m -> Metrics.counter m "damping.reuses") metrics;
-      h_reuse_latency =
-        Option.map (fun m -> Metrics.histogram m "damping.reuse_latency") metrics }
+    { cfg; ceiling = ceiling cfg; entries = Tbl.create 64; n_suppressed = 0;
+      c_flaps = Metrics.counter metrics flaps_name;
+      c_suppressions = Metrics.counter metrics suppressions_name;
+      c_reuses = Metrics.counter metrics reuses_name;
+      h_reuse_latency = Metrics.histogram metrics reuse_latency_name }
   in
-  Option.iter
-    (fun m ->
-      ignore (Metrics.gauge m "damping.suppressed" (fun () -> t.n_suppressed)))
-    metrics;
+  ignore (Metrics.gauge metrics suppressed_name (fun () -> t.n_suppressed));
   t
 
 let config t = t.cfg
-
-let bump c = Option.iter Metrics.incr c
 
 let decay t e ~now =
   let dt = now -. e.updated_at in
@@ -93,24 +84,19 @@ let forgiven t e = (not e.suppressed) && e.penalty < t.cfg.reuse_threshold /. 2.
 
 let charge t e amount =
   e.penalty <- Float.min (e.penalty +. amount) t.ceiling;
-  t.n_flaps <- t.n_flaps + 1;
-  bump t.c_flaps
+  Metrics.incr t.c_flaps
 
 let suppress t e ~now =
   e.suppressed <- true;
   e.suppressed_at <- now;
   t.n_suppressed <- t.n_suppressed + 1;
-  t.n_suppressions <- t.n_suppressions + 1;
-  bump t.c_suppressions
+  Metrics.incr t.c_suppressions
 
 let release t e ~now =
   e.suppressed <- false;
   t.n_suppressed <- t.n_suppressed - 1;
-  t.n_reuses <- t.n_reuses + 1;
-  bump t.c_reuses;
-  Option.iter
-    (fun h -> Metrics.observe h (now -. e.suppressed_at))
-    t.h_reuse_latency
+  Metrics.incr t.c_reuses;
+  Metrics.observe t.h_reuse_latency (now -. e.suppressed_at)
 
 let on_announce t ~now ~peer ~prefix ~attrs =
   match Tbl.find_opt t.entries (key peer prefix) with
@@ -209,6 +195,12 @@ let take_reusable t ~now =
       out)
     ready
 
-let flaps t = t.n_flaps
-let suppressions t = t.n_suppressions
-let reuses t = t.n_reuses
+let flaps t = Metrics.value t.c_flaps
+let suppressions t = Metrics.value t.c_suppressions
+let reuses t = Metrics.value t.c_reuses
+
+let flaps_in m = Metrics.counter_value m flaps_name
+let suppressions_in m = Metrics.counter_value m suppressions_name
+let reuses_in m = Metrics.counter_value m reuses_name
+let suppressed_in m = Metrics.gauge_value m suppressed_name
+let reuse_latency_in m = Metrics.histogram_summary m reuse_latency_name

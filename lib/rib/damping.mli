@@ -25,10 +25,6 @@ type config = {
   attr_change_penalty : float;(** added per re-announcement with new attrs *)
 }
 
-val rfc_config : config
-(** The RFC 2439 §4.2 example values: half-life 900 s, suppress 2000,
-    reuse 750, max suppress 3600 s, penalties 1000 / 500. *)
-
 val test_config : config
 (** Compressed timers for simulation and tests: half-life 2 s, suppress
     1500, reuse 750, max suppress 8 s, penalties 1000 / 500 — two
@@ -44,11 +40,11 @@ type t
 
 type verdict = Pass | Suppress
 
-val create : ?metrics:Bgp_stats.Metrics.t -> config -> t
-(** A damping table.  When [metrics] is given, registers
-    [damping.flaps] / [damping.suppressions] / [damping.reuses]
-    counters, the [damping.reuse_latency] histogram (seconds spent
-    suppressed), and the [damping.suppressed] gauge. *)
+val create : metrics:Bgp_stats.Metrics.t -> config -> t
+(** A damping table.  Registers its flap, suppression and reuse
+    counters, a histogram of the seconds each route spent suppressed,
+    and a gauge of the routes suppressed now, in [metrics]; the
+    getters and registry readers below are the only way to them. *)
 
 val config : t -> config
 
@@ -88,7 +84,29 @@ val take_reusable :
     unsuppressed. *)
 
 val flaps : t -> int
-(** Total flaps charged since creation (not reset by metric phases). *)
+(** Flaps charged since the registry's last
+    {!Bgp_stats.Metrics.reset_all}: scoped to the phase like every
+    other counter. *)
 
 val suppressions : t -> int
+(** Routes suppressed since the last reset. *)
+
 val reuses : t -> int
+(** Suppressed routes released since the last reset. *)
+
+(** {1 Reading a registry}
+
+    The same numbers as a registry holds them: the router's live one,
+    or a phase's frozen copy ({!Bgp_stats.Metrics.freeze}).  A registry
+    no damping table registered on reads as zero. *)
+
+val flaps_in : Bgp_stats.Metrics.t -> int
+val suppressions_in : Bgp_stats.Metrics.t -> int
+val reuses_in : Bgp_stats.Metrics.t -> int
+
+val suppressed_in : Bgp_stats.Metrics.t -> int
+(** Routes suppressed when the registry was read, or frozen. *)
+
+val reuse_latency_in : Bgp_stats.Metrics.t -> int * float * float
+(** (count, mean, max) of the clock seconds from suppression to
+    reuse. *)

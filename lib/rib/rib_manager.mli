@@ -169,8 +169,6 @@ type outcome = {
   policy_work : int;  (** condition evaluations across import+export *)
 }
 
-val no_op_outcome : outcome
-
 val announce :
   t -> from:Bgp_route.Peer.t -> Bgp_addr.Prefix.t -> Bgp_route.Attrs.t ->
   outcome

@@ -91,12 +91,6 @@ type pref = {
   pr_cluster_len : int;       (** CLUSTER_LIST length (RFC 4456 §9) *)
 }
 
-val pref_of : t -> pref
-
-val approx_bytes : t -> int
-(** Rough heap footprint of the record in bytes (what one duplicate
-    costs); the arena's bytes-saved estimate sums this per hit. *)
-
 (** The hash-consing arena: one canonical handle per distinct attribute
     set.  A handle carries a unique integer id, the cached structural
     hash, and the memoized decision-preference tuple, so RIB change

@@ -21,9 +21,6 @@ val no_export : t
 val no_advertise : t
 (** [0xFFFFFF02]: do not advertise to any peer. *)
 
-val no_export_subconfed : t
-(** [0xFFFFFF03]. *)
-
 val is_well_known : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int

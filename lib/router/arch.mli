@@ -73,10 +73,6 @@ type t = {
 val effective_hz : t -> float
 (** [clock_hz *. efficiency]. *)
 
-val xorp_cost : cost_model
-(** The shared XORP cost model (see the calibration notes in
-    DESIGN.md §4). *)
-
 val pentium3 : t
 (** Uni-core: 800 MHz, one core, kernel forwarding, 315 Mbps PCI
     ceiling. *)

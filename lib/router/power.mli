@@ -22,14 +22,6 @@ type t = {
   forwarding_watts : float;   (** dedicated forwarding silicon at load *)
 }
 
-val of_arch : Arch.t -> t
-(** The built-in model for each of the four systems.
-    @raise Invalid_argument for an architecture not in {!Arch.all}. *)
-
-val control_watts : t -> busy_cores:float -> float
-(** Instantaneous control-plane draw given the number of busy
-    core-equivalents. *)
-
 type report = {
   arch_name : string;
   scenario_id : int;

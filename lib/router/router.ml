@@ -177,7 +177,6 @@ let rib t = t.rib
 let fib t = t.fib
 let forwarding t = t.fwd
 let metrics t = t.metrics
-let damping t = t.damp
 let pipeline t = t.pipeline
 let stage_stats t = Pipeline.stage_stats t.pipeline
 

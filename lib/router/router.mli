@@ -52,8 +52,9 @@ val create :
     for every route the peer's loss took out of the FIB, and a single
     reuse timer (on the router's clock) re-injects withheld routes as
     their penalties decay — each re-injection runs the FIB process and
-    books one transaction, like a local origination.  Registers the
-    [damping.*] metrics in the router's registry.  Off by default:
+    books one transaction, like a local origination.  The table
+    registers its metrics in the router's registry ({!Bgp_rib.Damping}
+    reads them back).  Off by default:
     with [damping] absent the update path is byte-identical to a
     router built without this parameter.
 
@@ -79,10 +80,6 @@ val forwarding : t -> Bgp_netsim.Forwarding.t
 val metrics : t -> Bgp_stats.Metrics.t
 (** The unified registry behind {!counters}, the RIB work counters, and
     the per-stage pipeline accounting. *)
-
-val damping : t -> Bgp_rib.Damping.t option
-(** The damping table, when {!create} enabled it — the harness reads
-    suppression state directly for its fault oracle. *)
 
 val pipeline : t -> Bgp_pipeline.Pipeline.t
 (** The instantiated update pipeline (stage procs, layout). *)

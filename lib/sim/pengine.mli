@@ -25,8 +25,6 @@ type t
 val create : ?parts:int -> unit -> t
 (** Default 1 partition.  @raise Invalid_argument when [parts < 1]. *)
 
-val n_parts : t -> int
-
 val part : t -> int -> Engine.t
 (** Partition [i]'s private engine.  Everything living on partition [i]
     (routers, timers, same-partition channels) schedules here, and only

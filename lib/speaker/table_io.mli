@@ -44,14 +44,10 @@ val synthesize :
     (2-6 hops, Internet-ish mix) — unlike the benchmark workloads,
     where path length is a controlled variable. *)
 
-val entries_of_mrt : Bgp_mrt.Mrt.record list -> entry list
-(** Project the best-source RIB view of an MRT dump
-    ({!Bgp_mrt.Mrt.routes_of_dump}) onto table entries.  Next hops are
-    dropped — like the text format, loaded tables are
-    speaker-relative. *)
-
 val load_auto : string -> (entry list, string) result
 (** Sniff the file ({!Bgp_mrt.Mrt.sniff_file}) and dispatch: the
     [# bgpmark-table v1] text format goes through {!load}, a binary
-    MRT dump through {!Bgp_mrt.Mrt.read_file} + {!entries_of_mrt}.
+    MRT dump through {!Bgp_mrt.Mrt.read_file}, keeping the
+    best-source RIB view ({!Bgp_mrt.Mrt.routes_of_dump}) without next
+    hops — like the text format, loaded tables are speaker-relative.
     Unrecognized content is an error naming both accepted formats. *)

@@ -54,12 +54,6 @@ let add c by =
 let incr ?(by = 1) c = add c by
 
 let value c = Atomic.get c.c_value
-let counter_name c = c.c_name
-
-let find_counter t name =
-  match Hashtbl.find_opt t.index name with
-  | Some (Counter c) -> Some c
-  | Some (Histogram _ | Gauge _) | None -> None
 
 let histogram t name =
   let h = { h_name = name; h_count = 0; h_sum = 0.0; h_min = 0.0; h_max = 0.0 } in
@@ -81,27 +75,28 @@ let observe h x =
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum
 let hist_mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
-let hist_min h = h.h_min
-let hist_max h = h.h_max
-let histogram_name h = h.h_name
-
-let find_histogram t name =
-  match Hashtbl.find_opt t.index name with
-  | Some (Histogram h) -> Some h
-  | Some (Counter _ | Gauge _) | None -> None
 
 let gauge t name sample =
   let g = { g_name = name; g_sample = sample } in
   register t (Gauge g);
   g
 
-let gauge_value g = g.g_sample ()
-let gauge_name g = g.g_name
-
-let find_gauge t name =
+(* Readers by name, for the module that registered the name; a name
+   nothing registered (or registered as another kind) reads as zero. *)
+let counter_value t name =
   match Hashtbl.find_opt t.index name with
-  | Some (Gauge g) -> Some g
-  | Some (Counter _ | Histogram _) | None -> None
+  | Some (Counter c) -> value c
+  | Some (Histogram _ | Gauge _) | None -> 0
+
+let histogram_summary t name =
+  match Hashtbl.find_opt t.index name with
+  | Some (Histogram h) -> (h.h_count, hist_mean h, h.h_max)
+  | Some (Counter _ | Gauge _) | None -> (0, 0.0, 0.0)
+
+let gauge_value t name =
+  match Hashtbl.find_opt t.index name with
+  | Some (Gauge g) -> g.g_sample ()
+  | Some (Counter _ | Histogram _) | None -> 0
 
 let reset_all t =
   List.iter
@@ -114,6 +109,21 @@ let reset_all t =
         h.h_max <- 0.0
       | Gauge _ -> ())
     t.entries
+
+(* A copy no later write reaches: counters and histograms keep their
+   current values, and each gauge becomes the constant it samples now. *)
+let freeze t =
+  let copy = function
+    | Counter c -> Counter { c with c_value = Atomic.make (Atomic.get c.c_value) }
+    | Histogram h -> Histogram { h with h_count = h.h_count }
+    | Gauge g ->
+      let v = g.g_sample () in
+      Gauge { g with g_sample = (fun () -> v) }
+  in
+  let entries = List.map copy t.entries in
+  let index = Hashtbl.create (Hashtbl.length t.index) in
+  List.iter (fun e -> Hashtbl.replace index (entry_name e) e) entries;
+  { index; entries }
 
 let in_order t = List.rev t.entries
 

@@ -39,10 +39,6 @@ val add : counter -> int -> unit
     for per-prefix hot paths that must not allocate. *)
 
 val value : counter -> int
-val counter_name : counter -> string
-
-val find_counter : t -> string -> counter option
-(** Look up a previously registered counter. *)
 
 (** {1 Histograms} *)
 
@@ -57,15 +53,6 @@ val hist_sum : histogram -> float
 val hist_mean : histogram -> float
 (** 0 when empty. *)
 
-val hist_min : histogram -> float
-(** 0 when empty. *)
-
-val hist_max : histogram -> float
-(** 0 when empty. *)
-
-val histogram_name : histogram -> string
-val find_histogram : t -> string -> histogram option
-
 (** {1 Gauges} *)
 
 val gauge : t -> string -> (unit -> int) -> gauge
@@ -74,17 +61,32 @@ val gauge : t -> string -> (unit -> int) -> gauge
     state of their own, so {!reset_all} does not touch them.
     @raise Invalid_argument if [name] is already registered. *)
 
-val gauge_value : gauge -> int
-(** Sample the gauge now. *)
+(** {1 Reading by name}
 
-val gauge_name : gauge -> string
-val find_gauge : t -> string -> gauge option
+    For the module that registered [name], which keeps the name to
+    itself and exports a reader built on these.  A name nothing
+    registered, or registered as another kind, reads as zero. *)
+
+val counter_value : t -> string -> int
+
+val histogram_summary : t -> string -> int * float * float
+(** [(count, mean, max)]. *)
+
+val gauge_value : t -> string -> int
+(** Sampled now; constant in a {!freeze}d copy. *)
 
 (** {1 Registry-wide operations} *)
 
 val reset_all : t -> unit
 (** Zero every counter and histogram (a measurement-phase boundary).
     Registration is preserved; gauges, being sampled, are unaffected. *)
+
+val freeze : t -> t
+(** A copy of the registry as it stands: counters and histograms with
+    their current values, each gauge turned into the constant it
+    samples now.  Nothing done to [t] afterwards, {!reset_all}
+    included, reaches the copy: a benchmark phase's numbers stay as
+    they were when the phase ended. *)
 
 val counters : t -> (string * int) list
 (** All counters with current values, in registration order. *)

@@ -20,8 +20,6 @@
 (** How the {e neighbor} relates to this router. *)
 type relation = Customer | Peer | Provider
 
-val relation_to_string : relation -> string
-
 val tier : int -> int
 (** [tier i] = floor(log2 (i+1)): vertex 0 is the lone tier-0 core,
     1–2 are tier 1, 3–6 tier 2, and so on.  A deterministic,
@@ -37,12 +35,9 @@ val local_pref : relation -> int
 (** Customer 200, peer 150, provider 100 (prefer-customer ranking,
     Gao–Rexford condition on route selection). *)
 
-val learned_tag : relation -> Bgp_route.Community.t
-(** The community stamped on import from a neighbor of this
-    relation. *)
-
 val import_policy : relation -> Bgp_policy.Policy.t
-(** Tag with {!learned_tag} and set {!local_pref}. *)
+(** Tag the route with a community naming the relation, and set
+    {!local_pref}. *)
 
 val export_policy : relation -> Bgp_policy.Policy.t
 (** To a customer: accept everything.  To a peer or provider: reject

@@ -81,12 +81,6 @@ val span_fifo :
     [start - dispatch] is attached as a ["wait_s"] arg. Returns the
     actual [(start, finish)] window recorded. *)
 
-val async_span :
-  t -> track -> name:string -> ts:float -> dur:float ->
-  ?args:(string * value) list -> unit -> unit
-(** A span that may overlap others on its track (e.g. pipelined update
-    latencies); the Chrome exporter emits it as an async b/e pair. *)
-
 val instant :
   t -> track -> name:string -> ts:float -> ?args:(string * value) list ->
   unit -> unit

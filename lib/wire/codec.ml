@@ -13,7 +13,6 @@ let attr_originator_id = 9 (* RFC 4456 *)
 let attr_cluster_list = 10 (* RFC 4456 *)
 let flag_optional = 0x80
 let flag_transitive = 0x40
-let flag_partial = 0x20
 let flag_extended = 0x10
 
 let type_open = 1

@@ -79,22 +79,3 @@ val decode_path_attrs :
     present, as for an UPDATE carrying NLRI.  The byte-span intern
     cache is bypassed when [as4] is set (same bytes, different
     decode). *)
-
-(** {1 Attribute wire constants} — exposed for tests and for malformed
-    message construction in failure-injection suites. *)
-
-val attr_origin : int
-val attr_as_path : int
-val attr_next_hop : int
-val attr_med : int
-val attr_local_pref : int
-val attr_atomic_aggregate : int
-val attr_aggregator : int
-val attr_community : int
-val attr_originator_id : int
-val attr_cluster_list : int
-
-val flag_optional : int
-val flag_transitive : int
-val flag_partial : int
-val flag_extended : int

@@ -101,14 +101,6 @@ val update :
 (** Interns [attrs].
     @raise Invalid_argument if [nlri] is non-empty but [attrs] absent. *)
 
-val update_interned :
-  ?withdrawn:Bgp_addr.Prefix.t list ->
-  ?attrs:Bgp_route.Attrs.Interned.t ->
-  ?nlri:Bgp_addr.Prefix.t list ->
-  unit ->
-  t
-(** Like {!update} but from an existing handle — no arena lookup. *)
-
 val announcement : Bgp_route.Attrs.t -> Bgp_addr.Prefix.t list -> t
 val announcement_interned :
   Bgp_route.Attrs.Interned.t -> Bgp_addr.Prefix.t list -> t

@@ -16,6 +16,7 @@ module Loc_rib = Bgp_rib.Loc_rib
 module Prefix = Bgp_addr.Prefix
 module Arch = Bgp_router.Arch
 module H = Bgpmark.Harness
+module Testbed = Bgpmark.Testbed
 module Scenario = Bgpmark.Scenario
 module Faults = Bgp_faults.Faults
 module Metrics = Bgp_stats.Metrics
@@ -361,17 +362,19 @@ let test_scenario16_sim () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "scenario 16 failed verification: %s" e);
   let c = Option.get r.H.churn in
-  Alcotest.(check int) "all subscribers" 400 c.H.cr_subscribers;
-  Alcotest.(check int) "all events" 100 c.H.cr_churn_events;
+  let swept, _, _ = H.sweep_latency_in r.H.metrics in
+  Alcotest.(check int) "all subscribers" 400 r.H.used.H.table_size;
+  Alcotest.(check int) "all events" 100 c.H.cr_churn.Testbed.transactions;
   Alcotest.(check bool) "injection tps positive" true
-    (c.H.cr_injection_tps > 0.0);
-  Alcotest.(check bool) "churn tps positive" true (c.H.cr_churn_tps > 0.0);
+    (Testbed.tps c.H.cr_injection > 0.0);
+  Alcotest.(check bool) "churn tps positive" true
+    (Testbed.tps c.H.cr_churn > 0.0);
   Alcotest.(check int) "sweep timed every withdrawal" c.H.cr_sessions_up_end
-    c.H.cr_sweep_count;
+    swept;
   Alcotest.(check bool) "failover took time" true (c.H.cr_failover_s > 0.0);
   Alcotest.(check int) "FIB empty after failover" 0 r.H.fib_size_end;
   (* The registry dump (the Prometheus stand-in) rendered non-trivially. *)
-  (match c.H.cr_metrics with
+  (match Metrics.to_json r.H.metrics with
   | Bgp_stats.Json.Obj entries ->
     Alcotest.(check bool) "metrics dump non-empty" true (entries <> []);
     Alcotest.(check bool) "sweep histogram exported" true
@@ -385,6 +388,17 @@ let test_scenario16_deterministic () =
     r2.H.locrib_fp;
   Alcotest.(check bool) "fingerprint non-trivial" true
     (r1.H.locrib_fp <> "")
+
+(* A result's registry is frozen when its phase ends: a later cell in
+   the same process moves the process-global arena that the router's
+   arena gauges sample, and must not move the rendered result. *)
+let test_result_registry_frozen () =
+  let r = H.run ~config:churn_config Arch.xeon (Scenario.of_id_exn 16) in
+  let render () = Bgp_stats.Json.to_string_pretty (H.result_json r) in
+  let before = render () in
+  ignore (H.run ~config:churn_config Arch.pentium3 (Scenario.of_id_exn 16));
+  Alcotest.(check string) "same rendering after another cell" before
+    (render ())
 
 (* A batch of 1200 /32s needs a ~6 KB UPDATE: the speaker must split
    it to fit, where scenario 16 used to die in Codec.encode. *)
@@ -400,9 +414,7 @@ let test_scenario16_oversize_batch () =
   (match r.H.verified with
   | Ok () -> ()
   | Error e -> Alcotest.failf "scenario 16 failed verification: %s" e);
-  Alcotest.(check int) "all subscribers" 2000
-    (Option.get r.H.churn).H.cr_subscribers;
-  let module Testbed = Bgpmark.Testbed in
+  Alcotest.(check int) "all subscribers" 2000 r.H.used.H.table_size;
   Testbed.with_rig Testbed.Sim ~timeout:600.0 ~speakers:1 Arch.xeon (fun tb ->
       let s1 = tb.Testbed.sides.(0) in
       Testbed.establish tb [ s1 ];
@@ -447,4 +459,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick
             test_scenario16_deterministic;
           Alcotest.test_case "oversize batch splits" `Quick
-            test_scenario16_oversize_batch ] ) ]
+            test_scenario16_oversize_batch;
+          Alcotest.test_case "result registry is frozen" `Quick
+            test_result_registry_frozen ] ) ]

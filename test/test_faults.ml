@@ -96,10 +96,10 @@ let tapped_channel profile =
   Channel.set_receiver ch Channel.B (fun bytes -> got := bytes :: !got);
   Channel.connect ch;
   Engine.run engine;
-  (engine, t, ch, got)
+  (engine, t, ch, got, metrics)
 
 let test_tap_loss () =
-  let engine, t, ch, got =
+  let engine, t, ch, got, metrics =
     tapped_channel { Faults.none with Faults.seed = 5; drop_prob = 1.0 }
   in
   Faults.tap_adversarial t (Channel.endpoint ch Channel.A);
@@ -108,10 +108,10 @@ let test_tap_loss () =
   done;
   Engine.run engine;
   Alcotest.(check int) "all dropped" 0 (List.length !got);
-  Alcotest.(check int) "all counted" 10 (Faults.injected t)
+  Alcotest.(check int) "all counted" 10 (Faults.injected_in metrics)
 
 let test_tap_off_is_transparent () =
-  let engine, t, ch, got = tapped_channel Faults.none in
+  let engine, t, ch, got, metrics = tapped_channel Faults.none in
   Faults.tap_adversarial t (Channel.endpoint ch Channel.A);
   let wire = Codec.encode (sample_update 10) in
   for _ = 1 to 10 do
@@ -120,11 +120,11 @@ let test_tap_off_is_transparent () =
   Engine.run engine;
   Alcotest.(check int) "all delivered" 10 (List.length !got);
   Alcotest.(check bool) "unmodified" true (List.for_all (( = ) wire) !got);
-  Alcotest.(check int) "nothing counted" 0 (Faults.injected t)
+  Alcotest.(check int) "nothing counted" 0 (Faults.injected_in metrics)
 
 let test_tap_reorder_delay () =
   (* Reordered messages arrive late but arrive. *)
-  let engine, t, ch, got =
+  let engine, t, ch, got, _ =
     tapped_channel
       { Faults.none with
         Faults.seed = 8; reorder_prob = 1.0; reorder_delay = 0.5 }
@@ -137,7 +137,7 @@ let test_tap_reorder_delay () =
   Alcotest.(check int) "delivered late" 1 (List.length !got)
 
 let test_armed_corruption_observed () =
-  let engine, t, ch, got =
+  let engine, t, ch, got, _ =
     tapped_channel { Faults.none with Faults.seed = 13 }
   in
   Faults.tap_adversarial t (Channel.endpoint ch Channel.A);
@@ -178,19 +178,23 @@ let run_adv id =
 
 let test_scenario9 () =
   let r, f = run_adv 9 in
+  let m = r.H.metrics in
+  let reconverge_count, reconverge_mean, reconverge_max =
+    Faults.reconvergence_in m
+  in
   Alcotest.(check int) "measured = rounds * n"
     (adv_config.H.fault_rounds * adv_config.H.table_size)
     r.H.measured_prefixes;
   Alcotest.(check int) "one corruption per round" adv_config.H.fault_rounds
-    f.H.fr_injected;
+    (Faults.injected_in m);
   Alcotest.(check int) "every malformed update answered"
-    adv_config.H.fault_rounds f.H.fr_malformed_dropped;
+    adv_config.H.fault_rounds (Faults.malformed_dropped_in m);
   Alcotest.(check int) "restart per round" adv_config.H.fault_rounds
-    f.H.fr_session_restarts;
+    (Faults.session_restarts_in m);
   Alcotest.(check int) "re-convergence histogram" adv_config.H.fault_rounds
-    f.H.fr_reconverge_count;
+    reconverge_count;
   Alcotest.(check bool) "positive recovery time" true
-    (f.H.fr_reconverge_mean > 0.0 && f.H.fr_reconverge_max >= f.H.fr_reconverge_mean);
+    (reconverge_mean > 0.0 && reconverge_max >= reconverge_mean);
   (* The answered NOTIFICATION sequence must contain the expected one,
      code pair by code pair, in order. *)
   Alcotest.(check int) "prediction per round" adv_config.H.fault_rounds
@@ -205,21 +209,24 @@ let test_scenario9 () =
     (subseq f.H.fr_expected f.H.fr_answered)
 
 let test_scenario10 () =
-  let r, f = run_adv 10 in
+  let r, _ = run_adv 10 in
+  let m = r.H.metrics in
   Alcotest.(check int) "measured = rounds * n"
     (adv_config.H.fault_rounds * adv_config.H.table_size)
     r.H.measured_prefixes;
   Alcotest.(check int) "one session fault per round" adv_config.H.fault_rounds
-    f.H.fr_injected;
+    (Faults.injected_in m);
   Alcotest.(check int) "restart per round" adv_config.H.fault_rounds
-    f.H.fr_session_restarts;
-  Alcotest.(check int) "no malformed messages" 0 f.H.fr_malformed_dropped;
+    (Faults.session_restarts_in m);
+  Alcotest.(check int) "no malformed messages" 0
+    (Faults.malformed_dropped_in m);
   Alcotest.(check int) "FIB restored" adv_config.H.table_size r.H.fib_size_end
 
 let test_determinism_end_to_end () =
   let once () =
     let r, f = run_adv 9 in
-    (r.H.tps, f.H.fr_expected, f.H.fr_reconverge_mean)
+    let _, reconverge_mean, _ = Faults.reconvergence_in r.H.metrics in
+    (r.H.tps, f.H.fr_expected, reconverge_mean)
   in
   Alcotest.(check bool) "identical replays" true (once () = once ())
 

@@ -11,6 +11,13 @@ module Prefix = Bgp_addr.Prefix
 module Ipv4 = Bgp_addr.Ipv4
 module Scenario = Bgpmark.Scenario
 module Harness = Bgpmark.Harness
+module Damping = Bgp_rib.Damping
+
+(* Whether a run's JSON carries the damping report. *)
+let has_damping_report r =
+  match Harness.result_json r with
+  | Bgp_stats.Json.Obj fields -> List.mem_assoc "damping" fields
+  | _ -> false
 
 let asn = Bgp_route.Asn.of_int
 let ip = Ipv4.of_string_exn
@@ -269,11 +276,9 @@ let test_scenario13_damping () =
   (match r.Harness.verified with
   | Ok () -> ()
   | Error e -> Alcotest.failf "damped replay failed verification: %s" e);
-  match r.Harness.damping with
-  | None -> Alcotest.fail "no damping report"
-  | Some d ->
-    Alcotest.(check bool) "routes were suppressed" true
-      (d.Harness.dr_suppressions > 0)
+  if not (has_damping_report r) then Alcotest.fail "no damping report";
+  Alcotest.(check bool) "routes were suppressed" true
+    (Damping.suppressions_in r.Harness.metrics > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 14: flap storm under damping (sim)                         *)
@@ -288,17 +293,16 @@ let test_scenario14_sim () =
   (match r.Harness.verified with
   | Ok () -> ()
   | Error e -> Alcotest.failf "scenario 14 failed verification: %s" e);
-  match r.Harness.damping with
-  | None -> Alcotest.fail "no damping report"
-  | Some d ->
-    Alcotest.(check bool) "routes were suppressed" true
-      (d.Harness.dr_suppressions > 0);
-    Alcotest.(check int) "all suppressed routes reused"
-      d.Harness.dr_suppressions d.Harness.dr_reuses;
-    Alcotest.(check int) "nothing left suppressed" 0
-      d.Harness.dr_suppressed_end;
-    Alcotest.(check bool) "reuse latency observed" true
-      (d.Harness.dr_reuse_latency_max > 0.)
+  if not (has_damping_report r) then Alcotest.fail "no damping report";
+  let m = r.Harness.metrics in
+  let _, _, reuse_latency_max = Damping.reuse_latency_in m in
+  Alcotest.(check bool) "routes were suppressed" true
+    (Damping.suppressions_in m > 0);
+  Alcotest.(check int) "all suppressed routes reused"
+    (Damping.suppressions_in m) (Damping.reuses_in m);
+  Alcotest.(check int) "nothing left suppressed" 0 (Damping.suppressed_in m);
+  Alcotest.(check bool) "reuse latency observed" true
+    (reuse_latency_max > 0.)
 
 (* Damping off must not change the paper-faithful path at all. *)
 let test_damping_off_identical () =
@@ -320,7 +324,7 @@ let test_damping_off_identical () =
   Alcotest.(check string) "same final Loc-RIB" plain.Harness.locrib_fp
     damped.Harness.locrib_fp;
   Alcotest.(check bool) "undamped run has no damping report" true
-    (plain.Harness.damping = None)
+    (not (has_damping_report plain))
 
 let qtests tests = List.map QCheck_alcotest.to_alcotest tests
 

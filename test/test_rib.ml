@@ -1341,7 +1341,9 @@ let damp_attrs' = A.Interned.intern (attrs ~nh:"192.0.2.1" [ 65001; 8; 9 ])
 let dpfx = pfx "203.0.113.0/24"
 
 let test_damping_first_announce_free () =
-  let d = Damping.create Damping.test_config in
+  let d =
+    Damping.create ~metrics:(Bgp_stats.Metrics.create ()) Damping.test_config
+  in
   Alcotest.(check bool) "first announce passes" true
     (Damping.on_announce d ~now:0. ~peer:peer1 ~prefix:dpfx ~attrs:damp_attrs
     = Damping.Pass);
@@ -1350,7 +1352,7 @@ let test_damping_first_announce_free () =
 
 let test_damping_suppress_and_reuse () =
   let c = Damping.test_config in
-  let d = Damping.create c in
+  let d = Damping.create ~metrics:(Bgp_stats.Metrics.create ()) c in
   (* Two quick withdraw/announce cycles cross the suppress threshold. *)
   Damping.note_withdraw d ~now:0. ~peer:peer1 ~prefix:dpfx;
   Alcotest.(check bool) "one withdrawal not yet suppressed" true
@@ -1385,7 +1387,9 @@ let test_damping_suppress_and_reuse () =
   Alcotest.(check int) "books exactly one reuse" 1 (Damping.reuses d)
 
 let test_damping_withdrawn_route_not_reinjected () =
-  let d = Damping.create Damping.test_config in
+  let d =
+    Damping.create ~metrics:(Bgp_stats.Metrics.create ()) Damping.test_config
+  in
   (* Suppress, then withdraw while suppressed: nothing to re-inject. *)
   Damping.note_withdraw d ~now:0. ~peer:peer1 ~prefix:dpfx;
   ignore (Damping.on_announce d ~now:0.1 ~peer:peer1 ~prefix:dpfx ~attrs:damp_attrs);
@@ -1397,7 +1401,7 @@ let test_damping_withdrawn_route_not_reinjected () =
 
 let test_damping_ceiling_bounds_suppression () =
   let c = Damping.test_config in
-  let d = Damping.create c in
+  let d = Damping.create ~metrics:(Bgp_stats.Metrics.create ()) c in
   (* Hammer the route far past the ceiling; suppression must still end
      within max_suppress of the last flap. *)
   for i = 0 to 49 do
@@ -1417,12 +1421,40 @@ let test_damping_ceiling_bounds_suppression () =
     Alcotest.(check bool) "reuse within max_suppress of last flap" true
       (at -. last <= c.Damping.max_suppress +. 1e-6)
 
+let test_damping_counters_phase_scoped () =
+  let metrics = Bgp_stats.Metrics.create () in
+  let d = Damping.create ~metrics Damping.test_config in
+  let flap now =
+    Damping.note_withdraw d ~now ~peer:peer1 ~prefix:dpfx;
+    ignore
+      (Damping.on_announce d ~now:(now +. 0.1) ~peer:peer1 ~prefix:dpfx
+         ~attrs:damp_attrs)
+  in
+  (* First phase: two quick flaps suppress the route. *)
+  flap 0.;
+  flap 0.2;
+  Alcotest.(check (list int)) "first phase: flaps, suppressions, reuses"
+    [ 2; 1; 0 ]
+    [ Damping.flaps d; Damping.suppressions d; Damping.reuses d ];
+  Bgp_stats.Metrics.reset_all metrics;
+  Alcotest.(check (list int)) "reset clears the counters" [ 0; 0; 0 ]
+    [ Damping.flaps d; Damping.suppressions d; Damping.reuses d ];
+  Alcotest.(check int) "reset leaves the suppressed gauge" 1
+    (Damping.suppressed_in metrics);
+  (* Second phase: the route is reused, then flaps once more. *)
+  ignore (Damping.take_reusable d ~now:100.);
+  Damping.note_withdraw d ~now:100.5 ~peer:peer1 ~prefix:dpfx;
+  Alcotest.(check (list int)) "second phase counts only itself" [ 1; 0; 1 ]
+    [ Damping.flaps d; Damping.suppressions d; Damping.reuses d ];
+  Alcotest.(check int) "gauge follows the table" (Damping.suppressed_count d)
+    (Damping.suppressed_in metrics)
+
 let prop_damping_decay_halves =
   QCheck2.Test.make ~name:"penalty halves every half-life" ~count:200
     QCheck2.Gen.(pair (float_range 0.5 100.) (int_range 1 5))
     (fun (hl, k) ->
       let c = { Damping.test_config with Damping.half_life = hl } in
-      let d = Damping.create c in
+      let d = Damping.create ~metrics:(Bgp_stats.Metrics.create ()) c in
       Damping.note_withdraw d ~now:0. ~peer:peer1 ~prefix:dpfx;
       let p0 = Damping.penalty d ~now:0. ~peer:peer1 ~prefix:dpfx in
       let pk =
@@ -1507,7 +1539,9 @@ let () =
           Alcotest.test_case "withdrawn not re-injected" `Quick
             test_damping_withdrawn_route_not_reinjected;
           Alcotest.test_case "ceiling bounds suppression" `Quick
-            test_damping_ceiling_bounds_suppression
+            test_damping_ceiling_bounds_suppression;
+          Alcotest.test_case "damping counters are phase-scoped" `Quick
+            test_damping_counters_phase_scoped
         ] );
       qsuite "properties"
         [ prop_manager_arrival_order_invariant; prop_select_returns_maximal;
