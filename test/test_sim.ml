@@ -193,29 +193,55 @@ let test_pengine_parts1_matches_engine () =
      Pengine.run_until pe 3.0;
      Pengine.dispatched pe 0)
 
+(* [parts] partitions pass a token around a ring (0 -> 1 -> ... -> 0)
+   over cross links of latency 0.5, from partition 0 at 0.25 until 3.0,
+   next to one local event on partition 1.  Each partition's log is
+   written only by the domain draining it and read after run_until
+   returns, whose final barrier orders those writes before the read. *)
+let ring_logs ~parts =
+  let pe = Pengine.create ~parts () in
+  Pengine.register_cross_latency pe 0.5;
+  let logs = Array.init parts (fun _ -> ref []) in
+  let rec pass src msg () =
+    let now = Engine.now (Pengine.part pe src) in
+    logs.(src) := (msg, now) :: !(logs.(src));
+    if now < 3.0 then begin
+      let dst = (src + 1) mod parts in
+      Pengine.post pe ~src ~dst ~time:(now +. 0.5) (pass dst (msg ^ "."))
+    end
+  in
+  ignore (Engine.schedule_at (Pengine.part pe 0) ~time:0.25 (pass 0 "p"));
+  ignore
+    (Engine.schedule_at (Pengine.part pe 1) ~time:0.4 (fun () ->
+         logs.(1) := ("local", Engine.now (Pengine.part pe 1)) :: !(logs.(1))));
+  Pengine.run_until pe 4.0;
+  Array.map (fun l -> List.rev !l) logs
+
+(* The hand-computed schedules of [ring_logs] on 2 and 3 partitions. *)
+let ring2 =
+  [| [ ("p", 0.25); ("p..", 1.25); ("p....", 2.25); ("p......", 3.25) ];
+     [ ("local", 0.4); ("p.", 0.75); ("p...", 1.75); ("p.....", 2.75) ] |]
+
+let ring3 =
+  [| [ ("p", 0.25); ("p...", 1.75); ("p......", 3.25) ];
+     [ ("local", 0.4); ("p.", 0.75); ("p....", 2.25) ];
+     [ ("p..", 1.25); ("p.....", 2.75) ] |]
+
+let check_ring name expect got =
+  Array.iteri
+    (fun i l ->
+      Alcotest.(check (list (pair string (float 1e-9))))
+        (Printf.sprintf "%s: partition %d schedule" name i)
+        l got.(i))
+    expect
+
 (* Two partitions exchanging posts across the window barrier: the
-   per-partition logs (written only by the partition's own domain,
-   read after run_until's pool join) must be a pure function of the
-   model — identical across runs and equal to the hand-computed
-   schedule. *)
+   per-partition logs must be a pure function of the model — identical
+   across runs and equal to the hand-computed schedule. *)
 let test_pengine_two_partition_windows () =
   let run () =
-    let pe = Pengine.create ~parts:2 () in
-    Pengine.register_cross_latency pe 0.5;
-    let log0 = ref [] and log1 = ref [] in
-    let rec ping src dst msg () =
-      let log = if src = 0 then log0 else log1 in
-      let now = Engine.now (Pengine.part pe src) in
-      log := (msg, now) :: !log;
-      if now < 3.0 then
-        Pengine.post pe ~src ~dst ~time:(now +. 0.5) (ping dst src (msg ^ "."))
-    in
-    ignore (Engine.schedule_at (Pengine.part pe 0) ~time:0.25 (ping 0 1 "p"));
-    ignore
-      (Engine.schedule_at (Pengine.part pe 1) ~time:0.4 (fun () ->
-           log1 := ("local", Engine.now (Pengine.part pe 1)) :: !log1));
-    Pengine.run_until pe 4.0;
-    (List.rev !log0, List.rev !log1)
+    let logs = ring_logs ~parts:2 in
+    (logs.(0), logs.(1))
   in
   let a = run () in
   let b = run () in
@@ -244,6 +270,82 @@ let test_pengine_partition_failed () =
   (* The engine is still parked consistently: a fresh run can proceed. *)
   Pengine.run_until pe 3.0;
   feq "clock advanced" 3.0 (Pengine.now pe)
+
+(* One crew serves every engine: it grows from one worker to two and
+   back to serving one, and each engine still runs its exact schedule. *)
+let test_pengine_crew_reused () =
+  check_ring "2 partitions" ring2 (ring_logs ~parts:2);
+  check_ring "3 partitions" ring3 (ring_logs ~parts:3);
+  check_ring "2 partitions again" ring2 (ring_logs ~parts:2)
+
+(* The hook binds a worker once per run_until, before its first window,
+   however many windows the call has. *)
+let test_pengine_worker_init_once () =
+  let pe = Pengine.create ~parts:3 () in
+  Pengine.register_cross_latency pe 0.01;
+  let call = Atomic.make 0 in
+  let m = Mutex.create () and inits = ref [] in
+  Pengine.set_worker_init pe (fun k ->
+      Mutex.lock m;
+      inits := (k, Atomic.get call) :: !inits;
+      Mutex.unlock m);
+  let rec pass src () =
+    let now = Engine.now (Pengine.part pe src) in
+    let dst = (src + 1) mod 3 in
+    Pengine.post pe ~src ~dst ~time:(now +. 0.01) (pass dst)
+  in
+  ignore (Engine.schedule_at (Pengine.part pe 0) ~time:0.0 (pass 0));
+  List.iteri
+    (fun i until ->
+      Atomic.set call (i + 1);
+      Pengine.run_until pe until)
+    [ 0.5; 1.0; 1.5 ];
+  (* One token hop per window: ~50 windows per call. *)
+  Alcotest.(check bool) "dozens of windows per call" true
+    (Pengine.dispatched pe 0 + Pengine.dispatched pe 1 + Pengine.dispatched pe 2
+     >= 120);
+  Alcotest.(check (list (pair int int)))
+    "workers 1..2 once per call, partition 0 never"
+    [ (1, 1); (1, 2); (1, 3); (2, 1); (2, 2); (2, 3) ]
+    (List.sort compare !inits)
+
+let test_pengine_failed_window_crew_usable () =
+  List.iter
+    (fun failing ->
+      let pe = Pengine.create ~parts:2 () in
+      Pengine.register_cross_latency pe 1.0;
+      ignore
+        (Engine.schedule_at (Pengine.part pe failing) ~time:0.5 (fun () ->
+             failwith "boom"));
+      match Pengine.run_until pe 2.0 with
+      | () -> Alcotest.fail "expected Partition_failed"
+      | exception Pengine.Partition_failed (p, Failure _) when p = failing -> ()
+      | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e))
+    [ 1; 0 ];
+  check_ring "after failures" ring2 (ring_logs ~parts:2)
+
+(* The crew serves one multi-partition run_until at a time: an event
+   that calls run_until on another engine gets Invalid_argument, and
+   the outer engine runs on. *)
+let test_pengine_nested_rejected () =
+  let outer = Pengine.create ~parts:2 ()
+  and inner = Pengine.create ~parts:2 () in
+  Pengine.register_cross_latency outer 1.0;
+  Pengine.register_cross_latency inner 1.0;
+  let later = ref false in
+  ignore
+    (Engine.schedule_at (Pengine.part outer 0) ~time:0.5 (fun () ->
+         Pengine.run_until inner 1.0));
+  ignore
+    (Engine.schedule_at (Pengine.part outer 1) ~time:2.5 (fun () ->
+         later := true));
+  (match Pengine.run_until outer 2.0 with
+  | () -> Alcotest.fail "expected Partition_failed"
+  | exception Pengine.Partition_failed (0, Invalid_argument _) -> ()
+  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e));
+  Pengine.run_until outer 3.0;
+  feq "outer clock advanced" 3.0 (Pengine.now outer);
+  Alcotest.(check bool) "outer events still fire" true !later
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -693,7 +795,15 @@ let () =
           Alcotest.test_case "two-partition window determinism" `Quick
             test_pengine_two_partition_windows;
           Alcotest.test_case "partition failure propagates" `Quick
-            test_pengine_partition_failed
+            test_pengine_partition_failed;
+          Alcotest.test_case "crew reused across engines" `Quick
+            test_pengine_crew_reused;
+          Alcotest.test_case "worker init once per run_until" `Quick
+            test_pengine_worker_init_once;
+          Alcotest.test_case "failed window leaves the crew usable" `Quick
+            test_pengine_failed_window_crew_usable;
+          Alcotest.test_case "nested run_until is rejected" `Quick
+            test_pengine_nested_rejected
         ] );
       ( "rng",
         [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
