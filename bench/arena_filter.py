@@ -1,8 +1,8 @@
 """Keep the deterministic fields of `bgpbench table3 --prefixes N --json`.
 
 Reads the JSON on stdin and prints, for each cell, only the arena
-accounting (table size, sharing mode, updates, interns, hits, hit rate,
-live sets, saved bytes) plus the checks; the allocation and throughput
+accounting (table size, updates, interns, hits, hit rate, live sets,
+saved bytes) plus the checks; the allocation and throughput
 fields are host measurements and are dropped.  CI diffs the result
 against bench/arena_250k.golden:
 
@@ -13,8 +13,8 @@ against bench/arena_250k.golden:
 import json
 import sys
 
-KEEP = ["prefixes", "sharing", "updates", "interns", "hits", "hit_rate",
-        "live", "saved_bytes"]
+KEEP = ["prefixes", "updates", "interns", "hits", "hit_rate", "live",
+        "saved_bytes"]
 
 doc = json.load(sys.stdin)
 out = {

@@ -221,15 +221,12 @@ let table_file_t =
 
 let table3_cmd =
   let run size packing seed varied table_file archs scenarios no_paper prefixes
-      no_incremental json trace_file trace_sample live live_timeout =
+      json trace_file trace_sample live live_timeout =
     match prefixes with
     | _ :: _ ->
       (* Full-table scale mode: instead of the 8x4 grid, sweep the
          attribute arena over the requested table sizes (up to 500k). *)
-      let sweep =
-        Bgpmark.Arena_sweep.run ~seed ~packing
-          ~incremental:(not no_incremental) prefixes
-      in
+      let sweep = Bgpmark.Arena_sweep.run ~seed ~packing prefixes in
       if json then print_json (Bgpmark.Arena_sweep.to_json sweep)
       else print_string (Bgpmark.Arena_sweep.render sweep)
     | [] ->
@@ -266,22 +263,13 @@ let table3_cmd =
     in
     Arg.(value & opt_all int [] & info [ "prefixes" ] ~docv:"N" ~doc)
   in
-  let no_incremental_t =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "With --prefixes: disable the best-vs-challenger decision fast \
-             path (full re-selection per update), to A/B its effect on the \
-             challenger-phase columns.")
-  in
   Cmd.v
     (Cmd.info "table3"
        ~doc:"Reproduce Table III: transactions/s, 8 scenarios x 4 systems")
     Term.(
       const run $ size_t $ packing_t $ seed_t $ varied_t $ table_file_t
-      $ archs_t $ scenarios_t $ no_paper $ prefixes_t $ no_incremental_t
-      $ json_t $ trace_file_t $ trace_sample_t $ live_t $ live_timeout_t)
+      $ archs_t $ scenarios_t $ no_paper $ prefixes_t $ json_t
+      $ trace_file_t $ trace_sample_t $ live_t $ live_timeout_t)
 
 let scenario_cmd =
   let run size packing seed archs scenario cross trace =

@@ -3,22 +3,21 @@
     For each requested table size the sweep replays an Internet-shaped
     synthetic table through the receiver path — wire decode (which
     interns once per UPDATE), RIB announce via the attr-group batched
-    path, and export rewriting — twice: with hash-consing enabled and
-    with the arena bypassed ({!Bgp_route.Attrs.Interned.set_sharing}).
-    Each run reports arena statistics and [Gc.allocated_bytes] per
-    processed UPDATE, demonstrating the memory win at full-table scale
-    (the ROADMAP's 250k+-prefix target). *)
+    path, and export rewriting.  Each run reports arena statistics and
+    [Gc.allocated_bytes] per processed UPDATE at full-table scale (the
+    ROADMAP's 250k+-prefix target). *)
 
 type cell = {
   sw_prefixes : int;
-  sw_sharing : bool;
   sw_updates : int;            (** UPDATE messages decoded and applied *)
   sw_interns : int;
   sw_hits : int;
   sw_hit_rate : float;
   sw_live : int;               (** distinct attribute sets in the arena *)
   sw_saved_bytes : int;
-  sw_alloc_per_update : float; (** [Gc.allocated_bytes] per UPDATE *)
+  sw_alloc_per_update : float;
+      (** [Gc.allocated_bytes] per UPDATE, read after a minor collection
+          so the figure does not depend on GC phase *)
   sw_chal_alloc_per_update : float;
       (** allocation per UPDATE while a second peer re-announces the
           table with longer paths (every route loses — the
@@ -31,17 +30,13 @@ type cell = {
 
 type t = { seed : int; packing : int; cells : cell list }
 
-val run : ?seed:int -> ?packing:int -> ?incremental:bool -> int list -> t
-(** [run counts] sweeps each table size in [counts], producing two
-    cells per size (sharing on, then off).  [packing] (default 500)
-    caps prefixes per UPDATE; [incremental] (default true) is passed to
-    {!Bgp_rib.Rib_manager.create}, so [~incremental:false] A/Bs the
-    best-vs-challenger fast path against full re-selection.  Leaves the
-    global arena cleared and sharing re-enabled. *)
+val run : ?seed:int -> ?packing:int -> int list -> t
+(** [run counts] sweeps each table size in [counts], one cell per size.
+    [packing] (default 500) caps prefixes per UPDATE.  Each cell starts
+    from a cleared global arena. *)
 
 val checks : t -> (string * bool) list
-(** Per-size acceptance checks: sharing hit rate above 90% and strictly
-    lower allocation per update than the un-interned run. *)
+(** Per-size acceptance check: arena hit rate above 90%. *)
 
 val render : t -> string
 val to_json : t -> Bgp_stats.Json.t

@@ -815,8 +815,7 @@ let churn_json r c =
       ("metrics", Metrics.to_json r.metrics) ]
 
 (* A snapshot of the process-global attribute arena (JSON only — the
-   rendered tables never include it, so text output is unaffected by
-   the sharing subsystem). *)
+   rendered tables never include it). *)
 let arena_json () =
   let module J = Bgp_stats.Json in
   let module I = Bgp_route.Attrs.Interned in
@@ -826,8 +825,7 @@ let arena_json () =
       ("hits", J.Int s.I.hits);
       ("hit_rate", J.Float (I.hit_rate s));
       ("live", J.Int s.I.live);
-      ("saved_bytes", J.Int s.I.saved_bytes);
-      ("sharing", J.Bool (I.sharing_enabled ())) ]
+      ("saved_bytes", J.Int s.I.saved_bytes) ]
 
 let result_json (r : result) =
   let module J = Bgp_stats.Json in

@@ -199,7 +199,7 @@ val pp_result : Format.formatter -> result -> unit
 val arena_json : unit -> Bgp_stats.Json.t
 (** Snapshot of the process-global attribute arena
     ({!Bgp_route.Attrs.Interned.stats}): intern calls, hits, hit rate,
-    live handles, approximate bytes saved, and whether sharing is on.
+    live handles and approximate bytes saved.
     Included in JSON payloads only — rendered tables never show it. *)
 
 val result_json : result -> Bgp_stats.Json.t

@@ -32,8 +32,7 @@ type agg_state = { agg_cfg : aggregate_config; mutable agg_active : bool }
 
 type t = {
   local_asn : Bgp_route.Asn.t;
-  router_id : Bgp_addr.Ipv4.t;
-  cluster_id : Bgp_addr.Ipv4.t;  (* RFC 4456; defaults to the router id *)
+  router_id : Bgp_addr.Ipv4.t;  (* also the RFC 4456 cluster id *)
   default_import : Policy.t;
   default_export : Policy.t;
   peer_states : (int, peer_state) Hashtbl.t;
@@ -73,14 +72,13 @@ let new_peer_state ?(import = Policy.accept_all) ?(export = Policy.accept_all)
     nh = { Fib.nh_addr = Bgp_addr.Ipv4.zero; nh_port = peer.Peer.id } }
 
 let create ?(import = Policy.accept_all) ?(export = Policy.accept_all)
-    ?(aggregates = []) ?cluster_id ?metrics ?(incremental = true) ~local_asn
-    ~router_id () =
+    ?(aggregates = []) ?metrics ?(incremental = true) ~local_asn ~router_id
+    () =
   let metrics =
     match metrics with Some m -> m | None -> M.create ()
   in
   let local_ps = new_peer_state ~slot:(-1) Peer.local in
   { local_asn; router_id;
-    cluster_id = Option.value ~default:router_id cluster_id;
     default_import = import; default_export = export;
     peer_states = Hashtbl.create 16; peers_sorted = [||]; local_ps;
     incremental;
@@ -343,9 +341,8 @@ let suppressed_by_aggregate t p =
    post-policy attributes, so it is memoised per manager.  [I.hit]
    admits a memo entry only if [I.intern] would have returned that very
    handle, and records the same arena stats, so the memo is invisible
-   to arena accounting; it never serves a handle from before an
-   [I.clear], and it is bypassed while sharing is off so the un-interned
-   baseline keeps paying one fresh handle per export. *)
+   to arena accounting, and it never serves a handle from before an
+   [I.clear]. *)
 let ebgp_attrs t h =
   { (A.prepend_as t.local_asn (I.value h)) with
     A.next_hop = t.router_id; local_pref = None; med = None }
@@ -356,16 +353,13 @@ let memo_rewrite t h =
   r
 
 let ebgp_rewrite t h =
-  if not (I.sharing_enabled ()) then I.intern (ebgp_attrs t h)
-  else
-    match I.Tbl.find t.export_memo h with
-    | r when I.hit r -> r
-    | _ ->
-      (* Filled before a clear or a sharing toggle: no entry can be
-         trusted any more. *)
-      I.Tbl.reset t.export_memo;
-      memo_rewrite t h
-    | exception Not_found -> memo_rewrite t h
+  match I.Tbl.find t.export_memo h with
+  | r when I.hit r -> r
+  | _ ->
+    (* Filled before a clear: no entry can be trusted any more. *)
+    I.Tbl.reset t.export_memo;
+    memo_rewrite t h
+  | exception Not_found -> memo_rewrite t h
 
 (* The handle to advertise [best] to [ps] with, or [I.none] when it must
    not be advertised there (split horizon, aggregation, IBGP rules,
@@ -429,7 +423,7 @@ let export_route t ps best =
                   Some
                     (Option.value ~default:src.Peer.router_id
                        attrs.A.originator_id);
-                cluster_list = t.cluster_id :: attrs.A.cluster_list }
+                cluster_list = t.router_id :: attrs.A.cluster_list }
           | `Plain -> h
       end
   end
@@ -733,11 +727,12 @@ let try_fast_withdraw t ps e =
   end
 
 (* RFC 4456 section 8 loop protection: our own ORIGINATOR_ID or
-   cluster id in an incoming route means a reflection loop. *)
+   cluster id (the router id) in an incoming route means a reflection
+   loop. *)
 let reflection_loop t (attrs : A.t) =
   Option.fold ~none:false ~some:(Bgp_addr.Ipv4.equal t.router_id)
     attrs.A.originator_id
-  || List.exists (Bgp_addr.Ipv4.equal t.cluster_id) attrs.A.cluster_list
+  || List.exists (Bgp_addr.Ipv4.equal t.router_id) attrs.A.cluster_list
 
 (* The loop guards (§9.1.2 AS loop, RFC 4456 §8 reflection loop) look
    only at the attribute set, so a grouped announce evaluates them once

@@ -221,8 +221,8 @@ module Interned = struct
      domain's default shard, which keeps single-domain ids identical to
      the historical global arena.  Two shards may intern structurally
      equal attrs under different ids; {!equal}'s structural fallback
-     (already required by the un-interned A/B mode) makes such handles
-     compare equal, so sharding is invisible to route semantics. *)
+     makes such handles compare equal, so sharding is invisible to
+     route semantics. *)
 
   type shard = {
     slot : int;
@@ -230,8 +230,8 @@ module Interned = struct
     span_tbl : (int, (string * t) list) Hashtbl.t;
     mutable next_local : int;
     mutable since : int;
-        (* [next_local] at the last [clear] or sharing toggle: exactly
-           the handles allocated at or above it are arena entries now *)
+        (* [next_local] at the last [clear]: exactly the handles
+           allocated at or above it are arena entries now *)
     mutable s_interns : int;
     mutable s_hits : int;
     mutable s_saved : int;
@@ -239,7 +239,6 @@ module Interned = struct
 
   let id_bits = 40  (* local ids per shard; the slot lives above *)
   let local_mask = (1 lsl id_bits) - 1
-  let sharing = ref true
   let shards_mu = Mutex.create ()
   let shards : (int, shard) Hashtbl.t = Hashtbl.create 8
 
@@ -279,18 +278,15 @@ module Interned = struct
 
   let intern value =
     let sh = current () in
-    sh.s_interns <- sh.s_interns + 1;
-    if not !sharing then fresh sh value
-    else
-      match Arena.find_opt sh.table value with
-      | Some h ->
-        sh.s_hits <- sh.s_hits + 1;
-        sh.s_saved <- sh.s_saved + h.vbytes;
-        h
-      | None ->
-        let h = fresh sh value in
-        Arena.add sh.table value h;
-        h
+    match Arena.find_opt sh.table value with
+    | Some h ->
+      record_hit sh h;
+      h
+    | None ->
+      sh.s_interns <- sh.s_interns + 1;
+      let h = fresh sh value in
+      Arena.add sh.table value h;
+      h
 
   (* Wire-span cache: raw attribute byte-span -> handle, so a decoder
      that has seen the exact bytes before interns without materializing
@@ -317,32 +313,26 @@ module Interned = struct
     go 0
 
   let find_span buf ~pos ~len =
-    if not !sharing then None
-    else
-      let sh = current () in
-      match Hashtbl.find_opt sh.span_tbl (span_hash buf ~pos ~len) with
+    let sh = current () in
+    match Hashtbl.find_opt sh.span_tbl (span_hash buf ~pos ~len) with
+    | None -> None
+    | Some entries -> (
+      match
+        List.find_opt (fun (span, _) -> span_matches span buf pos len) entries
+      with
       | None -> None
-      | Some entries -> (
-        match
-          List.find_opt (fun (span, _) -> span_matches span buf pos len) entries
-        with
-        | None -> None
-        | Some (_, h) ->
-          record_hit sh h;
-          Some h)
+      | Some (_, h) ->
+        record_hit sh h;
+        Some h)
 
   let add_span buf ~pos ~len h =
-    if !sharing then begin
-      let sh = current () in
-      let key = span_hash buf ~pos ~len in
-      let entries =
-        Option.value ~default:[] (Hashtbl.find_opt sh.span_tbl key)
-      in
-      (* Only reached on a [find_span] miss, so the span is new under
-         this key; the copy is the one allocation the cache ever pays
-         for these bytes. *)
-      Hashtbl.replace sh.span_tbl key ((String.sub buf pos len, h) :: entries)
-    end
+    let sh = current () in
+    let key = span_hash buf ~pos ~len in
+    let entries = Option.value ~default:[] (Hashtbl.find_opt sh.span_tbl key) in
+    (* Only reached on a [find_span] miss, so the span is new under this
+       key; the copy is the one allocation the cache ever pays for these
+       bytes. *)
+    Hashtbl.replace sh.span_tbl key ((String.sub buf pos len, h) :: entries)
 
   (* Id -1 lies below every shard's id range, so [hit] rejects it and
      the id fast path of [equal] never matches it. *)
@@ -351,12 +341,10 @@ module Interned = struct
     { id = -1; cached_hash = hash value; value; pref = pref_of value;
       vbytes = 0 }
 
-  (* A handle allocated since the last clear or sharing toggle was made
-     by [intern] with sharing on, so it is the arena's entry for its
-     value and [intern (value h)] would return it. *)
+  (* A handle allocated by this shard since its last clear was made by
+     [intern], so it is the arena's entry for its value and
+     [intern (value h)] would return it. *)
   let hit h =
-    !sharing
-    &&
     let sh = current () in
     h.id lsr id_bits = sh.slot
     && h.id land local_mask >= sh.since
@@ -369,9 +357,9 @@ module Interned = struct
   let id h = h.id
   let pref h = h.pref
 
-  (* Id equality is complete only while sharing is on; the structural
-     fallback keeps semantics identical when the arena is bypassed
-     (the benchmark's un-interned A/B mode). *)
+  (* Id equality is complete only within one shard; the structural
+     fallback makes handles interned by different shards compare
+     equal. *)
   let equal a b =
     a.id = b.id || (a.cached_hash = b.cached_hash && equal a.value b.value)
 
@@ -405,16 +393,6 @@ module Interned = struct
     else float_of_int s.hits /. float_of_int s.interns
 
   let mark_stale sh = sh.since <- sh.next_local
-
-  let set_sharing b =
-    if b <> !sharing then begin
-      Mutex.lock shards_mu;
-      Hashtbl.iter (fun _ sh -> mark_stale sh) shards;
-      Mutex.unlock shards_mu;
-      sharing := b
-    end
-
-  let sharing_enabled () = !sharing
 
   (* Ids survive a clear on purpose ([next_local] is not reset): stale
      handles must never collide with fresh ones on the id fast path. *)

@@ -113,14 +113,12 @@ module Interned : sig
       {!add_span}, or [None].  A hit records exactly the arena stats
       the skipped {!intern} call would have (one intern, one hit, the
       handle's bytes saved), so accounting is independent of which path
-      found the handle.  Always [None] while sharing is disabled: the
-      A/B baseline must not share through the side door. *)
+      found the handle. *)
 
   val add_span : string -> pos:int -> len:int -> t -> unit
   (** Register [handle] as the decode result for the span (copying the
       bytes once).  Call only on a {!find_span} miss, with a handle
-      obtained by decoding that very span; no-op while sharing is
-      disabled. *)
+      obtained by decoding that very span. *)
 
   val none : t
   (** A sentinel handle the arena never returns: lets a store mark an
@@ -129,8 +127,8 @@ module Interned : sig
 
   val hit : t -> bool
   (** [hit h] is [true] when [intern (value h)] would return [h] itself:
-      sharing is on and [h] was interned by the calling domain's shard
-      since its last {!clear} and last {!set_sharing} toggle.  It then
+      [h] was interned by the calling domain's shard since its last
+      {!clear}.  It then
       records exactly the stats that intern call would have (one intern,
       one hit, [h]'s bytes saved); on [false] it records nothing.  This
       lets a memo of interned results stand in for {!intern} without
@@ -143,7 +141,7 @@ module Interned : sig
 
   val equal : t -> t -> bool
   (** Id fast path with a structural fallback, so equality keeps
-      [Attrs.equal] semantics even when sharing is disabled. *)
+      [Attrs.equal] semantics across shards (see {!bind_shard}). *)
 
   val hash : t -> int
   (** The cached structural hash of the underlying value. *)
@@ -183,13 +181,6 @@ module Interned : sig
       {!Bgp_sim.Pengine} should call [bind_shard i] from the engine's
       worker-init hook; binding is idempotent and a rebind to the same
       slot resumes that shard (ids stay unique across rebinds). *)
-
-  val set_sharing : bool -> unit
-  (** [false] bypasses the arena: every [intern] allocates a fresh
-      handle.  The benchmark's un-interned A/B baseline; semantics are
-      unchanged because [equal] falls back to structure. *)
-
-  val sharing_enabled : unit -> bool
 
   val clear : unit -> unit
   (** Drop all entries and zero the stats.  Ids keep growing across

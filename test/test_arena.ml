@@ -163,7 +163,7 @@ let prop_decision_agrees =
         | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Unit tests: stats accounting and sharing toggle                     *)
+(* Unit tests: stats accounting, shards and clear                      *)
 (* ------------------------------------------------------------------ *)
 
 let distinct_attrs tag =
@@ -186,19 +186,23 @@ let test_stats_accounting () =
   Alcotest.(check bool) "saved bytes grew" true
     (after.I.saved_bytes > before.I.saved_bytes)
 
-let test_sharing_off_structural () =
+let test_cross_shard_structural () =
   let a = distinct_attrs 2 in
   let h0 = I.intern a in
-  Fun.protect
-    ~finally:(fun () -> I.set_sharing true)
-    (fun () ->
-      I.set_sharing false;
-      let h1 = I.intern a in
-      let h2 = I.intern a in
-      Alcotest.(check bool) "fresh handles" true (h1 != h2);
-      Alcotest.(check bool) "distinct ids" true (I.id h1 <> I.id h2);
-      Alcotest.(check bool) "still equal (structural fallback)" true
-        (I.equal h1 h2 && I.equal h0 h1))
+  let h7 =
+    Fun.protect
+      ~finally:(fun () -> I.bind_shard 0)
+      (fun () ->
+        I.bind_shard 7;
+        I.intern a)
+  in
+  Alcotest.(check bool) "distinct ids" true (I.id h0 <> I.id h7);
+  Alcotest.(check bool) "equal both ways (structural fallback)" true
+    (I.equal h0 h7 && I.equal h7 h0);
+  let before = I.stats () in
+  Alcotest.(check bool) "foreign handle is no hit" false (I.hit h7);
+  Alcotest.(check bool) "a missed hit records nothing" true
+    (I.stats () = before)
 
 let test_clear_keeps_ids_fresh () =
   let a = distinct_attrs 3 in
@@ -222,7 +226,7 @@ let () =
           prop_decision_agrees ];
       ( "units",
         [ Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
-          Alcotest.test_case "sharing off keeps structural equality" `Quick
-            test_sharing_off_structural;
+          Alcotest.test_case "structural equality across shards" `Quick
+            test_cross_shard_structural;
           Alcotest.test_case "clear keeps ids fresh" `Quick
             test_clear_keeps_ids_fresh ] ) ]

@@ -1317,15 +1317,6 @@ let test_export_memo () =
   in
   Alcotest.(check bool) "hit is the arena handle" true (h2 == h1 && h3 == h1);
   Alcotest.check stats_delta "hit accounted like intern" direct memo;
-  (* Sharing off: every export is a fresh, structurally equal handle. *)
-  Fun.protect
-    ~finally:(fun () -> I.set_sharing true)
-    (fun () ->
-      I.set_sharing false;
-      let u1 = export_to t ~from:peer1 ~dest:peer2 (pfx "192.0.2.0/24") a in
-      let u2 = export_to t ~from:peer1 ~dest:peer2 (pfx "198.18.0.0/15") a in
-      Alcotest.(check bool) "fresh handles" true (u1 != u2 && u1 != h1);
-      Alcotest.(check bool) "same attributes" true (I.equal u1 u2));
   (* After a clear, nothing from before it comes back. *)
   I.clear ();
   let c1 = export_to t ~from:peer1 ~dest:peer2 (pfx "100.64.0.0/10") a in
