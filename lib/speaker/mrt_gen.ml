@@ -6,6 +6,7 @@ module Prefix_gen = Bgp_addr.Prefix_gen
 
 let records ?(seed = 42) ?(events = -1) ?local_asn ~n ~speaker_asn ~next_hop ()
     =
+  if n < 1 then invalid_arg "Mrt_gen.records: n must be >= 1";
   let events = if events < 0 then max 20 (n / 5) else events in
   let local_asn = Option.value local_asn ~default:speaker_asn in
   let entries = Table_io.synthesize ~seed ~n ~speaker_asn () in

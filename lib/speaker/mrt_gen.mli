@@ -18,4 +18,6 @@ val records :
   Bgp_mrt.Mrt.record list
 (** [events] defaults to [max 20 (n / 5)]; pass [0] for a
     table-only dump.  [local_asn] (collector side of the BGP4MP
-    headers) defaults to [speaker_asn]. *)
+    headers) defaults to [speaker_asn].
+    @raise Invalid_argument if [n < 1]: the trace draws its prefixes
+    from the table. *)

@@ -304,6 +304,16 @@ let test_scenario14_sim () =
   Alcotest.(check bool) "reuse latency observed" true
     (reuse_latency_max > 0.)
 
+(* The trace draws its prefixes from the table, so an empty table is a
+   usage error, with or without a trace. *)
+let test_empty_table_rejected () =
+  List.iter
+    (fun events ->
+      match gen_records ~events ~n:0 () with
+      | _ -> Alcotest.failf "n = 0, events = %d: accepted" events
+      | exception Invalid_argument _ -> ())
+    [ -1; 0; 5 ]
+
 (* Damping off must not change the paper-faithful path at all. *)
 let test_damping_off_identical () =
   let arch = Bgp_router.Arch.xeon in
@@ -338,7 +348,9 @@ let () =
              test_truncation_rejected
         :: qtests [ prop_roundtrip ] );
       ( "projections",
-        [ Alcotest.test_case "routes and events" `Quick test_projections ] );
+        [ Alcotest.test_case "routes and events" `Quick test_projections;
+          Alcotest.test_case "empty table rejected" `Quick
+            test_empty_table_rejected ] );
       ( "sniffing",
         [ Alcotest.test_case "sniff" `Quick test_sniff;
           Alcotest.test_case "load_auto" `Quick test_load_auto ] );
