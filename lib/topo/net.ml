@@ -22,14 +22,12 @@ let policy_mode_to_string = function
   | Gao_rexford -> "gao-rexford"
 
 type node = {
-  index : int;
   asn : Asn.t;
   addr : Ipv4.t;
   router : Router.t;
   origin : Prefix.t;
   mutable peer_recs : (int * Peer.t) list;
       (* neighbor vertex -> the Peer record naming it on this router *)
-  mutable loc_changes : int;
   explored : (Prefix.t, int) Hashtbl.t;
 }
 
@@ -78,18 +76,17 @@ let create ?(arch = Arch.pentium3) ?(mode = Transit) ?(latency = 1e-4)
           if domains = 1 then Printf.sprintf "%s/node-%d" trace_prefix i
           else Printf.sprintf "%s/d%d/node-%d" trace_prefix part.(i) i
         in
-        { index = i; asn; addr;
+        { asn; addr;
           router =
             Router.create ?tracer ~trace_process
               (Engine.clock (Pengine.part pe part.(i)))
               arch ~local_asn:asn ~router_id:addr;
           origin = prefixes.(i);
-          peer_recs = []; loc_changes = 0; explored = Hashtbl.create 97 })
+          peer_recs = []; explored = Hashtbl.create 97 })
   in
   Array.iter
     (fun nd ->
       Router.set_route_observer nd.router (fun prefix ->
-          nd.loc_changes <- nd.loc_changes + 1;
           let c = Option.value ~default:0 (Hashtbl.find_opt nd.explored prefix) in
           Hashtbl.replace nd.explored prefix (c + 1)))
     nodes;
@@ -215,29 +212,6 @@ let cut_link t u v =
     Channel.set_tap ch Channel.A (fun _ -> Channel.Drop);
     Channel.set_tap ch Channel.B (fun _ -> Channel.Drop);
     Channel.close ch
-
-type node_stats = {
-  ns_index : int;
-  ns_asn : int;
-  ns_updates_rx : int;
-  ns_msgs_tx : int;
-  ns_withdrawn_rx : int;
-  ns_loc_changes : int;
-  ns_loc_rib_size : int;
-  ns_fib_size : int;
-}
-
-let node_stats t i =
-  let nd = t.nodes.(i) in
-  let k = Router.counters nd.router in
-  { ns_index = i;
-    ns_asn = Asn.to_int nd.asn;
-    ns_updates_rx = k.Router.updates_rx;
-    ns_msgs_tx = k.Router.msgs_tx;
-    ns_withdrawn_rx = k.Router.withdrawn_rx;
-    ns_loc_changes = nd.loc_changes;
-    ns_loc_rib_size = Loc_rib.size (Rib_manager.loc_rib (Router.rib nd.router));
-    ns_fib_size = Fib.size (Router.fib nd.router) }
 
 let total_updates t =
   Array.fold_left

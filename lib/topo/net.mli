@@ -109,20 +109,9 @@ val cut_link : t -> int -> int -> unit
 
 (** {1 Measurement} *)
 
-type node_stats = {
-  ns_index : int;
-  ns_asn : int;
-  ns_updates_rx : int;
-  ns_msgs_tx : int;
-  ns_withdrawn_rx : int;   (** prefixes withdrawn in received UPDATEs *)
-  ns_loc_changes : int;    (** Loc-RIB best-route changes *)
-  ns_loc_rib_size : int;
-  ns_fib_size : int;
-}
-
-val node_stats : t -> int -> node_stats
 val total_updates : t -> int
-(** Sum of [ns_updates_rx] — the update-amplification numerator. *)
+(** Sum of every router's {!Bgp_router.Router.counters} [updates_rx] —
+    the update-amplification numerator. *)
 
 val explored_paths : t -> int -> Bgp_addr.Prefix.t -> int
 (** Loc-RIB changes vertex [i] went through for [prefix] since the

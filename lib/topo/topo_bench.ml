@@ -1,4 +1,5 @@
 module Arch = Bgp_router.Arch
+module Router = Bgp_router.Router
 module Json = Bgp_stats.Json
 
 type convergence_run = {
@@ -19,10 +20,10 @@ type convergence_run = {
 
 let count_true = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0
 
-let sum_stats net n f =
+let sum_counters net n f =
   let acc = ref 0 in
   for i = 0 to n - 1 do
-    acc := !acc + f (Net.node_stats net i)
+    acc := !acc + f (Router.counters (Net.router net i))
   done;
   !acc
 
@@ -109,7 +110,7 @@ let run_convergence ?(arch = Arch.pentium3) ?(mode = Net.Transit) ?(seed = 42)
     cr_announce_s = ep.ep_announce_s; cr_withdraw_s = ep.ep_withdraw_s;
     cr_announce_updates = ep.ep_announce_updates;
     cr_withdraw_updates = ep.ep_withdraw_updates;
-    cr_msgs_tx = sum_stats net n (fun s -> s.Net.ns_msgs_tx);
+    cr_msgs_tx = sum_counters net n (fun k -> k.Router.msgs_tx);
     cr_reached = ep.ep_reached; cr_verified = ep.ep_verified }
 
 let sweep ?arch ?mode ?seed ?tracer ~kind ~sizes () =
@@ -198,12 +199,12 @@ let run_link_failure ?(arch = Arch.pentium3) ?(mode = Net.Transit)
   Net.establish net;
   Net.originate_all net;
   let baseline_s = Net.converge ~what:"baseline convergence" net in
-  let w0 = sum_stats net n (fun s -> s.Net.ns_withdrawn_rx) in
+  let w0 = sum_counters net n (fun k -> k.Router.withdrawn_rx) in
   Net.reset_exploration net;
   let cu, cv = cut_edge in
   Net.cut_link net cu cv;
   let heal_s = Net.converge ~what:"post-cut re-convergence" net in
-  let w1 = sum_stats net n (fun s -> s.Net.ns_withdrawn_rx) in
+  let w1 = sum_counters net n (fun k -> k.Router.withdrawn_rx) in
   let affected = Hashtbl.create 17 in
   let counts = ref [] in
   for i = 0 to n - 1 do

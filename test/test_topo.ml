@@ -4,6 +4,7 @@ module Topology = Bgp_topo.Topology
 module Net = Bgp_topo.Net
 module Gao_rexford = Bgp_topo.Gao_rexford
 module Partition = Bgp_topo.Partition
+module Router = Bgp_router.Router
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -80,7 +81,9 @@ let test_clique_convergence () =
     done;
     check_int
       (Printf.sprintf "node %d loc-rib size" i)
-      4 (Net.node_stats net i).Net.ns_loc_rib_size
+      4
+      (Bgp_rib.Loc_rib.size
+         (Bgp_rib.Rib_manager.loc_rib (Router.rib (Net.router net i))))
   done
 
 let test_withdraw_reconvergence () =
@@ -111,13 +114,14 @@ let test_ba16_deterministic () =
   let net2, dt2 = converged_ba16 () in
   Alcotest.(check (float 0.0)) "identical convergence time" dt1 dt2;
   for i = 0 to 15 do
-    let s1 = Net.node_stats net1 i and s2 = Net.node_stats net2 i in
+    let k1 = Router.counters (Net.router net1 i)
+    and k2 = Router.counters (Net.router net2 i) in
     check_int
       (Printf.sprintf "node %d updates_rx" i)
-      s1.Net.ns_updates_rx s2.Net.ns_updates_rx;
+      k1.Router.updates_rx k2.Router.updates_rx;
     check_int
       (Printf.sprintf "node %d msgs_tx" i)
-      s1.Net.ns_msgs_tx s2.Net.ns_msgs_tx;
+      k1.Router.msgs_tx k2.Router.msgs_tx;
     Alcotest.(check string)
       (Printf.sprintf "node %d loc-rib" i)
       (Net.loc_rib_fingerprint net1 i)
@@ -248,7 +252,6 @@ let test_gao_rexford_oracle_agrees () =
 
 let test_duplicate_attach_rejected () =
   let module Engine = Bgp_sim.Engine in
-  let module Router = Bgp_router.Router in
   let module Channel = Bgp_netsim.Channel in
   let engine = Engine.create () in
   let router =
