@@ -23,12 +23,18 @@
       inside [schedule], only from a later pump;
     - {!cancel} is idempotent, a no-op after the event fired, and safe
       to call from inside the firing callback itself;
+    - {!rearm} is exactly {!cancel} followed by {!schedule} of the same
+      callback, on the same handle: the event takes the FIFO position
+      of a fresh schedule at its new instant.  It works whether the
+      handle is pending, fired or cancelled, and from inside the
+      firing callback;
     - {!post} runs a thunk from the next pump, after the events already
       due; posting from inside a callback is allowed and preserves
       order. *)
 
 type handle
-(** A scheduled event, cancellable until it fires. *)
+(** A scheduled event, cancellable until it fires and re-armable at
+    any time. *)
 
 type t
 
@@ -42,8 +48,13 @@ val make :
 (** Implementor-side constructor; see {!Bgp_sim.Engine.clock} and
     {!Bgp_tcp.Event_loop.clock} for the two canonical instances. *)
 
-val handle : cancel:(unit -> unit) -> cancelled:(unit -> bool) -> handle
-(** Implementor-side constructor for handles. *)
+val handle :
+  cancel:(unit -> unit) ->
+  cancelled:(unit -> bool) ->
+  rearm:(time:float -> unit) ->
+  handle
+(** Implementor-side constructor for handles; [rearm ~time] re-keys
+    the event at absolute [time]. *)
 
 val label : t -> string
 (** ["sim"] or ["live"] for the canonical implementations; used in
@@ -59,11 +70,20 @@ val schedule : t -> delay:float -> (unit -> unit) -> handle
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** Absolute-time variant; a [time] in the past fires at [now]. *)
 
+val rearm : t -> handle -> delay:float -> unit
+(** [rearm t h ~delay] moves [h]'s event to [now t +. max 0. delay]:
+    {!cancel} then {!schedule}, without a new handle.  [t] only
+    supplies [now]. *)
+
+val rearm_at : handle -> time:float -> unit
+(** Absolute-time variant; a [time] in the past fires at [now]. *)
+
 val cancel : handle -> unit
 (** Idempotent; cancelling a fired event is a no-op, including from
     inside the firing callback. *)
 
 val cancelled : handle -> bool
+(** Cancelled and not re-armed since. *)
 
 val post : t -> (unit -> unit) -> unit
 (** Run a thunk from the pump's next iteration (breaks reentrancy). *)

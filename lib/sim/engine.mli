@@ -4,7 +4,8 @@
     instant fire in scheduling order, so runs are fully deterministic.
     Everything in the benchmark — message transmission, CPU job
     completion, protocol timers, trace sampling — is an event on one
-    engine. *)
+    engine.  Scheduling, cancelling and re-arming cost O(log n), and
+    firing an event allocates nothing. *)
 
 type t
 
@@ -14,7 +15,8 @@ val now : t -> float
 (** Current virtual time, seconds. *)
 
 type handle
-(** A scheduled event, cancellable until it fires. *)
+(** A scheduled event, cancellable until it fires and re-armable at
+    any time. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t +. max 0 delay]. *)
@@ -23,10 +25,22 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** Absolute-time variant; a [time] in the past fires immediately
     (at [now]). *)
 
+val rearm : handle -> time:float -> unit
+(** Re-key the event at [time] (a past [time] means now) in place.  It
+    takes the next seq, so it is exactly {!cancel} followed by
+    {!schedule_at} of the same callback, on the same handle.  A handle
+    that has fired or been cancelled is scheduled again. *)
+
 val cancel : handle -> unit
-(** Idempotent; cancelling a fired event is a no-op. *)
+(** Remove the event from the queue at once.  Idempotent; cancelling a
+    fired event is a no-op. *)
 
 val cancelled : handle -> bool
+(** Cancelled and not re-armed since. *)
+
+val clear : t -> unit
+(** Cancel every pending event.  Virtual time and the seq counter are
+    untouched. *)
 
 val run : ?until:float -> t -> unit
 (** Process events until the queue drains or virtual time would exceed
@@ -43,12 +57,8 @@ val step : t -> bool
 (** Fire the single next event; [false] when the queue is empty. *)
 
 val pending : t -> int
-(** Exact number of events scheduled but neither fired nor cancelled.
-    Cancelled entries linger in the internal heap until their scheduled
-    time (there is no O(log n) removal by handle), but they are not
-    counted here, and the heap is compacted in one O(n) pass whenever
-    dead entries outnumber live ones — so heap memory is O(pending),
-    not O(ever scheduled). *)
+(** Number of events scheduled but neither fired nor cancelled: the
+    length of the queue, which holds no cancelled entries. *)
 
 val dispatched : t -> int
 (** Events fired so far — the per-partition work measure behind the

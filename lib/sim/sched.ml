@@ -1,8 +1,8 @@
 module Clock = Bgp_engine.Clock
 
 (* Every step — submit, recompute, completion — runs once per pipeline
-   stage per UPDATE, so the untraced path allocates nothing beyond the
-   completion event it re-issues: floats live in all-float records
+   stage per UPDATE, so the untraced path allocates nothing beyond
+   re-arming its completion event: floats live in all-float records
    (stored flat, so writes never box), procs in an array, water-filling
    in preallocated scratch, and iteration in [for] loops.  The float
    operations must keep their order: test/sched_ref.ml is the reference
@@ -70,12 +70,13 @@ type t = {
   mutable alloc : Float.Array.t;
   mutable active : bool array;
   mutable finished : (unit -> unit) array;  (* one completion per proc *)
-  mutable completion : Clock.handle;  (* the last one issued *)
+  mutable completion : Clock.handle;  (* issued once, then re-armed *)
   mutable fire : unit -> unit;        (* its callback, built once *)
   mutable trace : trace_state option;
 }
 
-let no_event = Clock.handle ~cancel:nop ~cancelled:(fun () -> false)
+let no_event =
+  Clock.handle ~cancel:nop ~cancelled:(fun () -> false) ~rearm:(fun ~time:_ -> ())
 
 let add_proc t ?(weight = 1.0) name =
   let p =
@@ -259,11 +260,11 @@ let rec recompute t =
     end);
   reschedule_completion t
 
-(* The completion event is cancelled and re-issued on every recompute,
-   even when its instant does not move: its FIFO sequence number is part
-   of the event order the benchmark's outputs depend on. *)
+(* The completion event is re-armed on every recompute, even when its
+   instant does not move: re-arming gives it the FIFO seq of a fresh
+   schedule, and that seq is part of the event order the benchmark's
+   outputs depend on. *)
 and reschedule_completion t =
-  Clock.cancel t.completion;
   let hz = t.c.hz in
   let best = ref 0.0 and found = ref false in
   for i = 0 to Array.length t.procs - 1 do
@@ -277,7 +278,10 @@ and reschedule_completion t =
       end
     end
   done;
-  if !found then t.completion <- Clock.schedule t.clock ~delay:!best t.fire
+  if not !found then Clock.cancel t.completion
+  else if t.completion == no_event then
+    t.completion <- Clock.schedule t.clock ~delay:!best t.fire
+  else Clock.rearm t.clock t.completion ~delay:!best
 
 (* Completions fire from the clock's pump, never from inside a job
    callback, so the [finished] scratch is never in use twice. *)

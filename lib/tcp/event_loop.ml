@@ -18,7 +18,7 @@ type t = {
      construction rather than by parallel reimplementation.  The
      engine's virtual time is only ever advanced to [now t] — elapsed
      monotonized wall-clock seconds. *)
-  mutable timers : Engine.t;
+  timers : Engine.t;
   epoch : float;          (* gettimeofday at [create] *)
   mutable last_now : float;  (* high-water mark of elapsed seconds *)
 }
@@ -77,7 +77,8 @@ let rec clock t =
       let h = Engine.schedule_at t.timers ~time:(Float.max time (now t)) fn in
       Bgp_engine.Clock.handle
         ~cancel:(fun () -> Engine.cancel h)
-        ~cancelled:(fun () -> Engine.cancelled h))
+        ~cancelled:(fun () -> Engine.cancelled h)
+        ~rearm:(fun ~time -> Engine.rearm h ~time:(Float.max time (now t))))
     ~post:(fun fn -> post t fn)
     ~run_window:(fun ~cond ~step -> run t ~until:cond ~timeout:step)
 
@@ -151,7 +152,4 @@ let stop_watching_all t =
   t.fds_r <- [];
   t.fds_w <- [];
   t.posted <- [];
-  (* Dropping the engine discards every armed timer; cancel thunks
-     held against the old queue stay safe (cancel is idempotent and
-     does not touch the loop). *)
-  t.timers <- Engine.create ()
+  Engine.clear t.timers

@@ -55,5 +55,6 @@ val run : t -> until:(unit -> bool) -> timeout:float -> bool
     [timeout] wall-clock seconds elapse (returns [false]). *)
 
 val stop_watching_all : t -> unit
-(** Drop every watcher, queued thunk, and armed timer.  Outstanding
-    cancel thunks remain safe to call. *)
+(** Drop every watcher and queued thunk, and cancel every armed timer.
+    Outstanding cancel thunks and clock handles stay usable: a handle
+    re-armed afterwards fires on this loop. *)

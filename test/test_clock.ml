@@ -170,6 +170,56 @@ let test_schedule_from_callback impl () =
       pump c ~what:"timer chain" (fun () -> !chain = 5);
       Alcotest.(check int) "chain of rescheduled timers" 5 !chain)
 
+(* Re-arming is cancel + schedule on the same handle: the event takes
+   the FIFO position of a fresh schedule, fires once at its last key,
+   and a fired or cancelled handle is scheduled again. *)
+let test_rearm impl () =
+  impl.with_clock (fun c ->
+      let order = ref [] in
+      let mark i () = order := i :: !order in
+      let at = Clock.now c +. 0.01 in
+      let h1 = Clock.schedule_at c ~time:at (mark 1) in
+      ignore (Clock.schedule_at c ~time:at (mark 2));
+      Clock.rearm_at h1 ~time:at;
+      Alcotest.(check bool) "pending" false (Clock.cancelled h1);
+      pump c ~what:"re-armed pair" (fun () -> List.length !order = 2);
+      Alcotest.(check (list int)) "behind a later schedule" [ 2; 1 ]
+        (List.rev !order);
+      Clock.rearm c h1 ~delay:0.002;
+      pump c ~what:"fired handle re-armed" (fun () -> List.length !order = 3);
+      Clock.cancel h1;
+      Clock.rearm c h1 ~delay:0.002;
+      Alcotest.(check bool) "re-armed is not cancelled" false
+        (Clock.cancelled h1);
+      pump c ~what:"cancelled handle re-armed" (fun () -> List.length !order = 4);
+      Alcotest.(check (list int)) "one firing per arming" [ 2; 1; 1; 1 ]
+        (List.rev !order))
+
+let test_rearm_postpones impl () =
+  impl.with_clock (fun c ->
+      let fired = ref false and witness = ref false in
+      let h = Clock.schedule c ~delay:0.005 (fun () -> fired := true) in
+      Clock.rearm c h ~delay:0.05;
+      ignore
+        (Clock.schedule c ~delay:0.01 (fun () -> witness := not !fired));
+      pump c ~what:"postponed event" (fun () -> !fired);
+      Alcotest.(check bool) "not at its first deadline" true !witness)
+
+let test_rearm_from_callback impl () =
+  impl.with_clock (fun c ->
+      let count = ref 0 and h = ref None in
+      h :=
+        Some
+          (Clock.schedule c ~delay:0.002 (fun () ->
+               incr count;
+               if !count < 3 then
+                 Option.iter (fun h -> Clock.rearm c h ~delay:0.002) !h));
+      pump c ~what:"re-armed chain" (fun () -> !count = 3);
+      let witness = ref false in
+      ignore (Clock.schedule c ~delay:0.01 (fun () -> witness := true));
+      pump c ~what:"post-chain witness" (fun () -> !witness);
+      Alcotest.(check int) "chain of re-armed timers" 3 !count)
+
 let cases impl =
   let tc name f = Alcotest.test_case name `Quick (f impl) in
   ( "contract (" ^ impl.name ^ ")",
@@ -181,6 +231,9 @@ let cases impl =
       tc "cancel self in callback" test_cancel_self_from_callback;
       tc "cancel due peer in callback" test_cancel_peer_from_callback;
       tc "post reentrancy" test_post_reentrancy;
-      tc "reschedule from callback" test_schedule_from_callback ])
+      tc "reschedule from callback" test_schedule_from_callback;
+      tc "rearm is cancel + schedule" test_rearm;
+      tc "rearm postpones" test_rearm_postpones;
+      tc "rearm from callback" test_rearm_from_callback ])
 
 let () = Alcotest.run "bgp_clock" [ cases sim_impl; cases live_impl ]

@@ -385,6 +385,53 @@ let test_session_garbage_kills () =
   Alcotest.(check bool) "session down" true !down;
   Alcotest.(check string) "b idle" "Idle" (Fsm.state_name (Session.state b))
 
+(* Each message received re-arms the hold timer in place: a KEEPALIVE
+   every 30 s keeps the session up far past the 90 s hold time, the
+   queue holds no more than the two sessions' timers, and once
+   the messages stop the hold timer still expires 90 s after the last
+   one. *)
+let test_session_hold_reset_then_expiry () =
+  let pipe = new_pipe () in
+  let e = pipe.engine in
+  let down = ref None in
+  let a_cfg = Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "192.0.2.1") in
+  let b_cfg =
+    { (Fsm.default_config ~asn:(asn 65002) ~router_id:(ip "192.0.2.2")) with
+      Fsm.passive = true }
+  in
+  let a = make_session pipe ~dir:`A a_cfg Session.null_hooks in
+  let b =
+    make_session pipe ~dir:`B b_cfg
+      { Session.null_hooks with Session.on_down = (fun r -> down := Some r) }
+  in
+  Session.start a;
+  Session.start b;
+  Session.connected a;
+  Session.connected b;
+  pump pipe a b;
+  Alcotest.(check string) "b established" "Established"
+    (Fsm.state_name (Session.state b));
+  (* From here on only the script talks to b; a falls silent. *)
+  let keepalive = Bgp_wire.Codec.encode Msg.Keepalive in
+  let last = ref (Bgp_sim.Engine.now e) in
+  for _ = 1 to 10 do
+    Bgp_sim.Engine.run ~until:(!last +. 30.0) e;
+    pipe.to_a <- [];
+    Session.feed b keepalive;
+    last := Bgp_sim.Engine.now e;
+    Alcotest.(check bool) "at most both sessions' hold and keepalive" true
+      (Bgp_sim.Engine.pending e <= 4)
+  done;
+  Alcotest.(check string) "up 300 s on a 90 s hold" "Established"
+    (Fsm.state_name (Session.state b));
+  Bgp_sim.Engine.run ~until:(!last +. 89.9) e;
+  Alcotest.(check string) "still up just before expiry" "Established"
+    (Fsm.state_name (Session.state b));
+  Bgp_sim.Engine.run ~until:(!last +. 90.1) e;
+  Alcotest.(check string) "hold expired" "Idle"
+    (Fsm.state_name (Session.state b));
+  Alcotest.(check bool) "down reported" true (Option.is_some !down)
+
 (* The session dials only when active: a recording link counts
    [start_connect] calls.  The passive side also sees a connection
    drop and its ConnectRetry expire (the FSM then asks to dial, and the
@@ -525,6 +572,8 @@ let () =
         [ Alcotest.test_case "handshake and update" `Quick
             test_session_handshake_and_update;
           Alcotest.test_case "garbage kills session" `Quick test_session_garbage_kills;
+          Alcotest.test_case "hold reset by messages, then expiry" `Quick
+            test_session_hold_reset_then_expiry;
           Alcotest.test_case "dials only when active" `Quick
             test_session_dials_only_when_active
         ] );
