@@ -92,4 +92,6 @@ val in_flight : t -> int
 (** Payloads scheduled but not yet delivered, both directions.  Stale
     deliveries from a turned-over connection count until their delivery
     time passes.  A multi-router convergence detector treats
-    [in_flight = 0] (on every channel) as "no bytes on the wire". *)
+    [in_flight = 0] (on every channel) as "no bytes on the wire".  Each
+    side counts its own sends and arrivals, so across partitions read
+    this only between {!Bgp_sim.Pengine} windows. *)

@@ -134,7 +134,7 @@ let rebind_peer t peer =
          peer.Peer.id);
   ps.peer <- peer
 
-let peers t = Array.to_list (Array.map (fun ps -> ps.peer) t.peers_sorted)
+let peer_count t = Array.length t.peers_sorted
 
 (* Deterministic peer iteration: every walk over [peer_states] goes
    through the cached sorted array, ordered by peer id, so no output can
@@ -726,13 +726,18 @@ let try_fast_withdraw t ps e =
     fast_outcome t `Removed ~candidates:0
   end
 
+let rec has_id id = function
+  | [] -> false
+  | x :: rest -> Bgp_addr.Ipv4.equal x id || has_id id rest
+
 (* RFC 4456 section 8 loop protection: our own ORIGINATOR_ID or
    cluster id (the router id) in an incoming route means a reflection
-   loop. *)
+   loop.  It runs once per grouped announce, so it builds no closure. *)
 let reflection_loop t (attrs : A.t) =
-  Option.fold ~none:false ~some:(Bgp_addr.Ipv4.equal t.router_id)
-    attrs.A.originator_id
-  || List.exists (Bgp_addr.Ipv4.equal t.router_id) attrs.A.cluster_list
+  (match attrs.A.originator_id with
+  | Some o -> Bgp_addr.Ipv4.equal o t.router_id
+  | None -> false)
+  || has_id t.router_id attrs.A.cluster_list
 
 (* The loop guards (§9.1.2 AS loop, RFC 4456 §8 reflection loop) look
    only at the attribute set, so a grouped announce evaluates them once

@@ -123,7 +123,9 @@ val rebind_peer : t -> Bgp_route.Peer.t -> unit
     @raise Invalid_argument for an unregistered peer, or one whose
     Adj-RIB-In or Adj-RIB-Out is not empty. *)
 
-val peers : t -> Bgp_route.Peer.t list
+val peer_count : t -> int
+(** Registered peers, up or down. *)
+
 val loc_rib : t -> Loc_rib.t
 val adj_in_size : t -> Bgp_route.Peer.t -> int
 val adj_out_size : t -> Bgp_route.Peer.t -> int

@@ -28,9 +28,10 @@ val counter : t -> string -> counter
     @raise Invalid_argument if [name] is already registered. *)
 
 val incr : ?by:int -> counter -> unit
-(** Add [by] (default 1) to the counter.  Counters are Atomic-backed,
-    so a partitioned run ({!Bgp_sim.Pengine}) can sample them from the
-    coordinating domain while worker domains increment them.
+(** Add [by] (default 1) to the counter.  A counter is a plain int
+    with one writing domain: a partitioned run ({!Bgp_sim.Pengine})
+    reads it from the coordinating domain only between windows, after
+    the barrier.
     @raise Invalid_argument if [by] is negative (counters are monotonic
     between resets). *)
 
