@@ -421,11 +421,11 @@ let topo_gen_tests =
 let sim_test =
   Test.make ~name:"sim/schedule-drain-10k-events"
     (Staged.stage @@ fun () ->
-     let e = Bgp_sim.Engine.create () in
+     let e = Bgp_engine.Engine.create () in
      for i = 1 to 10_000 do
-       ignore (Bgp_sim.Engine.schedule e ~delay:(float_of_int i *. 1e-3) ignore)
+       ignore (Bgp_engine.Engine.schedule e ~delay:(float_of_int i *. 1e-3) ignore)
      done;
-     Bgp_sim.Engine.run e)
+     Bgp_engine.Engine.run e)
 
 (* ------------------------------------------------------------------ *)
 (* Per-stage cost breakdown preamble                                   *)

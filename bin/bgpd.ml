@@ -16,6 +16,7 @@ open Cmdliner
 module Router = Bgp_router.Router
 module Tcp_link = Bgp_tcp.Tcp_link
 module Loop = Bgp_tcp.Event_loop
+module Clock = Bgp_engine.Clock
 
 let asn_t =
   let doc = "Local autonomous system number." in
@@ -102,11 +103,12 @@ let dump_status router neighbors =
 let run asn router_id listens connects client_listens client_connects announces
     announce_file aggregates interval =
   let loop = Loop.create () in
+  let clock = Loop.clock loop in
   let local_asn = Bgp_route.Asn.of_int asn in
   let router =
     Router.create
       ~aggregates:(List.map parse_aggregate aggregates)
-      (Loop.clock loop) Bgp_router.Arch.unpaced ~local_asn
+      clock Bgp_router.Arch.unpaced ~local_asn
       ~router_id:(Bgp_addr.Ipv4.of_string_exn router_id)
   in
   (* Neighbors are known by port alone: the router takes each one's AS
@@ -150,17 +152,15 @@ let run asn router_id listens connects client_listens client_connects announces
   if interval > 0.0 then begin
     let rec status () =
       dump_status router !neighbors;
-      let (_ : unit -> unit) = Loop.after loop interval status in
-      ()
+      ignore (Clock.schedule clock ~delay:interval status)
     in
-    let (_ : unit -> unit) = Loop.after loop interval status in
-    ()
+    ignore (Clock.schedule clock ~delay:interval status)
   end;
   Printf.printf "[bgpd] AS%d %s up (listen: %s; connect: %s)\n%!" asn router_id
     (String.concat "," (List.map string_of_int listens))
     (String.concat "," (List.map string_of_int connects));
   (* Run forever (ctrl-C to quit). *)
-  ignore (Loop.run loop ~until:(fun () -> false) ~timeout:infinity)
+  ignore (Clock.run clock ~cond:(fun () -> false) ~step:infinity)
 
 let cmd =
   let doc = "a tiny real BGP daemon: the bgpmark router on loopback TCP" in

@@ -14,6 +14,7 @@ module Session = Bgp_fsm.Session
 module Msg = Bgp_wire.Msg
 module Tcp_link = Bgp_tcp.Tcp_link
 module Loop = Bgp_tcp.Event_loop
+module Clock = Bgp_engine.Clock
 
 let ip = Bgp_addr.Ipv4.of_string_exn
 let asn = Bgp_route.Asn.of_int
@@ -25,6 +26,7 @@ let () =
     else 17900 + (Unix.getpid () mod 100)
   in
   let loop = Loop.create () in
+  let clock = Loop.clock loop in
 
   (* The "router" side keeps a live view of what it has been told. *)
   let routes = Hashtbl.create 1024 in
@@ -49,12 +51,12 @@ let () =
     Session.create
       { (Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.255.0.1")) with
         Fsm.passive = true }
-      (Loop.clock loop) router_ep.Tcp_link.link router_hooks
+      clock router_ep.Tcp_link.link router_hooks
   in
   let speaker =
     Session.create
       (Fsm.default_config ~asn:(asn 65001) ~router_id:(ip "192.0.2.1"))
-      (Loop.clock loop) speaker_ep.Tcp_link.link speaker_hooks
+      clock speaker_ep.Tcp_link.link speaker_hooks
   in
   Format.printf "listening on 127.0.0.1:%d ...@." port;
   Session.start router;
@@ -63,7 +65,7 @@ let () =
     Session.state router = Fsm.Established
     && Session.state speaker = Fsm.Established
   in
-  if not (Loop.run loop ~until:both_up ~timeout:10.0) then begin
+  if not (Clock.run clock ~cond:both_up ~step:10.0) then begin
     prerr_endline "session failed to establish";
     exit 1
   end;
@@ -78,7 +80,7 @@ let () =
     (fun chunk -> ignore (Session.send speaker (Msg.announcement attrs chunk)))
     (Bgp_speaker.Workload.chunk 500 table);
   ignore
-    (Loop.run loop ~until:(fun () -> Hashtbl.length routes = 5_000) ~timeout:10.0);
+    (Clock.run clock ~cond:(fun () -> Hashtbl.length routes = 5_000) ~step:10.0);
   Format.printf "[router ] learned %d routes over real TCP@." (Hashtbl.length routes);
 
   (* Withdraw the first half. *)
@@ -87,13 +89,13 @@ let () =
     (fun chunk -> ignore (Session.send speaker (Msg.withdrawal chunk)))
     (Bgp_speaker.Workload.chunk 500 half);
   ignore
-    (Loop.run loop ~until:(fun () -> Hashtbl.length routes = 2_500) ~timeout:10.0);
+    (Clock.run clock ~cond:(fun () -> Hashtbl.length routes = 2_500) ~step:10.0);
   Format.printf "[router ] %d routes after withdrawals@." (Hashtbl.length routes);
 
   (* Clean shutdown: the speaker sends CEASE. *)
   Session.stop speaker;
   ignore
-    (Loop.run loop ~until:(fun () -> Session.state router = Fsm.Idle) ~timeout:5.0);
+    (Clock.run clock ~cond:(fun () -> Session.state router = Fsm.Idle) ~step:5.0);
   speaker_ep.dispose ();
   router_ep.dispose ();
   Format.printf "done.@."

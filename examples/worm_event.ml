@@ -13,7 +13,8 @@
 
    Run with:  dune exec examples/worm_event.exe *)
 
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
+module Clock = Bgp_engine.Clock
 module Channel = Bgp_netsim.Channel
 module Arch = Bgp_router.Arch
 module Router = Bgp_router.Router
@@ -29,7 +30,7 @@ let duration = 30.0 (* seconds of storm *)
    flips a prefix between two AS paths, so every update is real work. *)
 let run_storm arch ~rate =
   let engine = Engine.create () in
-  let clock = Engine.clock engine in
+  let clock = Clock.of_engine engine in
   let router =
     Router.create clock arch ~local_asn:(asn 65000) ~router_id:(ip "10.255.0.1")
   in

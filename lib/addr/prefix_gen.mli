@@ -18,11 +18,6 @@ val mix64 : int -> int
 (** The underlying 64-bit finalizer (SplitMix64).  Exposed for reuse by
     other deterministic generators (AS paths, traffic). *)
 
-val nth : seed:int -> int -> Prefix.t
-(** [nth ~seed i] is the [i]-th synthetic prefix of stream [seed].
-    Distinct [i] may occasionally collide; use {!table} when a
-    duplicate-free table is required. *)
-
 val table : ?seed:int -> n:int -> unit -> Prefix.t array
 (** [table ~seed ~n ()] is [n] {e distinct} prefixes drawn from stream
     [seed] (default seed 42), in generation order.

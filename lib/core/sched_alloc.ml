@@ -1,9 +1,10 @@
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
+module Clock = Bgp_engine.Clock
 module Sched = Bgp_sim.Sched
 
 let words_per_job ~jobs =
   let e = Engine.create () in
-  let s = Sched.create (Engine.clock e) ~hz:1e9 ~pool:2.0 in
+  let s = Sched.create (Clock.of_engine e) ~hz:1e9 ~pool:2.0 in
   let procs =
     Array.init 4 (fun i -> Sched.add_proc s (Printf.sprintf "p%d" i))
   in

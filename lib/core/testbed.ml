@@ -1,4 +1,4 @@
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
 module Clock = Bgp_engine.Clock
 module Link = Bgp_engine.Link
 module Channel = Bgp_netsim.Channel
@@ -28,7 +28,7 @@ let make_env = function
   | Sim ->
     let engine = Engine.create () in
     Engine.set_event_limit engine 500_000_000;
-    ( Engine.clock engine,
+    ( Clock.of_engine engine,
       (fun () ->
         let ch = Channel.create engine () in
         (Channel.endpoint ch Channel.A, Channel.endpoint ch Channel.B)),

@@ -5,13 +5,14 @@
     convergence drivers — goes through this capability interface rather
     than through a concrete event source.  Two implementations exist:
 
-    - {!Bgp_sim.Engine.clock}: virtual time on the discrete-event heap;
+    - {!of_engine}: virtual time on the discrete-event heap;
     - {!Bgp_tcp.Event_loop.clock}: monotonic wall-clock time on the
       [select] loop.
 
-    Both provide identical semantics, spelled out per operation below,
-    so a scenario written against this interface runs unchanged in
-    simulation and over real sockets.
+    Both keep every event, posts included, on one {!Engine} heap, and a
+    {!handle} is that heap's handle: cancelling and re-arming are heap
+    operations, and the ordering clauses below hold on both clocks by
+    construction.  The clocks differ only in how time advances.
 
     Semantics table (the contract both implementations satisfy):
 
@@ -27,12 +28,13 @@
       callback, on the same handle: the event takes the FIFO position
       of a fresh schedule at its new instant.  It works whether the
       handle is pending, fired or cancelled, and from inside the
-      firing callback;
-    - {!post} runs a thunk from the next pump, after the events already
-      due; posting from inside a callback is allowed and preserves
-      order. *)
+      firing callback.  [rearm_at t h ~time] to a past [time] fires at
+      [now t], after the events already due;
+    - {!post} is a schedule at [now]: the thunk runs from a later pump,
+      after the events already due; posting from inside a callback is
+      allowed and preserves order. *)
 
-type handle
+type handle = Engine.handle
 (** A scheduled event, cancellable until it fires and re-armable at
     any time. *)
 
@@ -45,16 +47,16 @@ val make :
   post:((unit -> unit) -> unit) ->
   run_window:(cond:(unit -> bool) -> step:float -> bool) ->
   t
-(** Implementor-side constructor; see {!Bgp_sim.Engine.clock} and
-    {!Bgp_tcp.Event_loop.clock} for the two canonical instances. *)
+(** Implementor-side constructor; see {!of_engine} and
+    {!Bgp_tcp.Event_loop.clock} for the two canonical instances.
+    [schedule_at] must return a handle on a heap whose time never runs
+    ahead of [now]. *)
 
-val handle :
-  cancel:(unit -> unit) ->
-  cancelled:(unit -> bool) ->
-  rearm:(time:float -> unit) ->
-  handle
-(** Implementor-side constructor for handles; [rearm ~time] re-keys
-    the event at absolute [time]. *)
+val of_engine : Engine.t -> t
+(** The engine as a clock: virtual time, and a [run] pump that always
+    consumes the whole requested window (so a simulation's event order
+    never depends on the pump's exit condition).  [post] is
+    [schedule ~delay:0.0]. *)
 
 val label : t -> string
 (** ["sim"] or ["live"] for the canonical implementations; used in
@@ -72,11 +74,10 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
 val rearm : t -> handle -> delay:float -> unit
 (** [rearm t h ~delay] moves [h]'s event to [now t +. max 0. delay]:
-    {!cancel} then {!schedule}, without a new handle.  [t] only
-    supplies [now]. *)
+    {!cancel} then {!schedule}, without a new handle. *)
 
-val rearm_at : handle -> time:float -> unit
-(** Absolute-time variant; a [time] in the past fires at [now]. *)
+val rearm_at : t -> handle -> time:float -> unit
+(** Absolute-time variant; a [time] in the past fires at [now t]. *)
 
 val cancel : handle -> unit
 (** Idempotent; cancelling a fired event is a no-op, including from
@@ -86,7 +87,8 @@ val cancelled : handle -> bool
 (** Cancelled and not re-armed since. *)
 
 val post : t -> (unit -> unit) -> unit
-(** Run a thunk from the pump's next iteration (breaks reentrancy). *)
+(** Run a thunk from a later pump, after the events already due
+    (breaks reentrancy). *)
 
 val run : t -> cond:(unit -> bool) -> step:float -> bool
 (** Pump the clock for (up to) [step] seconds of its own time and

@@ -197,21 +197,3 @@ let set_event_limit t n = t.limit <- n
 
 let next_time t =
   if t.len = 0 then None else Some (Float.Array.unsafe_get t.times 0)
-
-let clock t =
-  Bgp_engine.Clock.make ~label:"sim"
-    ~now:(fun () -> t.clock_at.now)
-    ~schedule_at:(fun ~time fn ->
-      let h = schedule_at t ~time fn in
-      Bgp_engine.Clock.handle
-        ~cancel:(fun () -> cancel h)
-        ~cancelled:(fun () -> cancelled h)
-        ~rearm:(fun ~time -> rearm h ~time))
-    ~post:(fun fn -> ignore (schedule t ~delay:0.0 fn))
-    ~run_window:(fun ~cond ~step:window ->
-      (* A simulated clock always consumes the whole window: virtual
-         time is free, and burning it keeps event ordering — and hence
-         byte-identical benchmark output — independent of what [cond]
-         observes. *)
-      run ~until:(t.clock_at.now +. window) t;
-      cond ())

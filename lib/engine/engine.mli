@@ -5,7 +5,10 @@
     Everything in the benchmark — message transmission, CPU job
     completion, protocol timers, trace sampling — is an event on one
     engine.  Scheduling, cancelling and re-arming cost O(log n), and
-    firing an event allocates nothing. *)
+    firing an event allocates nothing.  It is also the one event
+    representation behind both clocks: a {!Clock.handle} is a
+    {!handle}, and the live event loop keeps its events on an engine
+    whose time it advances to the wall clock. *)
 
 type t
 
@@ -73,9 +76,3 @@ val set_event_limit : t -> int -> unit
 
 val next_time : t -> float option
 (** Scheduled time of the earliest queued event, if any. *)
-
-val clock : t -> Bgp_engine.Clock.t
-(** This engine as a {!Bgp_engine.Clock}: virtual time, and a
-    [run] pump that always consumes the whole requested window (so a
-    simulation's event order never depends on the pump's exit
-    condition).  [post] is [schedule ~delay:0.0]. *)

@@ -12,4 +12,3 @@ type t = {
 }
 
 let tap t f = t.set_tap (Some f)
-let clear_tap t = t.set_tap None

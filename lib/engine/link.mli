@@ -37,4 +37,3 @@ type t = {
 }
 
 val tap : t -> (string -> fate) -> unit
-val clear_tap : t -> unit

@@ -1,4 +1,4 @@
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
 module Pengine = Bgp_sim.Pengine
 
 type side = A | B

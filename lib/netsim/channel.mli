@@ -18,7 +18,7 @@ type fate = Bgp_engine.Link.fate =
 type t
 
 val create :
-  Bgp_sim.Engine.t -> ?latency:float -> ?bandwidth_mbps:float -> unit -> t
+  Bgp_engine.Engine.t -> ?latency:float -> ?bandwidth_mbps:float -> unit -> t
 (** Default latency 100 us, bandwidth 1000 Mbps.  Both sides live on
     the given engine.  A connect or close flips both sides at once, and
     one event one latency later notifies side A, then side B, whichever
@@ -56,8 +56,6 @@ val set_tap : t -> side -> (string -> fate) -> unit
     bytes.  The default (no tap) is exactly the loss-free channel —
     taps exist for the {!Bgp_faults} adversarial scenarios and change
     nothing until installed. *)
-
-val clear_tap : t -> side -> unit
 
 val connect : t -> unit
 (** Begin the (abstracted) handshake; both sides' [on_connected] fire

@@ -16,8 +16,6 @@ let create resources ~line_rate_mbps =
   if line_rate_mbps <= 0.0 then invalid_arg "Forwarding.create: line rate";
   { resources; line_rate_mbps; traffic = Traffic.none }
 
-let line_rate_mbps t = t.line_rate_mbps
-
 (* The line-rate ceiling applies before the CPU sees the packets: a
    315 Mbps PCI bus simply never delivers 500 Mbps of interrupts. *)
 let admitted_pps t =
@@ -34,8 +32,6 @@ let set_offered t traffic =
     Bgp_sim.Sched.set_forwarding_demand sched
       ~cycles_per_sec:(pps *. forwarding_cycles_per_packet) ()
   | Dedicated _ -> ()
-
-let offered t = t.traffic
 
 let achieved_mbps t =
   let admitted = Float.min t.traffic.Traffic.mbps t.line_rate_mbps in

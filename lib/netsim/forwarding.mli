@@ -30,13 +30,9 @@ type t
 
 val create : resources -> line_rate_mbps:float -> t
 
-val line_rate_mbps : t -> float
-
 val set_offered : t -> Traffic.t -> unit
 (** Change the offered cross-traffic (propagates demand to a shared
     scheduler). *)
-
-val offered : t -> Traffic.t
 
 val achieved_mbps : t -> float
 (** Bit rate currently leaving the router: offered, capped by line

@@ -216,12 +216,11 @@ type outcome = {
   fib_deltas : Fib.delta list;
   announcements : announcement list;
   candidates : int;
-  policy_work : int;
 }
 
 let no_op_outcome =
   { adj_in_change = `Unchanged; loc_changed = false; fib_deltas = [];
-    announcements = []; candidates = 0; policy_work = 0 }
+    announcements = []; candidates = 0 }
 
 (* Outcomes that change nothing past the Adj-RIB-In are immutable
    values shared by every update they describe, so the no-change paths
@@ -243,19 +242,16 @@ let change_index : change -> int = function
 
 let shared_outcomes =
   Array.init
-    (Array.length changes * shared_max * shared_max)
+    (Array.length changes * shared_max)
     (fun i ->
       { no_op_outcome with
-        adj_in_change = changes.(i / (shared_max * shared_max));
-        candidates = i / shared_max mod shared_max;
-        policy_work = i mod shared_max })
+        adj_in_change = changes.(i / shared_max);
+        candidates = i mod shared_max })
 
-let quiet_outcome change ~candidates ~policy_work =
-  if candidates < shared_max && policy_work < shared_max then
-    shared_outcomes.((((change_index change * shared_max) + candidates)
-                      * shared_max)
-                     + policy_work)
-  else { no_op_outcome with adj_in_change = change; candidates; policy_work }
+let quiet_outcome change ~candidates =
+  if candidates < shared_max then
+    shared_outcomes.((change_index change * shared_max) + candidates)
+  else { no_op_outcome with adj_in_change = change; candidates }
 
 (* ------------------------------------------------------------------ *)
 (* Decision support                                                    *)
@@ -470,7 +466,7 @@ let rec exports t prefix e best i =
 let kept t change e =
   T.remove_if_empty t.table e;
   M.add t.c_policy_units t.work;
-  quiet_outcome change ~candidates:t.cands ~policy_work:t.work
+  quiet_outcome change ~candidates:t.cands
 
 (* A decision that moved the best to [best]: export it, then reclaim
    the entry if nothing is left in it. *)
@@ -482,7 +478,7 @@ let moved t change prefix e best fib_deltas =
   M.add t.c_announcements_emitted t.anns;
   M.add t.c_policy_units t.work;
   { adj_in_change = change; loc_changed = true; fib_deltas; announcements;
-    candidates = t.cands; policy_work = t.work }
+    candidates = t.cands }
 
 (* Re-run the decision process for [prefix] (entry [e]) and propagate
    the result to Loc-RIB, FIB deltas, and Adj-RIBs-Out.  [e] is not
@@ -649,7 +645,7 @@ and eval_aggregates t prefix =
 let finish t (change : change) prefix e =
   M.incr t.c_updates_processed;
   match change with
-  | `Unchanged | `Absent -> quiet_outcome change ~candidates:0 ~policy_work:0
+  | `Unchanged | `Absent -> quiet_outcome change ~candidates:0
   | `New | `Changed | `Removed | `Loop ->
     let o = redecide t change prefix e in
     if (not o.loc_changed) || not (has_aggregates t) then o
@@ -693,7 +689,7 @@ let fast_outcome t change ~candidates =
   M.incr t.c_updates_processed;
   M.incr t.c_decision_fastpath;
   M.add t.c_policy_units t.work;
-  quiet_outcome change ~candidates ~policy_work:t.work
+  quiet_outcome change ~candidates
 
 (* [e]'s best when it comes from a strictly earlier source than [ps] in
    decision order, else [T.no_route]. *)
@@ -754,7 +750,7 @@ let announce_one t ps ~looping prefix interned =
     if remove_in t ps e then finish t `Loop prefix e
     else begin
       M.incr t.c_updates_processed;
-      quiet_outcome `Loop ~candidates:0 ~policy_work:0
+      quiet_outcome `Loop ~candidates:0
     end
   else
     let e = T.find_or_add t.table prefix in
@@ -804,7 +800,7 @@ let withdraw_local t ~prefix =
   end
   else begin
     M.incr t.c_updates_processed;
-    quiet_outcome `Absent ~candidates:0 ~policy_work:0
+    quiet_outcome `Absent ~candidates:0
   end
 
 let inject_local_route t ~prefix ~attrs =
@@ -876,20 +872,19 @@ let peer_down t peer =
   (* Entries are looked up again per decision: a decision can reclaim
      an entry, which renumbers another. *)
   let loc_changed = ref false and deltas = ref [] and anns = ref [] in
-  let candidates = ref 0 and policy_work = ref 0 in
+  let candidates = ref 0 in
   List.iter
     (fun prefix ->
       let o = redecide t `Removed prefix (T.find t.table prefix) in
       loc_changed := !loc_changed || o.loc_changed;
       deltas := List.rev_append o.fib_deltas !deltas;
       anns := List.rev_append o.announcements !anns;
-      candidates := !candidates + o.candidates;
-      policy_work := !policy_work + o.policy_work)
+      candidates := !candidates + o.candidates)
     contributed;
   M.add t.c_updates_processed (List.length contributed);
   { adj_in_change = `Removed; loc_changed = !loc_changed;
     fib_deltas = List.rev !deltas; announcements = List.rev !anns;
-    candidates = !candidates; policy_work = !policy_work }
+    candidates = !candidates }
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith ("Rib_manager: " ^^ fmt) in

@@ -165,8 +165,7 @@ type outcome = {
   loc_changed : bool;
   fib_deltas : Bgp_fib.Fib.delta list;
   announcements : announcement list;
-  candidates : int;   (** routes considered by the decision process *)
-  policy_work : int;  (** condition evaluations across import+export *)
+  candidates : int;  (** routes considered by the decision process *)
 }
 
 val announce :

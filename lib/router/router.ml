@@ -168,14 +168,11 @@ let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
           Bgp_trace.Tracer.track tr ~process:trace_process ~thread:"fsm" ())
         tracer }
 
-let arch t = t.arch
-let clock t = t.clock
 let sched t = t.sched
 let rib t = t.rib
 let fib t = t.fib
 let forwarding t = t.fwd
 let metrics t = t.metrics
-let pipeline t = t.pipeline
 let stage_stats t = Pipeline.stage_stats t.pipeline
 
 let set_cross_traffic t traffic = Bgp_netsim.Forwarding.set_offered t.fwd traffic
@@ -440,7 +437,7 @@ let rec arm_reuse t =
          place. *)
       let time = at +. 1e-3 in
       match t.damp_timer with
-      | Some h -> Clock.rearm_at h ~time
+      | Some h -> Clock.rearm_at t.clock h ~time
       | None ->
         t.damp_timer <-
           Some (Clock.schedule_at t.clock ~time (fun () -> reuse_fire t d))))

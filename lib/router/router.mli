@@ -70,8 +70,6 @@ val create :
     Off by default and purely observational: simulated timings and all
     counters are identical with tracing on or off. *)
 
-val arch : t -> Arch.t
-val clock : t -> Bgp_engine.Clock.t
 val sched : t -> Bgp_sim.Sched.t
 val rib : t -> Bgp_rib.Rib_manager.t
 val fib : t -> Bgp_fib.Fib.t
@@ -80,9 +78,6 @@ val forwarding : t -> Bgp_netsim.Forwarding.t
 val metrics : t -> Bgp_stats.Metrics.t
 (** The unified registry behind {!counters}, the RIB work counters, and
     the per-stage pipeline accounting. *)
-
-val pipeline : t -> Bgp_pipeline.Pipeline.t
-(** The instantiated update pipeline (stage procs, layout). *)
 
 val stage_stats : t -> Bgp_pipeline.Pipeline.stage_stat list
 (** Per-stage unit/batch/cycle breakdown for the current measurement

@@ -22,6 +22,8 @@
    With one partition there are no mailboxes and [run_until] is exactly
    [Engine.run ~until]: bit-identical to the unpartitioned engine. *)
 
+module Engine = Bgp_engine.Engine
+
 type outbox = (float * (unit -> unit)) list ref
 
 type t = {

@@ -1,8 +1,8 @@
-(** Partitioned discrete-event engine: P per-partition {!Engine}
-    queues, coordinated by a conservative-lookahead window barrier.
-    Partition 0 is drained by the domain that calls {!run_until};
-    partition k >= 1 by worker k of one process-wide crew of worker
-    domains.
+(** Partitioned discrete-event engine: P per-partition
+    {!Bgp_engine.Engine} queues, coordinated by a conservative-lookahead
+    window barrier.  Partition 0 is drained by the domain that calls
+    {!run_until}; partition k >= 1 by worker k of one process-wide crew
+    of worker domains.
 
     {b Safe horizon.}  Let L be the minimum latency over
     cross-partition links (every such link calls
@@ -38,7 +38,7 @@ type t
 val create : ?parts:int -> unit -> t
 (** Default 1 partition.  @raise Invalid_argument when [parts < 1]. *)
 
-val part : t -> int -> Engine.t
+val part : t -> int -> Bgp_engine.Engine.t
 (** Partition [i]'s private engine.  Everything living on partition [i]
     (routers, timers, same-partition channels) schedules here, and only
     the domain draining partition [i] may touch it during a window. *)

@@ -29,7 +29,3 @@ let exponential t ~mean =
   (* avoid log 0 *)
   if !u <= 0.0 then u := 1e-300;
   -.mean *. log !u
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))

@@ -25,7 +25,3 @@ val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed (Poisson inter-arrivals). *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element.
-    @raise Invalid_argument on an empty array. *)

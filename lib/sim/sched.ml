@@ -70,13 +70,10 @@ type t = {
   mutable alloc : Float.Array.t;
   mutable active : bool array;
   mutable finished : (unit -> unit) array;  (* one completion per proc *)
-  mutable completion : Clock.handle;  (* issued once, then re-armed *)
+  mutable completion : Clock.handle option;  (* issued once, then re-armed *)
   mutable fire : unit -> unit;        (* its callback, built once *)
   mutable trace : trace_state option;
 }
-
-let no_event =
-  Clock.handle ~cancel:nop ~cancelled:(fun () -> false) ~rearm:(fun ~time:_ -> ())
 
 let add_proc t ?(weight = 1.0) name =
   let p =
@@ -91,8 +88,6 @@ let add_proc t ?(weight = 1.0) name =
   t.active <- Array.make (n + 1) false;
   t.finished <- Array.append t.finished [| nop |];
   p
-
-let proc_name p = p.name
 
 let set_tracer t ?(process = "bgpmark") tracer =
   let module T = Bgp_trace.Tracer in
@@ -113,7 +108,6 @@ let trace_track ts name =
     tk
 
 let queue_length _t p = p.len
-let busy _t p = p.len > 0
 
 let push p cycles fn =
   let cap = Array.length p.fns in
@@ -278,10 +272,12 @@ and reschedule_completion t =
       end
     end
   done;
-  if not !found then Clock.cancel t.completion
-  else if t.completion == no_event then
-    t.completion <- Clock.schedule t.clock ~delay:!best t.fire
-  else Clock.rearm t.clock t.completion ~delay:!best
+  match t.completion with
+  | Some h when not !found -> Clock.cancel h
+  | Some h -> Clock.rearm t.clock h ~delay:!best
+  | None when !found ->
+    t.completion <- Some (Clock.schedule t.clock ~delay:!best t.fire)
+  | None -> ()
 
 (* Completions fire from the clock's pump, never from inside a job
    callback, so the [finished] scratch is never in use twice. *)
@@ -330,7 +326,7 @@ let create clock ~hz ~pool =
           fwd_acc = 0.0; last_settle = 0.0; acc_started = 0.0 };
       procs = [||]; caps = Float.Array.make 1 0.0;
       wts = Float.Array.make 1 0.0; alloc = Float.Array.make 1 0.0;
-      active = [| false |]; finished = [||]; completion = no_event;
+      active = [| false |]; finished = [||]; completion = None;
       fire = nop; trace = None }
   in
   t.fire <- (fun () -> on_completion t);
@@ -382,5 +378,4 @@ let take_accounting t =
   c.acc_started <- now;
   result
 
-let total_pool t = t.c.pool
 let clock_hz t = t.c.hz

@@ -27,8 +27,8 @@ type proc
 
 val create : Bgp_engine.Clock.t -> hz:float -> pool:float -> t
 (** The clock supplies time and completion events — pass
-    {!Engine.clock} for simulated runs or a live clock for wall-time
-    ones; the model itself is identical either way.
+    {!Bgp_engine.Clock.of_engine} for simulated runs or a live clock
+    for wall-time ones; the model itself is identical either way.
     [hz]: cycles per second of one core-equivalent.  [pool]: number of
     core-equivalents (need not be integral: 2.4 models a dual-core with
     hyper-threading gain).
@@ -36,8 +36,6 @@ val create : Bgp_engine.Clock.t -> hz:float -> pool:float -> t
 
 val add_proc : t -> ?weight:float -> string -> proc
 (** Register a process (default weight 1.0). *)
-
-val proc_name : proc -> string
 
 val set_tracer : t -> ?process:string -> Bgp_trace.Tracer.t -> unit
 (** Record structured scheduler events into [tracer]: process run/block
@@ -55,8 +53,6 @@ val submit : t -> proc -> cycles:float -> (unit -> unit) -> unit
 
 val queue_length : t -> proc -> int
 (** Jobs waiting or running on the process. *)
-
-val busy : t -> proc -> bool
 
 val set_interrupt_demand : t -> cycles_per_sec:float -> unit
 (** Continuous interrupt work (e.g. per-packet RX interrupts x packet
@@ -83,5 +79,4 @@ type accounting = {
 val take_accounting : t -> accounting
 (** Consume and reset the accumulators. *)
 
-val total_pool : t -> float
 val clock_hz : t -> float

@@ -4,7 +4,6 @@ module Msg = Bgp_wire.Msg
 
 type t = {
   mutable session : Session.t option;  (* set once in [create] *)
-  mutable established_cb : unit -> unit;
   mutable updates_received : int;
   mutable prefixes_received : int;
   mutable withdrawals_received : int;
@@ -21,7 +20,7 @@ let session t =
 let create clock ~asn ~router_id ~(link : Link.t) =
   let cfg = Bgp_fsm.Fsm.default_config ~asn ~router_id in
   let t =
-    { session = None; established_cb = (fun () -> ()); updates_received = 0;
+    { session = None; updates_received = 0;
       prefixes_received = 0; withdrawals_received = 0; sessions_lost = 0;
       received = Hashtbl.create 1024; update_observer = ignore }
   in
@@ -39,7 +38,6 @@ let create clock ~asn ~router_id ~(link : Link.t) =
               List.iter (fun p -> Hashtbl.replace t.received p attrs) u.Msg.nlri)
             u.Msg.attrs;
           t.update_observer u);
-      on_established = (fun () -> t.established_cb ());
       on_down = (fun _reason -> t.sessions_lost <- t.sessions_lost + 1) }
   in
   t.session <- Some (Session.create cfg clock link hooks);
@@ -49,7 +47,6 @@ let start t = Session.start (session t)
 let stop t = Session.stop (session t)
 let state t = Session.state (session t)
 let established t = state t = Bgp_fsm.Fsm.Established
-let on_established t cb = t.established_cb <- cb
 
 let require_established t name =
   if not (established t) then

@@ -22,10 +22,6 @@ val stop : t -> unit
 val state : t -> Bgp_fsm.Fsm.state
 val established : t -> bool
 
-val on_established : t -> (unit -> unit) -> unit
-(** Replaces the establishment callback (fires each time the session
-    reaches Established). *)
-
 val sessions_lost : t -> int
 (** Times the session dropped out of Established/OpenSent/OpenConfirm
     (FSM [Session_down]).  {!start} may be called again from Idle to

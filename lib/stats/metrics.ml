@@ -135,20 +135,6 @@ let counters t =
       | Histogram _ | Gauge _ -> None)
     (in_order t)
 
-let histograms t =
-  List.filter_map
-    (function
-      | Histogram h -> Some (h.h_name, (h.h_count, h.h_sum))
-      | Counter _ | Gauge _ -> None)
-    (in_order t)
-
-let gauges t =
-  List.filter_map
-    (function
-      | Gauge g -> Some (g.g_name, g.g_sample ())
-      | Counter _ | Histogram _ -> None)
-    (in_order t)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter

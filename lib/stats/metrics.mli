@@ -92,12 +92,6 @@ val freeze : t -> t
 val counters : t -> (string * int) list
 (** All counters with current values, in registration order. *)
 
-val histograms : t -> (string * (int * float)) list
-(** All histograms as [(name, (count, sum))], in registration order. *)
-
-val gauges : t -> (string * int) list
-(** All gauges, sampled now, in registration order. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump of every metric, in registration order. *)
 

@@ -1,4 +1,5 @@
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
+module Clock = Bgp_engine.Clock
 
 type t = {
   (* Watchers are hash tables with a cached descriptor list: dispatch
@@ -10,14 +11,12 @@ type t = {
   writers : (Unix.file_descr, unit -> unit) Hashtbl.t;
   mutable fds_r : Unix.file_descr list;
   mutable fds_w : Unix.file_descr list;
-  mutable posted : (unit -> unit) list;
-  (* The timer queue IS a simulation engine: deadlines and FIFO
-     tie-breaks live on its (time, seq) heap and cancellation is its
-     handle state machine, so live timers share cancel-after-fire and
-     same-instant ordering semantics with simulated ones by
-     construction rather than by parallel reimplementation.  The
-     engine's virtual time is only ever advanced to [now t] — elapsed
-     monotonized wall-clock seconds. *)
+  (* The one event queue, timers and posts alike, IS a simulation
+     engine: deadlines and FIFO tie-breaks live on its (time, seq)
+     heap and cancellation is its handle state machine, so live events
+     share their ordering and cancel semantics with simulated ones by
+     construction.  The engine's virtual time is only ever advanced to
+     [now t] — elapsed monotonized wall-clock seconds. *)
   timers : Engine.t;
   epoch : float;          (* gettimeofday at [create] *)
   mutable last_now : float;  (* high-water mark of elapsed seconds *)
@@ -25,7 +24,7 @@ type t = {
 
 let create () =
   { readers = Hashtbl.create 16; writers = Hashtbl.create 16;
-    fds_r = []; fds_w = []; posted = []; timers = Engine.create ();
+    fds_r = []; fds_w = []; timers = Engine.create ();
     epoch = Unix.gettimeofday (); last_now = 0.0 }
 
 (* Monotonized time: [gettimeofday] can step backwards under NTP; we
@@ -62,83 +61,45 @@ let unwatch t fd =
   end;
   unwatch_write t fd
 
-let after t delay fn =
-  let h = Engine.schedule_at t.timers ~time:(now t +. Float.max 0.0 delay) fn in
-  fun () -> Engine.cancel h
+(* Clamp to live [now], not the (lagging) heap time: a deadline in the
+   past must fire after everything already due. *)
+let schedule_at t ~time fn =
+  Engine.schedule_at t.timers ~time:(Float.max time (now t)) fn
 
-let post t fn = t.posted <- t.posted @ [ fn ]
+let dispatch watchers fds =
+  List.iter
+    (fun fd ->
+      match Hashtbl.find_opt watchers fd with Some fn -> fn () | None -> ())
+    fds
 
-let rec clock t =
-  Bgp_engine.Clock.make ~label:"live"
-    ~now:(fun () -> now t)
-    ~schedule_at:(fun ~time fn ->
-      (* Clamp to live [now], not the (lagging) heap time: a deadline
-         in the past must fire after everything already due. *)
-      let h = Engine.schedule_at t.timers ~time:(Float.max time (now t)) fn in
-      Bgp_engine.Clock.handle
-        ~cancel:(fun () -> Engine.cancel h)
-        ~cancelled:(fun () -> Engine.cancelled h)
-        ~rearm:(fun ~time -> Engine.rearm h ~time:(Float.max time (now t))))
-    ~post:(fun fn -> post t fn)
-    ~run_window:(fun ~cond ~step -> run t ~until:cond ~timeout:step)
-
-(* Fire every timer whose deadline has passed, in deadline order with
-   FIFO ordering at equal deadlines (the engine heap's invariant). *)
-and run_due_timers t = Engine.run ~until:(now t) t.timers
-
-and run_posted t =
-  let posted = t.posted in
-  t.posted <- [];
-  List.iter (fun fn -> fn ()) posted
-
-(* Seconds until the earliest armed timer, or [None] when no timer is
-   armed.  No artificial cap: the caller sleeps until something can
-   actually happen (a timer, a ready fd, or its own deadline). *)
-and next_timer_in t =
-  match Engine.next_time t.timers with
-  | None -> None
-  | Some time -> Some (Float.max 0.0 (time -. now t))
-
-and run t ~until ~timeout =
+let run t ~until ~timeout =
   let deadline = now t +. timeout in
   let rec go () =
     if until () then true
     else if now t > deadline then false
     else begin
-      run_posted t;
-      run_due_timers t;
+      (* Fire every event whose deadline has passed, in deadline order
+         with FIFO ordering at equal deadlines. *)
+      Engine.run ~until:(now t) t.timers;
       if until () then true
       else begin
-        let fds_r = t.fds_r in
-        let fds_w = t.fds_w in
         (* Sleep until the next thing that can change state: the
-           earliest timer or the run deadline.  With neither closer
+           earliest event or the run deadline.  With neither closer
            than the deadline the select blocks the whole remaining
-           window instead of busy-polling. *)
-        let to_deadline = Float.max 0.0 (deadline -. now t) in
+           window instead of busy-polling.  [select] cannot take an
+           infinite timeout (no event armed, [timeout:infinity]); an
+           hourly wake-up is effectively event-driven. *)
+        let to_deadline = deadline -. now t in
         let wait =
-          match next_timer_in t with
+          match Engine.next_time t.timers with
           | None -> to_deadline
-          | Some d -> Float.min d to_deadline
+          | Some time -> Float.min (time -. now t) to_deadline
         in
-        (* [select] cannot take an infinite timeout ([timeout:infinity]
-           with no timer armed); an hourly wake-up is effectively
-           event-driven. *)
-        let wait = Float.min wait 3600.0 in
-        (match Unix.select fds_r fds_w [] wait with
+        let wait = Float.min (Float.max 0.0 wait) 3600.0 in
+        (match Unix.select t.fds_r t.fds_w [] wait with
         | readable, writable, _ ->
-          List.iter
-            (fun fd ->
-              match Hashtbl.find_opt t.readers fd with
-              | Some fn -> fn ()
-              | None -> ())
-            readable;
-          List.iter
-            (fun fd ->
-              match Hashtbl.find_opt t.writers fd with
-              | Some fn -> fn ()
-              | None -> ())
-            writable
+          dispatch t.readers readable;
+          dispatch t.writers writable
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         go ()
       end
@@ -146,10 +107,16 @@ and run t ~until ~timeout =
   in
   go ()
 
+let clock t =
+  Clock.make ~label:"live"
+    ~now:(fun () -> now t)
+    ~schedule_at:(schedule_at t)
+    ~post:(fun fn -> ignore (Engine.schedule_at t.timers ~time:(now t) fn))
+    ~run_window:(fun ~cond ~step -> run t ~until:cond ~timeout:step)
+
 let stop_watching_all t =
   Hashtbl.reset t.readers;
   Hashtbl.reset t.writers;
   t.fds_r <- [];
   t.fds_w <- [];
-  t.posted <- [];
   Engine.clear t.timers

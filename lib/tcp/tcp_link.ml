@@ -1,3 +1,4 @@
+module Clock = Bgp_engine.Clock
 module Link = Bgp_engine.Link
 
 type role = Connector of Unix.sockaddr | Listener
@@ -8,6 +9,7 @@ type role = Connector of Unix.sockaddr | Listener
    channel's generation guard. *)
 type conn = {
   loop : Event_loop.t;
+  clock : Clock.t;  (* the loop's: connection events and delayed taps *)
   role : role;
   mutable fd : Unix.file_descr option;
   out : Ring.t;  (* queued output not yet accepted by the socket *)
@@ -21,8 +23,9 @@ type conn = {
 }
 
 let make_conn loop role =
-  { loop; role; fd = None; out = Ring.create ();
-    read_buf = Bytes.create 65536; receiver = (fun _ -> ());
+  { loop; clock = Event_loop.clock loop; role; fd = None;
+    out = Ring.create (); read_buf = Bytes.create 65536;
+    receiver = (fun _ -> ());
     on_connected = (fun () -> ()); on_closed = (fun () -> ());
     on_failed = (fun () -> ()); tap = None; gen = 0 }
 
@@ -37,7 +40,7 @@ let teardown ?(notify = true) c =
     c.gen <- c.gen + 1;
     (* Deliver the close from the pump, as the simulated channel does,
        so a session never observes its own [close] reentrantly. *)
-    if notify then Event_loop.post c.loop (fun () -> c.on_closed ())
+    if notify then Clock.post c.clock (fun () -> c.on_closed ())
 
 (* Drain the ring: each [Unix.write] takes the whole contiguous head
    segment — every message coalesced since the last drain goes out in
@@ -86,7 +89,7 @@ let install c fd =
   c.fd <- Some fd;
   c.gen <- c.gen + 1;
   Event_loop.watch_read c.loop fd (handle_readable c fd);
-  Event_loop.post c.loop (fun () -> if c.fd = Some fd then c.on_connected ())
+  Clock.post c.clock (fun () -> if c.fd = Some fd then c.on_connected ())
 
 let start_connect c =
   match c.role with
@@ -101,12 +104,12 @@ let start_connect c =
            open connection: the FSM retries from Active instead of
            going Idle for good. *)
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        Event_loop.post c.loop (fun () -> c.on_failed ())
+        Clock.post c.clock (fun () -> c.on_failed ())
     end
 
 (* Outbound tap, consulted once per [send] — message granularity, like
    the simulated channel's tap.  Delayed deliveries ride the loop's
-   timers and are dropped if the connection turned over meanwhile. *)
+   clock and are dropped if the connection turned over meanwhile. *)
 let send c bytes =
   if c.fd <> None && bytes <> "" then begin
     match c.tap with
@@ -119,11 +122,9 @@ let send c bytes =
         if extra <= 0.0 then enqueue c payload
         else begin
           let gen = c.gen in
-          let (_ : unit -> unit) =
-            Event_loop.after c.loop extra (fun () ->
-                if c.gen = gen then enqueue c payload)
-          in
-          ()
+          ignore
+            (Clock.schedule c.clock ~delay:extra (fun () ->
+                 if c.gen = gen then enqueue c payload))
         end)
   end
 

@@ -1,4 +1,4 @@
-module Engine = Bgp_sim.Engine
+module Clock = Bgp_engine.Clock
 module Pengine = Bgp_sim.Pengine
 module Tracer = Bgp_trace.Tracer
 module Channel = Bgp_netsim.Channel
@@ -33,7 +33,6 @@ type node = {
 
 type t = {
   pe : Pengine.t;
-  domains : int;
   part : int array;  (* vertex -> simulation domain *)
   cut_links : int;   (* edges whose endpoints straddle domains *)
   topo : Topology.t;
@@ -79,7 +78,7 @@ let create ?(arch = Arch.pentium3) ?(mode = Transit) ?(latency = 1e-4)
         { asn; addr;
           router =
             Router.create ?tracer ~trace_process
-              (Engine.clock (Pengine.part pe part.(i)))
+              (Clock.of_engine (Pengine.part pe part.(i)))
               arch ~local_asn:asn ~router_id:addr;
           origin = prefixes.(i);
           peer_recs = []; explored = Hashtbl.create 97 })
@@ -136,11 +135,8 @@ let create ?(arch = Arch.pentium3) ?(mode = Transit) ?(latency = 1e-4)
       (fun acc (u, v, _) -> if part.(u) <> part.(v) then acc + 1 else acc)
       0 links
   in
-  { pe; domains; part; cut_links; topo; mode; nodes; links }
+  { pe; part; cut_links; topo; mode; nodes; links }
 
-let engine t = Pengine.part t.pe 0
-let pengine t = t.pe
-let domains t = t.domains
 let partition_of t i = t.part.(i)
 let cut_links t = t.cut_links
 let events_of_domain t d = Pengine.dispatched t.pe d

@@ -58,13 +58,6 @@ val create :
     and the tracer is switched to shared mode), so a converging network
     renders as one track group per node in the Chrome trace view. *)
 
-val engine : t -> Bgp_sim.Engine.t
-(** Partition 0's engine — the only partition when [domains = 1]. *)
-
-val pengine : t -> Bgp_sim.Pengine.t
-
-val domains : t -> int
-
 val partition_of : t -> int -> int
 (** The simulation domain vertex [i] lives on. *)
 
@@ -91,8 +84,6 @@ val originate : t -> int -> unit
 
 val withdraw_origin : t -> int -> unit
 val originate_all : t -> unit
-
-val quiescent : t -> bool
 
 val converge : ?timeout:float -> what:string -> t -> float
 (** Drive the event loop to quiescence and return the convergence time

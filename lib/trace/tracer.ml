@@ -53,7 +53,6 @@ let create ?(capacity = 1 lsl 19) ?(sample = 1) () =
 
 let set_shared t = if t.mu = None then t.mu <- Some (Mutex.create ())
 
-let capacity t = t.cap
 let sample_interval t = t.sample
 
 let track t ?(process = "bgpmark") ~thread () =

@@ -4,7 +4,7 @@
     named tracks (a track is a [process]/[thread] pair; in the exporter
     each simulated core or logical lane becomes one track). Timestamps
     are explicit — callers pass the virtual time of their
-    {!Bgp_sim.Engine} — so this library depends on nothing below
+    {!Bgp_engine.Engine} — so this library depends on nothing below
     [bgp_stats] and every layer of the simulator can record into it
     without dependency cycles.
 
@@ -39,7 +39,6 @@ val create : ?capacity:int -> ?sample:int -> unit -> t
     overwritten once full and counted in {!dropped}). [sample] keeps one
     update batch in every [sample] (default 1 = keep all). *)
 
-val capacity : t -> int
 val sample_interval : t -> int
 
 val set_shared : t -> unit

@@ -6,6 +6,7 @@ module H = Bgpmark.Harness
 module Scenario = Bgpmark.Scenario
 module Arch = Bgp_router.Arch
 module Traffic = Bgp_netsim.Traffic
+module Clock = Bgp_engine.Clock
 
 let small_config = { H.default_config with H.table_size = 400 }
 
@@ -322,14 +323,14 @@ let test_peers_sweep_monotone () =
   | _ -> Alcotest.fail "two points expected"
 
 let test_max_prefixes_ceases_session () =
-  let module Engine = Bgp_sim.Engine in
+  let module Engine = Bgp_engine.Engine in
   let module Channel = Bgp_netsim.Channel in
   let module Router = Bgp_router.Router in
   let module Speaker = Bgp_speaker.Speaker in
   let ip = Bgp_addr.Ipv4.of_string_exn in
   let asn = Bgp_route.Asn.of_int in
   let engine = Engine.create () in
-  let clock = Engine.clock engine in
+  let clock = Clock.of_engine engine in
   let router =
     Router.create clock Arch.xeon ~local_asn:(asn 65000)
       ~router_id:(ip "10.255.0.1")
@@ -528,14 +529,14 @@ let test_route_refresh_end_to_end () =
   (* Run scenario 5 setup (both speakers up, table synced), then have
      speaker 2 request a refresh and check it receives the table again
      through the simulated CPU pipeline. *)
-  let module Engine = Bgp_sim.Engine in
+  let module Engine = Bgp_engine.Engine in
   let module Channel = Bgp_netsim.Channel in
   let module Router = Bgp_router.Router in
   let module Speaker = Bgp_speaker.Speaker in
   let ip = Bgp_addr.Ipv4.of_string_exn in
   let asn = Bgp_route.Asn.of_int in
   let engine = Engine.create () in
-  let clock = Engine.clock engine in
+  let clock = Clock.of_engine engine in
   let router =
     Router.create clock Arch.xeon ~local_asn:(asn 65000)
       ~router_id:(ip "10.255.0.1")

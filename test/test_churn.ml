@@ -5,7 +5,8 @@
    the limit, and the old MRAI path flushed a dead session's buffered
    advertisements into its next incarnation. *)
 
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
+module Clock = Bgp_engine.Clock
 module Channel = Bgp_netsim.Channel
 module Router = Bgp_router.Router
 module Speaker = Bgp_speaker.Speaker
@@ -37,7 +38,7 @@ let speaker_attrs ?(path_len = 3) () =
    the prefix-limit tests poke at. *)
 let limit_rig ?max_prefixes ?mrai ?metrics () =
   let engine = Engine.create () in
-  let clock = Engine.clock engine in
+  let clock = Clock.of_engine engine in
   let router =
     Router.create ?mrai ?metrics clock Arch.xeon ~local_asn:(asn 65000)
       ~router_id:(ip "10.255.0.1")
@@ -99,7 +100,7 @@ let test_limit_exact_cease () =
   let metrics = Metrics.create () in
   let engine, router, peer, s, ch = limit_rig ~max_prefixes:100 ~metrics () in
   let faults =
-    Faults.create ~clock:(Engine.clock engine) ~metrics ()
+    Faults.create ~clock:(Clock.of_engine engine) ~metrics ()
   in
   Faults.observe_notifications faults (Channel.endpoint ch Channel.B);
   let table = Bgp_addr.Prefix_gen.table ~seed:2 ~n:101 () in
@@ -133,7 +134,7 @@ let test_limit_exact_cease () =
    a withdrawn route's announcement to the reconnected peer. *)
 let test_mrai_flap_then_reconnect () =
   let engine = Engine.create () in
-  let clock = Engine.clock engine in
+  let clock = Clock.of_engine engine in
   let router =
     (* MRAI long enough that the flap happens while P2 is buffered. *)
     Router.create ~mrai:5.0 clock Arch.xeon ~local_asn:(asn 65000)

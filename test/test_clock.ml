@@ -26,8 +26,7 @@ let sim_impl =
   { name = "sim";
     with_clock =
       (fun f ->
-        let e = Bgp_sim.Engine.create () in
-        f (Bgp_sim.Engine.clock e)) }
+        f (Clock.of_engine (Bgp_engine.Engine.create ()))) }
 
 let live_impl =
   { name = "live";
@@ -159,6 +158,19 @@ let test_post_reentrancy impl () =
       Alcotest.(check (list int)) "posts run in order" [ 1; 2; 3; 4 ]
         (List.rev !order))
 
+(* A post is a schedule at [now]: timers already due, a delay-0 one
+   and one whose deadline has passed, run first. *)
+let test_post_after_due impl () =
+  impl.with_clock (fun c ->
+      let order = ref [] in
+      let mark i () = order := i :: !order in
+      ignore (Clock.schedule c ~delay:0.0 (mark 1));
+      ignore (Clock.schedule_at c ~time:(Clock.now c -. 100.0) (mark 2));
+      Clock.post c (mark 3);
+      pump c ~what:"timers and post" (fun () -> List.length !order = 3);
+      Alcotest.(check (list int)) "post after the due timers" [ 1; 2; 3 ]
+        (List.rev !order))
+
 let test_schedule_from_callback impl () =
   impl.with_clock (fun c ->
       let chain = ref 0 in
@@ -180,7 +192,7 @@ let test_rearm impl () =
       let at = Clock.now c +. 0.01 in
       let h1 = Clock.schedule_at c ~time:at (mark 1) in
       ignore (Clock.schedule_at c ~time:at (mark 2));
-      Clock.rearm_at h1 ~time:at;
+      Clock.rearm_at c h1 ~time:at;
       Alcotest.(check bool) "pending" false (Clock.cancelled h1);
       pump c ~what:"re-armed pair" (fun () -> List.length !order = 2);
       Alcotest.(check (list int)) "behind a later schedule" [ 2; 1 ]
@@ -220,6 +232,23 @@ let test_rearm_from_callback impl () =
       pump c ~what:"post-chain witness" (fun () -> !witness);
       Alcotest.(check int) "chain of re-armed timers" 3 !count)
 
+(* A past [rearm_at] clamps to the clock's [now], not to an earlier
+   instant: the event joins the due batch in FIFO order.  The sleep
+   lets a live clock's wall time run ahead of its heap's. *)
+let test_rearm_at_past impl () =
+  impl.with_clock (fun c ->
+      let order = ref [] in
+      let mark i () = order := i :: !order in
+      Unix.sleepf 0.002;
+      let h = Clock.schedule c ~delay:0.05 (mark 1) in
+      ignore (Clock.schedule c ~delay:0.0 (mark 2));
+      ignore (Clock.schedule_at c ~time:(Clock.now c -. 100.0) (mark 3));
+      Clock.rearm_at c h ~time:(Clock.now c -. 100.0);
+      ignore (Clock.schedule c ~delay:0.0 (mark 4));
+      pump c ~what:"re-armed due batch" (fun () -> List.length !order = 4);
+      Alcotest.(check (list int)) "at now, FIFO, after the due timers"
+        [ 2; 3; 1; 4 ] (List.rev !order))
+
 let cases impl =
   let tc name f = Alcotest.test_case name `Quick (f impl) in
   ( "contract (" ^ impl.name ^ ")",
@@ -231,9 +260,11 @@ let cases impl =
       tc "cancel self in callback" test_cancel_self_from_callback;
       tc "cancel due peer in callback" test_cancel_peer_from_callback;
       tc "post reentrancy" test_post_reentrancy;
+      tc "post after due timers" test_post_after_due;
       tc "reschedule from callback" test_schedule_from_callback;
       tc "rearm is cancel + schedule" test_rearm;
       tc "rearm postpones" test_rearm_postpones;
-      tc "rearm from callback" test_rearm_from_callback ])
+      tc "rearm from callback" test_rearm_from_callback;
+      tc "rearm_at past fires at now" test_rearm_at_past ])
 
 let () = Alcotest.run "bgp_clock" [ cases sim_impl; cases live_impl ]

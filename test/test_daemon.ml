@@ -31,8 +31,8 @@ type net = {
 }
 
 let sim () =
-  let engine = Bgp_sim.Engine.create () in
-  { name = "sim"; clock = Bgp_sim.Engine.clock engine;
+  let engine = Bgp_engine.Engine.create () in
+  { name = "sim"; clock = Clock.of_engine engine;
     join =
       (fun () ->
         let ch = Channel.create engine () in

@@ -1,7 +1,8 @@
 (* The fault-injection subsystem: corruption oracle, channel taps, and
    the adversarial harness scenarios end to end. *)
 
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
+module Clock = Bgp_engine.Clock
 module Channel = Bgp_netsim.Channel
 module Msg = Bgp_wire.Msg
 module Codec = Bgp_wire.Codec
@@ -25,7 +26,7 @@ let sample_update n =
 let injector ?(profile = Faults.none) () =
   let engine = Engine.create () in
   let metrics = Metrics.create () in
-  (engine, Faults.create ~profile ~clock:(Engine.clock engine) ~metrics ())
+  (engine, Faults.create ~profile ~clock:(Clock.of_engine engine) ~metrics ())
 
 (* ------------------------------------------------------------------ *)
 (* The corruption oracle                                               *)
@@ -90,7 +91,7 @@ let test_corrupt_deterministic () =
 let tapped_channel profile =
   let engine = Engine.create () in
   let metrics = Metrics.create () in
-  let t = Faults.create ~profile ~clock:(Engine.clock engine) ~metrics () in
+  let t = Faults.create ~profile ~clock:(Clock.of_engine engine) ~metrics () in
   let ch = Channel.create engine () in
   let got = ref [] in
   Channel.set_receiver ch Channel.B (fun bytes -> got := bytes :: !got);

@@ -1,6 +1,7 @@
 open Bgp_fsm
 module Msg = Bgp_wire.Msg
 module Link = Bgp_engine.Link
+module Clock = Bgp_engine.Clock
 
 let ip = Bgp_addr.Ipv4.of_string_exn
 let asn = Bgp_route.Asn.of_int
@@ -299,17 +300,17 @@ let null_link =
 type pipe = {
   mutable to_a : string list;
   mutable to_b : string list;
-  engine : Bgp_sim.Engine.t;
+  engine : Bgp_engine.Engine.t;
 }
 
-let new_pipe () = { to_a = []; to_b = []; engine = Bgp_sim.Engine.create () }
+let new_pipe () = { to_a = []; to_b = []; engine = Bgp_engine.Engine.create () }
 
 let make_session pipe ~dir cfg hooks =
   let send bytes =
     if dir = `A then pipe.to_b <- pipe.to_b @ [ bytes ]
     else pipe.to_a <- pipe.to_a @ [ bytes ]
   in
-  Session.create cfg (Bgp_sim.Engine.clock pipe.engine)
+  Session.create cfg (Clock.of_engine pipe.engine)
     { null_link with Link.send } hooks
 
 let pump pipe a b =
@@ -413,21 +414,21 @@ let test_session_hold_reset_then_expiry () =
     (Fsm.state_name (Session.state b));
   (* From here on only the script talks to b; a falls silent. *)
   let keepalive = Bgp_wire.Codec.encode Msg.Keepalive in
-  let last = ref (Bgp_sim.Engine.now e) in
+  let last = ref (Bgp_engine.Engine.now e) in
   for _ = 1 to 10 do
-    Bgp_sim.Engine.run ~until:(!last +. 30.0) e;
+    Bgp_engine.Engine.run ~until:(!last +. 30.0) e;
     pipe.to_a <- [];
     Session.feed b keepalive;
-    last := Bgp_sim.Engine.now e;
+    last := Bgp_engine.Engine.now e;
     Alcotest.(check bool) "at most both sessions' hold and keepalive" true
-      (Bgp_sim.Engine.pending e <= 4)
+      (Bgp_engine.Engine.pending e <= 4)
   done;
   Alcotest.(check string) "up 300 s on a 90 s hold" "Established"
     (Fsm.state_name (Session.state b));
-  Bgp_sim.Engine.run ~until:(!last +. 89.9) e;
+  Bgp_engine.Engine.run ~until:(!last +. 89.9) e;
   Alcotest.(check string) "still up just before expiry" "Established"
     (Fsm.state_name (Session.state b));
-  Bgp_sim.Engine.run ~until:(!last +. 90.1) e;
+  Bgp_engine.Engine.run ~until:(!last +. 90.1) e;
   Alcotest.(check string) "hold expired" "Idle"
     (Fsm.state_name (Session.state b));
   Alcotest.(check bool) "down reported" true (Option.is_some !down)
@@ -438,7 +439,7 @@ let test_session_hold_reset_then_expiry () =
    session must not). *)
 let test_session_dials_only_when_active () =
   let dials cfg =
-    let engine = Bgp_sim.Engine.create () in
+    let engine = Bgp_engine.Engine.create () in
     let n = ref 0 and on_connected = ref ignore and on_closed = ref ignore in
     let link =
       { null_link with
@@ -446,11 +447,11 @@ let test_session_dials_only_when_active () =
         set_on_connected = (fun f -> on_connected := f);
         set_on_closed = (fun f -> on_closed := f) }
     in
-    let s = Session.create cfg (Bgp_sim.Engine.clock engine) link Session.null_hooks in
+    let s = Session.create cfg (Clock.of_engine engine) link Session.null_hooks in
     Session.start s;
     !on_connected ();
     !on_closed ();
-    Bgp_sim.Engine.run ~until:(3.0 *. cfg.Fsm.connect_retry) engine;
+    Bgp_engine.Engine.run ~until:(3.0 *. cfg.Fsm.connect_retry) engine;
     !n
   in
   Alcotest.(check bool) "active dials" true (dials cfg > 0);

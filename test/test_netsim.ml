@@ -1,5 +1,6 @@
 open Bgp_netsim
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
+module Clock = Bgp_engine.Clock
 module Pengine = Bgp_sim.Pengine
 module Sched = Bgp_sim.Sched
 
@@ -166,7 +167,7 @@ let test_forwarding_dedicated () =
 
 let test_forwarding_shared_charges_sched () =
   let e = Engine.create () in
-  let s = Sched.create (Engine.clock e) ~hz:800e6 ~pool:1.0 in
+  let s = Sched.create (Clock.of_engine e) ~hz:800e6 ~pool:1.0 in
   let fwd =
     Forwarding.create
       (Forwarding.Shared
@@ -185,7 +186,7 @@ let test_forwarding_shared_charges_sched () =
 
 let test_forwarding_shared_contention_loss () =
   let e = Engine.create () in
-  let s = Sched.create (Engine.clock e) ~hz:800e6 ~pool:1.0 in
+  let s = Sched.create (Clock.of_engine e) ~hz:800e6 ~pool:1.0 in
   let fwd =
     Forwarding.create
       (Forwarding.Shared

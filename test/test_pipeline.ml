@@ -4,7 +4,8 @@
    reproduce the pre-pipeline hardwired cost formulas exactly for both
    the XORP and IOS execution models. *)
 
-module Engine = Bgp_sim.Engine
+module Engine = Bgp_engine.Engine
+module Clock = Bgp_engine.Clock
 module Sched = Bgp_sim.Sched
 module Channel = Bgp_netsim.Channel
 module Arch = Bgp_router.Arch
@@ -55,7 +56,7 @@ let test_metrics_registry () =
 let test_pipeline_validation () =
   let mk layout specs =
     let engine = Engine.create () in
-    let clock = Engine.clock engine in
+    let clock = Clock.of_engine engine in
     let sched = Sched.create clock ~hz:1e9 ~pool:1.0 in
     Pipeline.create ~clock ~sched ~metrics:(Metrics.create ()) ~layout specs
   in
@@ -128,7 +129,7 @@ type rig = {
 
 let make_rig ?mrai ?(two_peers = false) arch =
   let engine = Engine.create () in
-  let clock = Engine.clock engine in
+  let clock = Clock.of_engine engine in
   let router =
     Router.create ?mrai clock arch ~local_asn:(asn 65000)
       ~router_id:(ip "10.255.0.1")

@@ -1,4 +1,6 @@
 open Bgp_sim
+module Engine = Bgp_engine.Engine
+module Clock = Bgp_engine.Clock
 
 let feq ?(eps = 1e-6) name expect got =
   if Float.abs (expect -. got) > eps then
@@ -601,7 +603,7 @@ let test_rng_split_independent () =
 
 let with_sched ~pool f =
   let e = Engine.create () in
-  let s = Sched.create (Engine.clock e) ~hz:1000.0 ~pool in
+  let s = Sched.create (Clock.of_engine e) ~hz:1000.0 ~pool in
   f e s
 
 let test_sched_single_job () =
@@ -757,7 +759,7 @@ let prop_sched_work_conserving =
       triple (int_range 1 6) (int_range 1 4) (int_range 1 20))
     (fun (nprocs, pool, kilocycles) ->
       let e = Engine.create () in
-      let s = Sched.create (Engine.clock e) ~hz:1000.0 ~pool:(float_of_int pool) in
+      let s = Sched.create (Clock.of_engine e) ~hz:1000.0 ~pool:(float_of_int pool) in
       let cycles = float_of_int (kilocycles * 1000) in
       let done_count = ref 0 in
       for i = 1 to nprocs do
@@ -779,7 +781,7 @@ let prop_sched_fifo_per_proc =
     QCheck2.Gen.(list_size (int_range 1 20) (int_range 1 500))
     (fun jobs ->
       let e = Engine.create () in
-      let s = Sched.create (Engine.clock e) ~hz:1000.0 ~pool:1.0 in
+      let s = Sched.create (Clock.of_engine e) ~hz:1000.0 ~pool:1.0 in
       let p = Sched.add_proc s "p" in
       let other = Sched.add_proc s "other" in
       Sched.submit s other ~cycles:5000.0 (fun () -> ());
@@ -832,7 +834,7 @@ end
 module Replay (S : SCHED) = struct
   let run ~pool ~weights ops =
     let e = Engine.create () in
-    let s = S.create (Engine.clock e) ~hz:1000.0 ~pool in
+    let s = S.create (Clock.of_engine e) ~hz:1000.0 ~pool in
     let procs =
       Array.mapi (fun i w -> S.add_proc s ~weight:w (Printf.sprintf "p%d" i))
         weights
@@ -940,9 +942,9 @@ let prop_sched_matches_reference =
 
 let test_trace_sampling () =
   let e = Engine.create () in
-  let s = Sched.create (Engine.clock e) ~hz:1000.0 ~pool:1.0 in
+  let s = Sched.create (Clock.of_engine e) ~hz:1000.0 ~pool:1.0 in
   let p = Sched.add_proc s "worker" in
-  let tr = Trace.start (Engine.clock e) s ~interval:1.0 () in
+  let tr = Trace.start (Clock.of_engine e) s ~interval:1.0 () in
   (* Busy for the first 2 s at 100%, then idle. *)
   Sched.submit s p ~cycles:2000.0 (fun () -> ());
   Engine.run ~until:4.0 e;
@@ -962,9 +964,9 @@ let test_trace_sampling () =
 
 let test_trace_interrupt_series () =
   let e = Engine.create () in
-  let s = Sched.create (Engine.clock e) ~hz:1000.0 ~pool:1.0 in
+  let s = Sched.create (Clock.of_engine e) ~hz:1000.0 ~pool:1.0 in
   ignore (Sched.add_proc s "w");
-  let tr = Trace.start (Engine.clock e) s ~interval:1.0 () in
+  let tr = Trace.start (Clock.of_engine e) s ~interval:1.0 () in
   Sched.set_interrupt_demand s ~cycles_per_sec:300.0;
   Engine.run ~until:3.0 e;
   Trace.stop tr;

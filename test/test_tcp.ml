@@ -47,7 +47,7 @@ let test_loopback_session () =
     Session.state listener = Fsm.Established
     && Session.state connector = Fsm.Established
   in
-  if not (Loop.run loop ~until:both_up ~timeout:10.0) then
+  if not (Clock.run (Loop.clock loop) ~cond:both_up ~step:10.0) then
     Alcotest.failf "sessions did not establish (listener %s, connector %s)"
       (Fsm.state_name (Session.state listener))
       (Fsm.state_name (Session.state connector));
@@ -57,7 +57,7 @@ let test_loopback_session () =
     (fun chunk -> ignore (Session.send connector (Msg.announcement attrs chunk)))
     (Bgp_speaker.Workload.chunk 100 table);
   let all_received () = !received = 1000 in
-  if not (Loop.run loop ~until:all_received ~timeout:10.0) then
+  if not (Clock.run (Loop.clock loop) ~cond:all_received ~step:10.0) then
     Alcotest.failf "only %d/1000 prefixes received" !received;
   cep.Tcp_link.dispose ();
   lep.Tcp_link.dispose ()
@@ -77,10 +77,10 @@ let test_notification_on_garbage () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let connected () = Session.state listener <> Fsm.Active in
-  ignore (Loop.run loop ~until:connected ~timeout:5.0);
+  ignore (Clock.run (Loop.clock loop) ~cond:connected ~step:5.0);
   ignore (Unix.write fd (Bytes.make 32 '\x00') 0 32);
   let is_down () = Session.state listener = Fsm.Idle in
-  if not (Loop.run loop ~until:is_down ~timeout:5.0) then
+  if not (Clock.run (Loop.clock loop) ~cond:is_down ~step:5.0) then
     Alcotest.fail "listener should reset on garbage";
   (* The listener sent us its OPEN first, then a NOTIFICATION for the
      garbage: walk the messages and confirm the last one is type 3. *)
@@ -148,9 +148,9 @@ let test_refused_dial_retries () =
   let t0 = Clock.now clock in
   Router.attach_peer ~active:true router ~peer ~link:dialer.Tcp_link.link;
   ignore
-    (Loop.run loop
-       ~until:(fun () -> Router.session_state router peer <> Fsm.Connect)
-       ~timeout:5.0);
+    (Clock.run (Loop.clock loop)
+       ~cond:(fun () -> Router.session_state router peer <> Fsm.Connect)
+       ~step:5.0);
   Alcotest.(check string) "session waits in Active" "Active"
     (Fsm.state_name (Router.session_state router peer));
   let retry =
@@ -184,7 +184,7 @@ let test_backpressure_small_writes () =
   link.Bgp_tcp.Tcp_link.listener.Bgp_engine.Link.set_receiver (fun bytes ->
       Buffer.add_string received bytes);
   link.Bgp_tcp.Tcp_link.connector.Bgp_engine.Link.start_connect ();
-  if not (Bgp_tcp.Event_loop.run loop ~until:(fun () -> !connected = 2) ~timeout:5.0)
+  if not (Clock.run (Loop.clock loop) ~cond:(fun () -> !connected = 2) ~step:5.0)
   then Alcotest.fail "link did not connect";
   let n = 50_000 in
   let expected = Buffer.create (1 lsl 20) in
@@ -200,7 +200,7 @@ let test_backpressure_small_writes () =
   let enqueue_dt = Unix.gettimeofday () -. t0 in
   let total = Buffer.length expected in
   let drained () = Buffer.length received = total in
-  if not (Bgp_tcp.Event_loop.run loop ~until:drained ~timeout:30.0) then
+  if not (Clock.run (Loop.clock loop) ~cond:drained ~step:30.0) then
     Alcotest.failf "only %d/%d bytes drained" (Buffer.length received) total;
   Alcotest.(check bool) "payload intact and in order" true
     (String.equal (Buffer.contents received) (Buffer.contents expected));
@@ -212,57 +212,106 @@ let test_backpressure_small_writes () =
   link.Bgp_tcp.Tcp_link.dispose ()
 
 (* ------------------------------------------------------------------ *)
+(* Tap-delayed delivery                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A connected pair whose listener collects what arrives; [connected]
+   counts on_connected notifications on both sides. *)
+let tapped_pair () =
+  let loop = Loop.create () in
+  let clock = Loop.clock loop in
+  let link = Tcp_link.pair loop in
+  let connected = ref 0 and received = Buffer.create 64 in
+  link.connector.set_on_connected (fun () -> incr connected);
+  link.listener.set_on_connected (fun () -> incr connected);
+  link.listener.set_receiver (Buffer.add_string received);
+  link.connector.start_connect ();
+  if not (Clock.run clock ~cond:(fun () -> !connected = 2) ~step:5.0) then
+    Alcotest.fail "link did not connect";
+  (clock, link, connected, received)
+
+let delay_by extra = Some (fun bytes -> Bgp_engine.Link.Deliver (bytes, extra))
+
+let test_tap_delay () =
+  let clock, link, _, received = tapped_pair () in
+  let arrived = ref nan in
+  link.listener.set_receiver (fun bytes ->
+      Buffer.add_string received bytes;
+      arrived := Clock.now clock);
+  link.connector.set_tap (delay_by 0.05);
+  let sent = Clock.now clock in
+  link.connector.send "late";
+  let arrived_all () = Buffer.length received = 4 in
+  if not (Clock.run clock ~cond:arrived_all ~step:5.0) then
+    Alcotest.fail "delayed payload never arrived";
+  Alcotest.(check string) "payload" "late" (Buffer.contents received);
+  Alcotest.(check bool) "no earlier than the tap's delay" true
+    (!arrived -. sent >= 0.05);
+  link.dispose ()
+
+let test_tap_delay_dropped_on_turnover () =
+  let clock, link, connected, received = tapped_pair () in
+  link.connector.set_tap (delay_by 0.05);
+  link.connector.send "stale";
+  (* Turn the connection over while "stale" is still pending. *)
+  link.connector.close ();
+  link.connector.start_connect ();
+  if not (Clock.run clock ~cond:(fun () -> !connected = 4) ~step:5.0) then
+    Alcotest.fail "link did not reconnect";
+  ignore (Clock.run clock ~cond:(fun () -> false) ~step:0.1);
+  link.connector.set_tap None;
+  link.connector.send "fresh";
+  let arrived_some () = Buffer.length received >= 5 in
+  if not (Clock.run clock ~cond:arrived_some ~step:5.0) then
+    Alcotest.fail "fresh payload never arrived";
+  Alcotest.(check string) "old generation dropped" "fresh"
+    (Buffer.contents received);
+  link.dispose ()
+
+(* ------------------------------------------------------------------ *)
 (* Event-loop timers                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_timer_firing_order () =
   (* Let several timers all come due before the loop runs: they must
      still fire in fire_at order, not insertion order. *)
-  let loop = Bgp_tcp.Event_loop.create () in
+  let clock = Loop.clock (Loop.create ()) in
   let fired = ref [] in
   let note tag () = fired := tag :: !fired in
-  let (_ : unit -> unit) = Bgp_tcp.Event_loop.after loop 0.03 (note "c") in
-  let (_ : unit -> unit) = Bgp_tcp.Event_loop.after loop 0.01 (note "a") in
-  let (_ : unit -> unit) = Bgp_tcp.Event_loop.after loop 0.02 (note "b") in
+  ignore (Clock.schedule clock ~delay:0.03 (note "c"));
+  ignore (Clock.schedule clock ~delay:0.01 (note "a"));
+  ignore (Clock.schedule clock ~delay:0.02 (note "b"));
   Unix.sleepf 0.05;
   ignore
-    (Bgp_tcp.Event_loop.run loop
-       ~until:(fun () -> List.length !fired = 3)
-       ~timeout:2.0);
+    (Clock.run clock ~cond:(fun () -> List.length !fired = 3) ~step:2.0);
   Alcotest.(check (list string)) "deadline order" [ "a"; "b"; "c" ]
     (List.rev !fired)
 
 let test_timer_cancel_within_batch () =
   (* A timer cancelled by an earlier timer of the same due batch must
      not fire. *)
-  let loop = Bgp_tcp.Event_loop.create () in
+  let clock = Loop.clock (Loop.create ()) in
   let fired = ref [] in
-  let cancel_b = ref ignore in
-  let (_ : unit -> unit) =
-    Bgp_tcp.Event_loop.after loop 0.01 (fun () ->
-        fired := "a" :: !fired;
-        !cancel_b ())
-  in
-  cancel_b :=
-    Bgp_tcp.Event_loop.after loop 0.02 (fun () -> fired := "b" :: !fired);
-  let (_ : unit -> unit) = Bgp_tcp.Event_loop.after loop 0.03 (fun () -> fired := "c" :: !fired) in
-  Unix.sleepf 0.05;
+  let b = ref None in
   ignore
-    (Bgp_tcp.Event_loop.run loop
-       ~until:(fun () -> List.mem "c" !fired)
-       ~timeout:2.0);
+    (Clock.schedule clock ~delay:0.01 (fun () ->
+         fired := "a" :: !fired;
+         Option.iter Clock.cancel !b));
+  b :=
+    Some (Clock.schedule clock ~delay:0.02 (fun () -> fired := "b" :: !fired));
+  ignore (Clock.schedule clock ~delay:0.03 (fun () -> fired := "c" :: !fired));
+  Unix.sleepf 0.05;
+  ignore (Clock.run clock ~cond:(fun () -> List.mem "c" !fired) ~step:2.0);
   Alcotest.(check (list string)) "b cancelled" [ "a"; "c" ] (List.rev !fired)
 
 let test_timer_beyond_old_poll_cap () =
   (* The loop sleeps to the real next deadline now (no 100 ms poll
      cap); a timer well past that cap must still fire on time. *)
-  let loop = Bgp_tcp.Event_loop.create () in
+  let clock = Loop.clock (Loop.create ()) in
   let fired = ref false in
-  let (_ : unit -> unit) = Bgp_tcp.Event_loop.after loop 0.25 (fun () -> fired := true) in
+  ignore (Clock.schedule clock ~delay:0.25 (fun () -> fired := true));
   let t0 = Unix.gettimeofday () in
-  let ok =
-    Bgp_tcp.Event_loop.run loop ~until:(fun () -> !fired) ~timeout:5.0
-  in
+  let ok = Clock.run clock ~cond:(fun () -> !fired) ~step:5.0 in
   let dt = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "fired" true ok;
   Alcotest.(check bool) "not early" true (dt >= 0.24);
@@ -280,6 +329,12 @@ let () =
       ( "backpressure",
         [ Alcotest.test_case "small writes vs stalled reader" `Quick
             test_backpressure_small_writes
+        ] );
+      ( "tap delay",
+        [ Alcotest.test_case "delivers no earlier than the delay" `Quick
+            test_tap_delay;
+          Alcotest.test_case "dropped when the connection turns over" `Quick
+            test_tap_delay_dropped_on_turnover
         ] );
       ( "timers",
         [ Alcotest.test_case "firing order" `Quick test_timer_firing_order;

@@ -1,5 +1,6 @@
 (* Tests for lib/topo: generators, convergence, determinism, policy. *)
 
+module Clock = Bgp_engine.Clock
 module Topology = Bgp_topo.Topology
 module Net = Bgp_topo.Net
 module Gao_rexford = Bgp_topo.Gao_rexford
@@ -251,11 +252,11 @@ let test_gao_rexford_oracle_agrees () =
 (* ------------------------------------------------------------------ *)
 
 let test_duplicate_attach_rejected () =
-  let module Engine = Bgp_sim.Engine in
+  let module Engine = Bgp_engine.Engine in
   let module Channel = Bgp_netsim.Channel in
   let engine = Engine.create () in
   let router =
-    Router.create (Engine.clock engine) Bgp_router.Arch.pentium3
+    Router.create (Clock.of_engine engine) Bgp_router.Arch.pentium3
       ~local_asn:(Bgp_route.Asn.of_int 65000)
       ~router_id:(Bgp_addr.Ipv4.of_octets 192 0 2 1)
   in
