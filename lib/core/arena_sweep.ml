@@ -44,22 +44,12 @@ let sink_addr = Bgp_addr.Ipv4.of_string_exn "192.0.2.2"
    built before measurement so only the receiver path is on the clock. *)
 let encode_table ?(to_attrs = Bgp_speaker.Table_io.to_attrs) ~packing entries
     ~next_hop =
-  (* Runs newest first, each run's prefixes reversed. *)
-  let runs =
-    List.fold_left
-      (fun runs e ->
-        let attrs = to_attrs ~next_hop e in
-        let p = e.Bgp_speaker.Table_io.e_prefix in
-        match runs with
-        | (a, ps) :: rest when A.equal a attrs -> (a, p :: ps) :: rest
-        | _ -> (attrs, [ p ]) :: runs)
-      [] entries
-  in
-  List.concat_map
-    (fun (attrs, ps) ->
-      List.map Codec.encode
-        (Codec.updates ~max_count:packing (Some (I.intern attrs)) (List.rev ps)))
-    (List.rev runs)
+  List.map Codec.encode
+    (Codec.updates_of_runs ~max_count:packing
+       (List.map
+          (fun e ->
+            (e.Bgp_speaker.Table_io.e_prefix, I.intern (to_attrs ~next_hop e)))
+          entries))
 
 let run_one ~seed ~packing n =
   let entries = Bgp_speaker.Table_io.synthesize ~seed ~n ~speaker_asn () in

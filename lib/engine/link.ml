@@ -1,4 +1,4 @@
-type fate = Pass | Drop | Deliver of string * float
+type fate = Pass | Drop | Deliver of string
 
 type t = {
   send : string -> unit;

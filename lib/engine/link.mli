@@ -9,13 +9,14 @@
 
     An endpoint owns one direction of transmission ([send]) plus the
     callbacks for its own side (receiver, connected, closed) and an
-    outbound tap used by fault injection. *)
+    outbound tap: fault injection swaps in corrupted payloads through
+    it, and the topology layer drops a cut link's bytes.  A tap never
+    delays a message, so the transport keeps its order. *)
 
 type fate =
-  | Pass
-  | Drop
-  | Deliver of string * float
-      (** possibly-tampered payload, extra delivery delay *)
+  | Pass  (** deliver unchanged *)
+  | Drop  (** discard *)
+  | Deliver of string  (** deliver this payload instead *)
 
 type t = {
   send : string -> unit;  (** transmit wire bytes toward the peer *)

@@ -5,23 +5,8 @@ module Msg = Bgp_wire.Msg
 module Codec = Bgp_wire.Codec
 module Metrics = Bgp_stats.Metrics
 
-type profile = {
-  seed : int;
-  corrupt_prob : float;
-  truncate_prob : float;
-  drop_prob : float;
-  reorder_prob : float;
-  reorder_delay : float;
-  blackhole : (float * float) option;
-}
-
-let none =
-  { seed = 0; corrupt_prob = 0.0; truncate_prob = 0.0; drop_prob = 0.0;
-    reorder_prob = 0.0; reorder_delay = 0.0; blackhole = None }
-
 type t = {
   clock : Clock.t;
-  prof : profile;
   rng : Rng.t;
   c_injected : Metrics.counter;
   c_malformed_dropped : Metrics.counter;
@@ -39,9 +24,8 @@ let malformed_dropped_name = "faults.malformed_dropped"
 let session_restarts_name = "faults.session_restarts"
 let reconverge_name = "faults.reconverge_seconds"
 
-let create ?(profile = none) ?tracer ?(trace_process = "bgpmark") ~clock
-    ~metrics () =
-  { clock; prof = profile; rng = Rng.create profile.seed;
+let create ?tracer ?(trace_process = "bgpmark") ~clock ~metrics () =
+  { clock; rng = Rng.create 0;
     c_injected = Metrics.counter metrics injected_name;
     c_malformed_dropped = Metrics.counter metrics malformed_dropped_name;
     c_session_restarts = Metrics.counter metrics session_restarts_name;
@@ -58,8 +42,6 @@ let trace_fate t ~fate ~detail =
   | Some (tr, tk) ->
     Bgp_trace.Tracer.fault tr tk ~ts:(Clock.now t.clock) ~fate ~detail
   | None -> ()
-
-let profile t = t.prof
 
 (* ------------------------------------------------------------------ *)
 (* The corruption oracle                                               *)
@@ -129,17 +111,9 @@ let corrupt t wire =
 let is_update wire =
   String.length wire > 18 && Char.code wire.[18] = 2
 
-let blackholed t =
-  match t.prof.blackhole with
-  | Some (t0, t1) ->
-    let now = Clock.now t.clock in
-    now >= t0 && now < t1
-  | None -> false
-
-let draw t p = p > 0.0 && Rng.float t.rng 1.0 < p
-
 let apply_faults t wire =
-  if t.armed > 0 && is_update wire then begin
+  if t.armed = 0 || not (is_update wire) then Link.Pass
+  else begin
     t.armed <- t.armed - 1;
     match corrupt t wire with
     | Some (mutant, err) ->
@@ -149,37 +123,9 @@ let apply_faults t wire =
       let code, sub = Msg.error_code err in
       trace_fate t ~fate:"corrupt-armed"
         ~detail:(Printf.sprintf "expect NOTIFICATION %d/%d" code sub);
-      Link.Deliver (mutant, 0.0)
+      Link.Deliver mutant
     | None -> Link.Pass
   end
-  else if blackholed t then begin
-    Metrics.incr t.c_injected;
-    trace_fate t ~fate:"blackhole" ~detail:"";
-    Link.Drop
-  end
-  else if draw t t.prof.truncate_prob then (
-    match truncate_fixup t.rng wire with
-    | Some mutant ->
-      Metrics.incr t.c_injected;
-      trace_fate t ~fate:"truncate" ~detail:"";
-      Link.Deliver (mutant, 0.0)
-    | None -> Link.Pass)
-  else if draw t t.prof.corrupt_prob then begin
-    Metrics.incr t.c_injected;
-    trace_fate t ~fate:"bitflip" ~detail:"";
-    Link.Deliver (flip_byte t.rng wire, 0.0)
-  end
-  else if draw t t.prof.drop_prob then begin
-    Metrics.incr t.c_injected;
-    trace_fate t ~fate:"drop" ~detail:"";
-    Link.Drop
-  end
-  else if draw t t.prof.reorder_prob then begin
-    Metrics.incr t.c_injected;
-    trace_fate t ~fate:"reorder" ~detail:"";
-    Link.Deliver (wire, Rng.float t.rng t.prof.reorder_delay)
-  end
-  else Link.Pass
 
 let tap_adversarial t (link : Link.t) = Link.tap link (apply_faults t)
 

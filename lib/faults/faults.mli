@@ -1,29 +1,23 @@
-(** Deterministic, seed-driven fault injection for adversarial BGP
-    workloads.
+(** Deterministic fault injection for adversarial BGP workloads.
 
     The paper's eight scenarios assume well-formed, well-behaved
     peers.  This layer threads controlled misbehavior through the
-    simulated transport so the harness can also characterize the
-    router's error paths:
+    transport so the harness can also characterize the router's error
+    paths:
 
-    - {b byte-level faults} — corruption and truncation of encoded
-      messages between a {!Bgp_speaker.Speaker} and the router's
-      framer, each mutation pre-validated through the codec so the
-      RFC 4271 NOTIFICATION the router must answer with is known in
-      advance;
+    - {b armed corruption} — one-shot mutation of the next encoded
+      UPDATE between a {!Bgp_speaker.Speaker} and the router's framer,
+      pre-validated through the codec so the RFC 4271 NOTIFICATION the
+      router must answer with is known in advance (scenario 9);
     - {b session faults} — unsolicited TCP resets (transport close
-      under the session), speaker-initiated CEASE + reconnect
-      flaps, and hold-timer starvation (a blackhole window longer than
-      the negotiated hold time);
-    - {b channel impairments} — probabilistic loss, reordering (extra
-      per-message delay), applied below BGP's TCP reliability
-      assumption, which is exactly why they must never crash the
-      decoder or the FSM.
+      under the session) and speaker-initiated CEASE + reconnect
+      flaps, which the harness injects and reports here (scenarios 10
+      and 14).
 
-    Everything is off by default ({!none}); a profile only takes
-    effect on channels explicitly tapped.  All randomness flows from
-    one {!Bgp_sim.Rng} stream seeded by the profile, so identical
-    profiles replay identical fault sequences.
+    Nothing happens until an adversarial tap is installed and a
+    corruption armed: an unarmed tap passes every message unchanged.
+    The mutations draw from one {!Bgp_sim.Rng} stream with a fixed
+    seed, so identical runs replay identical mutants.
 
     The injector counts injected faults, malformed UPDATEs dropped and
     session restarts, and times re-convergence, in the router's metrics
@@ -31,27 +25,10 @@
     way to them, and the harness's fault report, the bench smoke run
     and [bgpbench] output read them from a phase's frozen copy. *)
 
-type profile = {
-  seed : int;
-  corrupt_prob : float;   (** chance a sent message is byte-flipped *)
-  truncate_prob : float;  (** chance a sent message is truncated *)
-  drop_prob : float;      (** chance a sent message is lost *)
-  reorder_prob : float;   (** chance a message takes the slow path *)
-  reorder_delay : float;  (** extra delay (s) for reordered messages *)
-  blackhole : (float * float) option;
-      (** absolute virtual-time window during which every tapped
-          message is dropped — starves the hold timer *)
-}
-
-val none : profile
-(** All probabilities zero, no blackhole: a tapped channel behaves
-    exactly like an untapped one. *)
-
 type t
 (** A fault injector bound to one clock and metrics registry. *)
 
 val create :
-  ?profile:profile ->
   ?tracer:Bgp_trace.Tracer.t ->
   ?trace_process:string ->
   clock:Bgp_engine.Clock.t ->
@@ -60,22 +37,19 @@ val create :
   t
 (** Registers the injector's counters and histogram in [metrics] (so a
     phase-boundary {!Bgp_stats.Metrics.reset_all} clears them with
-    everything else).  Default profile {!none}.
+    everything else).
 
-    With [tracer], every injected fate (corrupt-armed, bitflip,
-    truncate, drop, reorder, blackhole), observed NOTIFICATION and
+    With [tracer], every armed corruption, observed NOTIFICATION and
     session fault/restart becomes an instant event on a
     [trace_process]/"faults" track (default process ["bgpmark"]). *)
-
-val profile : t -> profile
 
 (** {1 Channel taps} *)
 
 val tap_adversarial : t -> Bgp_engine.Link.t -> unit
 (** Install the fault tap on messages sent {e by} the given endpoint
-    (normally the speaker side): applies armed one-shot corruptions
-    first, then the profile's probabilistic truncation, corruption,
-    blackhole, loss, and reordering.  Works on any
+    (normally the speaker side): the next UPDATE after
+    {!arm_corrupt_next} is replaced by its mutant, and every other
+    message passes unchanged.  Works on any
     {!Bgp_engine.Link.t} — simulated channel side or live TCP
     connection alike. *)
 
@@ -103,8 +77,8 @@ val notifications_seen : t -> Bgp_wire.Msg.error list
 val all_answered : t -> bool
 (** Every expected error was answered by a transmitted NOTIFICATION
     with the matching RFC 4271 code/subcode, in order (extra
-    notifications, e.g. hold-timer expiries under loss, are allowed
-    in between). *)
+    notifications, e.g. a CEASE from a session fault, are allowed in
+    between). *)
 
 (** {1 The corruption oracle (exposed for property tests)} *)
 

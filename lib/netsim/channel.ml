@@ -6,7 +6,7 @@ type side = A | B
 type fate = Bgp_engine.Link.fate =
   | Pass
   | Drop
-  | Deliver of string * float  (* possibly-tampered payload, extra delay *)
+  | Deliver of string
 
 (* One side of the channel.  Everything in it is owned by the domain
    draining [eng]: the side's callbacks, its sender state, and its view
@@ -140,12 +140,10 @@ let send t side bytes =
     match fate with
     | Drop -> ()
     | Pass | Deliver _ ->
-      let bytes, extra =
-        match fate with Deliver (b, d) -> (b, d) | _ -> (bytes, 0.0)
-      in
+      let bytes = match fate with Deliver b -> b | _ -> bytes in
       let gen = s.gen in
       s.sent <- s.sent + 1;
-      post t ~src:s ~dst:r ~time:(start +. ser +. t.latency +. extra) (fun () ->
+      post t ~src:s ~dst:r ~time:(start +. ser +. t.latency) (fun () ->
           r.arrived <- r.arrived + 1;
           if r.opened && r.gen = gen then r.receiver bytes)
   end

@@ -10,10 +10,8 @@ type side = A | B
 
 type fate = Bgp_engine.Link.fate =
   | Pass  (** deliver unchanged *)
-  | Drop  (** silently discard (transport-level loss) *)
-  | Deliver of string * float
-      (** deliver this (possibly tampered) payload with the given extra
-          delay on top of the channel latency (corruption/reordering) *)
+  | Drop  (** silently discard (a cut link) *)
+  | Deliver of string  (** deliver this tampered payload instead *)
 
 type t
 
@@ -51,8 +49,8 @@ val set_on_closed : t -> side -> (unit -> unit) -> unit
 
 val set_tap : t -> side -> (string -> fate) -> unit
 (** Install a fault-injection tap on bytes {e sent by} [side]: every
-    [send] consults the tap to pass, drop, tamper with, or delay the
-    payload.  Serialization cost is always charged for the original
+    [send] consults the tap to pass, drop, or tamper with the
+    payload, which keeps its place in the stream.  Serialization cost is always charged for the original
     bytes.  The default (no tap) is exactly the loss-free channel —
     taps exist for the {!Bgp_faults} adversarial scenarios and change
     nothing until installed. *)

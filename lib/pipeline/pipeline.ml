@@ -173,7 +173,7 @@ let record_dispatch st cycles =
   Metrics.incr st.m_batches;
   Metrics.observe st.m_cycles cycles
 
-let record_finish st w = Metrics.incr ~by:(st.spec.sp_units w) st.m_units
+let record_finish st w = Metrics.add st.m_units (st.spec.sp_units w)
 
 (* --- Pipelined layout: one scheduled job per proc-bearing stage. ---- *)
 

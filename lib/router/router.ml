@@ -365,28 +365,20 @@ let emit_announcement t (w : Pipeline.work) (a : Rib_manager.announcement) =
    shared-attrs check is an O(1) arena-id comparison), at most 200
    prefixes and {!Msg.max_len} bytes per message. *)
 let pack_export anns =
-  let runs =
-    List.fold_left
-      (fun runs (a : Rib_manager.announcement) ->
-        match a.Rib_manager.ann_attrs, runs with
-        | None, _ -> runs
-        | Some interned, (cur, prefixes) :: rest
-          when Interned.equal cur interned ->
-          (cur, a.Rib_manager.ann_prefix :: prefixes) :: rest
-        | Some interned, _ -> (interned, [ a.Rib_manager.ann_prefix ]) :: runs)
-      [] anns
-  in
-  List.concat_map
-    (fun (interned, prefixes) ->
-      Codec.updates ~max_count:200 (Some interned) (List.rev prefixes))
-    (List.rev runs)
+  Codec.updates_of_runs ~max_count:200
+    (List.filter_map
+       (fun (a : Rib_manager.announcement) ->
+         Option.map
+           (fun interned -> (a.Rib_manager.ann_prefix, interned))
+           a.Rib_manager.ann_attrs)
+       anns)
 
 (* ------------------------------------------------------------------ *)
 (* The update pipeline                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let note_transactions t n =
-  Metrics.incr ~by:n t.c_transactions;
+  Metrics.add t.c_transactions n;
   t.last_transaction_at <- Some (Clock.now t.clock)
 
 (* A RIB outcome produced off the update pipeline (local origination,
@@ -540,7 +532,7 @@ let on_update t peer_link (u : Msg.update) =
   let now = Clock.now t.clock in
   if t.first_work_at = None then t.first_work_at <- Some now;
   Metrics.incr t.c_updates_rx;
-  Metrics.incr ~by:(List.length u.Msg.withdrawn) t.c_withdrawn_rx;
+  Metrics.add t.c_withdrawn_rx (List.length u.Msg.withdrawn);
   process_update t peer_link ~bytes:peer_link.last_rx_size u
 
 (* Ship a full advertisement set to one peer, packed into large
@@ -652,11 +644,11 @@ let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?rr_client
       on_tx_msg =
         (fun _ bytes ->
           Metrics.incr t.c_msgs_tx;
-          Metrics.incr ~by:bytes t.c_bytes_tx);
+          Metrics.add t.c_bytes_tx bytes);
       on_rx_msg =
         (fun _ bytes ->
           Metrics.incr t.c_msgs_rx;
-          Metrics.incr ~by:bytes t.c_bytes_rx;
+          Metrics.add t.c_bytes_rx bytes;
           lnk.last_rx_size <- bytes) }
   in
   let session = Session.create cfg t.clock link hooks in

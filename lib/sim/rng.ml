@@ -1,5 +1,5 @@
 (* SplitMix in the 62-bit positive-int domain: good diffusion, no
-   dependence on the global Random state, O(1) split. *)
+   dependence on the global Random state. *)
 type t = { mutable state : int }
 
 let mask = (1 lsl 62) - 1
@@ -14,7 +14,6 @@ let next t =
   mix t.state
 
 let create seed = { state = mix (seed land mask) }
-let split t = { state = mix (next t) }
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -23,9 +22,3 @@ let int t n =
 let float t x = float_of_int (next t land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53) *. x
 
 let bool t = next t land 1 = 1
-
-let exponential t ~mean =
-  let u = ref (float t 1.0) in
-  (* avoid log 0 *)
-  if !u <= 0.0 then u := 1e-300;
-  -.mean *. log !u

@@ -4,11 +4,9 @@ module I = Bgp_route.Attrs.Interned
 module Ipv4 = Bgp_addr.Ipv4
 module Prefix_gen = Bgp_addr.Prefix_gen
 
-let records ?(seed = 42) ?(events = -1) ?local_asn ~n ~speaker_asn ~next_hop ()
-    =
+let records ?(seed = 42) ?(events = -1) ~n ~speaker_asn ~next_hop () =
   if n < 1 then invalid_arg "Mrt_gen.records: n must be >= 1";
   let events = if events < 0 then max 20 (n / 5) else events in
-  let local_asn = Option.value local_asn ~default:speaker_asn in
   let entries = Table_io.synthesize ~seed ~n ~speaker_asn () in
   let prefixes = Array.of_list (List.map (fun e -> e.Table_io.e_prefix) entries) in
   let routes =
@@ -28,7 +26,7 @@ let records ?(seed = 42) ?(events = -1) ?local_asn ~n ~speaker_asn ~next_hop ()
        so the write -> read roundtrip reproduces offsets bit-for-bit. *)
     let ms_time = float_of_int (i * 20_000) /. 1e6 in
     Mrt.Message
-      { Mrt.ms_time; ms_peer_asn = speaker_asn; ms_local_asn = local_asn;
+      { Mrt.ms_time; ms_peer_asn = speaker_asn; ms_local_asn = speaker_asn;
         ms_peer_addr = next_hop; ms_local_addr = local_addr; ms_msg = msg }
   in
   let trace =

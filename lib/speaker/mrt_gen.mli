@@ -10,14 +10,13 @@
 val records :
   ?seed:int ->
   ?events:int ->
-  ?local_asn:Bgp_route.Asn.t ->
   n:int ->
   speaker_asn:Bgp_route.Asn.t ->
   next_hop:Bgp_addr.Ipv4.t ->
   unit ->
   Bgp_mrt.Mrt.record list
 (** [events] defaults to [max 20 (n / 5)]; pass [0] for a
-    table-only dump.  [local_asn] (collector side of the BGP4MP
-    headers) defaults to [speaker_asn].
+    table-only dump.  The BGP4MP headers carry [speaker_asn] on both
+    the peer and the collector side.
     @raise Invalid_argument if [n < 1]: the trace draws its prefixes
     from the table. *)

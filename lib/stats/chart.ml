@@ -2,8 +2,10 @@ type series = { label : string; points : (float * float) list }
 
 let glyphs = [| '*'; '+'; 'x'; 'o'; '#'; '@'; '%' |]
 
-let render ?(width = 72) ?(height = 20) ?(log_y = false) ~x_label ~y_label
-    series =
+let width = 72
+let height = 20
+
+let render ?(log_y = false) ~x_label ~y_label series =
   let all_points = List.concat_map (fun s -> s.points) series in
   match all_points with
   | [] -> Printf.sprintf "(no data for %s vs %s)\n" y_label x_label

@@ -8,9 +8,8 @@
 type series = { label : string; points : (float * float) list }
 
 val render :
-  ?width:int -> ?height:int -> ?log_y:bool ->
-  x_label:string -> y_label:string -> series list -> string
-(** Default 72x20 characters.  [log_y] plots log10 of positive values
+  ?log_y:bool -> x_label:string -> y_label:string -> series list -> string
+(** 72x20 characters.  [log_y] plots log10 of positive values
     (the paper's Fig. 5 uses a log y-axis).  Series are drawn with the
     glyphs [* + x o # @ %] in order. *)
 

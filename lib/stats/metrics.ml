@@ -47,12 +47,12 @@ let counter t name =
   register t (Counter c);
   c
 
-let add c by =
-  if by < 0 then
-    invalid_arg (Printf.sprintf "Metrics.incr: negative step %d on %s" by c.c_name);
-  c.c_value <- c.c_value + by
+let add c n =
+  if n < 0 then
+    invalid_arg (Printf.sprintf "Metrics.add: negative step %d on %s" n c.c_name);
+  c.c_value <- c.c_value + n
 
-let incr ?(by = 1) c = add c by
+let incr c = c.c_value <- c.c_value + 1
 
 let value c = c.c_value
 

@@ -27,17 +27,15 @@ val counter : t -> string -> counter
 (** Register a monotonic counter under [name].
     @raise Invalid_argument if [name] is already registered. *)
 
-val incr : ?by:int -> counter -> unit
-(** Add [by] (default 1) to the counter.  A counter is a plain int
-    with one writing domain: a partitioned run ({!Bgp_sim.Pengine})
-    reads it from the coordinating domain only between windows, after
-    the barrier.
-    @raise Invalid_argument if [by] is negative (counters are monotonic
-    between resets). *)
+val incr : counter -> unit
+(** Add 1 to the counter.  A counter is a plain int with one writing
+    domain: a partitioned run ({!Bgp_sim.Pengine}) reads it from the
+    coordinating domain only between windows, after the barrier. *)
 
 val add : counter -> int -> unit
-(** [add c n] is [incr ~by:n c] without the optional argument's box:
-    for per-prefix hot paths that must not allocate. *)
+(** [add c n] adds [n] to the counter.
+    @raise Invalid_argument if [n] is negative (counters are monotonic
+    between resets). *)
 
 val value : counter -> int
 

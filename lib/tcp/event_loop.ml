@@ -61,10 +61,12 @@ let unwatch t fd =
   end;
   unwatch_write t fd
 
-(* Clamp to live [now], not the (lagging) heap time: a deadline in the
-   past must fire after everything already due. *)
+(* Clamp to live time, not the (lagging) heap time: a deadline in the
+   past must fire after everything already due.  The high-water mark is
+   live time as of the caller's last read ([Clock.schedule] has just
+   read it to add the delay), so the clamp reads no clock of its own. *)
 let schedule_at t ~time fn =
-  Engine.schedule_at t.timers ~time:(Float.max time (now t)) fn
+  Engine.schedule_at t.timers ~time:(Float.max time t.last_now) fn
 
 let dispatch watchers fds =
   List.iter

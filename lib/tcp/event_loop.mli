@@ -3,12 +3,12 @@
     over actual sockets.  It is a {!Bgp_engine.Clock} ({!clock}) plus
     file-descriptor watchers.
 
-    Every event — timers, posts, tap-delayed deliveries, connection
-    notifications — goes on one embedded {!Bgp_engine.Engine} heap
-    whose virtual time is only ever advanced to elapsed wall-clock
-    time, so live event semantics are the simulator's by construction:
-    deadline order with FIFO tie-breaks at equal deadlines, a post
-    after the events already due, and idempotent cancellation.  Time is
+    Every event — timers, posts, connection notifications — goes on
+    one embedded {!Bgp_engine.Engine} heap whose virtual time is only
+    ever advanced to elapsed wall-clock time, so live event semantics
+    are the simulator's by construction: deadline order with FIFO
+    tie-breaks at equal deadlines, a post after the events already
+    due, and idempotent cancellation.  Time is
     monotonized (never decreases even if [gettimeofday] steps
     backwards), so a clock step cannot starve or spuriously fire armed
     timers. *)

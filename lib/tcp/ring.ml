@@ -4,8 +4,7 @@ type t = {
   mutable len : int;   (* queued bytes; tail = (head + len) mod cap *)
 }
 
-let create ?(initial = 4096) () =
-  { buf = Bytes.create (max 1 initial); head = 0; len = 0 }
+let create () = { buf = Bytes.create 4096; head = 0; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0

@@ -10,9 +10,9 @@
 
 type t
 
-val create : ?initial:int -> unit -> t
-(** Empty ring with [initial] (default 4096) bytes of capacity; grows
-    by doubling as needed, never shrinks. *)
+val create : unit -> t
+(** Empty ring with 4096 bytes of capacity; grows by doubling as
+    needed, never shrinks. *)
 
 val length : t -> int
 val is_empty : t -> bool

@@ -3,13 +3,10 @@ module Link = Bgp_engine.Link
 
 type role = Connector of Unix.sockaddr | Listener
 
-(* One endpoint's connection state.  [gen] increments on every
-   (re)connect and close; tap-delayed deliveries capture it at send
-   time and are discarded on mismatch, mirroring the simulated
-   channel's generation guard. *)
+(* One endpoint's connection state. *)
 type conn = {
   loop : Event_loop.t;
-  clock : Clock.t;  (* the loop's: connection events and delayed taps *)
+  clock : Clock.t;  (* the loop's: connection events *)
   role : role;
   mutable fd : Unix.file_descr option;
   out : Ring.t;  (* queued output not yet accepted by the socket *)
@@ -19,7 +16,6 @@ type conn = {
   mutable on_closed : unit -> unit;
   mutable on_failed : unit -> unit;
   mutable tap : (string -> Link.fate) option;
-  mutable gen : int;
 }
 
 let make_conn loop role =
@@ -27,7 +23,7 @@ let make_conn loop role =
     out = Ring.create (); read_buf = Bytes.create 65536;
     receiver = (fun _ -> ());
     on_connected = (fun () -> ()); on_closed = (fun () -> ());
-    on_failed = (fun () -> ()); tap = None; gen = 0 }
+    on_failed = (fun () -> ()); tap = None }
 
 let teardown ?(notify = true) c =
   match c.fd with
@@ -37,7 +33,6 @@ let teardown ?(notify = true) c =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     c.fd <- None;
     Ring.clear c.out;
-    c.gen <- c.gen + 1;
     (* Deliver the close from the pump, as the simulated channel does,
        so a session never observes its own [close] reentrantly. *)
     if notify then Clock.post c.clock (fun () -> c.on_closed ())
@@ -87,7 +82,6 @@ let install c fd =
   teardown ~notify:false c;
   Unix.set_nonblock fd;
   c.fd <- Some fd;
-  c.gen <- c.gen + 1;
   Event_loop.watch_read c.loop fd (handle_readable c fd);
   Clock.post c.clock (fun () -> if c.fd = Some fd then c.on_connected ())
 
@@ -108,25 +102,16 @@ let start_connect c =
     end
 
 (* Outbound tap, consulted once per [send] — message granularity, like
-   the simulated channel's tap.  Delayed deliveries ride the loop's
-   clock and are dropped if the connection turned over meanwhile. *)
+   the simulated channel's tap. *)
 let send c bytes =
-  if c.fd <> None && bytes <> "" then begin
+  if c.fd <> None && bytes <> "" then
     match c.tap with
     | None -> enqueue c bytes
     | Some f -> (
       match f bytes with
       | Link.Pass -> enqueue c bytes
       | Link.Drop -> ()
-      | Link.Deliver (payload, extra) ->
-        if extra <= 0.0 then enqueue c payload
-        else begin
-          let gen = c.gen in
-          ignore
-            (Clock.schedule c.clock ~delay:extra (fun () ->
-                 if c.gen = gen then enqueue c payload))
-        end)
-  end
+      | Link.Deliver payload -> enqueue c payload)
 
 let endpoint c =
   { Link.send = (fun bytes -> send c bytes);

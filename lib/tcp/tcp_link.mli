@@ -4,18 +4,18 @@
     either a listener on a loopback port (passive, as the router under
     test is in the paper's setup) or a connector that dials one (whose
     [start_connect] actually opens the socket).  Both kinds, on one
-    {!Event_loop}, may talk to each other or to another process; reads,
-    connection events, and tap-delayed deliveries all flow through the
-    loop, so callback context matches the simulated channel
-    (everything fires from the pump, never from inside [send]).
+    {!Event_loop}, may talk to each other or to another process; reads
+    and connection events flow through the loop, so callback context
+    matches the simulated channel (everything fires from the pump,
+    never from inside [send]).
 
     Semantics mirrored from the simulated channel:
     - outbound taps see whole messages (one [send] = one tap consult)
-      and may pass, drop, tamper, or delay them;
+      and may pass, drop, or tamper with them, in order;
     - closing either endpoint tears the connection down on both sides
       (close/EOF), after which the connector may [start_connect] again
-      — a new connection generation; tap-delayed bytes from the old
-      connection are discarded, never delivered into the new stream;
+      — a new connection, whose stream starts empty: output still
+      queued for the old one is discarded;
     - output is queued and flushed as the peer drains it (write
       readiness), so a burst larger than the socket buffers cannot
       deadlock the single-threaded loop.

@@ -48,8 +48,8 @@ let asn_of_index ~n i = Asn.of_int (if n <= 1023 then 64512 + i else i + 1)
 
 let addr_of_index i = Ipv4.of_octets 10 (i lsr 8) (i land 0xff) 1
 
-let create ?(arch = Arch.pentium3) ?(mode = Transit) ?(latency = 1e-4)
-    ?(domains = 1) ?tracer ?(trace_prefix = "topo") topo =
+let create ?(arch = Arch.pentium3) ?(mode = Transit) ?(domains = 1) ?tracer
+    ?(trace_prefix = "topo") topo =
   let n = topo.Topology.n in
   if n > 65535 then
     invalid_arg
@@ -107,7 +107,7 @@ let create ?(arch = Arch.pentium3) ?(mode = Transit) ?(latency = 1e-4)
     List.map
       (fun (u, v) ->
         let ch =
-          Channel.create_cross pe ~part_a:part.(u) ~part_b:part.(v) ~latency ()
+          Channel.create_cross pe ~part_a:part.(u) ~part_b:part.(v) ()
         in
         let nu = nodes.(u) and nv = nodes.(v) in
         let peer_v =

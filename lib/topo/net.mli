@@ -30,16 +30,16 @@ type t
 val create :
   ?arch:Bgp_router.Arch.t ->
   ?mode:policy_mode ->
-  ?latency:float ->
   ?domains:int ->
   ?tracer:Bgp_trace.Tracer.t ->
   ?trace_prefix:string ->
   Topology.t ->
   t
 (** Build the graph (default arch: the Pentium III software router;
-    default mode [Transit]; default per-link latency 100 us).  All
-    state lives on a fresh private engine; nothing is shared with any
-    single-DUT harness run.
+    default mode [Transit]); every link is a {!Bgp_netsim.Channel}
+    with its default latency, 100 us.  All state lives on a fresh
+    private engine; nothing is shared with any single-DUT harness
+    run.
 
     [domains] (default 1) splits the network over that many simulation
     partitions of a {!Bgp_sim.Pengine}: vertices are assigned by

@@ -96,8 +96,8 @@ let episode ?timeout net =
     ep_reached = count_true got; ep_fingerprint = fingerprint;
     ep_wall_s = wall_s; ep_verified = verified }
 
-let run_convergence ?(arch = Arch.pentium3) ?(mode = Net.Transit) ?(seed = 42)
-    ?tracer ~kind ~n () =
+let run_convergence ?(mode = Net.Transit) ?(seed = 42) ?tracer ~kind ~n () =
+  let arch = Arch.pentium3 in
   let topo = Topology.make ~seed kind ~n in
   let net =
     Net.create ~arch ~mode ?tracer
@@ -113,8 +113,8 @@ let run_convergence ?(arch = Arch.pentium3) ?(mode = Net.Transit) ?(seed = 42)
     cr_msgs_tx = sum_counters net n (fun k -> k.Router.msgs_tx);
     cr_reached = ep.ep_reached; cr_verified = ep.ep_verified }
 
-let sweep ?arch ?mode ?seed ?tracer ~kind ~sizes () =
-  List.map (fun n -> run_convergence ?arch ?mode ?seed ?tracer ~kind ~n ()) sizes
+let sweep ?mode ?seed ?tracer ~kind ~sizes () =
+  List.map (fun n -> run_convergence ?mode ?seed ?tracer ~kind ~n ()) sizes
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 12: link failure                                           *)
@@ -167,8 +167,9 @@ let components ~n ~edges =
   done;
   comp
 
-let run_link_failure ?(arch = Arch.pentium3) ?(mode = Net.Transit)
-    ?(seed = 42) ?cut ?tracer ~kind ~n () =
+let run_link_failure ?(mode = Net.Transit) ?(seed = 42) ?cut ?tracer ~kind ~n
+    () =
+  let arch = Arch.pentium3 in
   let topo = Topology.make ~seed kind ~n in
   let edges = topo.Topology.edges in
   let without e = List.filter (fun e' -> e' <> e) edges in

@@ -39,7 +39,6 @@ type convergence_run = {
 }
 
 val run_convergence :
-  ?arch:Bgp_router.Arch.t ->
   ?mode:Net.policy_mode ->
   ?seed:int ->
   ?tracer:Bgp_trace.Tracer.t ->
@@ -47,12 +46,11 @@ val run_convergence :
   n:int ->
   unit ->
   convergence_run
-(** Scenario 11 at one size.  Defaults: Pentium III, [Transit],
-    seed 42.  Vertex 0 is the origin.  [tracer] records per-node
+(** Scenario 11 at one size, every node a Pentium III.  Defaults:
+    [Transit], seed 42.  Vertex 0 is the origin.  [tracer] records per-node
     structured trace events under ["<kind>-<n>/node-<i>"]. *)
 
 val sweep :
-  ?arch:Bgp_router.Arch.t ->
   ?mode:Net.policy_mode ->
   ?seed:int ->
   ?tracer:Bgp_trace.Tracer.t ->
@@ -82,7 +80,6 @@ type link_failure_run = {
 }
 
 val run_link_failure :
-  ?arch:Bgp_router.Arch.t ->
   ?mode:Net.policy_mode ->
   ?seed:int ->
   ?cut:int * int ->
@@ -91,10 +88,10 @@ val run_link_failure :
   n:int ->
   unit ->
   link_failure_run
-(** Scenario 12.  Without [cut], fails the first edge whose removal
-    keeps the graph connected (falling back to the first edge on trees,
-    where the run then verifies the partition's unreachability instead
-    of healing).
+(** Scenario 12, every node a Pentium III.  Without [cut], fails the
+    first edge whose removal keeps the graph connected (falling back to
+    the first edge on trees, where the run then verifies the
+    partition's unreachability instead of healing).
     @raise Invalid_argument if [cut] names a non-edge. *)
 
 type scale_run = {

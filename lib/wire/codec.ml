@@ -255,6 +255,21 @@ let updates ?(max_count = max_int) attrs prefixes =
       (Msg.announcement_interned h)
       (chunks ~max_count ~room:(update_room - Buffer.length b) prefixes)
 
+let updates_of_runs ~max_count routes =
+  (* Runs newest first, each run's prefixes reversed. *)
+  let runs =
+    List.fold_left
+      (fun runs (prefix, h) ->
+        match runs with
+        | (cur, prefixes) :: rest when A.Interned.equal cur h ->
+          (cur, prefix :: prefixes) :: rest
+        | _ -> (h, [ prefix ]) :: runs)
+      [] routes
+  in
+  List.concat_map
+    (fun (h, prefixes) -> updates ~max_count (Some h) (List.rev prefixes))
+    (List.rev runs)
+
 let group_by_attrs routes =
   let groups = A.Interned.Tbl.create 16 in
   (* Walk the routes backwards: consing then leaves each group in input

@@ -36,6 +36,17 @@ val updates :
     gets a message of its own, which {!encode} then rejects.
     @raise Invalid_argument when [max_count < 1]. *)
 
+val updates_of_runs :
+  max_count:int ->
+  (Bgp_addr.Prefix.t * Bgp_route.Attrs.Interned.t) list ->
+  Msg.t list
+(** Pack routes, in order, a run of consecutive routes sharing one
+    attribute handle at a time: {!updates} [~max_count] on each run.
+    Equal attributes that are not adjacent stay in separate runs, so
+    the messages follow the input order, as a table dump replays it.
+    @raise Invalid_argument when [max_count < 1] and [routes] is not
+    empty. *)
+
 val group_by_attrs :
   (Bgp_addr.Prefix.t * Bgp_route.Attrs.Interned.t) list ->
   (Bgp_route.Attrs.Interned.t * Bgp_addr.Prefix.t list) list

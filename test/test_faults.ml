@@ -23,10 +23,10 @@ let sample_update n =
   in
   Msg.announcement attrs (Array.to_list table)
 
-let injector ?(profile = Faults.none) () =
+let injector () =
   let engine = Engine.create () in
   let metrics = Metrics.create () in
-  (engine, Faults.create ~profile ~clock:(Clock.of_engine engine) ~metrics ())
+  Faults.create ~clock:(Clock.of_engine engine) ~metrics ()
 
 (* ------------------------------------------------------------------ *)
 (* The corruption oracle                                               *)
@@ -56,7 +56,7 @@ let test_predict_stalls () =
 let test_corrupt_prediction_holds () =
   (* Every mutant the oracle emits must decode to exactly the predicted
      RFC 4271 code/subcode. *)
-  let _, t = injector ~profile:{ Faults.none with Faults.seed = 3 } () in
+  let t = injector () in
   List.iter
     (fun m ->
       let wire = Codec.encode m in
@@ -76,22 +76,22 @@ let test_corrupt_prediction_holds () =
 let test_corrupt_deterministic () =
   let wire = Codec.encode (sample_update 20) in
   let run () =
-    let _, t = injector ~profile:{ Faults.none with Faults.seed = 11 } () in
+    let t = injector () in
     List.init 20 (fun _ ->
         match Faults.corrupt t wire with
         | Some (m, e) -> (m, Msg.error_code e)
         | None -> ("", (0, 0)))
   in
-  Alcotest.(check bool) "same seed, same mutants" true (run () = run ())
+  Alcotest.(check bool) "same mutants" true (run () = run ())
 
 (* ------------------------------------------------------------------ *)
 (* Channel taps                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let tapped_channel profile =
+let tapped_channel () =
   let engine = Engine.create () in
   let metrics = Metrics.create () in
-  let t = Faults.create ~profile ~clock:(Clock.of_engine engine) ~metrics () in
+  let t = Faults.create ~clock:(Clock.of_engine engine) ~metrics () in
   let ch = Channel.create engine () in
   let got = ref [] in
   Channel.set_receiver ch Channel.B (fun bytes -> got := bytes :: !got);
@@ -99,20 +99,8 @@ let tapped_channel profile =
   Engine.run engine;
   (engine, t, ch, got, metrics)
 
-let test_tap_loss () =
-  let engine, t, ch, got, metrics =
-    tapped_channel { Faults.none with Faults.seed = 5; drop_prob = 1.0 }
-  in
-  Faults.tap_adversarial t (Channel.endpoint ch Channel.A);
-  for _ = 1 to 10 do
-    Channel.send ch Channel.A (Codec.encode Msg.Keepalive)
-  done;
-  Engine.run engine;
-  Alcotest.(check int) "all dropped" 0 (List.length !got);
-  Alcotest.(check int) "all counted" 10 (Faults.injected_in metrics)
-
-let test_tap_off_is_transparent () =
-  let engine, t, ch, got, metrics = tapped_channel Faults.none in
+let test_unarmed_tap_is_transparent () =
+  let engine, t, ch, got, metrics = tapped_channel () in
   Faults.tap_adversarial t (Channel.endpoint ch Channel.A);
   let wire = Codec.encode (sample_update 10) in
   for _ = 1 to 10 do
@@ -123,24 +111,8 @@ let test_tap_off_is_transparent () =
   Alcotest.(check bool) "unmodified" true (List.for_all (( = ) wire) !got);
   Alcotest.(check int) "nothing counted" 0 (Faults.injected_in metrics)
 
-let test_tap_reorder_delay () =
-  (* Reordered messages arrive late but arrive. *)
-  let engine, t, ch, got, _ =
-    tapped_channel
-      { Faults.none with
-        Faults.seed = 8; reorder_prob = 1.0; reorder_delay = 0.5 }
-  in
-  Faults.tap_adversarial t (Channel.endpoint ch Channel.A);
-  Channel.send ch Channel.A (Codec.encode Msg.Keepalive);
-  Engine.run ~until:(Engine.now engine +. 0.01) engine;
-  Alcotest.(check int) "still in flight" 0 (List.length !got);
-  Engine.run engine;
-  Alcotest.(check int) "delivered late" 1 (List.length !got)
-
 let test_armed_corruption_observed () =
-  let engine, t, ch, got, _ =
-    tapped_channel { Faults.none with Faults.seed = 13 }
-  in
+  let engine, t, ch, got, _ = tapped_channel () in
   Faults.tap_adversarial t (Channel.endpoint ch Channel.A);
   Faults.arm_corrupt_next t;
   (* Keepalives are not UPDATEs: the armed mutation must wait. *)
@@ -252,10 +224,8 @@ let () =
             test_corrupt_deterministic
         ] );
       ( "taps",
-        [ Alcotest.test_case "loss" `Quick test_tap_loss;
-          Alcotest.test_case "inactive profile is transparent" `Quick
-            test_tap_off_is_transparent;
-          Alcotest.test_case "reorder delay" `Quick test_tap_reorder_delay;
+        [ Alcotest.test_case "unarmed tap is transparent" `Quick
+            test_unarmed_tap_is_transparent;
           Alcotest.test_case "armed corruption" `Quick
             test_armed_corruption_observed
         ] );

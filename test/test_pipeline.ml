@@ -31,7 +31,7 @@ let test_metrics_registry () =
   let c = Metrics.counter m "a" in
   let h = Metrics.histogram m "b" in
   Metrics.incr c;
-  Metrics.incr ~by:4 c;
+  Metrics.add c 4;
   Metrics.observe h 2.0;
   Metrics.observe h 6.0;
   Alcotest.(check int) "counter" 5 (Metrics.value c);

@@ -212,11 +212,10 @@ let test_backpressure_small_writes () =
   link.Bgp_tcp.Tcp_link.dispose ()
 
 (* ------------------------------------------------------------------ *)
-(* Tap-delayed delivery                                                *)
+(* Outbound tap                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A connected pair whose listener collects what arrives; [connected]
-   counts on_connected notifications on both sides. *)
+(* A connected pair whose listener collects what arrives. *)
 let tapped_pair () =
   let loop = Loop.create () in
   let clock = Loop.clock loop in
@@ -228,43 +227,21 @@ let tapped_pair () =
   link.connector.start_connect ();
   if not (Clock.run clock ~cond:(fun () -> !connected = 2) ~step:5.0) then
     Alcotest.fail "link did not connect";
-  (clock, link, connected, received)
+  (clock, link, received)
 
-let delay_by extra = Some (fun bytes -> Bgp_engine.Link.Deliver (bytes, extra))
-
-let test_tap_delay () =
-  let clock, link, _, received = tapped_pair () in
-  let arrived = ref nan in
-  link.listener.set_receiver (fun bytes ->
-      Buffer.add_string received bytes;
-      arrived := Clock.now clock);
-  link.connector.set_tap (delay_by 0.05);
-  let sent = Clock.now clock in
-  link.connector.send "late";
-  let arrived_all () = Buffer.length received = 4 in
+let test_tap_fates () =
+  let clock, link, received = tapped_pair () in
+  link.connector.set_tap
+    (Some
+       (function
+         | "drop" -> Bgp_engine.Link.Drop
+         | "swap" -> Bgp_engine.Link.Deliver "SWAP"
+         | _ -> Bgp_engine.Link.Pass));
+  List.iter link.connector.send [ "a"; "drop"; "swap"; "b" ];
+  let arrived_all () = Buffer.length received >= 6 in
   if not (Clock.run clock ~cond:arrived_all ~step:5.0) then
-    Alcotest.fail "delayed payload never arrived";
-  Alcotest.(check string) "payload" "late" (Buffer.contents received);
-  Alcotest.(check bool) "no earlier than the tap's delay" true
-    (!arrived -. sent >= 0.05);
-  link.dispose ()
-
-let test_tap_delay_dropped_on_turnover () =
-  let clock, link, connected, received = tapped_pair () in
-  link.connector.set_tap (delay_by 0.05);
-  link.connector.send "stale";
-  (* Turn the connection over while "stale" is still pending. *)
-  link.connector.close ();
-  link.connector.start_connect ();
-  if not (Clock.run clock ~cond:(fun () -> !connected = 4) ~step:5.0) then
-    Alcotest.fail "link did not reconnect";
-  ignore (Clock.run clock ~cond:(fun () -> false) ~step:0.1);
-  link.connector.set_tap None;
-  link.connector.send "fresh";
-  let arrived_some () = Buffer.length received >= 5 in
-  if not (Clock.run clock ~cond:arrived_some ~step:5.0) then
-    Alcotest.fail "fresh payload never arrived";
-  Alcotest.(check string) "old generation dropped" "fresh"
+    Alcotest.fail "tapped payloads never arrived";
+  Alcotest.(check string) "pass, drop, swap, pass" "aSWAPb"
     (Buffer.contents received);
   link.dispose ()
 
@@ -330,11 +307,9 @@ let () =
         [ Alcotest.test_case "small writes vs stalled reader" `Quick
             test_backpressure_small_writes
         ] );
-      ( "tap delay",
-        [ Alcotest.test_case "delivers no earlier than the delay" `Quick
-            test_tap_delay;
-          Alcotest.test_case "dropped when the connection turns over" `Quick
-            test_tap_delay_dropped_on_turnover
+      ( "tap",
+        [ Alcotest.test_case "passes, drops and swaps in order" `Quick
+            test_tap_fates
         ] );
       ( "timers",
         [ Alcotest.test_case "firing order" `Quick test_timer_firing_order;

@@ -581,6 +581,47 @@ let test_group_by_attrs_order () =
     [ "10.1.0.0/16"; "10.3.0.0/24"; "10.0.0.0/8"; "10.2.0.0/16" ]
     (List.concat_map (fun (_, ps) -> List.map Prefix.to_string ps) groups)
 
+(* Each run of consecutive routes sharing a handle packs on its own, in
+   input order: a run splits at [max_count] and at the wire limit, and
+   equal handles that are not adjacent never share a message. *)
+let test_updates_of_runs () =
+  let a = A.Interned.intern (attrs [ 65101; 65102 ])
+  and b = A.Interned.intern (attrs [ 65103 ]) in
+  let host i = Prefix.make (Ipv4.of_int (0x0A000000 + i)) 32 in
+  let summary msgs =
+    List.map
+      (function
+        | Msg.Update { Msg.attrs = Some h; nlri; _ } ->
+          (A.Interned.id h, List.length nlri, Prefix.to_string (List.hd nlri))
+        | _ -> Alcotest.fail "not an announcement")
+      msgs
+  in
+  let routes =
+    List.mapi (fun i h -> (host i, h)) [ a; a; a; b; a ]
+  in
+  Alcotest.(check (list (triple int int string)))
+    "runs in order, split at max_count, never merged"
+    [ (A.Interned.id a, 2, "10.0.0.0/32"); (A.Interned.id a, 1, "10.0.0.2/32");
+      (A.Interned.id b, 1, "10.0.0.3/32"); (A.Interned.id a, 1, "10.0.0.4/32") ]
+    (summary (Codec.updates_of_runs ~max_count:2 routes));
+  (* 1200 /32s take 6000 bytes of NLRI: more than one message holds. *)
+  let big = List.init 1200 (fun i -> (host i, a)) in
+  let msgs = Codec.updates_of_runs ~max_count:1200 big in
+  Alcotest.(check int) "split at the wire limit" 2 (List.length msgs);
+  Alcotest.(check bool) "each message fits" true
+    (List.for_all
+       (fun m ->
+         match Codec.encode_opt m with
+         | Some w -> String.length w <= Msg.max_len
+         | None -> false)
+       msgs);
+  Alcotest.(check bool) "prefixes in input order" true
+    (List.equal Prefix.equal
+       (List.concat_map
+          (function Msg.Update u -> u.Msg.nlri | _ -> [])
+          msgs)
+       (List.map fst big))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -622,6 +663,8 @@ let () =
       ( "packing",
         Alcotest.test_case "group_by_attrs id order" `Quick
           test_group_by_attrs_order
+        :: Alcotest.test_case "updates_of_runs keeps runs apart" `Quick
+             test_updates_of_runs
         :: List.map QCheck_alcotest.to_alcotest [ prop_updates_pack ] );
       qsuite "properties"
         [ prop_update_roundtrip; prop_open_roundtrip; prop_encoded_size_consistent;
