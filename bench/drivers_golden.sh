@@ -1,8 +1,8 @@
 #!/bin/sh
 # Print the output of the simulated drivers that the Table III golden
 # does not cover: the adversarial (9-10) and damping (14) scenarios, MRT
-# replay (13), subscriber churn (16), the peer sweep, Figure 3 and one
-# standard scenario.  Two commands pin reports printed nowhere else: a
+# replay (13), subscriber churn (16), the peer sweep, Figures 3-6, the
+# power model, the system table and one standard scenario.  Two commands pin reports printed nowhere else: a
 # damped scenario-10 run (the damping report outside scenario 14) and
 # churn's --metrics registry dump.  Every command runs on the deterministic simulator,
 # so the output repeats byte for byte; CI diffs it against the committed
@@ -35,3 +35,8 @@ done
 run peers -n 300 --json
 run fig3 -n 300
 run scenario 6 -n 300
+run fig4 -n 300
+run fig5 -n 300
+run fig6 -n 300
+run power -n 300
+run systems -v
