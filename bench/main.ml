@@ -553,7 +553,7 @@ let print_mrt_smoke () =
     assert (skipped = 0);
     assert (List.length records' = List.length records);
     assert (Mrt.to_string records' = bytes));
-  let config = { bench_config with H.replay_events = 40 } in
+  let config = { bench_config with H.replay_events = Some 40 } in
   let r = H.run ~config Arch.pentium3 (Scenario.of_id_exn 13) in
   assert (r.H.verified = Ok ());
   Format.printf
@@ -642,7 +642,7 @@ let fault_tests =
 let mrt_tests =
   [ Test.make ~name:"mrt/scenario13-replay"
       (Staged.stage @@ fun () ->
-       let config = { bench_config with H.replay_events = 40 } in
+       let config = { bench_config with H.replay_events = Some 40 } in
        let r = H.run ~config Arch.pentium3 (Scenario.of_id_exn 13) in
        assert (r.H.verified = Ok ());
        r.H.tps);
@@ -679,9 +679,12 @@ let topo_tests =
     (fun n ->
       Test.make ~name:(Printf.sprintf "topo/convergence-ba%d" n)
         (Staged.stage @@ fun () ->
-         let r = TB.run_convergence ~kind:Topology.Scale_free ~n () in
-         assert (r.TB.cr_verified = Ok ());
-         r.TB.cr_announce_s))
+         let r =
+           TB.run_scale ~mode:Bgp_topo.Net.Transit ~kind:Topology.Scale_free
+             ~n ()
+         in
+         assert (r.TB.sc_verified = Ok ());
+         r.TB.sc_announce_s))
     [ 4; 8; 16 ]
   @ [ Test.make ~name:"topo/link-failure-ba16"
         (Staged.stage @@ fun () ->

@@ -480,7 +480,7 @@ let mrt_cmd =
     let config =
       { (config_of size packing seed) with
         H.table_file = file;
-        replay_events = Option.value events ~default:(-1);
+        replay_events = events;
         replay_speedup = speedup }
     in
     if
@@ -660,12 +660,14 @@ let topo_cmd =
     end
     else if smoke then begin
       (* CI gate: a small clique must establish, converge, and verify. *)
-      let r = TB.run_convergence ~seed ~kind:Topology.Clique ~n:4 () in
-      match r.TB.cr_verified with
+      let r =
+        TB.run_scale ~mode:Net.Transit ~seed ~kind:Topology.Clique ~n:4 ()
+      in
+      match r.TB.sc_verified with
       | Ok () ->
         Printf.printf
           "topo smoke: 4-clique converged (announce %.6fs, withdraw %.6fs)\n"
-          r.TB.cr_announce_s r.TB.cr_withdraw_s
+          r.TB.sc_announce_s r.TB.sc_withdraw_s
       | Error e ->
         prerr_endline ("topo smoke FAILED: " ^ e);
         exit 1
@@ -674,7 +676,9 @@ let topo_cmd =
       let sizes = match nodes with [] -> [ 4; 8; 16 ] | l -> List.sort_uniq compare l in
       let mode = if gao then Net.Gao_rexford else Net.Transit in
       let tracer = make_tracer trace_file trace_sample in
-      let runs = TB.sweep ~mode ~seed ?tracer ~kind ~sizes () in
+      let runs =
+        List.map (fun n -> TB.run_scale ~mode ~seed ?tracer ~kind ~n ()) sizes
+      in
       let lf =
         TB.run_link_failure ~mode ~seed ?cut ?tracer ~kind
           ~n:(List.fold_left max 2 sizes) ()
@@ -693,7 +697,7 @@ let topo_cmd =
       let bad r = Result.is_error r in
       if
         bad lf.TB.lf_verified
-        || List.exists (fun r -> bad r.TB.cr_verified) runs
+        || List.exists (fun r -> bad r.TB.sc_verified) runs
       then exit 1
     end
   in

@@ -49,9 +49,9 @@ type config = {
       (* Scenario 13 pacing: None replays the update trace unpaced
          (throughput mode); Some x honors recorded inter-arrival times
          divided by x. *)
-  replay_events : int;
-      (* Scenario 13 synthesized-trace length; negative = the
-         generator's default (n/5, at least 20). *)
+  replay_events : int option;
+      (* Scenario 13 synthesized-trace length; None = the generator's
+         default (n/5, at least 20). *)
   churn : Subscriber.config option;
       (* Scenario 16 workload shape.  None derives the default
          subscriber model from [table_size] and [seed]; an explicit
@@ -63,7 +63,7 @@ let default_config =
   { mode = Sim; table_size = 10_000; large_packing = 500; cross_traffic = Traffic.none;
     seed = 42; trace_interval = None; varied_paths = false; mrai = None;
     timeout = 500_000.0; fault_rounds = 5; table_file = None; damping = None;
-    replay_speedup = None; replay_events = -1; churn = None; tracer = None }
+    replay_speedup = None; replay_events = None; churn = None; tracer = None }
 
 (* AS-path lengths: speaker 1's table, and speaker 2's re-announcements
    that beat it (7/8); [losing_path_len] gives the ones that lose (5/6). *)
@@ -503,7 +503,7 @@ let run_mrt (cfg : config) arch scenario =
       | Ok (records, _skipped) -> records
       | Error msg -> failwith (Printf.sprintf "Harness: %s: %s" f msg))
     | None ->
-      Mrt_gen.records ~seed:cfg.seed ~events:cfg.replay_events
+      Mrt_gen.records ~seed:cfg.seed ?events:cfg.replay_events
         ~n:cfg.table_size ~speaker_asn:s1.peer.Peer.asn
         ~next_hop:s1.peer.Peer.addr ()
   in

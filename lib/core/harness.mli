@@ -71,8 +71,8 @@ type config = {
       (** scenario 13 pacing: [None] replays the update trace unpaced
           (back-to-back, throughput mode); [Some x] honors the recorded
           inter-arrival times divided by [x] *)
-  replay_events : int;
-      (** scenario 13 synthesized-trace length; negative (the default)
+  replay_events : int option;
+      (** scenario 13 synthesized-trace length; [None] (the default)
           picks the generator's default (table_size/5, at least 20) *)
   churn : Bgp_speaker.Subscriber.config option;
       (** scenario 16 workload shape.  [None] (the default) derives

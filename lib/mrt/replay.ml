@@ -22,7 +22,9 @@ let start ~clock ~pacing ~send events =
     Clock.post clock (fun () ->
         List.iter (fun (_, msg) -> send_now t send msg) events)
   | Timed speedup ->
-    let speedup = if speedup <= 0. then 1. else speedup in
+    if not (speedup > 0.) then
+      invalid_arg
+        (Printf.sprintf "Replay.start: speedup must be > 0, got %g" speedup);
     let base = Clock.now clock in
     List.iter
       (fun (offset, msg) ->

@@ -28,7 +28,9 @@ val start :
 (** Begin the replay.  [send] returns [false] when the transport has
     gone away; the replay then stops early.  Events with non-positive
     or out-of-order offsets are sent at the earliest legal instant
-    (the clock never runs backwards). *)
+    (the clock never runs backwards).
+    @raise Invalid_argument on a [Timed] speedup that is not > 0 (NaN
+    included). *)
 
 val sent : t -> int
 (** Messages pushed into [send] so far. *)

@@ -35,8 +35,7 @@ type work = {
   mutable w_mrai_buffered : int;
 }
 
-let work ?(bytes = 0) ?(announced = 0) ?(withdrawn = 0) ?(peers = 0)
-    ?(attr_groups = 0) ?(src = -1) () =
+let work ~bytes ~announced ~withdrawn ~peers ~attr_groups ~src =
   { w_bytes = bytes; w_announced = announced; w_withdrawn = withdrawn;
     w_peers = peers; w_attr_groups = attr_groups; w_src = src;
     w_candidates = 0; w_loc_changes = 0; w_fib_installs = 0;
@@ -44,20 +43,27 @@ let work ?(bytes = 0) ?(announced = 0) ?(withdrawn = 0) ?(peers = 0)
 
 let prefixes w = w.w_announced + w.w_withdrawn
 let fib_deltas w = w.w_fib_installs + w.w_fib_replaces
+let policy_fanout w = prefixes w * w.w_peers
 
-type spec = {
-  sp_id : stage_id;
-  sp_proc : string option;
-  sp_cost : work -> float;
-  sp_units : work -> int;
-  sp_skip : work -> bool;
-}
+(* What every architecture shares: the stage order, what each stage's
+   unit counter advances by, and the one skip rule. *)
+let order =
+  [| Wire_decode; Import_policy; Adj_rib_in; Decision; Fib_install;
+     Export_policy; Mrai_pacing |]
 
-let spec ?proc ?(cost = fun _ -> 0.0) ?(units = fun _ -> 0)
-    ?(skip = fun _ -> false) id =
-  { sp_id = id; sp_proc = proc; sp_cost = cost; sp_units = units;
-    sp_skip = skip }
+let units id w =
+  match id with
+  | Wire_decode | Adj_rib_in -> prefixes w
+  | Import_policy -> policy_fanout w
+  | Decision -> w.w_candidates
+  | Fib_install -> fib_deltas w
+  | Export_policy -> w.w_announcements
+  | Mrai_pacing -> w.w_mrai_buffered
 
+(* An update that changed no forwarding entry skips the FIB install. *)
+let skip id w = match id with Fib_install -> fib_deltas w = 0 | _ -> false
+
+type placement = Inline | Proc of string * (work -> float)
 
 type layout = Pipelined | Fused_paced of float
 
@@ -68,7 +74,9 @@ type hooks = {
 }
 
 type stage = {
-  spec : spec;
+  id : stage_id;
+  proc_name : string option;
+  cost : work -> float;
   proc : Sched.proc option;
   m_units : Metrics.counter;
   m_batches : Metrics.counter;
@@ -91,62 +99,51 @@ type t = {
   clock : Bgp_engine.Clock.t;
   sched : Sched.t;
   layout : layout;
-  stages : stage array;
-  procs : (string * Sched.proc) list;  (* creation order *)
+  stages : stage array;                (* in [order] *)
   fused_proc : Sched.proc option;      (* the single proc of a fused table *)
   pending : batch Queue.t;             (* paced batches (fused layout) *)
   mutable pacer_busy : bool;
   trace : trace_state option;
 }
 
-let create ~clock ~sched ~metrics ~layout ?tracer
-    ?(trace_process = "bgpmark") specs =
-  if specs = [] then invalid_arg "Pipeline.create: empty stage table";
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun sp ->
-      if Hashtbl.mem seen sp.sp_id then
-        invalid_arg
-          (Printf.sprintf "Pipeline.create: duplicate stage %s"
-             (stage_name sp.sp_id));
-      Hashtbl.replace seen sp.sp_id ())
-    specs;
-  (* One scheduler process per distinct name, in table order. *)
-  let procs =
-    List.fold_left
-      (fun acc sp ->
-        match sp.sp_proc with
-        | Some name when not (List.mem_assoc name acc) ->
-          acc @ [ (name, Sched.add_proc sched name) ]
-        | Some _ | None -> acc)
-      [] specs
+let no_cost _ = 0.0
+
+let create ~clock ~sched ~metrics ~layout ?tracer ~trace_process table =
+  (* One scheduler process per distinct name, in stage order. *)
+  let procs = ref [] in
+  let stage id =
+    let name = stage_name id in
+    let proc_name, cost, proc =
+      match table id with
+      | Inline -> (None, no_cost, None)
+      | Proc (pname, cost) ->
+        let p =
+          match List.assoc_opt pname !procs with
+          | Some p -> p
+          | None ->
+            let p = Sched.add_proc sched pname in
+            procs := !procs @ [ (pname, p) ];
+            p
+        in
+        (Some pname, cost, Some p)
+    in
+    { id; proc_name; cost; proc;
+      m_units = Metrics.counter metrics ("pipeline." ^ name ^ ".units");
+      m_batches = Metrics.counter metrics ("pipeline." ^ name ^ ".batches");
+      m_cycles = Metrics.histogram metrics ("pipeline." ^ name ^ ".cycles") }
   in
+  let stages = Array.map stage order in
   let fused_proc =
     match layout with
     | Pipelined -> None
     | Fused_paced _ -> (
-      match procs with
+      match !procs with
       | [ (_, p) ] -> Some p
-      | _ ->
+      | procs ->
         invalid_arg
           (Printf.sprintf
              "Pipeline.create: fused layout needs exactly one process, got %d"
              (List.length procs)))
-  in
-  let stages =
-    Array.of_list
-      (List.map
-         (fun sp ->
-           let name = stage_name sp.sp_id in
-           { spec = sp;
-             proc =
-               Option.map (fun n -> List.assoc n procs) sp.sp_proc;
-             m_units = Metrics.counter metrics ("pipeline." ^ name ^ ".units");
-             m_batches =
-               Metrics.counter metrics ("pipeline." ^ name ^ ".batches");
-             m_cycles =
-               Metrics.histogram metrics ("pipeline." ^ name ^ ".cycles") })
-         specs)
   in
   let trace =
     Option.map
@@ -159,11 +156,11 @@ let create ~clock ~sched ~metrics ~layout ?tracer
                 Option.map
                   (fun name ->
                     Tracer.track tr ~process:trace_process ~thread:name ())
-                  st.spec.sp_proc)
+                  st.proc_name)
               stages })
       tracer
   in
-  { clock; sched; layout; stages; procs; fused_proc;
+  { clock; sched; layout; stages; fused_proc;
     pending = Queue.create (); pacer_busy = false; trace }
 
 (* Charge accounting at dispatch (cost is decided there), unit counts at
@@ -173,7 +170,7 @@ let record_dispatch st cycles =
   Metrics.incr st.m_batches;
   Metrics.observe st.m_cycles cycles
 
-let record_finish st w = Metrics.add st.m_units (st.spec.sp_units w)
+let record_finish st w = Metrics.add st.m_units (units st.id w)
 
 (* --- Pipelined layout: one scheduled job per proc-bearing stage. ---- *)
 
@@ -192,30 +189,30 @@ let rec dispatch_from t b i =
   end
   else begin
     let st = t.stages.(i) in
-    if st.spec.sp_skip b.b_work then dispatch_from t b (i + 1)
+    if skip st.id b.b_work then dispatch_from t b (i + 1)
     else begin
-      b.b_hooks.on_begin st.spec.sp_id;
-      let cycles = st.spec.sp_cost b.b_work in
+      b.b_hooks.on_begin st.id;
+      let cycles = st.cost b.b_work in
       record_dispatch st cycles;
       let t_dispatch =
         if b.b_traced then Bgp_engine.Clock.now t.clock else 0.0
       in
       let complete () =
-        b.b_hooks.on_finish st.spec.sp_id;
+        b.b_hooks.on_finish st.id;
         record_finish st b.b_work;
         (match t.trace with
         | Some ts when b.b_traced ->
           let w = b.b_work in
-          let stage = stage_name st.spec.sp_id in
+          let stage = stage_name st.id in
           (match ts.ts_stage.(i) with
           | Some tk ->
             Tracer.stage_span ts.ts_tr tk ~stage ~dispatch:t_dispatch
               ~finish:(Bgp_engine.Clock.now t.clock) ~cycles
-              ~units:(st.spec.sp_units w) ~attr_groups:w.w_attr_groups
+              ~units:(units st.id w) ~attr_groups:w.w_attr_groups
               ~peer:w.w_src
           | None ->
             Tracer.stage_mark ts.ts_tr ts.ts_updates ~stage ~ts:t_dispatch
-              ~units:(st.spec.sp_units w) ~attr_groups:w.w_attr_groups
+              ~units:(units st.id w) ~attr_groups:w.w_attr_groups
               ~peer:w.w_src)
         | _ -> ());
         dispatch_from t b (i + 1)
@@ -235,10 +232,10 @@ let dispatch_fused t b =
   let costs = if b.b_traced then Array.make n 0.0 else [||] in
   Array.iteri
     (fun i st ->
-      if not (st.spec.sp_skip b.b_work) then begin
+      if not (skip st.id b.b_work) then begin
         ran.(i) <- true;
-        b.b_hooks.on_begin st.spec.sp_id;
-        let cycles = st.spec.sp_cost b.b_work in
+        b.b_hooks.on_begin st.id;
+        let cycles = st.cost b.b_work in
         record_dispatch st cycles;
         if b.b_traced then costs.(i) <- cycles;
         total := !total +. cycles
@@ -250,7 +247,7 @@ let dispatch_fused t b =
       Array.iteri
         (fun i st ->
           if ran.(i) then begin
-            b.b_hooks.on_finish st.spec.sp_id;
+            b.b_hooks.on_finish st.id;
             record_finish st b.b_work
           end)
         t.stages;
@@ -284,11 +281,11 @@ let dispatch_fused t b =
                 else 1.0 /. float_of_int (max n_ran 1)
               in
               let dur = window *. frac in
-              Tracer.span ts.ts_tr tk ~name:(stage_name st.spec.sp_id)
+              Tracer.span ts.ts_tr tk ~name:(stage_name st.id)
                 ~ts:!cursor ~dur
                 ~args:
                   [ ("cycles", Tracer.Float costs.(i));
-                    ("units", Tracer.Int (st.spec.sp_units w));
+                    ("units", Tracer.Int (units st.id w));
                     ("attr_groups", Tracer.Int w.w_attr_groups) ]
                 ();
               cursor := !cursor +. dur
@@ -329,19 +326,20 @@ let submit t w hooks =
     Queue.add b t.pending;
     pump t pacing
 
-let procs t = t.procs
-
-let find_proc t name = List.assoc_opt name t.procs
-
 let stage_proc t id =
   Array.fold_left
-    (fun acc st -> if st.spec.sp_id = id then st.proc else acc)
+    (fun acc st -> if st.id = id then st.proc else acc)
     None t.stages
 
 let idle t =
   Queue.is_empty t.pending
   && (not t.pacer_busy)
-  && List.for_all (fun (_, p) -> Sched.queue_length t.sched p = 0) t.procs
+  && Array.for_all
+       (fun st ->
+         match st.proc with
+         | Some p -> Sched.queue_length t.sched p = 0
+         | None -> true)
+       t.stages
 
 type stage_stat = {
   st_stage : string;
@@ -355,8 +353,8 @@ let stage_stats t =
   Array.to_list
     (Array.map
        (fun st ->
-         { st_stage = stage_name st.spec.sp_id;
-           st_proc = st.spec.sp_proc;
+         { st_stage = stage_name st.id;
+           st_proc = st.proc_name;
            st_units = Metrics.value st.m_units;
            st_batches = Metrics.value st.m_batches;
            st_cycles = Metrics.hist_sum st.m_cycles })

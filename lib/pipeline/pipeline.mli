@@ -6,18 +6,21 @@
     policy, and (optionally) MRAI pacing.  This module makes that path
     an explicit, instrumented abstraction:
 
-    - a {e stage} is declared by a {!spec}: which simulated
-      {!Bgp_sim.Sched} process it runs on (or none, for pure protocol
-      bookkeeping), a cost hook giving its simulated CPU cycles as a
-      function of the batch's {!work} profile (the hooks are built from
-      the architecture's cost model), and per-stage metrics (unit and
-      batch counters plus a cycle histogram) registered in a shared
-      {!Bgp_stats.Metrics} registry;
-    - an {e architecture} is a declarative stage table plus an
-      execution {!layout} — [Pipelined] runs each proc-bearing stage as
-      its own scheduled job (the XORP multi-process structure), while
-      [Fused_paced] charges all stages as one job on one process behind
-      a fixed per-message pacing delay (the IOS black box);
+    - the pipeline owns what every architecture shares: the order of
+      the seven stages, what each stage's unit counter counts (prefixes,
+      policy fan-out, candidates, FIB deltas, announcements,
+      MRAI-held), and the one skip rule (an update that changed no
+      forwarding entry skips [Fib_install]).  Per-stage metrics (unit
+      and batch counters plus a cycle histogram) are registered in a
+      shared {!Bgp_stats.Metrics} registry;
+    - an {e architecture} gives, for each stage, a {!placement} —
+      [Inline] (pure protocol bookkeeping, no simulated CPU) or the
+      {!Bgp_sim.Sched} process it runs on with a cost hook pricing one
+      batch's {!work} profile in cycles — plus an execution {!layout}:
+      [Pipelined] runs each stage with a process as its own scheduled
+      job (the XORP multi-process structure), while [Fused_paced]
+      charges all stages as one job on one process behind a fixed
+      per-message pacing delay (the IOS black box);
     - all NLRI of one inbound UPDATE flow through as a single batch
       (one decision run per message — the paper's transaction
       definition).
@@ -40,8 +43,9 @@ type stage_id =
 
 (** The per-batch work profile: pure counts describing one inbound
     UPDATE's journey, filled in by the protocol hooks as the batch
-    advances.  Cost hooks price stages from these counts alone, which
-    keeps the stage table independent of protocol data structures. *)
+    advances.  Cost hooks and unit counters read these counts alone,
+    which keeps stage tables independent of protocol data
+    structures. *)
 type work = {
   mutable w_bytes : int;          (** wire size of the UPDATE *)
   mutable w_announced : int;      (** NLRI count *)
@@ -52,8 +56,7 @@ type work = {
           handle (+1 when withdrawals ride along).  The attr-group
           batched path does per-attribute work (interning, loop
           guards) once per group while TPS stays prefix-level
-          ({!prefixes}).  Stage costs ignore it by default, so legacy
-          cost tables are unchanged. *)
+          ({!prefixes}).  No cost hook prices it. *)
   mutable w_src : int;
       (** source peer id, or -1 when not peer-originated (trace
           annotation only; never priced) *)
@@ -66,38 +69,29 @@ type work = {
 }
 
 val work :
-  ?bytes:int -> ?announced:int -> ?withdrawn:int -> ?peers:int ->
-  ?attr_groups:int -> ?src:int -> unit -> work
-(** A fresh profile; every unlisted field starts at 0 ([src] at -1). *)
+  bytes:int -> announced:int -> withdrawn:int -> peers:int ->
+  attr_groups:int -> src:int -> work
+(** A fresh profile; the fields the stages fill in start at 0. *)
 
 val prefixes : work -> int
 (** [w_announced + w_withdrawn] — the batch's transaction count. *)
 
-val fib_deltas : work -> int
-(** [w_fib_installs + w_fib_replaces]. *)
+val policy_fanout : work -> int
+(** [prefixes * w_peers] — the import-policy stage's unit count. *)
 
-(** Declarative description of one stage (see {!spec}). *)
-type spec
-
-val spec :
-  ?proc:string ->
-  ?cost:(work -> float) ->
-  ?units:(work -> int) ->
-  ?skip:(work -> bool) ->
-  stage_id ->
-  spec
-(** [proc]: name of the scheduler process the stage's cycles are
-    charged to; omitted for inline bookkeeping stages that consume no
-    simulated CPU.  [cost] (default: 0 cycles) prices one batch.
-    [units] (default: 0) is what the stage's unit counter advances by
-    per batch.  [skip] (default: never) suppresses the stage for
-    batches it does not apply to (e.g. FIB install when an update
-    changed no forwarding entry). *)
+(** Where one stage runs. *)
+type placement =
+  | Inline
+      (** protocol bookkeeping on the caller's path: no process, no
+          simulated CPU *)
+  | Proc of string * (work -> float)
+      (** the named scheduler process, charged the given cycles per
+          batch *)
 
 (** How the stage table executes on the scheduler. *)
 type layout =
   | Pipelined
-      (** every proc-bearing stage is a separate scheduled job;
+      (** every stage with a process is a separate scheduled job;
           consecutive batches overlap across processes (XORP) *)
   | Fused_paced of float
       (** all stages of a batch are charged as one job on the single
@@ -123,38 +117,33 @@ val create :
   metrics:Bgp_stats.Metrics.t ->
   layout:layout ->
   ?tracer:Bgp_trace.Tracer.t ->
-  ?trace_process:string ->
-  spec list ->
+  trace_process:string ->
+  (stage_id -> placement) ->
   t
-(** Build a pipeline from a stage table.  Scheduler processes are
-    created here, one per distinct [proc] name in table order, and the
-    per-stage metrics ([pipeline.<stage>.units], [.batches],
-    [.cycles]) are registered in [metrics].
+(** Build a pipeline from a stage table, a total function over the
+    seven stages.  Scheduler processes are created here, one per
+    distinct process name in stage order, and the per-stage metrics
+    ([pipeline.<stage>.units], [.batches], [.cycles]) are registered in
+    [metrics].
 
-    With [tracer], sampled batches record structured spans: each
-    proc-bearing stage becomes a slice on a track named after its
-    process ([trace_process]/<proc>, shared with the scheduler's
-    run/block instants), inline stages become zero-duration marks and
+    With [tracer], sampled batches record structured spans: each stage
+    with a process becomes a slice on a track named after its process
+    ([trace_process]/<proc>, shared with the scheduler's run/block
+    instants), inline stages become zero-duration marks and
     whole-update submit-to-done latencies become async spans on an
     ["updates"] track.  Under [Fused_paced] the single job is one
     ["update-job"] slice with per-stage slices nested inside it,
     partitioned proportionally to the cycles charged.  Tracing is
     observational only: virtual timings, scheduling and metrics are
     identical with or without it.
-    @raise Invalid_argument on a duplicate stage id, an empty table, or
-    a [Fused_paced] table naming more than one process. *)
+    @raise Invalid_argument on a [Fused_paced] table naming more or
+    fewer than one process. *)
 
 val submit : t -> work -> hooks -> unit
 (** Route one batch through every stage. *)
 
-val procs : t -> (string * Bgp_sim.Sched.proc) list
-(** The scheduler processes backing the table, in creation order. *)
-
-val find_proc : t -> string -> Bgp_sim.Sched.proc option
-
 val stage_proc : t -> stage_id -> Bgp_sim.Sched.proc option
-(** The process a stage runs on ([None] for inline stages or absent
-    ids). *)
+(** The process a stage runs on ([None] for inline stages). *)
 
 val idle : t -> bool
 (** No batch queued, paced, or holding CPU on any stage process. *)
@@ -169,7 +158,7 @@ type stage_stat = {
 }
 
 val stage_stats : t -> stage_stat list
-(** Table-ordered snapshot of every stage's counters. *)
+(** Stage-ordered snapshot of every stage's counters. *)
 
 val pp_stage_stats : Format.formatter -> stage_stat list -> unit
 (** Render a breakdown table (units, batches, cycles, cycles/batch). *)

@@ -183,39 +183,34 @@ let fib_delta_cost c (w : P.work) =
   (fi w.P.w_fib_replaces *. c.cyc_per_fib_replace)
   +. (fi w.P.w_fib_installs *. c.cyc_per_fib_delta)
 
-let policy_fanout (w : P.work) = P.prefixes w * w.P.w_peers
-
 (* XORP (Table II uni-core / dual-core / NP systems): each stage with a
    process is a separate scheduled job, reproducing the
    bgp -> policy -> rib -> fea IPC chain; export and MRAI bookkeeping
    ride inline on the bgp process' transmit path. *)
-let xorp_stage_table c =
-  [ P.spec P.Wire_decode ~proc:"xorp_bgp" ~cost:(rx_cost c) ~units:P.prefixes;
-    (* The process hop is priced from fan-out; the real per-candidate
-       policy work is folded into the decision stage costing below. *)
-    P.spec P.Import_policy ~proc:"xorp_policy"
-      ~cost:(fun w -> fi (policy_fanout w) *. c.cyc_per_policy_unit)
-      ~units:policy_fanout;
-    (* Runs the RIB machinery (a begin hook); consumes no simulated CPU
-       of its own — its outcome prices the decision stage. *)
-    P.spec P.Adj_rib_in ~units:P.prefixes;
-    P.spec P.Decision ~proc:"xorp_rib"
-      ~cost:(fun w ->
-        (fi w.P.w_candidates *. c.cyc_per_candidate)
-        +. (fi w.P.w_loc_changes *. c.cyc_per_rib_change)
-        +. (fi w.P.w_announcements *. c.cyc_per_announcement)
-        (* prefixes that produced no decision at all still burn a
-           lookup *)
-        +. Float.max 0.0
-             (fi (P.prefixes w - w.P.w_candidates)
-             *. (0.5 *. c.cyc_per_candidate)))
-      ~units:(fun w -> w.P.w_candidates);
-    P.spec P.Fib_install ~proc:"xorp_fea"
-      ~cost:(fun w -> c.cyc_per_fib_msg +. fib_delta_cost c w)
-      ~units:P.fib_deltas
-      ~skip:(fun w -> P.fib_deltas w = 0);
-    P.spec P.Export_policy ~units:(fun w -> w.P.w_announcements);
-    P.spec P.Mrai_pacing ~units:(fun w -> w.P.w_mrai_buffered) ]
+let xorp_stage_table c = function
+  | P.Wire_decode -> P.Proc ("xorp_bgp", rx_cost c)
+  (* The process hop is priced from fan-out; the real per-candidate
+     policy work is folded into the decision stage costing below. *)
+  | P.Import_policy ->
+    P.Proc
+      ("xorp_policy", fun w -> fi (P.policy_fanout w) *. c.cyc_per_policy_unit)
+  (* Adj_rib_in runs the RIB machinery (a begin hook); it consumes no
+     simulated CPU of its own — its outcome prices the decision stage. *)
+  | P.Adj_rib_in | P.Export_policy | P.Mrai_pacing -> P.Inline
+  | P.Decision ->
+    P.Proc
+      ( "xorp_rib",
+        fun w ->
+          (fi w.P.w_candidates *. c.cyc_per_candidate)
+          +. (fi w.P.w_loc_changes *. c.cyc_per_rib_change)
+          +. (fi w.P.w_announcements *. c.cyc_per_announcement)
+          (* prefixes that produced no decision at all still burn a
+             lookup *)
+          +. Float.max 0.0
+               (fi (P.prefixes w - w.P.w_candidates)
+               *. (0.5 *. c.cyc_per_candidate)) )
+  | P.Fib_install ->
+    P.Proc ("xorp_fea", fun w -> c.cyc_per_fib_msg +. fib_delta_cost c w)
 
 (* IOS (black box): the same seven logical stages, but every priced
    stage charges the single "ios" process and the whole batch runs as
@@ -223,20 +218,17 @@ let xorp_stage_table c =
    or FIB-IPC terms — the Table III numbers imply they are inside the
    flat per-prefix cost. *)
 let ios_stage_table c =
-  [ P.spec P.Wire_decode ~proc:"ios" ~cost:(rx_cost c) ~units:P.prefixes;
-    P.spec P.Import_policy ~units:policy_fanout;
-    P.spec P.Adj_rib_in ~units:P.prefixes;
-    P.spec P.Decision ~proc:"ios"
-      ~cost:(fun w ->
+  let ios cost = P.Proc ("ios", cost) in
+  function
+  | P.Wire_decode -> ios (rx_cost c)
+  | P.Decision ->
+    ios (fun w ->
         (fi w.P.w_candidates *. c.cyc_per_candidate)
         +. (fi w.P.w_loc_changes *. c.cyc_per_rib_change)
         +. (fi w.P.w_announcements *. c.cyc_per_announcement))
-      ~units:(fun w -> w.P.w_candidates);
-    P.spec P.Fib_install ~proc:"ios" ~cost:(fib_delta_cost c)
-      ~units:P.fib_deltas
-      ~skip:(fun w -> P.fib_deltas w = 0);
-    P.spec P.Export_policy ~units:(fun w -> w.P.w_announcements);
-    P.spec P.Mrai_pacing ~units:(fun w -> w.P.w_mrai_buffered) ]
+  | P.Fib_install -> ios (fib_delta_cost c)
+  | P.Import_policy | P.Adj_rib_in | P.Export_policy | P.Mrai_pacing ->
+    P.Inline
 
 let stage_table t =
   match t.software with
@@ -247,12 +239,6 @@ let layout t =
   match t.software with
   | Xorp_pipeline -> P.Pipelined
   | Monolithic { pacing_delay_per_msg } -> P.Fused_paced pacing_delay_per_msg
-
-let tx_proc_name t =
-  match t.software with Xorp_pipeline -> "xorp_bgp" | Monolithic _ -> "ios"
-
-let fib_proc_name t =
-  match t.software with Xorp_pipeline -> "xorp_fea" | Monolithic _ -> "ios"
 
 let housekeeper_proc_name t =
   match t.software with

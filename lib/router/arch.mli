@@ -105,28 +105,27 @@ val by_name : string -> t option
 
 (** {1 Stage tables}
 
-    An architecture's update path is declared, not hardwired: the
-    router builds a {!Bgp_pipeline.Pipeline} from [stage_table] +
-    [layout].  A new architecture is a new stage table (see DESIGN.md
-    "Update pipeline" for a worked example). *)
+    An architecture's update path is declared, not hardwired: for each
+    of the seven stages it names a process and a cost hook, or runs the
+    stage inline, and the router builds a {!Bgp_pipeline.Pipeline} from
+    [stage_table] + [layout].  Stage order, unit counts and the
+    [Fib_install] skip belong to the pipeline, so a new architecture is
+    only a new table (see DESIGN.md "Update pipeline" for a worked
+    example).  The router charges sends to the [Wire_decode] stage's
+    process and out-of-band FIB repair to the [Fib_install] stage's, so
+    neither stage may be inline. *)
 
-val stage_table : t -> Bgp_pipeline.Pipeline.spec list
-(** The seven-stage per-update table with this architecture's cost
-    hooks.  XORP systems charge wire decode to [xorp_bgp], import
-    policy to [xorp_policy], the decision to [xorp_rib], and FIB
-    install to [xorp_fea]; the IOS black box charges every priced stage
-    to the single [ios] process. *)
+val stage_table :
+  t -> Bgp_pipeline.Pipeline.stage_id -> Bgp_pipeline.Pipeline.placement
+(** This architecture's placement and cost hook for each stage.  XORP
+    systems charge wire decode to [xorp_bgp], import policy to
+    [xorp_policy], the decision to [xorp_rib], and FIB install to
+    [xorp_fea]; the IOS black box charges wire decode, the decision
+    and FIB install to the single [ios] process. *)
 
 val layout : t -> Bgp_pipeline.Pipeline.layout
 (** [Pipelined] for the XORP process chain, [Fused_paced] (with the
     per-message scheduler delay) for the monolithic IOS model. *)
-
-val tx_proc_name : t -> string
-(** The stage process charged for the message send path. *)
-
-val fib_proc_name : t -> string
-(** The stage process charged for out-of-band FIB repair work (peer
-    loss). *)
 
 val housekeeper_proc_name : t -> string option
 (** An extra, non-pipeline process for periodic housekeeping

@@ -50,8 +50,9 @@ type t = {
   fib : Fib.t;
   fwd : Bgp_netsim.Forwarding.t;
   pipeline : Pipeline.t;
-  tx_proc : Sched.proc;   (* message send path *)
-  fib_proc : Sched.proc;  (* out-of-band FIB repair (peer loss) *)
+  tx_proc : Sched.proc;   (* message send path: the wire-decode process *)
+  fib_proc : Sched.proc;  (* out-of-band FIB repair (peer loss): the
+                             fib-install process *)
   metrics : Metrics.t;
   mrai : float option;
   damp : Damping.t option;
@@ -127,7 +128,7 @@ let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
   Option.iter
     (fun tr -> Sched.set_tracer sched ~process:trace_process tr)
     tracer;
-  (* The pipeline creates the stage processes in table order; the
+  (* The pipeline creates the stage processes in stage order; the
      housekeeper (not part of the update path) comes after, preserving
      the historical bgp/policy/rib/fea/rtrmgr process numbering. *)
   let pipeline =
@@ -139,22 +140,16 @@ let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
       let proc = Sched.add_proc sched name in
       start_rtrmgr clock sched arch proc)
     (Arch.housekeeper_proc_name arch);
-  let stage_proc name =
-    match Pipeline.find_proc pipeline name with
-    | Some p -> p
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Router.create: %s names no stage process %s"
-           arch.Arch.name name)
-  in
+  (* Both stages run on a process in every architecture (arch.mli). *)
+  let stage_proc id = Option.get (Pipeline.stage_proc pipeline id) in
   let fwd = make_forwarding arch sched in
   { clock; arch; sched;
     rib =
       Rib_manager.create ?import ?export ?aggregates ~metrics ~local_asn
         ~router_id ();
     fib = Fib.create (); fwd; pipeline;
-    tx_proc = stage_proc (Arch.tx_proc_name arch);
-    fib_proc = stage_proc (Arch.fib_proc_name arch);
+    tx_proc = stage_proc Pipeline.Wire_decode;
+    fib_proc = stage_proc Pipeline.Fib_install;
     metrics; mrai;
     damp = Option.map (fun cfg -> Damping.create ~metrics cfg) damping;
     damp_timer = None; peers = Hashtbl.create 8;
@@ -492,7 +487,7 @@ let process_update t peer_link ~bytes (u : Msg.update) =
   in
   let w =
     Pipeline.work ~bytes ~announced ~withdrawn ~peers:n_peers ~attr_groups
-      ~src:from.Peer.id ()
+      ~src:from.Peer.id
   in
   let deltas = ref [] in
   let anns = ref [] in

@@ -8,7 +8,11 @@
     - the architecture's CPU: a {!Bgp_pipeline.Pipeline} built from the
       architecture's declarative stage table ({!Arch.stage_table}) on a
       {!Bgp_sim.Sched} pool — the XORP process chain runs [Pipelined],
-      the commercial black box runs [Fused_paced].
+      the commercial black box runs [Fused_paced].  Sends are charged to
+      the [Wire_decode] stage's process and out-of-band FIB repair (peer
+      loss) to the [Fib_install] stage's; the only process outside the
+      pipeline is the architecture's housekeeper, registered after the
+      stage processes.
 
     Protocol work happens logically when messages arrive, but its
     {e completion} — and therefore the transactions-per-second metric —

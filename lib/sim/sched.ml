@@ -89,7 +89,7 @@ let add_proc t ?(weight = 1.0) name =
   t.finished <- Array.append t.finished [| nop |];
   p
 
-let set_tracer t ?(process = "bgpmark") tracer =
+let set_tracer t ~process tracer =
   let module T = Bgp_trace.Tracer in
   t.trace <-
     Some

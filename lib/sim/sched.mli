@@ -37,12 +37,12 @@ val create : Bgp_engine.Clock.t -> hz:float -> pool:float -> t
 val add_proc : t -> ?weight:float -> string -> proc
 (** Register a process (default weight 1.0). *)
 
-val set_tracer : t -> ?process:string -> Bgp_trace.Tracer.t -> unit
+val set_tracer : t -> process:string -> Bgp_trace.Tracer.t -> unit
 (** Record structured scheduler events into [tracer]: process run/block
     instants (one track per process, named after it) and deduplicated
     core-occupancy counter samples (per-process service rates plus
     interrupt and forwarding allotments) on a ["cpu"] track. [process]
-    names the trace process grouping the tracks (default ["bgpmark"]).
+    names the trace process grouping the tracks.
     Recording is observational only — scheduling decisions and virtual
     timings are unaffected. *)
 

@@ -4,9 +4,14 @@ module I = Bgp_route.Attrs.Interned
 module Ipv4 = Bgp_addr.Ipv4
 module Prefix_gen = Bgp_addr.Prefix_gen
 
-let records ?(seed = 42) ?(events = -1) ~n ~speaker_asn ~next_hop () =
+let records ?(seed = 42) ?events ~n ~speaker_asn ~next_hop () =
   if n < 1 then invalid_arg "Mrt_gen.records: n must be >= 1";
-  let events = if events < 0 then max 20 (n / 5) else events in
+  let events =
+    match events with
+    | None -> max 20 (n / 5)
+    | Some e when e < 0 -> invalid_arg "Mrt_gen.records: events must be >= 0"
+    | Some e -> e
+  in
   let entries = Table_io.synthesize ~seed ~n ~speaker_asn () in
   let prefixes = Array.of_list (List.map (fun e -> e.Table_io.e_prefix) entries) in
   let routes =

@@ -18,5 +18,5 @@ val records :
 (** [events] defaults to [max 20 (n / 5)]; pass [0] for a
     table-only dump.  The BGP4MP headers carry [speaker_asn] on both
     the peer and the collector side.
-    @raise Invalid_argument if [n < 1]: the trace draws its prefixes
-    from the table. *)
+    @raise Invalid_argument if [n < 1] (the trace draws its prefixes
+    from the table) or [events < 0]. *)

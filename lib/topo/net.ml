@@ -35,8 +35,6 @@ type t = {
   pe : Pengine.t;
   part : int array;  (* vertex -> simulation domain *)
   cut_links : int;   (* edges whose endpoints straddle domains *)
-  topo : Topology.t;
-  mode : policy_mode;
   nodes : node array;
   links : (int * int * Channel.t) list;
 }
@@ -135,13 +133,11 @@ let create ?(arch = Arch.pentium3) ?(mode = Transit) ?(domains = 1) ?tracer
       (fun acc (u, v, _) -> if part.(u) <> part.(v) then acc + 1 else acc)
       0 links
   in
-  { pe; part; cut_links; topo; mode; nodes; links }
+  { pe; part; cut_links; nodes; links }
 
 let partition_of t i = t.part.(i)
 let cut_links t = t.cut_links
 let events_of_domain t d = Pengine.dispatched t.pe d
-let topology t = t.topo
-let mode t = t.mode
 let size t = Array.length t.nodes
 let router t i = t.nodes.(i).router
 let origin_prefix t i = t.nodes.(i).origin

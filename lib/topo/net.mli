@@ -68,8 +68,6 @@ val events_of_domain : t -> int -> int
 (** Events dispatched so far by one domain's partition — the numerator
     of the per-domain events/sec curve. *)
 
-val topology : t -> Topology.t
-val mode : t -> policy_mode
 val size : t -> int
 val router : t -> int -> Bgp_router.Router.t
 val origin_prefix : t -> int -> Bgp_addr.Prefix.t

@@ -2,22 +2,6 @@ module Arch = Bgp_router.Arch
 module Router = Bgp_router.Router
 module Json = Bgp_stats.Json
 
-type convergence_run = {
-  cr_kind : Topology.kind;
-  cr_n : int;
-  cr_seed : int;
-  cr_mode : Net.policy_mode;
-  cr_arch : string;
-  cr_edges : int;
-  cr_announce_s : float;
-  cr_withdraw_s : float;
-  cr_announce_updates : int;
-  cr_withdraw_updates : int;
-  cr_msgs_tx : int;
-  cr_reached : int;
-  cr_verified : (unit, string) result;
-}
-
 let count_true = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0
 
 let sum_counters net n f =
@@ -27,41 +11,77 @@ let sum_counters net n f =
   done;
   !acc
 
-(* Scenario 11's single-origin episode, shared with scenario 15:
-   establish, announce from vertex 0, converge, check reachability
-   against the policy oracle, fingerprint every node's Loc-RIB and FIB,
-   withdraw, converge, then check that no node still holds the route.
-   [ep_wall_s] ends at the withdraw convergence, before the last check,
-   so scale throughput measures the episode alone. *)
-type episode = {
-  ep_announce_s : float;
-  ep_withdraw_s : float;
-  ep_announce_updates : int;
-  ep_withdraw_updates : int;
-  ep_reached : int;
-  ep_fingerprint : string;
-  ep_wall_s : float;
-  ep_verified : (unit, string) result;
+(* ------------------------------------------------------------------ *)
+(* Scenarios 11 and 15: single-origin runs                            *)
+(* ------------------------------------------------------------------ *)
+
+type scale_run = {
+  sc_kind : Topology.kind;
+  sc_n : int;
+  sc_seed : int;
+  sc_mode : Net.policy_mode;
+  sc_arch : string;
+  sc_domains : int;
+  sc_edges : int;
+  sc_cut_links : int;
+  sc_domain_sizes : int array;
+  sc_announce_s : float;  (* simulated convergence time *)
+  sc_withdraw_s : float;
+  sc_announce_updates : int;  (* UPDATEs received network-wide *)
+  sc_withdraw_updates : int;
+  sc_msgs_tx : int;  (* messages sent over the whole run *)
+  sc_wall_s : float;  (* wall clock, establish through withdraw *)
+  sc_domain_events : int array;  (* dispatched per domain *)
+  sc_reached : int;
+  sc_fingerprint : string;  (* digest over all Loc-RIBs and FIBs *)
+  sc_verified : (unit, string) result;
 }
+
+let sc_events r = Array.fold_left ( + ) 0 r.sc_domain_events
+
+let sc_events_per_sec r =
+  if r.sc_wall_s <= 0.0 then 0.0
+  else float_of_int (sc_events r) /. r.sc_wall_s
 
 let first_node ~n p =
   let rec go i = if i >= n then None else if p i then Some i else go (i + 1) in
   go 0
 
-let episode ?timeout net =
-  let n = Net.size net in
+(* The single-origin episode of scenarios 11 and 15: establish,
+   announce from vertex 0, converge, check reachability against the
+   policy oracle, fingerprint every node's Loc-RIB and FIB, withdraw,
+   converge, then check that no node still holds the route.
+   [sc_wall_s] ends at the withdraw convergence, before the last check,
+   so scale throughput measures the episode alone.  The fingerprint is
+   what the domain-count equivalence gate compares: same graph,
+   different [domains], same digest.  Unlike scenario 12 this never
+   goes O(n^2): verification is reachability of the one origin.
+
+   Default policies are Gao-Rexford, not Transit: valley-free export
+   bounds withdrawal path hunting (and is the realistic model for an
+   AS-level graph).  Under accept-all Transit a BA graph's withdrawal
+   phase explores alternate paths combinatorially — ~500k events at
+   n=100 and growing fast — so Transit at scale is a measurement of
+   path hunting, not of the engine. *)
+let run_scale ?(arch = Arch.pentium3) ?(mode = Net.Gao_rexford) ?(seed = 42)
+    ?(domains = 1) ?(timeout = 3600.) ?tracer ~kind ~n () =
+  let topo = Topology.make ~seed kind ~n in
+  let net =
+    Net.create ~arch ~mode ~domains ?tracer
+      ~trace_prefix:(Printf.sprintf "%s-%d" (Topology.kind_to_string kind) n)
+      topo
+  in
   let wall0 = Unix.gettimeofday () in
-  Net.establish ?timeout net;
+  Net.establish ~timeout net;
   let u0 = Net.total_updates net in
   Net.originate net 0;
-  let announce_s = Net.converge ?timeout ~what:"announce convergence" net in
+  let announce_s = Net.converge ~timeout ~what:"announce convergence" net in
   let u1 = Net.total_updates net in
   let expected =
-    match Net.mode net with
+    match mode with
     | Net.Transit -> Array.make n true
     | Net.Gao_rexford ->
-      Gao_rexford.reachable ~n ~edges:(Net.topology net).Topology.edges
-        ~origin:0
+      Gao_rexford.reachable ~n ~edges:topo.Topology.edges ~origin:0
   in
   let got = Array.init n (fun i -> Net.reachability net i 0) in
   let misrouted = first_node ~n (fun i -> got.(i) <> expected.(i)) in
@@ -76,7 +96,7 @@ let episode ?timeout net =
     Digest.to_hex (Digest.string (Buffer.contents ctx))
   in
   Net.withdraw_origin net 0;
-  let withdraw_s = Net.converge ?timeout ~what:"withdraw convergence" net in
+  let withdraw_s = Net.converge ~timeout ~what:"withdraw convergence" net in
   let u2 = Net.total_updates net in
   let wall_s = Unix.gettimeofday () -. wall0 in
   let verified =
@@ -91,30 +111,19 @@ let episode ?timeout net =
         Error (Printf.sprintf "node %d still holds the route post-withdraw" i)
       | None -> Ok ())
   in
-  { ep_announce_s = announce_s; ep_withdraw_s = withdraw_s;
-    ep_announce_updates = u1 - u0; ep_withdraw_updates = u2 - u1;
-    ep_reached = count_true got; ep_fingerprint = fingerprint;
-    ep_wall_s = wall_s; ep_verified = verified }
-
-let run_convergence ?(mode = Net.Transit) ?(seed = 42) ?tracer ~kind ~n () =
-  let arch = Arch.pentium3 in
-  let topo = Topology.make ~seed kind ~n in
-  let net =
-    Net.create ~arch ~mode ?tracer
-      ~trace_prefix:(Printf.sprintf "%s-%d" (Topology.kind_to_string kind) n)
-      topo
-  in
-  let ep = episode net in
-  { cr_kind = kind; cr_n = n; cr_seed = seed; cr_mode = mode;
-    cr_arch = arch.Arch.name; cr_edges = Topology.edge_count topo;
-    cr_announce_s = ep.ep_announce_s; cr_withdraw_s = ep.ep_withdraw_s;
-    cr_announce_updates = ep.ep_announce_updates;
-    cr_withdraw_updates = ep.ep_withdraw_updates;
-    cr_msgs_tx = sum_counters net n (fun k -> k.Router.msgs_tx);
-    cr_reached = ep.ep_reached; cr_verified = ep.ep_verified }
-
-let sweep ?mode ?seed ?tracer ~kind ~sizes () =
-  List.map (fun n -> run_convergence ?mode ?seed ?tracer ~kind ~n ()) sizes
+  let part = Array.init n (fun i -> Net.partition_of net i) in
+  { sc_kind = kind; sc_n = n; sc_seed = seed; sc_mode = mode;
+    sc_arch = arch.Arch.name; sc_domains = domains;
+    sc_edges = Topology.edge_count topo; sc_cut_links = Net.cut_links net;
+    sc_domain_sizes = Partition.sizes part ~parts:domains;
+    sc_announce_s = announce_s; sc_withdraw_s = withdraw_s;
+    sc_announce_updates = u1 - u0; sc_withdraw_updates = u2 - u1;
+    sc_msgs_tx = sum_counters net n (fun k -> k.Router.msgs_tx);
+    sc_wall_s = wall_s;
+    sc_domain_events =
+      Array.init domains (fun d -> Net.events_of_domain net d);
+    sc_reached = count_true got; sc_fingerprint = fingerprint;
+    sc_verified = verified }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 12: link failure                                           *)
@@ -273,9 +282,9 @@ let render_convergence_runs runs =
       (Printf.sprintf
          "Scenario 11: single-origin convergence — %s topology, %s policies, \
           %s\n"
-         (Topology.kind_to_string r0.cr_kind)
-         (Net.policy_mode_to_string r0.cr_mode)
-         r0.cr_arch);
+         (Topology.kind_to_string r0.sc_kind)
+         (Net.policy_mode_to_string r0.sc_mode)
+         r0.sc_arch);
     Buffer.add_string b
       "    n  edges  announce(s)  withdraw(s)  upd(ann)  upd(wd)  reached  \
        check\n";
@@ -283,9 +292,9 @@ let render_convergence_runs runs =
       (fun r ->
         Buffer.add_string b
           (Printf.sprintf "%5d  %5d  %11.6f  %11.6f  %8d  %7d  %7d  %s\n"
-             r.cr_n r.cr_edges r.cr_announce_s r.cr_withdraw_s
-             r.cr_announce_updates r.cr_withdraw_updates r.cr_reached
-             (verified_str r.cr_verified)))
+             r.sc_n r.sc_edges r.sc_announce_s r.sc_withdraw_s
+             r.sc_announce_updates r.sc_withdraw_updates r.sc_reached
+             (verified_str r.sc_verified)))
       runs);
   Buffer.contents b
 
@@ -314,25 +323,25 @@ let result_fields = function
 
 let convergence_run_json r =
   Json.Obj
-    ([ ("n", Json.Int r.cr_n);
-       ("edges", Json.Int r.cr_edges);
-       ("announce_s", Json.Float r.cr_announce_s);
-       ("withdraw_s", Json.Float r.cr_withdraw_s);
-       ("announce_updates", Json.Int r.cr_announce_updates);
-       ("withdraw_updates", Json.Int r.cr_withdraw_updates);
-       ("msgs_tx", Json.Int r.cr_msgs_tx);
-       ("reached", Json.Int r.cr_reached) ]
-    @ result_fields r.cr_verified)
+    ([ ("n", Json.Int r.sc_n);
+       ("edges", Json.Int r.sc_edges);
+       ("announce_s", Json.Float r.sc_announce_s);
+       ("withdraw_s", Json.Float r.sc_withdraw_s);
+       ("announce_updates", Json.Int r.sc_announce_updates);
+       ("withdraw_updates", Json.Int r.sc_withdraw_updates);
+       ("msgs_tx", Json.Int r.sc_msgs_tx);
+       ("reached", Json.Int r.sc_reached) ]
+    @ result_fields r.sc_verified)
 
 let convergence_runs_json runs =
   let header =
     match runs with
     | [] -> []
     | r :: _ ->
-      [ ("kind", Json.Str (Topology.kind_to_string r.cr_kind));
-        ("seed", Json.Int r.cr_seed);
-        ("mode", Json.Str (Net.policy_mode_to_string r.cr_mode));
-        ("arch", Json.Str r.cr_arch) ]
+      [ ("kind", Json.Str (Topology.kind_to_string r.sc_kind));
+        ("seed", Json.Int r.sc_seed);
+        ("mode", Json.Str (Net.policy_mode_to_string r.sc_mode));
+        ("arch", Json.Str r.sc_arch) ]
   in
   Json.Obj
     ([ ("scenario", Json.Int 11); ("name", Json.Str "topo-convergence") ]
@@ -357,60 +366,6 @@ let link_failure_json r =
        ("mean_explored", Json.Float r.lf_mean_explored);
        ("withdrawn_rx", Json.Int r.lf_withdrawn_rx) ]
     @ result_fields r.lf_verified)
-
-(* ------------------------------------------------------------------ *)
-(* Scenario 15: partitioned scale runs                                 *)
-(* ------------------------------------------------------------------ *)
-
-type scale_run = {
-  sc_kind : Topology.kind;
-  sc_n : int;
-  sc_seed : int;
-  sc_domains : int;
-  sc_edges : int;
-  sc_cut_links : int;
-  sc_domain_sizes : int array;
-  sc_announce_s : float;  (* simulated convergence time *)
-  sc_withdraw_s : float;
-  sc_wall_s : float;  (* wall clock, establish through withdraw *)
-  sc_domain_events : int array;  (* dispatched per domain *)
-  sc_reached : int;
-  sc_fingerprint : string;  (* digest over all Loc-RIBs and FIBs *)
-  sc_verified : (unit, string) result;
-}
-
-let sc_events r = Array.fold_left ( + ) 0 r.sc_domain_events
-
-let sc_events_per_sec r =
-  if r.sc_wall_s <= 0.0 then 0.0
-  else float_of_int (sc_events r) /. r.sc_wall_s
-
-(* Scenario 15 is the single-origin episode on a large graph.  The
-   fingerprint is what the domain-count equivalence gate compares: same
-   graph, different [domains], same digest.  Unlike scenario 12 this
-   never goes O(n^2): verification is reachability of the one origin.
-
-   Default policies are Gao-Rexford, not Transit: valley-free export
-   bounds withdrawal path hunting (and is the realistic model for an
-   AS-level graph).  Under accept-all Transit a BA graph's withdrawal
-   phase explores alternate paths combinatorially — ~500k events at
-   n=100 and growing fast — so Transit at scale is a measurement of
-   path hunting, not of the engine. *)
-let run_scale ?(arch = Arch.pentium3) ?(mode = Net.Gao_rexford) ?(seed = 42)
-    ?(domains = 1) ?(timeout = 3600.) ~kind ~n () =
-  let topo = Topology.make ~seed kind ~n in
-  let net = Net.create ~arch ~mode ~domains topo in
-  let ep = episode ~timeout net in
-  let part = Array.init n (fun i -> Net.partition_of net i) in
-  { sc_kind = kind; sc_n = n; sc_seed = seed; sc_domains = domains;
-    sc_edges = Topology.edge_count topo; sc_cut_links = Net.cut_links net;
-    sc_domain_sizes = Partition.sizes part ~parts:domains;
-    sc_announce_s = ep.ep_announce_s; sc_withdraw_s = ep.ep_withdraw_s;
-    sc_wall_s = ep.ep_wall_s;
-    sc_domain_events =
-      Array.init domains (fun d -> Net.events_of_domain net d);
-    sc_reached = ep.ep_reached; sc_fingerprint = ep.ep_fingerprint;
-    sc_verified = ep.ep_verified }
 
 let render_scale_runs runs =
   let b = Buffer.create 1024 in

@@ -23,8 +23,8 @@ let asn = Bgp_route.Asn.of_int
 let ip = Ipv4.of_string_exn
 let pfx = Prefix.of_string_exn
 
-let gen_records ?(seed = 42) ?(events = -1) ?(n = 80) () =
-  Mrt_gen.records ~seed ~events ~n ~speaker_asn:(asn 65001)
+let gen_records ?(seed = 42) ?events ?(n = 80) () =
+  Mrt_gen.records ~seed ?events ~n ~speaker_asn:(asn 65001)
     ~next_hop:(ip "192.0.2.1") ()
 
 (* ------------------------------------------------------------------ *)
@@ -216,7 +216,7 @@ let test_load_auto () =
 
 let test_scenario13_sim () =
   let config =
-    { Harness.default_config with table_size = 60; replay_events = 40 }
+    { Harness.default_config with table_size = 60; replay_events = Some 40 }
   in
   let arch = Bgp_router.Arch.xeon in
   let r = Harness.run ~config arch (Scenario.of_id_exn 13) in
@@ -234,7 +234,7 @@ let test_scenario13_sim () =
 let test_scenario13_paced () =
   let config =
     { Harness.default_config with
-      table_size = 40; replay_events = 20; replay_speedup = Some 100. }
+      table_size = 40; replay_events = Some 20; replay_speedup = Some 100. }
   in
   let arch = Bgp_router.Arch.xeon in
   let r = Harness.run ~config arch (Scenario.of_id_exn 13) in
@@ -246,7 +246,7 @@ let test_scenario13_paced () =
    synthesized in memory. *)
 let test_scenario13_from_file () =
   let config =
-    { Harness.default_config with table_size = 300; replay_events = 100 }
+    { Harness.default_config with table_size = 300; replay_events = Some 100 }
   in
   let file = Filename.temp_file "bgpmark-dump" ".mrt" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
@@ -269,7 +269,7 @@ let test_scenario13_from_file () =
 let test_scenario13_damping () =
   let config =
     { Harness.default_config with
-      table_size = 300; replay_events = 300;
+      table_size = 300; replay_events = Some 300;
       damping = Some Bgp_rib.Damping.test_config }
   in
   let r = Harness.run ~config Bgp_router.Arch.xeon (Scenario.of_id_exn 13) in
@@ -309,10 +309,33 @@ let test_scenario14_sim () =
 let test_empty_table_rejected () =
   List.iter
     (fun events ->
-      match gen_records ~events ~n:0 () with
-      | _ -> Alcotest.failf "n = 0, events = %d: accepted" events
+      match gen_records ?events ~n:0 () with
+      | _ -> Alcotest.failf "n = 0, events = %s: accepted"
+               (Option.fold ~none:"default" ~some:string_of_int events)
       | exception Invalid_argument _ -> ())
-    [ -1; 0; 5 ]
+    [ None; Some 0; Some 5 ]
+
+(* A negative trace length is a usage error, not a request for the
+   default length. *)
+let test_negative_events_rejected () =
+  match gen_records ~events:(-3) ~n:10 () with
+  | _ -> Alcotest.fail "events = -3 accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A timed replay needs a positive speedup; 0, negatives and NaN used
+   to replay at the recorded pace. *)
+let test_bad_speedup_rejected () =
+  let clock = Bgp_engine.Clock.of_engine (Bgp_engine.Engine.create ()) in
+  let events = Mrt.updates_of_dump (gen_records ~n:10 ~events:5 ()) in
+  List.iter
+    (fun speedup ->
+      match
+        Replay.start ~clock ~pacing:(Replay.Timed speedup)
+          ~send:(fun _ -> true) events
+      with
+      | _ -> Alcotest.failf "speedup %g accepted" speedup
+      | exception Invalid_argument _ -> ())
+    [ 0.; -1.; Float.nan; Float.neg_infinity ]
 
 (* Damping off must not change the paper-faithful path at all. *)
 let test_damping_off_identical () =
@@ -350,7 +373,9 @@ let () =
       ( "projections",
         [ Alcotest.test_case "routes and events" `Quick test_projections;
           Alcotest.test_case "empty table rejected" `Quick
-            test_empty_table_rejected ] );
+            test_empty_table_rejected;
+          Alcotest.test_case "negative event count rejected" `Quick
+            test_negative_events_rejected ] );
       ( "sniffing",
         [ Alcotest.test_case "sniff" `Quick test_sniff;
           Alcotest.test_case "load_auto" `Quick test_load_auto ] );
@@ -361,5 +386,6 @@ let () =
           Alcotest.test_case "damping ablation" `Quick
             test_damping_off_identical;
           Alcotest.test_case "13 from a dump file" `Quick test_scenario13_from_file;
-          Alcotest.test_case "13 honors damping" `Quick test_scenario13_damping
-        ] ) ]
+          Alcotest.test_case "13 honors damping" `Quick test_scenario13_damping;
+          Alcotest.test_case "non-positive speedup rejected" `Quick
+            test_bad_speedup_rejected ] ) ]

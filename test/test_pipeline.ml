@@ -54,39 +54,28 @@ let test_metrics_registry () =
     [ ("a", 0) ] (Metrics.counters m)
 
 let test_pipeline_validation () =
-  let mk layout specs =
+  let mk layout table =
     let engine = Engine.create () in
     let clock = Clock.of_engine engine in
     let sched = Sched.create clock ~hz:1e9 ~pool:1.0 in
-    Pipeline.create ~clock ~sched ~metrics:(Metrics.create ()) ~layout specs
+    ( sched,
+      Pipeline.create ~clock ~sched ~metrics:(Metrics.create ()) ~layout
+        ~trace_process:"test" table )
+  in
+  let free _ = 0.0 in
+  let table = function
+    | Pipeline.Wire_decode -> Pipeline.Proc ("p", free)
+    | Pipeline.Decision -> Pipeline.Proc ("q", free)
+    | _ -> Pipeline.Inline
   in
   (try
-     ignore
-       (mk Pipeline.Pipelined
-          [ Pipeline.spec Pipeline.Wire_decode ~proc:"p";
-            Pipeline.spec Pipeline.Wire_decode ~proc:"p" ]);
-     Alcotest.fail "duplicate stage accepted"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (mk Pipeline.Pipelined []);
-     Alcotest.fail "empty table accepted"
-   with Invalid_argument _ -> ());
-  (try
-     ignore
-       (mk (Pipeline.Fused_paced 0.1)
-          [ Pipeline.spec Pipeline.Wire_decode ~proc:"p";
-            Pipeline.spec Pipeline.Decision ~proc:"q" ]);
+     ignore (mk (Pipeline.Fused_paced 0.1) table);
      Alcotest.fail "fused layout with two procs accepted"
    with Invalid_argument _ -> ());
-  let t =
-    mk Pipeline.Pipelined
-      [ Pipeline.spec Pipeline.Wire_decode ~proc:"p";
-        Pipeline.spec Pipeline.Decision ~proc:"q";
-        Pipeline.spec Pipeline.Export_policy ]
-  in
+  let sched, t = mk Pipeline.Pipelined table in
   Alcotest.(check (list string))
-    "procs in table order" [ "p"; "q" ]
-    (List.map fst (Pipeline.procs t));
+    "procs in stage order" [ "p"; "q" ]
+    (List.map fst (Sched.take_accounting sched).Sched.acc_procs);
   Alcotest.(check bool) "inline stage has no proc" true
     (Pipeline.stage_proc t Pipeline.Export_policy = None)
 

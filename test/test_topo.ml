@@ -139,14 +139,15 @@ let ok_run = function
 
 let test_scenario11_ring () =
   let r =
-    Bgp_topo.Topo_bench.run_convergence ~kind:Topology.Ring ~n:8 ()
+    Bgp_topo.Topo_bench.run_scale ~mode:Net.Transit ~kind:Topology.Ring ~n:8
+      ()
   in
-  ok_run r.Bgp_topo.Topo_bench.cr_verified;
-  check_int "all nodes reached" 8 r.Bgp_topo.Topo_bench.cr_reached;
+  ok_run r.Bgp_topo.Topo_bench.sc_verified;
+  check_int "all nodes reached" 8 r.Bgp_topo.Topo_bench.sc_reached;
   check "announce converged in positive time" true
-    (r.Bgp_topo.Topo_bench.cr_announce_s > 0.0);
+    (r.Bgp_topo.Topo_bench.sc_announce_s > 0.0);
   check "announce generated updates" true
-    (r.Bgp_topo.Topo_bench.cr_announce_updates > 0)
+    (r.Bgp_topo.Topo_bench.sc_announce_updates > 0)
 
 let test_scenario12_ba16_path_hunting () =
   (* Cut a hub edge whose endpoints share no good alternate: on this
@@ -176,28 +177,26 @@ let test_scenario12_partition () =
   check "line cut partitions" true r.Bgp_topo.Topo_bench.lf_partitioned;
   ok_run r.Bgp_topo.Topo_bench.lf_verified
 
-(* Scenario 15 is scenario 11's episode split over domains: both
-   partitionings verify (the withdrawal drains every node) with one
-   fingerprint, and both report the sequential run's outcome. *)
+(* Scenario 15 is scenario 11's episode split over domains: scenario
+   11 is the one-domain run, and the two-domain run verifies (the
+   withdrawal drains every node) with its fingerprint and outcome. *)
 let test_scenario15_matches_11 () =
   let module TB = Bgp_topo.Topo_bench in
   let kind = Topology.Scale_free and n = 40 and seed = 11 in
-  let seq = TB.run_convergence ~mode:Net.Gao_rexford ~seed ~kind ~n () in
-  ok_run seq.TB.cr_verified;
-  check "origin reaches beyond itself" true (seq.TB.cr_reached > 1);
-  let scale domains = TB.run_scale ~seed ~domains ~kind ~n () in
-  let one = scale 1 and two = scale 2 in
+  let scale domains =
+    TB.run_scale ~mode:Net.Gao_rexford ~seed ~domains ~kind ~n ()
+  in
+  let seq = scale 1 and two = scale 2 in
+  ok_run seq.TB.sc_verified;
+  check "origin reaches beyond itself" true (seq.TB.sc_reached > 1);
   Alcotest.(check string) "fingerprint independent of domains"
-    one.TB.sc_fingerprint two.TB.sc_fingerprint;
-  List.iter
-    (fun r ->
-      ok_run r.TB.sc_verified;
-      check_int "reached" seq.TB.cr_reached r.TB.sc_reached;
-      Alcotest.(check (float 0.0)) "announce_s" seq.TB.cr_announce_s
-        r.TB.sc_announce_s;
-      Alcotest.(check (float 0.0)) "withdraw_s" seq.TB.cr_withdraw_s
-        r.TB.sc_withdraw_s)
-    [ one; two ]
+    seq.TB.sc_fingerprint two.TB.sc_fingerprint;
+  ok_run two.TB.sc_verified;
+  check_int "reached" seq.TB.sc_reached two.TB.sc_reached;
+  Alcotest.(check (float 0.0)) "announce_s" seq.TB.sc_announce_s
+    two.TB.sc_announce_s;
+  Alcotest.(check (float 0.0)) "withdraw_s" seq.TB.sc_withdraw_s
+    two.TB.sc_withdraw_s
 
 (* ------------------------------------------------------------------ *)
 (* Gao-Rexford policies                                                *)
@@ -240,10 +239,10 @@ let test_gao_rexford_oracle_agrees () =
   List.iter
     (fun (kind, n) ->
       let r =
-        Bgp_topo.Topo_bench.run_convergence ~mode:Net.Gao_rexford ~seed:5
-          ~kind ~n ()
+        Bgp_topo.Topo_bench.run_scale ~mode:Net.Gao_rexford ~seed:5 ~kind ~n
+          ()
       in
-      ok_run r.Bgp_topo.Topo_bench.cr_verified)
+      ok_run r.Bgp_topo.Topo_bench.sc_verified)
     [ (Topology.Line, 6); (Topology.Ring, 7); (Topology.Star, 5);
       (Topology.Grid, 9); (Topology.Scale_free, 12) ]
 
