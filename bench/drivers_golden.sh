@@ -2,7 +2,8 @@
 # Print the output of the simulated drivers that the Table III golden
 # does not cover: the adversarial (9-10) and damping (14) scenarios, MRT
 # replay (13), subscriber churn (16), the peer sweep, Figures 3-6, the
-# power model, the system table and one standard scenario.  Two commands pin reports printed nowhere else: a
+# power model, the system table, Table I and two standard scenarios (one
+# under cross-traffic).  Two commands pin reports printed nowhere else: a
 # damped scenario-10 run (the damping report outside scenario 14) and
 # churn's --metrics registry dump.  Every command runs on the deterministic simulator,
 # so the output repeats byte for byte; CI diffs it against the committed
@@ -40,3 +41,5 @@ run fig5 -n 300
 run fig6 -n 300
 run power -n 300
 run systems -v
+run scenarios
+run scenario 8 -n 300 --cross 300 --trace -a pentium3 -a ixp2400
