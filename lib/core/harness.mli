@@ -33,7 +33,7 @@ type config = {
   mode : mode;
   table_size : int;          (** prefixes in the injected table *)
   large_packing : int;       (** prefixes per "large" UPDATE (paper: 500) *)
-  cross_traffic : Bgp_netsim.Traffic.t;
+  cross_traffic : float;     (** offered forwarding load, Mbps (0 = none) *)
   seed : int;                (** table generation seed *)
   trace_interval : float option;
       (** sample CPU load every n virtual seconds (figures 3/4/6) *)

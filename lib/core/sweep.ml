@@ -1,5 +1,4 @@
 module Arch = Bgp_router.Arch
-module Traffic = Bgp_netsim.Traffic
 
 type point = { mbps : float; result : Harness.result }
 
@@ -29,10 +28,7 @@ let run ?(config = Harness.default_config) ?(levels = default_levels)
         let points =
           List.map
             (fun mbps ->
-              let config =
-                { config with
-                  Harness.cross_traffic = Traffic.make ~mbps () }
-              in
+              let config = { config with Harness.cross_traffic = mbps } in
               { mbps; result = Harness.run ~config arch scenario })
             levels
         in

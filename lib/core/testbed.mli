@@ -33,7 +33,7 @@ val with_rig :
   ?trace_process:string ->
   ?max_prefixes:int ->
   ?restart_delay:float ->
-  ?cross_traffic:Bgp_netsim.Traffic.t ->
+  ?cross_traffic:float ->
   mode ->
   timeout:float ->
   speakers:int ->
@@ -45,7 +45,7 @@ val with_rig :
     [trace_process] go to {!Bgp_router.Router.create}; [max_prefixes]
     and [restart_delay] to speaker 0's {!Bgp_router.Router.attach_peer},
     the one session a script perturbs; [cross_traffic] is the router's
-    offered forwarding load.  No session is started. *)
+    offered forwarding load in Mbps.  No session is started. *)
 
 val attrs : side -> path_len:int -> Bgp_route.Attrs.t
 (** The speaker's uniform workload attributes

@@ -1,50 +1,56 @@
-type resources =
-  | Shared of {
-      sched : Bgp_sim.Sched.t;
+module Sched = Bgp_sim.Sched
+
+type model =
+  | Kernel_shared of {
       interrupt_cycles_per_packet : float;
       forwarding_cycles_per_packet : float;
+      forwarding_weight : float;
     }
-  | Dedicated of { capacity_pps : float }
+  | Dedicated_pps of float
 
 type t = {
-  resources : resources;
+  model : model;
+  sched : Sched.t;
   line_rate_mbps : float;
-  mutable traffic : Traffic.t;
+  mutable offered_mbps : float;
 }
 
-let create resources ~line_rate_mbps =
+(* Minimum Ethernet frame: the paper's generators blast 64-byte frames. *)
+let frame_bytes = 64.0
+
+let create model sched ~line_rate_mbps =
+  (match model with
+   | Kernel_shared { forwarding_weight; _ } ->
+     (* Install the weight once; demand changes keep it. *)
+     Sched.set_forwarding_demand sched ~weight:forwarding_weight
+       ~cycles_per_sec:0.0 ()
+   | Dedicated_pps _ -> ());
   if line_rate_mbps <= 0.0 then invalid_arg "Forwarding.create: line rate";
-  { resources; line_rate_mbps; traffic = Traffic.none }
+  { model; sched; line_rate_mbps; offered_mbps = 0.0 }
 
 (* The line-rate ceiling applies before the CPU sees the packets: a
    315 Mbps PCI bus simply never delivers 500 Mbps of interrupts. *)
-let admitted_pps t =
-  let admitted_mbps = Float.min t.traffic.Traffic.mbps t.line_rate_mbps in
-  Traffic.pps { t.traffic with Traffic.mbps = admitted_mbps }
+let admitted_mbps t = Float.min t.offered_mbps t.line_rate_mbps
+let pps mbps = mbps *. 1e6 /. (8.0 *. frame_bytes)
 
-let set_offered t traffic =
-  t.traffic <- traffic;
-  match t.resources with
-  | Shared { sched; interrupt_cycles_per_packet; forwarding_cycles_per_packet } ->
-    let pps = admitted_pps t in
-    Bgp_sim.Sched.set_interrupt_demand sched
+let set_offered t mbps =
+  if not (mbps >= 0.0) then
+    invalid_arg (Printf.sprintf "Forwarding.set_offered: rate must be >= 0, got %g" mbps);
+  t.offered_mbps <- mbps;
+  match t.model with
+  | Kernel_shared { interrupt_cycles_per_packet; forwarding_cycles_per_packet; _ } ->
+    let pps = pps (admitted_mbps t) in
+    Sched.set_interrupt_demand t.sched
       ~cycles_per_sec:(pps *. interrupt_cycles_per_packet);
-    Bgp_sim.Sched.set_forwarding_demand sched
+    Sched.set_forwarding_demand t.sched
       ~cycles_per_sec:(pps *. forwarding_cycles_per_packet) ()
-  | Dedicated _ -> ()
+  | Dedicated_pps _ -> ()
 
 let achieved_mbps t =
-  let admitted = Float.min t.traffic.Traffic.mbps t.line_rate_mbps in
-  match t.resources with
-  | Shared { sched; _ } -> admitted *. Bgp_sim.Sched.forwarding_ratio sched
-  | Dedicated { capacity_pps } ->
-    let pps = admitted_pps t in
+  let admitted = admitted_mbps t in
+  match t.model with
+  | Kernel_shared _ -> admitted *. Sched.forwarding_ratio t.sched
+  | Dedicated_pps capacity_pps ->
+    let pps = pps admitted in
     if pps <= capacity_pps then admitted
     else admitted *. (capacity_pps /. pps)
-
-let loss_ratio t =
-  if t.traffic.Traffic.mbps <= 0.0 then 0.0
-  else 1.0 -. (achieved_mbps t /. t.traffic.Traffic.mbps)
-
-let uses_control_cpu t =
-  match t.resources with Shared _ -> true | Dedicated _ -> false

@@ -13,19 +13,6 @@
     The Table III / Figure 3-6 shapes are {e emergent}: nothing below
     encodes a transactions-per-second number. *)
 
-(** How the data plane is implemented. *)
-type forwarding_model =
-  | Kernel_shared of {
-      interrupt_cycles_per_packet : float;
-      forwarding_cycles_per_packet : float;
-      forwarding_weight : float;
-          (** scheduling weight of kernel forwarding vs. a user process *)
-    }  (** forwarding shares the control CPU (uni-core, dual-core, and —
-          with a heavy weight — the software-forwarding Cisco 3620) *)
-  | Dedicated_pps of float
-      (** independent forwarding silicon with a packet-rate capacity
-          (IXP2400 packet processors) *)
-
 (** Control-plane software structure. *)
 type software_model =
   | Xorp_pipeline
@@ -63,7 +50,7 @@ type t = {
                                    software (hyper-threading as a
                                    fractional bonus) *)
   software : software_model;
-  forwarding : forwarding_model;
+  forwarding : Bgp_netsim.Forwarding.model;
   line_rate_mbps : float;      (** bus / interconnect / port ceiling *)
   cost : cost_model;
   rtrmgr_period : float;       (** housekeeping period, s (0 = none) *)

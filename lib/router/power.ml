@@ -41,9 +41,9 @@ let of_run (arch : Arch.t) ~scenario_id ~tps ~measure_seconds ~trace
     let user = Bgp_sim.Trace.total_user_percent sample in
     let kernel =
       match arch.Arch.forwarding with
-      | Arch.Kernel_shared _ ->
+      | Bgp_netsim.Forwarding.Kernel_shared _ ->
         sample.Bgp_sim.Trace.s_interrupt +. sample.Bgp_sim.Trace.s_forwarding
-      | Arch.Dedicated_pps _ -> sample.Bgp_sim.Trace.s_interrupt
+      | Bgp_netsim.Forwarding.Dedicated_pps _ -> sample.Bgp_sim.Trace.s_interrupt
     in
     (user +. kernel) /. 100.0
   in

@@ -73,23 +73,6 @@ type t = {
   fsm_track : Bgp_trace.Tracer.track option;  (* session transitions *)
 }
 
-let make_forwarding arch sched =
-  match arch.Arch.forwarding with
-  | Arch.Kernel_shared
-      { interrupt_cycles_per_packet; forwarding_cycles_per_packet;
-        forwarding_weight } ->
-    (* Install the weight once; demand changes keep it. *)
-    Sched.set_forwarding_demand sched ~weight:forwarding_weight
-      ~cycles_per_sec:0.0 ();
-    Bgp_netsim.Forwarding.create
-      (Bgp_netsim.Forwarding.Shared
-         { sched; interrupt_cycles_per_packet; forwarding_cycles_per_packet })
-      ~line_rate_mbps:arch.Arch.line_rate_mbps
-  | Arch.Dedicated_pps capacity_pps ->
-    Bgp_netsim.Forwarding.create
-      (Bgp_netsim.Forwarding.Dedicated { capacity_pps })
-      ~line_rate_mbps:arch.Arch.line_rate_mbps
-
 let start_rtrmgr clock sched arch proc =
   if arch.Arch.rtrmgr_period > 0.0 && arch.Arch.rtrmgr_cycles > 0.0 then begin
     let rec tick () =
@@ -142,7 +125,10 @@ let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
     (Arch.housekeeper_proc_name arch);
   (* Both stages run on a process in every architecture (arch.mli). *)
   let stage_proc id = Option.get (Pipeline.stage_proc pipeline id) in
-  let fwd = make_forwarding arch sched in
+  let fwd =
+    Bgp_netsim.Forwarding.create arch.Arch.forwarding sched
+      ~line_rate_mbps:arch.Arch.line_rate_mbps
+  in
   { clock; arch; sched;
     rib =
       Rib_manager.create ?import ?export ?aggregates ~metrics ~local_asn
@@ -170,7 +156,7 @@ let forwarding t = t.fwd
 let metrics t = t.metrics
 let stage_stats t = Pipeline.stage_stats t.pipeline
 
-let set_cross_traffic t traffic = Bgp_netsim.Forwarding.set_offered t.fwd traffic
+let set_cross_traffic t mbps = Bgp_netsim.Forwarding.set_offered t.fwd mbps
 let set_route_observer t f = t.route_observer <- f
 
 (* ------------------------------------------------------------------ *)

@@ -132,7 +132,9 @@ val withdraw_origin : t -> prefix:Bgp_addr.Prefix.t -> unit
 (** Withdraw a locally originated prefix (counterpart of
     {!originate}). *)
 
-val set_cross_traffic : t -> Bgp_netsim.Traffic.t -> unit
+val set_cross_traffic : t -> float -> unit
+(** Offer this many Mbps of cross-traffic (0 = none) to the router's
+    forwarding engine ({!Bgp_netsim.Forwarding.set_offered}). *)
 
 val set_route_observer : t -> (Bgp_addr.Prefix.t -> unit) -> unit
 (** Install a hook fired once per Loc-RIB best-route change, with the

@@ -5,7 +5,6 @@
 module H = Bgpmark.Harness
 module Scenario = Bgpmark.Scenario
 module Arch = Bgp_router.Arch
-module Traffic = Bgp_netsim.Traffic
 module Clock = Bgp_engine.Clock
 
 let small_config = { H.default_config with H.table_size = 400 }
@@ -115,7 +114,7 @@ let test_commercial_shape () =
 (* Cross-traffic                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let with_cross mbps = { small_config with H.cross_traffic = Traffic.make ~mbps () }
+let with_cross mbps = { small_config with H.cross_traffic = mbps }
 
 let test_cross_traffic_degrades_shared () =
   let base = run Arch.pentium3 1 in
