@@ -18,13 +18,6 @@ type operation =
   | Session_flaps
       (** Adversarial (10): repeated session flaps (CEASE and TCP
           reset alternating) mid-measurement, re-convergence timed *)
-  | Topo_convergence
-      (** Topology (11): single-origin announce/withdraw convergence
-          over a multi-router graph, swept over topology size (driven
-          by [Bgp_topo], not this harness) *)
-  | Topo_link_failure
-      (** Topology (12): cut a link mid-graph and measure path hunting
-          plus re-convergence (driven by [Bgp_topo]) *)
   | Mrt_replay
       (** MRT (13): load a recorded (or synthesized) TABLE_DUMP_V2 RIB
           through Phase 1, then replay the dump's BGP4MP update trace
@@ -53,10 +46,6 @@ val all : t list
 val adversarial : t list
 (** The fault-injection scenarios 9-10 (not part of the paper). *)
 
-val topo : t list
-(** The multi-router topology scenarios 11-12 (not part of the paper);
-    they run through [Bgp_topo], and {!Harness.run} rejects them. *)
-
 val mrt : t list
 (** The real-trace scenarios 13-14 (MRT replay, flap damping). *)
 
@@ -65,11 +54,10 @@ val churn : t list
     multi-domain sweep, runs through [Bgp_topo.Pengine] and has no
     [Scenario.t].) *)
 
-val is_topo : t -> bool
-
 val of_id : int -> t option
-(** Scenario by number: 1-8 from Table I, 9-10 adversarial, 11-12
-    topology, 13-14 MRT/damping, 16 subscriber churn. *)
+(** Scenario by number: 1-8 from Table I, 9-10 adversarial, 13-14
+    MRT/damping, 16 subscriber churn.  The multi-router scenarios 11,
+    12 and 15 run through [Bgp_topo] and have no entry. *)
 
 val of_id_exn : int -> t
 

@@ -38,14 +38,14 @@ type action =
 type config = {
   my_asn : Bgp_route.Asn.t;
   my_id : Bgp_addr.Ipv4.t;
-  hold_time : int;
-  connect_retry : float;
   passive : bool;
 }
 
+let hold_time = 90
+let connect_retry = 30.0
+
 let default_config ~asn ~router_id =
-  { my_asn = asn; my_id = router_id; hold_time = 90; connect_retry = 30.0;
-    passive = false }
+  { my_asn = asn; my_id = router_id; passive = false }
 
 type t = {
   cfg : config;
@@ -61,12 +61,12 @@ let negotiated_hold_time t = t.hold
 let peer_open t = t.popen
 
 let my_open t =
-  Msg.open_msg ~hold_time:t.cfg.hold_time ~asn:t.cfg.my_asn ~bgp_id:t.cfg.my_id ()
+  Msg.open_msg ~hold_time ~asn:t.cfg.my_asn ~bgp_id:t.cfg.my_id ()
 
-(* Negotiated hold = min of both proposals; 0 on either side disables. *)
-let negotiate t (o : Msg.open_msg) =
-  if t.cfg.hold_time = 0 || o.Msg.opn_hold_time = 0 then None
-  else Some (float_of_int (min t.cfg.hold_time o.Msg.opn_hold_time))
+(* Negotiated hold = min of both proposals; the peer's 0 disables. *)
+let negotiate (o : Msg.open_msg) =
+  if o.Msg.opn_hold_time = 0 then None
+  else Some (float_of_int (min hold_time o.Msg.opn_hold_time))
 
 (* RFC 4271 §10 recommends a KeepaliveTime of one third of the Hold
    Time; every (re)arm of the keepalive timer goes through here so the
@@ -103,7 +103,7 @@ let handle t ev =
     if t.cfg.passive then ({ t with st = Active }, [])
     else
       ( { t with st = Connect },
-        [ Start_connect; Arm (Connect_retry, t.cfg.connect_retry) ] )
+        [ Start_connect; Arm (Connect_retry, connect_retry) ] )
   | Idle, _ -> (t, [])
   (* ----- Connect -------------------------------------------------- *)
   | Connect, Tcp_connected ->
@@ -111,9 +111,9 @@ let handle t ev =
       [ Cancel Connect_retry; Send (my_open t);
         Arm (Hold, 4.0 *. 60.0) (* large initial hold, §8.2.2 *) ] )
   | Connect, Tcp_failed ->
-    ({ t with st = Active }, [ Arm (Connect_retry, t.cfg.connect_retry) ])
+    ({ t with st = Active }, [ Arm (Connect_retry, connect_retry) ])
   | Connect, Timer_expired Connect_retry ->
-    (t, [ Start_connect; Arm (Connect_retry, t.cfg.connect_retry) ])
+    (t, [ Start_connect; Arm (Connect_retry, connect_retry) ])
   | Connect, Manual_stop -> to_idle t "manual stop"
   | Connect, (Tcp_closed | Msg_received _ | Protocol_error _) ->
     to_idle t "connection error in Connect"
@@ -124,16 +124,16 @@ let handle t ev =
       [ Cancel Connect_retry; Send (my_open t); Arm (Hold, 4.0 *. 60.0) ] )
   | Active, Timer_expired Connect_retry ->
     ( { t with st = Connect },
-      [ Start_connect; Arm (Connect_retry, t.cfg.connect_retry) ] )
+      [ Start_connect; Arm (Connect_retry, connect_retry) ] )
   | Active, Manual_stop -> to_idle t "manual stop"
   | Active, (Tcp_failed | Tcp_closed) ->
-    ({ t with st = Active }, [ Arm (Connect_retry, t.cfg.connect_retry) ])
+    ({ t with st = Active }, [ Arm (Connect_retry, connect_retry) ])
   | Active, (Msg_received _ | Protocol_error _) ->
     to_idle t "unexpected data in Active"
   | Active, (Manual_start | Timer_expired _) -> (t, [])
   (* ----- OpenSent ------------------------------------------------- *)
   | Open_sent, Msg_received (Msg.Open o) ->
-    let hold = negotiate t o in
+    let hold = negotiate o in
     ( { t with st = Open_confirm; hold; popen = Some o },
       (Send Msg.Keepalive :: hold_actions hold) )
   | Open_sent, Msg_received (Msg.Notification _) ->
@@ -144,7 +144,7 @@ let handle t ev =
   | Open_sent, Timer_expired Hold ->
     to_idle ~notify:Msg.Hold_timer_expired t "hold timer (OpenSent)"
   | Open_sent, (Tcp_closed | Tcp_failed) ->
-    ({ t with st = Active }, [ Arm (Connect_retry, t.cfg.connect_retry) ])
+    ({ t with st = Active }, [ Arm (Connect_retry, connect_retry) ])
   | Open_sent, Manual_stop -> to_idle ~notify:Msg.Cease t "manual stop"
   | Open_sent, (Manual_start | Tcp_connected | Timer_expired _) -> (t, [])
   (* ----- OpenConfirm ---------------------------------------------- *)

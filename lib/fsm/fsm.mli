@@ -44,14 +44,20 @@ type action =
 type config = {
   my_asn : Bgp_route.Asn.t;
   my_id : Bgp_addr.Ipv4.t;
-  hold_time : int;              (** proposed, seconds; 0 disables *)
-  connect_retry : float;        (** seconds *)
   passive : bool;               (** wait for the peer to connect *)
 }
 
+val hold_time : int
+(** The Hold Time every OPEN proposes: 90 s.  The negotiated hold is
+    the smaller of this and the peer's proposal; a peer's 0 disables
+    keepalives. *)
+
+val connect_retry : float
+(** ConnectRetry timer, seconds: 30. *)
+
 val default_config :
   asn:Bgp_route.Asn.t -> router_id:Bgp_addr.Ipv4.t -> config
-(** hold 90 s, connect-retry 30 s, active. *)
+(** Active (not passive). *)
 
 type t
 

@@ -71,15 +71,9 @@ val write_file : string -> record list -> unit
 
 (** {1 Format sniffing} *)
 
-type format = Mrt_dump | Bgpmark_table | Unknown_format
-
-val sniff_string : string -> format
-val sniff_file : string -> format
-(** Decide between an MRT dump (binary, plausible first record header)
-    and the textual [# bgpmark-table v1] format, reading at most the
-    first few bytes. *)
-
-val format_name : format -> string
+val is_dump : string -> bool
+(** Whether these leading bytes of a file start an MRT dump: a known
+    record type whose first record fits in them. *)
 
 (** {1 Builders and projections} *)
 

@@ -195,10 +195,6 @@ let take_reusable t ~now =
       out)
     ready
 
-let flaps t = Metrics.value t.c_flaps
-let suppressions t = Metrics.value t.c_suppressions
-let reuses t = Metrics.value t.c_reuses
-
 let flaps_in m = Metrics.counter_value m flaps_name
 let suppressions_in m = Metrics.counter_value m suppressions_name
 let reuses_in m = Metrics.counter_value m reuses_name

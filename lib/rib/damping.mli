@@ -83,26 +83,22 @@ val take_reusable :
     the decision process; routes withdrawn while suppressed are simply
     unsuppressed. *)
 
-val flaps : t -> int
-(** Flaps charged since the registry's last
-    {!Bgp_stats.Metrics.reset_all}: scoped to the phase like every
-    other counter. *)
-
-val suppressions : t -> int
-(** Routes suppressed since the last reset. *)
-
-val reuses : t -> int
-(** Suppressed routes released since the last reset. *)
-
 (** {1 Reading a registry}
 
-    The same numbers as a registry holds them: the router's live one,
-    or a phase's frozen copy ({!Bgp_stats.Metrics.freeze}).  A registry
-    no damping table registered on reads as zero. *)
+    The counters as a registry holds them: the router's live one, or a
+    phase's frozen copy ({!Bgp_stats.Metrics.freeze}).  Each counts
+    since the registry's last {!Bgp_stats.Metrics.reset_all}, so it is
+    scoped to the phase like every other counter.  A registry no
+    damping table registered on reads as zero. *)
 
 val flaps_in : Bgp_stats.Metrics.t -> int
+(** Flaps charged. *)
+
 val suppressions_in : Bgp_stats.Metrics.t -> int
+(** Routes suppressed. *)
+
 val reuses_in : Bgp_stats.Metrics.t -> int
+(** Suppressed routes released. *)
 
 val suppressed_in : Bgp_stats.Metrics.t -> int
 (** Routes suppressed when the registry was read, or frozen. *)

@@ -286,10 +286,18 @@ let entries_of_mrt records =
         e_communities = a.A.communities })
     (Bgp_mrt.Mrt.routes_of_dump records)
 
+(* The first 64 bytes, or "" when the file cannot be read. *)
+let head filename =
+  try
+    In_channel.with_open_bin filename (fun ic ->
+        let n = min 64 (Int64.to_int (In_channel.length ic)) in
+        Option.value ~default:"" (In_channel.really_input_string ic n))
+  with Sys_error _ -> ""
+
 let load_auto filename =
-  match Bgp_mrt.Mrt.sniff_file filename with
-  | Bgp_mrt.Mrt.Bgpmark_table -> load filename
-  | Bgp_mrt.Mrt.Mrt_dump -> (
+  let head = head filename in
+  if String.starts_with ~prefix:header head then load filename
+  else if Bgp_mrt.Mrt.is_dump head then (
     match Bgp_mrt.Mrt.read_file filename with
     | Error e -> Error (Printf.sprintf "%s: %s" filename e)
     | Ok (records, _skipped) -> (
@@ -299,9 +307,9 @@ let load_auto filename =
           (Printf.sprintf "%s: MRT dump has no IPv4-unicast RIB entries"
              filename)
       | entries -> Ok entries))
-  | Bgp_mrt.Mrt.Unknown_format ->
+  else
     Error
       (Printf.sprintf
-         "%s: unrecognized table format — expected %s or %s" filename
-         (Bgp_mrt.Mrt.format_name Bgp_mrt.Mrt.Mrt_dump)
-         (Bgp_mrt.Mrt.format_name Bgp_mrt.Mrt.Bgpmark_table))
+         "%s: unrecognized table format — expected MRT dump (RFC 6396 \
+          binary) or bgpmark table (%S text)"
+         filename header)

@@ -45,9 +45,10 @@ val synthesize :
     where path length is a controlled variable. *)
 
 val load_auto : string -> (entry list, string) result
-(** Sniff the file ({!Bgp_mrt.Mrt.sniff_file}) and dispatch: the
+(** Sniff the file's first bytes and dispatch: the
     [# bgpmark-table v1] text format goes through {!load}, a binary
-    MRT dump through {!Bgp_mrt.Mrt.read_file}, keeping the
-    best-source RIB view ({!Bgp_mrt.Mrt.routes_of_dump}) without next
-    hops — like the text format, loaded tables are speaker-relative.
+    MRT dump ({!Bgp_mrt.Mrt.is_dump}) through {!Bgp_mrt.Mrt.read_file},
+    keeping the best-source RIB view ({!Bgp_mrt.Mrt.routes_of_dump})
+    without next hops — like the text format, loaded tables are
+    speaker-relative.
     Unrecognized content is an error naming both accepted formats. *)

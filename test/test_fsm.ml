@@ -284,6 +284,39 @@ let test_framer_poisoned () =
   | Framer.Error _ -> ()
   | _ -> Alcotest.fail "should stay poisoned"
 
+(* A partial-message trickle: an UPDATE of about 4 KB fed one byte at a
+   time costs the framer allocation in proportion to its size, not its
+   square (each chunk used to copy the whole pending buffer). *)
+let test_framer_trickle () =
+  let update =
+    Msg.announcement attrs
+      (List.init 1000 (fun i ->
+           pfx (Printf.sprintf "10.%d.%d.0/24" (i / 256) (i mod 256))))
+  in
+  let wire = Bgp_wire.Codec.encode update in
+  let size = String.length wire in
+  Alcotest.(check bool) "about 4 KB" true (size > 4000);
+  let chunks = List.init size (fun i -> String.make 1 wire.[i]) in
+  let f = Framer.create () in
+  let got = ref [] in
+  let before = Gc.allocated_bytes () in
+  List.iter
+    (fun chunk ->
+      Framer.feed f chunk;
+      match Framer.next f with
+      | Framer.Msg (msg, _) -> got := msg :: !got
+      | Framer.Need_more -> ()
+      | Framer.Error _ -> Alcotest.fail "framing error")
+    chunks;
+  let allocated = Gc.allocated_bytes () -. before in
+  (match !got with
+  | [ msg ] ->
+    Alcotest.(check bool) "reassembled" true (Bgp_wire.Codec.encode msg = wire)
+  | l -> Alcotest.failf "%d messages" (List.length l));
+  Alcotest.(check int) "no leftover" 0 (Framer.buffered f);
+  if allocated > 64.0 *. float_of_int size then
+    Alcotest.failf "%.0f bytes allocated for a %d-byte message" allocated size
+
 (* ------------------------------------------------------------------ *)
 (* Session over an in-memory loopback                                  *)
 (* ------------------------------------------------------------------ *)
@@ -451,7 +484,7 @@ let test_session_dials_only_when_active () =
     Session.start s;
     !on_connected ();
     !on_closed ();
-    Bgp_engine.Engine.run ~until:(3.0 *. cfg.Fsm.connect_retry) engine;
+    Bgp_engine.Engine.run ~until:(3.0 *. Fsm.connect_retry) engine;
     !n
   in
   Alcotest.(check bool) "active dials" true (dials cfg > 0);
@@ -568,6 +601,7 @@ let () =
         Alcotest.test_case "chunked stream" `Quick test_framer_chunked
         :: Alcotest.test_case "need more" `Quick test_framer_need_more
         :: Alcotest.test_case "poisoned" `Quick test_framer_poisoned
+        :: Alcotest.test_case "one-byte trickle" `Quick test_framer_trickle
         :: List.map QCheck_alcotest.to_alcotest [ prop_framer_chunking ] );
       ( "session",
         [ Alcotest.test_case "handshake and update" `Quick

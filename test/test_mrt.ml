@@ -158,14 +158,9 @@ let test_projections () =
 
 let test_sniff () =
   let mrt = Mrt.to_string (gen_records ~n:10 ()) in
-  Alcotest.(check bool) "mrt bytes" true
-    (Mrt.sniff_string mrt = Mrt.Mrt_dump);
-  Alcotest.(check bool) "bgpmark header" true
-    (Mrt.sniff_string "# bgpmark-table v1\n" = Mrt.Bgpmark_table);
-  Alcotest.(check bool) "garbage" true
-    (Mrt.sniff_string "hello world, not a table" = Mrt.Unknown_format);
-  Alcotest.(check bool) "empty" true
-    (Mrt.sniff_string "" = Mrt.Unknown_format)
+  Alcotest.(check bool) "mrt bytes" true (Mrt.is_dump mrt);
+  Alcotest.(check bool) "garbage" false (Mrt.is_dump "hello world, not a table");
+  Alcotest.(check bool) "empty" false (Mrt.is_dump "")
 
 let with_temp_file content f =
   let file = Filename.temp_file "bgpmark" ".auto" in

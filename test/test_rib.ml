@@ -1343,7 +1343,8 @@ let test_damping_first_announce_free () =
 
 let test_damping_suppress_and_reuse () =
   let c = Damping.test_config in
-  let d = Damping.create ~metrics:(Bgp_stats.Metrics.create ()) c in
+  let metrics = Bgp_stats.Metrics.create () in
+  let d = Damping.create ~metrics c in
   (* Two quick withdraw/announce cycles cross the suppress threshold. *)
   Damping.note_withdraw d ~now:0. ~peer:peer1 ~prefix:dpfx;
   Alcotest.(check bool) "one withdrawal not yet suppressed" true
@@ -1375,7 +1376,7 @@ let test_damping_suppress_and_reuse () =
     | l -> Alcotest.failf "expected one reusable route, got %d" (List.length l)));
   Alcotest.(check int) "nothing suppressed after reuse" 0
     (Damping.suppressed_count d);
-  Alcotest.(check int) "books exactly one reuse" 1 (Damping.reuses d)
+  Alcotest.(check int) "books exactly one reuse" 1 (Damping.reuses_in metrics)
 
 let test_damping_withdrawn_route_not_reinjected () =
   let d =
@@ -1421,22 +1422,26 @@ let test_damping_counters_phase_scoped () =
       (Damping.on_announce d ~now:(now +. 0.1) ~peer:peer1 ~prefix:dpfx
          ~attrs:damp_attrs)
   in
+  let counters () =
+    [ Damping.flaps_in metrics; Damping.suppressions_in metrics;
+      Damping.reuses_in metrics ]
+  in
   (* First phase: two quick flaps suppress the route. *)
   flap 0.;
   flap 0.2;
   Alcotest.(check (list int)) "first phase: flaps, suppressions, reuses"
     [ 2; 1; 0 ]
-    [ Damping.flaps d; Damping.suppressions d; Damping.reuses d ];
+    (counters ());
   Bgp_stats.Metrics.reset_all metrics;
   Alcotest.(check (list int)) "reset clears the counters" [ 0; 0; 0 ]
-    [ Damping.flaps d; Damping.suppressions d; Damping.reuses d ];
+    (counters ());
   Alcotest.(check int) "reset leaves the suppressed gauge" 1
     (Damping.suppressed_in metrics);
   (* Second phase: the route is reused, then flaps once more. *)
   ignore (Damping.take_reusable d ~now:100.);
   Damping.note_withdraw d ~now:100.5 ~peer:peer1 ~prefix:dpfx;
   Alcotest.(check (list int)) "second phase counts only itself" [ 1; 0; 1 ]
-    [ Damping.flaps d; Damping.suppressions d; Damping.reuses d ];
+    (counters ());
   Alcotest.(check int) "gauge follows the table" (Damping.suppressed_count d)
     (Damping.suppressed_in metrics)
 

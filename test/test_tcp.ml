@@ -153,13 +153,10 @@ let test_refused_dial_retries () =
        ~step:5.0);
   Alcotest.(check string) "session waits in Active" "Active"
     (Fsm.state_name (Router.session_state router peer));
-  let retry =
-    (Fsm.default_config ~asn:(asn 65000) ~router_id:(ip "10.0.0.1"))
-      .Fsm.connect_retry
-  in
   Alcotest.(check bool) "ConnectRetry armed" true
     (List.exists
-       (fun (time, h) -> (not (Clock.cancelled h)) && time >= t0 +. retry -. 1.0)
+       (fun (time, h) ->
+         (not (Clock.cancelled h)) && time >= t0 +. Fsm.connect_retry -. 1.0)
        !timers);
   dialer.Tcp_link.dispose ()
 
