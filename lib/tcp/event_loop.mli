@@ -11,11 +11,23 @@
     due, and idempotent cancellation.  Time is
     monotonized (never decreases even if [gettimeofday] steps
     backwards), so a clock step cannot starve or spuriously fire armed
-    timers. *)
+    timers.
+
+    The pump works in turns.  A turn first drains the heap: it fires
+    what is due, re-reads the time and fires again, so a chain of
+    zero-delay events runs within one turn; a fixed pass bound keeps a
+    callback that re-posts itself forever from starving the
+    descriptors.  Then it runs each dirty link's flush ({!at_flush})
+    once, and last it waits in [select] and dispatches the ready
+    descriptors.  The flushes also run before the pump returns. *)
 
 type t
 
 val create : unit -> t
+(** A new loop.  It sets SIGPIPE to ignored for the whole process: a
+    write to a peer that has closed then fails with [EPIPE] in the
+    transport that made it, which tears that link down, instead of
+    killing the process. *)
 
 val watch_read : t -> Unix.file_descr -> (unit -> unit) -> unit
 (** Invoke the callback whenever the descriptor is readable.  Replaces
@@ -31,6 +43,12 @@ val unwatch : t -> Unix.file_descr -> unit
 (** Drop both the read and write watchers of the descriptor. *)
 
 val unwatch_write : t -> Unix.file_descr -> unit
+
+val at_flush : t -> (unit -> unit) -> unit
+(** Run the callback once, at this turn's flush: after the drain and
+    before [select], or before the pump returns.  A transport calls it
+    when a send first dirties a link, and writes the link's queued
+    output from it. *)
 
 val clock : t -> Bgp_engine.Clock.t
 (** This loop as a {!Bgp_engine.Clock}: monotonized wall-clock [now]

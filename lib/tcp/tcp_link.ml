@@ -10,6 +10,7 @@ type conn = {
   role : role;
   mutable fd : Unix.file_descr option;
   out : Ring.t;  (* queued output not yet accepted by the socket *)
+  mutable dirty : bool;  (* a flush of [out] is queued for this turn *)
   read_buf : Bytes.t;  (* per-connection: concurrent links never alias *)
   mutable receiver : string -> unit;
   mutable on_connected : unit -> unit;
@@ -20,16 +21,28 @@ type conn = {
 
 let make_conn loop role =
   { loop; clock = Event_loop.clock loop; role; fd = None;
-    out = Ring.create (); read_buf = Bytes.create 65536;
+    out = Ring.create (); dirty = false; read_buf = Bytes.create 65536;
     receiver = (fun _ -> ());
     on_connected = (fun () -> ()); on_closed = (fun () -> ());
     on_failed = (fun () -> ()); tap = None }
+
+(* Write what the socket accepts now, without waiting for it to drain:
+   the last words before a close (a NOTIFICATION) go out, and whatever
+   does not fit is dropped with the connection. *)
+let write_out fd out =
+  try
+    while not (Ring.is_empty out) do
+      let buf, off, len = Ring.contiguous out in
+      Ring.consume out (Unix.write fd buf off len)
+    done
+  with Unix.Unix_error (_, _, _) -> ()
 
 let teardown ?(notify = true) c =
   match c.fd with
   | None -> ()
   | Some fd ->
     Event_loop.unwatch c.loop fd;
+    write_out fd c.out;
     (try Unix.close fd with Unix.Unix_error _ -> ());
     c.fd <- None;
     Ring.clear c.out;
@@ -61,10 +74,17 @@ let rec flush_out c =
       | exception Unix.Unix_error (_, _, _) -> teardown c
     end
 
+(* Sends are corked: they append to the ring, and the loop flushes each
+   dirty link once per turn, so a turn's messages leave in one write. *)
 let enqueue c bytes =
   if c.fd <> None && bytes <> "" then begin
     Ring.push_string c.out bytes;
-    flush_out c
+    if not c.dirty then begin
+      c.dirty <- true;
+      Event_loop.at_flush c.loop (fun () ->
+          c.dirty <- false;
+          flush_out c)
+    end
   end
 
 let handle_readable c fd () =

@@ -20,6 +20,13 @@
       readiness), so a burst larger than the socket buffers cannot
       deadlock the single-threaded loop.
 
+    [send] only queues: the link's bytes leave at the loop turn's flush
+    ({!Event_loop.at_flush}), so every message sent in one turn goes
+    out in one write.  [close] first writes what the socket accepts of
+    the queue (a NOTIFICATION sent just before it goes out), then
+    closes.  A write that fails, [EPIPE] from a peer that has gone
+    included, tears the connection down like a close.
+
     One behaviour has no simulated counterpart: a refused dial fires
     the connector's [on_failed], never [on_closed] — RFC 4271
     TcpConnectionFails, after which the FSM retries from Active

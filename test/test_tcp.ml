@@ -243,6 +243,121 @@ let test_tap_fates () =
   link.dispose ()
 
 (* ------------------------------------------------------------------ *)
+(* Corked output                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A connector whose peer is a raw blocking socket that the test reads
+   and writes directly. *)
+let raw_peer () =
+  let loop = Loop.create () in
+  let clock = Loop.clock loop in
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let ep = Tcp_link.connect loop ~port in
+  let connected = ref false in
+  ep.link.set_on_connected (fun () -> connected := true);
+  ep.link.start_connect ();
+  let peer, _ = Unix.accept lsock in
+  Unix.close lsock;
+  if not (Clock.run clock ~cond:(fun () -> !connected) ~step:5.0) then
+    Alcotest.fail "link did not connect";
+  (clock, ep, peer)
+
+(* Read from [fd] until [len] bytes or EOF; the bytes and the reads. *)
+let read_upto fd len =
+  let buf = Buffer.create 65536 and chunk = Bytes.create 65536 in
+  let rec go reads =
+    if Buffer.length buf >= len then reads
+    else
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> reads
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go (reads + 1)
+  in
+  let reads = go 0 in
+  (Buffer.contents buf, reads)
+
+let numbered n = List.init n (Printf.sprintf "%06d;")
+
+let test_corked_sends_coalesce () =
+  let clock, ep, peer = raw_peer () in
+  let msgs = numbered 1000 in
+  let expected = String.concat "" msgs in
+  let early = ref true in
+  Clock.post clock (fun () ->
+      List.iter ep.link.send msgs;
+      (* Nothing leaves before the turn's flush. *)
+      let readable, _, _ = Unix.select [ peer ] [] [] 0.0 in
+      early := readable <> []);
+  ignore (Clock.run clock ~cond:(fun () -> not !early) ~step:0.2);
+  Alcotest.(check bool) "no bytes inside the callback" false !early;
+  let got, reads = read_upto peer (String.length expected) in
+  Alcotest.(check string) "every message, in order" expected got;
+  Alcotest.(check bool) (Printf.sprintf "%d reads <= 10" reads) true (reads <= 10);
+  Unix.close peer;
+  ep.dispose ()
+
+let test_close_flushes () =
+  (* Sends outside any pump stay queued until [close], which must write
+     them before it closes the socket. *)
+  let _, ep, peer = raw_peer () in
+  let msgs = numbered 1000 in
+  List.iter ep.link.send msgs;
+  ep.link.close ();
+  let got, _ = read_upto peer max_int in
+  Alcotest.(check string) "all bytes, then EOF" (String.concat "" msgs) got;
+  Unix.close peer;
+  ep.dispose ()
+
+(* Regression: nothing ignored SIGPIPE, so a write to a peer that had
+   closed killed the process (exit 141) before [flush_out]'s error
+   branch could tear the link down. *)
+let test_write_to_closed_peer () =
+  let clock, ep, peer = raw_peer () in
+  let closed = ref false in
+  ep.link.set_on_closed (fun () -> closed := true);
+  (* The peer goes away before the link has read its FIN. *)
+  Unix.close peer;
+  let sent = ref false in
+  Clock.post clock (fun () ->
+      ep.link.send "first";
+      ep.link.send "second";
+      sent := true);
+  ignore (Clock.run clock ~cond:(fun () -> !sent) ~step:5.0);
+  (* The peer's RST is back by now: this write fails with EPIPE. *)
+  Unix.sleepf 0.05;
+  ep.link.send "third";
+  Alcotest.(check bool) "link reports the close" true
+    (Clock.run clock ~cond:(fun () -> !closed) ~step:5.0);
+  ep.dispose ()
+
+let test_drain_bound () =
+  (* A callback that re-posts itself forever must not keep the loop
+     from reading a ready socket. *)
+  let clock, ep, peer = raw_peer () in
+  let got = ref false in
+  ep.link.set_receiver (fun _ -> got := true);
+  let spins = ref 0 and cap = 10_000_000 in
+  let rec spin () =
+    incr spins;
+    if (not !got) && !spins < cap then Clock.post clock spin
+  in
+  Clock.post clock spin;
+  ignore (Unix.write_substring peer "ping" 0 4);
+  Alcotest.(check bool) "bytes reached the receiver" true
+    (Clock.run clock ~cond:(fun () -> !got) ~step:5.0);
+  Alcotest.(check bool) "while the chain still ran" true (!spins < cap);
+  Unix.close peer;
+  ep.dispose ()
+
+(* ------------------------------------------------------------------ *)
 (* Event-loop timers                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -307,6 +422,15 @@ let () =
       ( "tap",
         [ Alcotest.test_case "passes, drops and swaps in order" `Quick
             test_tap_fates
+        ] );
+      ( "cork",
+        [ Alcotest.test_case "sends coalesce in order" `Quick
+            test_corked_sends_coalesce;
+          Alcotest.test_case "close flushes first" `Quick test_close_flushes;
+          Alcotest.test_case "write to a closed peer" `Quick
+            test_write_to_closed_peer;
+          Alcotest.test_case "drain bound stops starvation" `Quick
+            test_drain_bound
         ] );
       ( "timers",
         [ Alcotest.test_case "firing order" `Quick test_timer_firing_order;
