@@ -172,6 +172,13 @@ let record_dispatch st cycles =
 
 let record_finish st w = Metrics.add st.m_units (units st.id w)
 
+(* A job of [cycles] on the stage's process; an inline stage is
+   bookkeeping with no simulated CPU, so [fn] runs at once. *)
+let run_stage t st ~cycles fn =
+  match st.proc with
+  | None -> fn ()
+  | Some p -> Sched.submit t.sched p ~cycles fn
+
 (* --- Pipelined layout: one scheduled job per proc-bearing stage. ---- *)
 
 let trace_update_done t b =
@@ -217,9 +224,7 @@ let rec dispatch_from t b i =
         | _ -> ());
         dispatch_from t b (i + 1)
       in
-      match st.proc with
-      | None -> complete ()  (* inline bookkeeping: no simulated CPU *)
-      | Some p -> Sched.submit t.sched p ~cycles complete
+      run_stage t st ~cycles complete
     end
   end
 
@@ -326,10 +331,17 @@ let submit t w hooks =
     Queue.add b t.pending;
     pump t pacing
 
-let stage_proc t id =
-  Array.fold_left
-    (fun acc st -> if st.id = id then st.proc else acc)
-    None t.stages
+(* A stage's slot in [order]. *)
+let index = function
+  | Wire_decode -> 0
+  | Import_policy -> 1
+  | Adj_rib_in -> 2
+  | Decision -> 3
+  | Fib_install -> 4
+  | Export_policy -> 5
+  | Mrai_pacing -> 6
+
+let run_on t id ~cycles fn = run_stage t t.stages.(index id) ~cycles fn
 
 let idle t =
   Queue.is_empty t.pending

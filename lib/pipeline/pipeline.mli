@@ -28,7 +28,8 @@
     The protocol side effects (running the RIB machinery, installing
     FIB deltas, emitting announcements) are supplied per batch as
     {!hooks}; the pipeline owns sequencing, CPU charging, and cost
-    accounting. *)
+    accounting.  Work off the update path follows a stage's placement
+    through {!run_on}; with every stage [Inline] there is no process. *)
 
 (** The seven stages of the per-update transaction path, in pipeline
     order. *)
@@ -142,8 +143,10 @@ val create :
 val submit : t -> work -> hooks -> unit
 (** Route one batch through every stage. *)
 
-val stage_proc : t -> stage_id -> Bgp_sim.Sched.proc option
-(** The process a stage runs on ([None] for inline stages). *)
+val run_on : t -> stage_id -> cycles:float -> (unit -> unit) -> unit
+(** Work off the update pipeline that follows a stage's placement: a
+    job of [cycles] on the stage's process, whose completion runs the
+    callback, or the callback at once when the stage is [Inline]. *)
 
 val idle : t -> bool
 (** No batch queued, paced, or holding CPU on any stage process. *)

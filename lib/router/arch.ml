@@ -144,18 +144,21 @@ let cisco3620 =
 
 let all = [ pentium3; xeon; ixp2400; cisco3620 ]
 
+let free =
+  { cyc_per_msg_rx = 0.0; cyc_per_msg_tx = 0.0; cyc_per_byte = 0.0;
+    cyc_per_prefix_parse = 0.0; cyc_per_policy_unit = 0.0;
+    cyc_per_candidate = 0.0; cyc_per_rib_change = 0.0;
+    cyc_per_announcement = 0.0; cyc_per_fib_msg = 0.0;
+    cyc_per_fib_delta = 0.0; cyc_per_fib_replace = 0.0;
+    cyc_per_withdraw_parse = 0.0 }
+
 let unpaced =
   { xeon with
     name = "unpaced";
     description = "Xeon model with zero costs: host speed only";
-    cost =
-      { cyc_per_msg_rx = 0.0; cyc_per_msg_tx = 0.0; cyc_per_byte = 0.0;
-        cyc_per_prefix_parse = 0.0; cyc_per_policy_unit = 0.0;
-        cyc_per_candidate = 0.0; cyc_per_rib_change = 0.0;
-        cyc_per_announcement = 0.0; cyc_per_fib_msg = 0.0;
-        cyc_per_fib_delta = 0.0; cyc_per_fib_replace = 0.0;
-        cyc_per_withdraw_parse = 0.0 };
-    rtrmgr_period = 0.0 }
+    cost = free }
+
+let is_free t = t.cost = free  (* structural: copies of [free] count *)
 
 (* ------------------------------------------------------------------ *)
 (* Declarative stage tables                                            *)
@@ -173,9 +176,16 @@ let rx_cost c (w : P.work) =
   +. (fi w.P.w_announced *. c.cyc_per_prefix_parse)
   +. (fi w.P.w_withdrawn *. c.cyc_per_withdraw_parse)
 
-let fib_delta_cost c (w : P.work) =
-  (fi w.P.w_fib_replaces *. c.cyc_per_fib_replace)
-  +. (fi w.P.w_fib_installs *. c.cyc_per_fib_delta)
+let fib_delta_cost c ~replaces ~installs =
+  (fi replaces *. c.cyc_per_fib_replace) +. (fi installs *. c.cyc_per_fib_delta)
+
+let work_delta_cost c (w : P.work) =
+  fib_delta_cost c ~replaces:w.P.w_fib_replaces ~installs:w.P.w_fib_installs
+
+let decision_cost c (w : P.work) =
+  (fi w.P.w_candidates *. c.cyc_per_candidate)
+  +. (fi w.P.w_loc_changes *. c.cyc_per_rib_change)
+  +. (fi w.P.w_announcements *. c.cyc_per_announcement)
 
 (* XORP (Table II uni-core / dual-core / NP systems): each stage with a
    process is a separate scheduled job, reproducing the
@@ -195,16 +205,14 @@ let xorp_stage_table c = function
     P.Proc
       ( "xorp_rib",
         fun w ->
-          (fi w.P.w_candidates *. c.cyc_per_candidate)
-          +. (fi w.P.w_loc_changes *. c.cyc_per_rib_change)
-          +. (fi w.P.w_announcements *. c.cyc_per_announcement)
+          decision_cost c w
           (* prefixes that produced no decision at all still burn a
              lookup *)
           +. Float.max 0.0
                (fi (P.prefixes w - w.P.w_candidates)
                *. (0.5 *. c.cyc_per_candidate)) )
   | P.Fib_install ->
-    P.Proc ("xorp_fea", fun w -> c.cyc_per_fib_msg +. fib_delta_cost c w)
+    P.Proc ("xorp_fea", fun w -> c.cyc_per_fib_msg +. work_delta_cost c w)
 
 (* IOS (black box): the same seven logical stages, but every priced
    stage charges the single "ios" process and the whole batch runs as
@@ -215,29 +223,47 @@ let ios_stage_table c =
   let ios cost = P.Proc ("ios", cost) in
   function
   | P.Wire_decode -> ios (rx_cost c)
-  | P.Decision ->
-    ios (fun w ->
-        (fi w.P.w_candidates *. c.cyc_per_candidate)
-        +. (fi w.P.w_loc_changes *. c.cyc_per_rib_change)
-        +. (fi w.P.w_announcements *. c.cyc_per_announcement))
-  | P.Fib_install -> ios (fib_delta_cost c)
+  | P.Decision -> ios (decision_cost c)
+  | P.Fib_install -> ios (work_delta_cost c)
   | P.Import_policy | P.Adj_rib_in | P.Export_policy | P.Mrai_pacing ->
     P.Inline
 
+(* A free cost model prices nothing, so no stage needs a process. *)
 let stage_table t =
-  match t.software with
-  | Xorp_pipeline -> xorp_stage_table t.cost
-  | Monolithic _ -> ios_stage_table t.cost
+  if is_free t then fun _ -> P.Inline
+  else
+    match t.software with
+    | Xorp_pipeline -> xorp_stage_table t.cost
+    | Monolithic _ -> ios_stage_table t.cost
 
+(* A fused job needs the one process that a free table does not have. *)
 let layout t =
   match t.software with
-  | Xorp_pipeline -> P.Pipelined
-  | Monolithic { pacing_delay_per_msg } -> P.Fused_paced pacing_delay_per_msg
+  | Monolithic { pacing_delay_per_msg } when not (is_free t) ->
+    P.Fused_paced pacing_delay_per_msg
+  | Xorp_pipeline | Monolithic _ -> P.Pipelined
 
 let housekeeper_proc_name t =
-  match t.software with
-  | Xorp_pipeline -> Some "xorp_rtrmgr"
-  | Monolithic _ -> None
+  if t.rtrmgr_period > 0.0 && t.rtrmgr_cycles > 0.0 && not (is_free t) then
+    Some "xorp_rtrmgr"
+  else None
+
+(* The work the router charges off the update pipeline. *)
+let send_cycles t ~bytes =
+  t.cost.cyc_per_msg_tx +. (fi bytes *. t.cost.cyc_per_byte)
+
+let export_cycles t ~prefixes = fi prefixes *. t.cost.cyc_per_announcement
+
+let repair_cycles t deltas ~announcements =
+  let c = t.cost in
+  let replaces =
+    List.fold_left
+      (fun n -> function Bgp_fib.Fib.Replace _ -> n + 1 | _ -> n)
+      0 deltas
+  in
+  c.cyc_per_fib_msg
+  +. fib_delta_cost c ~replaces ~installs:(List.length deltas - replaces)
+  +. (fi announcements *. c.cyc_per_announcement)
 
 let by_name name =
   let lname = String.lowercase_ascii name in

@@ -80,11 +80,14 @@ val cisco3620 : t
 val all : t list
 (** The four systems, in Table II order. *)
 
+val free : cost_model
+(** Every cost term zero: no simulated CPU.  On it (or on a copy of it)
+    every stage is [Inline] and there is no housekeeper, so a router
+    registers no scheduler process and runs all its work at once. *)
+
 val unpaced : t
-(** The Xeon model with every cost term zero and no housekeeping: the
-    modelled CPU never paces the router, so it runs at host speed.
-    This is what [bgpd] runs.  Not one of the paper's systems — absent
-    from {!all} and {!by_name}. *)
+(** The Xeon model on {!free} costs, at host speed: what [bgpd] runs.
+    Not a paper system — absent from {!all} and {!by_name}. *)
 
 val by_name : string -> t option
 (** Case-insensitive lookup of ["pentium3"], ["xeon"], ["ixp2400"],
@@ -94,13 +97,11 @@ val by_name : string -> t option
 
     An architecture's update path is declared, not hardwired: for each
     of the seven stages it names a process and a cost hook, or runs the
-    stage inline, and the router builds a {!Bgp_pipeline.Pipeline} from
-    [stage_table] + [layout].  Stage order, unit counts and the
-    [Fib_install] skip belong to the pipeline, so a new architecture is
-    only a new table (see DESIGN.md "Update pipeline" for a worked
-    example).  The router charges sends to the [Wire_decode] stage's
-    process and out-of-band FIB repair to the [Fib_install] stage's, so
-    neither stage may be inline. *)
+    stage inline (DESIGN.md "Update pipeline" has a worked example).
+    Stage order, unit counts and the [Fib_install] skip belong to
+    {!Bgp_pipeline.Pipeline}.  Sends run where [Wire_decode] runs, and
+    FIB repair where [Fib_install] runs
+    ({!Bgp_pipeline.Pipeline.run_on}). *)
 
 val stage_table :
   t -> Bgp_pipeline.Pipeline.stage_id -> Bgp_pipeline.Pipeline.placement
@@ -112,12 +113,25 @@ val stage_table :
 
 val layout : t -> Bgp_pipeline.Pipeline.layout
 (** [Pipelined] for the XORP process chain, [Fused_paced] (with the
-    per-message scheduler delay) for the monolithic IOS model. *)
+    per-message scheduler delay) for the monolithic IOS model, and
+    [Pipelined] on the {!free} cost model, which has no process. *)
 
 val housekeeper_proc_name : t -> string option
 (** An extra, non-pipeline process for periodic housekeeping
-    ([xorp_rtrmgr]); [None] when the architecture has no such
-    process. *)
+    ([xorp_rtrmgr]); [None] without a positive period and cycle count,
+    or on the {!free} cost model. *)
+
+(** {1 Prices, in cycles, of the work off the update pipeline} *)
+
+val send_cycles : t -> bytes:int -> float
+(** One outbound message: [cyc_per_msg_tx + bytes * cyc_per_byte]. *)
+
+val export_cycles : t -> prefixes:int -> float
+(** One packed export UPDATE: [prefixes * cyc_per_announcement]. *)
+
+val repair_cycles : t -> Bgp_fib.Fib.delta list -> announcements:int -> float
+(** One FIB job (peer loss, origination): [cyc_per_fib_msg], the deltas
+    priced as [Fib_install] prices them, and the announcements. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary. *)

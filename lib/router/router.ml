@@ -50,9 +50,6 @@ type t = {
   fib : Fib.t;
   fwd : Bgp_netsim.Forwarding.t;
   pipeline : Pipeline.t;
-  tx_proc : Sched.proc;   (* message send path: the wire-decode process *)
-  fib_proc : Sched.proc;  (* out-of-band FIB repair (peer loss): the
-                             fib-install process *)
   metrics : Metrics.t;
   mrai : float option;
   damp : Damping.t option;
@@ -72,15 +69,6 @@ type t = {
   tracer : Bgp_trace.Tracer.t option;
   fsm_track : Bgp_trace.Tracer.track option;  (* session transitions *)
 }
-
-let start_rtrmgr clock sched arch proc =
-  if arch.Arch.rtrmgr_period > 0.0 && arch.Arch.rtrmgr_cycles > 0.0 then begin
-    let rec tick () =
-      Sched.submit sched proc ~cycles:arch.Arch.rtrmgr_cycles (fun () -> ());
-      ignore (Clock.schedule clock ~delay:arch.Arch.rtrmgr_period tick)
-    in
-    ignore (Clock.schedule clock ~delay:arch.Arch.rtrmgr_period tick)
-  end
 
 let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
     ?trace_process clock arch ~local_asn ~router_id =
@@ -121,10 +109,12 @@ let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
   Option.iter
     (fun name ->
       let proc = Sched.add_proc sched name in
-      start_rtrmgr clock sched arch proc)
+      let rec tick () =
+        Sched.submit sched proc ~cycles:arch.Arch.rtrmgr_cycles ignore;
+        ignore (Clock.schedule clock ~delay:arch.Arch.rtrmgr_period tick)
+      in
+      ignore (Clock.schedule clock ~delay:arch.Arch.rtrmgr_period tick))
     (Arch.housekeeper_proc_name arch);
-  (* Both stages run on a process in every architecture (arch.mli). *)
-  let stage_proc id = Option.get (Pipeline.stage_proc pipeline id) in
   let fwd =
     Bgp_netsim.Forwarding.create arch.Arch.forwarding sched
       ~line_rate_mbps:arch.Arch.line_rate_mbps
@@ -133,10 +123,7 @@ let create ?import ?export ?aggregates ?mrai ?damping ?metrics ?tracer
     rib =
       Rib_manager.create ?import ?export ?aggregates ~metrics ~local_asn
         ~router_id ();
-    fib = Fib.create (); fwd; pipeline;
-    tx_proc = stage_proc Pipeline.Wire_decode;
-    fib_proc = stage_proc Pipeline.Fib_install;
-    metrics; mrai;
+    fib = Fib.create (); fwd; pipeline; metrics; mrai;
     damp = Option.map (fun cfg -> Damping.create ~metrics cfg) damping;
     damp_timer = None; peers = Hashtbl.create 8;
     c_transactions; c_updates_rx; c_withdrawn_rx; c_msgs_rx; c_msgs_tx;
@@ -158,22 +145,6 @@ let stage_stats t = Pipeline.stage_stats t.pipeline
 
 let set_cross_traffic t mbps = Bgp_netsim.Forwarding.set_offered t.fwd mbps
 let set_route_observer t f = t.route_observer <- f
-
-(* ------------------------------------------------------------------ *)
-(* Cost helpers                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let cost t = t.arch.Arch.cost
-
-let delta_cycles (c : Arch.cost_model) deltas =
-  List.fold_left
-    (fun acc d ->
-      acc
-      +.
-      match d with
-      | Fib.Replace _ -> c.Arch.cyc_per_fib_replace
-      | Fib.Add _ | Fib.Withdraw _ -> c.Arch.cyc_per_fib_delta)
-    0.0 deltas
 
 (* Run one inbound UPDATE through the RIB machinery, booking the
    outcomes' counts into [w], the work profile that prices the decision
@@ -269,15 +240,12 @@ let encode_out msg =
     in
     (msg, Codec.encode msg)
 
-(* Send a message to a peer, charging [proc] for the send path. *)
-let transmit t proc peer msg =
-  let c = cost t in
+(* Send a message to a peer, on [stage]'s process or at once. *)
+let transmit t stage peer msg =
   let msg, wire = encode_out msg in
-  let cycles =
-    c.Arch.cyc_per_msg_tx
-    +. (float_of_int (String.length wire) *. c.Arch.cyc_per_byte)
-  in
-  Sched.submit t.sched proc ~cycles (fun () ->
+  Pipeline.run_on t.pipeline stage
+    ~cycles:(Arch.send_cycles t.arch ~bytes:(String.length wire))
+    (fun () ->
       ignore (Session.send_encoded (link_session (link t peer)) msg wire))
 
 (* Flush a peer's MRAI buffer: withdrawals batched together, then
@@ -300,7 +268,7 @@ let rec mrai_flush t lnk =
         (Codec.group_by_attrs routes)
   in
   if msgs <> [] then begin
-    List.iter (fun msg -> transmit t t.tx_proc lnk.peer msg) msgs;
+    List.iter (transmit t Pipeline.Wire_decode lnk.peer) msgs;
     true
   end
   else false
@@ -328,7 +296,8 @@ let announcement_msg (a : Rib_manager.announcement) =
    there. *)
 let emit_announcement t (w : Pipeline.work) (a : Rib_manager.announcement) =
   match t.mrai with
-  | None -> transmit t t.tx_proc a.Rib_manager.dest (announcement_msg a)
+  | None ->
+    transmit t Pipeline.Wire_decode a.Rib_manager.dest (announcement_msg a)
   | Some interval ->
     let lnk = link t a.Rib_manager.dest in
     let armed = Option.is_some lnk.mrai_timer in
@@ -363,25 +332,24 @@ let note_transactions t n =
   t.last_transaction_at <- Some (Clock.now t.clock)
 
 (* A RIB outcome produced off the update pipeline (local origination,
-   peer-loss repair) is one job on the FIB process: commit the FIB
+   peer-loss repair) is one job where the FIB stage runs: commit the FIB
    deltas, send one UPDATE per announcement, then [on_done]. *)
 let fib_job t deltas anns ~on_done =
-  let c = cost t in
   let cycles =
-    c.Arch.cyc_per_fib_msg +. delta_cycles c deltas
-    +. (float_of_int (List.length anns) *. c.Arch.cyc_per_announcement)
+    Arch.repair_cycles t.arch deltas ~announcements:(List.length anns)
   in
-  Sched.submit t.sched t.fib_proc ~cycles (fun () ->
+  Pipeline.run_on t.pipeline Pipeline.Fib_install ~cycles (fun () ->
       ignore (Fib.apply_all t.fib deltas);
       List.iter
         (fun (a : Rib_manager.announcement) ->
-          transmit t t.fib_proc a.Rib_manager.dest (announcement_msg a))
+          transmit t Pipeline.Fib_install a.Rib_manager.dest
+            (announcement_msg a))
         anns;
       on_done ())
 
 (* Originate (or withdraw) a prefix locally — also the re-injection
    path for damping reuse.  The FIB commit and the resulting
-   advertisements ride the FIB process, like a peer-loss repair:
+   advertisements are a FIB job, like a peer-loss repair:
    origination is operator/IGP work, not an inbound UPDATE, so it stays
    off the update pipeline.  Books one transaction when the commit
    lands (the event a convergence detector keys on). *)
@@ -394,9 +362,8 @@ let local_change t ~prefix outcome =
 
 (* Reuse timer: one timer per router, re-armed in place at the earliest
    instant any suppressed route's penalty decays to the reuse threshold.
-   Firing re-injects the withheld announcements through the FIB process
-   (each books a transaction, so convergence detection sees the
-   reuse). *)
+   Firing re-injects the withheld announcements as FIB jobs (each
+   books a transaction, so convergence detection sees the reuse). *)
 let rec arm_reuse t =
   match t.damp with
   | None -> ()
@@ -519,14 +486,11 @@ let on_update t peer_link (u : Msg.update) =
 (* Ship a full advertisement set to one peer, packed into large
    updates, charging per-prefix announcement-building cycles. *)
 let send_packed t peer_link anns =
-  let c = cost t in
   List.iter
     (fun msg ->
-      let per_prefix =
-        float_of_int (Msg.nlri_count msg) *. c.Arch.cyc_per_announcement
-      in
+      let cycles = Arch.export_cycles t.arch ~prefixes:(Msg.nlri_count msg) in
       let msg, wire = encode_out msg in
-      Sched.submit t.sched t.tx_proc ~cycles:per_prefix (fun () ->
+      Pipeline.run_on t.pipeline Pipeline.Wire_decode ~cycles (fun () ->
           ignore (Session.send_encoded (link_session peer_link) msg wire)))
     (pack_export anns)
 
@@ -587,9 +551,9 @@ let attach_peer ?max_prefixes ?restart_delay ?(active = false) ?rr_client
           lnk.mrai_timer <- None;
           Hashtbl.reset lnk.mrai_pending;
           (* Session loss invalidates everything the peer contributed;
-             the repair work flows outside the update pipeline, charged
-             to the architecture's FIB process like any other burst
-             (paper: "a link is down or another router failed"). *)
+             the repair is a FIB job outside the update pipeline, like
+             any other burst (paper: "a link is down or another router
+             failed"). *)
           let o = Rib_manager.peer_down t.rib lnk.peer in
           List.iter
             (fun d -> t.route_observer (Fib.delta_prefix d))
@@ -660,7 +624,8 @@ let withdraw_origin t ~prefix =
   local_change t ~prefix (Rib_manager.withdraw_local t.rib ~prefix)
 
 (* Every job in flight (update batches, CEASE teardowns, FIB jobs,
-   packed exports) sits in a stage process's queue or the pacer. *)
+   packed exports) sits in a stage process's queue or the pacer; on
+   free costs there are none. *)
 let idle t = Pipeline.idle t.pipeline
 
 let counters t =

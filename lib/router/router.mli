@@ -8,11 +8,11 @@
     - the architecture's CPU: a {!Bgp_pipeline.Pipeline} built from the
       architecture's declarative stage table ({!Arch.stage_table}) on a
       {!Bgp_sim.Sched} pool — the XORP process chain runs [Pipelined],
-      the commercial black box runs [Fused_paced].  Sends are charged to
-      the [Wire_decode] stage's process and out-of-band FIB repair (peer
-      loss) to the [Fib_install] stage's; the only process outside the
-      pipeline is the architecture's housekeeper, registered after the
-      stage processes.
+      the commercial black box runs [Fused_paced].  Sends run where the
+      [Wire_decode] stage runs and FIB repair (peer loss, origination)
+      where [Fib_install] runs, priced by {!Arch}; the housekeeper is
+      the only process outside the pipeline.  On {!Arch.free} costs
+      there is no process at all and every step runs at once.
 
     Protocol work happens logically when messages arrive, but its
     {e completion} — and therefore the transactions-per-second metric —
@@ -124,9 +124,9 @@ val session_state : t -> Bgp_route.Peer.t -> Bgp_fsm.Fsm.state
 val originate : ?attrs:Bgp_route.Attrs.t -> t -> prefix:Bgp_addr.Prefix.t -> unit
 (** Originate [prefix] locally, with [attrs] (e.g. a route replayed
     from a table file) or by default next-hop self.  The FIB commit and the
-    advertisements to every Established peer are charged to the FIB
-    process, off the update pipeline; one transaction is booked when
-    the commit completes. *)
+    advertisements to every Established peer run where the FIB stage
+    runs, off the update pipeline; one transaction is booked when the
+    commit completes. *)
 
 val withdraw_origin : t -> prefix:Bgp_addr.Prefix.t -> unit
 (** Withdraw a locally originated prefix (counterpart of

@@ -88,10 +88,10 @@ let flush t =
 
 (* Passes of the drain per turn.  A zero-delay event scheduled during a
    pass lands at a later [now] than the pass ran to, so a chain of them
-   (a scheduler's zero-cost job completions) takes one pass per link.
-   The bound keeps a chain that re-posts itself forever from starving
-   the descriptors: 128 passes of such completions are well under a
-   millisecond (EXPERIMENTS.md, live-loopback). *)
+   (posted closes and connects, a paced scheduler's completions) takes
+   one pass per link.  The bound keeps a callback that re-posts itself
+   forever from starving the descriptors (EXPERIMENTS.md, "Why 128
+   passes"). *)
 let max_passes = 128
 
 let due t =

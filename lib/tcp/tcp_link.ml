@@ -96,10 +96,9 @@ let handle_readable c fd () =
     | exception Unix.Unix_error (_, _, _) -> teardown c
   end
 
+(* Only on an endpoint with no connection: a connector dials, and a
+   listener accepts, only when [c.fd] is [None]. *)
 let install c fd =
-  (* A lingering previous connection (e.g. a re-dial racing the old
-     close) is torn down first; the new one is a fresh generation. *)
-  teardown ~notify:false c;
   Unix.set_nonblock fd;
   c.fd <- Some fd;
   Event_loop.watch_read c.loop fd (handle_readable c fd);
@@ -158,11 +157,14 @@ let listen loop ~port =
     | Unix.ADDR_UNIX _ -> port
   in
   let c = make_conn loop Listener in
-  (* The passive side is always willing: new connections are accepted
-     (and re-accepted after a teardown) for as long as it lives. *)
+  (* One connection at a time, re-accepted after a teardown.  The link
+     has one peer and never dials, so a second connection is no
+     collision: it is closed at once, as RFC 4271 section 6.8 closes a
+     newcomer that meets an Established session. *)
   Event_loop.watch_read loop lsock (fun () ->
       match Unix.accept lsock with
-      | fd, _ -> install c fd
+      | fd, _ when c.fd = None -> install c fd
+      | fd, _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
       | exception Unix.Unix_error (_, _, _) -> ());
   let dispose () =
     teardown ~notify:false c;

@@ -43,7 +43,9 @@ type endpoint = {
 val listen : Event_loop.t -> port:int -> endpoint
 (** Passive endpoint on 127.0.0.1:[port] ([0] binds an ephemeral port,
     reported in [port]).  It accepts connections for as long as it
-    lives; a new connection replaces the current one.
+    lives, one at a time: a connection that arrives while another is
+    up is closed at once, so a stranger cannot take over the peer's
+    session.
     @raise Unix.Unix_error if the port cannot be bound. *)
 
 val connect : Event_loop.t -> port:int -> endpoint

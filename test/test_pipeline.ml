@@ -5,6 +5,7 @@
    the XORP and IOS execution models. *)
 
 module Engine = Bgp_engine.Engine
+module Link = Bgp_engine.Link
 module Clock = Bgp_engine.Clock
 module Sched = Bgp_sim.Sched
 module Channel = Bgp_netsim.Channel
@@ -76,8 +77,11 @@ let test_pipeline_validation () =
   Alcotest.(check (list string))
     "procs in stage order" [ "p"; "q" ]
     (List.map fst (Sched.take_accounting sched).Sched.acc_procs);
-  Alcotest.(check bool) "inline stage has no proc" true
-    (Pipeline.stage_proc t Pipeline.Export_policy = None)
+  Alcotest.(check (option string)) "inline stage has no proc" None
+    (List.find
+       (fun st -> st.Pipeline.st_stage = "export-policy")
+       (Pipeline.stage_stats t))
+      .Pipeline.st_proc
 
 (* ------------------------------------------------------------------ *)
 (* A two-speaker rig (the harness topology, without its phases)        *)
@@ -334,6 +338,113 @@ let test_legacy_cycles_xorp () = check_legacy_cycles ~model:`Xorp Arch.pentium3
 let test_legacy_cycles_ios () = check_legacy_cycles ~model:`Ios Arch.cisco3620
 
 (* ------------------------------------------------------------------ *)
+(* (d) Off-pipeline work and the free cost model                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_run_on_placement () =
+  let engine = Engine.create () in
+  let clock = Clock.of_engine engine in
+  let sched = Sched.create clock ~hz:1e9 ~pool:1.0 in
+  let t =
+    Pipeline.create ~clock ~sched ~metrics:(Metrics.create ())
+      ~layout:Pipeline.Pipelined ~trace_process:"test" (function
+      | Pipeline.Wire_decode -> Pipeline.Proc ("p", fun _ -> 0.0)
+      | _ -> Pipeline.Inline)
+  in
+  let inline = ref false in
+  Pipeline.run_on t Pipeline.Fib_install ~cycles:1e9 (fun () ->
+      inline := true);
+  Alcotest.(check bool) "inline stage runs at once" true !inline;
+  let ran_at = ref None in
+  Pipeline.run_on t Pipeline.Wire_decode ~cycles:1e9 (fun () ->
+      ran_at := Some (Engine.now engine));
+  Alcotest.(check bool) "charged job waits" true (!ran_at = None);
+  Engine.run ~until:0.5 engine;
+  Alcotest.(check bool) "not before its cycles" true (!ran_at = None);
+  Engine.run ~until:2.0 engine;
+  Alcotest.(check (option (float 1e-9))) "after 1e9 cycles at 1 GHz"
+    (Some 1.0) !ran_at
+
+(* The zero cost model, as [Arch.free] or as a copy built field by
+   field, gives a router no simulated CPU at all, on either software
+   model. *)
+let test_free_router_no_procs () =
+  let copy =
+    { Arch.xeon with
+      Arch.name = "copy";
+      cost = { Arch.free with Arch.cyc_per_msg_tx = 0.0 } }
+  in
+  List.iter
+    (fun arch ->
+      let clock = Clock.of_engine (Engine.create ()) in
+      let r =
+        Router.create clock arch ~local_asn:(asn 65000)
+          ~router_id:(ip "10.255.0.1")
+      in
+      Alcotest.(check (list string))
+        (arch.Arch.name ^ ": no scheduler process") []
+        (List.map fst (Sched.take_accounting (Router.sched r)).Sched.acc_procs))
+    [ Arch.unpaced; copy;
+      { Arch.cisco3620 with Arch.name = "free-ios"; cost = Arch.free } ]
+
+(* On the free cost model an UPDATE's re-export is sent from inside the
+   UPDATE's own delivery: no scheduler job, no later event. *)
+let test_free_reexport_inline () =
+  let engine = Engine.create () in
+  let clock = Clock.of_engine engine in
+  let router =
+    Router.create clock Arch.unpaced ~local_asn:(asn 65000)
+      ~router_id:(ip "10.255.0.1")
+  in
+  let delivering = ref false and updates_sent = ref [] in
+  let ch1 = Channel.create engine () and ch2 = Channel.create engine () in
+  let l1 = Channel.endpoint ch1 Channel.B in
+  let l1 =
+    { l1 with
+      Link.set_receiver =
+        (fun f ->
+          l1.Link.set_receiver (fun bytes ->
+              delivering := true;
+              f bytes;
+              delivering := false)) }
+  in
+  let l2 = Channel.endpoint ch2 Channel.B in
+  let l2 =
+    { l2 with
+      Link.send =
+        (fun bytes ->
+          (* byte 18 of a BGP message is its type; 2 is UPDATE *)
+          if String.length bytes > 18 && bytes.[18] = '\002' then
+            updates_sent := !delivering :: !updates_sent;
+          l2.Link.send bytes) }
+  in
+  Router.attach_peer router ~peer:peer1 ~link:l1;
+  Router.attach_peer router ~peer:peer2 ~link:l2;
+  let speaker as_ id ch =
+    let s =
+      Speaker.create clock ~asn:(asn as_) ~router_id:(ip id)
+        ~link:(Channel.endpoint ch Channel.A)
+    in
+    Speaker.start s;
+    wait_until engine ~what:"speaker up" (fun () -> Speaker.established s);
+    s
+  in
+  let s1 = speaker 65001 "192.0.2.1" ch1 in
+  let s2 = speaker 65002 "192.0.2.2" ch2 in
+  updates_sent := [];
+  let attrs =
+    Workload.attrs ~speaker_asn:(asn 65001) ~next_hop:(ip "192.0.2.1")
+      ~path_len:2 ()
+  in
+  ignore
+    (Speaker.announce s1 ~packing:1 ~attrs
+       [| Bgp_addr.Prefix.of_string_exn "203.0.113.0/24" |]);
+  wait_until engine ~what:"re-export" (fun () ->
+      Hashtbl.length (Speaker.received_prefix_set s2) = 1);
+  Alcotest.(check (list bool)) "one UPDATE, sent during the delivery"
+    [ true ] !updates_sent
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "bgp pipeline"
@@ -350,6 +461,13 @@ let () =
       ( "mrai",
         [ Alcotest.test_case "holds re-advertisement" `Quick
             test_mrai_holds_readvertisement ] );
+      ( "free costs",
+        [ Alcotest.test_case "run_on follows the placement" `Quick
+            test_run_on_placement;
+          Alcotest.test_case "no scheduler process" `Quick
+            test_free_router_no_procs;
+          Alcotest.test_case "re-export inside the delivery" `Quick
+            test_free_reexport_inline ] );
       ( "cost parity",
         [ Alcotest.test_case "xorp stage cycles = legacy formulas" `Quick
             test_legacy_cycles_xorp;

@@ -160,6 +160,85 @@ let test_refused_dial_retries () =
        !timers);
   dialer.Tcp_link.dispose ()
 
+(* Regression: the listener accepted every inbound connection and
+   installed it in place of the live one, while the FSM ignores
+   [Tcp_connected] in Established.  A stranger's bytes then fed the
+   Established session with no OPEN.  A listener link has one peer, so
+   a second connection is refused while one is installed. *)
+let test_second_connection_refused () =
+  let loop = Loop.create () in
+  let clock = Loop.clock loop in
+  let lep = Tcp_link.listen loop ~port:0 in
+  let router =
+    Router.create clock Bgp_router.Arch.unpaced ~local_asn:(asn 65000)
+      ~router_id:(ip "10.0.0.1")
+  in
+  let peer =
+    Bgp_route.Peer.make ~id:0 ~asn:(asn 65001) ~router_id:(ip "10.0.0.2")
+      ~addr:(ip "127.0.0.1")
+  in
+  Router.attach_peer router ~peer ~link:lep.Tcp_link.link;
+  let cep = Tcp_link.connect loop ~port:lep.Tcp_link.port in
+  let speaker =
+    session loop cep ~passive:false ~as_:65001 ~id:"10.0.0.2"
+      Session.null_hooks
+  in
+  Session.start speaker;
+  let loc_rib () = Bgp_rib.Rib_manager.loc_rib (Router.rib router) in
+  let known = Bgp_addr.Prefix.of_string_exn "198.51.100.0/24" in
+  let stranger = Bgp_addr.Prefix.of_string_exn "203.0.113.0/24" in
+  if not
+       (Clock.run clock
+          ~cond:(fun () -> Session.state speaker = Fsm.Established)
+          ~step:10.0)
+  then Alcotest.fail "session did not establish";
+  ignore (Session.send speaker (Msg.announcement attrs [ known ]));
+  if not
+       (Clock.run clock
+          ~cond:(fun () -> Bgp_rib.Loc_rib.find (loc_rib ()) known <> None)
+          ~step:10.0)
+  then Alcotest.fail "known prefix not learned";
+  let before = Bgp_rib.Loc_rib.fingerprint (loc_rib ()) in
+  (* A third socket: an UPDATE with no OPEN. *)
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, lep.Tcp_link.port));
+  let wire = Bgp_wire.Codec.encode (Msg.announcement attrs [ stranger ]) in
+  ignore (Unix.write_substring fd wire 0 (String.length wire));
+  ignore (Clock.run clock ~cond:(fun () -> false) ~step:0.3);
+  Alcotest.(check bool) "stranger's prefix not learned" true
+    (Bgp_rib.Loc_rib.find (loc_rib ()) stranger = None);
+  Alcotest.(check string) "Loc-RIB unchanged" before
+    (Bgp_rib.Loc_rib.fingerprint (loc_rib ()));
+  Alcotest.(check string) "router session still Established" "Established"
+    (Fsm.state_name (Router.session_state router peer));
+  Alcotest.(check string) "speaker session still Established" "Established"
+    (Fsm.state_name (Session.state speaker));
+  (* The newcomer was closed: EOF (or a reset, since it closed with our
+     UPDATE unread), not silence. *)
+  let readable, _, _ = Unix.select [ fd ] [] [] 1.0 in
+  Alcotest.(check bool) "newcomer closed" true
+    (readable <> []
+    &&
+    match Unix.read fd (Bytes.create 64) 0 64 with
+    | n -> n = 0
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true);
+  Unix.close fd;
+  cep.Tcp_link.dispose ();
+  lep.Tcp_link.dispose ()
+
+(* The free cost model runs every stage inline: the sim and live legs
+   of scenario 7 must still reach the same Loc-RIB. *)
+let test_inline_crosscheck () =
+  let module H = Bgpmark.Harness in
+  let xc =
+    H.cross_validate
+      ~config:{ H.default_config with H.table_size = 200 }
+      Bgp_router.Arch.unpaced (Bgpmark.Scenario.of_id_exn 7)
+  in
+  Alcotest.(check string) "Loc-RIB fingerprints" xc.H.xc_sim.H.locrib_fp
+    xc.H.xc_live.H.locrib_fp;
+  Alcotest.(check bool) "crosscheck ok" true (H.crosscheck_ok xc)
+
 (* ------------------------------------------------------------------ *)
 (* Transport backpressure                                              *)
 (* ------------------------------------------------------------------ *)
@@ -413,7 +492,11 @@ let () =
           Alcotest.test_case "garbage triggers notification" `Quick
             test_notification_on_garbage;
           Alcotest.test_case "refused dial retries from Active" `Quick
-            test_refused_dial_retries
+            test_refused_dial_retries;
+          Alcotest.test_case "second connection cannot take over" `Quick
+            test_second_connection_refused;
+          Alcotest.test_case "sim = live on the inline path" `Quick
+            test_inline_crosscheck
         ] );
       ( "backpressure",
         [ Alcotest.test_case "small writes vs stalled reader" `Quick
