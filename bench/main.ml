@@ -214,6 +214,33 @@ let decision_test =
     (Staged.stage @@ fun () ->
      Bgp_rib.Decision.select ~local_asn:(asn 65000) candidates)
 
+(* The Loc-RIB digest every harness run ends with (and the sim-vs-live
+   crosscheck compares), over a 100k-route table with varied paths.
+   The table is built once, outside the timed runs. *)
+let fingerprint_test =
+  Test.make_with_resource ~name:"rib/fingerprint-100k" Test.uniq
+    ~allocate:(fun () ->
+      let rib =
+        Bgp_rib.Rib_manager.create ~local_asn:(asn 65000)
+          ~router_id:(ip "10.255.0.1") ()
+      in
+      let peer =
+        Bgp_route.Peer.make ~id:0 ~asn:(asn 65001) ~router_id:(ip "192.0.2.1")
+          ~addr:(ip "192.0.2.1")
+      in
+      Bgp_rib.Rib_manager.add_peer rib peer;
+      List.iter
+        (fun e ->
+          ignore
+            (Bgp_rib.Rib_manager.announce rib ~from:peer
+               e.Bgp_speaker.Table_io.e_prefix
+               (Bgp_speaker.Table_io.to_attrs ~next_hop:peer.Bgp_route.Peer.addr e)))
+        (Bgp_speaker.Table_io.synthesize ~seed:1 ~n:100_000
+           ~speaker_asn:(asn 65001) ());
+      Bgp_rib.Rib_manager.loc_rib rib)
+    ~free:ignore
+    (Staged.stage Bgp_rib.Loc_rib.fingerprint)
+
 (* Policy-depth ablation. *)
 let policy_of_depth n =
   Bgp_policy.Policy.make ~name:(Printf.sprintf "depth-%d" n)
@@ -752,7 +779,7 @@ let all_tests =
   @ fig5_tests
   @ [ fig6_test ]
   @ wire_tests @ fib_tests
-  @ [ rib_bench; decision_test ]
+  @ [ rib_bench; decision_test; fingerprint_test ]
   @ policy_tests @ packing_tests @ decision_scaling_tests @ rib_agg_tests
   @ workload_shape_tests @ mrai_tests @ fault_tests @ mrt_tests @ churn_tests
   @ topo_tests

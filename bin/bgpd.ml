@@ -10,7 +10,8 @@
      bgpd --asn 65103 --router-id 10.0.0.3 --connect 1791
 
    Every few seconds each daemon prints its neighbors' session states
-   and its Loc-RIB. *)
+   and its Loc-RIB.  A session that drops is started again after a few
+   seconds, so a neighbor that restarts is peered with again. *)
 
 open Cmdliner
 module Router = Bgp_router.Router
@@ -81,6 +82,12 @@ let parse_aggregate spec =
       agg_summary_only = List.mem "summary-only" flags }
   | [] -> invalid_arg "empty aggregate spec"
 
+(* Seconds a session waits in Idle before it starts again: a dropped
+   neighbor is re-dialled (or, on a listening port, waited for) instead
+   of staying down until the daemon restarts.  A dial that finds nobody
+   listening retries after ConnectRetry. *)
+let restart_delay = 5.0
+
 (* One status tick: every neighbor's session state, then the Loc-RIB. *)
 let dump_status router neighbors =
   let states =
@@ -121,7 +128,8 @@ let run asn router_id listens connects client_listens client_connects announces
         ~router_id:Bgp_addr.Ipv4.zero
         ~addr:(Bgp_addr.Ipv4.of_string_exn "127.0.0.1")
     in
-    Router.attach_peer ~active ~rr_client router ~peer ~link:ep.Tcp_link.link;
+    Router.attach_peer ~restart_delay ~active ~rr_client router ~peer
+      ~link:ep.Tcp_link.link;
     let label = Printf.sprintf "%s:%d" (if active then "connect" else "listen") port in
     neighbors := !neighbors @ [ (label, peer) ]
   in

@@ -50,9 +50,19 @@ let of_string_exn s =
   | Ok a -> a
   | Error e -> invalid_arg (Printf.sprintf "Ipv4.of_string_exn %S: %s" s e)
 
+let add_to_buffer buf a =
+  Decimal.add_int buf ((a lsr 24) land 0xFF);
+  Buffer.add_char buf '.';
+  Decimal.add_int buf ((a lsr 16) land 0xFF);
+  Buffer.add_char buf '.';
+  Decimal.add_int buf ((a lsr 8) land 0xFF);
+  Buffer.add_char buf '.';
+  Decimal.add_int buf (a land 0xFF)
+
 let to_string a =
-  let x, y, z, w = to_octets a in
-  Printf.sprintf "%d.%d.%d.%d" x y z w
+  let buf = Buffer.create 15 in
+  add_to_buffer buf a;
+  Buffer.contents buf
 
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 let compare = Int.compare

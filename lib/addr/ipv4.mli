@@ -30,6 +30,10 @@ val of_string_exn : string -> t
 (** @raise Invalid_argument on parse failure. *)
 
 val to_string : t -> string
+(** Dotted quad, e.g. ["192.0.2.1"]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s bytes without building the string. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -48,7 +48,16 @@ let of_string_exn s =
   | Ok p -> p
   | Error e -> invalid_arg (Printf.sprintf "Prefix.of_string_exn %S: %s" s e)
 
-let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string (addr p)) (len p)
+let add_to_buffer buf p =
+  Ipv4.add_to_buffer buf (addr p);
+  Buffer.add_char buf '/';
+  Decimal.add_int buf (len p)
+
+let to_string p =
+  let buf = Buffer.create 18 in
+  add_to_buffer buf p;
+  Buffer.contents buf
+
 let pp ppf p = Format.pp_print_string ppf (to_string p)
 let compare = Int.compare
 let equal = Int.equal

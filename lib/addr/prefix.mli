@@ -37,6 +37,10 @@ val of_string_exn : string -> t
 (** @raise Invalid_argument on parse failure. *)
 
 val to_string : t -> string
+(** ["a.b.c.d/len"], e.g. ["198.51.100.0/24"]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s bytes without building the string. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,43 +1,56 @@
-type t = Prefix_table.t
+module R = Bgp_route.Route
+module A = Bgp_route.Attrs
+module T = Prefix_table
 
-let find t p =
-  let r = Prefix_table.best t (Prefix_table.find t p) in
-  if r == Prefix_table.no_route then None else Some r
+type t = T.t
 
-let size (t : t) = t.Prefix_table.routes
+let find_entry t e =
+  let r = T.best t e in
+  if r == T.no_route then None else Some r
+
+let find t p = find_entry t (T.find t p)
+
+let size (t : t) = t.T.routes
 
 let fold f t acc =
-  Prefix_table.fold
+  T.fold
     (fun e acc ->
-      let r = Prefix_table.best t e in
-      if r == Prefix_table.no_route then acc else f r acc)
+      let r = T.best t e in
+      if r == T.no_route then acc else f r acc)
     t acc
 
 let iter f t = fold (fun r () -> f r) t ()
 
-let to_list t =
-  fold (fun r acc -> r :: acc) t []
-  |> List.sort (fun a b ->
-         Bgp_addr.Prefix.compare
-           (Bgp_route.Route.prefix a)
-           (Bgp_route.Route.prefix b))
+let to_list t = T.filter_map_ordered t (find_entry t)
+
+let add_opt buf = function
+  | Some n -> Bgp_addr.Decimal.add_int buf n
+  | None -> Buffer.add_char buf '-'
+
+(* [prefix|as_path|next_hop|origin|med|local_pref\n].  These bytes
+   are pinned by the goldens' digests and the sim-vs-live crosscheck;
+   test_rib checks them against a [Format] rendering. *)
+let add_line buf r =
+  let a = R.attrs r in
+  Bgp_addr.Prefix.add_to_buffer buf (R.prefix r);
+  Buffer.add_char buf '|';
+  Bgp_route.As_path.add_to_buffer buf a.A.as_path;
+  Buffer.add_char buf '|';
+  Bgp_addr.Ipv4.add_to_buffer buf a.A.next_hop;
+  Buffer.add_char buf '|';
+  Buffer.add_string buf (A.origin_name a.A.origin);
+  Buffer.add_char buf '|';
+  add_opt buf a.A.med;
+  Buffer.add_char buf '|';
+  add_opt buf a.A.local_pref;
+  Buffer.add_char buf '\n'
 
 let fingerprint t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      let a = Bgp_route.Route.attrs r in
-      Buffer.add_string buf
-        (Format.asprintf "%s|%a|%s|%a|%s|%s\n"
-           (Bgp_addr.Prefix.to_string (Bgp_route.Route.prefix r))
-           Bgp_route.As_path.pp a.Bgp_route.Attrs.as_path
-           (Bgp_addr.Ipv4.to_string a.Bgp_route.Attrs.next_hop)
-           Bgp_route.Attrs.pp_origin a.Bgp_route.Attrs.origin
-           (match a.Bgp_route.Attrs.med with
-           | Some m -> string_of_int m
-           | None -> "-")
-           (match a.Bgp_route.Attrs.local_pref with
-           | Some lp -> string_of_int lp
-           | None -> "-")))
-    (to_list t);
+  (* ~64 bytes a line at table scale: one buffer, rarely regrown. *)
+  let buf = Buffer.create (64 * (size t + 1)) in
+  Array.iter
+    (fun e ->
+      let r = T.best t e in
+      if r != T.no_route then add_line buf r)
+    (T.ordered t);
   Digest.to_hex (Digest.string (Buffer.contents buf))

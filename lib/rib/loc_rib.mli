@@ -25,11 +25,19 @@ val fold : (Bgp_route.Route.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val to_list : t -> Bgp_route.Route.t list
 (** Sorted by prefix — dumps and fingerprints do not depend on the
-    table's walk order. *)
+    table's internal order.  Costs one radix sort of an int array of
+    the table's entries, keyed by prefix; no list is sorted. *)
 
 val fingerprint : t -> string
-(** Hex digest over the prefix-sorted
-    [prefix|as_path|next_hop|origin|med|local_pref] dump.  Stable
+(** Hex MD5 digest over the prefix-sorted dump, one line per route:
+    [prefix|as_path|next_hop|origin|med|local_pref\n], with the path
+    as {!Bgp_route.As_path.pp} prints it ([(empty)] when empty, [{...}]
+    around an AS_SET) and [-] for an absent MED or LOCAL_PREF.  Stable
     across runs and across execution modes: a simulated run and a live
     (loopback TCP) run of the same scenario must produce equal
-    fingerprints — the sim-vs-live cross-validation invariant. *)
+    fingerprints — the sim-vs-live cross-validation invariant.
+
+    Cost: the same radix sort as {!to_list}, then every line is written
+    straight into one buffer pre-sized for the table (digits by hand;
+    no [Format], [Printf] or per-line string), and that buffer is
+    hashed once. *)

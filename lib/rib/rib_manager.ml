@@ -816,28 +816,28 @@ let set_peer_up t peer up = (peer_state t peer).up <- up
 let export_full t peer =
   let ps = peer_state t peer in
   t.work <- 0;
+  (* Rewrites are interned in the table's id order; the announcements
+     come out in prefix order. *)
   let anns =
-    T.fold
-      (fun e acc ->
+    T.filter_map_ordered t.table (fun e ->
         let best = T.best t.table e in
-        if best == T.no_route then acc
+        if best == T.no_route then None
         else
           let ann =
             sync_adj_out t ps (T.prefix t.table e) e (export_route t ps best)
           in
-          if ann == no_ann then acc else ann :: acc)
-      t.table []
+          if ann == no_ann then None else Some ann)
   in
   M.add t.c_policy_units t.work;
   M.add t.c_announcements_emitted (List.length anns);
-  List.sort (fun a b -> P.compare a.ann_prefix b.ann_prefix) anns
+  anns
 
-(* The prefixes whose entries [holds] for [ps], collected before any
-   entry is cleared or reclaimed: the table is not mutated mid-walk. *)
+(* The prefixes whose entries [holds], in prefix order, collected
+   before any entry is cleared or reclaimed: the table is not mutated
+   mid-walk. *)
 let held_prefixes t holds =
-  T.fold
-    (fun e acc -> if holds e then T.prefix t.table e :: acc else acc)
-    t.table []
+  T.filter_map_ordered t.table (fun e ->
+      if holds e then Some (T.prefix t.table e) else None)
 
 let refresh t peer =
   (* RFC 2918: forget what we believe the peer knows and resend. *)
@@ -867,7 +867,6 @@ let peer_down t peer =
       (held_prefixes t (fun e ->
            T.slot t.table e (in_slot ps) != I.none
            || T.slot t.table e (out_slot ps) != I.none))
-    |> List.sort P.compare
   in
   (* Entries are looked up again per decision: a decision can reclaim
      an entry, which renumbers another. *)

@@ -212,8 +212,11 @@ val withdraw_local : t -> prefix:Bgp_addr.Prefix.t -> outcome
 val export_full : t -> Bgp_route.Peer.t -> announcement list
 (** Initial table sync to a newly Established peer: computes and
     records the full Adj-RIB-Out for that peer and returns the
-    corresponding announcements (Phase 2 of the benchmark).  Announces
-    nothing for prefixes whose best route came from that same peer. *)
+    corresponding announcements (Phase 2 of the benchmark), sorted by
+    prefix without sorting a list: the table's entries are visited in
+    their own order and the announcements listed in prefix order.
+    Announces nothing for prefixes whose best route came from that same
+    peer. *)
 
 val refresh : t -> Bgp_route.Peer.t -> announcement list
 (** RFC 2918 route refresh: drop the peer's Adj-RIB-Out bookkeeping and

@@ -64,23 +64,33 @@ let seg_compare s1 s2 =
 
 let compare a b = List.compare seg_compare a b
 
+(* Items separated by single spaces: no break hints, so [pp] prints
+   the same bytes at any width. *)
+let rec add_spaced add buf = function
+  | [] -> ()
+  | [ x ] -> add buf x
+  | x :: rest ->
+    add buf x;
+    Buffer.add_char buf ' ';
+    add_spaced add buf rest
+
+let add_asn buf a = Bgp_addr.Decimal.add_int buf (Asn.to_int a)
+
+let add_segment buf = function
+  | Seq l -> add_spaced add_asn buf l
+  | Set l ->
+    Buffer.add_char buf '{';
+    add_spaced add_asn buf l;
+    Buffer.add_char buf '}'
+
+let add_to_buffer buf = function
+  | [] -> Buffer.add_string buf "(empty)"
+  | t -> add_spaced add_segment buf t
+
 let pp ppf t =
-  let pp_asns ppf l =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
-      (fun ppf a -> Format.pp_print_int ppf (Asn.to_int a))
-      ppf l
-  in
-  let pp_seg ppf = function
-    | Seq l -> pp_asns ppf l
-    | Set l -> Format.fprintf ppf "{%a}" pp_asns l
-  in
-  match t with
-  | [] -> Format.pp_print_string ppf "(empty)"
-  | _ ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
-      pp_seg ppf t
+  let buf = Buffer.create 64 in
+  add_to_buffer buf t;
+  Format.pp_print_string ppf (Buffer.contents buf)
 
 let hash t =
   List.fold_left

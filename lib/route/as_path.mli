@@ -51,6 +51,9 @@ val to_asn_list : t -> Asn.t list
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-(** E.g. [7018 701 {3356 2914} 174]. *)
+(** E.g. [7018 701 {3356 2914} 174]; the empty path is [(empty)]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!pp}'s bytes without a formatter. *)
 
 val hash : t -> int

@@ -8,9 +8,12 @@ let origin_of_int = function
   | 2 -> Some Incomplete
   | _ -> None
 
-let pp_origin ppf o =
-  Format.pp_print_string ppf
-    (match o with Igp -> "IGP" | Egp -> "EGP" | Incomplete -> "incomplete")
+let origin_name = function
+  | Igp -> "IGP"
+  | Egp -> "EGP"
+  | Incomplete -> "incomplete"
+
+let pp_origin ppf o = Format.pp_print_string ppf (origin_name o)
 
 type t = {
   origin : origin;

@@ -14,6 +14,9 @@ val origin_to_int : origin -> int
     preference order (lower wins) used by the decision process. *)
 
 val origin_of_int : int -> origin option
+val origin_name : origin -> string
+(** ["IGP"], ["EGP"] or ["incomplete"]: what {!pp_origin} prints. *)
+
 val pp_origin : Format.formatter -> origin -> unit
 
 type t = {

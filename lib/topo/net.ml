@@ -216,33 +216,37 @@ let explored_paths t i prefix =
 let reset_exploration t =
   Array.iter (fun nd -> Hashtbl.reset nd.explored) t.nodes
 
+(* One line per entry, sorted as strings and joined by newlines.  The
+   lines are rendered into one reused buffer, without [Format]. *)
+let sorted_lines fill iter =
+  let buf = Buffer.create 64 and lines = ref [] in
+  iter (fun x ->
+      Buffer.clear buf;
+      fill buf x;
+      lines := Buffer.contents buf :: !lines);
+  String.concat "\n" (List.sort String.compare !lines)
+
 let loc_rib_fingerprint t i =
   let rib = Rib_manager.loc_rib (Router.rib t.nodes.(i).router) in
-  let entries =
-    Loc_rib.fold
-      (fun r acc ->
-        let a = Route.attrs r in
-        Format.asprintf "%s|%a|%s"
-          (Prefix.to_string (Route.prefix r))
-          Bgp_route.As_path.pp a.Attrs.as_path
-          (Ipv4.to_string a.Attrs.next_hop)
-        :: acc)
-      rib []
-  in
-  String.concat "\n" (List.sort compare entries)
+  sorted_lines
+    (fun buf r ->
+      let a = Route.attrs r in
+      Prefix.add_to_buffer buf (Route.prefix r);
+      Buffer.add_char buf '|';
+      Bgp_route.As_path.add_to_buffer buf a.Attrs.as_path;
+      Buffer.add_char buf '|';
+      Ipv4.add_to_buffer buf a.Attrs.next_hop)
+    (fun f -> Loc_rib.iter f rib)
 
 let fib_fingerprint t i =
-  let entries = ref [] in
-  Fib.iter
-    (fun prefix nh ->
-      entries :=
-        Printf.sprintf "%s|%s|%d"
-          (Prefix.to_string prefix)
-          (Ipv4.to_string nh.Fib.nh_addr)
-          nh.Fib.nh_port
-        :: !entries)
-    (Router.fib t.nodes.(i).router);
-  String.concat "\n" (List.sort compare !entries)
+  sorted_lines
+    (fun buf (prefix, nh) ->
+      Prefix.add_to_buffer buf prefix;
+      Buffer.add_char buf '|';
+      Ipv4.add_to_buffer buf nh.Fib.nh_addr;
+      Buffer.add_char buf '|';
+      Bgp_addr.Decimal.add_int buf nh.Fib.nh_port)
+    (fun f -> Fib.iter (fun p nh -> f (p, nh)) (Router.fib t.nodes.(i).router))
 
 let reachability t i j =
   let rib = Rib_manager.loc_rib (Router.rib t.nodes.(i).router) in

@@ -446,6 +446,29 @@ let prop_index_vs_hashtbl =
         ops;
       true)
 
+(* The printers write digits by hand; they must spell exactly what
+   the Printf forms they replaced did. *)
+let prop_to_string_is_printf =
+  QCheck2.Test.make ~name:"to_string equals the Printf form" ~count:1000
+    arb_prefix (fun p ->
+      let a = Prefix.addr p in
+      let x, y, z, w = Ipv4.to_octets a in
+      let dotted = Printf.sprintf "%d.%d.%d.%d" x y z w in
+      String.equal (Ipv4.to_string a) dotted
+      && String.equal (Prefix.to_string p)
+           (Printf.sprintf "%s/%d" dotted (Prefix.len p)))
+
+let prop_decimal_is_string_of_int =
+  QCheck2.Test.make ~name:"Decimal.add_int equals string_of_int" ~count:1000
+    QCheck2.Gen.(
+      oneof
+        [ int; int_range (-1000) 1000; oneofl [ 0; max_int; min_int; min_int + 1 ] ])
+    (fun n ->
+      let buf = Buffer.create 4 in
+      Buffer.add_char buf '|';
+      Decimal.add_int buf n;
+      String.equal (Buffer.contents buf) ("|" ^ string_of_int n))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -487,5 +510,6 @@ let () =
           prop_mem_first_last; prop_prefix_compare_lexicographic;
           prop_prefix_polymorphic_compare; prop_prefix_hash_formula;
           prop_gen_same_seed_identical; prop_gen_distinct_seeds_disjoint;
-          prop_index_vs_hashtbl ]
+          prop_index_vs_hashtbl; prop_to_string_is_printf;
+          prop_decimal_is_string_of_int ]
     ]

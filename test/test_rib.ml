@@ -1458,6 +1458,188 @@ let prop_damping_decay_halves =
       in
       Float.abs (pk -. (p0 /. (2. ** float_of_int k))) < 1e-6 *. p0)
 
+(* ------------------------------------------------------------------ *)
+(* Ordered walks and the Loc-RIB digest                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The Format/Printf renderer [Loc_rib.fingerprint] used before it wrote
+   each line into one buffer by hand.  The digest is pinned by every
+   golden and by the sim-vs-live crosscheck, so the two must agree on
+   every table. *)
+let reference_ipv4 a =
+  let x, y, z, w = Bgp_addr.Ipv4.to_octets a in
+  Printf.sprintf "%d.%d.%d.%d" x y z w
+
+let reference_pp_path ppf t =
+  let pp_asns ppf l =
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
+      (fun ppf a -> Format.pp_print_int ppf (Asn.to_int a))
+      ppf l
+  in
+  let pp_seg ppf = function
+    | As_path.Seq l -> pp_asns ppf l
+    | As_path.Set l -> Format.fprintf ppf "{%a}" pp_asns l
+  in
+  match As_path.segments t with
+  | [] -> Format.pp_print_string ppf "(empty)"
+  | segs ->
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
+      pp_seg ppf segs
+
+let reference_dump rib =
+  let buf = Buffer.create 4096 in
+  Loc_rib.fold (fun r acc -> r :: acc) rib []
+  |> List.sort (fun a b -> Bgp_addr.Prefix.compare (R.prefix a) (R.prefix b))
+  |> List.iter (fun r ->
+         let a = R.attrs r and p = R.prefix r in
+         Buffer.add_string buf
+           (Format.asprintf "%s|%a|%s|%s|%s|%s\n"
+              (Printf.sprintf "%s/%d"
+                 (reference_ipv4 (Bgp_addr.Prefix.addr p))
+                 (Bgp_addr.Prefix.len p))
+              reference_pp_path a.A.as_path
+              (reference_ipv4 a.A.next_hop)
+              (match a.A.origin with
+              | A.Igp -> "IGP"
+              | A.Egp -> "EGP"
+              | A.Incomplete -> "incomplete")
+              (match a.A.med with Some m -> string_of_int m | None -> "-")
+              (match a.A.local_pref with
+              | Some lp -> string_of_int lp
+              | None -> "-")));
+  Buffer.contents buf
+
+let gen_addr =
+  QCheck2.Gen.(
+    map2
+      (fun hi lo -> Bgp_addr.Ipv4.of_int ((hi lsl 16) lor lo))
+      (int_bound 0xFFFF) (int_bound 0xFFFF))
+
+(* /0 and /32 often, and a small pool so that prefixes repeat. *)
+let gen_walk_prefix =
+  QCheck2.Gen.(
+    frequency
+      [ (1, return Bgp_addr.Prefix.default);
+        (1, return (pfx "255.255.255.255/32"));
+        (2, map (fun a -> Bgp_addr.Prefix.make a 32) gen_addr);
+        (4, map2 Bgp_addr.Prefix.make gen_addr (int_range 0 32));
+        (4, map (fun i -> pfx (Printf.sprintf "10.%d.0.0/16" i)) (int_bound 7)) ])
+
+let gen_asns n = QCheck2.Gen.(list_size n (map asn (int_bound 0xFFFF)))
+
+(* Empty paths, AS_SETs, and now and then a path far wider than
+   Format's 78-column margin. *)
+let gen_walk_path =
+  QCheck2.Gen.(
+    let seg =
+      frequency
+        [ (3, map (fun l -> As_path.Seq l) (gen_asns (int_range 1 6)));
+          (1, map (fun l -> As_path.Set l) (gen_asns (int_range 1 4)));
+          (1, map (fun l -> As_path.Seq l) (gen_asns (int_range 20 60))) ]
+    in
+    frequency
+      [ (1, return As_path.empty);
+        (6, map As_path.of_segments (list_size (int_range 1 4) seg)) ])
+
+let gen_walk_attrs =
+  QCheck2.Gen.(
+    let* as_path = gen_walk_path in
+    let* next_hop = gen_addr in
+    let* origin = oneofl [ A.Igp; A.Egp; A.Incomplete ] in
+    let* med = option (int_bound 0xFFFF_FFFF) in
+    let* local_pref = option (int_bound 0xFFFF_FFFF) in
+    return (A.make ~origin ?med ?local_pref ~as_path ~next_hop ()))
+
+type walk_op =
+  | W_announce of int * Bgp_addr.Prefix.t * A.t
+  | W_local of Bgp_addr.Prefix.t * A.t
+  | W_withdraw of int * Bgp_addr.Prefix.t
+
+let gen_walk_op =
+  QCheck2.Gen.(
+    frequency
+      [ (5, map3 (fun i p a -> W_announce (i, p, a)) (int_bound 3)
+              gen_walk_prefix gen_walk_attrs);
+        (1, map2 (fun p a -> W_local (p, a)) gen_walk_prefix gen_walk_attrs);
+        (2, map2 (fun i p -> W_withdraw (i, p)) (int_bound 3) gen_walk_prefix) ])
+
+let print_walk_op = function
+  | W_announce (i, p, a) ->
+    Format.asprintf "announce peer%d %s %a" i (Bgp_addr.Prefix.to_string p) A.pp a
+  | W_local (p, a) ->
+    Format.asprintf "local %s %a" (Bgp_addr.Prefix.to_string p) A.pp a
+  | W_withdraw (i, p) ->
+    Printf.sprintf "withdraw peer%d %s" i (Bgp_addr.Prefix.to_string p)
+
+(* Peers 0-3 carry the table; withdrawals reclaim entries, so the
+   table's id order drifts from both insertion and prefix order. *)
+let walk_rib ops =
+  let t = Rib_manager.create ~local_asn ~router_id () in
+  for i = 0 to 3 do
+    Rib_manager.add_peer t (prop_peer i)
+  done;
+  List.iter
+    (function
+      | W_announce (i, p, a) ->
+        ignore (Rib_manager.announce t ~from:(prop_peer i) p a)
+      | W_local (p, a) -> ignore (Rib_manager.inject_local_route t ~prefix:p ~attrs:a)
+      | W_withdraw (i, p) -> ignore (Rib_manager.withdraw t ~from:(prop_peer i) p))
+    ops;
+  t
+
+let gen_walk_ops =
+  QCheck2.Gen.(list_size (int_range 0 60) gen_walk_op)
+
+let print_walk_ops ops = String.concat "\n" (List.map print_walk_op ops)
+
+let prop_fingerprint_matches_reference =
+  QCheck2.Test.make ~name:"fingerprint equals the Format reference" ~count:300
+    ~print:print_walk_ops gen_walk_ops (fun ops ->
+      let rib = Rib_manager.loc_rib (walk_rib ops) in
+      let dump = reference_dump rib in
+      String.equal (Loc_rib.fingerprint rib) (Digest.to_hex (Digest.string dump))
+      || QCheck2.Test.fail_reportf "digest differs; reference dump:\n%s" dump)
+
+let strictly_ascending prefixes =
+  let rec go = function
+    | a :: (b :: _ as rest) -> Bgp_addr.Prefix.compare a b < 0 && go rest
+    | [ _ ] | [] -> true
+  in
+  go prefixes
+
+(* [to_list], [export_full] and [peer_down] walk the table in prefix
+   order instead of sorting what they collected: each must come out as
+   a sort of its own output would. *)
+let prop_ordered_walks_sorted =
+  QCheck2.Test.make ~name:"ordered walks come out sorted" ~count:300
+    ~print:print_walk_ops gen_walk_ops (fun ops ->
+      let t = walk_rib ops in
+      let rib = Rib_manager.loc_rib t in
+      let listed = Loc_rib.to_list rib and size = Loc_rib.size rib in
+      let by_prefix a b = Bgp_addr.Prefix.compare (R.prefix a) (R.prefix b) in
+      let sorted = List.sort by_prefix (Loc_rib.fold (fun r acc -> r :: acc) rib []) in
+      let late = prop_peer 4 in
+      Rib_manager.add_peer t late;
+      let anns = Rib_manager.export_full t late in
+      let sorted_anns =
+        List.stable_sort
+          (fun a b ->
+            Bgp_addr.Prefix.compare a.Rib_manager.ann_prefix b.Rib_manager.ann_prefix)
+          anns
+      in
+      let down = Rib_manager.peer_down t (prop_peer 0) in
+      (List.length listed = size
+       && List.for_all2 ( == ) listed sorted
+       || QCheck2.Test.fail_report "to_list is not the sorted Loc-RIB")
+      && (List.for_all2 ( == ) anns sorted_anns
+          && strictly_ascending
+               (List.map (fun a -> a.Rib_manager.ann_prefix) anns)
+         || QCheck2.Test.fail_report "export_full is not sorted by prefix")
+      && (strictly_ascending (List.map Fib.delta_prefix down.Rib_manager.fib_deltas)
+         || QCheck2.Test.fail_report "peer_down deltas are not sorted by prefix"))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1542,5 +1724,6 @@ let () =
       qsuite "properties"
         [ prop_manager_arrival_order_invariant; prop_select_returns_maximal;
           prop_compare_routes_matches_reference; prop_incremental_matches_full;
-          prop_table_matches_model; prop_damping_decay_halves ]
+          prop_table_matches_model; prop_damping_decay_halves;
+          prop_fingerprint_matches_reference; prop_ordered_walks_sorted ]
     ]
