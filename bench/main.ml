@@ -82,18 +82,27 @@ let fig6_test =
 
 let table10k = Bgp_addr.Prefix_gen.table ~seed:1 ~n:10_000 ()
 
+let bench_attrs =
+  Bgp_route.Attrs.Interned.intern
+    (Bgp_speaker.Workload.attrs ~speaker_asn:(asn 65001)
+       ~next_hop:(ip "192.0.2.1") ~path_len:4 ())
+
+let update1 = Msg.announcement_interned bench_attrs [ table10k.(0) ]
+let update1_wire = Codec.encode update1
+
 let update500 =
-  let attrs =
-    Bgp_speaker.Workload.attrs ~speaker_asn:(asn 65001)
-      ~next_hop:(ip "192.0.2.1") ~path_len:4 ()
-  in
-  Msg.announcement attrs (Array.to_list (Array.sub table10k 0 500))
+  Msg.announcement_interned bench_attrs
+    (Array.to_list (Array.sub table10k 0 500))
 
 let update500_wire = Codec.encode update500
 
 let wire_tests =
-  [ Test.make ~name:"wire/encode-update-500"
+  [ Test.make ~name:"wire/encode-1pfx"
+      (Staged.stage @@ fun () -> Codec.encode update1);
+    Test.make ~name:"wire/encode-500pfx"
       (Staged.stage @@ fun () -> Codec.encode update500);
+    Test.make ~name:"wire/decode-1pfx"
+      (Staged.stage @@ fun () -> Result.get_ok (Codec.decode update1_wire));
     Test.make ~name:"wire/decode-update-500"
       (Staged.stage @@ fun () -> Result.get_ok (Codec.decode update500_wire));
     Test.make ~name:"wire/keepalive-roundtrip"
@@ -533,12 +542,23 @@ let alloc_gate ?(line = 1) ~unit name measured =
       exit 1
     end
 
+(* Minor words per encode of a one-prefix announcement whose handle
+   has been encoded before: the output string and nothing else. *)
+let encode_words_per_msg ~msgs =
+  ignore (Sys.opaque_identity (Codec.encode update1));
+  let before = Gc.minor_words () in
+  for _ = 1 to msgs do
+    ignore (Sys.opaque_identity (Codec.encode update1))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int msgs
+
 (* Allocation-regression smoke: replay a 20k-prefix table through the
    receiver path with the arena on and gate Gc.allocated_bytes per
    UPDATE, over the whole replay (line 1 of alloc_baseline.txt) and over
    its challenger phase alone (line 2), where no update changes a best;
    then run the CPU scheduler's zero-cycle pipeline chain and gate its
-   minor words per job. *)
+   minor words per job, and gate the minor words of one UPDATE
+   encode. *)
 let print_alloc_smoke () =
   let sweep = Bgpmark.Arena_sweep.run ~seed:42 [ 20_000 ] in
   let shared = List.hd sweep.Bgpmark.Arena_sweep.cells in
@@ -560,7 +580,11 @@ let print_alloc_smoke () =
   Format.printf
     "Scheduler step (zero-cycle jobs, 4-process pipeline): %.0f words/job@."
     words;
-  alloc_gate ~unit:"words/job" "sched_alloc_baseline.txt" words
+  alloc_gate ~unit:"words/job" "sched_alloc_baseline.txt" words;
+  let words = encode_words_per_msg ~msgs:20_000 in
+  Format.printf "UPDATE encode (one prefix, handle seen before): %.0f words/msg@."
+    words;
+  alloc_gate ~unit:"words/msg" "encode_alloc_baseline.txt" words
 
 (* MRT smoke: a synthesized dump must survive a write -> read
    roundtrip bit for bit, and scenario 13 must replay it through the

@@ -78,7 +78,6 @@ and perform t = function
   | Fsm.Session_established -> t.hooks.on_established ()
   | Fsm.Session_down reason -> t.hooks.on_down reason
 
-let start t = dispatch t Fsm.Manual_start
 let stop t = dispatch t Fsm.Manual_stop
 
 let connected t =
@@ -92,23 +91,35 @@ let closed t =
   t.closed_flag <- true;
   dispatch t Fsm.Tcp_closed
 
+let rec drain t =
+  (* Stop draining the moment the session leaves a message-accepting
+     state (an error may have reset it to Idle). *)
+  match Fsm.state t.fsm with
+  | Fsm.Idle | Fsm.Connect | Fsm.Active -> ()
+  | Fsm.Open_sent | Fsm.Open_confirm | Fsm.Established -> (
+    match Framer.next t.framer with
+    | Framer.Need_more -> ()
+    | Framer.Msg (msg, size) ->
+      t.hooks.on_rx_msg msg size;
+      dispatch t (Fsm.Msg_received msg);
+      drain t
+    | Framer.Error e -> dispatch t (Fsm.Protocol_error e))
+
 let feed t bytes =
   Framer.feed t.framer bytes;
-  let rec drain () =
-    (* Stop draining the moment the session leaves a message-accepting
-       state (an error may have reset it to Idle). *)
-    match Fsm.state t.fsm with
-    | Fsm.Idle | Fsm.Connect | Fsm.Active -> ()
-    | Fsm.Open_sent | Fsm.Open_confirm | Fsm.Established -> (
-      match Framer.next t.framer with
-      | Framer.Need_more -> ()
-      | Framer.Msg (msg, size) ->
-        t.hooks.on_rx_msg msg size;
-        dispatch t (Fsm.Msg_received msg);
-        drain ()
-      | Framer.Error e -> dispatch t (Fsm.Protocol_error e))
-  in
-  drain ()
+  drain t
+
+(* A listener can accept the peer's connection while the session is
+   still Idle (inside a restart delay), where the FSM drops
+   [Tcp_connected]; starting a passive session over a transport that is
+   already up proceeds as connected and reads what the peer has sent
+   since, without resetting the framer. *)
+let start t =
+  dispatch t Fsm.Manual_start;
+  if t.passive && (not t.closed_flag) && Fsm.state t.fsm = Fsm.Active then begin
+    dispatch t Fsm.Tcp_connected;
+    drain t
+  end
 
 let send t msg =
   match Fsm.state t.fsm with

@@ -44,7 +44,11 @@ val set_transition_observer : t -> (Fsm.state -> Fsm.state -> unit) -> unit
     no-op. *)
 
 val start : t -> unit
-(** Administrative up (Idle -> Connect, or Active when passive). *)
+(** Administrative up (Idle -> Connect, or Active when passive).  A
+    passive session whose transport connected while it was Idle (a
+    listener accepts whenever it has no connection) goes on as
+    connected, to OpenSent, and reads the bytes that arrived
+    meanwhile. *)
 
 val stop : t -> unit
 (** Administrative down (sends CEASE when appropriate). *)

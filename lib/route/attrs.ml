@@ -199,7 +199,17 @@ module Interned = struct
     value : attrs;
     pref : pref;
     vbytes : int;         (* [approx_bytes value] *)
+    mutable wire : string;
+        (* the 2-byte-AS attribute section of [value], "" until the
+           codec first encodes it (see [wire_image]) *)
   }
+
+  (* A span-cache bucket: entries under one bucket index, each with its
+     full FNV key, its own copy of the bytes, and the handle they
+     decoded to. *)
+  type span =
+    | No_span
+    | Span of { key : int; bytes : string; handle : t; next : span }
 
   module Arena = Hashtbl.Make (struct
     type t = attrs
@@ -230,7 +240,8 @@ module Interned = struct
   type shard = {
     slot : int;
     table : t Arena.t;
-    span_tbl : (int, (string * t) list) Hashtbl.t;
+    mutable spans : span array;  (* power-of-two bucket count *)
+    mutable span_count : int;
     mutable next_local : int;
     mutable since : int;
         (* [next_local] at the last [clear]: exactly the handles
@@ -242,6 +253,7 @@ module Interned = struct
 
   let id_bits = 40  (* local ids per shard; the slot lives above *)
   let local_mask = (1 lsl id_bits) - 1
+  let span_buckets = 4096  (* initial, and after a [clear] *)
   let shards_mu = Mutex.create ()
   let shards : (int, shard) Hashtbl.t = Hashtbl.create 8
 
@@ -252,7 +264,8 @@ module Interned = struct
       | Some sh -> sh
       | None ->
         let sh =
-          { slot; table = Arena.create 4096; span_tbl = Hashtbl.create 4096;
+          { slot; table = Arena.create 4096;
+            spans = Array.make span_buckets No_span; span_count = 0;
             next_local = 0; since = 0; s_interns = 0; s_hits = 0;
             s_saved = 0 }
         in
@@ -271,7 +284,7 @@ module Interned = struct
     let id = (sh.slot lsl id_bits) lor sh.next_local in
     sh.next_local <- sh.next_local + 1;
     { id; cached_hash = hash value; value; pref = pref_of value;
-      vbytes = approx_bytes value }
+      vbytes = approx_bytes value; wire = "" }
 
   (* The stats of an [intern] call that found [h]. *)
   let record_hit sh h =
@@ -291,13 +304,22 @@ module Interned = struct
       Arena.add sh.table value h;
       h
 
+  (* Id -1 lies below every shard's id range, so [hit] rejects it and
+     the id fast path of [equal] never matches it. *)
+  let none =
+    let value = make ~as_path:As_path.empty ~next_hop:Bgp_addr.Ipv4.zero () in
+    { id = -1; cached_hash = hash value; value; pref = pref_of value;
+      vbytes = 0; wire = "" }
+
   (* Wire-span cache: raw attribute byte-span -> handle, so a decoder
      that has seen the exact bytes before interns without materializing
      the intermediate record at all.  Keyed by an FNV-1a hash of the
      span with the stored copy as the collision check; the stats
      counters on a hit mirror exactly what the [intern] call being
      skipped would have recorded, so arena accounting is unchanged by
-     who found the handle.  Per shard, like the arena itself. *)
+     who found the handle.  Per shard, like the arena itself.  A probe
+     allocates nothing: the buckets are a plain chained array, walked by
+     top-level functions, and a miss returns [none]. *)
   let span_hash buf ~pos ~len =
     let h = ref 0x811c9dc5 in
     for i = pos to pos + len - 1 do
@@ -305,44 +327,61 @@ module Interned = struct
     done;
     !h land max_int
 
-  let span_matches span buf pos len =
-    String.length span = len
-    &&
-    let rec go i =
-      i = len
-      || Char.equal (String.unsafe_get span i) (String.unsafe_get buf (pos + i))
-         && go (i + 1)
-    in
-    go 0
+  (* Fold the high bits in: FNV's low bits alone mix poorly. *)
+  let bucket spans key = (key lxor (key lsr 29)) land (Array.length spans - 1)
+
+  let rec same_bytes span buf pos i len =
+    i = len
+    || Char.code (String.unsafe_get span i)
+       = Char.code (String.unsafe_get buf (pos + i))
+       && same_bytes span buf pos (i + 1) len
+
+  let rec find_in key buf pos len = function
+    | No_span -> none
+    | Span s ->
+      if s.key = key
+         && String.length s.bytes = len
+         && same_bytes s.bytes buf pos 0 len
+      then s.handle
+      else find_in key buf pos len s.next
 
   let find_span buf ~pos ~len =
     let sh = current () in
-    match Hashtbl.find_opt sh.span_tbl (span_hash buf ~pos ~len) with
-    | None -> None
-    | Some entries -> (
-      match
-        List.find_opt (fun (span, _) -> span_matches span buf pos len) entries
-      with
-      | None -> None
-      | Some (_, h) ->
-        record_hit sh h;
-        Some h)
+    let key = span_hash buf ~pos ~len in
+    let h = find_in key buf pos len sh.spans.(bucket sh.spans key) in
+    if h != none then record_hit sh h;
+    h
+
+  let rec rehash spans = function
+    | No_span -> ()
+    | Span s ->
+      let i = bucket spans s.key in
+      spans.(i) <- Span { s with next = spans.(i) };
+      rehash spans s.next
 
   let add_span buf ~pos ~len h =
     let sh = current () in
     let key = span_hash buf ~pos ~len in
-    let entries = Option.value ~default:[] (Hashtbl.find_opt sh.span_tbl key) in
     (* Only reached on a [find_span] miss, so the span is new under this
        key; the copy is the one allocation the cache ever pays for these
        bytes. *)
-    Hashtbl.replace sh.span_tbl key ((String.sub buf pos len, h) :: entries)
+    let i = bucket sh.spans key in
+    sh.spans.(i) <-
+      Span { key; bytes = String.sub buf pos len; handle = h;
+             next = sh.spans.(i) };
+    sh.span_count <- sh.span_count + 1;
+    if sh.span_count > 2 * Array.length sh.spans then begin
+      let old = sh.spans in
+      sh.spans <- Array.make (2 * Array.length old) No_span;
+      Array.iter (rehash sh.spans) old
+    end
 
-  (* Id -1 lies below every shard's id range, so [hit] rejects it and
-     the id fast path of [equal] never matches it. *)
-  let none =
-    let value = make ~as_path:As_path.empty ~next_hop:Bgp_addr.Ipv4.zero () in
-    { id = -1; cached_hash = hash value; value; pref = pref_of value;
-      vbytes = 0 }
+  (* Racing fills from two domains store byte-identical strings (the
+     image is a function of the immutable [value]), and a string is
+     published with its contents, so a reader sees "" or a whole
+     image. *)
+  let wire_image h = h.wire
+  let set_wire_image h w = h.wire <- w
 
   (* A handle allocated by this shard since its last clear was made by
      [intern], so it is the arena's entry for its value and
@@ -404,7 +443,8 @@ module Interned = struct
     Hashtbl.iter
       (fun _ sh ->
         Arena.reset sh.table;
-        Hashtbl.reset sh.span_tbl;
+        sh.spans <- Array.make span_buckets No_span;
+        sh.span_count <- 0;
         mark_stale sh;
         sh.s_interns <- 0;
         sh.s_hits <- 0;

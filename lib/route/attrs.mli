@@ -110,13 +110,13 @@ module Interned : sig
   val intern : attrs -> t
   (** Canonical handle for [attrs]; O(1) amortized on an arena hit. *)
 
-  val find_span : string -> pos:int -> len:int -> t option
+  val find_span : string -> pos:int -> len:int -> t
   (** [find_span buf ~pos ~len] is the handle previously registered for
       the raw attribute byte-span [buf.[pos .. pos+len-1]] via
-      {!add_span}, or [None].  A hit records exactly the arena stats
-      the skipped {!intern} call would have (one intern, one hit, the
-      handle's bytes saved), so accounting is independent of which path
-      found the handle. *)
+      {!add_span}, or {!none} (test with [==]); it allocates nothing.
+      A hit records exactly the arena stats the skipped {!intern} call
+      would have (one intern, one hit, the handle's bytes saved), so
+      accounting is independent of which path found the handle. *)
 
   val add_span : string -> pos:int -> len:int -> t -> unit
   (** Register [handle] as the decode result for the span (copying the
@@ -127,6 +127,19 @@ module Interned : sig
   (** A sentinel handle the arena never returns: lets a store mark an
       empty slot without an [option] box per slot.  Test for it with
       [==] — {!equal}'s structural fallback may match it. *)
+
+  val wire_image : t -> string
+  (** The handle's encode cache: the path-attribute section of its
+      value as an UPDATE carries it (2-octet ASNs), or [""] until
+      {!set_wire_image} fills it.  Bound to the handle, not to a shard:
+      it survives {!clear}, because the value it encodes is
+      immutable. *)
+
+  val set_wire_image : t -> string -> unit
+  (** Fill the encode cache; [Bgp_wire.Codec] does so on the first
+      encode of the handle.  Domains that race to fill it must store
+      byte-identical images, which the codec does: the image is a
+      function of the value alone. *)
 
   val hit : t -> bool
   (** [hit h] is [true] when [intern (value h)] would return [h] itself:

@@ -37,15 +37,6 @@ let u32 b v =
 
 let add_ipv4 b a = u32 b (Bgp_addr.Ipv4.to_int a)
 
-let add_prefix b p =
-  (* RFC 4271 §4.3: length in bits, then ceil(len/8) address octets. *)
-  let len = P.len p in
-  u8 b len;
-  let a = Bgp_addr.Ipv4.to_int (P.addr p) in
-  for i = 0 to P.wire_octets p - 1 do
-    u8 b ((a lsr (24 - (8 * i))) land 0xFF)
-  done
-
 let encode_capability b = function
   | Msg.Multiprotocol (afi, safi) ->
     u8 b 1;
@@ -143,79 +134,131 @@ let encode_attrs ?(as4 = false) b (attrs : A.t) =
     emit ~flags:flag_optional ~code:attr_cluster_list (fun s ->
         List.iter (add_ipv4 s) cl))
 
-let encode_body b = function
-  | Msg.Open o ->
-    if o.Msg.opn_hold_time < 0 || o.Msg.opn_hold_time > 0xFFFF then
-      invalid_arg "Codec: hold time out of range";
-    u8 b o.Msg.opn_version;
-    u16 b (Bgp_route.Asn.to_int o.Msg.opn_asn);
-    u16 b o.Msg.opn_hold_time;
-    add_ipv4 b o.Msg.opn_bgp_id;
-    let params = Buffer.create 16 in
-    List.iter (encode_opt_param params) o.Msg.opn_params;
-    if Buffer.length params > 0xFF then
-      invalid_arg "Codec: optional parameters too long";
-    u8 b (Buffer.length params);
-    Buffer.add_buffer b params
-  | Msg.Update u ->
-    let withdrawn = Buffer.create 64 in
-    List.iter (add_prefix withdrawn) u.Msg.withdrawn;
-    if Buffer.length withdrawn > 0xFFFF then
-      invalid_arg "Codec: withdrawn routes too long";
-    u16 b (Buffer.length withdrawn);
-    Buffer.add_buffer b withdrawn;
-    let attrs = Buffer.create 64 in
-    Option.iter
-      (fun h -> encode_attrs attrs (A.Interned.value h))
-      u.Msg.attrs;
-    if Buffer.length attrs > 0xFFFF then
-      invalid_arg "Codec: path attributes too long";
-    u16 b (Buffer.length attrs);
-    Buffer.add_buffer b attrs;
-    List.iter (add_prefix b) u.Msg.nlri
-  | Msg.Keepalive -> ()
-  | Msg.Notification err ->
-    let code, sub = Msg.error_code err in
-    u8 b code;
-    u8 b sub
-  | Msg.Route_refresh (afi, safi) ->
-    u16 b afi;
-    u8 b 0;
-    u8 b safi
+let encode_open b o =
+  if o.Msg.opn_hold_time < 0 || o.Msg.opn_hold_time > 0xFFFF then
+    invalid_arg "Codec: hold time out of range";
+  u8 b o.Msg.opn_version;
+  u16 b (Bgp_route.Asn.to_int o.Msg.opn_asn);
+  u16 b o.Msg.opn_hold_time;
+  add_ipv4 b o.Msg.opn_bgp_id;
+  let params = Buffer.create 16 in
+  List.iter (encode_opt_param params) o.Msg.opn_params;
+  if Buffer.length params > 0xFF then
+    invalid_arg "Codec: optional parameters too long";
+  u8 b (Buffer.length params);
+  Buffer.add_buffer b params
 
-(* Header plus a body already checked to fit. *)
-let frame msg body =
+(* Raised by the encoders, with the wire size, when a message would
+   exceed [Msg.max_len] bytes; [encode_opt] and [encode] turn it into
+   [None] or [Invalid_argument]. *)
+exception Too_long of int
+
+(* A control message (OPEN, NOTIFICATION, KEEPALIVE, ROUTE-REFRESH):
+   the body goes through a buffer, then the header is put before it. *)
+let framed mtype fill =
+  let body = Buffer.create 64 in
+  fill body;
   let total = Msg.header_len + Buffer.length body in
+  if total > Msg.max_len then raise_notrace (Too_long total);
   let b = Buffer.create total in
   for _ = 1 to 16 do
     Buffer.add_char b '\xFF'
   done;
   u16 b total;
-  u8 b
-    (match msg with
-    | Msg.Open _ -> type_open
-    | Msg.Update _ -> type_update
-    | Msg.Notification _ -> type_notification
-    | Msg.Keepalive -> type_keepalive
-    | Msg.Route_refresh _ -> type_route_refresh);
+  u8 b mtype;
   Buffer.add_buffer b body;
   Buffer.contents b
 
+(* The path-attribute section of an UPDATE carrying [h]: encoded once
+   per handle and cached on it (the encode cache, DESIGN.md 4d), so
+   every later message with that handle copies the bytes. *)
+let attrs_image h =
+  let w = A.Interned.wire_image h in
+  if String.length w > 0 then w
+  else begin
+    let b = Buffer.create 64 in
+    encode_attrs b (A.Interned.value h);
+    (* Never empty: ORIGIN is always emitted, so "" stays the unfilled
+       mark. *)
+    let w = Buffer.contents b in
+    A.Interned.set_wire_image h w;
+    w
+  end
+
+(* RFC 4271 section 4.3: a prefix is its length in bits, then
+   ceil(len/8) address octets. *)
+let prefix_bytes p = 1 + ((P.len p + 7) lsr 3)
+
+let rec prefixes_bytes acc = function
+  | [] -> acc
+  | p :: rest -> prefixes_bytes (acc + prefix_bytes p) rest
+
+let set_u8 b pos v = Bytes.unsafe_set b pos (Char.unsafe_chr (v land 0xFF))
+
+let set_u16 b pos v =
+  set_u8 b pos (v lsr 8);
+  set_u8 b (pos + 1) v
+
+let rec put_prefixes b pos = function
+  | [] -> pos
+  | p :: rest ->
+    let len = P.len p in
+    let octets = (len + 7) lsr 3 in
+    let a = Bgp_addr.Ipv4.to_int (P.addr p) in
+    set_u8 b pos len;
+    for i = 0 to octets - 1 do
+      set_u8 b (pos + 1 + i) (a lsr (24 - (8 * i)))
+    done;
+    put_prefixes b (pos + 1 + octets) rest
+
+(* An UPDATE in one pass: size it, then write header, withdrawn routes,
+   the cached attribute image and NLRI into one string of exactly that
+   size. *)
+let encode_update u =
+  let wlen = prefixes_bytes 0 u.Msg.withdrawn in
+  if wlen > 0xFFFF then invalid_arg "Codec: withdrawn routes too long";
+  let image = match u.Msg.attrs with None -> "" | Some h -> attrs_image h in
+  let alen = String.length image in
+  if alen > 0xFFFF then invalid_arg "Codec: path attributes too long";
+  let total = Msg.header_len + 4 + wlen + alen + prefixes_bytes 0 u.Msg.nlri in
+  if total > Msg.max_len then raise_notrace (Too_long total);
+  let b = Bytes.create total in
+  Bytes.set_int64_ne b 0 (-1L);
+  Bytes.set_int64_ne b 8 (-1L);
+  set_u16 b 16 total;
+  set_u8 b 18 type_update;
+  set_u16 b Msg.header_len wlen;
+  let pos = put_prefixes b (Msg.header_len + 2) u.Msg.withdrawn in
+  set_u16 b pos alen;
+  if alen > 0 then Bytes.unsafe_blit_string image 0 b (pos + 2) alen;
+  ignore (put_prefixes b (pos + 2 + alen) u.Msg.nlri);
+  Bytes.unsafe_to_string b
+
+let encode_exn = function
+  | Msg.Update u -> encode_update u
+  | Msg.Open o -> framed type_open (fun b -> encode_open b o)
+  | Msg.Keepalive -> framed type_keepalive ignore
+  | Msg.Notification err ->
+    let code, sub = Msg.error_code err in
+    framed type_notification (fun b ->
+        u8 b code;
+        u8 b sub)
+  | Msg.Route_refresh (afi, safi) ->
+    framed type_route_refresh (fun b ->
+        u16 b afi;
+        u8 b 0;
+        u8 b safi)
+
 let encode_opt msg =
-  let body = Buffer.create 64 in
-  encode_body body msg;
-  if Msg.header_len + Buffer.length body > Msg.max_len then None
-  else Some (frame msg body)
+  match encode_exn msg with w -> Some w | exception Too_long _ -> None
 
 let encode msg =
-  let body = Buffer.create 64 in
-  encode_body body msg;
-  let total = Msg.header_len + Buffer.length body in
-  if total > Msg.max_len then
+  match encode_exn msg with
+  | w -> w
+  | exception Too_long total ->
     invalid_arg
       (Printf.sprintf "Codec.encode: %s message of %d bytes exceeds %d"
-         (Msg.kind_name msg) total Msg.max_len);
-  frame msg body
+         (Msg.kind_name msg) total Msg.max_len)
 
 let encoded_size msg = String.length (encode msg)
 
@@ -227,7 +270,6 @@ let encoded_size msg = String.length (encode msg)
    the 19-byte header and two 2-byte length fields, plus one length
    octet and the address octets per prefix. *)
 let update_room = Msg.max_len - Msg.header_len - 4
-let prefix_bytes p = 1 + P.wire_octets p
 
 (* Split [prefixes], in order, into runs of at most [max_count] prefixes
    and [room] wire bytes.  A prefix that exceeds [room] on its own still
@@ -249,11 +291,11 @@ let updates ?(max_count = max_int) attrs prefixes =
   | None ->
     List.map Msg.withdrawal (chunks ~max_count ~room:update_room prefixes)
   | Some h ->
-    let b = Buffer.create 64 in
-    encode_attrs b (A.Interned.value h);
     List.map
       (Msg.announcement_interned h)
-      (chunks ~max_count ~room:(update_room - Buffer.length b) prefixes)
+      (chunks ~max_count
+         ~room:(update_room - String.length (attrs_image h))
+         prefixes)
 
 let updates_of_runs ~max_count routes =
   (* Runs newest first, each run's prefixes reversed. *)
@@ -577,16 +619,18 @@ let decode_attrs r stop ~nlri_present =
   else begin
     let pos0 = r.pos in
     let len = stop - pos0 in
-    match A.Interned.find_span r.buf ~pos:pos0 ~len with
-    | Some handle ->
+    let handle = A.Interned.find_span r.buf ~pos:pos0 ~len in
+    if handle != A.Interned.none then begin
       r.pos <- stop;
       Some handle
-    | None ->
+    end
+    else begin
       let result = decode_attrs_slow r stop ~nlri_present in
       (match result with
       | Some handle -> A.Interned.add_span r.buf ~pos:pos0 ~len handle
       | None -> ());
       result
+    end
   end
 
 let decode_update r =

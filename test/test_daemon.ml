@@ -65,20 +65,25 @@ let node ?aggregates net ~as_ id =
     links = [] }
 
 (* Peer two nodes as bgpd does: [server] listens, [client] dials, and
-   each side attaches the other under a placeholder identity. *)
-let connect ?(rr_client = false) net ~server ~client =
+   each side attaches the other under a placeholder identity.  With
+   [restart = (s, c)], a session that drops restarts after [s] seconds
+   on the server and [c] on the client.  Returns the client's link. *)
+let connect ?(rr_client = false) ?restart net ~server ~client =
   let passive, active = net.join () in
-  let attach n ~active ~rr_client link =
+  let attach n ~active ~rr_client ?restart_delay link =
     let peer =
       Bgp_route.Peer.make ~id:(List.length n.links)
         ~asn:(Rib.local_asn (Router.rib n.router))
         ~router_id:Bgp_addr.Ipv4.zero ~addr:(ip "127.0.0.1")
     in
-    Router.attach_peer ~active ~rr_client n.router ~peer ~link;
+    Router.attach_peer ~active ~rr_client ?restart_delay n.router ~peer ~link;
     n.links <- (peer, link) :: n.links
   in
-  attach server ~active:false ~rr_client passive;
-  attach client ~active:true ~rr_client:false active
+  attach server ~active:false ~rr_client ?restart_delay:(Option.map fst restart)
+    passive;
+  attach client ~active:true ~rr_client:false
+    ?restart_delay:(Option.map snd restart) active;
+  active
 
 let established n =
   List.length
@@ -127,8 +132,8 @@ let chain ?aggregates_b net =
   let a = node net ~as_:65101 "10.0.0.1" in
   let b = node ?aggregates:aggregates_b net ~as_:65102 "10.0.0.2" in
   let c = node net ~as_:65103 "10.0.0.3" in
-  connect net ~server:a ~client:b;
-  connect net ~server:b ~client:c;
+  ignore (connect net ~server:a ~client:b);
+  ignore (connect net ~server:b ~client:c);
   wait net [ a; b; c ] "chain to establish" (fun () ->
       established a = 1 && established b = 2 && established c = 1);
   (a, b, c)
@@ -199,8 +204,8 @@ let test_ibgp_route_reflection net =
   let mk last = node net ~as_:65200 ("10.1.0." ^ string_of_int last) in
   let a = mk 1 and b = mk 2 and c = mk 3 in
   (* B listens for both and marks both neighbors as clients. *)
-  connect ~rr_client:true net ~server:b ~client:a;
-  connect ~rr_client:true net ~server:b ~client:c;
+  ignore (connect ~rr_client:true net ~server:b ~client:a);
+  ignore (connect ~rr_client:true net ~server:b ~client:c);
   wait net [ a; b; c ] "IBGP sessions to establish" (fun () ->
       established a = 1 && established b = 2 && established c = 1);
   let p = pfx "203.0.113.0/24" in
@@ -223,6 +228,28 @@ let test_ibgp_route_reflection net =
   | None -> Alcotest.fail "reflected route missing");
   [ a; b; c ]
 
+(* The client drops the session and redials 0.1 s later, while the
+   listener's session still waits out its 0.2 s restart delay in Idle:
+   the listener accepts the connection then, and Idle ignores it.  The
+   restart must pick that connection up, with the OPEN already read from
+   it, and both sides be Established again within 1 s. *)
+let test_redial_inside_restart_delay () =
+  let net = live () in
+  Fun.protect ~finally:net.dispose (fun () ->
+      let a = node net ~as_:65101 "10.0.0.1" in
+      let b = node net ~as_:65102 "10.0.0.2" in
+      let link = connect ~restart:(0.2, 0.1) net ~server:a ~client:b in
+      let both_up () = established a = 1 && established b = 1 in
+      wait net [ a; b ] "sessions to establish" both_up;
+      let dropped = Clock.now net.clock in
+      link.Link.close ();
+      wait net [ a; b ] "the drop" (fun () ->
+          established a = 0 && established b = 0);
+      wait net [ a; b ] "sessions to re-establish" both_up;
+      let took = Clock.now net.clock -. dropped in
+      if took >= 1.0 then
+        Alcotest.failf "re-established %.2f s after the drop" took)
+
 let () =
   let case name f = Alcotest.test_case name `Quick (on_both_transports f) in
   Alcotest.run "bgp daemon"
@@ -231,5 +258,9 @@ let () =
           case "aggregation at transit" test_aggregation_at_transit;
           case "session loss withdraws" test_session_loss_withdraws;
           case "IBGP route reflection over TCP" test_ibgp_route_reflection
+        ] );
+      ( "restart",
+        [ Alcotest.test_case "redial inside the restart delay" `Quick
+            test_redial_inside_restart_delay
         ] )
     ]

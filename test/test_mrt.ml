@@ -80,6 +80,42 @@ let records_eq a b =
 (* Roundtrip                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A TABLE_DUMP_V2 RIB entry carries its attributes with 4-octet ASNs;
+   writing and reading one leaves the handle's UPDATE encode cache,
+   which holds the 2-octet form only, empty. *)
+let test_as4_leaves_encode_cache_empty () =
+  let h =
+    I.intern
+      (Bgp_route.Attrs.make ~aggregator:(asn 64700, ip "10.7.7.7")
+         ~as_path:(Bgp_route.As_path.of_asns [ asn 64701; asn 64702 ])
+         ~next_hop:(ip "192.0.2.77") ())
+  in
+  let records =
+    [ Mrt.Peer_index
+        { collector_id = ip "10.0.0.254"; view_name = "";
+          peers =
+            [| { Mrt.pe_bgp_id = ip "10.0.0.1"; pe_addr = ip "10.0.0.1";
+                 pe_asn = asn 64701 } |] };
+      Mrt.Rib
+        { Mrt.seq = 0; prefix = pfx "198.51.100.0/24";
+          sources = [ { Mrt.src_peer = 0; src_time = 0; src_attrs = h } ] } ]
+  in
+  (match Mrt.of_string (Mrt.to_string records) with
+  | Ok (back, _) ->
+    Alcotest.(check bool) "roundtrip" true (records_eq records back);
+    List.iter
+      (function
+        | Mrt.Rib e ->
+          List.iter
+            (fun s ->
+              Alcotest.(check string) "read handle's cache empty" ""
+                (I.wire_image s.Mrt.src_attrs))
+            e.Mrt.sources
+        | _ -> ())
+      back
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "written handle's cache empty" "" (I.wire_image h)
+
 let test_roundtrip_basic () =
   let records = gen_records () in
   match Mrt.of_string (Mrt.to_string records) with
@@ -362,6 +398,8 @@ let () =
     [ ( "roundtrip",
         Alcotest.test_case "basic" `Quick test_roundtrip_basic
         :: Alcotest.test_case "file" `Quick test_file_roundtrip
+        :: Alcotest.test_case "as4 leaves the encode cache empty" `Quick
+             test_as4_leaves_encode_cache_empty
         :: Alcotest.test_case "truncation rejected" `Quick
              test_truncation_rejected
         :: qtests [ prop_roundtrip ] );
