@@ -15,10 +15,7 @@ open Bechamel
 open Toolkit
 
 module H = Bgpmark.Harness
-module Testbed = Bgpmark.Testbed
 module Scenario = Bgpmark.Scenario
-module Faults = Bgp_faults.Faults
-module Damping = Bgp_rib.Damping
 module Arch = Bgp_router.Arch
 module Msg = Bgp_wire.Msg
 module Codec = Bgp_wire.Codec
@@ -464,47 +461,8 @@ let sim_test =
      Bgp_engine.Engine.run e)
 
 (* ------------------------------------------------------------------ *)
-(* Per-stage cost breakdown preamble                                   *)
+(* Allocation gates (--smoke)                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* One complete scenario-1 run per architecture, reporting where the
-   simulated cycles went stage by stage.  Also the `--smoke` payload:
-   a cheap end-to-end exercise of harness + pipeline + reporting. *)
-let print_stage_breakdowns () =
-  let sc = Scenario.of_id_exn 1 in
-  Format.printf
-    "Per-stage cycle breakdown (scenario %d, %d prefixes, small packets):@.@."
-    sc.Scenario.id bench_config.H.table_size;
-  List.iter
-    (fun arch ->
-      let r = H.run ~config:bench_config arch sc in
-      assert (r.H.verified = Ok ());
-      Format.printf "%s: %.1f transactions/s@.%a@." r.H.arch_name r.H.tps
-        Bgp_pipeline.Pipeline.pp_stage_stats r.H.stage_stats)
-    Arch.all
-
-(* Fault-injection smoke: both adversarial scenarios on one
-   architecture, asserting the router survived, answered every
-   malformed UPDATE with the predicted NOTIFICATION, and re-converged
-   after every teardown. *)
-let print_fault_smoke () =
-  let config = { bench_config with H.fault_rounds = 2 } in
-  Format.printf "Fault-injection smoke (%d prefixes, %d rounds):@.@."
-    config.H.table_size config.H.fault_rounds;
-  List.iter
-    (fun sc ->
-      let r = H.run ~config Arch.pentium3 sc in
-      assert (r.H.verified = Ok ());
-      let m = r.H.metrics in
-      let _, reconverge_mean, _ = Faults.reconvergence_in m in
-      Format.printf
-        "%s: %.1f transactions/s; faults injected %d, malformed dropped %d, \
-         session restarts %d, re-convergence mean %.3fs@."
-        (Scenario.name sc) r.H.tps (Faults.injected_in m)
-        (Faults.malformed_dropped_in m) (Faults.session_restarts_in m)
-        reconverge_mean)
-    Scenario.adversarial;
-  Format.printf "@."
 
 (* Two-sided allocation gate against a checked-in baseline: >20% above
    is a regression, >20% below means the code got better and the
@@ -586,97 +544,6 @@ let print_alloc_smoke () =
     words;
   alloc_gate ~unit:"words/msg" "encode_alloc_baseline.txt" words
 
-(* MRT smoke: a synthesized dump must survive a write -> read
-   roundtrip bit for bit, and scenario 13 must replay it through the
-   harness and verify against the replay oracle — all offline, no
-   external trace. *)
-let print_mrt_smoke () =
-  let module Mrt = Bgp_mrt.Mrt in
-  let records =
-    Bgp_speaker.Mrt_gen.records ~seed:bench_config.H.seed ~events:40
-      ~n:bench_config.H.table_size ~speaker_asn:(asn 65001)
-      ~next_hop:(ip "192.0.2.1") ()
-  in
-  let bytes = Mrt.to_string records in
-  (match Mrt.of_string bytes with
-  | Error e -> failwith ("MRT roundtrip failed: " ^ e)
-  | Ok (records', skipped) ->
-    assert (skipped = 0);
-    assert (List.length records' = List.length records);
-    assert (Mrt.to_string records' = bytes));
-  let config = { bench_config with H.replay_events = Some 40 } in
-  let r = H.run ~config Arch.pentium3 (Scenario.of_id_exn 13) in
-  assert (r.H.verified = Ok ());
-  Format.printf
-    "MRT smoke: %d-record dump roundtripped (%d bytes); replay %.1f \
-     transactions/s, FIB end size %d@.@."
-    (List.length records) (String.length bytes) r.H.tps r.H.fib_size_end
-
-(* Damping smoke: the scenario-14 flap storm must verify (which covers
-   reuse of every suppressed route) and suppress flapping routes, and a
-   damped scenario-10 run must leave the Loc-RIB fingerprint of the
-   undamped run intact (damping off by default is the Table III
-   determinism guarantee). *)
-let print_damping_smoke () =
-  let config = { bench_config with H.fault_rounds = 3 } in
-  let r = H.run ~config Arch.pentium3 (Scenario.of_id_exn 14) in
-  assert (r.H.verified = Ok ());
-  let m = r.H.metrics in
-  assert (Damping.suppressions_in m > 0);
-  let sc10 = Scenario.of_id_exn 10 in
-  let plain = H.run ~config Arch.pentium3 sc10 in
-  let damped =
-    H.run
-      ~config:{ config with H.damping = Some Damping.test_config }
-      Arch.pentium3 sc10
-  in
-  assert (plain.H.verified = Ok ());
-  assert (damped.H.verified = Ok ());
-  assert (plain.H.used.H.damping = None);
-  assert (plain.H.locrib_fp = damped.H.locrib_fp);
-  let _, reuse_mean, _ = Damping.reuse_latency_in m in
-  Format.printf
-    "Damping smoke (scenario 14, %d rounds): %d flaps, %d suppressed, %d \
-     reused, reuse latency mean %.2fs; damped scenario-10 fingerprint \
-     unchanged@.@."
-    config.H.fault_rounds (Damping.flaps_in m) (Damping.suppressions_in m)
-    (Damping.reuses_in m) reuse_mean
-
-(* Churn smoke: one small scenario-16 run — batched /32 injection at an
-   exact prefix limit with MRAI on, Markov churn, failover sweep — must
-   verify against the subscriber-plan oracle (which covers timing every
-   swept withdrawal at speaker 2). *)
-let print_churn_smoke () =
-  let sub_cfg =
-    { Bgp_speaker.Subscriber.subscribers = 1_000; batch = 200;
-      batch_interval = 0.02; churn_rate = 200.0; churn_duration = 0.5;
-      seed = bench_config.H.seed }
-  in
-  let config = { bench_config with H.churn = Some sub_cfg } in
-  let r = H.run ~config Arch.pentium3 (Scenario.of_id_exn 16) in
-  assert (r.H.verified = Ok ());
-  let c = Option.get r.H.churn in
-  let swept, _, _ = H.sweep_latency_in r.H.metrics in
-  Format.printf
-    "Churn smoke (%d subscribers, %d events): injection %.0f tps, churn %.0f \
-     tps, failover swept %d routes in %.3fs@.@."
-    r.H.used.H.table_size c.H.cr_churn.Testbed.transactions
-    (Testbed.tps c.H.cr_injection) (Testbed.tps c.H.cr_churn) swept
-    c.H.cr_failover_s
-
-(* Live-mode smoke: one real-TCP harness run (scenario 5, the
-   best-vs-challenger shape the incremental decision path serves) must
-   finish and verify — sessions establish over loopback, the table
-   loads, the challenger phase completes, and the Loc-RIB checks out.
-   Small table: this guards the live plumbing, not throughput. *)
-let print_live_smoke () =
-  let sc = Scenario.of_id_exn 5 in
-  let config = { bench_config with H.mode = H.Live; H.timeout = 60.0 } in
-  let r = H.run ~config Arch.pentium3 sc in
-  assert (r.H.verified = Ok ());
-  Format.printf "Live smoke (%s, %d prefixes, real TCP): %.1f transactions/s@.@."
-    (Scenario.name sc) config.H.table_size r.H.tps
-
 let fault_tests =
   List.map
     (fun sc ->
@@ -744,8 +611,7 @@ let topo_tests =
          r.TB.lf_heal_s) ]
 
 (* Structured tracing: the recorder must stay cheap enough to leave on
-   (ring-slot writes, no I/O), and a traced harness run must not change
-   the measured result.  The smoke variant asserts both. *)
+   (ring-slot writes, no I/O). *)
 let trace_tests =
   let module Tracer = Bgp_trace.Tracer in
   [ Test.make ~name:"trace/record-100k-spans"
@@ -766,31 +632,6 @@ let trace_tests =
          Tracer.instant tr tk ~name:"run" ~ts:(float_of_int i *. 1e-6) ()
        done;
        String.length (Bgp_trace.Chrome.to_string tr)) ]
-
-let print_trace_smoke () =
-  let module Tracer = Bgp_trace.Tracer in
-  let sc = Scenario.of_id_exn 1 in
-  let base = H.run ~config:bench_config Arch.pentium3 sc in
-  let tr = Tracer.create () in
-  let traced =
-    H.run ~config:{ bench_config with H.tracer = Some tr } Arch.pentium3 sc
-  in
-  assert (base.H.tps = traced.H.tps);
-  let names =
-    List.filter_map
-      (fun e ->
-        match e.Tracer.ev_phase with
-        | Tracer.Span -> Some e.Tracer.ev_name
-        | _ -> None)
-      (Tracer.events tr)
-  in
-  List.iter
-    (fun st -> assert (List.mem st names))
-    [ "wire-decode"; "import-policy"; "adj-rib-in"; "decision";
-      "fib-install"; "export-policy"; "mrai-pacing" ];
-  Format.printf
-    "Trace smoke: %d events recorded (%d dropped), tps unchanged at %.1f@.@."
-    (Tracer.recorded tr) (Tracer.dropped tr) traced.H.tps
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
@@ -814,16 +655,10 @@ let all_tests =
   @ [ sim_test ]
 
 let () =
-  print_stage_breakdowns ();
-  print_fault_smoke ();
-  print_mrt_smoke ();
-  print_damping_smoke ();
-  print_churn_smoke ();
   print_alloc_smoke ();
-  print_live_smoke ();
-  print_trace_smoke ();
-  (* --smoke: the breakdown runs above are a complete (if small)
-     harness exercise; stop before the wall-clock measurements. *)
+  (* --smoke: the allocation gates alone; the scenario checks live in
+     the dune tests and the golden diffs.  Stop before the wall-clock
+     measurements. *)
   if Array.mem "--smoke" Sys.argv then begin
     print_endline "smoke OK";
     exit 0

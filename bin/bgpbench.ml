@@ -247,7 +247,15 @@ let table3_cmd =
             Printf.printf "  [%s] %s\n" (if ok then "PASS" else "fail") desc)
           (Bgpmark.Table3.shape_checks t)
       end;
-      finish_trace ~quiet:json trace_file tracer
+      finish_trace ~quiet:json trace_file tracer;
+      (* A failed verification fails the command; the shape criteria
+         only report. *)
+      if
+        List.exists
+          (fun (_, rs) ->
+            List.exists (fun (_, r) -> Result.is_error r.H.verified) rs)
+          t.Bgpmark.Table3.cells
+      then exit 1
   in
   let no_paper =
     Arg.(value & flag & info [ "no-paper" ] ~doc:"Omit the paper-comparison rows.")
@@ -608,7 +616,7 @@ let topo_cmd =
     Arg.conv
       (parse, fun ppf k -> Format.pp_print_string ppf (Topology.kind_to_string k))
   in
-  let run kind nodes seed gao cut domains json smoke trace_file trace_sample =
+  let run kind nodes seed gao cut domains json trace_file trace_sample =
     if domains <> [] then begin
       (* Scenario 15: partitioned scale runs.  Each requested node count
          runs once per requested domain count; converged fingerprints
@@ -651,20 +659,6 @@ let topo_cmd =
         exit 1
       end;
       if List.exists (fun r -> Result.is_error r.TB.sc_verified) runs then
-        exit 1
-    end
-    else if smoke then begin
-      (* CI gate: a small clique must establish, converge, and verify. *)
-      let r =
-        TB.run_scale ~mode:Net.Transit ~seed ~kind:Topology.Clique ~n:4 ()
-      in
-      match r.TB.sc_verified with
-      | Ok () ->
-        Printf.printf
-          "topo smoke: 4-clique converged (announce %.6fs, withdraw %.6fs)\n"
-          r.TB.sc_announce_s r.TB.sc_withdraw_s
-      | Error e ->
-        prerr_endline ("topo smoke FAILED: " ^ e);
         exit 1
     end
     else begin
@@ -741,12 +735,6 @@ let topo_cmd =
              Gao-Rexford (accept-all transit path-hunts combinatorially at \
              scale).")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"CI smoke: converge a small clique and exit non-zero on failure.")
-  in
   Cmd.v
     (Cmd.info "topo"
        ~doc:
@@ -755,7 +743,7 @@ let topo_cmd =
           partitioned scale with --domains); exits non-zero if verification \
           fails")
     Term.(
-      const run $ kind $ nodes $ seed_t $ gao $ cut $ domains $ json_t $ smoke
+      const run $ kind $ nodes $ seed_t $ gao $ cut $ domains $ json_t
       $ trace_file_t $ trace_sample_t)
 
 let crosscheck_cmd =

@@ -126,6 +126,12 @@ let run_one ~seed ~packing n =
       (if chal_dt <= 0.0 then 0.0 else float_of_int n /. chal_dt) }
 
 let run ?(seed = 42) ?(packing = 500) counts =
+  List.iter
+    (fun n ->
+      if n < 1 then
+        invalid_arg
+          (Printf.sprintf "Arena_sweep: table size must be >= 1, got %d" n))
+    counts;
   { seed; packing; cells = List.map (run_one ~seed ~packing) counts }
 
 (* The gate checked at 250k prefixes. *)

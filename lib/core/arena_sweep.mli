@@ -33,7 +33,8 @@ type t = { seed : int; packing : int; cells : cell list }
 val run : ?seed:int -> ?packing:int -> int list -> t
 (** [run counts] sweeps each table size in [counts], one cell per size.
     [packing] (default 500) caps prefixes per UPDATE.  Each cell starts
-    from a cleared global arena. *)
+    from a cleared global arena.
+    @raise Invalid_argument for a size below 1. *)
 
 val checks : t -> (string * bool) list
 (** Per-size acceptance check: arena hit rate above 90%. *)

@@ -182,6 +182,12 @@ let check name cond = if cond then Ok () else Error name
 
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
+(* A run that measures nothing has nothing to verify: refuse it rather
+   than report it verified. *)
+let require_positive what n =
+  if n < 1 then
+    invalid_arg (Printf.sprintf "Harness: %s must be >= 1, got %d" what n)
+
 (* With damping on, each reuse-timer re-injection books one extra
    transaction on top of the expected ones, so the exact count is
    timing-dependent; the floor is not. *)
@@ -211,6 +217,7 @@ let run_standard (cfg : config) arch scenario =
     | None -> cfg
   in
   let n = cfg.table_size in
+  require_positive "table size" n;
   let op = scenario.Scenario.operation in
   rig cfg arch scenario @@ fun tb ->
   let s1 = tb.sides.(0) and s2 = tb.sides.(1) in
@@ -345,6 +352,8 @@ let run_adversarial (cfg : config) arch scenario =
   in
   let rounds = cfg.fault_rounds in
   let n = cfg.table_size in
+  require_positive "table size" n;
+  require_positive "fault rounds" rounds;
   rig cfg arch scenario ~restart_delay:0.05 @@ fun tb ->
   let s1 = tb.sides.(0) and s2 = tb.sides.(1) in
   let router = tb.router in

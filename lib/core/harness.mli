@@ -192,7 +192,11 @@ val run : ?config:config -> Bgp_router.Arch.t -> Scenario.t -> result
     against the {!Bgp_speaker.Subscriber} plan oracle and [churn] is
     populated.
     @raise Failure if a phase fails to converge within the timeout
-    (with a diagnostic of what was stuck). *)
+    (with a diagnostic of what was stuck).
+    @raise Invalid_argument if a scenario of 1-10 or 14 has a table of
+    no prefixes ([table_size] below 1, or an empty [table_file]), or an
+    adversarial one has [fault_rounds] below 1: such a run measures
+    nothing. *)
 
 val pp_result : Format.formatter -> result -> unit
 

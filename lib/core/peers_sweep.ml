@@ -37,6 +37,9 @@ let run_one arch ~table_size ~seed ~n =
   { n_peers = n; tps = Testbed.tps p; avg_candidates = float_of_int n }
 
 let run ?(table_size = 2000) ?(seed = 42) ?(counts = [ 2; 4; 8; 16 ]) arch =
+  if table_size < 1 then
+    invalid_arg
+      (Printf.sprintf "Peers_sweep: table size must be >= 1, got %d" table_size);
   { arch_name = arch.Arch.name;
     points = List.map (fun n -> run_one arch ~table_size ~seed ~n) counts }
 

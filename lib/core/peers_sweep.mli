@@ -24,7 +24,8 @@ type t = {
 val run :
   ?table_size:int -> ?seed:int -> ?counts:int list -> Bgp_router.Arch.t -> t
 (** Defaults: table 2000, seed 42, counts [2; 4; 8; 16].
-    @raise Invalid_argument for counts below 2. *)
+    @raise Invalid_argument for counts below 2 or a table size below
+    1. *)
 
 val render : t -> string
 

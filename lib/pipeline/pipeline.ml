@@ -25,7 +25,6 @@ type work = {
   mutable w_announced : int;
   mutable w_withdrawn : int;
   mutable w_peers : int;
-  mutable w_attr_groups : int;
   mutable w_src : int;
   mutable w_candidates : int;
   mutable w_loc_changes : int;
@@ -35,15 +34,21 @@ type work = {
   mutable w_mrai_buffered : int;
 }
 
-let work ~bytes ~announced ~withdrawn ~peers ~attr_groups ~src =
+let work ~bytes ~announced ~withdrawn ~peers ~src =
   { w_bytes = bytes; w_announced = announced; w_withdrawn = withdrawn;
-    w_peers = peers; w_attr_groups = attr_groups; w_src = src;
+    w_peers = peers; w_src = src;
     w_candidates = 0; w_loc_changes = 0; w_fib_installs = 0;
     w_fib_replaces = 0; w_announcements = 0; w_mrai_buffered = 0 }
 
 let prefixes w = w.w_announced + w.w_withdrawn
 let fib_deltas w = w.w_fib_installs + w.w_fib_replaces
 let policy_fanout w = prefixes w * w.w_peers
+
+(* Distinct attribute sets in the batch, a trace annotation no cost
+   hook prices: the NLRI's shared handle (a decoded UPDATE with NLRI
+   always carries attributes), plus one when withdrawals ride along. *)
+let attr_groups w =
+  (if w.w_announced > 0 then 1 else 0) + if w.w_withdrawn > 0 then 1 else 0
 
 (* What every architecture shares: the stage order, what each stage's
    unit counter advances by, and the one skip rule. *)
@@ -215,11 +220,11 @@ let rec dispatch_from t b i =
           | Some tk ->
             Tracer.stage_span ts.ts_tr tk ~stage ~dispatch:t_dispatch
               ~finish:(Bgp_engine.Clock.now t.clock) ~cycles
-              ~units:(units st.id w) ~attr_groups:w.w_attr_groups
+              ~units:(units st.id w) ~attr_groups:(attr_groups w)
               ~peer:w.w_src
           | None ->
             Tracer.stage_mark ts.ts_tr ts.ts_updates ~stage ~ts:t_dispatch
-              ~units:(units st.id w) ~attr_groups:w.w_attr_groups
+              ~units:(units st.id w) ~attr_groups:(attr_groups w)
               ~peer:w.w_src)
         | _ -> ());
         dispatch_from t b (i + 1)
@@ -291,7 +296,7 @@ let dispatch_fused t b =
                 ~args:
                   [ ("cycles", Tracer.Float costs.(i));
                     ("units", Tracer.Int (units st.id w));
-                    ("attr_groups", Tracer.Int w.w_attr_groups) ]
+                    ("attr_groups", Tracer.Int (attr_groups w)) ]
                 ();
               cursor := !cursor +. dur
             end)

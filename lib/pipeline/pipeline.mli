@@ -52,12 +52,6 @@ type work = {
   mutable w_announced : int;      (** NLRI count *)
   mutable w_withdrawn : int;      (** withdrawn-routes count *)
   mutable w_peers : int;          (** import fan-out (attached peers) *)
-  mutable w_attr_groups : int;
-      (** distinct attribute sets in the batch: 1 for the shared NLRI
-          handle (+1 when withdrawals ride along).  The attr-group
-          batched path does per-attribute work (interning, loop
-          guards) once per group while TPS stays prefix-level
-          ({!prefixes}).  No cost hook prices it. *)
   mutable w_src : int;
       (** source peer id, or -1 when not peer-originated (trace
           annotation only; never priced) *)
@@ -70,8 +64,8 @@ type work = {
 }
 
 val work :
-  bytes:int -> announced:int -> withdrawn:int -> peers:int ->
-  attr_groups:int -> src:int -> work
+  bytes:int -> announced:int -> withdrawn:int -> peers:int -> src:int ->
+  work
 (** A fresh profile; the fields the stages fill in start at 0. *)
 
 val prefixes : work -> int

@@ -432,15 +432,8 @@ let process_update t peer_link ~bytes (u : Msg.update) =
   let withdrawn = List.length u.Msg.withdrawn in
   let prefixes = announced + withdrawn in
   let n_peers = max 1 (Rib_manager.peer_count t.rib) in
-  (* One attribute group for the shared NLRI handle, one more when
-     withdrawals ride along in the same UPDATE. *)
-  let attr_groups =
-    (if u.Msg.attrs <> None && u.Msg.nlri <> [] then 1 else 0)
-    + if u.Msg.withdrawn <> [] then 1 else 0
-  in
   let w =
-    Pipeline.work ~bytes ~announced ~withdrawn ~peers:n_peers ~attr_groups
-      ~src:from.Peer.id
+    Pipeline.work ~bytes ~announced ~withdrawn ~peers:n_peers ~src:from.Peer.id
   in
   let deltas = ref [] in
   let anns = ref [] in

@@ -87,14 +87,25 @@ let enqueue c bytes =
     end
   end
 
-let handle_readable c fd () =
-  if c.fd = Some fd then begin
-    match Unix.read fd c.read_buf 0 (Bytes.length c.read_buf) with
-    | 0 -> teardown c
-    | n -> c.receiver (Bytes.sub_string c.read_buf 0 n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> teardown c
-  end
+(* One read of the installed connection [fd]: whether it delivered
+   bytes, so a caller can read on until the socket has none (EAGAIN) or
+   the connection is torn down (EOF or an error). *)
+let read_some c fd =
+  c.fd = Some fd
+  &&
+  match Unix.read fd c.read_buf 0 (Bytes.length c.read_buf) with
+  | 0 ->
+    teardown c;
+    false
+  | n ->
+    c.receiver (Bytes.sub_string c.read_buf 0 n);
+    true
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+  | exception Unix.Unix_error (_, _, _) ->
+    teardown c;
+    false
+
+let handle_readable c fd () = ignore (read_some c fd)
 
 (* Only on an endpoint with no connection: a connector dials, and a
    listener accepts, only when [c.fd] is [None]. *)
@@ -160,11 +171,18 @@ let listen loop ~port =
   (* One connection at a time, re-accepted after a teardown.  The link
      has one peer and never dials, so a second connection is no
      collision: it is closed at once, as RFC 4271 section 6.8 closes a
-     newcomer that meets an Established session. *)
+     newcomer that meets an Established session.  The installed
+     connection is read out first: a peer that wrote, closed and
+     redialled within one loop turn has its bytes delivered, its EOF
+     seen, and its new connection accepted. *)
   Event_loop.watch_read loop lsock (fun () ->
       match Unix.accept lsock with
-      | fd, _ when c.fd = None -> install c fd
-      | fd, _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+      | fd, _ ->
+        (match c.fd with
+        | Some old -> while read_some c old do () done
+        | None -> ());
+        if c.fd = None then install c fd
+        else ( try Unix.close fd with Unix.Unix_error _ -> ())
       | exception Unix.Unix_error (_, _, _) -> ());
   let dispose () =
     teardown ~notify:false c;

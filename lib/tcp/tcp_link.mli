@@ -45,7 +45,10 @@ val listen : Event_loop.t -> port:int -> endpoint
     reported in [port]).  It accepts connections for as long as it
     lives, one at a time: a connection that arrives while another is
     up is closed at once, so a stranger cannot take over the peer's
-    session.
+    session.  The installed connection is read out before that choice,
+    so a peer that closed and redialled within one loop turn has its
+    last bytes delivered, its close seen and its new connection
+    accepted.
     @raise Unix.Unix_error if the port cannot be bound. *)
 
 val connect : Event_loop.t -> port:int -> endpoint

@@ -216,6 +216,12 @@ let test_clear_keeps_ids_fresh () =
   Alcotest.(check bool) "stale handle still structurally equal" true
     (I.equal h_old h_new)
 
+(* Regression: a zero-prefix sweep printed a row of zeros. *)
+let test_empty_sweep_rejected () =
+  match Bgpmark.Arena_sweep.run [ 100; 0 ] with
+  | _ -> Alcotest.fail "a zero-prefix sweep ran"
+  | exception Invalid_argument _ -> ()
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -229,4 +235,6 @@ let () =
           Alcotest.test_case "structural equality across shards" `Quick
             test_cross_shard_structural;
           Alcotest.test_case "clear keeps ids fresh" `Quick
-            test_clear_keeps_ids_fresh ] ) ]
+            test_clear_keeps_ids_fresh;
+          Alcotest.test_case "empty sweep rejected" `Quick
+            test_empty_sweep_rejected ] ) ]

@@ -321,6 +321,35 @@ let test_peers_sweep_monotone () =
       (eight.Bgpmark.Peers_sweep.tps < two.Bgpmark.Peers_sweep.tps)
   | _ -> Alcotest.fail "two points expected"
 
+(* ------------------------------------------------------------------ *)
+(* Runs that would measure nothing                                     *)
+(* ------------------------------------------------------------------ *)
+
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted a run that measures nothing" what
+  | exception Invalid_argument _ -> ()
+
+(* Regression: a zero-prefix table ran to "verification OK" at 0
+   transactions/s. *)
+let test_empty_table_rejected () =
+  List.iter
+    (fun (id, n) ->
+      rejects (Printf.sprintf "scenario %d, %d prefixes" id n) (fun () ->
+          run ~config:{ small_config with H.table_size = n } Arch.xeon id))
+    [ (1, 0); (6, 0); (8, -1) ]
+
+let test_empty_table_file_rejected () =
+  let file = Filename.temp_file "bgpmark-table" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Bgp_speaker.Table_io.save file [];
+  rejects "header-only table file" (fun () ->
+      run ~config:{ small_config with H.table_file = Some file } Arch.xeon 2)
+
+let test_peers_sweep_empty_table_rejected () =
+  rejects "peers sweep, 0 prefixes" (fun () ->
+      Bgpmark.Peers_sweep.run ~table_size:0 ~counts:[ 2 ] Arch.xeon)
+
 let test_max_prefixes_ceases_session () =
   let module Engine = Bgp_engine.Engine in
   let module Channel = Bgp_netsim.Channel in
@@ -646,6 +675,14 @@ let () =
             test_peers_sweep_monotone;
           Alcotest.test_case "prefix limit ceases session" `Quick
             test_max_prefixes_ceases_session
+        ] );
+      ( "empty runs",
+        [ Alcotest.test_case "empty table rejected" `Quick
+            test_empty_table_rejected;
+          Alcotest.test_case "empty table file rejected" `Quick
+            test_empty_table_file_rejected;
+          Alcotest.test_case "peers sweep rejects an empty table" `Quick
+            test_peers_sweep_empty_table_rejected
         ] );
       ( "live rig",
         [ Alcotest.test_case "timeout releases sockets" `Quick

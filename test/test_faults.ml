@@ -211,6 +211,22 @@ let test_baseline_unaffected () =
   Alcotest.(check bool) "verified" true (r.H.verified = Ok ());
   Alcotest.(check bool) "no fault report" true (r.H.faults = None)
 
+(* Regression: zero rounds injected no fault and still verified; a
+   negative count failed verification instead of being refused; and an
+   empty table ran to the virtual timeout. *)
+let test_empty_runs_rejected () =
+  List.iter
+    (fun (id, n, rounds) ->
+      let config =
+        { adv_config with H.table_size = n; fault_rounds = rounds }
+      in
+      match H.run ~config Arch.pentium3 (Scenario.of_id_exn id) with
+      | _ ->
+        Alcotest.failf "scenario %d ran with %d prefixes, %d rounds" id n
+          rounds
+      | exception Invalid_argument _ -> ())
+    [ (9, 120, 0); (10, 120, 0); (14, 120, 0); (10, 120, -1); (9, 0, 2) ]
+
 let () =
   Alcotest.run "bgp_faults"
     [ ( "oracle",
@@ -236,6 +252,8 @@ let () =
           Alcotest.test_case "end-to-end determinism" `Quick
             test_determinism_end_to_end;
           Alcotest.test_case "paper scenarios untouched" `Quick
-            test_baseline_unaffected
+            test_baseline_unaffected;
+          Alcotest.test_case "zero rounds or prefixes rejected" `Quick
+            test_empty_runs_rejected
         ] )
     ]

@@ -226,6 +226,45 @@ let test_second_connection_refused () =
   cep.Tcp_link.dispose ();
   lep.Tcp_link.dispose ()
 
+(* Regression: a peer that wrote, closed and redialled before the
+   listener's next loop turn was refused.  The accept ran first, found
+   the old connection still installed with its EOF unread, and closed
+   the newcomer; the old one went down at its next read, and nothing
+   accepted again, so [on_connected] never fired a second time. *)
+let test_same_turn_redial () =
+  let loop = Loop.create () in
+  let clock = Loop.clock loop in
+  let lep = Tcp_link.listen loop ~port:0 in
+  let link = lep.Tcp_link.link in
+  let got = Buffer.create 16 and connects = ref 0 and closes = ref 0 in
+  link.set_receiver (Buffer.add_string got);
+  link.set_on_connected (fun () -> incr connects);
+  link.set_on_closed (fun () -> incr closes);
+  let dial () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd
+      (Unix.ADDR_INET (Unix.inet_addr_loopback, lep.Tcp_link.port));
+    fd
+  in
+  let first = dial () in
+  if not (Clock.run clock ~cond:(fun () -> !connects = 1) ~step:5.0) then
+    Alcotest.fail "first connection not installed";
+  (* Bytes, EOF and a new connection, all between two loop turns. *)
+  ignore (Unix.write_substring first "hello" 0 5);
+  Unix.close first;
+  let second = dial () in
+  ignore (Clock.run clock ~cond:(fun () -> !connects = 2) ~step:2.0);
+  Alcotest.(check string) "old connection's bytes delivered" "hello"
+    (Buffer.contents got);
+  Alcotest.(check int) "old connection closed" 1 !closes;
+  Alcotest.(check int) "newcomer connected" 2 !connects;
+  ignore (Unix.write_substring second "world" 0 5);
+  ignore (Clock.run clock ~cond:(fun () -> Buffer.length got = 10) ~step:2.0);
+  Alcotest.(check string) "newcomer's bytes delivered" "helloworld"
+    (Buffer.contents got);
+  Unix.close second;
+  lep.Tcp_link.dispose ()
+
 (* The free cost model runs every stage inline: the sim and live legs
    of scenario 7 must still reach the same Loc-RIB. *)
 let test_inline_crosscheck () =
@@ -495,6 +534,8 @@ let () =
             test_refused_dial_retries;
           Alcotest.test_case "second connection cannot take over" `Quick
             test_second_connection_refused;
+          Alcotest.test_case "redial in the same loop turn" `Quick
+            test_same_turn_redial;
           Alcotest.test_case "sim = live on the inline path" `Quick
             test_inline_crosscheck
         ] );
